@@ -1,5 +1,9 @@
 GO ?= go
-TAG ?= pr7
+# Snapshot tag: one past the newest committed BENCH_pr<N>.json, the
+# same rule as default_tag in scripts/ci.sh.
+TAG ?= $(or $(shell ls BENCH_pr*.json 2>/dev/null | \
+	sed -n 's/^BENCH_pr\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -n 1 | \
+	awk '{ print "pr" $$1 + 1 }'),local)
 
 .PHONY: build test race vet bench perfstat profile chaos fuzz ci
 

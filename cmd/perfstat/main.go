@@ -186,9 +186,10 @@ func measureComponents(st *Stats, n, ops int, skew float64, procs int) {
 // pipeline slicing corpus: a single weakly-connected component the
 // component partitioner keeps whole, split 8 ways along resource cuts.
 // The measured shape is the fsync-heavy writeback variant replayed
-// cold: serial fsync writeback scans the one machine's whole resident
-// cache while each slice replica scans only its own working set, the
-// same per-replica state reduction the components corpus measures.
+// cold. An fsync costs the host its file's dirty pages on either side,
+// so serial vs sliced compares one machine against eight replicas plus
+// their coordination; slice_speedup below 1 means slicing costs more
+// than it saves at this core count.
 // Slicing it needs SliceDeviceSync, so this is a perf-only regime —
 // the byte-identity contract is asserted separately over warmed,
 // fsync-free corpora (internal/artc slice tests, Magritte suite).
@@ -349,7 +350,7 @@ func main() {
 	pipeHotOps := flag.Int("pipeline-hot-ops", 3000, "hot pipeline corpus ops per stage")
 	pipeHotPages := flag.Int("pipeline-hot-pages", 512, "pages per private write on the hot stage")
 	pipeHotSlices := flag.Int("pipeline-hot-slices", 4, "slice count for the hot pipeline replays (fewer than stages, so the static cut must co-locate the hot atom)")
-	pipeHotFileMB := flag.Int64("pipeline-hot-filemb", 192, "hot pipeline corpus file size in MiB (caps the hot stage's resident footprint; large enough that cold stages never saturate and the hot atom dominates the writeback scan)")
+	pipeHotFileMB := flag.Int64("pipeline-hot-filemb", 192, "hot pipeline corpus file size in MiB (caps the hot stage's resident footprint; large enough that cold stages never wrap and the hot atom carries most of the dirty pages written back)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
 	flag.Parse()

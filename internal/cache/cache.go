@@ -4,14 +4,18 @@
 // replacement. Reads that miss block the calling simulated thread while
 // the backing blocks are fetched through the I/O scheduler; writes dirty
 // pages in memory and are flushed on Sync (fsync) or when eviction needs
-// a dirty victim. The cache's capacity is a first-class experimental
+// a dirty victim. Each file's resident and dirty pages are also indexed
+// per file, so fsync, sync and unlink cost the host what they touch, not
+// what is resident. The cache's capacity is a first-class experimental
 // parameter: the paper's §5.2.1 "Cache size" experiment traces on a 4 GB
 // machine and replays on 1.5 GB (and vice versa).
 package cache
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
+	"slices"
 	"time"
 
 	"rootreplay/internal/sched"
@@ -41,10 +45,22 @@ type pageKey struct {
 }
 
 type page struct {
-	key   pageKey
-	dirty bool
-	lru   *list.Element
-	lba   int64 // placement recorded at insert, used for writeback
+	key  pageKey
+	lru  *list.Element
+	lba  int64 // placement recorded at insert, used for writeback
+	fpos int   // position in fileIndex.pages
+	dpos int   // position in fileIndex.dirty; -1 while clean
+}
+
+// fileIndex lists one file's resident pages and, separately, its dirty
+// ones, so Sync and Drop cost what that file holds rather than what the
+// cache holds. Both slices are unordered (removal swaps the last entry
+// in); writePages imposes the order. An index exists only while its
+// file has a resident page.
+type fileIndex struct {
+	pages []*page
+	dirty []*page
+	qpos  int // position in Cache.dirtyFiles; -1 while dirty is empty
 }
 
 // inflight tracks a page read that has been issued but not completed, so
@@ -65,6 +81,11 @@ type Cache struct {
 	lru      *list.List // front = most recent
 	reading  map[pageKey]*inflight
 
+	// files indexes pages by file; dirtyFiles lists the indexes whose
+	// dirty slice is non-empty, which is all SyncAll has to visit.
+	files      map[FileID]*fileIndex
+	dirtyFiles []*fileIndex
+
 	// dirty counts dirty resident pages; onFirstDirty fires on each
 	// 0 -> 1 transition (the background-writeback trigger).
 	dirty        int
@@ -82,6 +103,7 @@ func New(k *sim.Kernel, s sched.Scheduler, capacityPages int64) *Cache {
 		pages:    make(map[pageKey]*page),
 		lru:      list.New(),
 		reading:  make(map[pageKey]*inflight),
+		files:    make(map[FileID]*fileIndex),
 	}
 }
 
@@ -97,6 +119,40 @@ func (c *Cache) Capacity() int64 { return c.capacity }
 // touch moves a page to the MRU position.
 func (c *Cache) touch(p *page) { c.lru.MoveToFront(p.lru) }
 
+// add makes a clean page resident at the MRU position and enters it in
+// its file's index.
+func (c *Cache) add(key pageKey, lba int64) *page {
+	fi := c.files[key.file]
+	if fi == nil {
+		fi = &fileIndex{qpos: -1}
+		c.files[key.file] = fi
+	}
+	p := &page{key: key, lba: lba, fpos: len(fi.pages), dpos: -1}
+	fi.pages = append(fi.pages, p)
+	p.lru = c.lru.PushFront(p)
+	c.pages[key] = p
+	return p
+}
+
+// remove makes a resident page non-resident without writeback. A page
+// that already left (its file was dropped while an evicting thread
+// waited on the device) is left alone.
+func (c *Cache) remove(p *page) {
+	if c.pages[p.key] != p {
+		return
+	}
+	c.markClean(p)
+	fi := c.files[p.key.file]
+	var moved *page
+	fi.pages, moved = swapOut(fi.pages, p.fpos)
+	moved.fpos = p.fpos
+	if len(fi.pages) == 0 {
+		delete(c.files, p.key.file)
+	}
+	c.lru.Remove(p.lru)
+	delete(c.pages, p.key)
+}
+
 // insert adds a page, evicting as needed when t is non-nil. The calling
 // thread t performs any synchronous writeback eviction requires (write
 // throttling). A nil t (kernel context, e.g. a read-completion callback)
@@ -104,7 +160,7 @@ func (c *Cache) touch(p *page) { c.lru.MoveToFront(p.lru) }
 func (c *Cache) insert(t *sim.Thread, key pageKey, lba int64, dirty bool) *page {
 	if p, ok := c.pages[key]; ok {
 		if dirty {
-			if !p.dirty {
+			if p.dpos < 0 {
 				c.stats.Writes++
 				c.markDirty(p)
 			}
@@ -115,9 +171,7 @@ func (c *Cache) insert(t *sim.Thread, key pageKey, lba int64, dirty bool) *page 
 	if t != nil {
 		c.evictFor(t, 1)
 	}
-	p := &page{key: key, lba: lba}
-	p.lru = c.lru.PushFront(p)
-	c.pages[key] = p
+	p := c.add(key, lba)
 	if dirty {
 		c.stats.Writes++
 		c.markDirty(p)
@@ -125,17 +179,59 @@ func (c *Cache) insert(t *sim.Thread, key pageKey, lba int64, dirty bool) *page 
 	return p
 }
 
-// markDirty transitions a clean page to dirty, maintaining the count and
-// firing the writeback trigger on the first dirty page.
+// markDirty transitions a clean page to dirty, maintaining the index
+// and the count and firing the writeback trigger on the first dirty
+// page.
 func (c *Cache) markDirty(p *page) {
-	if p.dirty {
+	if p.dpos >= 0 {
 		return
 	}
-	p.dirty = true
+	fi := c.files[p.key.file]
+	if len(fi.dirty) == 0 {
+		fi.qpos = len(c.dirtyFiles)
+		c.dirtyFiles = append(c.dirtyFiles, fi)
+	}
+	p.dpos = len(fi.dirty)
+	fi.dirty = append(fi.dirty, p)
 	c.dirty++
 	if c.dirty == 1 && c.onFirstDirty != nil {
 		c.onFirstDirty()
 	}
+}
+
+// markClean is markDirty's inverse.
+func (c *Cache) markClean(p *page) {
+	if p.dpos < 0 {
+		return
+	}
+	fi := c.files[p.key.file]
+	var moved *page
+	fi.dirty, moved = swapOut(fi.dirty, p.dpos)
+	moved.dpos = p.dpos
+	p.dpos = -1
+	if len(fi.dirty) == 0 {
+		c.unlistDirty(fi)
+	}
+	c.dirty--
+}
+
+// unlistDirty takes fi, whose last dirty page just went, off dirtyFiles.
+func (c *Cache) unlistDirty(fi *fileIndex) {
+	var moved *fileIndex
+	c.dirtyFiles, moved = swapOut(c.dirtyFiles, fi.qpos)
+	moved.qpos = fi.qpos
+	fi.qpos = -1
+}
+
+// swapOut removes s[i] by moving the last element into its place. It
+// returns that element (s[i] itself when i was last) for the caller to
+// record its new position i.
+func swapOut[T any](s []*T, i int) ([]*T, *T) {
+	last := len(s) - 1
+	moved := s[last]
+	s[i] = moved
+	s[last] = nil
+	return s[:last], moved
 }
 
 // OnFirstDirty registers fn to run whenever the cache transitions from
@@ -155,11 +251,10 @@ func (c *Cache) evictFor(t *sim.Thread, n int64) {
 			return
 		}
 		victim := back.Value.(*page)
-		if victim.dirty {
+		if victim.dpos >= 0 {
 			c.writePages(t, []*page{victim})
 		}
-		c.lru.Remove(victim.lru)
-		delete(c.pages, victim.key)
+		c.remove(victim)
 		c.stats.Evictions++
 	}
 }
@@ -253,9 +348,7 @@ func (c *Cache) Warm(file FileID, m Mapper, start, n int64) {
 		if c.capacity > 0 && int64(len(c.pages)) >= c.capacity {
 			return
 		}
-		p := &page{key: key, lba: m(i)}
-		p.lru = c.lru.PushFront(p)
-		c.pages[key] = p
+		c.add(key, m(i))
 	}
 }
 
@@ -270,29 +363,23 @@ func (c *Cache) Write(t *sim.Thread, file FileID, m Mapper, start, n int64) {
 // Sync writes back every dirty page of file, blocking t until the device
 // has them. It returns the number of pages written.
 func (c *Cache) Sync(t *sim.Thread, file FileID) int {
-	var dirty []*page
-	for _, p := range c.pages {
-		if p.key.file == file && p.dirty {
-			dirty = append(dirty, p)
-		}
-	}
-	if len(dirty) == 0 {
+	fi := c.files[file]
+	if fi == nil || len(fi.dirty) == 0 {
 		return 0
 	}
+	dirty := slices.Clone(fi.dirty)
 	c.writePages(t, dirty)
 	return len(dirty)
 }
 
 // SyncAll writes back every dirty page in the cache (the sync(2) call).
 func (c *Cache) SyncAll(t *sim.Thread) int {
-	var dirty []*page
-	for _, p := range c.pages {
-		if p.dirty {
-			dirty = append(dirty, p)
-		}
-	}
-	if len(dirty) == 0 {
+	if c.dirty == 0 {
 		return 0
+	}
+	dirty := make([]*page, 0, c.dirty)
+	for _, fi := range c.dirtyFiles {
+		dirty = append(dirty, fi.dirty...)
 	}
 	c.writePages(t, dirty)
 	return len(dirty)
@@ -301,24 +388,25 @@ func (c *Cache) SyncAll(t *sim.Thread) int {
 // writePages issues write requests for the given pages (coalescing
 // contiguous LBAs) and blocks t until all complete. Pages are marked
 // clean when the writes are issued; the model does not redirty mid-write.
+// It reorders pages, which must not alias an index slice.
 func (c *Cache) writePages(t *sim.Thread, pages []*page) {
-	// Sort by LBA to coalesce contiguous runs. Insertion sort is fine:
-	// fsync batches are small-to-moderate and nearly sorted in practice.
-	for i := 1; i < len(pages); i++ {
-		for j := i; j > 0 && pages[j-1].lba > pages[j].lba; j-- {
-			pages[j-1], pages[j] = pages[j], pages[j-1]
-		}
-	}
+	// (lba, file, idx) is a total order over resident pages, so the
+	// request sequence does not depend on the order the caller collected
+	// them in, even when two files map onto the same LBA.
+	slices.SortFunc(pages, func(a, b *page) int {
+		return cmp.Or(
+			cmp.Compare(a.lba, b.lba),
+			cmp.Compare(a.key.file, b.key.file),
+			cmp.Compare(a.key.idx, b.key.idx),
+		)
+	})
 	type run struct {
 		lba    int64
 		blocks int
 	}
 	var runs []run
 	for _, p := range pages {
-		if p.dirty {
-			p.dirty = false
-			c.dirty--
-		}
+		c.markClean(p)
 		c.stats.Writebacks++
 		if len(runs) > 0 && runs[len(runs)-1].lba+int64(runs[len(runs)-1].blocks) == p.lba {
 			runs[len(runs)-1].blocks++
@@ -355,15 +443,19 @@ func (c *Cache) DirtyCount() int { return c.dirty }
 // file's last reference goes away; dirty pages of an unlinked file need
 // not reach the device).
 func (c *Cache) Drop(file FileID) {
-	for key, p := range c.pages {
-		if key.file == file {
-			if p.dirty {
-				c.dirty--
-			}
-			c.lru.Remove(p.lru)
-			delete(c.pages, key)
-		}
+	fi := c.files[file]
+	if fi == nil {
+		return
 	}
+	for _, p := range fi.pages {
+		c.lru.Remove(p.lru)
+		delete(c.pages, p.key)
+	}
+	if len(fi.dirty) > 0 {
+		c.dirty -= len(fi.dirty)
+		c.unlistDirty(fi)
+	}
+	delete(c.files, file)
 }
 
 // DropAll empties the cache without writeback (echo 3 >
@@ -371,6 +463,8 @@ func (c *Cache) Drop(file FileID) {
 func (c *Cache) DropAll() {
 	c.pages = make(map[pageKey]*page)
 	c.lru = list.New()
+	c.files = make(map[FileID]*fileIndex)
+	c.dirtyFiles = nil
 	c.dirty = 0
 }
 

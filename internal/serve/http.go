@@ -211,26 +211,28 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // statusDoc is the job-status JSON shape.
 type statusDoc struct {
-	ID          string `json:"id"`
-	Tenant      string `json:"tenant"`
-	Kind        string `json:"kind"`
-	State       State  `json:"state"`
-	Error       string `json:"error,omitempty"`
-	Created     string `json:"created"`
-	Started     string `json:"started,omitempty"`
-	Finished    string `json:"finished,omitempty"`
-	ResultBytes int    `json:"result_bytes,omitempty"`
+	ID            string `json:"id"`
+	Tenant        string `json:"tenant"`
+	Kind          string `json:"kind"`
+	State         State  `json:"state"`
+	Error         string `json:"error,omitempty"`
+	Created       string `json:"created"`
+	Started       string `json:"started,omitempty"`
+	Finished      string `json:"finished,omitempty"`
+	ResultBytes   int    `json:"result_bytes,omitempty"`
+	ResultEvicted bool   `json:"result_evicted,omitempty"` // done, bytes no longer held
 }
 
 func (s *Server) statusDocLocked(j *Job) statusDoc {
 	doc := statusDoc{
-		ID:          j.ID,
-		Tenant:      j.Tenant,
-		Kind:        j.Kind,
-		State:       j.state,
-		Error:       j.errMsg,
-		Created:     j.created.UTC().Format(time.RFC3339Nano),
-		ResultBytes: len(j.result),
+		ID:            j.ID,
+		Tenant:        j.Tenant,
+		Kind:          j.Kind,
+		State:         j.state,
+		Error:         j.errMsg,
+		Created:       j.created.UTC().Format(time.RFC3339Nano),
+		ResultBytes:   len(j.result),
+		ResultEvicted: j.resultEvicted,
 	}
 	if !j.started.IsZero() {
 		doc.Started = j.started.UTC().Format(time.RFC3339Nano)
@@ -310,7 +312,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // handleResult serves a finished job's artifact: the report JSON
 // (replay), the Perfetto export (export), or the chaos verdict (chaos).
 // A job that is not done answers 409 with its current state, so pollers
-// can distinguish "not yet" from "never".
+// can distinguish "not yet" from "never"; a done job whose result has
+// left retention answers 410.
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if !s.methodCheck(w, r, http.MethodGet) {
 		return
@@ -325,9 +328,15 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	errMsg := j.errMsg
 	result := j.result
 	ctype := j.resultType
+	evicted := j.resultEvicted
 	s.mu.Unlock()
 	switch st {
 	case StateDone:
+		if evicted {
+			s.jsonError(w, http.StatusGone, "result_evicted",
+				"result no longer retained; only a tenant's most recent results are kept")
+			return
+		}
 		w.Header().Set("Content-Type", ctype)
 		w.Header().Set("Content-Length", strconv.Itoa(len(result)))
 		w.Write(result)

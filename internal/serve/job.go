@@ -49,6 +49,9 @@ type Job struct {
 	canceled   bool
 	result     []byte
 	resultType string
+	// resultEvicted: the job is done but later jobs of its tenant pushed
+	// its result bytes out of retention (see retainResultLocked).
+	resultEvicted bool
 }
 
 // jobRequest is the submission document. Unknown fields are rejected;
@@ -241,8 +244,27 @@ func (s *Server) runJob(j *Job) {
 	default:
 		j.result = result
 		j.resultType = ctype
+		s.retainResultLocked(t, j)
 		s.finalizeLocked(t, j, StateDone, "")
 	}
+}
+
+// retainResultLocked notes that j now holds result bytes and releases
+// the oldest held result of the tenant beyond cfg.QueueBound (caller
+// holds mu). The bound that caps a tenant's queued work also caps the
+// results the service keeps for it, so a long-lived tenant's memory is
+// its last QueueBound results, not every result it ever produced. The
+// evicted job keeps its status document.
+func (s *Server) retainResultLocked(t *tenant, j *Job) {
+	t.retained = append(t.retained, j)
+	if len(t.retained) <= s.cfg.QueueBound {
+		return
+	}
+	old := t.retained[0]
+	t.retained = t.retained[1:]
+	old.result = nil
+	old.resultEvicted = true
+	s.counters.Add("artcd_results_evicted", 1)
 }
 
 // finalizeLocked records a terminal state (caller holds mu). It is the

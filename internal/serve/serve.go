@@ -51,7 +51,9 @@ type Config struct {
 	// Workers bounds the job executor pool (< 1 selects GOMAXPROCS).
 	Workers int
 	// QueueBound caps each tenant's queued (admitted but not yet
-	// started) jobs. Submissions beyond it are rejected with 429.
+	// started) jobs. Submissions beyond it are rejected with 429. It
+	// also caps how many finished jobs per tenant keep their result
+	// bytes; older results answer 410.
 	QueueBound int
 	// MaxUploadBytes caps a single trace upload body.
 	MaxUploadBytes int64
@@ -101,6 +103,7 @@ type tenant struct {
 	queued   int             // jobs in StateQueued (includes one held by the dispatcher)
 	jobs     map[string]*Job // all jobs ever submitted, by id
 	jobOrder []string        // submission order, for deterministic listing
+	retained []*Job          // done jobs still holding result bytes, oldest first
 	seq      int
 	uploads  map[string]int64 // blob id → size charged to this tenant
 	used     int64            // sum of uploads

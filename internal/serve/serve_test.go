@@ -331,3 +331,46 @@ func TestJobListOrder(t *testing.T) {
 		}
 	}
 }
+
+// A tenant keeps the result bytes of its QueueBound most recent done
+// jobs; an older job keeps its status document and answers 410.
+func TestResultRetentionBound(t *testing.T) {
+	const bound = 2
+	s, _ := newTestServer(t, Config{Workers: 1, QueueBound: bound})
+	var ids []string
+	for i := 0; i < bound+1; i++ {
+		id := submitSleep(t, s, "a", 0)
+		waitState(t, s, "a", id, StateDone)
+		ids = append(ids, id)
+	}
+	other := submitSleep(t, s, "b", 0) // another tenant's results don't count against a
+	waitState(t, s, "b", other, StateDone)
+
+	w := do(s, http.MethodGet, "/v1/tenants/a/jobs/"+ids[0]+"/result", nil)
+	if w.Code != http.StatusGone {
+		t.Fatalf("result of evicted job: %d %s", w.Code, w.Body)
+	}
+	checkJSONErrorLine(t, w, "result_evicted")
+	w = do(s, http.MethodGet, "/v1/tenants/a/jobs/"+ids[0], nil)
+	var doc struct {
+		State         State `json:"state"`
+		ResultBytes   int   `json:"result_bytes"`
+		ResultEvicted bool  `json:"result_evicted"`
+	}
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.State != StateDone || doc.ResultBytes != 0 || !doc.ResultEvicted {
+		t.Fatalf("evicted job's status: %s", w.Body)
+	}
+	for _, path := range []string{"a/jobs/" + ids[1], "a/jobs/" + ids[2], "b/jobs/" + other} {
+		w := do(s, http.MethodGet, "/v1/tenants/"+path+"/result", nil)
+		if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "slept_ms") {
+			t.Fatalf("result of retained job %s: %d %s", path, w.Code, w.Body)
+		}
+	}
+	w = do(s, http.MethodGet, "/metrics", nil)
+	if !strings.Contains(w.Body.String(), "artcd_results_evicted 1\n") {
+		t.Fatalf("metrics missing the eviction:\n%s", w.Body)
+	}
+}

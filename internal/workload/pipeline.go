@@ -51,10 +51,10 @@ type Pipeline struct {
 	// fsync before closing. The default 0 keeps the family fsync-free —
 	// the device-independent shape whose sliced replay is byte-identical
 	// to serial. A positive value turns the family into the writeback
-	// perf corpus: serial fsync writeback scans the whole machine's
-	// resident cache, per-slice replicas only their own, which is the
-	// working-set reduction the sliced perf numbers measure (slicing it
-	// requires ShardOptions.SliceDeviceSync).
+	// perf corpus, whose fsyncs reach the device queue (slicing it
+	// requires ShardOptions.SliceDeviceSync). An fsync's host cost is
+	// its own dirty pages whatever else is resident, so the corpus
+	// measures what slicing itself costs, not a working-set reduction.
 	Fsync int
 	// Seed drives the per-stage op mix.
 	Seed int64

@@ -325,6 +325,8 @@ service_fault() {
 bench() {
   echo "== go test -bench=Compile -benchtime=1x"
   go test -run '^$' -bench 'Compile' -benchtime 1x -benchmem .
+  echo "== go test -bench='SyncResident|DropResident' -benchtime=1x"
+  go test -run '^$' -bench 'SyncResident|DropResident' -benchtime 1x ./internal/cache
   echo "== perfstat -> BENCH_${tag}.json"
   go run ./cmd/perfstat -o "BENCH_${tag}.json"
   base="${prev:-$(latest_bench)}"
