@@ -589,16 +589,12 @@ func traceCmd(args []string) error {
 	if *noSamples {
 		rec.ClearSamples()
 	}
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+	if *out == "-" {
+		err = rec.WriteChrome(os.Stdout)
+	} else {
+		err = writeChromeFile(rec, *out)
 	}
-	if err := rec.WriteChrome(w); err != nil {
+	if err != nil {
 		return err
 	}
 	if !*quiet {
@@ -611,6 +607,21 @@ func traceCmd(args []string) error {
 		fmt.Fprint(os.Stderr, rep.CriticalPath(b).Format(*critHops))
 	}
 	return nil
+}
+
+// writeChromeFile exports rec to path. The export streams, so a full
+// disk can surface at any write or only when Close flushes: either way
+// the caller must hear of it rather than keep a truncated trace.
+func writeChromeFile(rec *obs.Recorder, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rec.WriteChrome(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func inspectCmd(args []string) error {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1415,12 +1416,7 @@ func mergeReports(b *Benchmark, g *core.Graph, shards []*compiledShard, opts Opt
 			// the unsliced (Done, Shard) interleave cannot order their
 			// same-instant spans; (Done, Action) is the canonical order
 			// WriteChrome also applies to the serial stream.
-			sort.Slice(spans, func(i, j int) bool {
-				if spans[i].Done != spans[j].Done {
-					return spans[i].Done < spans[j].Done
-				}
-				return spans[i].Action < spans[j].Action
-			})
+			slices.SortFunc(spans, func(a, b obs.Span) int { return obs.CompareSpans(&a, &b) })
 		} else {
 			sort.SliceStable(spans, func(i, j int) bool {
 				if spans[i].Done != spans[j].Done {

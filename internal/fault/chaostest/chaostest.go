@@ -147,15 +147,26 @@ func RunSeed(opts Options, seed uint64) (Result, *obs.Recorder) {
 			fmt.Sprintf("elapsed time not reproducible: %v vs %v", repA.Elapsed, repB.Elapsed))
 	}
 	if recA != nil && recB != nil {
-		var a, b bytes.Buffer
-		if err := recA.WriteChrome(&a); err == nil {
-			if err := recB.WriteChrome(&b); err == nil && !bytes.Equal(a.Bytes(), b.Bytes()) {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("exported trace not reproducible: %d vs %d bytes", a.Len(), b.Len()))
-			}
-		}
+		res.Violations = append(res.Violations, exportViolations(recA, recB)...)
 	}
 	return res, recA
+}
+
+// exportViolations compares the two runs' exported traces. An export
+// that fails to encode was never compared, so it is a violation too, not
+// a pass.
+func exportViolations(recA, recB *obs.Recorder) []string {
+	var a, b bytes.Buffer
+	if err := recA.WriteChrome(&a); err != nil {
+		return []string{fmt.Sprintf("trace export failed, reproducibility unchecked: %v", err)}
+	}
+	if err := recB.WriteChrome(&b); err != nil {
+		return []string{fmt.Sprintf("trace export of the verify run failed, reproducibility unchecked: %v", err)}
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		return []string{fmt.Sprintf("exported trace not reproducible: %d vs %d bytes", a.Len(), b.Len())}
+	}
+	return nil
 }
 
 // replayOnce is one full kernel + stack + replay cycle for the seed.

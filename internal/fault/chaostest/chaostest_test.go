@@ -3,6 +3,7 @@ package chaostest
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"rootreplay/internal/core"
 	"rootreplay/internal/fault"
 	"rootreplay/internal/magritte"
+	"rootreplay/internal/obs"
 )
 
 // compileSmall compiles a small Magritte benchmark shared by the tests.
@@ -142,5 +144,33 @@ func TestViolationsPropagate(t *testing.T) {
 	}
 	if !strings.Contains(res.Violations[0], "stalled (watchdog)") {
 		t.Fatalf("violation = %q, want the stall report", res.Violations[0])
+	}
+}
+
+// A trace export that cannot be encoded was never compared, so it must
+// not count as reproducible: a NaN counter sample in either run's
+// recorder is a violation naming the encoder's error.
+func TestFailedExportIsAViolation(t *testing.T) {
+	good := func() *obs.Recorder {
+		r := obs.NewRecorder(8, 8)
+		r.Record(obs.Span{Action: 0, TID: 1, Call: "open", Done: time.Microsecond, ReleasedBy: -1})
+		r.Sample(0, obs.CounterRunq, 1)
+		return r
+	}
+	bad := good()
+	bad.Sample(time.Microsecond, obs.CounterDevUtil, math.NaN())
+
+	if v := exportViolations(good(), good()); len(v) != 0 {
+		t.Fatalf("identical recorders reported %q", v)
+	}
+	for name, pair := range map[string][2]*obs.Recorder{
+		"first run":  {bad, good()},
+		"verify run": {good(), bad},
+		"both runs":  {bad, bad},
+	} {
+		v := exportViolations(pair[0], pair[1])
+		if len(v) != 1 || !strings.Contains(v[0], "export") || !strings.Contains(v[0], "unsupported value: NaN") {
+			t.Errorf("%s: violations = %q, want one naming the failed export and its error", name, v)
+		}
 	}
 }

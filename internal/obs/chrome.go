@@ -1,10 +1,15 @@
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"reflect"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,122 +32,359 @@ import (
 // contents are deterministic and the writer iterates in fixed order
 // (metadata by sorted TID, then spans, then samples, in record order),
 // the byte stream is identical across runs.
-
-// chromeEvent is one trace_event entry. Field order fixes the JSON
-// field order; args maps marshal with sorted keys, so output is
-// byte-deterministic.
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Cat  string         `json:"cat,omitempty"`
-	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`
-	Dur  float64        `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	ID   int            `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-const chromePID = 1
+//
+// The bytes are exactly those encoding/json produced when the exporter
+// built a []struct with boxed args maps and handed it to json.Encoder
+// (that exporter is now the test oracle, chrome_oracle_test.go): the
+// same field order and omitted-when-zero fields, args keys sorted, the
+// same number and string rendering including HTML escaping, the same
+// trailing newline. The golden exports and the CLI ≡ HTTP ≡ sliced
+// byte-identity lanes depend on that, so every rule below is one of
+// encoding/json's, not a choice.
 
 // usec converts a virtual duration to trace_event microseconds.
 func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
+// CompareSpans is the canonical export order, (Done, Action). Completion
+// times are monotone within a run, so sorting by it only permutes
+// same-instant ties — and those ties are where serial and sliced replays
+// legitimately record in different (but equally valid) orders.
+func CompareSpans(a, b *Span) int {
+	if c := cmp.Compare(a.Done, b.Done); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Action, b.Action)
+}
+
+// chromeChunk is how many encoded bytes accumulate before they are
+// handed to the writer: large enough that a file export costs a few
+// hundred write calls, small enough to stay in cache.
+const chromeChunk = 64 << 10
+
 // WriteChrome writes the recorder's contents as Chrome trace_event JSON.
-// Spans are emitted in canonical (Done, Action) order rather than raw
-// record order: completion times are monotone within a run, so the sort
-// only permutes same-instant ties — and those ties are where serial and
-// sliced replays legitimately record in different (but equally valid)
-// orders. Canonicalizing here makes the export a pure function of the
-// recorded span set, so sliced output can be byte-compared to serial.
+// Spans are emitted in CompareSpans order rather than raw record order,
+// which makes the export a pure function of the recorded span set, so
+// sliced output can be byte-compared to serial.
+//
+// The document streams to w in chunks. A counter sample that JSON cannot
+// represent (NaN, ±Inf) fails the export with *json.UnsupportedValueError
+// before anything is written; after that the only error is w's. A w with
+// a Grow(int) method, as bytes.Buffer has, is first told roughly how much
+// is coming, so that it is not left to find the size by doubling.
 func (r *Recorder) WriteChrome(w io.Writer) error {
-	spans := r.Spans()
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Done != spans[j].Done {
-			return spans[i].Done < spans[j].Done
-		}
-		return spans[i].Action < spans[j].Action
-	})
-	samples := r.Samples()
-
-	events := make([]chromeEvent, 0, 2*len(spans)+len(samples)+8)
-
-	// Thread-name metadata, sorted by TID for stable output.
-	tids := make([]int, 0, 8)
-	seen := make(map[int32]bool)
-	byAction := make(map[int32]int32, len(spans)) // action -> TID, for flows
-	for i := range spans {
-		sp := &spans[i]
-		byAction[sp.Action] = sp.TID
-		if !seen[sp.TID] {
-			seen[sp.TID] = true
-			tids = append(tids, int(sp.TID))
+	var spans []Span // the ring itself, not a copy
+	var samples []Sample
+	var spanHead, sampleHead int
+	if r != nil {
+		spans, spanHead = r.spans, r.spanHead
+		samples, sampleHead = r.samples, r.sampleHead
+	}
+	// sampleAt is the i'th sample in record order.
+	sampleAt := func(i int) *Sample { return &samples[(sampleHead+i)%len(samples)] }
+	for i := range samples {
+		if v := sampleAt(i).Value; math.IsNaN(v) || math.IsInf(v, 0) {
+			return &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: strconv.FormatFloat(v, 'g', -1, 64)}
 		}
 	}
-	sort.Ints(tids)
+
+	// order lists ring positions oldest first, then canonically. A serial
+	// replay records in canonical order already and skips the sort.
+	order := make([]int32, 0, len(spans))
+	for i := spanHead; i < len(spans); i++ {
+		order = append(order, int32(i))
+	}
+	for i := 0; i < spanHead; i++ {
+		order = append(order, int32(i))
+	}
+	canonical := func(i, j int32) int { return CompareSpans(&spans[i], &spans[j]) }
+	if !slices.IsSortedFunc(order, canonical) {
+		slices.SortFunc(order, canonical)
+	}
+
+	var tids []int32
+	seen := make(map[int32]struct{})
+	for i := range spans {
+		tid := spans[i].TID
+		if i > 0 && tid == spans[i-1].TID {
+			continue
+		}
+		if _, ok := seen[tid]; !ok {
+			seen[tid] = struct{}{}
+			tids = append(tids, tid)
+		}
+	}
+	slices.Sort(tids)
+	recorded := indexActions(spans, order)
+
+	b := make([]byte, 0, chromeChunk+4<<10)
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		scratch := b
+		size := 64 + 96*len(tids)
+		size += extrapolate(len(order), func(i int) int {
+			scratch = appendSpan(scratch[:0], spans, order[i], &recorded)
+			return len(scratch) + 1
+		})
+		size += extrapolate(len(samples), func(i int) int {
+			scratch = appendSample(scratch[:0], sampleAt(i))
+			return len(scratch) + 1
+		})
+		g.Grow(size + size/16) // a short guess costs a doubling, a long one its excess
+	}
+
+	var err error
+	b = append(b, `{"traceEvents":[`...)
+	sep := "" // "," once the first event is out
 	for _, tid := range tids {
-		events = append(events, chromeEvent{
-			Name: "thread_name", Ph: "M", PID: chromePID, TID: tid,
-			Args: map[string]any{"name": fmt.Sprintf("replay-T%d", tid)},
-		})
+		b = append(b, sep...)
+		b = append(b, `{"name":"thread_name","ph":"M","ts":0,"pid":1,"tid":`...)
+		b = strconv.AppendInt(b, int64(tid), 10)
+		b = append(b, `,"args":{"name":"replay-T`...)
+		b = strconv.AppendInt(b, int64(tid), 10)
+		b = append(b, `"}}`...)
+		sep = ","
 	}
-
-	for i := range spans {
-		sp := &spans[i]
-		if wait := sp.Wait(); wait > 0 {
-			events = append(events, chromeEvent{
-				Name: sp.Call, Cat: "wait", Ph: "X",
-				TS: usec(sp.WaitStart), Dur: usec(wait),
-				PID: chromePID, TID: int(sp.TID),
-				Args: map[string]any{"action": sp.Action, "predelay_us": usec(sp.Predelay)},
-			})
-		}
-		args := map[string]any{"action": sp.Action}
-		if sp.ReleaseRes != "" {
-			args["release_res"] = sp.ReleaseRes
-		}
-		events = append(events, chromeEvent{
-			Name: sp.Call, Cat: "call", Ph: "X",
-			TS: usec(sp.Issue), Dur: usec(sp.InCall()),
-			PID: chromePID, TID: int(sp.TID),
-			Args: args,
-		})
-		// Flow from the releasing action's track to this action's issue.
-		// Flow ids must be nonzero and unique per arrow; action index + 1
-		// is both (each action is released at most once).
-		if sp.ReleasedBy >= 0 {
-			fromTID, ok := byAction[sp.ReleasedBy]
-			if !ok {
-				continue // releaser's span fell out of the ring
+	for _, pos := range order {
+		b = append(b, sep...)
+		b = appendSpan(b, spans, pos, &recorded)
+		sep = ","
+		if len(b) >= chromeChunk {
+			if b, err = writeChunk(w, b); err != nil {
+				return err
 			}
-			events = append(events, chromeEvent{
-				Name: "dep", Cat: "dep", Ph: "s",
-				TS: usec(sp.ReleasedAt), PID: chromePID, TID: int(fromTID),
-				ID: int(sp.Action) + 1,
-			})
-			events = append(events, chromeEvent{
-				Name: "dep", Cat: "dep", Ph: "f", BP: "e",
-				TS: usec(sp.Issue), PID: chromePID, TID: int(sp.TID),
-				ID: int(sp.Action) + 1,
-			})
 		}
 	}
+	for i := range samples {
+		b = append(b, sep...)
+		b = appendSample(b, sampleAt(i))
+		sep = ","
+		if len(b) >= chromeChunk {
+			if b, err = writeChunk(w, b); err != nil {
+				return err
+			}
+		}
+	}
+	b = append(b, `],"displayTimeUnit":"ms"}`...)
+	b = append(b, '\n')
+	_, err = writeChunk(w, b)
+	return err
+}
 
-	for _, s := range samples {
-		events = append(events, chromeEvent{
-			Name: s.Kind.String(), Ph: "C",
-			TS: usec(s.At), PID: chromePID, TID: 0,
-			Args: map[string]any{"value": s.Value},
-		})
+// appendSpan appends the events of the span at ring position pos: its
+// wait slice if it waited, its call slice, and the flow pair if the span
+// that released it is still in the ring.
+func appendSpan(b []byte, spans []Span, pos int32, recorded *actionIndex) []byte {
+	sp := &spans[pos]
+	if wait := sp.Wait(); wait > 0 {
+		b = append(b, `{"name":`...)
+		b = appendJSONString(b, sp.Call)
+		b = append(b, `,"cat":"wait","ph":"X","ts":`...)
+		b = appendUsec(b, sp.WaitStart)
+		b = append(b, `,"dur":`...)
+		b = appendUsec(b, wait)
+		b = append(b, `,"pid":1,"tid":`...)
+		b = strconv.AppendInt(b, int64(sp.TID), 10)
+		b = append(b, `,"args":{"action":`...)
+		b = strconv.AppendInt(b, int64(sp.Action), 10)
+		b = append(b, `,"predelay_us":`...)
+		b = appendUsec(b, sp.Predelay)
+		b = append(b, `}},`...)
 	}
 
-	doc := struct {
-		TraceEvents     []chromeEvent `json:"traceEvents"`
-		DisplayTimeUnit string        `json:"displayTimeUnit"`
-	}{events, "ms"}
-	enc := json.NewEncoder(w)
-	return enc.Encode(&doc)
+	b = append(b, `{"name":`...)
+	b = appendJSONString(b, sp.Call)
+	b = append(b, `,"cat":"call","ph":"X","ts":`...)
+	b = appendUsec(b, sp.Issue)
+	if in := sp.InCall(); in != 0 {
+		b = append(b, `,"dur":`...)
+		b = appendUsec(b, in)
+	}
+	b = append(b, `,"pid":1,"tid":`...)
+	b = strconv.AppendInt(b, int64(sp.TID), 10)
+	b = append(b, `,"args":{"action":`...)
+	b = strconv.AppendInt(b, int64(sp.Action), 10)
+	if sp.ReleaseRes != "" {
+		b = append(b, `,"release_res":`...)
+		b = appendJSONString(b, sp.ReleaseRes)
+	}
+	b = append(b, `}}`...)
+
+	// Flow from the releasing action's track to this action's issue.
+	// Flow ids must be nonzero and unique per arrow; action index + 1
+	// is both (each action is released at most once).
+	if sp.ReleasedBy >= 0 {
+		if from, ok := recorded.lookup(sp.ReleasedBy); ok {
+			b = append(b, `,{"name":"dep","cat":"dep","ph":"s","ts":`...)
+			b = appendUsec(b, sp.ReleasedAt)
+			b = appendFlowTail(b, spans[from].TID, sp.Action)
+			b = append(b, `},{"name":"dep","cat":"dep","ph":"f","ts":`...)
+			b = appendUsec(b, sp.Issue)
+			b = appendFlowTail(b, sp.TID, sp.Action)
+			b = append(b, `,"bp":"e"}`...)
+		}
+	}
+	return b
+}
+
+// appendSample appends the counter event for s.
+func appendSample(b []byte, s *Sample) []byte {
+	b = append(b, `{"name":`...)
+	b = appendJSONString(b, s.Kind.String())
+	b = append(b, `,"ph":"C","ts":`...)
+	b = appendUsec(b, s.At)
+	b = append(b, `,"pid":1,"tid":0,"args":{"value":`...)
+	b = appendJSONFloat(b, s.Value)
+	return append(b, `}}`...)
+}
+
+// extrapolate estimates the sum of size(i) over 0..n-1 from at most 1024
+// evenly spaced i: within a percent or two for event sizes, which vary by
+// a small factor, and exact when n is that small.
+func extrapolate(n int, size func(i int) int) int {
+	k := min(n, 1024)
+	if k == 0 {
+		return 0
+	}
+	sum := 0
+	for j := 0; j < k; j++ {
+		sum += size((2*j + 1) * n / (2 * k))
+	}
+	return int(int64(sum) * int64(n) / int64(k))
+}
+
+// writeChunk hands b to w and returns it emptied for reuse.
+func writeChunk(w io.Writer, b []byte) ([]byte, error) {
+	n, err := w.Write(b)
+	if err == nil && n < len(b) {
+		err = io.ErrShortWrite
+	}
+	return b[:0], err
+}
+
+// appendFlowTail appends the pid/tid/id fields of a flow event. id is
+// action+1 in int arithmetic and, like every integer field json marks
+// omitempty, vanishes when zero.
+func appendFlowTail(b []byte, tid, action int32) []byte {
+	b = append(b, `,"pid":1,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	if id := int64(action) + 1; id != 0 {
+		b = append(b, `,"id":`...)
+		b = strconv.AppendInt(b, id, 10)
+	}
+	return b
+}
+
+// actionIndex finds the span that recorded a given action, so a flow
+// arrow can start on the releaser's track. Replays number actions
+// 0..n-1, so a slice indexed by action covers them; ids too spread out
+// for that (a small ring at the end of a long trace with one straggling
+// thread) fall back to a map rather than allocate for the gap.
+type actionIndex struct {
+	base   int64
+	dense  []int32         // ring position + 1 by action-base; 0 = none
+	sparse map[int32]int32 // action -> ring position
+}
+
+// indexActions indexes spans (ring positions in export order). An action
+// recorded twice resolves to its later span in that order.
+func indexActions(spans []Span, order []int32) actionIndex {
+	if len(order) == 0 {
+		return actionIndex{}
+	}
+	lo, hi := spans[order[0]].Action, spans[order[0]].Action
+	for i := range spans {
+		lo, hi = min(lo, spans[i].Action), max(hi, spans[i].Action)
+	}
+	var ix actionIndex
+	if width := int64(hi) - int64(lo) + 1; width <= 4*int64(len(order))+1024 {
+		ix.base, ix.dense = int64(lo), make([]int32, width)
+		for _, pos := range order {
+			ix.dense[int64(spans[pos].Action)-ix.base] = pos + 1
+		}
+		return ix
+	}
+	ix.sparse = make(map[int32]int32, len(order))
+	for _, pos := range order {
+		ix.sparse[spans[pos].Action] = pos
+	}
+	return ix
+}
+
+func (ix *actionIndex) lookup(action int32) (pos int32, ok bool) {
+	if ix.sparse != nil {
+		pos, ok = ix.sparse[action]
+		return pos, ok
+	}
+	i := int64(action) - ix.base
+	if i < 0 || i >= int64(len(ix.dense)) || ix.dense[i] == 0 {
+		return 0, false
+	}
+	return ix.dense[i] - 1, true
+}
+
+// usecExact bounds the durations appendUsec renders from integer
+// nanoseconds. Below it float64(d) is exact and float64(d)/1000 lies
+// under 2^43, where adjacent float64s are less than 0.001 apart: the
+// decimal d/1000, at most three fractional digits, then rounds to that
+// quotient, and no decimal as short or shorter does (the nearest one is
+// at least 0.001 away, more than the quotient's whole rounding interval).
+// So it is the shortest round-trip decimal, which is what strconv prints.
+// TestAppendUsecMatchesFloat holds the two equal up to this bound.
+const usecExact = time.Duration(1) << 52
+
+// appendUsec appends usec(d) as encoding/json renders that float64.
+func appendUsec(b []byte, d time.Duration) []byte {
+	if d <= -usecExact || d >= usecExact {
+		return appendJSONFloat(b, usec(d))
+	}
+	if d < 0 {
+		b = append(b, '-')
+		d = -d
+	}
+	b = strconv.AppendInt(b, int64(d/1000), 10)
+	if frac := d % 1000; frac != 0 {
+		b = append(b, '.', byte('0'+frac/100), byte('0'+frac/10%10), byte('0'+frac%10))
+		for b[len(b)-1] == '0' {
+			b = b[:len(b)-1]
+		}
+	}
+	return b
+}
+
+// appendJSONFloat appends a finite f the way encoding/json does (ES6
+// number-to-string): plain decimal unless |f| < 1e-6 or |f| >= 1e21,
+// then exponent form with a one-digit negative exponent unpadded
+// ("3e-09" becomes "3e-9").
+func appendJSONFloat(b []byte, f float64) []byte {
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONString appends s as a JSON string with encoding/json's
+// HTML-safe escaping. Call and counter names are plain printable ASCII
+// and are copied between quotes; anything json would escape (quote,
+// backslash, <, >, &, control bytes, DEL and non-ASCII, which covers
+// U+2028/9 and invalid UTF-8) goes through json.Marshal itself.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // Summary renders a fixed-width text digest of the recorded replay:

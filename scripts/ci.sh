@@ -21,8 +21,9 @@
 # specs regenerate exactly, and the chaos invariants hold through the
 # sharded replayer), chaos (seeded fault sweep with per-seed
 # verification plus a single-seed bit-repro check), cache (artifact
-# cache hit/corruption behavior), fuzz (a short strace-lexer fuzz
-# smoke), service (boot artcd, drive a replay over HTTP, compare the
+# cache hit/corruption behavior), fuzz (short smokes: the strace lexer
+# and the Chrome exporter against their reference implementations, the
+# artifact decoder against malformed input), service (boot artcd, drive a replay over HTTP, compare the
 # export byte for byte against the artc CLI), service-fault (overfill a
 # tenant queue, assert bounded 429 backpressure and a clean SIGTERM
 # drain), bench (perfstat snapshot and the benchcmp regression gate).
@@ -214,6 +215,8 @@ fuzz() {
   go test -run '^$' -fuzz 'FuzzStraceFastVsReference' -fuzztime 20s ./internal/trace/
   echo "== fuzz: 20s binary artifact decoder smoke"
   go test -run '^$' -fuzz 'FuzzDecodeBinary' -fuzztime 20s -fuzzminimizetime 5s ./internal/artc/
+  echo "== fuzz: 20s streaming Chrome exporter vs encoding/json reference smoke"
+  go test -run '^$' -fuzz 'FuzzWriteChrome' -fuzztime 20s -fuzzminimizetime 5s ./internal/obs/
 }
 
 # start_artcd boots the daemon on an ephemeral port with the given
@@ -327,6 +330,8 @@ bench() {
   go test -run '^$' -bench 'Compile' -benchtime 1x -benchmem .
   echo "== go test -bench='SyncResident|DropResident' -benchtime=1x"
   go test -run '^$' -bench 'SyncResident|DropResident' -benchtime 1x ./internal/cache
+  echo "== go test -bench=WriteChrome -benchtime=1x"
+  go test -run '^$' -bench 'WriteChrome' -benchtime 1x ./internal/obs
   echo "== perfstat -> BENCH_${tag}.json"
   go run ./cmd/perfstat -o "BENCH_${tag}.json"
   base="${prev:-$(latest_bench)}"
