@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -34,12 +35,9 @@ import (
 	"rootreplay/internal/artc"
 	"rootreplay/internal/artifact"
 	"rootreplay/internal/core"
-	"rootreplay/internal/fault"
 	"rootreplay/internal/fault/chaostest"
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
-	"rootreplay/internal/shard"
-	"rootreplay/internal/sim"
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
@@ -105,11 +103,10 @@ func readTrace(path, format string, shards int) (*trace.Trace, error) {
 }
 
 // cacheFlags registers the artifact-cache flags shared by the commands
-// that compile (compile, trace, chaos).
-func cacheFlags(fs *flag.FlagSet) (dir *string, off *bool) {
-	dir = fs.String("cache-dir", "", "compiled-artifact cache directory (default: <user cache dir>/artc)")
-	off = fs.Bool("no-cache", false, "disable the compiled-artifact cache")
-	return dir, off
+// that compile (compile, replay, trace, chaos).
+func cacheFlags(fs *flag.FlagSet, dir *string, off *bool) {
+	fs.StringVar(dir, "cache-dir", "", "compiled-artifact cache directory (default: <user cache dir>/artc)")
+	fs.BoolVar(off, "no-cache", false, "disable the compiled-artifact cache")
 }
 
 // openStore opens the artifact cache, or returns nil (uncached
@@ -149,67 +146,150 @@ func reportCache(st artifact.Stats, quiet bool) {
 	}
 }
 
-// resolveSliceProfile implements -slice-profile=auto: return the cached
-// slice profile for (benchmark, slice options) if one exists, otherwise
-// run one profiling replay of the static cut, persist its profile, and
-// return it. A corrupt cached profile falls back to the static cut with
-// a warning — the same contract as a corrupt benchmark artifact, minus
-// the recompute (the static cut is always safe). Returns nil (static
-// cut) for mode "off" and for plans slicing leaves whole.
-func resolveSliceProfile(mode string, store *artifact.Store, b *artc.Benchmark,
-	opts artc.Options, so artc.ShardOptions, quiet bool) (*shard.SliceProfile, error) {
-	switch mode {
+// runFlags is a parsed replay, trace or chaos command line: the RunSpec
+// the flags fill in directly, plus what needs a look-up, the store or
+// the benchmark before it can become part of the spec, plus what only
+// steers input and output. A flag a command lacks leaves its field zero.
+type runFlags struct {
+	spec                 artc.RunSpec
+	target, sliceProfile string
+	cacheDir             string
+	noCache              bool
+	bench, magritte, out string
+	genScale             float64
+	genSeed              int64
+	quiet                bool   // trace, chaos
+	timeline             bool   // replay
+	noSamples            bool   // trace
+	spanCap, critHops    int    // trace
+	verify               bool   // chaos
+	seed                 uint64 // chaos
+	seeds                int    // chaos
+}
+
+// engineFlags registers the flags every replaying command has: the
+// target machine and the choice of engine.
+func (f *runFlags) engineFlags(fs *flag.FlagSet, defTarget string) {
+	fs.StringVar(&f.target, "target", defTarget, "target machine: platform-fs-device[-sched]")
+	fs.IntVar(&f.spec.Shards, "shards", 0, "replay components in parallel with this worker bound (0 = serial replayer; -1 = GOMAXPROCS)")
+	fs.IntVar(&f.spec.SliceActions, "slice-actions", 0, "with -shards: split components larger than this many actions along resource cuts (0 = off)")
+	fs.IntVar(&f.spec.SliceMax, "slice-max", 0, "cap on slices per component (0 = no cap)")
+	cacheFlags(fs, &f.cacheDir, &f.noCache)
+}
+
+// replayFlags registers what replay and trace have and chaos has not.
+func (f *runFlags) replayFlags(fs *flag.FlagSet, benchUsage string) {
+	fs.StringVar(&f.bench, "bench", "", benchUsage)
+	fs.StringVar((*string)(&f.spec.Options.Method), "method", "artc", "replay method: artc | single | temporal | unconstrained")
+	fs.StringVar(&f.sliceProfile, "slice-profile", "off", "profile-guided re-slicing: off | auto (load the cached slice profile, or profile the static cut once, then re-cut and replay)")
+	fs.BoolVar(&f.spec.Warm, "warm", false, "pre-warm every replica's metadata and page caches (required for sliced-vs-serial byte identity)")
+}
+
+// magritteFlags registers the generated-trace input of trace and chaos.
+func (f *runFlags) magritteFlags(fs *flag.FlagSet) {
+	fs.StringVar(&f.magritte, "magritte", "", "Magritte trace name to generate and replay (e.g. pages_docphoto15)")
+	fs.Float64Var(&f.genScale, "gen-scale", 0.02, "Magritte generation scale")
+	fs.Int64Var(&f.genSeed, "gen-seed", 5, "Magritte generation seed")
+}
+
+// finish resolves the target name and checks the spec, so a bad flag
+// combination fails before anything is loaded or replayed.
+func (f *runFlags) finish(cachePages int64, cfqSlice time.Duration) (err error) {
+	if f.spec.Target, err = stack.ParseTarget(f.target, cachePages, cfqSlice); err != nil {
+		return err
+	}
+	return f.spec.Validate()
+}
+
+// load reads -bench, or generates and compiles -magritte through the
+// artifact cache.
+func (f *runFlags) load() (*artc.Benchmark, error) {
+	switch {
+	case f.bench != "" && f.magritte != "":
+		return nil, fmt.Errorf("-bench and -magritte are mutually exclusive")
+	case f.bench != "":
+		return readBench(f.bench)
+	case f.magritte != "":
+		sp, ok := magritte.SpecByName(f.magritte)
+		if !ok {
+			return nil, fmt.Errorf("unknown Magritte trace %q", f.magritte)
+		}
+		gen, err := magritte.Generate(sp, magritte.GenOptions{Scale: f.genScale, Seed: f.genSeed})
+		if err != nil {
+			return nil, err
+		}
+		b, st, err := artifact.CompileTrace(openStore(f.cacheDir, f.noCache), gen.Trace, gen.Snapshot, core.DefaultModes())
+		if err != nil {
+			return nil, err
+		}
+		reportCache(st, f.quiet)
+		return b, nil
+	default:
+		return nil, fmt.Errorf("one of -bench or -magritte is required")
+	}
+}
+
+// resolveSliceProfile implements -slice-profile=auto: set the spec's
+// slice profile to the cached one for (benchmark, slice options) if it
+// exists, otherwise run one profiling replay of the static cut, persist
+// its profile, and use that. A corrupt cached profile falls back to the
+// static cut with a warning — the same contract as a corrupt benchmark
+// artifact, minus the recompute (the static cut is always safe). Mode
+// "off" and plans slicing leaves whole keep the static cut (nil).
+func (f *runFlags) resolveSliceProfile(b *artc.Benchmark) error {
+	switch f.sliceProfile {
 	case "", "off":
-		return nil, nil
+		return nil
 	case "auto":
 	default:
-		return nil, fmt.Errorf("unknown -slice-profile mode %q (want off or auto)", mode)
+		return fmt.Errorf("unknown -slice-profile mode %q (want off or auto)", f.sliceProfile)
 	}
-	if so.SliceActions <= 0 {
-		return nil, fmt.Errorf("-slice-profile=auto requires -slice-actions")
+	spec := &f.spec
+	if spec.SliceActions <= 0 {
+		return fmt.Errorf("-slice-profile=auto requires -slice-actions")
 	}
+	store := openStore(f.cacheDir, f.noCache)
 	var key string
 	if store != nil {
 		benchKey, err := artifact.KeyTrace(b.Trace, b.Snapshot, b.Modes)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		key = artifact.ProfileKey(benchKey, so.SliceActions, so.SliceMax, so.SliceDeviceSync)
+		key = artifact.ProfileKey(benchKey, spec.SliceActions, spec.SliceMax, spec.SliceDeviceSync)
 		sp, _, err := store.GetProfile(key)
 		switch {
 		case err == nil:
-			if !quiet {
+			if !f.quiet {
 				fmt.Fprintf(os.Stderr, "artc: slice profile: hit key=%s atoms=%d pairs=%d\n",
 					key[:12], len(sp.Atoms), len(sp.Pairs))
 			}
-			return sp, nil
+			spec.SliceProfile = sp
+			return nil
 		case errors.Is(err, artifact.ErrMiss):
 		default:
 			var ce *artifact.CorruptError
 			if errors.As(err, &ce) {
 				// The corrupt wording is load-bearing: CI greps for it.
 				fmt.Fprintf(os.Stderr, "artc: slice profile: corrupt entry detected and removed, falling back to static cut key=%s\n", key[:12])
-				return nil, nil
+				return nil
 			}
-			return nil, err
+			return err
 		}
 	}
 	// Miss: profile the static cut once. Observability stays off — the
 	// coordinator's wait accounting is always on and is all the profile
 	// needs.
-	popts := opts
-	popts.Obs = nil
-	pso := so
-	pso.SliceProfile = nil
+	pspec := *spec
+	pspec.Options.Obs = nil
 	t0 := time.Now()
-	_, st, err := artc.ReplaySharded(b, popts, pso)
+	_, st, err := artc.Run(b, pspec)
 	if err != nil {
-		return nil, fmt.Errorf("slice profiling replay: %w", err)
+		return fmt.Errorf("slice profiling replay: %w", err)
 	}
 	if st.Profile == nil {
-		return nil, nil // nothing was sliced; nothing to re-cut
+		return nil // nothing was sliced; nothing to re-cut
 	}
-	if !quiet {
+	if !f.quiet {
 		fmt.Fprintf(os.Stderr, "artc: slice profile: miss, profiled static cut in %v (atoms=%d pairs=%d)\n",
 			time.Since(t0).Round(time.Millisecond), len(st.Profile.Atoms), len(st.Profile.Pairs))
 	}
@@ -218,7 +298,18 @@ func resolveSliceProfile(mode string, store *artifact.Store, b *artc.Benchmark,
 			fmt.Fprintf(os.Stderr, "artc: slice profile: store failed: %v\n", err)
 		}
 	}
-	return st.Profile, nil
+	spec.SliceProfile = st.Profile
+	return nil
+}
+
+// readBench reads a compiled benchmark in either encoding.
+func readBench(path string) (*artc.Benchmark, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return artc.DecodeAny(f)
 }
 
 func readSnapshot(path string) (*snapshot.Snapshot, error) {
@@ -243,7 +334,9 @@ func compileCmd(args []string) error {
 	shards := fs.Int("shards", 0, "parse strace input in N parallel shards (0 = sequential, -1 = one per CPU)")
 	stream := fs.Bool("stream", false, "stream strace parsing into the compiler (requires -format strace; overlap needs -snapshot)")
 	binOut := fs.Bool("binary", false, "write the output as a binary artifact instead of text")
-	cacheDir, noCache := cacheFlags(fs)
+	var cacheDir string
+	var noCache bool
+	cacheFlags(fs, &cacheDir, &noCache)
 	fs.Parse(args)
 	if *tracePath == "" {
 		return fmt.Errorf("-trace is required")
@@ -256,7 +349,7 @@ func compileCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	store := openStore(*cacheDir, *noCache)
+	store := openStore(cacheDir, noCache)
 
 	var b *artc.Benchmark
 	var st artifact.Stats
@@ -293,17 +386,11 @@ func compileCmd(args []string) error {
 		}
 	}
 	reportCache(st, false)
-	of, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer of.Close()
+	enc := b.Encode
 	if *binOut {
-		err = b.EncodeBinary(of)
-	} else {
-		err = b.Encode(of)
+		enc = b.EncodeBinary
 	}
-	if err != nil {
+	if err := writeFile(*out, enc); err != nil {
 		return err
 	}
 	fmt.Printf("compiled %d records, %d threads, %d dependency edges -> %s\n",
@@ -351,112 +438,63 @@ func convertCmd(args []string) error {
 	}
 }
 
-// targetConfig parses "platform-fsprofile-device[-sched]" names like
-// "linux-ext4-hdd" or "osx-hfs+-ssd-noop".
-func targetConfig(name string, cachePages int64, slice time.Duration) (stack.Config, error) {
-	return stack.ParseTarget(name, cachePages, slice)
-}
-
-func replayCmd(args []string) error {
+func parseReplay(args []string) (*runFlags, error) {
+	f := new(runFlags)
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	benchPath := fs.String("bench", "", "benchmark file (required)")
-	target := fs.String("target", "linux-ext4-hdd", "target machine: platform-fs-device[-sched]")
-	method := fs.String("method", "artc", "replay method: artc | single | temporal | unconstrained")
+	f.engineFlags(fs, "linux-ext4-hdd")
+	f.replayFlags(fs, "benchmark file (required)")
 	speed := fs.String("speed", "afap", "replay speed: afap | natural | scaled")
 	scale := fs.Float64("scale", 1.0, "predelay multiplier for -speed scaled")
-	cache := fs.Int64("cache-pages", 0, "page-cache capacity in 4KiB pages (0 = 1GiB)")
-	slice := fs.Duration("slice", 0, "CFQ slice_sync (0 = 100ms default)")
-	fullFsync := fs.Bool("osx-full-fsync", false, "use F_FULLFSYNC when emulating Linux fsync on OS X")
-	timeline := fs.Bool("timeline", false, "print a per-thread replay timeline (Figure 9 style)")
-	shards := fs.Int("shards", 0, "replay components in parallel with this worker bound (0 = serial replayer; -1 = GOMAXPROCS)")
-	sliceActions := fs.Int("slice-actions", 0, "with -shards: split components larger than this many actions along resource cuts (0 = off)")
-	sliceMax := fs.Int("slice-max", 0, "cap on slices per component (0 = no cap)")
-	sliceDevSync := fs.Bool("slice-device-sync", false, "let slicing cut fsync-heavy components (perf runs only: merged times reflect per-slice device queues, so output is no longer byte-identical to serial)")
-	sliceProfile := fs.String("slice-profile", "off", "profile-guided re-slicing: off | auto (load the cached slice profile, or profile the static cut once, then re-cut and replay)")
-	warm := fs.Bool("warm", false, "pre-warm every replica's metadata and page caches (required for sliced-vs-serial byte identity)")
-	cacheDir, noCache := cacheFlags(fs)
+	cachePages := fs.Int64("cache-pages", 0, "page-cache capacity in 4KiB pages (0 = 1GiB)")
+	cfqSlice := fs.Duration("slice", 0, "CFQ slice_sync (0 = 100ms default)")
+	fs.BoolVar(&f.spec.Options.FullFsyncOnOSX, "osx-full-fsync", false, "use F_FULLFSYNC when emulating Linux fsync on OS X")
+	fs.BoolVar(&f.timeline, "timeline", false, "print a per-thread replay timeline (Figure 9 style)")
+	fs.BoolVar(&f.spec.SliceDeviceSync, "slice-device-sync", false, "let slicing cut fsync-heavy components (perf runs only: merged times reflect per-slice device queues, so output is no longer byte-identical to serial)")
 	fs.Parse(args)
-	if *benchPath == "" {
-		return fmt.Errorf("-bench is required")
+	if f.bench == "" {
+		return nil, fmt.Errorf("-bench is required")
 	}
-	bf, err := os.Open(*benchPath)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	b, err := artc.DecodeAny(bf)
-	if err != nil {
-		return err
-	}
-	conf, err := targetConfig(*target, *cache, *slice)
-	if err != nil {
-		return err
-	}
-	opts := artc.Options{Method: artc.Method(*method), FullFsyncOnOSX: *fullFsync}
 	switch *speed {
 	case "afap":
-		opts.Speed = artc.AFAP
+		f.spec.Options.Speed = artc.AFAP
 	case "natural":
-		opts.Speed = artc.Natural
+		f.spec.Options.Speed = artc.Natural
 	case "scaled":
-		opts.Speed = artc.Scaled
-		opts.Scale = *scale
+		f.spec.Options.Speed = artc.Scaled
+		f.spec.Options.Scale = *scale
 	default:
-		return fmt.Errorf("unknown speed %q", *speed)
+		return nil, fmt.Errorf("unknown speed %q", *speed)
 	}
+	return f, f.finish(*cachePages, *cfqSlice)
+}
 
-	var rep *artc.Report
-	if *shards != 0 {
-		n := *shards
-		if n < 0 {
-			n = 0 // ReplaySharded resolves 0 to GOMAXPROCS
-		}
-		so := artc.ShardOptions{
-			Shards: n,
-			Target: conf,
-			Init: func(sys *stack.System) error {
-				if err := artc.Init(sys, b, ""); err != nil {
-					return err
-				}
-				if *warm {
-					sys.WarmAll()
-				}
-				return nil
-			},
-			SliceActions:    *sliceActions,
-			SliceMax:        *sliceMax,
-			SliceDeviceSync: *sliceDevSync,
-		}
-		so.SliceProfile, err = resolveSliceProfile(*sliceProfile, openStore(*cacheDir, *noCache), b, opts, so, false)
-		if err != nil {
-			return err
-		}
-		var st *artc.ShardStats
-		rep, st, err = artc.ReplaySharded(b, opts, so)
-		if err != nil {
-			return err
-		}
+// replayCmd replays on the bare restored snapshot (RunSpec.Init nil):
+// unlike trace and chaos it takes any benchmark, not only Magritte's.
+func replayCmd(args []string) error {
+	f, err := parseReplay(args)
+	if err != nil {
+		return err
+	}
+	b, err := f.load()
+	if err != nil {
+		return err
+	}
+	if err := f.resolveSliceProfile(b); err != nil {
+		return err
+	}
+	rep, st, err := artc.Run(b, f.spec)
+	if err != nil {
+		return err
+	}
+	if st != nil {
 		fmt.Printf("sharded: components=%d clusters=%d cross-edges=%d largest=%d workers=%d sliced=%d synthetic=%d profiled=%v fingerprint=%016x\n",
 			st.Components, st.Clusters, st.CrossEdges, st.Largest, st.Shards, st.Sliced, st.Synthetic, st.Profiled, st.PlanFingerprint)
 		if c := rep.Coord; c != nil {
 			fmt.Printf("coord: cross-wait=%v published=%d flush-batches=%d max-batch=%d host-blocked=%v\n",
 				time.Duration(c.CrossWaitNs), c.Published, c.FlushBatches, c.FlushMaxBatch, time.Duration(c.BlockedNs).Round(time.Millisecond))
 		}
-	} else {
-		k := sim.NewKernel()
-		sys := stack.New(k, conf)
-		if err := artc.Init(sys, b, ""); err != nil {
-			return err
-		}
-		if *warm {
-			sys.WarmAll()
-		}
-		rep, err = artc.Replay(sys, b, opts)
-		if err != nil {
-			return err
-		}
 	}
-	fmt.Printf("replayed %d actions on %s in %v (virtual)\n", rep.Actions, conf.Name, rep.Elapsed)
+	fmt.Printf("replayed %d actions on %s in %v (virtual)\n", rep.Actions, f.spec.Target.Name, rep.Elapsed)
 	fmt.Printf("method=%s errors=%d emulated=%d concurrency=%.2f\n",
 		rep.Method, rep.Errors, rep.Emulated, rep.Concurrency())
 	for _, s := range rep.ErrorSamples {
@@ -467,157 +505,93 @@ func replayCmd(args []string) error {
 	for c := range rep.CallTime {
 		calls = append(calls, c)
 	}
-	sort.Slice(calls, func(i, j int) bool { return rep.CallTime[calls[i]] > rep.CallTime[calls[j]] })
+	// Ties break by name: calls come out of a map, and equal times must
+	// not make two runs of one replay print differently.
+	sort.Slice(calls, func(i, j int) bool {
+		if ti, tj := rep.CallTime[calls[i]], rep.CallTime[calls[j]]; ti != tj {
+			return ti > tj
+		}
+		return calls[i] < calls[j]
+	})
 	for _, c := range calls {
 		fmt.Printf("  %-16s n=%-8d t=%v\n", c, rep.CallCount[c], rep.CallTime[c].Round(time.Microsecond))
 	}
-	if *timeline {
+	if f.timeline {
 		fmt.Print(rep.Timeline(b, 100))
 	}
 	return nil
 }
 
+func parseTrace(args []string) (*runFlags, error) {
+	f := new(runFlags)
+	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	f.engineFlags(fs, "linux-ext4-ssd-noop")
+	f.replayFlags(fs, "benchmark file (mutually exclusive with -magritte)")
+	f.magritteFlags(fs)
+	fs.StringVar(&f.out, "o", "-", "Chrome trace_event JSON output file (- = stdout)")
+	fs.DurationVar(&f.spec.Options.ObsInterval, "probe-interval", 0, "min virtual time between counter samples (0 = default)")
+	fs.IntVar(&f.spanCap, "span-cap", 0, "span ring capacity (0 = default)")
+	fs.IntVar(&f.critHops, "crit-hops", 20, "critical-path rows to print (0 = all)")
+	fs.BoolVar(&f.quiet, "quiet", false, "suppress the text summary and critical path on stderr")
+	fs.BoolVar(&f.noSamples, "no-samples", false, "drop counter samples from the export (probes observe per-replica scheduler state, so sliced and serial sample streams differ even when the replay itself is byte-identical)")
+	fs.Parse(args)
+	return f, f.finish(0, 0)
+}
+
 // traceCmd replays a benchmark with the obs recorder enabled and
 // exports the recording.
 func traceCmd(args []string) error {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	benchPath := fs.String("bench", "", "benchmark file (mutually exclusive with -magritte)")
-	spec := fs.String("magritte", "", "Magritte trace name to generate and replay (e.g. pages_docphoto15)")
-	genScale := fs.Float64("gen-scale", 0.02, "Magritte generation scale")
-	genSeed := fs.Int64("gen-seed", 5, "Magritte generation seed")
-	target := fs.String("target", "linux-ext4-ssd-noop", "target machine: platform-fs-device[-sched]")
-	method := fs.String("method", "artc", "replay method: artc | single | temporal | unconstrained")
-	out := fs.String("o", "-", "Chrome trace_event JSON output file (- = stdout)")
-	interval := fs.Duration("probe-interval", 0, "min virtual time between counter samples (0 = default)")
-	spanCap := fs.Int("span-cap", 0, "span ring capacity (0 = default)")
-	critHops := fs.Int("crit-hops", 20, "critical-path rows to print (0 = all)")
-	quiet := fs.Bool("quiet", false, "suppress the text summary and critical path on stderr")
-	noSamples := fs.Bool("no-samples", false, "drop counter samples from the export (probes observe per-replica scheduler state, so sliced and serial sample streams differ even when the replay itself is byte-identical)")
-	shards := fs.Int("shards", 0, "replay components in parallel with this worker bound (0 = serial replayer; -1 = GOMAXPROCS)")
-	sliceActions := fs.Int("slice-actions", 0, "with -shards: split components larger than this many actions along resource cuts (0 = off)")
-	sliceMax := fs.Int("slice-max", 0, "cap on slices per component (0 = no cap)")
-	sliceProfile := fs.String("slice-profile", "off", "profile-guided re-slicing: off | auto (load the cached slice profile, or profile the static cut once, then re-cut and replay)")
-	warm := fs.Bool("warm", false, "pre-warm every replica's metadata and page caches (required for sliced-vs-serial byte identity)")
-	cacheDir, noCache := cacheFlags(fs)
-	fs.Parse(args)
-
-	var b *artc.Benchmark
-	switch {
-	case *benchPath != "" && *spec != "":
-		return fmt.Errorf("-bench and -magritte are mutually exclusive")
-	case *benchPath != "":
-		bf, err := os.Open(*benchPath)
-		if err != nil {
-			return err
-		}
-		defer bf.Close()
-		if b, err = artc.DecodeAny(bf); err != nil {
-			return err
-		}
-	case *spec != "":
-		sp, ok := magritte.SpecByName(*spec)
-		if !ok {
-			return fmt.Errorf("unknown Magritte trace %q", *spec)
-		}
-		gen, err := magritte.Generate(sp, magritte.GenOptions{Scale: *genScale, Seed: *genSeed})
-		if err != nil {
-			return err
-		}
-		var st artifact.Stats
-		if b, st, err = artifact.CompileTrace(openStore(*cacheDir, *noCache), gen.Trace, gen.Snapshot, core.DefaultModes()); err != nil {
-			return err
-		}
-		reportCache(st, *quiet)
-	default:
-		return fmt.Errorf("one of -bench or -magritte is required")
-	}
-
-	conf, err := targetConfig(*target, 0, 0)
+	f, err := parseTrace(args)
 	if err != nil {
 		return err
 	}
-	rec := obs.NewRecorder(*spanCap, 0)
-	opts := artc.Options{
-		Method:      artc.Method(*method),
-		Obs:         rec,
-		ObsInterval: *interval,
+	b, err := f.load()
+	if err != nil {
+		return err
 	}
-	var rep *artc.Report
-	var sst *artc.ShardStats
-	if *shards != 0 {
-		n := *shards
-		if n < 0 {
-			n = 0
-		}
-		so := artc.ShardOptions{
-			Shards: n,
-			Target: conf,
-			Init: func(sys *stack.System) error {
-				if err := magritte.InitTarget(sys, b, conf.Platform == stack.Linux); err != nil {
-					return err
-				}
-				if *warm {
-					sys.WarmAll()
-				}
-				return nil
-			},
-			SliceActions: *sliceActions,
-			SliceMax:     *sliceMax,
-		}
-		so.SliceProfile, err = resolveSliceProfile(*sliceProfile, openStore(*cacheDir, *noCache), b, opts, so, *quiet)
-		if err != nil {
-			return err
-		}
-		rep, sst, err = artc.ReplaySharded(b, opts, so)
-		if err != nil {
-			return err
-		}
-	} else {
-		k := sim.NewKernel()
-		sys := stack.New(k, conf)
-		if err := magritte.InitTarget(sys, b, conf.Platform == stack.Linux); err != nil {
-			return err
-		}
-		if *warm {
-			sys.WarmAll()
-		}
-		if rep, err = artc.Replay(sys, b, opts); err != nil {
-			return err
-		}
+	rec := obs.NewRecorder(f.spanCap, 0)
+	f.spec.Options.Obs = rec
+	f.spec.Init = magritte.TargetInit(b, true)
+	if err := f.resolveSliceProfile(b); err != nil {
+		return err
+	}
+	rep, sst, err := artc.Run(b, f.spec)
+	if err != nil {
+		return err
 	}
 
-	if *noSamples {
+	if f.noSamples {
 		rec.ClearSamples()
 	}
-	if *out == "-" {
+	if f.out == "-" {
 		err = rec.WriteChrome(os.Stdout)
 	} else {
-		err = writeChromeFile(rec, *out)
+		err = writeFile(f.out, rec.WriteChrome)
 	}
 	if err != nil {
 		return err
 	}
-	if !*quiet {
+	if !f.quiet {
 		fmt.Fprintf(os.Stderr, "replayed %d actions on %s in %v (virtual), errors=%d\n",
-			rep.Actions, conf.Name, rep.Elapsed, rep.Errors)
+			rep.Actions, f.spec.Target.Name, rep.Elapsed, rep.Errors)
 		if sst != nil {
 			fmt.Fprintf(os.Stderr, "sharded: profiled=%v fingerprint=%016x\n", sst.Profiled, sst.PlanFingerprint)
 		}
 		fmt.Fprint(os.Stderr, rec.Summary())
-		fmt.Fprint(os.Stderr, rep.CriticalPath(b).Format(*critHops))
+		fmt.Fprint(os.Stderr, rep.CriticalPath(b).Format(f.critHops))
 	}
 	return nil
 }
 
-// writeChromeFile exports rec to path. The export streams, so a full
-// disk can surface at any write or only when Close flushes: either way
-// the caller must hear of it rather than keep a truncated trace.
-func writeChromeFile(rec *obs.Recorder, path string) error {
+// writeFile creates path and streams write into it. A full disk can
+// surface at any write or only when Close flushes: either way the
+// caller must hear of it rather than keep a truncated file.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := rec.WriteChrome(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}
@@ -631,12 +605,7 @@ func inspectCmd(args []string) error {
 	if *benchPath == "" {
 		return fmt.Errorf("-bench is required")
 	}
-	bf, err := os.Open(*benchPath)
-	if err != nil {
-		return err
-	}
-	defer bf.Close()
-	b, err := artc.DecodeAny(bf)
+	b, err := readBench(*benchPath)
 	if err != nil {
 		return err
 	}
@@ -655,99 +624,68 @@ func inspectCmd(args []string) error {
 	return nil
 }
 
+// parseChaos leaves the fault plan template, the flags' values over
+// chaostest.DefaultPlan, in spec.Fault.
+func parseChaos(args []string) (*runFlags, error) {
+	f := new(runFlags)
+	plan := chaostest.DefaultPlan()
+	f.spec.Fault = &plan
+	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
+	f.engineFlags(fs, "linux-ext4-ssd-noop")
+	f.magritteFlags(fs)
+	fs.Uint64Var(&f.seed, "seed", 1, "base fault seed")
+	fs.IntVar(&f.seeds, "seeds", 1, "number of consecutive seeds to sweep")
+	fs.Float64Var(&plan.Syscall.Rate, "syscall-rate", plan.Syscall.Rate, "syscall fault probability per attempt")
+	fs.StringVar(&plan.Syscall.Errno, "errno", plan.Syscall.Errno, "errno injected syscall faults return")
+	fs.Float64Var(&plan.Storage.ErrorRate, "storage-error-rate", plan.Storage.ErrorRate, "transient device error probability per completion")
+	fs.Float64Var(&plan.Storage.SlowRate, "storage-slow-rate", plan.Storage.SlowRate, "slow-IO tail-latency probability per completion")
+	fs.IntVar(&plan.Retry.MaxAttempts, "retries", plan.Retry.MaxAttempts, "replayer retry attempts per injected failure (1 = no retry)")
+	fs.DurationVar(&plan.Watchdog, "watchdog", plan.Watchdog, "virtual-time stall watchdog window (0 = off)")
+	fs.BoolVar(&f.verify, "verify", false, "replay each seed twice and demand identical results")
+	fs.StringVar(&f.out, "o", "", "write the first seed's export JSON (implies span recording)")
+	fs.BoolVar(&f.quiet, "quiet", false, "suppress per-seed summaries")
+	fs.Parse(args)
+	if f.magritte == "" {
+		return nil, fmt.Errorf("-magritte is required")
+	}
+	if f.out != "" && f.seeds > 1 {
+		return nil, fmt.Errorf("-o requires a single seed (drop -seeds)")
+	}
+	return f, f.finish(0, 0)
+}
+
 // chaosCmd replays a Magritte trace under seeded fault injection,
 // either sweeping many seeds (-seeds) or exporting one seed's
 // deterministic outcome (-seed with -o). Any invariant violation makes
 // the command exit nonzero, so CI can gate on it directly.
 func chaosCmd(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	spec := fs.String("magritte", "", "Magritte trace name to generate and replay (required)")
-	genScale := fs.Float64("gen-scale", 0.02, "Magritte generation scale")
-	genSeed := fs.Int64("gen-seed", 5, "Magritte generation seed")
-	target := fs.String("target", "linux-ext4-ssd-noop", "target machine: platform-fs-device[-sched]")
-	seedBase := fs.Uint64("seed", 1, "base fault seed")
-	seeds := fs.Int("seeds", 1, "number of consecutive seeds to sweep")
-	sysRate := fs.Float64("syscall-rate", 0.02, "syscall fault probability per attempt")
-	errno := fs.String("errno", "EIO", "errno injected syscall faults return")
-	devRate := fs.Float64("storage-error-rate", 0.02, "transient device error probability per completion")
-	slowRate := fs.Float64("storage-slow-rate", 0.02, "slow-IO tail-latency probability per completion")
-	retries := fs.Int("retries", 4, "replayer retry attempts per injected failure (1 = no retry)")
-	watchdog := fs.Duration("watchdog", time.Minute, "virtual-time stall watchdog window (0 = off)")
-	verify := fs.Bool("verify", false, "replay each seed twice and demand identical results")
-	out := fs.String("o", "", "write the first seed's export JSON (implies span recording)")
-	quiet := fs.Bool("quiet", false, "suppress per-seed summaries")
-	shards := fs.Int("shards", 0, "replay components in parallel with this worker bound (0 = serial replayer)")
-	sliceActions := fs.Int("slice-actions", 0, "with -shards: split components larger than this many actions along resource cuts (0 = off)")
-	sliceMax := fs.Int("slice-max", 0, "cap on slices per component (0 = no cap)")
-	cacheDir, noCache := cacheFlags(fs)
-	fs.Parse(args)
+	f, err := parseChaos(args)
+	if err != nil {
+		return err
+	}
+	b, err := f.load()
+	if err != nil {
+		return err
+	}
+	opts := chaostest.Options{Bench: b, Spec: f.spec, Verify: f.verify, Obs: f.out != ""}
 
-	if *spec == "" {
-		return fmt.Errorf("-magritte is required")
-	}
-	sp, ok := magritte.SpecByName(*spec)
-	if !ok {
-		return fmt.Errorf("unknown Magritte trace %q", *spec)
-	}
-	gen, err := magritte.Generate(sp, magritte.GenOptions{Scale: *genScale, Seed: *genSeed})
-	if err != nil {
-		return err
-	}
-	b, cst, err := artifact.CompileTrace(openStore(*cacheDir, *noCache), gen.Trace, gen.Snapshot, core.DefaultModes())
-	if err != nil {
-		return err
-	}
-	reportCache(cst, *quiet)
-	conf, err := targetConfig(*target, 0, 0)
-	if err != nil {
-		return err
-	}
-	opts := chaostest.Options{
-		Bench:  b,
-		Target: conf,
-		Plan: fault.Plan{
-			Syscall:  fault.SyscallPlan{Rate: *sysRate, Errno: *errno},
-			Storage:  fault.StoragePlan{ErrorRate: *devRate, SlowRate: *slowRate},
-			Retry:    fault.RetryPlan{MaxAttempts: *retries},
-			Watchdog: *watchdog,
-		},
-		Verify:   *verify,
-		Obs:      *out != "",
-		Shards:   *shards,
-		Slice:    *sliceActions,
-		SliceMax: *sliceMax,
-	}
-
-	var results []*chaostest.Result
-	if *seeds <= 1 {
-		res, rec := chaostest.RunSeed(opts, *seedBase)
-		results = append(results, &res)
-		if *out != "" {
-			f, err := os.Create(*out)
-			if err != nil {
-				return err
-			}
-			if err := chaostest.WriteExport(f, &res, rec); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+	var results []chaostest.Result
+	if f.seeds <= 1 {
+		res, rec := chaostest.RunSeed(opts, f.seed)
+		results = []chaostest.Result{res}
+		if f.out != "" {
+			if err := writeFile(f.out, func(w io.Writer) error { return chaostest.WriteExport(w, &res, rec) }); err != nil {
 				return err
 			}
 		}
 	} else {
-		if *out != "" {
-			return fmt.Errorf("-o requires a single seed (drop -seeds)")
-		}
-		sw := chaostest.Sweep(opts, chaostest.Seeds(*seedBase, *seeds))
-		for i := range sw {
-			results = append(results, &sw[i])
-		}
+		results = chaostest.Sweep(opts, chaostest.Seeds(f.seed, f.seeds))
 	}
 
 	bad := 0
-	for _, res := range results {
-		if !*quiet {
+	for i := range results {
+		res := &results[i]
+		if !f.quiet {
 			fmt.Println(res)
 		}
 		for _, v := range res.Violations {

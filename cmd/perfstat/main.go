@@ -22,9 +22,7 @@ import (
 	"rootreplay/internal/core"
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
-	"rootreplay/internal/sim"
 	"rootreplay/internal/sim/simbench"
-	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
 	"rootreplay/internal/workload"
 )
@@ -140,41 +138,15 @@ func measureComponents(st *Stats, n, ops int, skew float64, procs int) {
 	}
 	st.ComponentsGoMaxProcs = runtime.GOMAXPROCS(0)
 	tr, snap, err := workload.SynthComponents(workload.Components{N: n, Ops: ops, Skew: skew, Seed: 7})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: components:", err)
-		os.Exit(1)
-	}
+	check("components", err)
 	b, err := artc.Compile(tr, snap, core.DefaultModes())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: components compile:", err)
-		os.Exit(1)
-	}
+	check("components compile", err)
 	st.ComponentsRecords = len(tr.Records)
-	target := magritte.DefaultSuiteOptions().Target
-
-	t0 := time.Now()
-	k := sim.NewKernel()
-	sys := stack.New(k, target)
-	if err := artc.Init(sys, b, ""); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: components init:", err)
-		os.Exit(1)
-	}
-	if _, err := artc.Replay(sys, b, artc.Options{}); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: components replay:", err)
-		os.Exit(1)
-	}
-	st.ComponentsReplayNs = time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	_, shst, err := artc.ReplaySharded(b, artc.Options{}, artc.ShardOptions{
-		Target: target,
-		Init:   func(sys *stack.System) error { return artc.Init(sys, b, "") },
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: components sharded replay:", err)
-		os.Exit(1)
-	}
-	st.ReplayShardedNs = time.Since(t0).Nanoseconds()
+	spec := artc.RunSpec{Target: magritte.DefaultSuiteOptions().Target}
+	_, _, st.ComponentsReplayNs = timedRun("components replay", b, spec)
+	spec.Shards = -1
+	_, shst, ns := timedRun("components sharded replay", b, spec)
+	st.ReplayShardedNs = ns
 	st.ShardCount = shst.Components
 	st.CrossEdges = shst.CrossEdges
 	if st.ReplayShardedNs > 0 {
@@ -201,43 +173,17 @@ func measurePipeline(st *Stats, stages, ops, handoff, fsync, slices, procs int) 
 	tr, snap, err := workload.SynthPipeline(workload.Pipeline{
 		Stages: stages, Ops: ops, Handoff: handoff, Fsync: fsync, FileBytes: 8 << 20, Seed: 7,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: pipeline:", err)
-		os.Exit(1)
-	}
+	check("pipeline", err)
 	b, err := artc.Compile(tr, snap, core.DefaultModes())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: pipeline compile:", err)
-		os.Exit(1)
-	}
+	check("pipeline compile", err)
 	st.PipelineRecords = len(tr.Records)
-	target := magritte.DefaultSuiteOptions().Target
-
-	t0 := time.Now()
-	k := sim.NewKernel()
-	sys := stack.New(k, target)
-	if err := artc.Init(sys, b, ""); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: pipeline init:", err)
-		os.Exit(1)
-	}
-	if _, err := artc.Replay(sys, b, artc.Options{}); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: pipeline replay:", err)
-		os.Exit(1)
-	}
-	st.PipelineReplayNs = time.Since(t0).Nanoseconds()
-
-	t0 = time.Now()
-	_, shst, err := artc.ReplaySharded(b, artc.Options{}, artc.ShardOptions{
-		Target:          target,
-		Init:            func(sys *stack.System) error { return artc.Init(sys, b, "") },
-		SliceActions:    len(tr.Records)/slices + 1,
-		SliceDeviceSync: true,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: pipeline sliced replay:", err)
-		os.Exit(1)
-	}
-	st.PipelineSlicedNs = time.Since(t0).Nanoseconds()
+	spec := artc.RunSpec{Target: magritte.DefaultSuiteOptions().Target}
+	_, _, st.PipelineReplayNs = timedRun("pipeline replay", b, spec)
+	spec.Shards = -1
+	spec.SliceActions = len(tr.Records)/slices + 1
+	spec.SliceDeviceSync = true
+	_, shst, ns := timedRun("pipeline sliced replay", b, spec)
+	st.PipelineSlicedNs = ns
 	st.PipelineSlices = shst.Components
 	st.PipelineCrossEdges = shst.CrossEdges
 	if st.PipelineSlicedNs > 0 {
@@ -259,46 +205,19 @@ func measurePipelineHot(st *Stats, stages, ops, handoff, fsync, hotStage, hotPag
 		Stages: stages, Ops: ops, Handoff: handoff, Fsync: fsync, FileBytes: fileMB << 20, Seed: 7,
 		HotStage: hotStage, HotPages: hotPages,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline:", err)
-		os.Exit(1)
-	}
+	check("hot pipeline", err)
 	b, err := artc.Compile(tr, snap, core.DefaultModes())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline compile:", err)
-		os.Exit(1)
-	}
+	check("hot pipeline compile", err)
 	st.PipelineHotRecords = len(tr.Records)
 	st.PipelineHotStage = hotStage
 	st.PipelineHotPages = hotPages
-	target := magritte.DefaultSuiteOptions().Target
-
-	t0 := time.Now()
-	k := sim.NewKernel()
-	sys := stack.New(k, target)
-	if err := artc.Init(sys, b, ""); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline init:", err)
-		os.Exit(1)
-	}
-	if _, err := artc.Replay(sys, b, artc.Options{}); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline replay:", err)
-		os.Exit(1)
-	}
-	st.PipelineHotReplayNs = time.Since(t0).Nanoseconds()
-
-	so := artc.ShardOptions{
-		Target:          target,
-		Init:            func(sys *stack.System) error { return artc.Init(sys, b, "") },
-		SliceActions:    len(tr.Records)/slices + 1,
-		SliceDeviceSync: true,
-	}
-	t0 = time.Now()
-	_, shst, err := artc.ReplaySharded(b, artc.Options{}, so)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline sliced replay:", err)
-		os.Exit(1)
-	}
-	st.PipelineHotSlicedNs = time.Since(t0).Nanoseconds()
+	spec := artc.RunSpec{Target: magritte.DefaultSuiteOptions().Target}
+	_, _, st.PipelineHotReplayNs = timedRun("hot pipeline replay", b, spec)
+	spec.Shards = -1
+	spec.SliceActions = len(tr.Records)/slices + 1
+	spec.SliceDeviceSync = true
+	_, shst, ns := timedRun("hot pipeline sliced replay", b, spec)
+	st.PipelineHotSlicedNs = ns
 	st.PipelineHotSlices = shst.Components
 	if st.PipelineHotSlicedNs > 0 {
 		st.PipelineHotStaticSpeedup = float64(st.PipelineHotReplayNs) / float64(st.PipelineHotSlicedNs)
@@ -308,17 +227,30 @@ func measurePipelineHot(st *Stats, stages, ops, handoff, fsync, hotStage, hotPag
 		return
 	}
 
-	so.SliceProfile = shst.Profile
-	t0 = time.Now()
-	_, _, err = artc.ReplaySharded(b, artc.Options{}, so)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline profiled replay:", err)
-		os.Exit(1)
-	}
-	st.SliceProfiledNs = time.Since(t0).Nanoseconds()
+	spec.SliceProfile = shst.Profile
+	_, _, st.SliceProfiledNs = timedRun("hot pipeline profiled replay", b, spec)
 	if st.SliceProfiledNs > 0 {
 		st.SliceProfiledSpeedup = float64(st.PipelineHotReplayNs) / float64(st.SliceProfiledNs)
 	}
+}
+
+// check ends the program on a failed step: a measurement with a hole in
+// it is not worth writing down.
+func check(what string, err error) {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "perfstat: %s: %v\n", what, err)
+		os.Exit(1)
+	}
+}
+
+// timedRun replays b once through the driver and returns the host time
+// of all of it — building the machines, init, replay, merge — so the
+// serial and the sharded side of a comparison bracket the same work.
+func timedRun(what string, b *artc.Benchmark, spec artc.RunSpec) (*artc.Report, *artc.ShardStats, int64) {
+	t0 := time.Now()
+	rep, shst, err := artc.Run(b, spec)
+	check(what, err)
+	return rep, shst, time.Since(t0).Nanoseconds()
 }
 
 // microbench runs fn through the testing harness and returns ns/op and
@@ -357,14 +289,8 @@ func main() {
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "perfstat:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "perfstat:", err)
-			os.Exit(1)
-		}
+		check("cpuprofile", err)
+		check("cpuprofile", pprof.StartCPUProfile(f))
 		defer func() {
 			pprof.StopCPUProfile()
 			f.Close()
@@ -391,10 +317,7 @@ func main() {
 		os.Exit(1)
 	}
 	gen, err := magritte.Generate(spec, magritte.GenOptions{Scale: *scale, Seed: 5})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat:", err)
-		os.Exit(1)
-	}
+	check("generate", err)
 
 	// Minimum over the iterations, like the replay timing below: the
 	// first compile pays cold caches and the allocator's ramp-up, and a
@@ -418,10 +341,7 @@ func main() {
 		runtime.GC()
 		t0 := time.Now()
 		b, err = artc.Compile(gen.Trace, gen.Snapshot, core.DefaultModes())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "perfstat:", err)
-			os.Exit(1)
-		}
+		check("compile", err)
 		if d := time.Since(t0).Nanoseconds(); i == 0 || d < perOp {
 			perOp = d
 		}
@@ -495,10 +415,8 @@ func main() {
 	const replayRuns = 3
 	for i := 0; i < replayRuns; i++ {
 		rt0 := time.Now()
-		if _, _, err := magritte.ThreadTimeRun(b, magritte.DefaultSuiteOptions().Target, true); err != nil {
-			fmt.Fprintln(os.Stderr, "perfstat: replay:", err)
-			os.Exit(1)
-		}
+		_, _, err := magritte.ThreadTimeRun(b, magritte.DefaultSuiteOptions().Target, true)
+		check("replay", err)
 		if ns := time.Since(rt0).Nanoseconds(); i == 0 || ns < st.ReplayNs {
 			st.ReplayNs = ns
 		}
@@ -508,20 +426,13 @@ func main() {
 	var rep *artc.Report
 	for i := 0; i < replayRuns; i++ {
 		rec = obs.NewRecorder(0, 0)
-		ot0 := time.Now()
-		k := sim.NewKernel()
-		sys := stack.New(k, magritte.DefaultSuiteOptions().Target)
-		if err := magritte.InitTarget(sys, b, true); err != nil {
-			fmt.Fprintln(os.Stderr, "perfstat: obs init:", err)
-			os.Exit(1)
-		}
-		var err error
-		rep, err = artc.Replay(sys, b, artc.Options{Obs: rec})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "perfstat: obs replay:", err)
-			os.Exit(1)
-		}
-		if ns := time.Since(ot0).Nanoseconds(); i == 0 || ns < st.ObsReplayNs {
+		var ns int64
+		rep, _, ns = timedRun("obs replay", b, artc.RunSpec{
+			Options: artc.Options{Obs: rec},
+			Target:  magritte.DefaultSuiteOptions().Target,
+			Init:    magritte.TargetInit(b, true),
+		})
+		if i == 0 || ns < st.ObsReplayNs {
 			st.ObsReplayNs = ns
 		}
 	}
@@ -538,16 +449,10 @@ func main() {
 	// because calls outside the strace encoder's set drop on the way
 	// through.
 	var straceBuf bytes.Buffer
-	if err := trace.EncodeStrace(&straceBuf, gen.Trace); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: encode strace:", err)
-		os.Exit(1)
-	}
+	check("encode strace", trace.EncodeStrace(&straceBuf, gen.Trace))
 	straceText := straceBuf.Bytes()
 	reparsed, err := trace.ParseStrace(bytes.NewReader(straceText))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat: parse strace:", err)
-		os.Exit(1)
-	}
+	check("parse strace", err)
 	st.ParseRecords = len(reparsed.Records)
 	pr := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -597,20 +502,11 @@ func main() {
 	}
 
 	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat:", err)
-		os.Exit(1)
-	}
+	check("output", err)
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(st); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat:", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "perfstat:", err)
-		os.Exit(1)
-	}
+	check("output", enc.Encode(st))
+	check("output", f.Close())
 	fmt.Printf("perfstat: %d records, compile %.2f ms (%.0f records/s), edges raw=%d enforced=%d temporal=%d -> %s\n",
 		st.Records, float64(perOp)/1e6, st.RecordsPerSecond,
 		st.RawEdges, st.EnforcedEdges, st.TemporalEdges, *out)

@@ -1088,21 +1088,11 @@ func runMember(cs *compiledShard, opts Options, so ShardOptions, coord *clusterC
 			}
 		}()
 	}
-	k := sim.NewKernel()
-	conf := so.Target
-	var inj *fault.Injector
-	if so.Fault != nil {
-		inj = fault.New(*so.Fault)
-		conf.Faults = inj
-	} else {
-		conf.Faults = nil
+	sys, inj, err := newReplica(so.Target, so.Fault, so.Init)
+	if err != nil {
+		return fmt.Errorf("artc: shard %d: %w", cs.comp, err)
 	}
-	sys := stack.New(k, conf)
-	if so.Init != nil {
-		if err := so.Init(sys); err != nil {
-			return fmt.Errorf("artc: shard %d init: %w", cs.comp, err)
-		}
-	}
+	k := sys.K
 	opts2 := opts
 	opts2.Fault = inj
 	opts2.Obs = nil

@@ -8,8 +8,6 @@ import (
 	"rootreplay/internal/core"
 	"rootreplay/internal/leveldb"
 	"rootreplay/internal/metrics"
-	"rootreplay/internal/sim"
-	"rootreplay/internal/stack"
 	"rootreplay/internal/workload"
 )
 
@@ -69,13 +67,8 @@ func Ablation(p Params) (*AblationResult, error) {
 		// overrides Modes) reuses this graph instead of rebuilding it.
 		g := b.GraphFor(step.modes)
 		st := g.Stats(b.Analysis)
-		k := sim.NewKernel()
-		sys := stack.New(k, conf)
-		if err := artc.Init(sys, b, ""); err != nil {
-			return nil, err
-		}
 		modes := step.modes
-		rep, err := artc.Replay(sys, b, artc.Options{Method: artc.MethodARTC, Modes: &modes})
+		rep, _, err := artc.Run(b, artc.RunSpec{Options: artc.Options{Method: artc.MethodARTC, Modes: &modes}, Target: conf})
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", step.name, err)
 		}

@@ -17,7 +17,6 @@ import (
 	"rootreplay/internal/artc"
 	"rootreplay/internal/core"
 	"rootreplay/internal/metrics"
-	"rootreplay/internal/sim"
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
@@ -154,12 +153,7 @@ func replayOnce(tr *trace.Trace, snap *snapshot.Snapshot, tgt stack.Config, m ar
 // of the target system. The benchmark is only read, so one compiled
 // benchmark can be replayed from many harness workers at once.
 func replayBench(b *artc.Benchmark, tgt stack.Config, m artc.Method) (*MethodRun, error) {
-	k := sim.NewKernel()
-	sys := stack.New(k, tgt)
-	if err := artc.Init(sys, b, ""); err != nil {
-		return nil, err
-	}
-	rep, err := artc.Replay(sys, b, artc.Options{Method: m, Speed: artc.AFAP})
+	rep, _, err := artc.Run(b, artc.RunSpec{Options: artc.Options{Method: m, Speed: artc.AFAP}, Target: tgt})
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ package chaostest
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -25,8 +26,6 @@ import (
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
 	"rootreplay/internal/par"
-	"rootreplay/internal/sim"
-	"rootreplay/internal/stack"
 )
 
 // Options configures a chaos run. The benchmark is compiled once by the
@@ -35,12 +34,13 @@ import (
 type Options struct {
 	// Bench is the compiled benchmark to replay.
 	Bench *artc.Benchmark
-	// Target is the simulated machine; each run clones it and wires a
-	// fresh injector into Faults.
-	Target stack.Config
-	// Plan is the fault plan template. Its Seed field is overridden by
-	// the per-run seed.
-	Plan fault.Plan
+	// Spec is the replay every seed runs — target, engine, slicing. Each
+	// run fills in the rest: Fault is the plan template (nil means the
+	// zero plan) and gets the run's seed, a nil Init becomes the Magritte
+	// target rule, and Options.Obs a fresh recorder when Obs is set.
+	// Every invariant, Verify's bit-reproducibility included, must hold
+	// identically whichever engine Spec selects.
+	Spec artc.RunSpec
 	// Verify replays each seed twice and demands bit-identical results
 	// (error counts, fault counters, elapsed time, and — with Obs — the
 	// exported trace bytes).
@@ -49,17 +49,19 @@ type Options struct {
 	// exported Chrome trace byte-for-byte, and so single-seed runs can
 	// export it.
 	Obs bool
-	// Shards, when positive, replays through the sharded replayer
-	// (artc.ReplaySharded) with this worker bound instead of the serial
-	// one; every invariant — including Verify's bit-reproducibility —
-	// must hold identically.
-	Shards int
-	// Slice, when positive, additionally enables resource-cut slicing
-	// (ShardOptions.SliceActions) with this action threshold, so the
-	// sweep exercises the clock-exchange coordinator under faults.
-	Slice int
-	// SliceMax caps the slices per component (0 = no cap).
-	SliceMax int
+}
+
+// DefaultPlan is the fault plan `artc chaos` flags default to and artcd
+// chaos jobs run: 2% syscall faults returning EIO, 2% transient and 2%
+// slow device completions, four attempts per injected failure, and a
+// one-minute virtual-time stall watchdog.
+func DefaultPlan() fault.Plan {
+	return fault.Plan{
+		Syscall:  fault.SyscallPlan{Rate: 0.02, Errno: "EIO"},
+		Storage:  fault.StoragePlan{ErrorRate: 0.02, SlowRate: 0.02},
+		Retry:    fault.RetryPlan{MaxAttempts: 4},
+		Watchdog: time.Minute,
+	}
 }
 
 // Result is one seed's outcome. An empty Violations slice means every
@@ -177,37 +179,26 @@ func replayOnce(opts Options, seed uint64) (rep *artc.Report, rec *obs.Recorder,
 			violations = append(violations, fmt.Sprintf("panic: %v", r))
 		}
 	}()
-	plan := opts.Plan
+	// Every machine — the serial one or each component replica — gets
+	// its own injector built from the seeded plan; decisions are keyed by
+	// global action index, so sharded results match the serial replayer's.
+	spec := opts.Spec
+	var plan fault.Plan
+	if spec.Fault != nil {
+		plan = *spec.Fault
+	}
 	plan.Seed = seed
+	spec.Fault = &plan
+	if spec.Init == nil {
+		spec.Init = magritte.TargetInit(opts.Bench, true)
+	}
 	if opts.Obs {
 		rec = obs.NewRecorder(0, 0)
+		spec.Options.Obs = rec
 	}
-	var r *artc.Report
-	var err error
-	if opts.Shards > 0 {
-		// Sharded chaos: each component replica gets its own injector
-		// built from the plan (decisions are keyed by global action
-		// index, so results match the serial replayer's).
-		r, _, err = artc.ReplaySharded(opts.Bench, artc.Options{Obs: rec}, artc.ShardOptions{
-			Shards: opts.Shards,
-			Target: opts.Target,
-			Init: func(sys *stack.System) error {
-				return magritte.InitTarget(sys, opts.Bench, opts.Target.Platform == stack.Linux)
-			},
-			Fault:        &plan,
-			SliceActions: opts.Slice,
-			SliceMax:     opts.SliceMax,
-		})
-	} else {
-		in := fault.New(plan)
-		conf := opts.Target
-		conf.Faults = in
-		k := sim.NewKernel()
-		sys := stack.New(k, conf)
-		if err := magritte.InitTarget(sys, opts.Bench, conf.Platform == stack.Linux); err != nil {
-			return nil, rec, append(violations, fmt.Sprintf("init: %v", err))
-		}
-		r, err = artc.Replay(sys, opts.Bench, artc.Options{Fault: in, Obs: rec})
+	r, _, err := artc.Run(opts.Bench, spec)
+	if errors.Is(err, artc.ErrInit) {
+		return nil, rec, append(violations, fmt.Sprintf("init: %v", err))
 	}
 	if err != nil {
 		// A stall report or kernel deadlock under random faults means

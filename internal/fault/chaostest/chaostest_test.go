@@ -3,6 +3,7 @@ package chaostest
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"rootreplay/internal/fault"
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
+	"rootreplay/internal/stack"
 )
 
 // compileSmall compiles a small Magritte benchmark shared by the tests.
@@ -33,8 +35,8 @@ func compileSmall(t *testing.T) *artc.Benchmark {
 	return b
 }
 
-func chaosPlan() fault.Plan {
-	return fault.Plan{
+func chaosPlan() *fault.Plan {
+	return &fault.Plan{
 		Syscall: fault.SyscallPlan{Rate: 0.02},
 		Storage: fault.StoragePlan{ErrorRate: 0.02, SlowRate: 0.02},
 		Retry:   fault.RetryPlan{MaxAttempts: 4},
@@ -46,8 +48,7 @@ func chaosPlan() fault.Plan {
 func TestSweepInvariantsHold(t *testing.T) {
 	opts := Options{
 		Bench:  compileSmall(t),
-		Target: magritte.DefaultSuiteOptions().Target,
-		Plan:   chaosPlan(),
+		Spec:   artc.RunSpec{Target: magritte.DefaultSuiteOptions().Target, Fault: chaosPlan()},
 		Verify: true,
 		Obs:    true,
 	}
@@ -74,13 +75,13 @@ func TestSweepSlicedInvariantsHold(t *testing.T) {
 	b := compileSmall(t)
 	for _, shards := range []int{1, 2, 4, 8} {
 		opts := Options{
-			Bench:  b,
-			Target: magritte.DefaultSuiteOptions().Target,
-			Plan:   chaosPlan(),
+			Bench: b,
+			Spec: artc.RunSpec{
+				Target: magritte.DefaultSuiteOptions().Target, Fault: chaosPlan(),
+				Shards: shards, SliceActions: len(b.Trace.Records)/4 + 1,
+			},
 			Verify: true,
 			Obs:    true,
-			Shards: shards,
-			Slice:  len(b.Trace.Records)/4 + 1,
 		}
 		for _, res := range Sweep(opts, Seeds(1, 2)) {
 			if !res.OK() {
@@ -95,10 +96,9 @@ func TestSweepSlicedInvariantsHold(t *testing.T) {
 // same seed, and must parse as one JSON document.
 func TestExportBitReproducible(t *testing.T) {
 	opts := Options{
-		Bench:  compileSmall(t),
-		Target: magritte.DefaultSuiteOptions().Target,
-		Plan:   chaosPlan(),
-		Obs:    true,
+		Bench: compileSmall(t),
+		Spec:  artc.RunSpec{Target: magritte.DefaultSuiteOptions().Target, Fault: chaosPlan()},
+		Obs:   true,
 	}
 	var a, b bytes.Buffer
 	resA, recA := RunSeed(opts, 3)
@@ -134,9 +134,8 @@ func TestViolationsPropagate(t *testing.T) {
 	plan := chaosPlan()
 	plan.Watchdog = time.Nanosecond
 	opts := Options{
-		Bench:  compileSmall(t),
-		Target: magritte.DefaultSuiteOptions().Target,
-		Plan:   plan,
+		Bench: compileSmall(t),
+		Spec:  artc.RunSpec{Target: magritte.DefaultSuiteOptions().Target, Fault: plan},
 	}
 	res, _ := RunSeed(opts, 1)
 	if res.OK() {
@@ -144,6 +143,24 @@ func TestViolationsPropagate(t *testing.T) {
 	}
 	if !strings.Contains(res.Violations[0], "stalled (watchdog)") {
 		t.Fatalf("violation = %q, want the stall report", res.Violations[0])
+	}
+}
+
+// A target that cannot be initialized is a violation naming init, on
+// both engines: init runs inside artc.Run, and the harness must still
+// tell it from a replay that started and failed to terminate.
+func TestFailedInitIsAViolation(t *testing.T) {
+	b := compileSmall(t)
+	for _, shards := range []int{0, 2} {
+		res, _ := RunSeed(Options{Bench: b, Spec: artc.RunSpec{
+			Target: magritte.DefaultSuiteOptions().Target,
+			Shards: shards,
+			Init:   func(*stack.System) error { return errors.New("disk on fire") },
+		}}, 1)
+		if len(res.Violations) != 1 || !strings.HasPrefix(res.Violations[0], "init: ") ||
+			!strings.Contains(res.Violations[0], "disk on fire") {
+			t.Errorf("shards=%d: violations = %q, want one init violation", shards, res.Violations)
+		}
 	}
 }
 

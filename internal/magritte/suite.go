@@ -8,7 +8,6 @@ import (
 	"rootreplay/internal/artc"
 	"rootreplay/internal/core"
 	"rootreplay/internal/par"
-	"rootreplay/internal/sim"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/vfs"
 )
@@ -63,6 +62,11 @@ func InitTarget(sys *stack.System, b *artc.Benchmark, devRandomSymlink bool) err
 	return sys.SetupSpecial("/dev/random", stack.SpecialRandomBlocking)
 }
 
+// TargetInit is InitTarget in the shape artc.RunSpec.Init takes.
+func TargetInit(b *artc.Benchmark, devRandomSymlink bool) func(*stack.System) error {
+	return func(sys *stack.System) error { return InitTarget(sys, b, devRandomSymlink) }
+}
+
 // Result is one trace's suite outcome (a Table 3 row).
 type Result struct {
 	Name        string
@@ -113,22 +117,13 @@ func RunOne(spec Spec, opts SuiteOptions) (*Result, error) {
 	}
 	res := &Result{Name: spec.FullName(), Events: len(gen.Trace.Records)}
 
-	replay := func(method artc.Method) (*artc.Report, error) {
-		k := sim.NewKernel()
-		sys := stack.New(k, opts.Target)
-		if err := InitTarget(sys, b, opts.DevRandomSymlink); err != nil {
-			return nil, err
-		}
-		return artc.Replay(sys, b, artc.Options{Method: method, Speed: artc.AFAP})
-	}
-
-	uc, err := replay(artc.MethodUnconstrained)
+	uc, err := replayOn(b, opts.Target, opts.DevRandomSymlink, artc.MethodUnconstrained)
 	if err != nil {
 		return nil, fmt.Errorf("%s unconstrained: %w", spec.FullName(), err)
 	}
 	res.UCErrors = uc.Errors
 
-	ar, err := replay(artc.MethodARTC)
+	ar, err := replayOn(b, opts.Target, opts.DevRandomSymlink, artc.MethodARTC)
 	if err != nil {
 		return nil, fmt.Errorf("%s artc: %w", spec.FullName(), err)
 	}
@@ -139,6 +134,16 @@ func RunOne(spec Spec, opts SuiteOptions) (*Result, error) {
 		res.ThreadTimeByCat[categorize(call)] += d
 	}
 	return res, nil
+}
+
+// replayOn replays b AFAP on a fresh Magritte-initialized target.
+func replayOn(b *artc.Benchmark, target stack.Config, devRandomSymlink bool, method artc.Method) (*artc.Report, error) {
+	rep, _, err := artc.Run(b, artc.RunSpec{
+		Options: artc.Options{Method: method, Speed: artc.AFAP},
+		Target:  target,
+		Init:    TargetInit(b, devRandomSymlink),
+	})
+	return rep, err
 }
 
 // RunSuite runs every Magritte trace, returning results in Specs order.
@@ -167,12 +172,7 @@ func RunSuite(opts SuiteOptions) ([]*Result, error) {
 // target and returns the thread-time breakdown (for Figure 10's HDD vs
 // SSD comparison).
 func ThreadTimeRun(b *artc.Benchmark, target stack.Config, devRandomSymlink bool) (map[string]time.Duration, time.Duration, error) {
-	k := sim.NewKernel()
-	sys := stack.New(k, target)
-	if err := InitTarget(sys, b, devRandomSymlink); err != nil {
-		return nil, 0, err
-	}
-	rep, err := artc.Replay(sys, b, artc.Options{Method: artc.MethodARTC, Speed: artc.AFAP})
+	rep, err := replayOn(b, target, devRandomSymlink, artc.MethodARTC)
 	if err != nil {
 		return nil, 0, err
 	}

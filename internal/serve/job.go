@@ -146,8 +146,8 @@ func (s *Server) normalize(req *jobRequest) string {
 	if req.SliceActions < 0 || req.SliceMax < 0 {
 		return "slice_actions and slice_max must be >= 0"
 	}
-	if req.SliceActions > 0 && req.Shards == 0 {
-		return "slice_actions requires shards"
+	if (req.SliceActions > 0 || req.SliceMax > 0) && req.Shards == 0 {
+		return "slice_actions and slice_max require shards"
 	}
 	if req.Kind == "chaos" {
 		if req.Seeds == 0 {

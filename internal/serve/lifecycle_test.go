@@ -174,9 +174,9 @@ func TestConcurrentSameTraceSharesCompile(t *testing.T) {
 	}
 }
 
-// uploadMagritte generates a small Magritte trace in-process and
-// uploads its native encoding plus snapshot, returning the blob ids.
-func uploadMagritte(t *testing.T, s *Server, tenant string) (traceID, snapID string) {
+// magritteBlobs generates a small Magritte trace in-process and returns
+// its native encoding and its snapshot's.
+func magritteBlobs(t *testing.T) (traceBlob, snapBlob []byte) {
 	t.Helper()
 	spec, ok := magritte.SpecByName("pages_docphoto15")
 	if !ok {
@@ -193,6 +193,14 @@ func uploadMagritte(t *testing.T, s *Server, tenant string) (traceID, snapID str
 	if err := gen.Snapshot.Encode(&sb); err != nil {
 		t.Fatal(err)
 	}
+	return tb.Bytes(), sb.Bytes()
+}
+
+// uploadMagritte uploads magritteBlobs' trace and snapshot, returning
+// the blob ids.
+func uploadMagritte(t *testing.T, s *Server, tenant string) (traceID, snapID string) {
+	t.Helper()
+	tb, sb := magritteBlobs(t)
 	up := func(data []byte) string {
 		w := do(s, http.MethodPost, "/v1/tenants/"+tenant+"/traces", data)
 		if w.Code != http.StatusOK {
@@ -204,5 +212,5 @@ func uploadMagritte(t *testing.T, s *Server, tenant string) (traceID, snapID str
 		json.Unmarshal(w.Body.Bytes(), &doc)
 		return doc.ID
 	}
-	return up(tb.Bytes()), up(sb.Bytes())
+	return up(tb), up(sb)
 }

@@ -11,11 +11,9 @@ import (
 	"rootreplay/internal/artc"
 	"rootreplay/internal/artifact"
 	"rootreplay/internal/core"
-	"rootreplay/internal/fault"
 	"rootreplay/internal/fault/chaostest"
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
-	"rootreplay/internal/sim"
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
@@ -173,48 +171,27 @@ func (j *Job) isCanceled() bool {
 	}
 }
 
-// runReplay executes the replay/export kinds through exactly the code
-// path `artc trace` uses, so an export fetched over HTTP is
+// runReplay executes the replay/export kinds through artc.Run, the
+// driver `artc trace` also calls, so an export fetched over HTTP is
 // byte-identical to the CLI's file for the same trace and options —
 // the service-path determinism contract CI enforces.
 func (s *Server) runReplay(j *Job, b *artc.Benchmark, conf stack.Config) ([]byte, string, error) {
 	req := j.req
+	spec := artc.RunSpec{
+		Options:      artc.Options{Method: artc.Method(req.Method)},
+		Target:       conf,
+		Init:         magritte.TargetInit(b, true),
+		Warm:         req.Warm,
+		Shards:       req.Shards,
+		SliceActions: req.SliceActions,
+		SliceMax:     req.SliceMax,
+	}
 	var rec *obs.Recorder
-	opts := artc.Options{Method: artc.Method(req.Method)}
 	if j.Kind == "export" {
 		rec = obs.NewRecorder(0, 0)
-		opts.Obs = rec
+		spec.Options.Obs = rec
 	}
-	var rep *artc.Report
-	var err error
-	if req.Shards != 0 {
-		so := artc.ShardOptions{
-			Shards: req.Shards,
-			Target: conf,
-			Init: func(sys *stack.System) error {
-				if err := magritte.InitTarget(sys, b, conf.Platform == stack.Linux); err != nil {
-					return err
-				}
-				if req.Warm {
-					sys.WarmAll()
-				}
-				return nil
-			},
-			SliceActions: req.SliceActions,
-			SliceMax:     req.SliceMax,
-		}
-		rep, _, err = artc.ReplaySharded(b, opts, so)
-	} else {
-		k := sim.NewKernel()
-		sys := stack.New(k, conf)
-		if err := magritte.InitTarget(sys, b, conf.Platform == stack.Linux); err != nil {
-			return nil, "", err
-		}
-		if req.Warm {
-			sys.WarmAll()
-		}
-		rep, err = artc.Replay(sys, b, opts)
-	}
+	rep, _, err := artc.Run(b, spec)
 	if err != nil {
 		return nil, "", err
 	}
@@ -271,22 +248,20 @@ func reportDoc(rep *artc.Report) ([]byte, string, error) {
 
 // runChaos sweeps consecutive fault seeds (fanned out over the par
 // pool inside chaostest.Sweep) and renders a deterministic verdict.
-// The plan mirrors `artc chaos`'s flag defaults.
+// The plan is `artc chaos`'s default one.
 func (s *Server) runChaos(j *Job, b *artc.Benchmark, conf stack.Config) ([]byte, string, error) {
 	req := j.req
+	plan := chaostest.DefaultPlan()
 	opts := chaostest.Options{
-		Bench:  b,
-		Target: conf,
-		Plan: fault.Plan{
-			Syscall:  fault.SyscallPlan{Rate: 0.02, Errno: "EIO"},
-			Storage:  fault.StoragePlan{ErrorRate: 0.02, SlowRate: 0.02},
-			Retry:    fault.RetryPlan{MaxAttempts: 4},
-			Watchdog: time.Minute,
+		Bench: b,
+		Spec: artc.RunSpec{
+			Target:       conf,
+			Fault:        &plan,
+			Shards:       req.Shards,
+			SliceActions: req.SliceActions,
+			SliceMax:     req.SliceMax,
 		},
-		Verify:   req.Verify,
-		Shards:   req.Shards,
-		Slice:    req.SliceActions,
-		SliceMax: req.SliceMax,
+		Verify: req.Verify,
 	}
 	sweep := chaostest.Sweep(opts, chaostest.Seeds(req.Seed, req.Seeds))
 	type seedDoc struct {

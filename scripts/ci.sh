@@ -13,7 +13,8 @@
 #   prev  baseline BENCH_*.json for the benchcmp gate. When omitted, the
 #         newest BENCH_*.json other than the current tag's is used.
 #
-# Lanes: lint (gofmt + go vet), vet-race (race-enabled tests),
+# Lanes: lint (gofmt, go vet, and no caller of the replay engines
+# outside artc.Run), vet-race (race-enabled tests),
 # determinism (byte-identical trace export under forced parallelism),
 # ingest (sequential and sharded strace parses agree), shard (sharded
 # and sliced replay match serial byte for byte across GOMAXPROCS, shard
@@ -23,10 +24,11 @@
 # verification plus a single-seed bit-repro check), cache (artifact
 # cache hit/corruption behavior), fuzz (short smokes: the strace lexer
 # and the Chrome exporter against their reference implementations, the
-# artifact decoder against malformed input), service (boot artcd, drive a replay over HTTP, compare the
-# export byte for byte against the artc CLI), service-fault (overfill a
-# tenant queue, assert bounded 429 backpressure and a clean SIGTERM
-# drain), bench (perfstat snapshot and the benchcmp regression gate).
+# artifact decoder against malformed input), service (boot artcd, drive
+# replays over HTTP, compare the serial and the sharded + sliced export
+# byte for byte against the artc CLI), service-fault (overfill a tenant
+# queue, assert bounded 429 backpressure and a clean SIGTERM drain),
+# bench (perfstat snapshot and the benchcmp regression gate).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -71,6 +73,12 @@ lint() {
   fi
   echo "== go vet"
   go vet ./...
+  echo "== one driver: the replay engines are called only through artc.Run"
+  if grep -rnE 'artc\.(Replay|ReplaySharded)\(' --include='*.go' cmd internal |
+    grep -v '_test\.go:' | grep -v '^internal/artc/'; then
+    echo "artc.Replay/artc.ReplaySharded called outside internal/artc: build an artc.RunSpec and call artc.Run (DESIGN.md, One driver)" >&2
+    exit 1
+  fi
 }
 
 vet_race() {
@@ -274,6 +282,15 @@ service() {
   grep -q "^artcd_jobs_done 1\$" "$tmp/svc-metrics.txt"
   grep -q "^artcd_compiles 1\$" "$tmp/svc-metrics.txt"
   grep -q "^artcd_cache_misses 1\$" "$tmp/svc-metrics.txt"
+  echo "== service: sharded + sliced + warmed export matches the CLI too"
+  "$tmp/artc" trace -bench "$tmp/svc.bench" -shards 2 -slice-actions 300 -warm -no-samples \
+    -quiet -o "$tmp/svc-cli-sliced.json"
+  printf '{"kind":"export","trace":"%s","snapshot":"%s","shards":2,"slice_actions":300,"warm":true,"no_samples":true}\n' \
+    "$trace_id" "$snap_id" > "$tmp/svc-job-sliced.json"
+  job="$("$tmp/artcdctl" -base "$base" -tenant ci submit "$tmp/svc-job-sliced.json")"
+  "$tmp/artcdctl" -base "$base" -tenant ci wait "$job" >/dev/null
+  "$tmp/artcdctl" -base "$base" -tenant ci result -o "$tmp/svc-http-sliced.json" "$job"
+  cmp "$tmp/svc-cli-sliced.json" "$tmp/svc-http-sliced.json"
   echo "== service: SIGTERM drains clean"
   stop_artcd
 }
