@@ -2,6 +2,7 @@ package artc
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -322,5 +323,51 @@ func TestWatchdogQuietOnHealthyReplay(t *testing.T) {
 	}
 	if rep.Errors != 0 {
 		t.Fatalf("healthy watchdog replay reported %d errors", rep.Errors)
+	}
+}
+
+// A replay the watchdog aborts stops its kernel with replay threads
+// still blocked mid-call. Run must unwind them: a daemon that aborts
+// chaos jobs all day cannot keep a goroutine per abandoned thread.
+func TestWatchdogAbortLeavesNoGoroutines(t *testing.T) {
+	// Two threads each read from a blocking /dev/random stand-in, at
+	// 200ms of virtual time a byte: no action completes within two
+	// 50ms watchdog windows.
+	tr, snap := traceWorkload(t, defaultConf(),
+		func(sys *stack.System) error { return sys.SetupSpecial("/entropy", stack.SpecialRandomBlocking) },
+		func(sys *stack.System, th *sim.Thread) {
+			wg := sim.NewWaitGroup(sys.K)
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				sys.K.Spawn("reader", func(rt *sim.Thread) {
+					fd, _ := sys.Open(rt, "/entropy", trace.ORdonly, 0)
+					sys.Read(rt, fd, 16)
+					sys.Close(rt, fd)
+					wg.Done()
+				})
+			}
+			wg.Wait(th)
+		})
+	b, err := Compile(tr, snap, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 4; i++ {
+		_, _, err := Run(b, RunSpec{
+			Target: defaultConf(),
+			Fault:  &fault.Plan{Seed: 1, Watchdog: 50 * time.Millisecond},
+		})
+		var sr *StallReport
+		if !errors.As(err, &sr) || sr.Trigger != "watchdog" {
+			t.Fatalf("Run = %v, want a watchdog stall", err)
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked across aborted replays: %d before, %d after", base, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
 	"rootreplay/internal/stack"
+	"rootreplay/internal/trace"
 )
 
 // compileSmall compiles a small Magritte benchmark shared by the tests.
@@ -143,6 +144,35 @@ func TestViolationsPropagate(t *testing.T) {
 	}
 	if !strings.Contains(res.Violations[0], "stalled (watchdog)") {
 		t.Fatalf("violation = %q, want the stall report", res.Violations[0])
+	}
+}
+
+// A replay that panics inside a simulated thread is a violation for its
+// seed, not the end of the sweep: the kernel re-raises the panic from
+// Run, where replayOnce can recover it.
+func TestPanickingReplayIsAViolation(t *testing.T) {
+	b := compileSmall(t)
+	calls := 0
+	opts := Options{Bench: b, Spec: artc.RunSpec{
+		Target: magritte.DefaultSuiteOptions().Target,
+		Init: func(sys *stack.System) error {
+			if err := magritte.InitTarget(sys, b, true); err != nil {
+				return err
+			}
+			// The tracer runs inside the replay thread issuing the call.
+			sys.SetTracer(func(*trace.Record) {
+				if calls++; calls == 20 {
+					panic("tracer exploded")
+				}
+			})
+			return nil
+		},
+	}}
+	res, _ := RunSeed(opts, 1)
+	if len(res.Violations) != 1 || !strings.HasPrefix(res.Violations[0], "panic: ") ||
+		!strings.Contains(res.Violations[0], "tracer exploded") ||
+		!strings.Contains(res.Violations[0], "replay-T") {
+		t.Fatalf("violations = %q, want one panic naming the replay thread", res.Violations)
 	}
 }
 

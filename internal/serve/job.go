@@ -231,7 +231,7 @@ func (s *Server) runJob(j *Job) {
 	s.counters.Add("artcd_jobs_running", 1)
 	s.mu.Unlock()
 
-	result, ctype, err := s.execute(j)
+	result, ctype, err := s.executeIsolated(j)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,10 +6,15 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"rootreplay/internal/magritte"
+	"rootreplay/internal/sim"
+	"rootreplay/internal/snapshot"
+	"rootreplay/internal/stack"
+	"rootreplay/internal/trace"
 )
 
 func TestCancelWhileQueued(t *testing.T) {
@@ -57,11 +62,55 @@ func TestCancelWhileRunning(t *testing.T) {
 	}
 }
 
+// stallingBlobs traces one thread reading 1000 bytes from a blocking
+// /dev/random stand-in — 200s of virtual time in a single call, which
+// the chaos plan's one-minute watchdog aborts on every seed — and
+// returns the trace's and the snapshot's native encodings.
+func stallingBlobs(t *testing.T) (traceBlob, snapBlob []byte) {
+	t.Helper()
+	k := sim.NewKernel()
+	sys := stack.New(k, stack.DefaultConfig())
+	if err := sys.SetupSpecial("/entropy", stack.SpecialRandomBlocking); err != nil {
+		t.Fatal(err)
+	}
+	snap := snapshot.Capture(sys)
+	tr := &trace.Trace{Platform: string(sys.Conf.Platform)}
+	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	k.Spawn("reader", func(th *sim.Thread) {
+		fd, _ := sys.Open(th, "/entropy", trace.ORdonly, 0)
+		sys.Read(th, fd, 1000)
+		sys.Close(th, fd)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	tr.Renumber()
+	var tb, sb bytes.Buffer
+	if err := tr.Encode(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Encode(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return tb.Bytes(), sb.Bytes()
+}
+
 // Graceful drain: admitted jobs — running and queued — complete, new
-// work is refused with 503, and no goroutines are left behind.
+// work is refused with 503, and no goroutines are left behind, not even
+// by a chaos job whose every replay the watchdog aborted mid-call.
 func TestDrainCompletesInFlightJobs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := New(Config{Workers: 2, EnableTestKinds: true})
+	tb, sb := stallingBlobs(t)
+	traceID, snapID := uploadBlob(t, s, "a", tb), uploadBlob(t, s, "a", sb)
+	chaos := submitJob(t, s, "a", fmt.Sprintf(
+		`{"kind":"chaos","trace":"%s","snapshot":"%s","seeds":4}`, traceID, snapID))
+	waitState(t, s, "a", chaos, StateDone)
+	w := do(s, http.MethodGet, "/v1/tenants/a/jobs/"+chaos+"/result", nil)
+	if n := strings.Count(w.Body.String(), "stalled (watchdog)"); n != 4 {
+		t.Fatalf("chaos verdict shows %d watchdog aborts, want 4: %s", n, w.Body)
+	}
+
 	running := submitSleep(t, s, "a", 300)
 	waitState(t, s, "a", running, StateRunning)
 	queued := submitSleep(t, s, "a", 0)
@@ -123,6 +172,45 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	}
 }
 
+// A job whose execution panics — here inside a simulated thread, while
+// it leads a shared compile — ends failed with the thread and its stack
+// in the error, and takes nothing else down: the tenant's next job on
+// the same trace is not stuck behind a dangling compile flight, and
+// another tenant's job runs as usual.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1, QueueBound: 8})
+	traceID, snapID := uploadMagritte(t, s, "a")
+	uploadMagritte(t, s, "b")
+	first := true
+	s.hooks.compileStarted = func(string) {
+		if !first {
+			return
+		}
+		first = false
+		k := sim.NewKernel()
+		k.Spawn("doomed", func(*sim.Thread) { panic("job exploded") })
+		k.Run()
+	}
+	req := fmt.Sprintf(`{"kind":"replay","trace":"%s","snapshot":"%s"}`, traceID, snapID)
+	victim := submitJob(t, s, "a", req)
+	waitState(t, s, "a", victim, StateFailed)
+	w := do(s, http.MethodGet, "/v1/tenants/a/jobs/"+victim, nil)
+	var doc struct {
+		Error string `json:"error"`
+	}
+	json.Unmarshal(w.Body.Bytes(), &doc)
+	for _, want := range []string{"doomed(1)", "job exploded", "TestPanickingJobFailsAlone"} {
+		if !strings.Contains(doc.Error, want) {
+			t.Fatalf("job error lacks %q:\n%s", want, doc.Error)
+		}
+	}
+	waitState(t, s, "a", submitJob(t, s, "a", req), StateDone)
+	waitState(t, s, "b", submitJob(t, s, "b", req), StateDone)
+	if got := s.counters.Get("artcd_jobs_failed"); got != 1 {
+		t.Fatalf("artcd_jobs_failed = %d, want 1", got)
+	}
+}
+
 // Concurrent submissions of the same trace share one compile: the
 // second job joins the first's singleflight instead of compiling again.
 func TestConcurrentSameTraceSharesCompile(t *testing.T) {
@@ -136,20 +224,9 @@ func TestConcurrentSameTraceSharesCompile(t *testing.T) {
 		<-gate
 	}
 	req := fmt.Sprintf(`{"kind":"replay","trace":"%s","snapshot":"%s"}`, traceID, snapID)
-	submit := func() string {
-		w := do(s, http.MethodPost, "/v1/tenants/a/jobs", []byte(req))
-		if w.Code != http.StatusAccepted {
-			t.Fatalf("submit: %d %s", w.Code, w.Body)
-		}
-		var doc struct {
-			ID string `json:"id"`
-		}
-		json.Unmarshal(w.Body.Bytes(), &doc)
-		return doc.ID
-	}
-	a := submit()
+	a := submitJob(t, s, "a", req)
 	key := <-entered // first job is now the compile leader, blocked
-	b := submit()
+	b := submitJob(t, s, "a", req)
 	// The second job must join the leader's flight, not start its own.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.flightWaiters(key) != 1 {
@@ -201,16 +278,19 @@ func magritteBlobs(t *testing.T) (traceBlob, snapBlob []byte) {
 func uploadMagritte(t *testing.T, s *Server, tenant string) (traceID, snapID string) {
 	t.Helper()
 	tb, sb := magritteBlobs(t)
-	up := func(data []byte) string {
-		w := do(s, http.MethodPost, "/v1/tenants/"+tenant+"/traces", data)
-		if w.Code != http.StatusOK {
-			t.Fatalf("upload: %d %s", w.Code, w.Body)
-		}
-		var doc struct {
-			ID string `json:"id"`
-		}
-		json.Unmarshal(w.Body.Bytes(), &doc)
-		return doc.ID
+	return uploadBlob(t, s, tenant, tb), uploadBlob(t, s, tenant, sb)
+}
+
+// uploadBlob uploads data for tenant and returns its blob id.
+func uploadBlob(t *testing.T, s *Server, tenant string, data []byte) string {
+	t.Helper()
+	w := do(s, http.MethodPost, "/v1/tenants/"+tenant+"/traces", data)
+	if w.Code != http.StatusOK {
+		t.Fatalf("upload: %d %s", w.Code, w.Body)
 	}
-	return up(tb), up(sb)
+	var doc struct {
+		ID string `json:"id"`
+	}
+	json.Unmarshal(w.Body.Bytes(), &doc)
+	return doc.ID
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"rootreplay/internal/fault/chaostest"
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
+	"rootreplay/internal/sim"
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
@@ -60,18 +62,24 @@ func (s *Server) compileShared(j *Job) (*artc.Benchmark, error) {
 		s.counters.Add("artcd_compiles_shared", 1)
 		return f.b, f.err
 	}
-	f := &flight{done: make(chan struct{})}
+	// err is what the waiters see if doCompile panics instead of
+	// returning; the flight is released either way, so a compile that
+	// panics fails its own jobs and does not hang the next ones.
+	f := &flight{done: make(chan struct{}), err: errors.New("shared compile panicked")}
 	s.flights[key] = f
 	raw := s.blobs[req.Trace]
 	snapRaw := s.blobs[req.Snapshot]
 	s.mu.Unlock()
 
-	f.b, f.st, f.err = s.doCompile(key, req, raw, snapRaw)
-
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.mu.Unlock()
-	close(f.done)
+	func() {
+		defer func() {
+			s.mu.Lock()
+			delete(s.flights, key)
+			s.mu.Unlock()
+			close(f.done)
+		}()
+		f.b, f.st, f.err = s.doCompile(key, req, raw, snapRaw)
+	}()
 
 	if f.err == nil && f.st.Key != "" {
 		if f.st.Hit {
@@ -125,6 +133,30 @@ func (s *Server) doCompile(key string, req jobRequest, raw, snapRaw []byte) (*ar
 		}
 		return artifact.CompileTrace(s.cfg.Store, tr, snap, modes)
 	}
+}
+
+// executeIsolated is execute with a panic turned into the job's error,
+// so a bug one job trips over fails that job and leaves the daemon and
+// the other tenants running. A panic inside a simulated thread arrives
+// as a *sim.ThreadPanic carrying the thread's name and its own stack;
+// anything else panicked on this goroutine and the stack is still here.
+//
+// Members of a sharded replay run their kernels on goroutines of their
+// own (runCluster); a panic there is not covered.
+func (s *Server) executeIsolated(j *Job) (result []byte, ctype string, err error) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		result, ctype = nil, ""
+		if tp, ok := r.(*sim.ThreadPanic); ok {
+			err = tp
+		} else {
+			err = fmt.Errorf("panic: %v\n\n%s", r, debug.Stack())
+		}
+	}()
+	return s.execute(j)
 }
 
 // execute runs one job to produce its result document. Cancellation is

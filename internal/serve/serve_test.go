@@ -48,13 +48,12 @@ func do(s *Server, method, path string, body []byte) *httptest.ResponseRecorder 
 	return w
 }
 
-// submitSleep admits one sleep job and returns its id.
-func submitSleep(t *testing.T, s *Server, tenant string, ms int) string {
+// submitJob admits one job described by body and returns its id.
+func submitJob(t *testing.T, s *Server, tenant, body string) string {
 	t.Helper()
-	w := do(s, http.MethodPost, "/v1/tenants/"+tenant+"/jobs",
-		[]byte(fmt.Sprintf(`{"kind":"sleep","ms":%d}`, ms)))
+	w := do(s, http.MethodPost, "/v1/tenants/"+tenant+"/jobs", []byte(body))
 	if w.Code != http.StatusAccepted {
-		t.Fatalf("submit sleep: status %d body %s", w.Code, w.Body)
+		t.Fatalf("submit %s: status %d body %s", body, w.Code, w.Body)
 	}
 	var doc struct {
 		ID string `json:"id"`
@@ -63,6 +62,12 @@ func submitSleep(t *testing.T, s *Server, tenant string, ms int) string {
 		t.Fatal(err)
 	}
 	return doc.ID
+}
+
+// submitSleep admits one sleep job and returns its id.
+func submitSleep(t *testing.T, s *Server, tenant string, ms int) string {
+	t.Helper()
+	return submitJob(t, s, tenant, fmt.Sprintf(`{"kind":"sleep","ms":%d}`, ms))
 }
 
 func jobState(t *testing.T, s *Server, tenant, id string) State {

@@ -8,14 +8,21 @@
 // fully reproducible: the same program yields the same virtual-time
 // results on every run, on every host.
 //
-// Threads are implemented as goroutines that hand control back and forth
-// with the kernel through unbuffered channels; the goroutine machinery is
-// an implementation detail and no two simulated threads ever run
-// concurrently.
+// Each thread body is a coroutine (iter.Pull) and there is one switching
+// path: Run resumes the head of the run queue with next(), and a thread
+// that blocks, yields or returns gives the CPU back to Run with yield().
+// A coroutine switch never enters the Go scheduler. Because every switch
+// passes through Run, sched hooks, timed events and the Pacer execute on
+// Run's goroutine, never inside a thread, so a Pacer may block on host
+// synchronisation. A panic in a body surfaces from Run as a *ThreadPanic;
+// threads Run leaves unfinished (Stop, deadlock, a panic) are unwound
+// before it returns, so no goroutine outlives Run.
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -104,11 +111,19 @@ func (tm *Timer) Pending() bool { return tm.ev != nil }
 // coroutine: it executes only between the kernel resuming it and the
 // thread's next blocking call (Sleep, Park, Cond.Wait, ...).
 type Thread struct {
-	k      *Kernel
-	id     int
-	name   string
-	state  ThreadState
-	resume chan struct{}
+	k     *Kernel
+	id    int
+	name  string
+	state ThreadState
+	slot  int // index in k.threads until the body ends
+
+	// The coroutine's three handles: Run resumes the body with next, the
+	// body gives the CPU back with yield, and stop unwinds a body that
+	// will never be resumed. retire drops them, so a finished Thread
+	// does not pin whatever its body captured.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	// blockReason / blockReasonf describe what the thread is waiting
 	// for, used in deadlock reports. blockReasonf, when set, is invoked
@@ -147,10 +162,9 @@ type Kernel struct {
 	wheel   wheel
 	runq    []*Thread
 	current *Thread
-	yielded chan struct{}
 	live    int // spawned threads whose bodies have not returned
 	nextID  int
-	threads []*Thread // all spawned threads, for deadlock reporting
+	threads []*Thread // unfinished threads, unordered: deadlock reports and reap
 
 	// batch holds the not-yet-dispatched remainder of the instant batch
 	// most recently expired from the wheel: every pending event at the
@@ -225,7 +239,7 @@ func (k *Kernel) RunqLen() int { return len(k.runq) }
 
 // NewKernel returns a kernel with the clock at zero.
 func NewKernel() *Kernel {
-	return &Kernel{yielded: make(chan struct{})}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -309,28 +323,88 @@ func (k *Kernel) AfterComplete(d time.Duration, c Completer, tag uint64) {
 func (k *Kernel) Spawn(name string, fn func(t *Thread)) *Thread {
 	k.nextID++
 	t := &Thread{
-		k:      k,
-		id:     k.nextID,
-		name:   name,
-		state:  StateRunnable,
-		resume: make(chan struct{}),
+		k:     k,
+		id:    k.nextID,
+		name:  name,
+		state: StateRunnable,
+		slot:  len(k.threads),
 	}
 	k.live++
 	k.threads = append(k.threads, t)
-	go func() {
-		<-t.resume
+	t.next, t.stop = pull(func(yield func(struct{}) bool) {
+		t.yield = yield
+		defer t.exit()
 		fn(t)
-		t.state = StateDone
-		k.live--
-		k.switchFrom()
-	}()
+	})
 	k.runq = append(k.runq, t)
 	return t
 }
 
+// errKilled is the panic value that unwinds the body of a thread the
+// kernel has abandoned; exit swallows it.
+var errKilled = errors.New("sim: thread killed")
+
+// ThreadPanic is the value Run panics with when a thread body panics.
+// The coroutine re-raises a panic on Run's goroutine only after the
+// body's stack has unwound, so the origin is captured here first.
+type ThreadPanic struct {
+	Thread string // "name(id)", as in deadlock reports
+	Value  any    // the value the body panicked with
+	Stack  []byte // the body's stack at the panic
+}
+
+// Error implements the error interface, so an unrecovered ThreadPanic
+// prints the thread and its original stack.
+func (p *ThreadPanic) Error() string {
+	return fmt.Sprintf("sim: panic in thread %s: %v\n\n%s", p.Thread, p.Value, p.Stack)
+}
+
+// exit runs, deferred, when a thread's body ends: by returning, by
+// panicking, or by being killed.
+func (t *Thread) exit() {
+	r := recover()
+	t.retire()
+	if r != nil && r != errKilled {
+		panic(&ThreadPanic{Thread: fmt.Sprintf("%s(%d)", t.name, t.id), Value: r, Stack: debug.Stack()})
+	}
+}
+
+// retire marks t finished, forgets it in k.threads (swap-remove: the
+// slice is unordered) and drops its coroutine.
+func (t *Thread) retire() {
+	k := t.k
+	t.state = StateDone
+	k.live--
+	n := len(k.threads) - 1
+	last := k.threads[n]
+	k.threads[t.slot] = last
+	last.slot = t.slot
+	k.threads[n] = nil
+	k.threads = k.threads[:n]
+	t.next, t.stop, t.yield = nil, nil, nil
+}
+
+// reap unwinds every thread Run is leaving unfinished, so none survives
+// as a parked goroutine pinning what its body captured. A started body
+// is resumed with yield reporting false and unwinds with errKilled,
+// running its deferred calls; a body that never started is discarded.
+func (k *Kernel) reap() {
+	for len(k.threads) > 0 {
+		t := k.threads[len(k.threads)-1]
+		k.current = t // a deferred call in the body may try to block
+		t.stop()
+		k.current = nil
+		if t.state != StateDone {
+			t.retire() // never started, so exit did not run
+		}
+	}
+	clear(k.runq)
+	k.runq = k.runq[:0]
+}
+
 // Stop aborts Run at the next scheduling point. Blocked threads are
-// abandoned (their goroutines leak until process exit); Stop is intended
-// for error paths and tests, not normal completion.
+// abandoned: Run unwinds them before it returns. Stop is intended for
+// error paths and tests, not normal completion.
 func (k *Kernel) Stop() { k.stopped = true }
 
 // DeadlockError reports that live threads remain but nothing is runnable
@@ -349,15 +423,13 @@ func (e *DeadlockError) Error() string {
 // Run executes the simulation until all threads have finished and the
 // event queue is empty, or until deadlock. It returns a *DeadlockError if
 // live threads remain blocked with no pending events, and nil otherwise.
+// If a thread body panics, Run panics with a *ThreadPanic. However Run
+// ends, threads that have not finished by then are unwound first.
 //
-// Scheduling points: with sched hooks installed, every thread switch
-// routes through this loop and the hooks run before each resume or
-// event dispatch, exactly as before the direct-handoff fast path
-// existed. With no hooks, threads hand off to each other directly (see
-// switchFrom) and the loop only regains control when the run queue
-// drains, so the disabled-hook cost at each switch is a single length
-// check in switchFrom.
+// Scheduling points: every thread switch passes through this loop, and
+// the sched hooks run before each resume or event dispatch.
 func (k *Kernel) Run() error {
+	defer k.reap()
 	for !k.stopped {
 		if len(k.schedHooks) > 0 {
 			for _, h := range k.schedHooks {
@@ -370,11 +442,10 @@ func (k *Kernel) Run() error {
 			k.runq = k.runq[:len(k.runq)-1]
 			k.current = t
 			t.state = StateRunning
-			t.resume <- struct{}{}
-			// Control returns here only after the resumed thread — or a
-			// chain of direct handoffs it started — reverts to the
-			// kernel (run queue empty, hooks installed, or Stop).
-			<-k.yielded
+			// Returns when the thread blocks, yields or ends; re-raises
+			// the ThreadPanic of a body that panicked.
+			t.next()
+			k.current = nil
 			continue
 		}
 		if len(k.batch) > 0 || k.wheel.n > 0 {
@@ -452,23 +523,14 @@ func (k *Kernel) dispatch(e *event) {
 	}
 }
 
-// switchFrom hands the CPU off on behalf of the goroutine of the thread
-// that is giving it up (block, yield, or exit). Fast path: with no
-// sched hooks and no Stop pending, the next runnable thread is resumed
-// directly, thread to thread, halving the goroutine switches per
-// context switch. Slow path: control reverts to the kernel's Run loop.
-func (k *Kernel) switchFrom() {
-	if len(k.schedHooks) == 0 && !k.stopped && len(k.runq) > 0 {
-		next := k.runq[0]
-		copy(k.runq, k.runq[1:])
-		k.runq = k.runq[:len(k.runq)-1]
-		k.current = next
-		next.state = StateRunning
-		next.resume <- struct{}{}
-		return
+// switchOut gives the CPU back to Run and returns when Run next resumes
+// the thread. A false from yield means the thread will never be resumed
+// (see reap): the body is unwound, and a deferred call that blocks on
+// the way out lands here again and is unwound in turn.
+func (t *Thread) switchOut() {
+	if !t.yield(struct{}{}) {
+		panic(errKilled)
 	}
-	k.current = nil
-	k.yielded <- struct{}{}
 }
 
 // block parks the calling thread with a reason and hands control to the
@@ -479,8 +541,7 @@ func (t *Thread) block(reason string) {
 	}
 	t.state = StateBlocked
 	t.blockReason = reason
-	t.k.switchFrom()
-	<-t.resume
+	t.switchOut()
 	t.blockReason = ""
 }
 
@@ -492,8 +553,7 @@ func (t *Thread) blockf(reasonf func() string) {
 	}
 	t.state = StateBlocked
 	t.blockReasonf = reasonf
-	t.k.switchFrom()
-	<-t.resume
+	t.switchOut()
 	t.blockReasonf = nil
 }
 
@@ -510,17 +570,9 @@ func (k *Kernel) unpark(t *Thread) {
 // Yield moves the calling thread to the back of the run queue, letting
 // other runnable threads (but not the clock) make progress first.
 func (t *Thread) Yield() {
-	k := t.k
-	if len(k.schedHooks) == 0 && !k.stopped && len(k.runq) == 0 {
-		// Sole runnable thread: requeueing and switching would resume
-		// it immediately, so just keep running. Indistinguishable from
-		// the slow path except that no (empty) hook set runs.
-		return
-	}
 	t.state = StateRunnable
-	k.runq = append(k.runq, t)
-	k.switchFrom()
-	<-t.resume
+	t.k.runq = append(t.k.runq, t)
+	t.switchOut()
 }
 
 // Sleep blocks the calling thread for d of virtual time. Negative or zero

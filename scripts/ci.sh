@@ -13,8 +13,9 @@
 #   prev  baseline BENCH_*.json for the benchcmp gate. When omitted, the
 #         newest BENCH_*.json other than the current tag's is used.
 #
-# Lanes: lint (gofmt, go vet, and no caller of the replay engines
-# outside artc.Run), vet-race (race-enabled tests),
+# Lanes: lint (Go >= 1.23, gofmt, go vet, and no caller of the replay
+# engines outside artc.Run), vet-race (race-enabled tests, internal/sim
+# five times over),
 # determinism (byte-identical trace export under forced parallelism),
 # ingest (sequential and sharded strace parses agree), shard (sharded
 # and sliced replay match serial byte for byte across GOMAXPROCS, shard
@@ -64,6 +65,14 @@ latest_bench() {
 }
 
 lint() {
+  # internal/sim's coroutine switch sits in a //go:build go1.23 file; an
+  # older toolchain would otherwise fail with "undefined: pull" deep in
+  # a build.
+  gominor="$(go env GOVERSION | sed -n 's/^go1\.\([0-9][0-9]*\).*/\1/p')"
+  if [ -n "$gominor" ] && [ "$gominor" -lt 23 ]; then
+    echo "scripts/ci.sh: $(go env GOVERSION) is too old, internal/sim needs Go >= 1.23 (iter.Pull)" >&2
+    exit 1
+  fi
   echo "== gofmt"
   fmt="$(gofmt -l .)"
   if [ -n "$fmt" ]; then
@@ -82,8 +91,10 @@ lint() {
 }
 
 vet_race() {
-  echo "== go test -race (GOMAXPROCS=8 stresses the kernel handoff paths)"
+  echo "== go test -race (GOMAXPROCS=8)"
   GOMAXPROCS=8 go test -race ./...
+  echo "== go test -race -count=5 internal/sim (schedule golden, panic and goroutine-baseline tests under the coroutine race annotations)"
+  GOMAXPROCS=8 go test -race -count=5 ./internal/sim/
 }
 
 determinism() {
