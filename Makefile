@@ -5,7 +5,7 @@ TAG ?= $(or $(shell ls BENCH_pr*.json 2>/dev/null | \
 	sed -n 's/^BENCH_pr\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -n 1 | \
 	awk '{ print "pr" $$1 + 1 }'),local)
 
-.PHONY: build test race vet bench perfstat profile chaos fuzz ci
+.PHONY: build test race vet bench perfstat profile chaos allocs fuzz ci
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,11 @@ profile:
 # on any chaos-invariant violation.
 chaos:
 	./scripts/ci.sh chaos
+
+# Does the replay loop still allocate nothing per record? Ceilings plus
+# an escape-analysis check of the syscall entry points.
+allocs:
+	./scripts/ci.sh allocs
 
 fuzz:
 	./scripts/ci.sh fuzz

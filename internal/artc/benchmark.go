@@ -46,10 +46,12 @@ type Benchmark struct {
 	// Graph holds the ARTC (resource-ordering) dependency edges, after
 	// transitive reduction.
 	Graph *core.Graph
-	// touches is the per-action FD/AIO touch plan Compile precomputes so
-	// the replayer's per-action path need not scan touch lists (nil for
-	// hand-built benchmarks; the replayer falls back to scanning).
+	// touches is the per-action FD/AIO touch plan Compile precomputes and
+	// the binary codec stores (nil for hand-built benchmarks); hotTab,
+	// built from it on first replay, is what the replayer reads.
 	touches []actionTouches
+	hotOnce sync.Once
+	hotTab  *hotTables
 
 	// memoMu guards memo, the per-ModeSet graph cache GraphFor fills for
 	// replay-time mode overrides (ablation sweeps rebuild the same few

@@ -319,10 +319,8 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 
 	// analysis: resource table, action series, actions, path
 	// generations, warnings.
-	resIdx := make(map[core.ResourceID]uint64, len(an.Resources))
 	bw.uvarint(uint64(len(an.Resources)))
-	for i, res := range an.Resources {
-		resIdx[res] = uint64(i)
+	for _, res := range an.Resources {
 		bw.byte(byte(res.Kind))
 		bw.string(res.Name)
 		bw.uvarint(uint64(res.Gen))
@@ -362,11 +360,10 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		bw.string(act.CanonPath2)
 		bw.uvarint(uint64(len(act.Touches)))
 		for _, t := range act.Touches {
-			ri, ok := resIdx[t.Res]
-			if !ok {
-				return fmt.Errorf("artc: action %d touches %v, absent from the resource table", i, t.Res)
+			if t.Idx < 0 || int(t.Idx) >= len(an.Resources) || an.Resources[t.Idx] != t.Res {
+				return fmt.Errorf("artc: action %d touches %v, which is not entry %d of the resource table", i, t.Res, t.Idx)
 			}
-			bw.uvarint(ri)
+			bw.uvarint(uint64(t.Idx))
 			bw.byte(byte(t.Role))
 		}
 		if act.FDHint == nil {
@@ -1059,7 +1056,7 @@ func decodeAnalysisSec(ar *binReader, nRec int) (*core.Analysis, error) {
 			if role > byte(core.RoleDelete) {
 				return nil, ar.errAt("action %d touch %d: unknown role %d", i, j, role)
 			}
-			touchSlab = append(touchSlab, core.Touch{Res: resources[ri], Role: core.Role(role)})
+			touchSlab = append(touchSlab, core.Touch{Res: resources[ri], Idx: int32(ri), Role: core.Role(role)})
 		}
 		if nt > 0 {
 			act.Touches = touchSlab[start : start+nt : start+nt]

@@ -1,15 +1,14 @@
 package artc
 
 import (
-	"rootreplay/internal/core"
 	"rootreplay/internal/sim"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
 	"rootreplay/internal/vfs"
 )
 
-// applyWithEmulation executes one (rewritten) record on the target
-// system, emulating source-platform calls the target lacks with the
+// applyWithEmulation executes one record, with the replayer's redirected
+// arguments, on the target system, emulating source-platform calls the target lacks with the
 // closest available equivalents (§4.3.4). It returns the primary
 // operation's result and whether emulation was used.
 //
@@ -28,61 +27,60 @@ import (
 //     fcntl(F_FULLFSYNC) for true durability;
 //   - exchangedata: emulated with a link and two renames on non-OS X
 //     targets.
-func (rs *replayState) applyWithEmulation(t *sim.Thread, act *core.Action, rec *trace.Record) (int64, vfs.Errno, bool) {
+func (rs *replayState) applyWithEmulation(t *sim.Thread, ha *hotAction, op stack.Op, rec *trace.Record, a *stack.Redirect) (int64, vfs.Errno, bool) {
 	sys := rs.sys
 	target := sys.Conf.Platform
-	call := stack.Canonical(rec.Call)
 
 	// dup2 always needs rewriting: the traced target number may collide
 	// with a remapped descriptor, so duplicate onto a fresh number and
 	// retire the old generation explicitly.
-	if call == "dup2" {
-		return rs.emulateDup2(t, act, rec)
+	if op == stack.OpDup2 {
+		return rs.emulateDup2(t, ha, a)
 	}
 
 	// fsync semantics across platforms.
-	if call == "fsync" && target == stack.OSX && rs.b.Platform != string(stack.OSX) && rs.opts.FullFsyncOnOSX {
-		ret, err := sys.Fcntl(t, rec.FD, "F_FULLFSYNC", 0)
+	if op == stack.OpFsync && target == stack.OSX && rs.b.Platform != string(stack.OSX) && rs.opts.FullFsyncOnOSX {
+		ret, err := sys.Fcntl(t, a.FD, "F_FULLFSYNC", 0)
 		return ret, err, true
 	}
 
-	if stack.Native(target, call) {
-		ret, err := sys.Apply(t, rec)
+	if rs.native[ha.call] {
+		ret, err := sys.Apply(t, op, rec, a)
 		return ret, err, false
 	}
 
-	switch call {
-	case "exchangedata":
+	switch op {
+	case stack.OpExchangedata:
 		// No atomic equivalent: a link and two renames.
-		tmp := rec.Path + ".xchg"
-		if _, err := sys.Link(t, rec.Path, tmp); err != vfs.OK {
+		tmp := a.Path + ".xchg"
+		if _, err := sys.Link(t, a.Path, tmp); err != vfs.OK {
 			return -1, err, true
 		}
-		if _, err := sys.Rename(t, rec.Path2, rec.Path); err != vfs.OK {
+		if _, err := sys.Rename(t, a.Path2, a.Path); err != vfs.OK {
 			sys.Unlink(t, tmp)
 			return -1, err, true
 		}
-		if _, err := sys.Rename(t, tmp, rec.Path2); err != vfs.OK {
+		if _, err := sys.Rename(t, tmp, a.Path2); err != vfs.OK {
 			return -1, err, true
 		}
 		return 0, vfs.OK, true
-	case "getattrlist", "fsctl", "vfsconf":
-		ret, err := sys.Stat(t, rec.Path)
+	case stack.OpGetattrlist, stack.OpFsctl, stack.OpVfsconf:
+		ret, err := sys.Stat(t, a.Path)
 		if err == vfs.OK {
 			ret = 0
 		}
 		return ret, err, true
-	case "setattrlist":
+	case stack.OpSetattrlist:
 		// Bulk attribute write: the nearest equivalent is touching the
 		// metadata (utimes-style).
-		ret, err := sys.Utimes(t, rec.Path)
+		ret, err := sys.Utimes(t, a.Path)
 		return ret, err, true
-	case "searchfs":
+	case stack.OpSearchfs:
 		// Catalog search becomes a directory scan.
-		fd, err := sys.Open(t, rec.Path, trace.ORdonly|trace.ODir, 0)
+		fd, err := sys.Open(t, a.Path, trace.ORdonly|trace.ODir, 0)
 		if err != vfs.OK {
 			// Non-directories degrade to a stat.
-			ret, serr := sys.Stat(t, rec.Path)
+			ret, serr := sys.Stat(t, a.Path)
 			if serr == vfs.OK {
 				ret = 0
 			}
@@ -96,73 +94,71 @@ func (rs *replayState) applyWithEmulation(t *sim.Thread, act *core.Action, rec *
 		}
 		sys.Close(t, fd)
 		return 0, vfs.OK, true
-	case "getdirentriesattr":
-		ret, err := sys.Getdents(t, rec.FD, rec.Size)
+	case stack.OpGetdirentriesattr:
+		ret, err := sys.Getdents(t, a.FD, rec.Size)
 		return ret, err, true
-	case "fallocate":
+	case stack.OpFallocate:
 		// OS X spells preallocation fcntl(F_PREALLOCATE); FreeBSD and
 		// Illumos approximate with an extending truncate when needed.
 		if target == stack.OSX {
-			ret, err := sys.Fcntl(t, rec.FD, "F_PREALLOCATE", rec.Offset+rec.Size)
+			ret, err := sys.Fcntl(t, a.FD, "F_PREALLOCATE", rec.Offset+rec.Size)
 			return ret, err, true
 		}
-		ret, err := sys.Ftruncate(t, rec.FD, rec.Offset+rec.Size)
+		ret, err := sys.Ftruncate(t, a.FD, rec.Offset+rec.Size)
 		return ret, err, true
-	case "fadvise":
+	case stack.OpFadvise:
 		if target == stack.OSX {
 			if rec.Name == "POSIX_FADV_WILLNEED" {
-				ret, err := sys.Fcntl(t, rec.FD, "F_RDADVISE", rec.Size)
+				ret, err := sys.Fcntl(t, a.FD, "F_RDADVISE", rec.Size)
 				return ret, err, true
 			}
 			// Other advice has no OS X equivalent; accept and ignore.
-			if _, err := sys.Fstat(t, rec.FD); err != vfs.OK {
+			if _, err := sys.Fstat(t, a.FD); err != vfs.OK {
 				return -1, err, true
 			}
 			return 0, vfs.OK, true
 		}
 		// FreeBSD lacks some hints entirely: ignored (§4.3.4).
 		return 0, vfs.OK, true
-	case "getxattr", "lgetxattr", "listxattr", "llistxattr":
+	case stack.OpGetxattr, stack.OpLgetxattr, stack.OpListxattr, stack.OpLlistxattr:
 		// Illumos target: no flat xattr calls; emulate with a metadata
 		// access and report the attribute missing.
-		if _, err := sys.Stat(t, rec.Path); err != vfs.OK {
+		if _, err := sys.Stat(t, a.Path); err != vfs.OK {
 			return -1, err, true
 		}
 		return -1, vfs.ENODATA, true
-	case "setxattr", "lsetxattr", "removexattr", "lremovexattr":
-		if _, err := sys.Stat(t, rec.Path); err != vfs.OK {
+	case stack.OpSetxattr, stack.OpLsetxattr, stack.OpRemovexattr, stack.OpLremovexattr:
+		if _, err := sys.Stat(t, a.Path); err != vfs.OK {
 			return -1, err, true
 		}
 		return 0, vfs.OK, true
-	case "fgetxattr", "flistxattr":
-		if _, err := sys.Fstat(t, rec.FD); err != vfs.OK {
+	case stack.OpFgetxattr, stack.OpFlistxattr:
+		if _, err := sys.Fstat(t, a.FD); err != vfs.OK {
 			return -1, err, true
 		}
 		return -1, vfs.ENODATA, true
-	case "fsetxattr", "fremovexattr":
-		if _, err := sys.Fstat(t, rec.FD); err != vfs.OK {
+	case stack.OpFsetxattr, stack.OpFremovexattr:
+		if _, err := sys.Fstat(t, a.FD); err != vfs.OK {
 			return -1, err, true
 		}
 		return 0, vfs.OK, true
 	default:
 		// Unknown on this target and no emulation: execute directly (the
 		// model implements all canonical calls) and count it as emulated.
-		ret, err := sys.Apply(t, rec)
+		ret, err := sys.Apply(t, op, rec, a)
 		return ret, err, true
 	}
 }
 
 // emulateDup2 replays dup2 onto a fresh descriptor number, explicitly
 // retiring the descriptor generation dup2 implicitly closed.
-func (rs *replayState) emulateDup2(t *sim.Thread, act *core.Action, rec *trace.Record) (int64, vfs.Errno, bool) {
+func (rs *replayState) emulateDup2(t *sim.Thread, ha *hotAction, a *stack.Redirect) (int64, vfs.Errno, bool) {
 	// Close the old generation of the target number, if it was open.
-	for _, tc := range act.Touches {
-		if tc.Res.Kind == core.KFD && tc.Role == core.RoleDelete {
-			if actual, ok := rs.fdMap[tc.Res]; ok {
-				rs.sys.Close(t, actual)
-			}
+	if ha.fdDelete >= 0 {
+		if actual := rs.remap[ha.fdDelete]; actual != unmapped {
+			rs.sys.Close(t, actual)
 		}
 	}
-	ret, err := rs.sys.Dup(t, rec.FD)
+	ret, err := rs.sys.Dup(t, a.FD)
 	return ret, err, false
 }

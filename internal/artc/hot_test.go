@@ -1,0 +1,83 @@
+package artc
+
+import (
+	"testing"
+
+	"rootreplay/internal/core"
+	"rootreplay/internal/sim"
+	"rootreplay/internal/stack"
+	"rootreplay/internal/trace"
+	"rootreplay/internal/vfs"
+)
+
+// A hand-built benchmark — an analysis that never went through Finish (no
+// Resources list, touch indices unset) and no compile-time touch plan —
+// gets its tables interned when replay starts and replays exactly like the
+// compiled one: remapped descriptors (dup2 and a failed call's FDHint
+// among them) and AIOCBs, same report.
+func TestHandBuiltAnalysisGetsTables(t *testing.T) {
+	conf := defaultConf()
+	tr, snap := traceWorkload(t, conf,
+		func(sys *stack.System) error {
+			if err := sys.SetupMkdirAll("/dir"); err != nil {
+				return err
+			}
+			return sys.SetupCreate("/f", 1<<20)
+		},
+		func(sys *stack.System, th *sim.Thread) {
+			// Shift numbering so nothing works unless remapped.
+			pad, _ := sys.Open(th, "/f", trace.ORdonly, 0)
+			fd, _ := sys.Open(th, "/f", trace.ORdwr, 0)
+			dir, _ := sys.Open(th, "/dir", trace.ORdonly|trace.ODir, 0)
+			sys.Close(th, pad)
+			if _, err := sys.Read(th, dir, 64); err != vfs.EISDIR {
+				t.Errorf("traced dir read = %v, want EISDIR", err)
+			}
+			d, _ := sys.Dup(th, fd)
+			sys.Dup2(th, dir, d)
+			id, _ := sys.AioRead(th, fd, 8192, 0)
+			sys.AioSuspend(th, id)
+			sys.AioReturn(th, id)
+			sys.Close(th, d)
+			sys.Close(th, dir)
+			sys.Close(th, fd)
+		})
+	compiled, err := Compile(tr, snap, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	acts := make([]core.Action, len(compiled.Analysis.Actions))
+	for i, act := range compiled.Analysis.Actions {
+		act.Touches = append([]core.Touch(nil), act.Touches...)
+		for ti := range act.Touches {
+			act.Touches[ti].Idx = 0
+		}
+		acts[i] = act
+	}
+	hand := &Benchmark{
+		Platform: compiled.Platform, Modes: compiled.Modes, Trace: tr, Snapshot: snap,
+		Analysis: &core.Analysis{Trace: tr, Actions: acts, Series: compiled.Analysis.Series},
+		Graph:    compiled.Graph,
+	}
+	replay := func(b *Benchmark) string {
+		sys := stack.New(sim.NewKernel(), conf)
+		if err := Init(sys, b, ""); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Replay(sys, b, Options{SelfCheck: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Errors != 0 {
+			t.Fatalf("semantic errors: %v", rep.ErrorSamples)
+		}
+		return reportJSON(t, rep)
+	}
+	if got, want := replay(hand), replay(compiled); got != want {
+		t.Fatalf("hand-built benchmark replays differently:\n got %s\nwant %s", got, want)
+	}
+	if h := hand.hot(); h.nSlots == 0 || h.nSlots >= len(compiled.Analysis.Resources) {
+		t.Fatalf("interned %d resource slots; want the few descriptors and AIOCBs, not all %d resources",
+			h.nSlots, len(compiled.Analysis.Resources))
+	}
+}

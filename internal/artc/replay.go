@@ -2,7 +2,7 @@ package artc
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 	"time"
 
@@ -247,11 +247,19 @@ type replayState struct {
 	// dependency counter, nil otherwise. Registering the thread directly
 	// and using the kernel's pooled park/unpark path replaces a lazily
 	// allocated sim.Cond per blocked action.
-	waiting  []*sim.Thread
-	fdMap    map[core.ResourceID]int64
-	aioMap   map[core.ResourceID]int64
-	predelay []time.Duration
-	start    time.Duration
+	waiting []*sim.Thread
+	// hot holds the per-action plans interned before replay (see
+	// hotTables); native[c] says whether call slot c is on the target's
+	// native surface. remap[s] is the replay-time value of resource slot
+	// s — the descriptor number or AIOCB id the target handed out where
+	// the trace saw another — or unmapped. Traced numbers map through the
+	// resource identity (name@generation), so descriptors that shared a
+	// number in the trace can coexist during replay (§4.2).
+	hot    *hotTables
+	native []bool
+	remap  []int64
+	tot    totals
+	start  time.Duration
 
 	// Observability (all nil/empty when opts.Obs is nil). releasedEdge[i]
 	// is the graph edge whose satisfaction zeroed remaining[i] (-1 if the
@@ -296,6 +304,9 @@ func (rs *replayState) gi(idx int) int {
 	}
 	return idx
 }
+
+// unmapped marks a resource slot no replayed call has created yet.
+const unmapped = math.MinInt64
 
 // Action lifecycle bits in replayState.status.
 const (
@@ -405,6 +416,15 @@ func newReplayState(sys *stack.System, b *Benchmark, opts Options, g *core.Graph
 	for i, d := range g.Indegree {
 		remaining[i] = int32(d)
 	}
+	hot := b.hot()
+	native := make([]bool, len(hot.calls))
+	for i, c := range hot.calls {
+		native[i] = stack.Native(sys.Conf.Platform, c.op)
+	}
+	remap := make([]int64, hot.nSlots)
+	for i := range remap {
+		remap[i] = unmapped
+	}
 	rs := &replayState{
 		sys:       sys,
 		b:         b,
@@ -415,19 +435,17 @@ func newReplayState(sys *stack.System, b *Benchmark, opts Options, g *core.Graph
 		doneAt:    make([]time.Duration, n),
 		status:    make([]uint8, n),
 		waiting:   make([]*sim.Thread, n),
-		fdMap:     make(map[core.ResourceID]int64),
-		aioMap:    make(map[core.ResourceID]int64),
-		predelay:  computePredelay(b.Trace),
+		hot:       hot,
+		native:    native,
+		remap:     remap,
+		tot:       newTotals(hot),
 		start:     sys.K.Now(),
 		rep: &Report{
-			Method:    opts.Method,
-			Actions:   n,
-			IssueAt:   make([]time.Duration, n),
-			DoneAt:    make([]time.Duration, n),
-			CallTime:  make(map[string]time.Duration),
-			CallCount: make(map[string]int64),
-			PerThread: make(map[int]time.Duration),
-			graph:     g,
+			Method:  opts.Method,
+			Actions: n,
+			IssueAt: make([]time.Duration, n),
+			DoneAt:  make([]time.Duration, n),
+			graph:   g,
 		},
 	}
 
@@ -507,20 +525,28 @@ func (rs *replayState) spawnThreads() {
 		})
 		return
 	}
-	byThread := make(map[int][]int)
-	var order []int
-	for i, rec := range rs.b.Trace.Records {
-		if _, ok := byThread[rec.TID]; !ok {
-			order = append(order, rec.TID)
-		}
-		byThread[rec.TID] = append(byThread[rec.TID], i)
+	// Each thread's actions, in trace order, carved from one slab.
+	counts := make([]int, len(rs.hot.tids))
+	for i := range rs.hot.acts {
+		counts[rs.hot.acts[i].thread]++
 	}
-	sort.Ints(order)
-	for _, tid := range order {
-		actions := byThread[tid]
+	slab := make([]int32, n)
+	byThread := make([][]int32, len(counts))
+	for ts, c := range counts {
+		byThread[ts], slab = slab[:0:c], slab[c:]
+	}
+	for i := range rs.hot.acts {
+		ts := rs.hot.acts[i].thread
+		byThread[ts] = append(byThread[ts], int32(i))
+	}
+	for ts, tid := range rs.hot.tids {
+		actions := byThread[ts]
+		if len(actions) == 0 {
+			continue // a shard that holds none of this thread
+		}
 		rs.sys.K.Spawn(fmt.Sprintf("replay-T%d", tid), func(t *sim.Thread) {
 			for _, idx := range actions {
-				rs.playAction(t, idx)
+				rs.playAction(t, int(idx))
 			}
 		})
 	}
@@ -592,27 +618,6 @@ func (rs *replayState) finish() (*Report, error) {
 		}
 	}
 	return rs.rep, nil
-}
-
-// computePredelay returns, per action, the traced gap between the
-// action's start and the completion of the previous action on the same
-// thread (§4.3.3).
-func computePredelay(tr *trace.Trace) []time.Duration {
-	out := make([]time.Duration, len(tr.Records))
-	lastEnd := make(map[int]time.Duration)
-	for i, rec := range tr.Records {
-		prev, seen := lastEnd[rec.TID]
-		if !seen {
-			prev = 0
-		}
-		d := rec.Start - prev
-		if d < 0 {
-			d = 0
-		}
-		out[i] = d
-		lastEnd[rec.TID] = rec.End
-	}
-	return out
 }
 
 // depSatisfied records that edge ei (one of To's dependency edges) is
@@ -690,10 +695,10 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 	var slept time.Duration
 	switch rs.opts.Speed {
 	case Natural:
-		slept = rs.predelay[idx]
+		slept = rs.hot.predelay[idx]
 		t.Sleep(slept)
 	case Scaled:
-		slept = time.Duration(float64(rs.predelay[idx]) * rs.opts.Scale)
+		slept = time.Duration(float64(rs.hot.predelay[idx]) * rs.opts.Scale)
 		t.Sleep(slept)
 	}
 	now := rs.sys.K.Now()
@@ -741,11 +746,13 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 	}
 
 	rec := rs.b.Trace.Records[idx]
+	ha := &rs.hot.acts[idx]
 	d := end - now
-	rs.rep.CallTime[rec.Call] += d
-	rs.rep.CallCount[rec.Call]++
+	rs.tot.callTime[ha.call] += d
+	rs.tot.callCount[ha.call]++
+	rs.tot.threadTime[ha.thread] += d
+	rs.tot.threadActs[ha.thread]++
 	rs.rep.ThreadTime += d
-	rs.rep.PerThread[rec.TID] += d
 	if emulated {
 		rs.rep.Emulated++
 	}
@@ -824,6 +831,7 @@ func (rs *replayState) finishReport() {
 		}
 	}
 	rs.rep.Elapsed = last
+	rs.tot.render(rs.hot, rs.rep)
 	copy(rs.rep.IssueAt, rs.issueAt)
 	copy(rs.rep.DoneAt, rs.doneAt)
 	rs.rep.Graph = rs.g.Stats(rs.b.Analysis)
@@ -836,9 +844,8 @@ func (rs *replayState) finishReport() {
 // actionTouches is one action's precomputed FD/AIO resource plan: the
 // indices into Action.Touches of the descriptor resource it uses and the
 // one it creates on success (-1 = none). Compile derives it once per
-// action so the replayer's per-action path does not rescan touch lists;
-// indices keep the plan at 8 bytes per action instead of four copied
-// ResourceIDs.
+// action and the binary codec stores it; buildHot resolves the indices
+// to resource slots, which is what the replayer reads.
 type actionTouches struct {
 	fdUse, fdCreate, aioUse, aioCreate int16
 }
@@ -918,58 +925,48 @@ func findAIOTouch(act *core.Action, create bool) int16 {
 // entry path, so a failed attempt leaves no partial state behind).
 func (rs *replayState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errno, bool, bool) {
 	act := &rs.b.Analysis.Actions[idx]
+	rec := act.Rec
 	if rs.inj != nil {
 		// Fault decisions key on the global action index so an injection
 		// plan selects the same actions whether the replay is sharded or
 		// serial.
-		if e, ok := rs.inj.SyscallFault(rs.gi(idx), attempt, act.Rec.Call, act.Rec.Path); ok {
+		if e, ok := rs.inj.SyscallFault(rs.gi(idx), attempt, rec.Call, rec.Path); ok {
 			return -1, e, false, true
 		}
 	}
-	rec := *act.Rec // shallow copy we may rewrite
+	ha := &rs.hot.acts[idx]
+	op := rs.hot.calls[ha.call].op
 
-	// Canonical, prefixed paths.
+	// The record is shared with every other replay of the benchmark, so
+	// what replay substitutes goes beside it: canonical, prefixed paths
+	// and remapped identifiers.
+	a := stack.Redirect{Path: rec.Path, Path2: rec.Path2, FD: rec.FD, AIO: rec.AIO}
 	if act.CanonPath != "" {
-		rec.Path = rs.prefixPath(act.CanonPath, rec.Call == "symlink")
+		a.Path = rs.prefixPath(act.CanonPath, op == stack.OpSymlink)
 	}
 	if act.CanonPath2 != "" {
-		rec.Path2 = rs.prefixPath(act.CanonPath2, false)
+		a.Path2 = rs.prefixPath(act.CanonPath2, false)
 	}
-	var plan actionTouches
-	if rs.b.touches != nil {
-		plan = rs.b.touches[idx]
-	} else {
-		plan = planOne(act) // hand-built benchmark without a compile-time plan
-	}
-	// Descriptor remapping: traced numbers map to replay numbers through
-	// the fd resource identity (name@generation), so descriptors that
-	// shared a number in the trace can coexist during replay (§4.2).
-	if plan.fdUse >= 0 {
-		if actual, ok := rs.fdMap[act.Touches[plan.fdUse].Res]; ok {
-			rec.FD = actual
-		}
-	} else if act.FDHint != nil {
-		// A failed call on a then-valid descriptor: remap so it fails
-		// the same way it did during tracing.
-		if actual, ok := rs.fdMap[*act.FDHint]; ok {
-			rec.FD = actual
+	if ha.fdUse >= 0 {
+		if actual := rs.remap[ha.fdUse]; actual != unmapped {
+			a.FD = actual
 		}
 	}
-	if plan.aioUse >= 0 {
-		if actual, ok := rs.aioMap[act.Touches[plan.aioUse].Res]; ok {
-			rec.AIO = actual
+	if ha.aioUse >= 0 {
+		if actual := rs.remap[ha.aioUse]; actual != unmapped {
+			a.AIO = actual
 		}
 	}
 
-	ret, errno, emulated := rs.applyWithEmulation(t, act, &rec)
+	ret, errno, emulated := rs.applyWithEmulation(t, ha, op, rec, &a)
 
 	// Register created resources.
 	if errno == vfs.OK {
-		if plan.fdCreate >= 0 {
-			rs.fdMap[act.Touches[plan.fdCreate].Res] = ret
+		if ha.fdCreate >= 0 {
+			rs.remap[ha.fdCreate] = ret
 		}
-		if plan.aioCreate >= 0 {
-			rs.aioMap[act.Touches[plan.aioCreate].Res] = ret
+		if ha.aioCreate >= 0 {
+			rs.remap[ha.aioCreate] = ret
 		}
 	}
 	return ret, errno, emulated, false

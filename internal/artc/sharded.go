@@ -1,9 +1,11 @@
 package artc
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
@@ -914,7 +916,7 @@ func (p *shardPacer) Advance(next time.Duration) bool {
 }
 
 // compiledShard is one component's replay unit: a sub-benchmark whose
-// records, actions, and touch plans are dense contiguous copies of the
+// records, actions, and hot tables are dense contiguous copies of the
 // component's slice of the trace, plus the local dependency graph and
 // the cross-edge wiring.
 type compiledShard struct {
@@ -923,12 +925,6 @@ type compiledShard struct {
 	b       *Benchmark
 	g       *core.Graph
 	sub     *subState
-	// predelay is the full-trace inter-arrival gap of each member action,
-	// mapped to local indices. A sliced thread's actions live on several
-	// shards, so a per-shard computePredelay over the sub-trace would see
-	// gaps spanning the missing siblings; the full-trace values are the
-	// serial replayer's, always.
-	predelay []time.Duration
 	// rec is the per-component span/sample recorder (nil without obs);
 	// rs is filled once the member's kernel has run.
 	rec *obs.Recorder
@@ -962,15 +958,15 @@ func buildShards(b *Benchmark, g *core.Graph, plan *shard.Plan, obsOn bool) []*c
 		})
 		edgeGlobalOf[cf] = append(edgeGlobalOf[cf], int32(ei))
 	}
-	fullPredelay := computePredelay(b.Trace)
+	hot := b.hot()
+	slotScratch := make([]int32, hot.nSlots)
+	for i := range slotScratch {
+		slotScratch[i] = -1
+	}
 	shards := make([]*compiledShard, nc)
 	for ci := range plan.Components {
-		shards[ci] = buildOneShard(b, g, plan, int32(ci), localOf, edgesOf[ci], edgeGlobalOf[ci], obsOn)
-		cs := shards[ci]
-		cs.predelay = make([]time.Duration, len(cs.members))
-		for li, gidx := range cs.members {
-			cs.predelay[li] = fullPredelay[gidx]
-		}
+		shards[ci] = buildOneShard(b, g, plan, int32(ci), edgesOf[ci], edgeGlobalOf[ci], obsOn)
+		shards[ci].b.hotTab = hot.forShard(shards[ci].members, slotScratch)
 	}
 	// Cross-edge wiring, one pass over the registered cross list.
 	// Synthetic thread-adjacency edges route to the destination's
@@ -993,7 +989,7 @@ func buildShards(b *Benchmark, g *core.Graph, plan *shard.Plan, obsOn bool) []*c
 }
 
 func buildOneShard(b *Benchmark, g *core.Graph, plan *shard.Plan, comp int32,
-	localOf []int32, edges []core.Edge, edgeGlobal []int32, obsOn bool) *compiledShard {
+	edges []core.Edge, edgeGlobal []int32, obsOn bool) *compiledShard {
 	members := plan.Components[comp]
 	m := len(members)
 	// Contiguous local copies: the replay hot path walks records and
@@ -1008,13 +1004,6 @@ func buildOneShard(b *Benchmark, g *core.Graph, plan *shard.Plan, comp int32,
 		acts[li] = b.Analysis.Actions[gidx]
 		acts[li].Rec = recPtrs[li]
 	}
-	var touches []actionTouches
-	if b.touches != nil {
-		touches = make([]actionTouches, m)
-		for li, gidx := range members {
-			touches[li] = b.touches[gidx]
-		}
-	}
 	subTrace := &trace.Trace{Platform: b.Trace.Platform, Records: recPtrs}
 	subB := &Benchmark{
 		Platform: b.Platform,
@@ -1022,7 +1011,6 @@ func buildOneShard(b *Benchmark, g *core.Graph, plan *shard.Plan, comp int32,
 		Trace:    subTrace,
 		Snapshot: b.Snapshot,
 		Analysis: &core.Analysis{Trace: subTrace, Actions: acts},
-		touches:  touches,
 	}
 	sub := &subState{
 		comp:          comp,
@@ -1079,15 +1067,27 @@ func (rs *replayState) finishSub() error {
 }
 
 // runMember builds one component's replica system, replays the
-// component on it, and leaves the raw state on cs for the merge.
+// component on it, and leaves the raw state on cs for the merge. It runs
+// on a goroutine of runCluster's or the worker pool's, where a panic
+// would take the process and every other tenant's job with it, so a
+// panic becomes the member's error: a simulated thread's arrives from
+// Run as a *sim.ThreadPanic with the thread's own stack, anything else
+// (an Init hook, the set-up here) panicked on this goroutine and the
+// stack is still at hand. Either way the cluster is aborted like for any
+// other member failure.
 func runMember(cs *compiledShard, opts Options, so ShardOptions, coord *clusterCoord, mi int) (err error) {
-	if coord != nil {
-		defer func() {
-			if err != nil {
-				coord.abort()
+	defer func() {
+		if r := recover(); r != nil {
+			tp, ok := r.(*sim.ThreadPanic)
+			if !ok {
+				tp = &sim.ThreadPanic{Thread: "host goroutine", Value: r, Stack: debug.Stack()}
 			}
-		}()
-	}
+			err = fmt.Errorf("artc: shard %d: %w", cs.comp, tp)
+		}
+		if err != nil && coord != nil {
+			coord.abort()
+		}
+	}()
 	sys, inj, err := newReplica(so.Target, so.Fault, so.Init)
 	if err != nil {
 		return fmt.Errorf("artc: shard %d: %w", cs.comp, err)
@@ -1101,7 +1101,6 @@ func runMember(cs *compiledShard, opts Options, so ShardOptions, coord *clusterC
 		opts2.Obs = cs.rec
 	}
 	rs := newReplayState(sys, cs.b, opts2, cs.g)
-	rs.predelay = cs.predelay
 	rs.sub = cs.sub
 	rs.sub.member = mi
 	rs.sub.coord = coord
@@ -1163,10 +1162,19 @@ func runCluster(shards []*compiledShard, cluster []int32, opts Options, so Shard
 		}(mi, comp)
 	}
 	wg.Wait()
+	// A panic is the cause; what its peers report is the abort.
+	var first error
+	var tp *sim.ThreadPanic
 	for _, err := range errs {
-		if err != nil {
+		if errors.As(err, &tp) {
 			return err
 		}
+		if first == nil {
+			first = err
+		}
+	}
+	if first != nil {
+		return first
 	}
 	if coord.deadlocked {
 		return crossStall(shards, cluster)
@@ -1323,15 +1331,14 @@ func collectCoordStats(plan *shard.Plan, shards []*compiledShard) *CoordStats {
 func mergeReports(b *Benchmark, g *core.Graph, shards []*compiledShard, opts Options) (*Report, error) {
 	n := len(b.Trace.Records)
 	rep := &Report{
-		Method:    opts.Method,
-		Actions:   n,
-		IssueAt:   make([]time.Duration, n),
-		DoneAt:    make([]time.Duration, n),
-		CallTime:  make(map[string]time.Duration),
-		CallCount: make(map[string]int64),
-		PerThread: make(map[int]time.Duration),
-		graph:     g,
+		Method:  opts.Method,
+		Actions: n,
+		IssueAt: make([]time.Duration, n),
+		DoneAt:  make([]time.Duration, n),
+		graph:   g,
 	}
+	hot := b.hot()
+	tot := newTotals(hot) // shards share the benchmark's call and thread slots
 	var samples []mergedSample
 	var fstats *fault.Stats
 	for _, cs := range shards {
@@ -1346,15 +1353,7 @@ func mergeReports(b *Benchmark, g *core.Graph, shards []*compiledShard, opts Opt
 		rep.Errors += rs.rep.Errors
 		rep.Emulated += rs.rep.Emulated
 		rep.ThreadTime += rs.rep.ThreadTime
-		for call, d := range rs.rep.CallTime {
-			rep.CallTime[call] += d
-		}
-		for call, cnt := range rs.rep.CallCount {
-			rep.CallCount[call] += cnt
-		}
-		for tid, d := range rs.rep.PerThread {
-			rep.PerThread[tid] += d
-		}
+		tot.add(&rs.tot)
 		for si, text := range rs.rep.ErrorSamples {
 			samples = append(samples, mergedSample{at: rs.sampleAt[si], comp: cs.comp, text: text})
 		}
@@ -1378,6 +1377,7 @@ func mergeReports(b *Benchmark, g *core.Graph, shards []*compiledShard, opts Opt
 		}
 	}
 	rep.Elapsed = last
+	tot.render(hot, rep)
 	// Error samples keep the serial retention rule generalized: the
 	// first MaxErrorSamples in merged completion order.
 	sort.SliceStable(samples, func(i, j int) bool {

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"rootreplay/internal/core"
 	"rootreplay/internal/fault"
@@ -307,6 +310,69 @@ func TestShardedAbortPropagates(t *testing.T) {
 	}
 	if stall.Errors == 0 {
 		t.Fatalf("stall report counts no errors: %+v", stall)
+	}
+}
+
+// A panic in one member of a sliced cluster — in a simulated thread of its
+// kernel, or in its Init hook on the member's goroutine — must come back
+// as ReplaySharded's error with the origin's stack, abort the peers, and
+// leave no goroutine behind; it used to end the process.
+func TestShardedMemberPanicIsAnError(t *testing.T) {
+	tr, snap := genPipeline(t, 4, 200, 16)
+	b, err := Compile(tr, snap, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		doom   func(sys *stack.System)
+		thread string
+	}{
+		{"thread", func(sys *stack.System) {
+			sys.K.Spawn("doomed", func(th *sim.Thread) {
+				th.Sleep(time.Millisecond) // the replay is under way by now
+				panic("member exploded")
+			})
+		}, "doomed"},
+		{"init", func(*stack.System) { panic("member exploded") }, "host goroutine"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			var replicas atomic.Int32
+			_, st, err := ReplaySharded(b, Options{}, ShardOptions{
+				Shards: 4, Target: defaultConf(), SliceActions: len(tr.Records)/4 + 1,
+				Init: func(sys *stack.System) error {
+					if err := Init(sys, b, ""); err != nil {
+						return err
+					}
+					if replicas.Add(1) == 2 {
+						tc.doom(sys)
+					}
+					return nil
+				},
+			})
+			if st == nil || st.Components < 4 || st.Clusters != 1 {
+				t.Fatalf("corpus did not slice into one cluster of four: %+v", st)
+			}
+			var tp *sim.ThreadPanic
+			if !errors.As(err, &tp) {
+				t.Fatalf("error = %v, want a *sim.ThreadPanic in the chain", err)
+			}
+			if !strings.HasPrefix(tp.Thread, tc.thread) || tp.Value != "member exploded" ||
+				!strings.Contains(string(tp.Stack), "TestShardedMemberPanicIsAnError") {
+				t.Fatalf("panic lost its origin: thread %q value %v\n%s", tp.Thread, tp.Value, tp.Stack)
+			}
+			if !strings.Contains(err.Error(), "artc: shard ") {
+				t.Fatalf("error does not name the shard: %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines leaked: %d before, %d after", before, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

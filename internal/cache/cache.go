@@ -13,7 +13,6 @@ package cache
 
 import (
 	"cmp"
-	"container/list"
 	"fmt"
 	"slices"
 	"time"
@@ -45,11 +44,13 @@ type pageKey struct {
 }
 
 type page struct {
-	key  pageKey
-	lru  *list.Element
-	lba  int64 // placement recorded at insert, used for writeback
-	fpos int   // position in fileIndex.pages
-	dpos int   // position in fileIndex.dirty; -1 while clean
+	key pageKey
+	// newer and older link the page into the cache's recency list, from
+	// Cache.mru (older) and Cache.lru (newer); nil at the respective end.
+	newer, older *page
+	lba          int64 // placement recorded at insert, used for writeback
+	fpos         int   // position in fileIndex.pages
+	dpos         int   // position in fileIndex.dirty; -1 while clean
 }
 
 // fileIndex lists one file's resident pages and, separately, its dirty
@@ -78,7 +79,7 @@ type Cache struct {
 
 	capacity int64 // max resident pages; <=0 means unbounded
 	pages    map[pageKey]*page
-	lru      *list.List // front = most recent
+	mru, lru *page // ends of the recency list threaded through the pages
 	reading  map[pageKey]*inflight
 
 	// files indexes pages by file; dirtyFiles lists the indexes whose
@@ -101,7 +102,6 @@ func New(k *sim.Kernel, s sched.Scheduler, capacityPages int64) *Cache {
 		sched:    s,
 		capacity: capacityPages,
 		pages:    make(map[pageKey]*page),
-		lru:      list.New(),
 		reading:  make(map[pageKey]*inflight),
 		files:    make(map[FileID]*fileIndex),
 	}
@@ -117,7 +117,38 @@ func (c *Cache) Resident() int64 { return int64(len(c.pages)) }
 func (c *Cache) Capacity() int64 { return c.capacity }
 
 // touch moves a page to the MRU position.
-func (c *Cache) touch(p *page) { c.lru.MoveToFront(p.lru) }
+func (c *Cache) touch(p *page) {
+	if c.mru != p {
+		c.unlink(p)
+		c.linkMRU(p)
+	}
+}
+
+// linkMRU puts an unlinked page at the MRU end of the recency list.
+func (c *Cache) linkMRU(p *page) {
+	p.newer, p.older = nil, c.mru
+	if c.mru != nil {
+		c.mru.newer = p
+	} else {
+		c.lru = p
+	}
+	c.mru = p
+}
+
+// unlink takes a page out of the recency list.
+func (c *Cache) unlink(p *page) {
+	if p.newer != nil {
+		p.newer.older = p.older
+	} else {
+		c.mru = p.older
+	}
+	if p.older != nil {
+		p.older.newer = p.newer
+	} else {
+		c.lru = p.newer
+	}
+	p.newer, p.older = nil, nil
+}
 
 // add makes a clean page resident at the MRU position and enters it in
 // its file's index.
@@ -129,7 +160,7 @@ func (c *Cache) add(key pageKey, lba int64) *page {
 	}
 	p := &page{key: key, lba: lba, fpos: len(fi.pages), dpos: -1}
 	fi.pages = append(fi.pages, p)
-	p.lru = c.lru.PushFront(p)
+	c.linkMRU(p)
 	c.pages[key] = p
 	return p
 }
@@ -149,7 +180,7 @@ func (c *Cache) remove(p *page) {
 	if len(fi.pages) == 0 {
 		delete(c.files, p.key.file)
 	}
-	c.lru.Remove(p.lru)
+	c.unlink(p)
 	delete(c.pages, p.key)
 }
 
@@ -246,11 +277,10 @@ func (c *Cache) evictFor(t *sim.Thread, n int64) {
 		return
 	}
 	for int64(len(c.pages))+n > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
+		victim := c.lru
+		if victim == nil {
 			return
 		}
-		victim := back.Value.(*page)
 		if victim.dpos >= 0 {
 			c.writePages(t, []*page{victim})
 		}
@@ -448,7 +478,7 @@ func (c *Cache) Drop(file FileID) {
 		return
 	}
 	for _, p := range fi.pages {
-		c.lru.Remove(p.lru)
+		c.unlink(p)
 		delete(c.pages, p.key)
 	}
 	if len(fi.dirty) > 0 {
@@ -462,7 +492,7 @@ func (c *Cache) Drop(file FileID) {
 // /proc/sys/vm/drop_caches between benchmark phases).
 func (c *Cache) DropAll() {
 	c.pages = make(map[pageKey]*page)
-	c.lru = list.New()
+	c.mru, c.lru = nil, nil
 	c.files = make(map[FileID]*fileIndex)
 	c.dirtyFiles = nil
 	c.dirty = 0

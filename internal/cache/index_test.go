@@ -27,8 +27,39 @@ func recordedEnv(k *sim.Kernel) *recorder {
 	return &recorder{Scheduler: sched.NewNoop(storage.NewHDD(k, "d", storage.DefaultHDD()))}
 }
 
-// checkIndex compares the per-file indexes with a scan of c.pages.
+// recency lists the resident pages from most to least recently used.
+func (c *Cache) recency() []pageKey {
+	var keys []pageKey
+	for p := c.mru; p != nil; p = p.older {
+		keys = append(keys, p.key)
+	}
+	return keys
+}
+
+func (c *scanCache) recency() []pageKey {
+	var keys []pageKey
+	for e := c.lru.Front(); e != nil; e = e.Next() {
+		keys = append(keys, e.Value.(*scanPage).key)
+	}
+	return keys
+}
+
+// checkIndex compares the per-file indexes with a scan of c.pages, and
+// walks the recency list: every resident page on it once, links paired.
 func checkIndex(c *Cache) error {
+	listed := 0
+	for p, newer := c.mru, (*page)(nil); p != nil; p, newer = p.older, p {
+		if p.newer != newer || c.pages[p.key] != p {
+			return fmt.Errorf("recency list broken at %v", p.key)
+		}
+		if p.older == nil && c.lru != p {
+			return fmt.Errorf("recency list ends at %v, lru is elsewhere", p.key)
+		}
+		listed++
+	}
+	if listed != len(c.pages) || (listed == 0 && c.lru != nil) {
+		return fmt.Errorf("recency list holds %d pages, %d resident", listed, len(c.pages))
+	}
 	pages := make(map[FileID]int)
 	dirty := make(map[FileID]int)
 	for key, p := range c.pages {
@@ -90,8 +121,10 @@ type pageCache interface {
 // operations; the capacity is small enough that writes evict dirty
 // victims. After every step the indexes must equal a scan of the page
 // map and the step must have ended at the oracle's virtual time with the
-// oracle's page count written; at the end both must have sent the device
-// the same requests and hold the same pages.
+// oracle's page count written and the oracle's recency order, which is
+// the eviction order (the oracle keeps its LRU in a container/list, as the
+// cache did before the list moved into the pages); at the end both must
+// have sent the device the same requests and hold the same pages.
 func TestIndexMatchesScanOracle(t *testing.T) {
 	const (
 		files    = 5
@@ -144,10 +177,12 @@ func TestIndexMatchesScanOracle(t *testing.T) {
 		}
 		var oracleSynced []int
 		var oracleTimes []time.Duration
+		var oracleRecency [][]pageKey
 		ko.Spawn("driver", func(th *sim.Thread) {
 			drive(th, o, func(_ int, synced int) {
 				oracleSynced = append(oracleSynced, synced)
 				oracleTimes = append(oracleTimes, ko.Now())
+				oracleRecency = append(oracleRecency, o.recency())
 			})
 		})
 		if err := ko.Run(); err != nil {
@@ -160,6 +195,8 @@ func TestIndexMatchesScanOracle(t *testing.T) {
 				} else if synced != oracleSynced[step] || kc.Now() != oracleTimes[step] {
 					failed = fmt.Errorf("seed %d step %d (%+v): synced %d at %v, oracle %d at %v",
 						seed, step, ops[step], synced, kc.Now(), oracleSynced[step], oracleTimes[step])
+				} else if !slices.Equal(c.recency(), oracleRecency[step]) {
+					failed = fmt.Errorf("seed %d step %d (%+v): recency order differs from the oracle's", seed, step, ops[step])
 				}
 			})
 		})

@@ -203,7 +203,8 @@ func (z *Analyzer) Feed(recs []*trace.Record) error {
 			}
 		}
 		a.res.Actions = append(a.res.Actions, act)
-		for _, t := range touches {
+		for ti := range touches {
+			t := &touches[ti]
 			idx, ok := a.resIdx[t.Res]
 			if !ok {
 				idx = int32(len(a.series))
@@ -211,6 +212,7 @@ func (z *Analyzer) Feed(recs []*trace.Record) error {
 				a.resIDs = append(a.resIDs, t.Res)
 				a.series = append(a.series, nil)
 			}
+			t.Idx = idx
 			s := a.series[idx]
 			switch {
 			case s == nil:
@@ -372,9 +374,9 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []Touch {
 		return nil
 	}
 	ts := a.scratch[:0]
-	use := func(r ResourceID) { ts = append(ts, Touch{r, RoleUse}) }
-	create := func(r ResourceID) { ts = append(ts, Touch{r, RoleCreate}) }
-	del := func(r ResourceID) { ts = append(ts, Touch{r, RoleDelete}) }
+	use := func(r ResourceID) { ts = append(ts, Touch{Res: r, Role: RoleUse}) }
+	create := func(r ResourceID) { ts = append(ts, Touch{Res: r, Role: RoleCreate}) }
+	del := func(r ResourceID) { ts = append(ts, Touch{Res: r, Role: RoleDelete}) }
 	useParent := func(p string) {
 		if dir := a.parentOf(p); dir != nil {
 			use(a.fileRes(dir))
@@ -454,8 +456,7 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []Touch {
 		a.fdFile[fd] = ino
 		a.fdPath[fd] = cp
 	case "close":
-		use2 := a.fdRes(rec.FD)
-		ts = append(ts, Touch{use2, RoleDelete})
+		del(a.fdRes(rec.FD))
 		if ino := a.fdFile[rec.FD]; ino != nil {
 			use(a.fileRes(ino))
 		}
@@ -635,9 +636,9 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []Touch {
 // the parents, the moved file, and — when a directory moves — every
 // path and file in its subtree (Figure 2's rename touches "four paths").
 func (a *analyzer) analyzeRename(rec *trace.Record, ts *[]Touch) {
-	use := func(r ResourceID) { *ts = append(*ts, Touch{r, RoleUse}) }
-	create := func(r ResourceID) { *ts = append(*ts, Touch{r, RoleCreate}) }
-	del := func(r ResourceID) { *ts = append(*ts, Touch{r, RoleDelete}) }
+	use := func(r ResourceID) { *ts = append(*ts, Touch{Res: r, Role: RoleUse}) }
+	create := func(r ResourceID) { *ts = append(*ts, Touch{Res: r, Role: RoleCreate}) }
+	del := func(r ResourceID) { *ts = append(*ts, Touch{Res: r, Role: RoleDelete}) }
 	oldP, newP := a.canon(rec.Path), a.canon(rec.Path2)
 	if dir := a.parentOf(oldP); dir != nil {
 		use(a.fileRes(dir))

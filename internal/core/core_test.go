@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/trace"
@@ -127,6 +128,27 @@ func TestFigure2ActionSeries(t *testing.T) {
 	}
 	if s := seriesFor(an, KFD, "4", 1); !eq(s, 6) {
 		t.Errorf("fd4@1 series = %v, want [6]", s)
+	}
+}
+
+// Every touch carries its resource's index in Analysis.Resources — what
+// the replayer indexes its tables by — and carrying it cost Touch nothing.
+func TestTouchIndexesResources(t *testing.T) {
+	an := analyze(t, figure2Trace(), figure2Snapshot())
+	touches := 0
+	for i := range an.Actions {
+		for _, tc := range an.Actions[i].Touches {
+			touches++
+			if int(tc.Idx) >= len(an.Resources) || an.Resources[tc.Idx] != tc.Res {
+				t.Fatalf("action %d: touch of %v has Idx %d, which is not that resource", i, tc.Res, tc.Idx)
+			}
+		}
+	}
+	if touches == 0 {
+		t.Fatal("no touches analysed")
+	}
+	if size := unsafe.Sizeof(Touch{}); size != 40 {
+		t.Fatalf("Touch is %d bytes, want the 40 it was before it carried Idx", size)
 	}
 }
 

@@ -72,8 +72,9 @@ func (r ResourceID) String() string {
 	return fmt.Sprintf("%s(%s)@%d", r.Kind, r.Name, r.Gen)
 }
 
-// Role is an action's relationship to a resource it touches.
-type Role int
+// Role is an action's relationship to a resource it touches. It is one
+// byte wide so that Touch fits the resource index in its old 40 bytes.
+type Role uint8
 
 // Roles within an action series.
 const (
@@ -101,7 +102,13 @@ func (r Role) String() string {
 
 // Touch is one action↔resource relationship.
 type Touch struct {
-	Res  ResourceID
+	Res ResourceID
+	// Idx is Res's position in Analysis.Resources: the analyzer numbers
+	// resources densely in first-touch order and the binary codec stores
+	// touches by that number, so consumers index slices by it instead of
+	// hashing Res. It means nothing in an analysis whose Resources is nil
+	// (hand-built, or a shard's sub-analysis).
+	Idx  int32
 	Role Role
 }
 

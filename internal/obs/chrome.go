@@ -72,13 +72,10 @@ const chromeChunk = 64 << 10
 // a Grow(int) method, as bytes.Buffer has, is first told roughly how much
 // is coming, so that it is not left to find the size by doubling.
 func (r *Recorder) WriteChrome(w io.Writer) error {
-	var spans []Span // the ring itself, not a copy
-	var samples []Sample
-	var spanHead, sampleHead int
-	if r != nil {
-		spans, spanHead = r.spans, r.spanHead
-		samples, sampleHead = r.samples, r.sampleHead
+	if r == nil {
+		r = &Recorder{}
 	}
+	samples, sampleHead := r.samples, r.sampleHead
 	// sampleAt is the i'th sample in record order.
 	sampleAt := func(i int) *Sample { return &samples[(sampleHead+i)%len(samples)] }
 	for i := range samples {
@@ -87,41 +84,37 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		}
 	}
 
-	// order lists ring positions oldest first, then canonically. A serial
-	// replay records in canonical order already and skips the sort.
-	order := make([]int32, 0, len(spans))
-	for i := spanHead; i < len(spans); i++ {
-		order = append(order, int32(i))
+	// order lists the spans, read in place through their ring positions,
+	// oldest first and then canonically.
+	order := make([]int32, r.spanLen)
+	for i := range order {
+		order[i] = int32((r.spanHead + i) % r.spanLen)
 	}
-	for i := 0; i < spanHead; i++ {
-		order = append(order, int32(i))
-	}
-	canonical := func(i, j int32) int { return CompareSpans(&spans[i], &spans[j]) }
-	if !slices.IsSortedFunc(order, canonical) {
-		slices.SortFunc(order, canonical)
-	}
+	r.sortCanonical(order)
 
 	var tids []int32
 	seen := make(map[int32]struct{})
-	for i := range spans {
-		tid := spans[i].TID
-		if i > 0 && tid == spans[i-1].TID {
+	lastTID := int32(-1)
+	for i, pos := range order {
+		tid := r.spanAt(int(pos)).TID
+		if i > 0 && tid == lastTID {
 			continue
 		}
+		lastTID = tid
 		if _, ok := seen[tid]; !ok {
 			seen[tid] = struct{}{}
 			tids = append(tids, tid)
 		}
 	}
 	slices.Sort(tids)
-	recorded := indexActions(spans, order)
+	recorded := r.indexActions(order)
 
 	b := make([]byte, 0, chromeChunk+4<<10)
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		scratch := b
 		size := 64 + 96*len(tids)
 		size += extrapolate(len(order), func(i int) int {
-			scratch = appendSpan(scratch[:0], spans, order[i], &recorded)
+			scratch = r.appendSpan(scratch[:0], order[i], &recorded)
 			return len(scratch) + 1
 		})
 		size += extrapolate(len(samples), func(i int) int {
@@ -145,7 +138,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	}
 	for _, pos := range order {
 		b = append(b, sep...)
-		b = appendSpan(b, spans, pos, &recorded)
+		b = r.appendSpan(b, pos, &recorded)
 		sep = ","
 		if len(b) >= chromeChunk {
 			if b, err = writeChunk(w, b); err != nil {
@@ -169,11 +162,38 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	return err
 }
 
+// sortCanonical puts order, ring positions in record order, into
+// CompareSpans order. One replay records completions as they happen, so
+// Done never decreases along order and only the runs of spans that
+// completed at the same instant (recorded in run order, not Action order)
+// need sorting: one pass. Anything else, such as the merged recorders of
+// an unsliced sharded replay, gets the full sort.
+func (r *Recorder) sortCanonical(order []int32) {
+	canonical := func(i, j int32) int { return CompareSpans(r.spanAt(int(i)), r.spanAt(int(j))) }
+	run := 0 // start of the current run of equal Done
+	for i := 1; i <= len(order); i++ {
+		if i < len(order) {
+			prev, cur := r.spanAt(int(order[i-1])).Done, r.spanAt(int(order[i])).Done
+			if cur < prev {
+				slices.SortFunc(order, canonical)
+				return
+			}
+			if cur == prev {
+				continue
+			}
+		}
+		if i-run > 1 {
+			slices.SortFunc(order[run:i], canonical)
+		}
+		run = i
+	}
+}
+
 // appendSpan appends the events of the span at ring position pos: its
 // wait slice if it waited, its call slice, and the flow pair if the span
 // that released it is still in the ring.
-func appendSpan(b []byte, spans []Span, pos int32, recorded *actionIndex) []byte {
-	sp := &spans[pos]
+func (r *Recorder) appendSpan(b []byte, pos int32, recorded *actionIndex) []byte {
+	sp := r.spanAt(int(pos))
 	if wait := sp.Wait(); wait > 0 {
 		b = append(b, `{"name":`...)
 		b = appendJSONString(b, sp.Call)
@@ -215,7 +235,7 @@ func appendSpan(b []byte, spans []Span, pos int32, recorded *actionIndex) []byte
 		if from, ok := recorded.lookup(sp.ReleasedBy); ok {
 			b = append(b, `,{"name":"dep","cat":"dep","ph":"s","ts":`...)
 			b = appendUsec(b, sp.ReleasedAt)
-			b = appendFlowTail(b, spans[from].TID, sp.Action)
+			b = appendFlowTail(b, r.spanAt(int(from)).TID, sp.Action)
 			b = append(b, `},{"name":"dep","cat":"dep","ph":"f","ts":`...)
 			b = appendUsec(b, sp.Issue)
 			b = appendFlowTail(b, sp.TID, sp.Action)
@@ -284,27 +304,29 @@ type actionIndex struct {
 	sparse map[int32]int32 // action -> ring position
 }
 
-// indexActions indexes spans (ring positions in export order). An action
-// recorded twice resolves to its later span in that order.
-func indexActions(spans []Span, order []int32) actionIndex {
+// indexActions indexes the spans at order (ring positions in export
+// order). An action recorded twice resolves to its later span in that
+// order.
+func (r *Recorder) indexActions(order []int32) actionIndex {
 	if len(order) == 0 {
 		return actionIndex{}
 	}
-	lo, hi := spans[order[0]].Action, spans[order[0]].Action
-	for i := range spans {
-		lo, hi = min(lo, spans[i].Action), max(hi, spans[i].Action)
+	lo, hi := r.spanAt(int(order[0])).Action, r.spanAt(int(order[0])).Action
+	for _, pos := range order {
+		a := r.spanAt(int(pos)).Action
+		lo, hi = min(lo, a), max(hi, a)
 	}
 	var ix actionIndex
 	if width := int64(hi) - int64(lo) + 1; width <= 4*int64(len(order))+1024 {
 		ix.base, ix.dense = int64(lo), make([]int32, width)
 		for _, pos := range order {
-			ix.dense[int64(spans[pos].Action)-ix.base] = pos + 1
+			ix.dense[int64(r.spanAt(int(pos)).Action)-ix.base] = pos + 1
 		}
 		return ix
 	}
 	ix.sparse = make(map[int32]int32, len(order))
 	for _, pos := range order {
-		ix.sparse[spans[pos].Action] = pos
+		ix.sparse[r.spanAt(int(pos)).Action] = pos
 	}
 	return ix
 }

@@ -6,11 +6,13 @@
 //
 // Recording is off by default: the replayer only touches the recorder
 // when one is supplied, and a nil *Recorder is a safe no-op for every
-// method, so the disabled path costs a pointer check. When enabled, the
-// recorder appends into preallocated-capacity rings and never allocates
-// per event once the rings have grown to capacity; when a ring fills,
-// the oldest entries are overwritten and the drop is counted rather than
-// ever blocking or growing without bound.
+// method, so the disabled path costs a pointer check. When enabled, a
+// span is stored in place: the span ring grows a fixed-size chunk at a
+// time (one allocation per spanChunk spans, nothing ever copied) up to its
+// capacity and allocates nothing after that; the sample ring is an
+// append-grown slice, amortized rather than free until it reaches its
+// capacity. When a ring fills, the oldest entries are overwritten and the
+// drop is counted rather than ever blocking or growing without bound.
 //
 // All times are virtual (sim-kernel) durations relative to replay start,
 // so recorded data — and every export derived from it — is deterministic
@@ -119,14 +121,27 @@ const (
 	DefaultSampleCap = 1 << 14
 )
 
+// spanChunk is how many spans one chunk of the span ring holds. A ring
+// sized for a whole replay holds hundreds of thousands of 104-byte spans
+// with strings in them; grown by doubling, every regrowth copied them all
+// and left the collector another copy to scan.
+const (
+	spanChunkShift = 10
+	spanChunk      = 1 << spanChunkShift
+)
+
 // Recorder collects spans and samples into bounded rings. The zero value
 // is not usable; call NewRecorder. A nil *Recorder is a valid no-op
 // receiver for every method.
 type Recorder struct {
-	spans    []Span
-	spanCap  int
-	spanHead int // next overwrite position once len == cap
-	spanDrop int
+	// Ring position p is chunks[p>>spanChunkShift][p&(spanChunk-1)];
+	// positions [0, spanLen) are in use. The chunk that reaches spanCap is
+	// cut to fit.
+	spanChunks [][]Span
+	spanLen    int
+	spanCap    int
+	spanHead   int // next overwrite position once spanLen == spanCap
+	spanDrop   int
 
 	samples    []Sample
 	sampleCap  int
@@ -173,13 +188,23 @@ func (r *Recorder) Record(sp Span) {
 	if r == nil {
 		return
 	}
-	if len(r.spans) < r.spanCap {
-		r.spans = append(r.spans, sp)
-		return
+	pos := r.spanLen
+	if pos < r.spanCap {
+		if pos>>spanChunkShift == len(r.spanChunks) {
+			r.spanChunks = append(r.spanChunks, make([]Span, min(spanChunk, r.spanCap-pos)))
+		}
+		r.spanLen++
+	} else {
+		pos = r.spanHead
+		r.spanHead = (r.spanHead + 1) % r.spanCap
+		r.spanDrop++
 	}
-	r.spans[r.spanHead] = sp
-	r.spanHead = (r.spanHead + 1) % r.spanCap
-	r.spanDrop++
+	*r.spanAt(pos) = sp
+}
+
+// spanAt returns the span at ring position pos.
+func (r *Recorder) spanAt(pos int) *Span {
+	return &r.spanChunks[pos>>spanChunkShift][pos&(spanChunk-1)]
 }
 
 // Sample appends a counter observation. Consecutive identical values on
@@ -212,9 +237,10 @@ func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(r.spans))
-	out = append(out, r.spans[r.spanHead:]...)
-	out = append(out, r.spans[:r.spanHead]...)
+	out := make([]Span, 0, r.spanLen)
+	for i := 0; i < r.spanLen; i++ {
+		out = append(out, *r.spanAt((r.spanHead + i) % r.spanLen))
+	}
 	return out
 }
 
@@ -258,8 +284,7 @@ func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	r.spans = r.spans[:0]
-	r.spanHead, r.spanDrop = 0, 0
+	r.spanLen, r.spanHead, r.spanDrop = 0, 0, 0
 	r.samples = r.samples[:0]
 	r.sampleHead, r.sampleDrop = 0, 0
 	r.lastVal = [numCounters]float64{}

@@ -48,22 +48,48 @@ func TestNilRecorderIsNoop(t *testing.T) {
 	remove()
 }
 
+// The span ring is stored in fixed-size chunks. Whatever the capacity —
+// smaller than a chunk, exactly one, one past, several and a part — the
+// recorder keeps the newest spanCap spans oldest first, counts the rest
+// as dropped, exports what the reference exporter does (sorting only the
+// same-instant runs), and starts over after Reset without growing.
 func TestSpanRingWraps(t *testing.T) {
-	r := NewRecorder(4, 4)
-	for i := 0; i < 10; i++ {
-		r.Record(Span{Action: int32(i)})
-	}
-	got := r.Spans()
-	if len(got) != 4 {
-		t.Fatalf("len(Spans) = %d, want 4", len(got))
-	}
-	for i, sp := range got {
-		if want := int32(6 + i); sp.Action != want {
-			t.Fatalf("Spans[%d].Action = %d, want %d (oldest-first after wrap)", i, sp.Action, want)
+	for _, spanCap := range []int{4, spanChunk, spanChunk + 1, 2*spanChunk + 37} {
+		r := NewRecorder(spanCap, 4)
+		for _, n := range []int{spanCap - 1, spanCap, spanCap + 6, 3*spanCap + 5} {
+			r.Reset()
+			for i := 0; i < n; i++ {
+				// Pairs complete at one instant, higher action first, so
+				// the export has a tie to sort in every pair.
+				r.Record(Span{Action: int32(i ^ 1), TID: int32(i % 3), Call: "c", Done: time.Duration(i / 2)})
+			}
+			kept := min(n, spanCap)
+			got := r.Spans()
+			if len(got) != kept {
+				t.Fatalf("cap %d after %d records: len(Spans) = %d, want %d", spanCap, n, len(got), kept)
+			}
+			for i, sp := range got {
+				if want := int32((n - kept + i) ^ 1); sp.Action != want {
+					t.Fatalf("cap %d after %d records: Spans[%d].Action = %d, want %d (oldest first)", spanCap, n, i, sp.Action, want)
+				}
+			}
+			if drops, _ := r.Dropped(); drops != n-kept {
+				t.Fatalf("cap %d after %d records: span drops = %d, want %d", spanCap, n, drops, n-kept)
+			}
+			var fast, ref bytes.Buffer
+			if err := r.WriteChrome(&fast); err != nil {
+				t.Fatal(err)
+			}
+			if err := writeChromeReference(r, &ref); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fast.Bytes(), ref.Bytes()) {
+				t.Fatalf("cap %d after %d records: export differs from the reference exporter's", spanCap, n)
+			}
 		}
-	}
-	if drops, _ := r.Dropped(); drops != 6 {
-		t.Fatalf("span drops = %d, want 6", drops)
+		if want := (spanCap + spanChunk - 1) / spanChunk; len(r.spanChunks) != want {
+			t.Fatalf("cap %d: %d chunks after four fills, want %d", spanCap, len(r.spanChunks), want)
+		}
 	}
 }
 

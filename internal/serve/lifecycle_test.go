@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
+	"rootreplay/internal/workload"
 )
 
 func TestCancelWhileQueued(t *testing.T) {
@@ -209,6 +212,70 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 	if got := s.counters.Get("artcd_jobs_failed"); got != 1 {
 		t.Fatalf("artcd_jobs_failed = %d, want 1", got)
 	}
+}
+
+// The same for a member of a sharded replay, whose kernel runs on a
+// goroutine of the replayer's own where executeIsolated's recover cannot
+// reach: a panic in a simulated thread of member 1 of 4 fails that job
+// with the thread and the shard named, while another tenant's job that
+// was running at the time completes.
+func TestPanickingShardMemberFailsAlone(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 2, QueueBound: 8})
+	// A pipeline corpus: unlike the Magritte traces it cuts into slices.
+	tr, snap, err := workload.SynthPipeline(workload.Pipeline{Stages: 4, Ops: 200, Handoff: 16, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tb, sb bytes.Buffer
+	if err := tr.Encode(&tb); err != nil {
+		t.Fatal(err)
+	}
+	if err := snap.Encode(&sb); err != nil {
+		t.Fatal(err)
+	}
+	traceID, snapID := uploadBlob(t, s, "a", tb.Bytes()), uploadBlob(t, s, "a", sb.Bytes())
+	uploadBlob(t, s, "b", tb.Bytes())
+	uploadBlob(t, s, "b", sb.Bytes())
+	bystanderRunning, victimFailed := make(chan struct{}), make(chan struct{})
+	var release sync.Once
+	defer release.Do(func() { close(victimFailed) })
+	var replicas atomic.Int32
+	s.hooks.replicaInit = func(sys *stack.System) {
+		if sys.Conf.Device == stack.DeviceHDD { // the bystander's machine
+			close(bystanderRunning)
+			<-victimFailed
+			return
+		}
+		if replicas.Add(1) == 2 {
+			<-bystanderRunning
+			sys.K.Spawn("doomed", func(th *sim.Thread) {
+				th.Sleep(time.Millisecond)
+				panic("member exploded")
+			})
+		}
+	}
+	bystander := submitJob(t, s, "b", fmt.Sprintf(
+		`{"kind":"replay","trace":"%s","snapshot":"%s","target":"linux-ext4-hdd"}`, traceID, snapID))
+	sharded := fmt.Sprintf(`{"kind":"replay","trace":"%s","snapshot":"%s","shards":4,"slice_actions":%d}`,
+		traceID, snapID, len(tr.Records)/4+1)
+	victim := submitJob(t, s, "a", sharded)
+	waitState(t, s, "a", victim, StateFailed)
+	w := do(s, http.MethodGet, "/v1/tenants/a/jobs/"+victim, nil)
+	var doc struct {
+		Error string `json:"error"`
+	}
+	json.Unmarshal(w.Body.Bytes(), &doc)
+	for _, want := range []string{"artc: shard ", "doomed(", "member exploded", "TestPanickingShardMemberFailsAlone"} {
+		if !strings.Contains(doc.Error, want) {
+			t.Fatalf("job error lacks %q:\n%s", want, doc.Error)
+		}
+	}
+	if n := replicas.Load(); n < 4 {
+		t.Fatalf("the sharded job built %d replicas, want a cluster of at least 4", n)
+	}
+	release.Do(func() { close(victimFailed) })
+	waitState(t, s, "b", bystander, StateDone)
+	waitState(t, s, "a", submitJob(t, s, "a", sharded), StateDone)
 }
 
 // Concurrent submissions of the same trace share one compile: the

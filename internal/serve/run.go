@@ -142,7 +142,8 @@ func (s *Server) doCompile(key string, req jobRequest, raw, snapRaw []byte) (*ar
 // anything else panicked on this goroutine and the stack is still here.
 //
 // Members of a sharded replay run their kernels on goroutines of their
-// own (runCluster); a panic there is not covered.
+// own, where no recover here could reach; artc.ReplaySharded recovers
+// there and returns the panic as its error.
 func (s *Server) executeIsolated(j *Job) (result []byte, ctype string, err error) {
 	defer func() {
 		r := recover()
@@ -209,10 +210,21 @@ func (j *Job) isCanceled() bool {
 // the service-path determinism contract CI enforces.
 func (s *Server) runReplay(j *Job, b *artc.Benchmark, conf stack.Config) ([]byte, string, error) {
 	req := j.req
+	init := magritte.TargetInit(b, true)
+	if hook := s.hooks.replicaInit; hook != nil {
+		base := init
+		init = func(sys *stack.System) error {
+			err := base(sys)
+			if err == nil {
+				hook(sys)
+			}
+			return err
+		}
+	}
 	spec := artc.RunSpec{
 		Options:      artc.Options{Method: artc.Method(req.Method)},
 		Target:       conf,
-		Init:         magritte.TargetInit(b, true),
+		Init:         init,
 		Warm:         req.Warm,
 		Shards:       req.Shards,
 		SliceActions: req.SliceActions,

@@ -34,6 +34,7 @@ import (
 	"rootreplay/internal/artifact"
 	"rootreplay/internal/obs"
 	"rootreplay/internal/par"
+	"rootreplay/internal/stack"
 )
 
 // Defaults for Config fields left zero.
@@ -71,6 +72,9 @@ type Config struct {
 type hooks struct {
 	// compileStarted runs in the singleflight leader before compiling.
 	compileStarted func(key string)
+	// replicaInit runs on every target machine a replay job builds (one
+	// per member of a sharded replay), after it has been initialized.
+	replicaInit func(sys *stack.System)
 }
 
 // Server is the multi-tenant replay service. Create with New; it

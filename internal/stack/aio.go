@@ -12,17 +12,17 @@ import (
 // observe and reap it, mirroring the POSIX AIO lifecycle ARTC's
 // aio_stage ordering rule governs (§4.2).
 func (s *System) AioRead(t *sim.Thread, fd, size, off int64) (int64, vfs.Errno) {
-	return s.aioSubmit(t, "aio_read", fd, size, off)
+	return s.aioSubmit(t, OpAioRead, fd, size, off)
 }
 
 // AioWrite submits an asynchronous write.
 func (s *System) AioWrite(t *sim.Thread, fd, size, off int64) (int64, vfs.Errno) {
-	return s.aioSubmit(t, "aio_write", fd, size, off)
+	return s.aioSubmit(t, OpAioWrite, fd, size, off)
 }
 
-func (s *System) aioSubmit(t *sim.Thread, call string, fd, size, off int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: call, FD: fd, Size: size, Offset: off}
+func (s *System) aioSubmit(t *sim.Thread, op Op, fd, size, off int64) (int64, vfs.Errno) {
+	enter := s.enter(t, op)
+	rec := &trace.Record{FD: fd, Size: size, Offset: off}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -31,7 +31,8 @@ func (s *System) aioSubmit(t *sim.Thread, call string, fd, size, off int64) (int
 	st := &aioState{id: s.nextAIO, fd: fd, cond: sim.NewCond(s.K)}
 	s.aiocbs[st.id] = st
 	rec.AIO = st.id
-	write := call == "aio_write"
+	write := op == OpAioWrite
+	f.refs++ // the I/O outlives this call, and maybe the descriptor
 	s.K.Spawn("aio", func(at *sim.Thread) {
 		var n int64
 		if write {
@@ -39,6 +40,7 @@ func (s *System) aioSubmit(t *sim.Thread, call string, fd, size, off int64) (int
 		} else {
 			n = s.readCommon(at, f, off, size)
 		}
+		s.releaseDesc(f)
 		st.done = true
 		st.ret = n
 		st.cond.Broadcast()
@@ -49,8 +51,8 @@ func (s *System) aioSubmit(t *sim.Thread, call string, fd, size, off int64) (int
 // AioError reports the status of an AIO control block: 0 when complete,
 // EINPROGRESS (as a positive return value, not an error) while running.
 func (s *System) AioError(t *sim.Thread, id int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "aio_error", AIO: id}
+	enter := s.enter(t, OpAioError)
+	rec := &trace.Record{AIO: id}
 	st, ok := s.aiocbs[id]
 	if !ok {
 		return s.record(t, enter, rec, -1, vfs.EINVAL)
@@ -64,8 +66,8 @@ func (s *System) AioError(t *sim.Thread, id int64) (int64, vfs.Errno) {
 // AioReturn reaps a completed AIO control block, returning its byte
 // count. Reaping an unfinished or already-reaped block is EINVAL.
 func (s *System) AioReturn(t *sim.Thread, id int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "aio_return", AIO: id}
+	enter := s.enter(t, OpAioReturn)
+	rec := &trace.Record{AIO: id}
 	st, ok := s.aiocbs[id]
 	if !ok || st.reaped || !st.done {
 		return s.record(t, enter, rec, -1, vfs.EINVAL)
@@ -77,8 +79,8 @@ func (s *System) AioReturn(t *sim.Thread, id int64) (int64, vfs.Errno) {
 
 // AioSuspend blocks until the AIO control block completes.
 func (s *System) AioSuspend(t *sim.Thread, id int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "aio_suspend", AIO: id}
+	enter := s.enter(t, OpAioSuspend)
+	rec := &trace.Record{AIO: id}
 	st, ok := s.aiocbs[id]
 	if !ok {
 		return s.record(t, enter, rec, -1, vfs.EINVAL)

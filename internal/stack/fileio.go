@@ -46,8 +46,8 @@ func (s *System) specialKind(ino *vfs.Inode) (SpecialKind, bool) {
 
 // Open opens path with flags, returning a new descriptor number.
 func (s *System) Open(t *sim.Thread, path string, flags trace.OpenFlag, mode uint32) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "open", Path: path, Flags: flags, Mode: mode}
+	enter := s.enter(t, OpOpen)
+	rec := &trace.Record{Path: path, Flags: flags, Mode: mode}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 
 	var ino *vfs.Inode
@@ -83,21 +83,12 @@ func (s *System) Creat(t *sim.Thread, path string, mode uint32) (int64, vfs.Errn
 
 // Close closes a descriptor.
 func (s *System) Close(t *sim.Thread, fd int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "close", FD: fd}
-	f, err := s.fd(fd)
-	if err != vfs.OK {
+	enter := s.enter(t, OpClose)
+	rec := &trace.Record{FD: fd}
+	if _, err := s.fd(fd); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
-	delete(s.fds, fd)
-	s.openCount[f.ino]--
-	if s.openCount[f.ino] == 0 {
-		delete(s.openCount, f.ino)
-		if f.ino.Nlink == 0 {
-			s.Cache.Drop(cache.FileID(f.ino.Ino))
-			s.FS.Release(f.ino)
-		}
-	}
+	s.closeFD(fd)
 	return s.record(t, enter, rec, 0, vfs.OK)
 }
 
@@ -162,8 +153,8 @@ func (s *System) readCommon(t *sim.Thread, f *fdesc, off, size int64) int64 {
 
 // Read reads size bytes at the descriptor's offset.
 func (s *System) Read(t *sim.Thread, fd, size int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "read", FD: fd, Size: size}
+	enter := s.enter(t, OpRead)
+	rec := &trace.Record{FD: fd, Size: size}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -171,15 +162,17 @@ func (s *System) Read(t *sim.Thread, fd, size int64) (int64, vfs.Errno) {
 	if f.isDir {
 		return s.record(t, enter, rec, -1, vfs.EISDIR)
 	}
+	f.refs++ // readCommon may block, and a close meanwhile must not recycle f
 	n := s.readCommon(t, f, f.off, size)
 	f.off += n
+	s.releaseDesc(f)
 	return s.record(t, enter, rec, n, vfs.OK)
 }
 
 // Pread reads size bytes at an explicit offset.
 func (s *System) Pread(t *sim.Thread, fd, size, off int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "pread", FD: fd, Size: size, Offset: off}
+	enter := s.enter(t, OpPread)
+	rec := &trace.Record{FD: fd, Size: size, Offset: off}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -218,8 +211,8 @@ func (s *System) writeCommon(t *sim.Thread, f *fdesc, off, size int64) int64 {
 // Write writes size bytes at the descriptor's offset (or EOF with
 // O_APPEND).
 func (s *System) Write(t *sim.Thread, fd, size int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "write", FD: fd, Size: size}
+	enter := s.enter(t, OpWrite)
+	rec := &trace.Record{FD: fd, Size: size}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -230,15 +223,17 @@ func (s *System) Write(t *sim.Thread, fd, size int64) (int64, vfs.Errno) {
 	if f.flags&trace.OAppend != 0 {
 		f.off = f.ino.Size
 	}
+	f.refs++ // as in Read
 	n := s.writeCommon(t, f, f.off, size)
 	f.off += n
+	s.releaseDesc(f)
 	return s.record(t, enter, rec, n, vfs.OK)
 }
 
 // Pwrite writes size bytes at an explicit offset.
 func (s *System) Pwrite(t *sim.Thread, fd, size, off int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "pwrite", FD: fd, Size: size, Offset: off}
+	enter := s.enter(t, OpPwrite)
+	rec := &trace.Record{FD: fd, Size: size, Offset: off}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -262,8 +257,8 @@ const (
 
 // Lseek repositions a descriptor's offset.
 func (s *System) Lseek(t *sim.Thread, fd, off int64, whence int) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "lseek", FD: fd, Offset: off, Whence: whence}
+	enter := s.enter(t, OpLseek)
+	rec := &trace.Record{FD: fd, Offset: off, Whence: whence}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -303,8 +298,8 @@ func (s *System) fsyncCommon(t *sim.Thread, f *fdesc, full bool) {
 // includes a journal commit (media barrier); on OS X the data merely
 // reaches the device cache (§4.3.4).
 func (s *System) Fsync(t *sim.Thread, fd int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fsync", FD: fd}
+	enter := s.enter(t, OpFsync)
+	rec := &trace.Record{FD: fd}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -315,8 +310,8 @@ func (s *System) Fsync(t *sim.Thread, fd int64) (int64, vfs.Errno) {
 
 // Fdatasync is fsync without the metadata commit cost.
 func (s *System) Fdatasync(t *sim.Thread, fd int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fdatasync", FD: fd}
+	enter := s.enter(t, OpFdatasync)
+	rec := &trace.Record{FD: fd}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -331,8 +326,8 @@ func (s *System) Fdatasync(t *sim.Thread, fd int64) (int64, vfs.Errno) {
 
 // SyncSys flushes the whole cache (sync(2)).
 func (s *System) SyncSys(t *sim.Thread) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "sync"}
+	enter := s.enter(t, OpSync)
+	rec := &trace.Record{}
 	s.Cache.SyncAll(t)
 	s.journalCommit(t)
 	return s.record(t, enter, rec, 0, vfs.OK)
@@ -341,50 +336,42 @@ func (s *System) SyncSys(t *sim.Thread) (int64, vfs.Errno) {
 // Dup duplicates a descriptor to the lowest free number. The two
 // numbers share one open file description (one offset), per POSIX.
 func (s *System) Dup(t *sim.Thread, fd int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "dup", FD: fd}
+	enter := s.enter(t, OpDup)
+	rec := &trace.Record{FD: fd}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
 	n := s.lowestFreeFD()
-	s.shareFD(n, f)
+	s.installFD(n, f)
 	return s.record(t, enter, rec, n, vfs.OK)
 }
 
 // Dup2 duplicates fd onto fd2, closing fd2 first if open.
 func (s *System) Dup2(t *sim.Thread, fd, fd2 int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "dup2", FD: fd, FD2: fd2}
+	enter := s.enter(t, OpDup2)
+	rec := &trace.Record{FD: fd, FD2: fd2}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
-	if fd2 < 0 {
+	if fd2 < 0 || fd2 >= maxFD {
 		return s.record(t, enter, rec, -1, vfs.EBADF)
 	}
 	if fd == fd2 {
 		return s.record(t, enter, rec, fd2, vfs.OK)
 	}
-	if old, ok := s.fds[fd2]; ok {
-		delete(s.fds, fd2)
-		s.openCount[old.ino]--
-		if s.openCount[old.ino] == 0 {
-			delete(s.openCount, old.ino)
-			if old.ino.Nlink == 0 {
-				s.Cache.Drop(cache.FileID(old.ino.Ino))
-				s.FS.Release(old.ino)
-			}
-		}
+	if _, open := s.fd(fd2); open == vfs.OK {
+		s.closeFD(fd2)
 	}
-	s.shareFD(fd2, f)
+	s.installFD(fd2, f)
 	return s.record(t, enter, rec, fd2, vfs.OK)
 }
 
 // Ftruncate sets the size of an open file.
 func (s *System) Ftruncate(t *sim.Thread, fd, size int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "ftruncate", FD: fd, Size: size}
+	enter := s.enter(t, OpFtruncate)
+	rec := &trace.Record{FD: fd, Size: size}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -397,8 +384,8 @@ func (s *System) Ftruncate(t *sim.Thread, fd, size int64) (int64, vfs.Errno) {
 
 // Truncate sets the size of the file at path.
 func (s *System) Truncate(t *sim.Thread, path string, size int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "truncate", Path: path, Size: size}
+	enter := s.enter(t, OpTruncate)
+	rec := &trace.Record{Path: path, Size: size}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if e := s.FS.Truncate(s.cwd, path, size); e != vfs.OK {
 		return s.record(t, enter, rec, -1, e)
@@ -411,8 +398,8 @@ func (s *System) Truncate(t *sim.Thread, path string, size int64) (int64, vfs.Er
 // F_FULLFSYNC (OS X barrier), F_DUPFD, F_NOCACHE, F_RDADVISE,
 // F_PREALLOCATE, F_GETFL/F_SETFL (no-ops).
 func (s *System) Fcntl(t *sim.Thread, fd int64, op string, arg int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fcntl", FD: fd, Name: op, Offset: arg}
+	enter := s.enter(t, OpFcntl)
+	rec := &trace.Record{FD: fd, Name: op, Offset: arg}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -423,7 +410,7 @@ func (s *System) Fcntl(t *sim.Thread, fd int64, op string, arg int64) (int64, vf
 		return s.record(t, enter, rec, 0, vfs.OK)
 	case "F_DUPFD":
 		n := s.lowestFreeFD()
-		s.shareFD(n, f)
+		s.installFD(n, f)
 		return s.record(t, enter, rec, n, vfs.OK)
 	case "F_RDADVISE":
 		// Prefetch hint: pull arg bytes from the current offset into the
@@ -465,8 +452,8 @@ func (s *System) prefetch(f *fdesc, off, bytes int64) {
 // Fadvise implements posix_fadvise; WILLNEED prefetches, others are
 // accepted and ignored.
 func (s *System) Fadvise(t *sim.Thread, fd, off, length int64, advice string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fadvise", FD: fd, Offset: off, Size: length, Name: advice}
+	enter := s.enter(t, OpFadvise)
+	rec := &trace.Record{FD: fd, Offset: off, Size: length, Name: advice}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -479,8 +466,8 @@ func (s *System) Fadvise(t *sim.Thread, fd, off, length int64, advice string) (i
 
 // Fallocate preallocates blocks for an open file and extends its size.
 func (s *System) Fallocate(t *sim.Thread, fd, off, length int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fallocate", FD: fd, Offset: off, Size: length}
+	enter := s.enter(t, OpFallocate)
+	rec := &trace.Record{FD: fd, Offset: off, Size: length}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -499,8 +486,8 @@ func (s *System) Fallocate(t *sim.Thread, fd, off, length int64) (int64, vfs.Err
 // Mmap models a file-backed mapping by faulting the mapped range into
 // the cache. It returns a fake address (the aio/mapping counter).
 func (s *System) Mmap(t *sim.Thread, fd, off, length int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "mmap", FD: fd, Offset: off, Size: length}
+	enter := s.enter(t, OpMmap)
+	rec := &trace.Record{FD: fd, Offset: off, Size: length}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -513,16 +500,16 @@ func (s *System) Mmap(t *sim.Thread, fd, off, length int64) (int64, vfs.Errno) {
 
 // Munmap unmaps (a no-op in the model beyond its CPU charge).
 func (s *System) Munmap(t *sim.Thread, addr, length int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "munmap", Offset: addr, Size: length}
+	enter := s.enter(t, OpMunmap)
+	rec := &trace.Record{Offset: addr, Size: length}
 	return s.record(t, enter, rec, 0, vfs.OK)
 }
 
 // Msync flushes the whole cache for the mapped file; without tracking
 // mappings the model conservatively syncs everything dirty.
 func (s *System) Msync(t *sim.Thread, addr, length int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "msync", Offset: addr, Size: length}
+	enter := s.enter(t, OpMsync)
+	rec := &trace.Record{Offset: addr, Size: length}
 	s.Cache.SyncAll(t)
 	return s.record(t, enter, rec, 0, vfs.OK)
 }

@@ -26,8 +26,8 @@ func (s *System) statCommon(t *sim.Thread, path string, follow bool) (*vfs.Inode
 
 // Stat returns the size of the file at path (the model's stat result).
 func (s *System) Stat(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "stat", Path: path}
+	enter := s.enter(t, OpStat)
+	rec := &trace.Record{Path: path}
 	ino, err := s.statCommon(t, path, true)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -37,8 +37,8 @@ func (s *System) Stat(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Lstat is Stat without following a final symlink.
 func (s *System) Lstat(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "lstat", Path: path}
+	enter := s.enter(t, OpLstat)
+	rec := &trace.Record{Path: path}
 	ino, err := s.statCommon(t, path, false)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -48,8 +48,8 @@ func (s *System) Lstat(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Fstat stats an open descriptor.
 func (s *System) Fstat(t *sim.Thread, fd int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fstat", FD: fd}
+	enter := s.enter(t, OpFstat)
+	rec := &trace.Record{FD: fd}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -60,8 +60,8 @@ func (s *System) Fstat(t *sim.Thread, fd int64) (int64, vfs.Errno) {
 // Access checks for the existence of path (permission bits are not
 // modelled, so any existing path is accessible).
 func (s *System) Access(t *sim.Thread, path string, mode uint32) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "access", Path: path, Mode: mode}
+	enter := s.enter(t, OpAccess)
+	rec := &trace.Record{Path: path, Mode: mode}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -70,8 +70,8 @@ func (s *System) Access(t *sim.Thread, path string, mode uint32) (int64, vfs.Err
 
 // Mkdir creates a directory.
 func (s *System) Mkdir(t *sim.Thread, path string, mode uint32) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "mkdir", Path: path, Mode: mode}
+	enter := s.enter(t, OpMkdir)
+	rec := &trace.Record{Path: path, Mode: mode}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if _, err := s.FS.Mkdir(s.cwd, path, mode); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -81,8 +81,8 @@ func (s *System) Mkdir(t *sim.Thread, path string, mode uint32) (int64, vfs.Errn
 
 // Rmdir removes an empty directory.
 func (s *System) Rmdir(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "rmdir", Path: path}
+	enter := s.enter(t, OpRmdir)
+	rec := &trace.Record{Path: path}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if err := s.FS.Rmdir(s.cwd, path); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -92,8 +92,8 @@ func (s *System) Rmdir(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Unlink removes a file name.
 func (s *System) Unlink(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "unlink", Path: path}
+	enter := s.enter(t, OpUnlink)
+	rec := &trace.Record{Path: path}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	ino, _ := s.FS.ResolveNoFollow(s.cwd, path)
 	if err := s.FS.Unlink(s.cwd, path); err != vfs.OK {
@@ -107,8 +107,8 @@ func (s *System) Unlink(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Rename moves a name, replacing any existing target.
 func (s *System) Rename(t *sim.Thread, oldPath, newPath string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "rename", Path: oldPath, Path2: newPath}
+	enter := s.enter(t, OpRename)
+	rec := &trace.Record{Path: oldPath, Path2: newPath}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if err := s.FS.Rename(s.cwd, oldPath, newPath); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -118,8 +118,8 @@ func (s *System) Rename(t *sim.Thread, oldPath, newPath string) (int64, vfs.Errn
 
 // Link creates a hard link.
 func (s *System) Link(t *sim.Thread, oldPath, newPath string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "link", Path: oldPath, Path2: newPath}
+	enter := s.enter(t, OpLink)
+	rec := &trace.Record{Path: oldPath, Path2: newPath}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if err := s.FS.Link(s.cwd, oldPath, newPath); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -129,8 +129,8 @@ func (s *System) Link(t *sim.Thread, oldPath, newPath string) (int64, vfs.Errno)
 
 // Symlink creates a symbolic link at linkPath pointing to target.
 func (s *System) Symlink(t *sim.Thread, target, linkPath string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "symlink", Path: target, Path2: linkPath}
+	enter := s.enter(t, OpSymlink)
+	rec := &trace.Record{Path: target, Path2: linkPath}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if _, err := s.FS.Symlink(s.cwd, target, linkPath); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -140,8 +140,8 @@ func (s *System) Symlink(t *sim.Thread, target, linkPath string) (int64, vfs.Err
 
 // Readlink reads a symlink target, returning its length.
 func (s *System) Readlink(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "readlink", Path: path}
+	enter := s.enter(t, OpReadlink)
+	rec := &trace.Record{Path: path}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	target, err := s.FS.Readlink(s.cwd, path)
 	if err != vfs.OK {
@@ -152,8 +152,8 @@ func (s *System) Readlink(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Chmod sets permission bits.
 func (s *System) Chmod(t *sim.Thread, path string, mode uint32) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "chmod", Path: path, Mode: mode}
+	enter := s.enter(t, OpChmod)
+	rec := &trace.Record{Path: path, Mode: mode}
 	ino, err := s.statCommon(t, path, true)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -164,8 +164,8 @@ func (s *System) Chmod(t *sim.Thread, path string, mode uint32) (int64, vfs.Errn
 
 // Fchmod sets permission bits on an open descriptor.
 func (s *System) Fchmod(t *sim.Thread, fd int64, mode uint32) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fchmod", FD: fd, Mode: mode}
+	enter := s.enter(t, OpFchmod)
+	rec := &trace.Record{FD: fd, Mode: mode}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -176,8 +176,8 @@ func (s *System) Fchmod(t *sim.Thread, fd int64, mode uint32) (int64, vfs.Errno)
 
 // Chown is accepted and ignored (ownership is not modelled).
 func (s *System) Chown(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "chown", Path: path}
+	enter := s.enter(t, OpChown)
+	rec := &trace.Record{Path: path}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -186,8 +186,8 @@ func (s *System) Chown(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Utimes is accepted and ignored (timestamps are not modelled).
 func (s *System) Utimes(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "utimes", Path: path}
+	enter := s.enter(t, OpUtimes)
+	rec := &trace.Record{Path: path}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -196,8 +196,8 @@ func (s *System) Utimes(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Chdir changes the working directory.
 func (s *System) Chdir(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "chdir", Path: path}
+	enter := s.enter(t, OpChdir)
+	rec := &trace.Record{Path: path}
 	ino, err := s.statCommon(t, path, true)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -211,8 +211,8 @@ func (s *System) Chdir(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Fchdir changes the working directory to an open descriptor's.
 func (s *System) Fchdir(t *sim.Thread, fd int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fchdir", FD: fd}
+	enter := s.enter(t, OpFchdir)
+	rec := &trace.Record{FD: fd}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -227,8 +227,8 @@ func (s *System) Fchdir(t *sim.Thread, fd int64) (int64, vfs.Errno) {
 // Getdents reads up to count directory entries from an open directory
 // descriptor, returning the number of entries delivered (0 at end).
 func (s *System) Getdents(t *sim.Thread, fd, count int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "getdents", FD: fd, Size: count}
+	enter := s.enter(t, OpGetdents)
+	rec := &trace.Record{FD: fd, Size: count}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -246,16 +246,18 @@ func (s *System) Getdents(t *sim.Thread, fd, count int64) (int64, vfs.Errno) {
 	}
 	// Directory data costs one metadata block per 128 entries.
 	blocks := int64(n/128 + 1)
-	s.Cache.Read(t, 0, s.metaMapper, int64(f.ino.Ino), blocks)
+	f.refs++ // the read may block, and a close meanwhile must not recycle f
+	s.Cache.Read(t, 0, metaMapper, int64(f.ino.Ino), blocks)
 	f.dirPos += n
+	s.releaseDesc(f)
 	return s.record(t, enter, rec, int64(n), vfs.OK)
 }
 
 // Statfs reports file-system information for path (modelled as a cheap
 // metadata call).
 func (s *System) Statfs(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "statfs", Path: path}
+	enter := s.enter(t, OpStatfs)
+	rec := &trace.Record{Path: path}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -264,8 +266,8 @@ func (s *System) Statfs(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Fstatfs is Statfs on an open descriptor.
 func (s *System) Fstatfs(t *sim.Thread, fd int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fstatfs", FD: fd}
+	enter := s.enter(t, OpFstatfs)
+	rec := &trace.Record{FD: fd}
 	if _, err := s.fd(fd); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -274,12 +276,12 @@ func (s *System) Fstatfs(t *sim.Thread, fd int64) (int64, vfs.Errno) {
 
 // Getxattr reads an extended attribute, returning its length.
 func (s *System) Getxattr(t *sim.Thread, path, name string, follow bool) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	call := "getxattr"
+	op := OpGetxattr
 	if !follow {
-		call = "lgetxattr"
+		op = OpLgetxattr
 	}
-	rec := &trace.Record{Call: call, Path: path, Name: name}
+	enter := s.enter(t, op)
+	rec := &trace.Record{Path: path, Name: name}
 	ino, err := s.statCommon(t, path, follow)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -293,12 +295,12 @@ func (s *System) Getxattr(t *sim.Thread, path, name string, follow bool) (int64,
 
 // Setxattr writes an extended attribute of the given size.
 func (s *System) Setxattr(t *sim.Thread, path, name string, size int64, follow bool) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	call := "setxattr"
+	op := OpSetxattr
 	if !follow {
-		call = "lsetxattr"
+		op = OpLsetxattr
 	}
-	rec := &trace.Record{Call: call, Path: path, Name: name, Size: size}
+	enter := s.enter(t, op)
+	rec := &trace.Record{Path: path, Name: name, Size: size}
 	ino, err := s.statCommon(t, path, follow)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -313,12 +315,12 @@ func (s *System) Setxattr(t *sim.Thread, path, name string, size int64, follow b
 // Listxattr lists attribute names, returning the byte length of the
 // name list.
 func (s *System) Listxattr(t *sim.Thread, path string, follow bool) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	call := "listxattr"
+	op := OpListxattr
 	if !follow {
-		call = "llistxattr"
+		op = OpLlistxattr
 	}
-	rec := &trace.Record{Call: call, Path: path}
+	enter := s.enter(t, op)
+	rec := &trace.Record{Path: path}
 	ino, err := s.statCommon(t, path, follow)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -332,12 +334,12 @@ func (s *System) Listxattr(t *sim.Thread, path string, follow bool) (int64, vfs.
 
 // Removexattr removes an extended attribute.
 func (s *System) Removexattr(t *sim.Thread, path, name string, follow bool) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	call := "removexattr"
+	op := OpRemovexattr
 	if !follow {
-		call = "lremovexattr"
+		op = OpLremovexattr
 	}
-	rec := &trace.Record{Call: call, Path: path, Name: name}
+	enter := s.enter(t, op)
+	rec := &trace.Record{Path: path, Name: name}
 	ino, err := s.statCommon(t, path, follow)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -352,8 +354,8 @@ func (s *System) Removexattr(t *sim.Thread, path, name string, follow bool) (int
 // Fgetxattr / Fsetxattr / Flistxattr / Fremovexattr operate on an open
 // descriptor.
 func (s *System) Fgetxattr(t *sim.Thread, fd int64, name string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fgetxattr", FD: fd, Name: name}
+	enter := s.enter(t, OpFgetxattr)
+	rec := &trace.Record{FD: fd, Name: name}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -367,8 +369,8 @@ func (s *System) Fgetxattr(t *sim.Thread, fd int64, name string) (int64, vfs.Err
 
 // Fsetxattr sets an attribute on an open descriptor.
 func (s *System) Fsetxattr(t *sim.Thread, fd int64, name string, size int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fsetxattr", FD: fd, Name: name, Size: size}
+	enter := s.enter(t, OpFsetxattr)
+	rec := &trace.Record{FD: fd, Name: name, Size: size}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -382,8 +384,8 @@ func (s *System) Fsetxattr(t *sim.Thread, fd int64, name string, size int64) (in
 
 // Flistxattr lists attributes on an open descriptor.
 func (s *System) Flistxattr(t *sim.Thread, fd int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "flistxattr", FD: fd}
+	enter := s.enter(t, OpFlistxattr)
+	rec := &trace.Record{FD: fd}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -397,8 +399,8 @@ func (s *System) Flistxattr(t *sim.Thread, fd int64) (int64, vfs.Errno) {
 
 // Fremovexattr removes an attribute on an open descriptor.
 func (s *System) Fremovexattr(t *sim.Thread, fd int64, name string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fremovexattr", FD: fd, Name: name}
+	enter := s.enter(t, OpFremovexattr)
+	rec := &trace.Record{FD: fd, Name: name}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -413,8 +415,8 @@ func (s *System) Fremovexattr(t *sim.Thread, fd int64, name string) (int64, vfs.
 // Getattrlist is OS X's bulk metadata read (§4.3.4 counts it among the
 // special metadata-access APIs). The model charges a stat.
 func (s *System) Getattrlist(t *sim.Thread, path, attrs string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "getattrlist", Path: path, Name: attrs}
+	enter := s.enter(t, OpGetattrlist)
+	rec := &trace.Record{Path: path, Name: attrs}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -423,8 +425,8 @@ func (s *System) Getattrlist(t *sim.Thread, path, attrs string) (int64, vfs.Errn
 
 // Setattrlist is OS X's bulk metadata write.
 func (s *System) Setattrlist(t *sim.Thread, path, attrs string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "setattrlist", Path: path, Name: attrs}
+	enter := s.enter(t, OpSetattrlist)
+	rec := &trace.Record{Path: path, Name: attrs}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -433,8 +435,8 @@ func (s *System) Setattrlist(t *sim.Thread, path, attrs string) (int64, vfs.Errn
 
 // Getdirentriesattr is OS X's combined readdir+getattrlist.
 func (s *System) Getdirentriesattr(t *sim.Thread, fd, count int64) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "getdirentriesattr", FD: fd, Size: count}
+	enter := s.enter(t, OpGetdirentriesattr)
+	rec := &trace.Record{FD: fd, Size: count}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -451,6 +453,7 @@ func (s *System) Getdirentriesattr(t *sim.Thread, fd, count int64) (int64, vfs.E
 		n = len(names) - f.dirPos
 	}
 	// Bulk attr read touches each child's metadata block.
+	f.refs++ // as in Getdents
 	for _, name := range names[f.dirPos : f.dirPos+n] {
 		child := f.ino.Lookup(name)
 		if child != nil {
@@ -458,13 +461,14 @@ func (s *System) Getdirentriesattr(t *sim.Thread, fd, count int64) (int64, vfs.E
 		}
 	}
 	f.dirPos += n
+	s.releaseDesc(f)
 	return s.record(t, enter, rec, int64(n), vfs.OK)
 }
 
 // Exchangedata is OS X's atomic file-content swap (§4.3.4).
 func (s *System) Exchangedata(t *sim.Thread, pathA, pathB string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "exchangedata", Path: pathA, Path2: pathB}
+	enter := s.enter(t, OpExchangedata)
+	rec := &trace.Record{Path: pathA, Path2: pathB}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if err := s.FS.Exchange(s.cwd, pathA, pathB); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -475,8 +479,8 @@ func (s *System) Exchangedata(t *sim.Thread, pathA, pathB string) (int64, vfs.Er
 // Fsctl, Searchfs and Vfsconf model the three obscure, undocumented
 // Mac OS X calls the paper emulates with small metadata accesses.
 func (s *System) Fsctl(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "fsctl", Path: path}
+	enter := s.enter(t, OpFsctl)
+	rec := &trace.Record{Path: path}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -486,8 +490,8 @@ func (s *System) Fsctl(t *sim.Thread, path string) (int64, vfs.Errno) {
 // Searchfs models OS X's catalog-search call as a directory metadata
 // scan.
 func (s *System) Searchfs(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "searchfs", Path: path}
+	enter := s.enter(t, OpSearchfs)
+	rec := &trace.Record{Path: path}
 	ino, err := s.statCommon(t, path, true)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -504,8 +508,8 @@ func (s *System) Searchfs(t *sim.Thread, path string) (int64, vfs.Errno) {
 
 // Vfsconf models an undocumented metadata query as a cheap stat.
 func (s *System) Vfsconf(t *sim.Thread, path string) (int64, vfs.Errno) {
-	enter := s.enter(t)
-	rec := &trace.Record{Call: "vfsconf", Path: path}
+	enter := s.enter(t, OpVfsconf)
+	rec := &trace.Record{Path: path}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}

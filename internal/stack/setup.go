@@ -122,7 +122,7 @@ func (s *System) WarmFile(t *sim.Thread, p string) error {
 func (s *System) WarmAll() {
 	var walk func(ino *vfs.Inode)
 	walk = func(ino *vfs.Inode) {
-		s.Cache.Warm(0, s.metaMapper, int64(ino.Ino), 1)
+		s.Cache.Warm(0, metaMapper, int64(ino.Ino), 1)
 		if ino.Type == vfs.TypeRegular && ino.Size > 0 {
 			pages := (ino.Size + storage.BlockSize - 1) / storage.BlockSize
 			s.Cache.Warm(cacheID(ino), s.mapperFor(ino, pages), 0, pages)

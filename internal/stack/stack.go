@@ -97,6 +97,9 @@ type extent struct {
 // placement is the per-inode block layout, stored in vfs.Inode.Sys.
 type placement struct {
 	extents []extent
+	// mapper is lbaOf bound once, so handing the cache a Mapper does not
+	// allocate a method value per call.
+	mapper cache.Mapper
 }
 
 // lbaOf returns the device block holding the given file page; the page
@@ -118,8 +121,14 @@ func (p *placement) coveredPages() int64 {
 	return last.firstPage + last.blocks
 }
 
-// fdesc is an open file descriptor.
+// fdesc is an open file description. Its structs are recycled through
+// System.freeDesc, so refs counts everything that may still write through
+// the pointer: each descriptor number installed on it (dup shares one
+// description) and each call that holds it across a blocking step.
 type fdesc struct {
+	refs     int
+	nextFree *fdesc
+
 	num    int64
 	ino    *vfs.Inode
 	flags  trace.OpenFlag
@@ -144,7 +153,8 @@ type aioState struct {
 }
 
 // Stats aggregates per-call timing, used for the thread-time breakdowns
-// of Figure 10.
+// of Figure 10. The system accumulates by opcode; System.Stats renders
+// this form.
 type Stats struct {
 	// CallTime sums in-call virtual time by call name.
 	CallTime map[string]time.Duration
@@ -167,11 +177,17 @@ type System struct {
 	Dev    storage.Device
 	tracer func(*trace.Record)
 
-	fds     map[int64]*fdesc
-	nextFD  int64
-	cwd     *vfs.Inode
-	aiocbs  map[int64]*aioState
-	nextAIO int64
+	// fds is the descriptor table, indexed by descriptor number (nil =
+	// free). Every number in [3, minFree) is in use, so allocation starts
+	// looking at minFree and an open costs the same however many
+	// descriptors are held; fdProbes counts the slots it examined.
+	fds      []*fdesc
+	minFree  int64
+	fdProbes int64
+	freeDesc *fdesc
+	cwd      *vfs.Inode
+	aiocbs   map[int64]*aioState
+	nextAIO  int64
 
 	// Block allocator state. Metadata lives at low LBAs, the journal in
 	// a fixed region, data beyond it.
@@ -186,7 +202,12 @@ type System struct {
 
 	traceStart time.Duration
 	seq        int64
-	stats      Stats
+
+	// Per-call accounting by opcode (see Stats).
+	callCount  [numOps]int64
+	callTime   [numOps]time.Duration
+	callErrors int64
+	threadTime time.Duration
 
 	// writebackArmed guards against double-scheduling the background
 	// flusher.
@@ -249,17 +270,12 @@ func New(k *sim.Kernel, conf Config) *System {
 		Cache:      cache.New(k, s, pages),
 		Sched:      s,
 		Dev:        dev,
-		fds:        make(map[int64]*fdesc),
-		nextFD:     3,
+		minFree:    firstFD,
 		aiocbs:     make(map[int64]*aioState),
 		nextAIO:    1,
 		nextData:   metaRegionBlocks + journalRegionBlocks,
 		journalLBA: metaRegionBlocks,
 		openCount:  make(map[*vfs.Inode]int),
-		stats: Stats{
-			CallTime:  make(map[string]time.Duration),
-			CallCount: make(map[string]int64),
-		},
 	}
 	sys.cwd = sys.FS.Root()
 	sys.FS.OnFree(func(ino *vfs.Inode) {
@@ -304,15 +320,29 @@ func (s *System) SetTracer(fn func(*trace.Record)) {
 	s.seq = 0
 }
 
-// Stats returns the accumulated per-call statistics.
-func (s *System) Stats() *Stats { return &s.stats }
+// Stats returns a snapshot of the accumulated per-call statistics, keyed
+// by canonical call name; calls never made have no entry.
+func (s *System) Stats() *Stats {
+	st := &Stats{
+		CallTime:   make(map[string]time.Duration),
+		CallCount:  make(map[string]int64),
+		Errors:     s.callErrors,
+		ThreadTime: s.threadTime,
+	}
+	for op, n := range s.callCount {
+		if n > 0 {
+			st.CallCount[opNames[op]] = n
+			st.CallTime[opNames[op]] = s.callTime[op]
+		}
+	}
+	return st
+}
 
 // ResetStats clears the per-call statistics.
 func (s *System) ResetStats() {
-	s.stats = Stats{
-		CallTime:  make(map[string]time.Duration),
-		CallCount: make(map[string]int64),
-	}
+	s.callCount = [numOps]int64{}
+	s.callTime = [numOps]time.Duration{}
+	s.callErrors, s.threadTime = 0, 0
 }
 
 // placementOf returns (allocating if needed) the block placement of ino,
@@ -323,6 +353,7 @@ func (s *System) placementOf(ino *vfs.Inode, pages int64) *placement {
 	p, _ := ino.Sys.(*placement)
 	if p == nil {
 		p = &placement{}
+		p.mapper = p.lbaOf
 		ino.Sys = p
 	}
 	covered := p.coveredPages()
@@ -379,17 +410,16 @@ func (s *System) nextRand() uint64 {
 
 // mapperFor returns a cache.Mapper for ino covering at least pages.
 func (s *System) mapperFor(ino *vfs.Inode, pages int64) cache.Mapper {
-	p := s.placementOf(ino, pages)
-	return p.lbaOf
+	return s.placementOf(ino, pages).mapper
 }
 
 // metaMapper maps the per-inode metadata blocks (FileID 0).
-func (s *System) metaMapper(page int64) int64 { return page % metaRegionBlocks }
+func metaMapper(page int64) int64 { return page % metaRegionBlocks }
 
 // touchMeta charges a metadata-block read for ino (cold metadata causes
 // device I/O; warm metadata is a cache hit).
 func (s *System) touchMeta(t *sim.Thread, ino *vfs.Inode) {
-	s.Cache.Read(t, 0, s.metaMapper, int64(ino.Ino), 1)
+	s.Cache.Read(t, 0, metaMapper, int64(ino.Ino), 1)
 }
 
 // journalCommit writes a journal transaction and charges its CPU cost.
@@ -415,87 +445,143 @@ func (s *System) journalCommit(t *sim.Thread) {
 	}
 }
 
-// record traces and accounts one completed call. enter is the virtual
-// time at call entry.
-func (s *System) record(t *sim.Thread, enter time.Duration, rec *trace.Record, ret int64, err vfs.Errno) (int64, vfs.Errno) {
+// callEntry is what a syscall entry point hands to record when the call
+// returns: which call it is and when it was entered.
+type callEntry struct {
+	op Op
+	at time.Duration
+}
+
+// enter charges the base syscall CPU cost and notes the entry time.
+func (s *System) enter(t *sim.Thread, op Op) callEntry {
+	start := s.K.Now()
+	t.Sleep(s.Conf.SyscallCPU)
+	return callEntry{op: op, at: start}
+}
+
+// record accounts one completed call and, when a tracer is attached,
+// traces it. args holds the call's arguments; it is copied to the heap
+// only for the tracer, so the entry points' Record literals stay on
+// their stacks during a replay (scripts/ci.sh allocs checks that they do).
+func (s *System) record(t *sim.Thread, enter callEntry, args *trace.Record, ret int64, err vfs.Errno) (int64, vfs.Errno) {
 	now := s.K.Now()
-	s.stats.CallCount[rec.Call]++
-	s.stats.CallTime[rec.Call] += now - enter
-	s.stats.ThreadTime += now - enter
+	s.callCount[enter.op]++
+	s.callTime[enter.op] += now - enter.at
+	s.threadTime += now - enter.at
 	if err != vfs.OK {
-		s.stats.Errors++
+		s.callErrors++
+		ret = -1
 	}
 	if s.tracer != nil {
+		rec := new(trace.Record)
+		*rec = *args
+		rec.Call = opNames[enter.op]
 		rec.Seq = s.seq
 		s.seq++
 		rec.TID = t.ID()
-		rec.Start = enter - s.traceStart
+		rec.Start = enter.at - s.traceStart
 		rec.End = now - s.traceStart
 		rec.Ret = ret
 		if err != vfs.OK {
 			rec.Err = err.String()
-			rec.Ret = -1
 		}
 		s.tracer(rec)
 	}
-	if err != vfs.OK {
-		return -1, err
-	}
-	return ret, vfs.OK
+	return ret, err
 }
 
-// enter charges the base syscall CPU cost and returns the entry time.
-func (s *System) enter(t *sim.Thread) time.Duration {
-	start := s.K.Now()
-	t.Sleep(s.Conf.SyscallCPU)
-	return start
-}
+// firstFD is the lowest number open and dup hand out; maxFD bounds the
+// table the way RLIMIT_NOFILE does, so dup2 onto an absurd number is
+// EBADF rather than a table of that size.
+const (
+	firstFD = 3
+	maxFD   = 1 << 20
+)
 
 // fd looks up an open descriptor.
 func (s *System) fd(n int64) (*fdesc, vfs.Errno) {
-	f, ok := s.fds[n]
-	if !ok {
+	if n < 0 || n >= int64(len(s.fds)) || s.fds[n] == nil {
 		return nil, vfs.EBADF
 	}
-	return f, vfs.OK
+	return s.fds[n], vfs.OK
 }
 
-// lowestFreeFD returns the lowest unused descriptor number >= 3.
+// lowestFreeFD returns the lowest unused descriptor number >= firstFD.
 func (s *System) lowestFreeFD() int64 {
-	n := int64(3)
-	for {
-		if _, used := s.fds[n]; !used {
-			return n
-		}
+	n := s.minFree
+	for n < int64(len(s.fds)) && s.fds[n] != nil {
+		s.fdProbes++
 		n++
 	}
+	return n
+}
+
+// installFD makes number n (free, or beyond the table) refer to f. A
+// description installed under a second number is POSIX dup: both numbers
+// share one file offset (and readahead state).
+func (s *System) installFD(n int64, f *fdesc) {
+	for int64(len(s.fds)) <= n {
+		s.fds = append(s.fds, nil)
+	}
+	s.fds[n] = f
+	if n == s.minFree {
+		s.minFree = n + 1
+	}
+	f.refs++
+	s.openCount[f.ino]++
 }
 
 // allocFD installs a new open file description at the lowest free
-// number >= 3.
+// number >= firstFD.
 func (s *System) allocFD(ino *vfs.Inode, flags trace.OpenFlag) *fdesc {
-	n := s.lowestFreeFD()
-	f := &fdesc{num: n, ino: ino, flags: flags, raWindow: 0, lastPage: -2}
-	s.fds[n] = f
-	s.openCount[ino]++
+	f := s.freeDesc
+	if f != nil {
+		s.freeDesc = f.nextFree
+	} else {
+		f = new(fdesc)
+	}
+	*f = fdesc{num: s.lowestFreeFD(), ino: ino, flags: flags, lastPage: -2}
+	s.installFD(f.num, f)
 	return f
 }
 
-// shareFD installs an existing description under a second number: POSIX
-// dup semantics, where both numbers share one file offset (and
-// readahead state).
-func (s *System) shareFD(n int64, f *fdesc) {
-	s.fds[n] = f
-	s.openCount[f.ino]++
+// closeFD retires open descriptor number n: the number becomes free, and
+// the last reference to an unlinked file releases the file.
+func (s *System) closeFD(n int64) {
+	f := s.fds[n]
+	s.fds[n] = nil
+	if n >= firstFD && n < s.minFree {
+		s.minFree = n
+	}
+	s.openCount[f.ino]--
+	if s.openCount[f.ino] == 0 {
+		delete(s.openCount, f.ino)
+		if f.ino.Nlink == 0 {
+			s.Cache.Drop(cache.FileID(f.ino.Ino))
+			s.FS.Release(f.ino)
+		}
+	}
+	s.releaseDesc(f)
+}
+
+// releaseDesc drops one reference to f and recycles the struct once no
+// number and no in-flight call refers to it.
+func (s *System) releaseDesc(f *fdesc) {
+	f.refs--
+	if f.refs == 0 {
+		*f = fdesc{nextFree: s.freeDesc}
+		s.freeDesc = f
+	}
 }
 
 // DumpFDs lists open descriptor numbers, for tests.
 func (s *System) DumpFDs() []int64 {
 	var out []int64
-	for n := range s.fds {
-		out = append(out, n)
+	for n, f := range s.fds {
+		if f != nil {
+			out = append(out, int64(n))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -493,15 +493,15 @@ func TestApplyDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	run(t, k, func(th *sim.Thread) {
-		ret, err := sys.Apply(th, &trace.Record{Call: "open", Path: "/f", Flags: trace.ORdonly})
+		ret, err := sys.Apply(th, OpOf("open"), &trace.Record{Flags: trace.ORdonly}, &Redirect{Path: "/f"})
 		if err != vfs.OK || ret != 3 {
 			t.Errorf("apply open = %d, %v", ret, err)
 		}
-		ret, err = sys.Apply(th, &trace.Record{Call: "pread64", FD: 3, Size: 4096, Offset: 4096})
+		ret, err = sys.Apply(th, OpOf("pread64"), &trace.Record{Size: 4096, Offset: 4096}, &Redirect{FD: 3})
 		if err != vfs.OK || ret != 4096 {
 			t.Errorf("apply pread64 = %d, %v", ret, err)
 		}
-		if _, err = sys.Apply(th, &trace.Record{Call: "bogus_call"}); err != vfs.ENOTSUP {
+		if _, err = sys.Apply(th, OpOf("bogus_call"), &trace.Record{}, &Redirect{}); err != vfs.ENOTSUP {
 			t.Errorf("apply unknown = %v", err)
 		}
 	})
@@ -540,7 +540,7 @@ func TestNativeSurfaces(t *testing.T) {
 		{Illumos, "getattrlist", false},
 	}
 	for _, c := range cases {
-		if got := Native(c.p, c.call); got != c.want {
+		if got := Native(c.p, OpOf(c.call)); got != c.want {
 			t.Errorf("Native(%s, %s) = %v, want %v", c.p, c.call, got, c.want)
 		}
 	}

@@ -4,8 +4,8 @@
 #   scripts/ci.sh [lane] [tag] [prev]
 #
 #   lane  one of lint | vet-race | determinism | ingest | shard | chaos |
-#         cache | fuzz | service | service-fault | bench, or "all" (the
-#         default). For backward compatibility a first argument that
+#         cache | allocs | fuzz | service | service-fault | bench, or "all"
+#         (the default). For backward compatibility a first argument that
 #         looks like a tag (pr5, v2, ...) selects "all" with that tag.
 #   tag   perfstat snapshot tag; the bench lane writes BENCH_<tag>.json.
 #         Defaults to pr<N+1> where N is the newest committed
@@ -23,7 +23,10 @@
 # specs regenerate exactly, and the chaos invariants hold through the
 # sharded replayer), chaos (seeded fault sweep with per-seed
 # verification plus a single-seed bit-repro check), cache (artifact
-# cache hit/corruption behavior), fuzz (short smokes: the strace lexer
+# cache hit/corruption behavior), allocs (the replay loop's
+# allocations-per-record ceilings under GOMAXPROCS 1 and 2, and escape
+# analysis saying no syscall entry point's trace.Record reaches the
+# heap), fuzz (short smokes: the strace lexer
 # and the Chrome exporter against their reference implementations, the
 # artifact decoder against malformed input), service (boot artcd, drive
 # replays over HTTP, compare the serial and the sharded + sliced export
@@ -50,7 +53,7 @@ lane="${1:-all}"
 tag="${2:-$(default_tag)}"
 prev="${3:-}"
 case "$lane" in
-  lint|vet-race|determinism|ingest|shard|chaos|cache|fuzz|service|service-fault|bench|all) ;;
+  lint|vet-race|determinism|ingest|shard|chaos|cache|allocs|fuzz|service|service-fault|bench|all) ;;
   *) tag="$lane"; lane="all" ;;
 esac
 
@@ -229,6 +232,29 @@ cache() {
   grep -qi "truncat" "$tmp/cache-trunc.err"
 }
 
+# allocs answers one question: does the replay loop still allocate
+# nothing per record? The ceilings count a whole Replay's allocations per
+# record; the escape check catches the commonest way back, a change to
+# System.record that lets the entry points' Record literals escape.
+allocs() {
+  for procs in 1 2; do
+    echo "== allocs: allocations-per-record ceilings at GOMAXPROCS=$procs"
+    GOMAXPROCS=$procs go test -count=1 -run 'ReplayAllocs' ./internal/artc/
+  done
+  echo "== allocs: syscall entry points keep their trace.Record on the stack"
+  go build -gcflags=-m ./internal/stack 2>&1 |
+    grep -E '^internal/stack/(fileio|meta|aio)\.go:[0-9]+:[0-9]+: &trace\.Record\{' > "$tmp/escape.txt" || true
+  if grep -v 'does not escape$' "$tmp/escape.txt"; then
+    echo "a syscall entry point's &trace.Record{...} escapes to the heap: one allocation per replayed call (System.record copies it for the tracer only)" >&2
+    exit 1
+  fi
+  literals="$(cat internal/stack/fileio.go internal/stack/meta.go internal/stack/aio.go | grep -c '&trace\.Record{')"
+  if [ "$(wc -l < "$tmp/escape.txt")" -ne "$literals" ]; then
+    echo "escape analysis reported $(wc -l < "$tmp/escape.txt") of the $literals &trace.Record{...} literals: the check no longer sees them all" >&2
+    exit 1
+  fi
+}
+
 fuzz() {
   echo "== fuzz: 20s strace fast-lexer vs reference smoke"
   go test -run '^$' -fuzz 'FuzzStraceFastVsReference' -fuzztime 20s ./internal/trace/
@@ -379,10 +405,11 @@ case "$lane" in
   shard)         shard ;;
   chaos)         chaos ;;
   cache)         cache ;;
+  allocs)        allocs ;;
   fuzz)          fuzz ;;
   service)       service ;;
   service-fault) service_fault ;;
   bench)         bench ;;
   all)           lint; vet_race; determinism; ingest; shard; chaos; cache
-                 fuzz; service; service_fault; bench ;;
+                 allocs; fuzz; service; service_fault; bench ;;
 esac
