@@ -490,8 +490,9 @@ func replayCmd(args []string) error {
 		fmt.Printf("sharded: components=%d clusters=%d cross-edges=%d largest=%d workers=%d sliced=%d synthetic=%d profiled=%v fingerprint=%016x\n",
 			st.Components, st.Clusters, st.CrossEdges, st.Largest, st.Shards, st.Sliced, st.Synthetic, st.Profiled, st.PlanFingerprint)
 		if c := rep.Coord; c != nil {
-			fmt.Printf("coord: cross-wait=%v published=%d flush-batches=%d max-batch=%d host-blocked=%v\n",
-				time.Duration(c.CrossWaitNs), c.Published, c.FlushBatches, c.FlushMaxBatch, time.Duration(c.BlockedNs).Round(time.Millisecond))
+			fmt.Printf("coord: cross-wait=%v published=%d flush-batches=%d max-batch=%d advances=%d parks=%d grants=%d host-blocked=%v\n",
+				time.Duration(c.CrossWaitNs), c.Published, c.FlushBatches, c.FlushMaxBatch,
+				c.Advances, c.Parks, c.Grants, time.Duration(c.BlockedNs).Round(time.Millisecond))
 		}
 	}
 	fmt.Printf("replayed %d actions on %s in %v (virtual)\n", rep.Actions, f.spec.Target.Name, rep.Elapsed)

@@ -676,7 +676,7 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 		// action even begins its wait: the serial replayer's thread
 		// would not have arrived here yet. Runs before the wait-start
 		// sample so sliced spans open at the serial instant.
-		rs.sub.waitThreadPrev(rs, t, idx)
+		rs.sub.waitThreadPrev(t, idx)
 	}
 	var waitStart time.Duration
 	if rs.obs != nil {
@@ -690,7 +690,7 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 		rs.waiting[idx] = nil
 	}
 	if rs.sub != nil {
-		rs.sub.waitCross(rs, t, idx)
+		rs.sub.waitCross(t, idx)
 	}
 	var slept time.Duration
 	switch rs.opts.Speed {

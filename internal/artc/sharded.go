@@ -3,15 +3,14 @@ package artc
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"rootreplay/internal/coord"
 	"rootreplay/internal/core"
 	"rootreplay/internal/fault"
 	"rootreplay/internal/obs"
@@ -121,13 +120,14 @@ type CoordStats struct {
 	// FlushMaxBatch is the largest single flush.
 	FlushBatches  int64
 	FlushMaxBatch int
+	// Advances counts pacer calls (deterministic, a function of the
+	// plan); Parks those that waited on their condition variable and
+	// Grants the quiescent grants (both may vary with host timing).
+	Advances, Parks, Grants int64
 	// BlockedNs is host wall time member pacers spent parked waiting for
 	// peer clocks, attributed per gating source internally.
 	BlockedNs int64
 }
-
-// infDur is the coordinator's "no constraint" time.
-const infDur = time.Duration(math.MaxInt64)
 
 // subState is a replayState's view of its place in a sharded replay:
 // index translations back to the whole trace plus the cross-edge
@@ -137,8 +137,7 @@ type subState struct {
 	// orig is the pre-slicing component index — what spans report as
 	// their shard, so a sliced single-component trace still attributes
 	// everything to component 0, like the serial replayer.
-	orig   int32
-	member int // cluster-local index, meaningful when coord != nil
+	orig int32
 	// global maps local action indices to trace indices; edgeGlobal maps
 	// local graph edges to full-graph edges.
 	global     []int32
@@ -164,14 +163,9 @@ type subState struct {
 	// (allocated only when observability is on).
 	crossRelAt   []time.Duration
 	crossRelEdge []int32
-	coord        *clusterCoord
-	// pendingPub buffers this member's outbound publications between
-	// epochs; the pacer flushes it under one lock acquisition per clock
-	// advance. pubLocal mirrors published edges (dense cluster ids)
-	// delivered to this member, giving await a lock-free fast path;
-	// both are touched only from the member's own kernel goroutine.
-	pendingPub []pubRec
-	pubLocal   []time.Duration
+	// h is this member's handle on its cluster's coordinator (nil for a
+	// component with no cross edges) and its kernel's pacer.
+	h *coord.Member
 	// crossWaitNs accumulates the member's virtual cross-edge wait time
 	// (written and read only on the member's kernel goroutine; the obs
 	// CounterCrossWait probe samples it from the same goroutine).
@@ -192,15 +186,14 @@ func (s *subState) edgeKindOf(ge int32) core.EdgeKind {
 // ascending full-graph edge order. Called after the local dependency
 // counter drains and before predelay, so the issue time is the fixed
 // point of local and cross constraints, exactly as under one kernel.
-func (s *subState) waitCross(rs *replayState, t *sim.Thread, idx int) {
+func (s *subState) waitCross(t *sim.Thread, idx int) {
 	ins := s.crossIn[idx]
 	if len(ins) == 0 {
 		return
 	}
-	k := rs.sys.K
 	for _, ge := range ins {
 		s.crossWaitEdge[idx] = ge
-		v, waited := s.coord.await(t, k, s.member, ge, s.pubLocal, func() string { return s.crossReason(idx) })
+		v, waited := s.h.Await(t, ge, func() string { return s.crossReason(idx) })
 		s.crossWaitNs += int64(waited)
 		if s.crossRelEdge != nil {
 			if best := s.crossRelEdge[idx]; best < 0 || v > s.crossRelAt[idx] {
@@ -221,7 +214,7 @@ func (s *subState) waitCross(rs *replayState, t *sim.Thread, idx int) {
 // here, so sliced spans open their wait window at the serial instant.
 // Synthetic edges never enter ReleasedBy attribution — the serial
 // graph has no such edge to attribute.
-func (s *subState) waitThreadPrev(rs *replayState, t *sim.Thread, idx int) {
+func (s *subState) waitThreadPrev(t *sim.Thread, idx int) {
 	if s.threadPrevIn == nil {
 		return
 	}
@@ -230,20 +223,17 @@ func (s *subState) waitThreadPrev(rs *replayState, t *sim.Thread, idx int) {
 		return
 	}
 	s.crossWaitEdge[idx] = ge
-	_, waited := s.coord.await(t, rs.sys.K, s.member, ge, s.pubLocal, func() string { return s.crossReason(idx) })
+	_, waited := s.h.Await(t, ge, func() string { return s.crossReason(idx) })
 	s.crossWaitNs += int64(waited)
 	s.crossWaitEdge[idx] = -1
 }
 
-// publishCross buffers action idx's outbound cross edges of the given
-// kind, satisfied at virtual time at, for the member's next epoch
-// flush. Buffering is safe because the member's clock only moves
-// through the pacer, which flushes first: no peer can be granted an
-// advance that should have seen a still-buffered publication.
+// publishCross publishes action idx's outbound cross edges of the given
+// kind, satisfied at virtual time at.
 func (s *subState) publishCross(idx int, kind core.EdgeKind, at time.Duration) {
 	for _, ge := range s.crossOut[idx] {
 		if s.edgeKindOf(ge) == kind {
-			s.pendingPub = append(s.pendingPub, pubRec{edge: ge, v: at})
+			s.h.Publish(ge, at)
 		}
 	}
 }
@@ -292,627 +282,6 @@ func (s *subState) crossReason(idx int) string {
 	e := &s.full.Edges[ge]
 	return fmt.Sprintf("action %d: cross-shard barrier on edge %d, awaiting action %d (shard %d)",
 		s.global[idx], ge, e.From, s.plan.CompOf[e.From])
-}
-
-// Coordinator member states.
-const (
-	memberRunning = iota
-	memberBlocked
-	memberDone
-)
-
-// crossWaiter is one thread parked on a cross edge. fired is written in
-// the waiter's own kernel context by the injected wake and read by the
-// thread after it resumes; the kernel's park/resume handoff orders the
-// two.
-type crossWaiter struct {
-	th    *sim.Thread
-	m     int
-	tPark time.Duration
-	fired bool
-}
-
-// injection is a pending wake for a member's kernel: unpark w.th at
-// virtual time at. Injections are delivered only by the member's own
-// pacer during a clock advance, never directly from the publishing
-// shard, so their position in the member's event order depends only on
-// virtual times — not on which host thread got there first.
-type injection struct {
-	at   time.Duration
-	edge int32
-	w    *crossWaiter
-}
-
-// pubRec is one buffered outbound publication: a cross edge satisfied
-// at virtual time v, awaiting the owning member's next epoch flush.
-type pubRec struct {
-	edge int32
-	v    time.Duration
-}
-
-// delivery carries a flushed publication into a destination member's
-// lock-free mirror (drained under the lock inside that member's own
-// advance).
-type delivery struct {
-	dense int32
-	v     time.Duration
-}
-
-// coordEdge is one cross edge in cluster-dense form: source and
-// destination members plus the edge's slot in the destination's
-// per-source unpublished counts.
-type coordEdge struct {
-	src, dst int32
-	slot     int32
-}
-
-// unpubbed marks a dense edge (or mirror entry) not yet published.
-const unpubbed = time.Duration(-1)
-
-// clusterCoord synchronizes the virtual clocks of one cluster's
-// components with a batched, epoch-based exchange. The safety rule is
-// conservative and unchanged from the per-edge protocol: a member may
-// advance its clock to T only if, for every source it still has
-// unpublished inbound edges from, the source member's clock is
-// strictly past T (so no publication with a wake at or before T can
-// still arrive). What the epochs batch is everything around that rule:
-//
-//   - Publications buffer lock-free in the publishing member
-//     (subState.pendingPub) and flush under one lock acquisition when
-//     its pacer next runs — one exchange per clock advance. Buffering
-//     is sound because a member's clock only rises through the pacer,
-//     which flushes first; a peer granted an advance past T therefore
-//     cannot have missed a publication at or before T. At every
-//     quiescent window all buffers are empty, so grant decisions
-//     remain pure functions of the virtual execution.
-//   - The advance gate aggregates inbound edges into per-source
-//     unpublished counts: the check is O(sources), not O(edges), and
-//     a thousand program-order edges between two slices cost exactly
-//     one comparison.
-//   - Flushed publications are delivered to each destination's dense
-//     mirror, giving await a lock-free fast path for edges already
-//     satisfied in the member's past — the common case when slices
-//     stream through pre-sorted inbound schedules.
-//
-// When every member is blocked — the deterministic quiescent state —
-// the member with the smallest (target, member) pair is granted one
-// advance, which resolves the zero-lookahead cycles program-order
-// chains create without giving up determinism; the grant's broadcast
-// re-qualifies every member whose gate it opened, so one grant
-// typically releases a frontier, not a single edge.
-type clusterCoord struct {
-	mu sync.Mutex
-	// conds[m] parks member m's pacer; wakes are targeted at the
-	// members an event can re-qualify (the destinations of a clock
-	// advance, a grant's recipient) instead of broadcast to the whole
-	// cluster — in a lockstepped slice chain, a broadcast wakes every
-	// member per batch and the spurious wake-ups dominate coordination
-	// cost on few-core hosts.
-	conds []*sync.Cond
-
-	// clock[m] is member m's latest granted advance target; state and
-	// target describe blocked members; granted marks one-shot stall
-	// grants; parked counts m's threads parked on cross edges.
-	//
-	// clock, state, unpub, injN, and dead are atomics so the advance
-	// fast path can read them without the lock: each clock slot is
-	// written only by its owning member, and the rest are written under
-	// mu but read lock-free.
-	clock   []atomic.Int64
-	state   []atomic.Int32
-	target  []time.Duration
-	granted []bool
-	parked  []int
-
-	// inLock counts members inside the locked advance section
-	// (including cond.Wait). A fast-path clock store pairs a sequential
-	// load of inLock with the waiter's increment-before-recheck, so a
-	// member can never park against a clock value it hasn't seen — the
-	// classic store/load handshake that makes skipping the broadcast
-	// safe.
-	inLock atomic.Int32
-
-	// Dense cluster-local edge ids. denseOf is read-only after
-	// construction, so members may consult it without the lock.
-	denseOf map[int32]int32
-	edges   []coordEdge
-	pub     []time.Duration // dense id -> satisfaction time, unpubbed if not yet
-	waiters []*crossWaiter  // dense id -> parked thread, nil if none
-
-	// Per-member inbound summary: distinct source members (ascending)
-	// and, aligned with them, the count of still-unpublished inbound
-	// edges per source. dstsOf inverts srcsOf: the members whose advance
-	// gate reads m's clock, the wake set of m's clock advances.
-	srcsOf [][]int32
-	dstsOf [][]int32
-	unpub  [][]atomic.Int32
-
-	// deliver queues flushed publications for each member's mirror;
-	// inj the pending wakes per member, sorted by (at, edge); injN
-	// mirrors len(inj[m]) for lock-free emptiness checks.
-	deliver [][]delivery
-	inj     [][]injection
-	injN    []atomic.Int32
-
-	// dead aborts the cluster (peer failure or cross deadlock);
-	// deadlocked distinguishes the latter for error reporting.
-	dead       atomic.Bool
-	deadlocked bool
-
-	// Wait profiling. edgeID maps each dense edge back to its index in
-	// the plan's Cross list; waitNs accumulates, per dense edge, the
-	// virtual time its destination action waited (written under mu in
-	// await's post-park section — a pure function of the virtual
-	// execution, identical across hosts and GOMAXPROCS). flushBatches /
-	// flushMax count non-empty epoch flushes. blockedNs records host
-	// wall time each member's pacer spent parked, attributed to the
-	// inbound source whose clock gated the advance (aligned with
-	// srcsOf; slot len(srcsOf[m]) collects unattributed waits) — host
-	// timing feeds human reports only, never the profile.
-	edgeID       []int32
-	waitNs       []int64
-	flushBatches int64
-	flushMax     int
-	blockedNs    [][]int64
-}
-
-func newClusterCoord(plan *shard.Plan, cluster []int32) *clusterCoord {
-	n := len(cluster)
-	c := &clusterCoord{
-		clock:     make([]atomic.Int64, n),
-		state:     make([]atomic.Int32, n),
-		target:    make([]time.Duration, n),
-		granted:   make([]bool, n),
-		parked:    make([]int, n),
-		denseOf:   make(map[int32]int32),
-		srcsOf:    make([][]int32, n),
-		dstsOf:    make([][]int32, n),
-		unpub:     make([][]atomic.Int32, n),
-		deliver:   make([][]delivery, n),
-		inj:       make([][]injection, n),
-		injN:      make([]atomic.Int32, n),
-		blockedNs: make([][]int64, n),
-	}
-	c.conds = make([]*sync.Cond, n)
-	for m := range c.conds {
-		c.conds[m] = sync.NewCond(&c.mu)
-	}
-	memberOf := make(map[int32]int32, n)
-	for m, comp := range cluster {
-		memberOf[comp] = int32(m)
-	}
-	// First pass: the distinct sources of each member, ascending.
-	seen := make([]map[int32]bool, n)
-	for _, ce := range plan.Cross {
-		dst, ok := memberOf[ce.To]
-		if !ok {
-			continue
-		}
-		src := memberOf[ce.From]
-		if seen[dst] == nil {
-			seen[dst] = make(map[int32]bool)
-		}
-		if !seen[dst][src] {
-			seen[dst][src] = true
-			c.srcsOf[dst] = append(c.srcsOf[dst], src)
-		}
-	}
-	slotOf := make([]map[int32]int32, n)
-	for m := 0; m < n; m++ {
-		sort.Slice(c.srcsOf[m], func(i, j int) bool { return c.srcsOf[m][i] < c.srcsOf[m][j] })
-		c.unpub[m] = make([]atomic.Int32, len(c.srcsOf[m]))
-		c.blockedNs[m] = make([]int64, len(c.srcsOf[m])+1)
-		slotOf[m] = make(map[int32]int32, len(c.srcsOf[m]))
-		for k, src := range c.srcsOf[m] {
-			slotOf[m][src] = int32(k)
-			c.dstsOf[src] = append(c.dstsOf[src], int32(m))
-		}
-	}
-	// Second pass: dense ids in plan order (ascending edge id).
-	for ci, ce := range plan.Cross {
-		dst, ok := memberOf[ce.To]
-		if !ok {
-			continue
-		}
-		src := memberOf[ce.From]
-		slot := slotOf[dst][src]
-		c.denseOf[ce.Edge] = int32(len(c.edges))
-		c.edges = append(c.edges, coordEdge{src: src, dst: dst, slot: slot})
-		c.edgeID = append(c.edgeID, int32(ci))
-		c.pub = append(c.pub, unpubbed)
-		c.waiters = append(c.waiters, nil)
-		c.unpub[dst][slot].Add(1)
-	}
-	c.waitNs = make([]int64, len(c.edges))
-	return c
-}
-
-// advance implements the pacer gate for member m (called in m's kernel
-// context). next is the kernel's earliest pending instant, or
-// sim.PacerIdle when only an injected wake can make progress. pending
-// is the member's buffered publications — the epoch's outbound
-// exchange — and mirror its lock-free inbound view, refreshed here.
-func (c *clusterCoord) advance(k *sim.Kernel, m int, next time.Duration, pending []pubRec, mirror []time.Duration) bool {
-	// Lock-free fast path: nothing to publish, nothing queued for this
-	// member, and every gating source clock already strictly past the
-	// target. This is the overwhelmingly common case — a member's pacer
-	// fires on every event batch, while publications and cross-edge
-	// stalls happen only at slice boundaries — so the amortized cost of
-	// coordination is a few atomic loads per batch instead of a mutex
-	// handoff. Order matters, in two pairs (all loads and stores here
-	// are seq-cst): source clocks are read before injN, so if the clock
-	// read observes a source's advance, the injN read observes every
-	// injection that advance's flush queued (flushes precede the clock
-	// store); and unpublished counts are read (in allowedFast) before
-	// injN, pairing with flushLocked's queue-injection-then-decrement
-	// order, so a zeroed count that bypasses the source-clock gate
-	// implies any waiter injection from that final publication is
-	// already visible.
-	if len(pending) == 0 && next != sim.PacerIdle && !c.dead.Load() &&
-		c.allowedFast(m, next) && c.injN[m].Load() == 0 {
-		if int64(next) > c.clock[m].Load() {
-			c.clock[m].Store(int64(next))
-			// A member parks only inside the locked section, after
-			// bumping inLock and re-reading the clocks; seeing inLock==0
-			// here therefore proves no peer can have missed this store.
-			if c.inLock.Load() > 0 {
-				c.mu.Lock()
-				c.wakeDepsLocked(m)
-				c.mu.Unlock()
-			}
-		}
-		return false
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.inLock.Add(1)
-	defer c.inLock.Add(-1)
-	c.flushLocked(pending)
-	injected := false
-	for {
-		if dl := c.deliver[m]; len(dl) > 0 {
-			for _, d := range dl {
-				mirror[d.dense] = d.v
-			}
-			c.deliver[m] = dl[:0]
-		}
-		if c.dead.Load() {
-			k.Stop()
-			return true
-		}
-		target := infDur
-		if next != sim.PacerIdle {
-			target = next
-		}
-		if lst := c.inj[m]; len(lst) > 0 && lst[0].at < target {
-			target = lst[0].at
-		}
-		if target == infDur {
-			if c.parked[m] == 0 {
-				// Nothing parked on a barrier and no own events: a
-				// genuine local deadlock; let the kernel report it.
-				return false
-			}
-		} else if c.allowed(m, target) {
-			for len(c.inj[m]) > 0 && c.inj[m][0].at <= target {
-				in := c.inj[m][0]
-				c.inj[m] = c.inj[m][1:]
-				c.injN[m].Add(-1)
-				w := in.w
-				k.At(in.at, func() {
-					w.fired = true
-					k.Unpark(w.th)
-				})
-				injected = true
-			}
-			c.granted[m] = false
-			if int64(target) > c.clock[m].Load() {
-				c.clock[m].Store(int64(target))
-				c.wakeDepsLocked(m)
-			}
-			if next == sim.PacerIdle {
-				return true
-			}
-			return injected || target < next
-		}
-		c.state[m].Store(memberBlocked)
-		c.target[m] = target
-		c.checkStall()
-		// checkStall may have granted this very member (or declared the
-		// cluster dead): its broadcast fired before we could Wait, so
-		// re-evaluate instead of sleeping through our own wake-up.
-		if !c.granted[m] && !c.dead.Load() {
-			// Attribute the stall to the inbound source whose clock gated
-			// the advance (the first failing gate, ascending source order);
-			// waits with no finite target fall in the overflow slot.
-			gate := len(c.srcsOf[m])
-			if target != infDur {
-				if g := c.gatingSlot(m, target); g >= 0 {
-					gate = g
-				}
-			}
-			t0 := time.Now()
-			c.conds[m].Wait()
-			c.blockedNs[m][gate] += time.Since(t0).Nanoseconds()
-		}
-		c.state[m].Store(memberRunning)
-	}
-}
-
-// gatingSlot returns the srcsOf slot of the first source blocking
-// member m's advance to target, or -1 when no source gates it. Called
-// with the lock held; reporting only.
-func (c *clusterCoord) gatingSlot(m int, target time.Duration) int {
-	for k, src := range c.srcsOf[m] {
-		if c.unpub[m][k].Load() == 0 {
-			continue
-		}
-		if c.state[src].Load() == memberDone {
-			continue
-		}
-		if c.clock[src].Load() <= int64(target) {
-			return k
-		}
-	}
-	return -1
-}
-
-// wakeDepsLocked signals every blocked member whose advance gate reads
-// m's state — the only members an advance, publication, or completion
-// of m can re-qualify. Called with the lock held.
-func (c *clusterCoord) wakeDepsLocked(m int) {
-	for _, d := range c.dstsOf[m] {
-		if c.state[d].Load() == memberBlocked {
-			c.conds[d].Signal()
-		}
-	}
-}
-
-// wakeAllLocked wakes the whole cluster (abort and deadlock paths).
-func (c *clusterCoord) wakeAllLocked() {
-	for _, cv := range c.conds {
-		cv.Signal()
-	}
-}
-
-// allowedFast is the advance gate evaluated lock-free: like allowed,
-// but reading the shared counters atomically and never consulting the
-// one-shot grant flag (a member outside the locked section cannot hold
-// a grant — grants go to blocked members and are consumed on wake).
-func (c *clusterCoord) allowedFast(m int, target time.Duration) bool {
-	for k, src := range c.srcsOf[m] {
-		if c.unpub[m][k].Load() == 0 {
-			continue
-		}
-		if c.state[src].Load() == memberDone {
-			continue
-		}
-		if c.clock[src].Load() <= int64(target) {
-			return false
-		}
-	}
-	return true
-}
-
-// flushLocked applies a member's buffered publications: the epoch
-// exchange. Called with the lock held.
-func (c *clusterCoord) flushLocked(pending []pubRec) {
-	if len(pending) == 0 {
-		return
-	}
-	c.flushBatches++
-	if len(pending) > c.flushMax {
-		c.flushMax = len(pending)
-	}
-	for _, p := range pending {
-		dense := c.denseOf[p.edge]
-		if c.pub[dense] != unpubbed {
-			continue // an edge publishes exactly once
-		}
-		c.pub[dense] = p.v
-		e := c.edges[dense]
-		c.deliver[e.dst] = append(c.deliver[e.dst], delivery{dense: dense, v: p.v})
-		if w := c.waiters[dense]; w != nil {
-			c.waiters[dense] = nil
-			at := p.v
-			if w.tPark > at {
-				at = w.tPark
-			}
-			c.addInj(int(w.m), at, p.edge, w)
-		}
-		// The unpublished count drops only after the waiter's injection
-		// is queued (injN bumped): allowedFast skips the source-clock
-		// gate on a zeroed count, so a fast-path advance that observes
-		// the decrement must — both atomics are seq-cst, and the fast
-		// path loads unpub before injN — also observe the injection and
-		// fall into the locked slow path, instead of advancing its clock
-		// past a wake in its virtual past.
-		c.unpub[e.dst][e.slot].Add(-1)
-		// The publication can re-qualify only its destination: the
-		// unpublished count dropped (gate) and an injection may now
-		// bound its target.
-		if c.state[e.dst].Load() == memberBlocked {
-			c.conds[e.dst].Signal()
-		}
-	}
-}
-
-// allowed reports whether member m may advance its clock to target:
-// every source m still has unpublished inbound edges from must have a
-// clock strictly past target. O(distinct sources), independent of the
-// cross-edge count.
-func (c *clusterCoord) allowed(m int, target time.Duration) bool {
-	if c.granted[m] {
-		return true
-	}
-	for k, src := range c.srcsOf[m] {
-		if c.unpub[m][k].Load() == 0 {
-			continue
-		}
-		if c.state[src].Load() == memberDone {
-			// A finished source will never publish; the parked waiter is
-			// a deadlock, which idle detection reports.
-			continue
-		}
-		if c.clock[src].Load() <= int64(target) {
-			return false
-		}
-	}
-	return true
-}
-
-// checkStall runs whenever a member blocks or finishes, with the lock
-// held. If the whole cluster is quiescent it grants the smallest
-// (target, member) advance, or — when no member has a finite target —
-// declares a cross-shard deadlock. Quiescent states are functions of
-// the virtual execution alone, so the grant sequence is deterministic.
-func (c *clusterCoord) checkStall() {
-	best := -1
-	var bestT time.Duration
-	for m := range c.state {
-		switch c.state[m].Load() {
-		case memberRunning:
-			return
-		case memberBlocked:
-			// The recorded target may be stale: a publish can queue an
-			// injection for a member that has not re-evaluated yet. Fold
-			// pending injections in, so the effective target is the same
-			// whether or not the member has woken — quiescent decisions
-			// must depend only on the virtual execution.
-			t := c.target[m]
-			if lst := c.inj[m]; len(lst) > 0 && lst[0].at < t {
-				t = lst[0].at
-			}
-			if t < infDur && (best < 0 || t < bestT) {
-				best, bestT = m, t
-			}
-		}
-	}
-	allDone := true
-	for m := range c.state {
-		if c.state[m].Load() != memberDone {
-			allDone = false
-			break
-		}
-	}
-	if allDone {
-		return
-	}
-	if best < 0 {
-		c.dead.Store(true)
-		c.deadlocked = true
-		c.wakeAllLocked()
-		return
-	}
-	if !c.granted[best] {
-		c.granted[best] = true
-		c.conds[best].Signal()
-	}
-}
-
-// addInj inserts a pending wake, keeping inj[m] sorted by (at, edge).
-func (c *clusterCoord) addInj(m int, at time.Duration, edge int32, w *crossWaiter) {
-	lst := c.inj[m]
-	i := len(lst)
-	for i > 0 && (lst[i-1].at > at || (lst[i-1].at == at && lst[i-1].edge > edge)) {
-		i--
-	}
-	lst = append(lst, injection{})
-	copy(lst[i+1:], lst[i:])
-	lst[i] = injection{at: at, edge: edge, w: w}
-	c.inj[m] = lst
-	c.injN[m].Add(1)
-}
-
-// await blocks the calling thread until edge is published, returning
-// the published satisfaction time and the virtual time the thread
-// waited. Called in member m's kernel context. mirror is the member's
-// lock-free publication view: an edge already delivered there with a
-// time at or before now needs no lock at all — the conservative bound
-// guarantees the publication was flushed before m's clock could pass
-// it, so the mirror entry is final.
-//
-// The waited time is max(0, v-now): the thread resumes at max(v, tPark)
-// whether it took the injection path or parked for a flush, so the
-// measurement is path-independent — a pure function of the virtual
-// execution, which is what lets profiles built from it stay
-// deterministic across hosts and GOMAXPROCS.
-func (c *clusterCoord) await(t *sim.Thread, k *sim.Kernel, m int, edge int32, mirror []time.Duration, reason func() string) (time.Duration, time.Duration) {
-	dense := c.denseOf[edge]
-	now := k.Now()
-	if v := mirror[dense]; v != unpubbed && v <= now {
-		return v, 0
-	}
-	c.mu.Lock()
-	if v := c.pub[dense]; v != unpubbed && v <= now {
-		// Satisfied in this member's past but not yet drained into the
-		// mirror (the delivery is queued for m's next advance).
-		c.mu.Unlock()
-		return v, 0
-	}
-	w := &crossWaiter{th: t, m: m, tPark: now}
-	if v := c.pub[dense]; v != unpubbed {
-		c.addInj(m, v, edge, w) // v > now: wake exactly at the edge time
-	} else {
-		c.waiters[dense] = w
-	}
-	c.parked[m]++
-	c.mu.Unlock()
-	for !w.fired {
-		t.ParkFn(reason)
-	}
-	c.mu.Lock()
-	c.parked[m]--
-	v := c.pub[dense]
-	var waited time.Duration
-	if v > now {
-		waited = v - now
-		c.waitNs[dense] += int64(waited)
-	}
-	c.mu.Unlock()
-	return v, waited
-}
-
-// memberDone flushes member m's final publication buffer, marks it
-// finished (its clock no longer constrains anyone), and re-checks the
-// cluster for quiescence.
-func (c *clusterCoord) memberDone(m int, pending []pubRec) {
-	c.mu.Lock()
-	c.flushLocked(pending)
-	c.state[m].Store(memberDone)
-	c.clock[m].Store(int64(infDur))
-	c.checkStall()
-	c.wakeDepsLocked(m)
-	c.mu.Unlock()
-}
-
-// abort kills the cluster after a member failure; peer pacers stop
-// their kernels at the next advance.
-func (c *clusterCoord) abort() {
-	c.mu.Lock()
-	if !c.dead.Load() {
-		c.dead.Store(true)
-		c.wakeAllLocked()
-	}
-	c.mu.Unlock()
-}
-
-// shardPacer adapts a cluster coordinator to one kernel's Pacer hook.
-// Each advance is one epoch boundary: the member's buffered outbound
-// publications are swapped out and handed to the coordinator for a
-// single batched exchange.
-type shardPacer struct {
-	c   *clusterCoord
-	k   *sim.Kernel
-	m   int
-	sub *subState
-}
-
-func (p *shardPacer) Advance(next time.Duration) bool {
-	pending := p.sub.pendingPub
-	p.sub.pendingPub = pending[:0]
-	return p.c.advance(p.k, p.m, next, pending, p.sub.pubLocal)
 }
 
 // compiledShard is one component's replay unit: a sub-benchmark whose
@@ -1075,7 +444,7 @@ func (rs *replayState) finishSub() error {
 // (an Init hook, the set-up here) panicked on this goroutine and the
 // stack is still at hand. Either way the cluster is aborted like for any
 // other member failure.
-func runMember(cs *compiledShard, opts Options, so ShardOptions, coord *clusterCoord, mi int) (err error) {
+func runMember(cs *compiledShard, opts Options, so ShardOptions, cl *coord.Cluster, mi int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			tp, ok := r.(*sim.ThreadPanic)
@@ -1084,8 +453,8 @@ func runMember(cs *compiledShard, opts Options, so ShardOptions, coord *clusterC
 			}
 			err = fmt.Errorf("artc: shard %d: %w", cs.comp, tp)
 		}
-		if err != nil && coord != nil {
-			coord.abort()
+		if err != nil && cl != nil {
+			cl.Abort()
 		}
 	}()
 	sys, inj, err := newReplica(so.Target, so.Fault, so.Init)
@@ -1102,14 +471,8 @@ func runMember(cs *compiledShard, opts Options, so ShardOptions, coord *clusterC
 	}
 	rs := newReplayState(sys, cs.b, opts2, cs.g)
 	rs.sub = cs.sub
-	rs.sub.member = mi
-	rs.sub.coord = coord
-	if coord != nil {
-		cs.sub.pubLocal = make([]time.Duration, len(coord.edges))
-		for i := range cs.sub.pubLocal {
-			cs.sub.pubLocal[i] = unpubbed
-		}
-		k.SetPacer(&shardPacer{c: coord, k: k, m: mi, sub: cs.sub})
+	if cl != nil {
+		cs.sub.h = cl.Member(mi, k)
 		if cs.rec != nil && cs.sub.plan.Sliced() {
 			// Cross-wait counter track, sliced replays only: unsliced
 			// sharded exports must stay byte-identical to serial, which
@@ -1131,9 +494,8 @@ func runMember(cs *compiledShard, opts Options, so ShardOptions, coord *clusterC
 	}
 	rs.spawnThreads()
 	runErr := k.Run()
-	if coord != nil {
-		coord.memberDone(mi, cs.sub.pendingPub)
-		cs.sub.pendingPub = nil
+	if cl != nil {
+		cs.sub.h.Done()
 	}
 	cs.rs = rs
 	if ferr := rs.finishSub(); ferr != nil {
@@ -1145,20 +507,41 @@ func runMember(cs *compiledShard, opts Options, so ShardOptions, coord *clusterC
 	return nil
 }
 
+// clusterStats is what one coordinated cluster leaves for
+// collectCoordStats: the coordinator's accounting and, per coordinator
+// edge, the edge's index in the plan's Cross list.
+type clusterStats struct {
+	cross []int32
+	st    coord.Stats
+}
+
 // runCluster replays one cluster: a single component directly, or a
-// cross-connected group under a clock-exchange coordinator.
-func runCluster(shards []*compiledShard, cluster []int32, opts Options, so ShardOptions) error {
+// cross-connected group under a clock-exchange coordinator
+// (internal/coord), whose members are the cluster's components in order
+// and whose edges are the plan's cross edges among them.
+func runCluster(shards []*compiledShard, cluster []int32, opts Options, so ShardOptions, out *clusterStats) error {
 	if len(cluster) == 1 {
 		return runMember(shards[cluster[0]], opts, so, nil, 0)
 	}
-	coord := newClusterCoord(shards[cluster[0]].sub.plan, cluster)
+	memberOf := make(map[int32]int, len(cluster))
+	for mi, comp := range cluster {
+		memberOf[comp] = mi
+	}
+	var edges []coord.Edge
+	for ci, ce := range shards[cluster[0]].sub.plan.Cross {
+		if dst, ok := memberOf[ce.To]; ok {
+			edges = append(edges, coord.Edge{ID: ce.Edge, Src: memberOf[ce.From], Dst: dst})
+			out.cross = append(out.cross, int32(ci))
+		}
+	}
+	cl := coord.New(len(cluster), edges)
 	errs := make([]error, len(cluster))
 	var wg sync.WaitGroup
 	for mi, comp := range cluster {
 		wg.Add(1)
 		go func(mi int, comp int32) {
 			defer wg.Done()
-			errs[mi] = runMember(shards[comp], opts, so, coord, mi)
+			errs[mi] = runMember(shards[comp], opts, so, cl, mi)
 		}(mi, comp)
 	}
 	wg.Wait()
@@ -1176,9 +559,10 @@ func runCluster(shards []*compiledShard, cluster []int32, opts Options, so Shard
 	if first != nil {
 		return first
 	}
-	if coord.deadlocked {
+	if cl.Deadlocked() {
 		return crossStall(shards, cluster)
 	}
+	out.st = cl.Stats()
 	return nil
 }
 
@@ -1264,8 +648,9 @@ func ReplaySharded(b *Benchmark, opts Options, so ShardOptions) (*Report, *Shard
 		PlanFingerprint: plan.Fingerprint(),
 	}
 	shards := buildShards(b, g, plan, opts.Obs != nil)
+	perCluster := make([]clusterStats, len(clusters))
 	if err := par.ForEachN(len(clusters), workers, func(ci int) error {
-		return runCluster(shards, clusters[ci], opts, so)
+		return runCluster(shards, clusters[ci], opts, so, &perCluster[ci])
 	}); err != nil {
 		return nil, stats, err
 	}
@@ -1273,7 +658,7 @@ func ReplaySharded(b *Benchmark, opts Options, so ShardOptions) (*Report, *Shard
 	if err != nil {
 		return nil, stats, err
 	}
-	rep.Coord = collectCoordStats(plan, shards)
+	rep.Coord = collectCoordStats(plan, perCluster)
 	if plan.Sliced() && rep.Coord != nil {
 		stats.Profile = shard.BuildProfile(b.Analysis, g, plan,
 			rep.Coord.EdgeWaitNs, rep.Coord.EdgePublished, rep.IssueAt, rep.DoneAt)
@@ -1281,11 +666,10 @@ func ReplaySharded(b *Benchmark, opts Options, so ShardOptions) (*Report, *Shard
 	return rep, stats, nil
 }
 
-// collectCoordStats folds every cluster coordinator's wait accounting
-// into plan-cross-edge-indexed totals. Runs after all members have
-// finished, so the coordinators are quiescent and lock-free to read.
-// Returns nil when the plan has no cross edges.
-func collectCoordStats(plan *shard.Plan, shards []*compiledShard) *CoordStats {
+// collectCoordStats folds the clusters' coordinator accounting into
+// plan-cross-edge-indexed totals. Returns nil when the plan has no cross
+// edges.
+func collectCoordStats(plan *shard.Plan, perCluster []clusterStats) *CoordStats {
 	if len(plan.Cross) == 0 {
 		return nil
 	}
@@ -1293,31 +677,21 @@ func collectCoordStats(plan *shard.Plan, shards []*compiledShard) *CoordStats {
 		EdgeWaitNs:    make([]int64, len(plan.Cross)),
 		EdgePublished: make([]int64, len(plan.Cross)),
 	}
-	seen := make(map[*clusterCoord]bool)
-	for _, cs := range shards {
-		c := cs.sub.coord
-		if c == nil || seen[c] {
-			continue
-		}
-		seen[c] = true
-		for dense := range c.edges {
-			ci := c.edgeID[dense]
-			cst.EdgeWaitNs[ci] += c.waitNs[dense]
-			cst.CrossWaitNs += c.waitNs[dense]
-			if c.pub[dense] != unpubbed {
+	for _, cs := range perCluster {
+		for i, ci := range cs.cross {
+			cst.EdgeWaitNs[ci] += cs.st.EdgeWaitNs[i]
+			cst.CrossWaitNs += cs.st.EdgeWaitNs[i]
+			if cs.st.EdgePublished[i] {
 				cst.EdgePublished[ci]++
 				cst.Published++
 			}
 		}
-		cst.FlushBatches += c.flushBatches
-		if c.flushMax > cst.FlushMaxBatch {
-			cst.FlushMaxBatch = c.flushMax
-		}
-		for _, per := range c.blockedNs {
-			for _, ns := range per {
-				cst.BlockedNs += ns
-			}
-		}
+		cst.FlushBatches += cs.st.FlushBatches
+		cst.FlushMaxBatch = max(cst.FlushMaxBatch, cs.st.FlushMaxBatch)
+		cst.Advances += cs.st.Advances
+		cst.Parks += cs.st.Parks
+		cst.Grants += cs.st.Grants
+		cst.BlockedNs += cs.st.BlockedNs
 	}
 	return cst
 }

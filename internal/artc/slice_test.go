@@ -141,6 +141,7 @@ func TestSlicedDifferentialAcrossProcs(t *testing.T) {
 	tr, snap := genPipeline(t, 4, 120, 8)
 	serial := reportJSON(t, serialWarm(t, tr, snap, nil, Options{}))
 	n := len(tr.Records)
+	var advances int64
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
@@ -151,6 +152,15 @@ func TestSlicedDifferentialAcrossProcs(t *testing.T) {
 			}
 			if got := reportJSON(t, rep); got != serial {
 				t.Errorf("procs=%d shards=%d: sliced report differs from serial", procs, shards)
+			}
+			// The coordinator's traffic is a function of the plan too: the
+			// kernels call their pacers the same number of times however
+			// the host interleaves them.
+			if advances == 0 {
+				advances = rep.Coord.Advances
+			}
+			if got := rep.Coord.Advances; got == 0 || got != advances {
+				t.Errorf("procs=%d shards=%d: %d pacer advances, first run had %d", procs, shards, got, advances)
 			}
 		}
 	}

@@ -75,7 +75,8 @@ type jobRequest struct {
 	// Method is the replay ordering method (default artc).
 	Method string `json:"method,omitempty"`
 	// Shards > 0 replays through the sharded replayer with that worker
-	// bound; SliceActions/SliceMax add resource-cut slicing.
+	// bound; SliceActions/SliceMax add resource-cut slicing. SliceMax
+	// is at most maxShards, and a sliced job without one runs with that.
 	Shards       int  `json:"shards,omitempty"`
 	SliceActions int  `json:"slice_actions,omitempty"`
 	SliceMax     int  `json:"slice_max,omitempty"`
@@ -143,11 +144,19 @@ func (s *Server) normalize(req *jobRequest) string {
 	if req.Shards < 0 || req.Shards > maxShards {
 		return fmt.Sprintf("shards out of range [0, %d]", maxShards)
 	}
-	if req.SliceActions < 0 || req.SliceMax < 0 {
-		return "slice_actions and slice_max must be >= 0"
+	if req.SliceActions < 0 {
+		return "slice_actions must be >= 0"
+	}
+	if req.SliceMax < 0 || req.SliceMax > maxShards {
+		return fmt.Sprintf("slice_max out of range [0, %d]", maxShards)
 	}
 	if (req.SliceActions > 0 || req.SliceMax > 0) && req.Shards == 0 {
 		return "slice_actions and slice_max require shards"
+	}
+	if req.SliceActions > 0 && req.SliceMax == 0 {
+		// Uncapped, slice_actions 1 cuts a slice — a full replica system,
+		// a kernel and a goroutine, all alive at once — per atom.
+		req.SliceMax = maxShards
 	}
 	if req.Kind == "chaos" {
 		if req.Seeds == 0 {

@@ -88,14 +88,7 @@ func stallingBlobs(t *testing.T) (traceBlob, snapBlob []byte) {
 		t.Fatal(err)
 	}
 	tr.Renumber()
-	var tb, sb bytes.Buffer
-	if err := tr.Encode(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.Encode(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return tb.Bytes(), sb.Bytes()
+	return encodeBlobs(t, tr, snap)
 }
 
 // Graceful drain: admitted jobs — running and queued — complete, new
@@ -226,16 +219,10 @@ func TestPanickingShardMemberFailsAlone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tb, sb bytes.Buffer
-	if err := tr.Encode(&tb); err != nil {
-		t.Fatal(err)
-	}
-	if err := snap.Encode(&sb); err != nil {
-		t.Fatal(err)
-	}
-	traceID, snapID := uploadBlob(t, s, "a", tb.Bytes()), uploadBlob(t, s, "a", sb.Bytes())
-	uploadBlob(t, s, "b", tb.Bytes())
-	uploadBlob(t, s, "b", sb.Bytes())
+	tb, sb := encodeBlobs(t, tr, snap)
+	traceID, snapID := uploadBlob(t, s, "a", tb), uploadBlob(t, s, "a", sb)
+	uploadBlob(t, s, "b", tb)
+	uploadBlob(t, s, "b", sb)
 	bystanderRunning, victimFailed := make(chan struct{}), make(chan struct{})
 	var release sync.Once
 	defer release.Do(func() { close(victimFailed) })
@@ -276,6 +263,28 @@ func TestPanickingShardMemberFailsAlone(t *testing.T) {
 	release.Do(func() { close(victimFailed) })
 	waitState(t, s, "b", bystander, StateDone)
 	waitState(t, s, "a", submitJob(t, s, "a", sharded), StateDone)
+}
+
+// A job's co-running replicas are bounded at admission: slice_actions 1
+// asks for a slice per atom, and without a slice_max this pipeline's one
+// component would be cut into 199 replica systems, all alive at once. It
+// runs with maxShards.
+func TestSliceCountBoundedAtAdmission(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	tr, snap, err := workload.SynthPipeline(workload.Pipeline{Stages: 100, Ops: 8, Handoff: 2, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, sb := encodeBlobs(t, tr, snap)
+	traceID, snapID := uploadBlob(t, s, "a", tb), uploadBlob(t, s, "a", sb)
+	var replicas atomic.Int32
+	s.hooks.replicaInit = func(*stack.System) { replicas.Add(1) }
+	job := submitJob(t, s, "a", fmt.Sprintf(
+		`{"kind":"replay","trace":"%s","snapshot":"%s","shards":1,"slice_actions":1}`, traceID, snapID))
+	waitState(t, s, "a", job, StateDone)
+	if n := replicas.Load(); n != maxShards {
+		t.Fatalf("slice_actions 1 built %d replicas of the one component, want %d", n, maxShards)
+	}
 }
 
 // Concurrent submissions of the same trace share one compile: the
@@ -330,11 +339,18 @@ func magritteBlobs(t *testing.T) (traceBlob, snapBlob []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return encodeBlobs(t, gen.Trace, gen.Snapshot)
+}
+
+// encodeBlobs returns the native encodings of a trace and its snapshot,
+// the bytes a tenant uploads.
+func encodeBlobs(t *testing.T, tr *trace.Trace, snap *snapshot.Snapshot) (traceBlob, snapBlob []byte) {
+	t.Helper()
 	var tb, sb bytes.Buffer
-	if err := gen.Trace.Encode(&tb); err != nil {
+	if err := tr.Encode(&tb); err != nil {
 		t.Fatal(err)
 	}
-	if err := gen.Snapshot.Encode(&sb); err != nil {
+	if err := snap.Encode(&sb); err != nil {
 		t.Fatal(err)
 	}
 	return tb.Bytes(), sb.Bytes()

@@ -188,6 +188,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad method", `{"kind":"replay","trace":"sha256:00","method":"magic"}`, "bad_request", 400},
 		{"slice without shards", `{"kind":"replay","trace":"sha256:00","slice_actions":5}`, "bad_request", 400},
 		{"slice cap without shards", `{"kind":"chaos","trace":"sha256:00","slice_max":2}`, "bad_request", 400},
+		{"slice cap over bound", `{"kind":"replay","trace":"sha256:00","shards":1,"slice_actions":5,"slice_max":65}`, "bad_request", 400},
 		{"chaos fields on replay", `{"kind":"replay","trace":"sha256:00","seeds":4}`, "bad_request", 400},
 		{"seeds over cap", `{"kind":"chaos","trace":"sha256:00","seeds":100000}`, "bad_request", 400},
 		{"ms on replay", `{"kind":"replay","trace":"sha256:00","ms":5}`, "bad_request", 400},

@@ -13,9 +13,10 @@
 #   prev  baseline BENCH_*.json for the benchcmp gate. When omitted, the
 #         newest BENCH_*.json other than the current tag's is used.
 #
-# Lanes: lint (Go >= 1.23, gofmt, go vet, and no caller of the replay
-# engines outside artc.Run), vet-race (race-enabled tests, internal/sim
-# five times over),
+# Lanes: lint (Go >= 1.23, gofmt, go vet, no caller of the replay
+# engines outside artc.Run, and internal/coord importing internal/sim
+# only and no sync/atomic), vet-race (race-enabled tests, internal/sim
+# five times over, internal/coord twenty times at GOMAXPROCS 1, 2, 8),
 # determinism (byte-identical trace export under forced parallelism),
 # ingest (sequential and sharded strace parses agree), shard (sharded
 # and sliced replay match serial byte for byte across GOMAXPROCS, shard
@@ -91,6 +92,16 @@ lint() {
     echo "artc.Replay/artc.ReplaySharded called outside internal/artc: build an artc.RunSpec and call artc.Run (DESIGN.md, One driver)" >&2
     exit 1
   fi
+  echo "== the coordinator is a monitor: internal/coord depends on sim only, and neither it nor sharded.go uses sync/atomic"
+  if go list -f '{{join .Imports "\n"}}{{"\n"}}{{join .TestImports "\n"}}' ./internal/coord |
+    grep '^rootreplay' | grep -v '^rootreplay/internal/sim$'; then
+    echo "internal/coord imports a rootreplay package other than internal/sim (DESIGN.md, Epoch clock-exchange coordinator)" >&2
+    exit 1
+  fi
+  if grep -n '"sync/atomic"' internal/coord/*.go internal/artc/sharded.go; then
+    echo "sync/atomic in the coordinator or its caller: every coordinator field is a plain value under the cluster mutex" >&2
+    exit 1
+  fi
 }
 
 vet_race() {
@@ -98,6 +109,10 @@ vet_race() {
   GOMAXPROCS=8 go test -race ./...
   echo "== go test -race -count=5 internal/sim (schedule golden, panic and goroutine-baseline tests under the coroutine race annotations)"
   GOMAXPROCS=8 go test -race -count=5 ./internal/sim/
+  for procs in 1 2 8; do
+    echo "== go test -race -count=20 internal/coord at GOMAXPROCS=$procs (the repetition is what finds a lost wake-up)"
+    GOMAXPROCS=$procs go test -race -count=20 ./internal/coord/
+  done
 }
 
 determinism() {
