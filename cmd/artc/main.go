@@ -24,7 +24,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -152,7 +151,7 @@ func reportCache(st artifact.Stats, quiet bool) {
 // steers input and output. A flag a command lacks leaves its field zero.
 type runFlags struct {
 	spec                 artc.RunSpec
-	target, sliceProfile string
+	target               string
 	cacheDir             string
 	noCache              bool
 	bench, magritte, out string
@@ -174,19 +173,19 @@ func (f *runFlags) engineFlags(fs *flag.FlagSet, defTarget string) {
 	fs.IntVar(&f.spec.Shards, "shards", 0, "replay components in parallel with this worker bound (0 = serial replayer; -1 = GOMAXPROCS)")
 	fs.IntVar(&f.spec.SliceActions, "slice-actions", 0, "with -shards: split components larger than this many actions along resource cuts (0 = off)")
 	fs.IntVar(&f.spec.SliceMax, "slice-max", 0, "cap on slices per component (0 = no cap)")
-	cacheFlags(fs, &f.cacheDir, &f.noCache)
 }
 
 // replayFlags registers what replay and trace have and chaos has not.
 func (f *runFlags) replayFlags(fs *flag.FlagSet, benchUsage string) {
 	fs.StringVar(&f.bench, "bench", "", benchUsage)
 	fs.StringVar((*string)(&f.spec.Options.Method), "method", "artc", "replay method: artc | single | temporal | unconstrained")
-	fs.StringVar(&f.sliceProfile, "slice-profile", "off", "profile-guided re-slicing: off | auto (load the cached slice profile, or profile the static cut once, then re-cut and replay)")
 	fs.BoolVar(&f.spec.Warm, "warm", false, "pre-warm every replica's metadata and page caches (required for sliced-vs-serial byte identity)")
 }
 
-// magritteFlags registers the generated-trace input of trace and chaos.
+// magritteFlags registers the generated-trace input of trace and chaos,
+// which compiles through the artifact cache.
 func (f *runFlags) magritteFlags(fs *flag.FlagSet) {
+	cacheFlags(fs, &f.cacheDir, &f.noCache)
 	fs.StringVar(&f.magritte, "magritte", "", "Magritte trace name to generate and replay (e.g. pages_docphoto15)")
 	fs.Float64Var(&f.genScale, "gen-scale", 0.02, "Magritte generation scale")
 	fs.Int64Var(&f.genSeed, "gen-seed", 5, "Magritte generation seed")
@@ -227,79 +226,6 @@ func (f *runFlags) load() (*artc.Benchmark, error) {
 	default:
 		return nil, fmt.Errorf("one of -bench or -magritte is required")
 	}
-}
-
-// resolveSliceProfile implements -slice-profile=auto: set the spec's
-// slice profile to the cached one for (benchmark, slice options) if it
-// exists, otherwise run one profiling replay of the static cut, persist
-// its profile, and use that. A corrupt cached profile falls back to the
-// static cut with a warning — the same contract as a corrupt benchmark
-// artifact, minus the recompute (the static cut is always safe). Mode
-// "off" and plans slicing leaves whole keep the static cut (nil).
-func (f *runFlags) resolveSliceProfile(b *artc.Benchmark) error {
-	switch f.sliceProfile {
-	case "", "off":
-		return nil
-	case "auto":
-	default:
-		return fmt.Errorf("unknown -slice-profile mode %q (want off or auto)", f.sliceProfile)
-	}
-	spec := &f.spec
-	if spec.SliceActions <= 0 {
-		return fmt.Errorf("-slice-profile=auto requires -slice-actions")
-	}
-	store := openStore(f.cacheDir, f.noCache)
-	var key string
-	if store != nil {
-		benchKey, err := artifact.KeyTrace(b.Trace, b.Snapshot, b.Modes)
-		if err != nil {
-			return err
-		}
-		key = artifact.ProfileKey(benchKey, spec.SliceActions, spec.SliceMax, spec.SliceDeviceSync)
-		sp, _, err := store.GetProfile(key)
-		switch {
-		case err == nil:
-			if !f.quiet {
-				fmt.Fprintf(os.Stderr, "artc: slice profile: hit key=%s atoms=%d pairs=%d\n",
-					key[:12], len(sp.Atoms), len(sp.Pairs))
-			}
-			spec.SliceProfile = sp
-			return nil
-		case errors.Is(err, artifact.ErrMiss):
-		default:
-			var ce *artifact.CorruptError
-			if errors.As(err, &ce) {
-				// The corrupt wording is load-bearing: CI greps for it.
-				fmt.Fprintf(os.Stderr, "artc: slice profile: corrupt entry detected and removed, falling back to static cut key=%s\n", key[:12])
-				return nil
-			}
-			return err
-		}
-	}
-	// Miss: profile the static cut once. Observability stays off — the
-	// coordinator's wait accounting is always on and is all the profile
-	// needs.
-	pspec := *spec
-	pspec.Options.Obs = nil
-	t0 := time.Now()
-	_, st, err := artc.Run(b, pspec)
-	if err != nil {
-		return fmt.Errorf("slice profiling replay: %w", err)
-	}
-	if st.Profile == nil {
-		return nil // nothing was sliced; nothing to re-cut
-	}
-	if !f.quiet {
-		fmt.Fprintf(os.Stderr, "artc: slice profile: miss, profiled static cut in %v (atoms=%d pairs=%d)\n",
-			time.Since(t0).Round(time.Millisecond), len(st.Profile.Atoms), len(st.Profile.Pairs))
-	}
-	if store != nil {
-		if _, err := store.PutProfile(key, st.Profile); err != nil {
-			fmt.Fprintf(os.Stderr, "artc: slice profile: store failed: %v\n", err)
-		}
-	}
-	spec.SliceProfile = st.Profile
-	return nil
 }
 
 // readBench reads a compiled benchmark in either encoding.
@@ -479,16 +405,13 @@ func replayCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := f.resolveSliceProfile(b); err != nil {
-		return err
-	}
 	rep, st, err := artc.Run(b, f.spec)
 	if err != nil {
 		return err
 	}
 	if st != nil {
-		fmt.Printf("sharded: components=%d clusters=%d cross-edges=%d largest=%d workers=%d sliced=%d synthetic=%d profiled=%v fingerprint=%016x\n",
-			st.Components, st.Clusters, st.CrossEdges, st.Largest, st.Shards, st.Sliced, st.Synthetic, st.Profiled, st.PlanFingerprint)
+		fmt.Printf("sharded: components=%d clusters=%d cross-edges=%d largest=%d workers=%d sliced=%d synthetic=%d fingerprint=%016x\n",
+			st.Components, st.Clusters, st.CrossEdges, st.Largest, st.Shards, st.Sliced, st.Synthetic, st.PlanFingerprint)
 		if c := rep.Coord; c != nil {
 			fmt.Printf("coord: cross-wait=%v published=%d flush-batches=%d max-batch=%d advances=%d parks=%d grants=%d host-blocked=%v\n",
 				time.Duration(c.CrossWaitNs), c.Published, c.FlushBatches, c.FlushMaxBatch,
@@ -553,9 +476,6 @@ func traceCmd(args []string) error {
 	rec := obs.NewRecorder(f.spanCap, 0)
 	f.spec.Options.Obs = rec
 	f.spec.Init = magritte.TargetInit(b, true)
-	if err := f.resolveSliceProfile(b); err != nil {
-		return err
-	}
 	rep, sst, err := artc.Run(b, f.spec)
 	if err != nil {
 		return err
@@ -576,7 +496,7 @@ func traceCmd(args []string) error {
 		fmt.Fprintf(os.Stderr, "replayed %d actions on %s in %v (virtual), errors=%d\n",
 			rep.Actions, f.spec.Target.Name, rep.Elapsed, rep.Errors)
 		if sst != nil {
-			fmt.Fprintf(os.Stderr, "sharded: profiled=%v fingerprint=%016x\n", sst.Profiled, sst.PlanFingerprint)
+			fmt.Fprintf(os.Stderr, "sharded: fingerprint=%016x\n", sst.PlanFingerprint)
 		}
 		fmt.Fprint(os.Stderr, rec.Summary())
 		fmt.Fprint(os.Stderr, rep.CriticalPath(b).Format(f.critHops))

@@ -100,12 +100,12 @@ func TestFlagsToRunSpec(t *testing.T) {
 
 // What the flags set besides the spec.
 func TestFlagsBesidesTheSpec(t *testing.T) {
-	f, err := parseTrace(strings.Fields("-magritte itunes_album1 -gen-scale 0.5 -gen-seed 9 -o out.json -quiet -no-samples -span-cap 64 -crit-hops 3 -slice-profile auto -shards 2 -slice-actions 10 -cache-dir /c -no-cache"))
+	f, err := parseTrace(strings.Fields("-magritte itunes_album1 -gen-scale 0.5 -gen-seed 9 -o out.json -quiet -no-samples -span-cap 64 -crit-hops 3 -shards 2 -slice-actions 10 -cache-dir /c -no-cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := runFlags{
-		spec: f.spec, target: "linux-ext4-ssd-noop", sliceProfile: "auto", cacheDir: "/c", noCache: true,
+		spec: f.spec, target: "linux-ext4-ssd-noop", cacheDir: "/c", noCache: true,
 		magritte: "itunes_album1", out: "out.json", genScale: 0.5, genSeed: 9,
 		quiet: true, noSamples: true, spanCap: 64, critHops: 3,
 	}
@@ -123,7 +123,7 @@ func TestFlagsBesidesTheSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.timeline || f.bench != "x.bench" || f.sliceProfile != "off" {
+	if !f.timeline || f.bench != "x.bench" {
 		t.Errorf("replay: got %+v", *f)
 	}
 }

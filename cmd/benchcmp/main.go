@@ -24,10 +24,9 @@ import (
 
 // gatedMetrics maps each gated perfstat field to its direction: true
 // means lower is better (times, allocs), false means higher is better
-// (throughputs). The speedup fields (shard_speedup, slice_speedup,
-// slice_profiled_speedup) are printed but not gated: each is a quotient
-// of two *_ns fields gated here, so a faster serial denominator would
-// read as a regression.
+// (throughputs). The speedup fields (shard_speedup, slice_speedup) are
+// printed but not gated: each is a quotient of two *_ns fields gated
+// here, so a faster serial denominator would read as a regression.
 var gatedMetrics = map[string]bool{
 	"replay_ns":                        true,
 	"replay_sharded_ns":                true,
@@ -42,7 +41,6 @@ var gatedMetrics = map[string]bool{
 	"kernel_completion_ns_per_op":      true,
 	"pipeline_replay_ns":               true,
 	"pipeline_sliced_ns":               true,
-	"slice_profiled_ns":                true,
 	"records_per_second":               false,
 	"parse_records_per_second":         false,
 	"parse_sharded_records_per_second": false,

@@ -81,24 +81,6 @@ type Stats struct {
 	PipelineCrossEdges int     `json:"pipeline_cross_edges"`
 	SliceSpeedup       float64 `json:"slice_speedup"`
 	PipelineGoMaxProcs int     `json:"pipeline_gomaxprocs"`
-	// Profile-guided re-slicing over the hot-stage pipeline variant
-	// (tracegen -family pipeline -hot-stage): one stage's private writes
-	// are several pages wide, a cost skew invisible to the static
-	// slicer's action-count balance but visible to a profiling replay's
-	// observed per-atom cost. Serial, static-cut sliced, and
-	// profile-guided re-cut wall times on the same corpus; the profiled
-	// run re-cuts with the profile the static sliced run emitted, so the
-	// delta between PipelineHotSlicedNs and SliceProfiledNs is what one
-	// profiled re-cut buys.
-	PipelineHotRecords       int     `json:"pipeline_hot_records"`
-	PipelineHotStage         int     `json:"pipeline_hot_stage"`
-	PipelineHotPages         int     `json:"pipeline_hot_pages"`
-	PipelineHotSlices        int     `json:"pipeline_hot_slices"`
-	PipelineHotReplayNs      int64   `json:"pipeline_hot_replay_ns"`
-	PipelineHotSlicedNs      int64   `json:"pipeline_hot_sliced_ns"`
-	PipelineHotStaticSpeedup float64 `json:"pipeline_hot_static_speedup"`
-	SliceProfiledNs          int64   `json:"slice_profiled_ns"`
-	SliceProfiledSpeedup     float64 `json:"slice_profiled_speedup"`
 	// Observability: wall time of an obs-instrumented replay (the delta
 	// against ReplayNs is the recorder's enabled-path overhead), recorded
 	// volumes, and the replay's critical path.
@@ -191,49 +173,6 @@ func measurePipeline(st *Stats, stages, ops, handoff, fsync, slices, procs int) 
 	}
 }
 
-// measurePipelineHot times serial, static-cut sliced, and
-// profile-guided sliced replays over the hot-stage pipeline variant.
-// The slice count is deliberately smaller than the stage count so the
-// static cut must co-locate the hot stage's atom with a cold one —
-// action counts are identical across stages, so the static slicer
-// cannot see the skew — and the profiled re-cut can isolate it.
-func measurePipelineHot(st *Stats, stages, ops, handoff, fsync, hotStage, hotPages, slices, procs int, fileMB int64) {
-	if procs > 0 {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	}
-	tr, snap, err := workload.SynthPipeline(workload.Pipeline{
-		Stages: stages, Ops: ops, Handoff: handoff, Fsync: fsync, FileBytes: fileMB << 20, Seed: 7,
-		HotStage: hotStage, HotPages: hotPages,
-	})
-	check("hot pipeline", err)
-	b, err := artc.Compile(tr, snap, core.DefaultModes())
-	check("hot pipeline compile", err)
-	st.PipelineHotRecords = len(tr.Records)
-	st.PipelineHotStage = hotStage
-	st.PipelineHotPages = hotPages
-	spec := artc.RunSpec{Target: magritte.DefaultSuiteOptions().Target}
-	_, _, st.PipelineHotReplayNs = timedRun("hot pipeline replay", b, spec)
-	spec.Shards = -1
-	spec.SliceActions = len(tr.Records)/slices + 1
-	spec.SliceDeviceSync = true
-	_, shst, ns := timedRun("hot pipeline sliced replay", b, spec)
-	st.PipelineHotSlicedNs = ns
-	st.PipelineHotSlices = shst.Components
-	if st.PipelineHotSlicedNs > 0 {
-		st.PipelineHotStaticSpeedup = float64(st.PipelineHotReplayNs) / float64(st.PipelineHotSlicedNs)
-	}
-	if shst.Profile == nil {
-		fmt.Fprintln(os.Stderr, "perfstat: hot pipeline sliced replay produced no profile; profiled metrics unset")
-		return
-	}
-
-	spec.SliceProfile = shst.Profile
-	_, _, st.SliceProfiledNs = timedRun("hot pipeline profiled replay", b, spec)
-	if st.SliceProfiledNs > 0 {
-		st.SliceProfiledSpeedup = float64(st.PipelineHotReplayNs) / float64(st.SliceProfiledNs)
-	}
-}
-
 // check ends the program on a failed step: a measurement with a hole in
 // it is not worth writing down.
 func check(what string, err error) {
@@ -278,11 +217,6 @@ func main() {
 	pipeFsync := flag.Int("pipeline-fsync", 2, "pipeline corpus fsync interval in private write sessions (0 disables fsync)")
 	pipeSlices := flag.Int("pipeline-slices", 8, "slice count for the sliced pipeline replay")
 	pipeProcs := flag.Int("pipeline-procs", 8, "GOMAXPROCS pinned for the pipeline serial/sliced comparison (0 inherits)")
-	pipeHotStage := flag.Int("pipeline-hot-stage", 2, "hot stage (1-based) for the profiled re-slicing comparison (0 skips it)")
-	pipeHotOps := flag.Int("pipeline-hot-ops", 3000, "hot pipeline corpus ops per stage")
-	pipeHotPages := flag.Int("pipeline-hot-pages", 512, "pages per private write on the hot stage")
-	pipeHotSlices := flag.Int("pipeline-hot-slices", 4, "slice count for the hot pipeline replays (fewer than stages, so the static cut must co-locate the hot atom)")
-	pipeHotFileMB := flag.Int64("pipeline-hot-filemb", 192, "hot pipeline corpus file size in MiB (caps the hot stage's resident footprint; large enough that cold stages never wrap and the hot atom carries most of the dirty pages written back)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this path")
 	flag.Parse()
@@ -495,10 +429,6 @@ func main() {
 	}
 	if *pipeOps > 0 {
 		measurePipeline(&st, *pipeStages, *pipeOps, *pipeHandoff, *pipeFsync, *pipeSlices, *pipeProcs)
-		if *pipeHotStage > 0 {
-			measurePipelineHot(&st, *pipeStages, *pipeHotOps, *pipeHandoff, *pipeFsync,
-				*pipeHotStage, *pipeHotPages, *pipeHotSlices, *pipeProcs, *pipeHotFileMB)
-		}
 	}
 
 	f, err := os.Create(*out)
@@ -528,13 +458,6 @@ func main() {
 		fmt.Printf("perfstat: pipeline corpus %d records / %d slices (%d cross edges, GOMAXPROCS=%d): serial %.0f ms, sliced %.0f ms (%.2fx)\n",
 			st.PipelineRecords, st.PipelineSlices, st.PipelineCrossEdges, st.PipelineGoMaxProcs,
 			float64(st.PipelineReplayNs)/1e6, float64(st.PipelineSlicedNs)/1e6, st.SliceSpeedup)
-	}
-	if st.PipelineHotRecords > 0 {
-		fmt.Printf("perfstat: hot pipeline corpus %d records (stage %d x%d pages) / %d slices: serial %.0f ms, static cut %.0f ms (%.2fx), profiled re-cut %.0f ms (%.2fx)\n",
-			st.PipelineHotRecords, st.PipelineHotStage, st.PipelineHotPages, st.PipelineHotSlices,
-			float64(st.PipelineHotReplayNs)/1e6,
-			float64(st.PipelineHotSlicedNs)/1e6, st.PipelineHotStaticSpeedup,
-			float64(st.SliceProfiledNs)/1e6, st.SliceProfiledSpeedup)
 	}
 	fmt.Printf("perfstat: kernel timer churn %.1f ns/op (%.0f allocs/op), sleep %.1f ns/op, ping-pong %.1f ns/op, completion %.1f ns/op\n",
 		st.KernelTimerChurnNsPerOp, st.KernelTimerChurnAllocsPerOp,

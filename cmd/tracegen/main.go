@@ -48,8 +48,6 @@ func main() {
 	stages := flag.Int("stages", 8, "stage threads for -family pipeline")
 	handoff := flag.Int("handoff", 16, "ops between boundary-file exchanges for -family pipeline")
 	fsync := flag.Int("fsync", 0, "fsync every Nth private write for -family pipeline (0 = fsync-free, the byte-identity shape)")
-	hotStage := flag.Int("hot-stage", 0, "for -family pipeline: skew this stage's (1-based) private writes to -hot-pages pages each, an unbalanced-cost shape for profile-guided re-slicing (0 = balanced)")
-	hotPages := flag.Int("hot-pages", 0, "pages per private write of the -hot-stage stage (0 = family default)")
 	fileMBFam := flag.Int64("family-file-mb", 0, "per-file size for -family pipeline (MiB; 0 = family default)")
 	out := flag.String("o", "out.trace", "output trace file")
 	snapOut := flag.String("snapshot", "out.snap", "output snapshot file")
@@ -59,13 +57,13 @@ func main() {
 	if *family != "" {
 		*wl = "family:" + *family
 	}
-	if err := run(*wl, *source, *threads, *ops, *fileMB, *records, *scale, *seed, *comps, *skew, *stages, *handoff, *fsync, *hotStage, *hotPages, *fileMBFam, *out, *snapOut, *format); err != nil {
+	if err := run(*wl, *source, *threads, *ops, *fileMB, *records, *scale, *seed, *comps, *skew, *stages, *handoff, *fsync, *fileMBFam, *out, *snapOut, *format); err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(wl, source string, threads, ops int, fileMB int64, records int, scale float64, seed int64, comps int, skew float64, stages, handoff, fsync, hotStage, hotPages int, fileMBFam int64, out, snapOut, format string) error {
+func run(wl, source string, threads, ops int, fileMB int64, records int, scale float64, seed int64, comps int, skew float64, stages, handoff, fsync int, fileMBFam int64, out, snapOut, format string) error {
 	var tr *trace.Trace
 	var snap *snapshot.Snapshot
 	var elapsed time.Duration
@@ -80,7 +78,6 @@ func run(wl, source string, threads, ops int, fileMB int64, records int, scale f
 		case "pipeline":
 			tr, snap, err = workload.SynthPipeline(workload.Pipeline{
 				Stages: stages, Ops: ops, Handoff: handoff, Fsync: fsync,
-				HotStage: hotStage, HotPages: hotPages,
 				FileBytes: fileMBFam << 20, Seed: seed,
 			})
 		default:

@@ -124,7 +124,7 @@ type Report struct {
 	// Coord holds the clock-exchange coordinator's wait accounting for
 	// sharded replays (nil for serial replays or cross-edge-free plans).
 	// Excluded from JSON so sharded exports stay byte-identical to
-	// serial ones; the deterministic parts feed shard.SliceProfile.
+	// serial ones.
 	Coord *CoordStats `json:"-"`
 
 	// graph retains the enforced dependency graph for post-hoc analysis
@@ -598,8 +598,10 @@ func (rs *replayState) buildStall(trigger string) *StallReport {
 	return s
 }
 
-// finish assembles the report after the simulation has run.
-func (rs *replayState) finish() (*Report, error) {
+// finishSub tears down the replay machinery after the simulation has
+// run and reports a stall. It is all a member of a sharded replay does:
+// the merge reads the raw state instead of a report.
+func (rs *replayState) finishSub() error {
 	if rs.watchdog != nil {
 		rs.watchdog.Stop()
 		rs.watchdog = nil
@@ -609,7 +611,15 @@ func (rs *replayState) finish() (*Report, error) {
 		rs.obsDetach = nil
 	}
 	if rs.stall != nil {
-		return nil, rs.stall
+		return rs.stall
+	}
+	return nil
+}
+
+// finish assembles the serial replay's report.
+func (rs *replayState) finish() (*Report, error) {
+	if err := rs.finishSub(); err != nil {
+		return nil, err
 	}
 	rs.finishReport()
 	if rs.opts.SelfCheck {

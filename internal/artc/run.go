@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rootreplay/internal/fault"
-	"rootreplay/internal/shard"
 	"rootreplay/internal/sim"
 	"rootreplay/internal/stack"
 )
@@ -39,12 +38,11 @@ type RunSpec struct {
 	// Fault, when non-nil, gives every machine its own injector built
 	// from this plan, wired into both the device stack and the replayer.
 	Fault *fault.Plan
-	// SliceActions, SliceMax, SliceDeviceSync and SliceProfile are
-	// ShardOptions' slicing fields; they require Shards != 0.
+	// SliceActions, SliceMax and SliceDeviceSync are ShardOptions'
+	// slicing fields; they require Shards != 0.
 	SliceActions    int
 	SliceMax        int
 	SliceDeviceSync bool
-	SliceProfile    *shard.SliceProfile
 }
 
 // ErrInit marks a Run failure that happened while initializing a target
@@ -58,7 +56,7 @@ func (spec *RunSpec) Validate() error {
 	if spec.Options.Fault != nil {
 		return errors.New("artc: RunSpec takes a fault plan in Fault, not an injector in Options.Fault")
 	}
-	if spec.Shards == 0 && (spec.SliceActions != 0 || spec.SliceMax != 0 || spec.SliceDeviceSync || spec.SliceProfile != nil) {
+	if spec.Shards == 0 && (spec.SliceActions != 0 || spec.SliceMax != 0 || spec.SliceDeviceSync) {
 		return errors.New("artc: slice options require Shards != 0 (the serial replayer does not slice)")
 	}
 	return nil
@@ -120,6 +118,5 @@ func Run(b *Benchmark, spec RunSpec) (*Report, *ShardStats, error) {
 		SliceActions:    spec.SliceActions,
 		SliceMax:        spec.SliceMax,
 		SliceDeviceSync: spec.SliceDeviceSync,
-		SliceProfile:    spec.SliceProfile,
 	})
 }

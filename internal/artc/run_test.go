@@ -12,7 +12,6 @@ import (
 	"rootreplay/internal/fault"
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
-	"rootreplay/internal/shard"
 	"rootreplay/internal/sim"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/workload"
@@ -28,11 +27,10 @@ func TestRunSpecValidate(t *testing.T) {
 		{"serial, warm, fault plan", artc.RunSpec{Warm: true, Fault: &fault.Plan{}}, ""},
 		{"sharded", artc.RunSpec{Shards: 4}, ""},
 		{"GOMAXPROCS workers, every slice option", artc.RunSpec{Shards: -1, SliceActions: 500, SliceMax: 4,
-			SliceDeviceSync: true, SliceProfile: &shard.SliceProfile{}}, ""},
+			SliceDeviceSync: true}, ""},
 		{"slice-actions without shards", artc.RunSpec{SliceActions: 500}, "slice options require Shards"},
 		{"slice-max without shards", artc.RunSpec{SliceMax: 4}, "slice options require Shards"},
 		{"slice-device-sync without shards", artc.RunSpec{SliceDeviceSync: true}, "slice options require Shards"},
-		{"slice profile without shards", artc.RunSpec{SliceProfile: &shard.SliceProfile{}}, "slice options require Shards"},
 		{"injector instead of plan", artc.RunSpec{Options: artc.Options{Fault: fault.New(fault.Plan{})}}, "fault plan in Fault"},
 		{"injector instead of plan, sharded", artc.RunSpec{Shards: 2, Options: artc.Options{Fault: fault.New(fault.Plan{})}}, "fault plan in Fault"},
 	}

@@ -63,13 +63,6 @@ type ShardOptions struct {
 	// longer byte-identical to serial Replay; perf measurements opt in,
 	// differential tests must not.
 	SliceDeviceSync bool
-	// SliceProfile, when non-nil, feeds a prior replay's observed
-	// per-atom-pair wait/traffic weights into the slicer
-	// (shard.SliceOptions.Profile): the cut is re-run with observed
-	// cross-edge wait cost in place of the static structural proxy. The
-	// plan — and therefore the replay — stays a pure function of
-	// (trace, options, profile).
-	SliceProfile *shard.SliceProfile
 }
 
 // ShardStats summarizes the partition a sharded replay executed.
@@ -90,30 +83,18 @@ type ShardStats struct {
 	// Synthetic the program-order edges the splits created.
 	Sliced    int
 	Synthetic int
-	// Profiled reports whether the plan was cut from a slice profile;
 	// PlanFingerprint identifies the executed partition (component
-	// membership + cross edges), so callers can tell a profiled re-cut
-	// actually moved the cut.
-	Profiled        bool
+	// membership + cross edges).
 	PlanFingerprint uint64
-	// Profile is the slice profile built from this replay's coordinator
-	// measurements — per-atom virtual cost and per-atom-pair cross-edge
-	// wait/traffic — nil when the plan was not sliced. Feeding it back
-	// through ShardOptions.SliceProfile re-cuts adaptively.
-	Profile *shard.SliceProfile
 }
 
 // CoordStats aggregates the clock-exchange coordinator's accounting
 // across a sharded replay's clusters. The virtual quantities (cross
 // wait, publishes) are deterministic; BlockedNs is host wall time and
-// is reported for humans only — it never feeds the profile.
+// is reported for humans only.
 type CoordStats struct {
-	// EdgeWaitNs and EdgePublished are indexed by the plan's cross-edge
-	// list: virtual nanoseconds the destination action waited on each
-	// edge, and whether the edge published (0 or 1).
-	EdgeWaitNs    []int64
-	EdgePublished []int64
-	// CrossWaitNs sums EdgeWaitNs; Published sums EdgePublished.
+	// CrossWaitNs is the virtual time destination actions waited on
+	// cross edges; Published counts the cross edges that published.
 	CrossWaitNs int64
 	Published   int64
 	// FlushBatches counts non-empty epoch publication flushes;
@@ -167,8 +148,9 @@ type subState struct {
 	// component with no cross edges) and its kernel's pacer.
 	h *coord.Member
 	// crossWaitNs accumulates the member's virtual cross-edge wait time
-	// (written and read only on the member's kernel goroutine; the obs
-	// CounterCrossWait probe samples it from the same goroutine).
+	// (written on the member's kernel goroutine, where the obs
+	// CounterCrossWait probe samples it; collectCoordStats reads it once
+	// every member has returned).
 	crossWaitNs int64
 }
 
@@ -418,23 +400,6 @@ func buildOneShard(b *Benchmark, g *core.Graph, plan *shard.Plan, comp int32,
 	}
 }
 
-// finishSub tears down one component's replay machinery without
-// assembling a full report; the merge reads the raw state instead.
-func (rs *replayState) finishSub() error {
-	if rs.watchdog != nil {
-		rs.watchdog.Stop()
-		rs.watchdog = nil
-	}
-	if rs.obsDetach != nil {
-		rs.obsDetach()
-		rs.obsDetach = nil
-	}
-	if rs.stall != nil {
-		return rs.stall
-	}
-	return nil
-}
-
 // runMember builds one component's replica system, replays the
 // component on it, and leaves the raw state on cs for the merge. It runs
 // on a goroutine of runCluster's or the worker pool's, where a panic
@@ -507,19 +472,12 @@ func runMember(cs *compiledShard, opts Options, so ShardOptions, cl *coord.Clust
 	return nil
 }
 
-// clusterStats is what one coordinated cluster leaves for
-// collectCoordStats: the coordinator's accounting and, per coordinator
-// edge, the edge's index in the plan's Cross list.
-type clusterStats struct {
-	cross []int32
-	st    coord.Stats
-}
-
 // runCluster replays one cluster: a single component directly, or a
 // cross-connected group under a clock-exchange coordinator
 // (internal/coord), whose members are the cluster's components in order
-// and whose edges are the plan's cross edges among them.
-func runCluster(shards []*compiledShard, cluster []int32, opts Options, so ShardOptions, out *clusterStats) error {
+// and whose edges are the plan's cross edges among them. It leaves the
+// coordinator's accounting in out.
+func runCluster(shards []*compiledShard, cluster []int32, opts Options, so ShardOptions, out *coord.Stats) error {
 	if len(cluster) == 1 {
 		return runMember(shards[cluster[0]], opts, so, nil, 0)
 	}
@@ -528,10 +486,9 @@ func runCluster(shards []*compiledShard, cluster []int32, opts Options, so Shard
 		memberOf[comp] = mi
 	}
 	var edges []coord.Edge
-	for ci, ce := range shards[cluster[0]].sub.plan.Cross {
+	for _, ce := range shards[cluster[0]].sub.plan.Cross {
 		if dst, ok := memberOf[ce.To]; ok {
 			edges = append(edges, coord.Edge{ID: ce.Edge, Src: memberOf[ce.From], Dst: dst})
-			out.cross = append(out.cross, int32(ci))
 		}
 	}
 	cl := coord.New(len(cluster), edges)
@@ -562,7 +519,7 @@ func runCluster(shards []*compiledShard, cluster []int32, opts Options, so Shard
 	if cl.Deadlocked() {
 		return crossStall(shards, cluster)
 	}
-	out.st = cl.Stats()
+	*out = cl.Stats()
 	return nil
 }
 
@@ -627,7 +584,6 @@ func ReplaySharded(b *Benchmark, opts Options, so ShardOptions) (*Report, *Shard
 		plan = shard.Slice(b.Analysis, g, plan, shard.SliceOptions{
 			MaxActions: so.SliceActions, MaxSlices: so.SliceMax,
 			AllowDeviceSync: so.SliceDeviceSync,
-			Profile:         so.SliceProfile,
 		})
 	}
 	clusters := plan.Clusters()
@@ -644,11 +600,10 @@ func ReplaySharded(b *Benchmark, opts Options, so ShardOptions) (*Report, *Shard
 		Shards:          workers,
 		Sliced:          pst.Sliced,
 		Synthetic:       pst.Synthetic,
-		Profiled:        so.SliceProfile != nil && plan.Sliced(),
 		PlanFingerprint: plan.Fingerprint(),
 	}
 	shards := buildShards(b, g, plan, opts.Obs != nil)
-	perCluster := make([]clusterStats, len(clusters))
+	perCluster := make([]coord.Stats, len(clusters))
 	if err := par.ForEachN(len(clusters), workers, func(ci int) error {
 		return runCluster(shards, clusters[ci], opts, so, &perCluster[ci])
 	}); err != nil {
@@ -658,40 +613,33 @@ func ReplaySharded(b *Benchmark, opts Options, so ShardOptions) (*Report, *Shard
 	if err != nil {
 		return nil, stats, err
 	}
-	rep.Coord = collectCoordStats(plan, perCluster)
-	if plan.Sliced() && rep.Coord != nil {
-		stats.Profile = shard.BuildProfile(b.Analysis, g, plan,
-			rep.Coord.EdgeWaitNs, rep.Coord.EdgePublished, rep.IssueAt, rep.DoneAt)
-	}
+	rep.Coord = collectCoordStats(plan, shards, perCluster)
 	return rep, stats, nil
 }
 
-// collectCoordStats folds the clusters' coordinator accounting into
-// plan-cross-edge-indexed totals. Returns nil when the plan has no cross
-// edges.
-func collectCoordStats(plan *shard.Plan, perCluster []clusterStats) *CoordStats {
+// collectCoordStats sums the members' virtual cross-edge waits and the
+// clusters' coordinator accounting. Returns nil when the plan has no
+// cross edges.
+func collectCoordStats(plan *shard.Plan, shards []*compiledShard, perCluster []coord.Stats) *CoordStats {
 	if len(plan.Cross) == 0 {
 		return nil
 	}
-	cst := &CoordStats{
-		EdgeWaitNs:    make([]int64, len(plan.Cross)),
-		EdgePublished: make([]int64, len(plan.Cross)),
+	cst := &CoordStats{}
+	for _, cs := range shards {
+		cst.CrossWaitNs += cs.sub.crossWaitNs
 	}
-	for _, cs := range perCluster {
-		for i, ci := range cs.cross {
-			cst.EdgeWaitNs[ci] += cs.st.EdgeWaitNs[i]
-			cst.CrossWaitNs += cs.st.EdgeWaitNs[i]
-			if cs.st.EdgePublished[i] {
-				cst.EdgePublished[ci]++
+	for _, st := range perCluster {
+		for _, pub := range st.EdgePublished {
+			if pub {
 				cst.Published++
 			}
 		}
-		cst.FlushBatches += cs.st.FlushBatches
-		cst.FlushMaxBatch = max(cst.FlushMaxBatch, cs.st.FlushMaxBatch)
-		cst.Advances += cs.st.Advances
-		cst.Parks += cs.st.Parks
-		cst.Grants += cs.st.Grants
-		cst.BlockedNs += cs.st.BlockedNs
+		cst.FlushBatches += st.FlushBatches
+		cst.FlushMaxBatch = max(cst.FlushMaxBatch, st.FlushMaxBatch)
+		cst.Advances += st.Advances
+		cst.Parks += st.Parks
+		cst.Grants += st.Grants
+		cst.BlockedNs += st.BlockedNs
 	}
 	return cst
 }
@@ -732,16 +680,10 @@ func mergeReports(b *Benchmark, g *core.Graph, shards []*compiledShard, opts Opt
 			samples = append(samples, mergedSample{at: rs.sampleAt[si], comp: cs.comp, text: text})
 		}
 		if rs.inj != nil {
-			st := rs.inj.Stats()
 			if fstats == nil {
 				fstats = &fault.Stats{}
 			}
-			fstats.SyscallInjected += st.SyscallInjected
-			fstats.Retries += st.Retries
-			fstats.Recovered += st.Recovered
-			fstats.Skipped += st.Skipped
-			fstats.StorageErrors += st.StorageErrors
-			fstats.StorageSlow += st.StorageSlow
+			fstats.Add(rs.inj.Stats())
 		}
 	}
 	var last time.Duration

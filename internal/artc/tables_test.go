@@ -244,7 +244,7 @@ func TestTablesMatchMapOracle(t *testing.T) {
 				t.Fatal("serial export differs from the oracle's")
 			}
 
-			var profile []byte
+			var wait *[2]int64 // virtual cross-edge wait and publications
 			for _, shards := range []int{2, 4} {
 				rec := obs.NewRecorder(len(c.b.Trace.Records), 0)
 				warm := c.warm
@@ -277,16 +277,16 @@ func TestTablesMatchMapOracle(t *testing.T) {
 						t.Fatalf("shards=%d: export differs from the oracle's", shards)
 					}
 				}
-				if st.Profile != nil {
-					enc := st.Profile.Encode()
-					if profile != nil && !bytes.Equal(enc, profile) {
-						t.Fatalf("shards=%d: slice profile bytes differ across shard counts", shards)
+				if got.Coord != nil {
+					w := [2]int64{got.Coord.CrossWaitNs, got.Coord.Published}
+					if wait != nil && w != *wait {
+						t.Fatalf("shards=%d: cross-edge wait accounting %v differs across shard counts (%v)", shards, w, *wait)
 					}
-					profile = enc
+					wait = &w
 				}
 			}
-			if c.slice > 0 && profile == nil {
-				t.Fatal("sliced corpus produced no wait profile")
+			if c.slice > 0 && wait == nil {
+				t.Fatal("sliced corpus produced no cross-edge wait accounting")
 			}
 		})
 	}

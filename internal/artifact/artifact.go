@@ -206,16 +206,10 @@ func (s *Store) Put(key string, b *artc.Benchmark) (int64, error) {
 	return int64(buf.Len()), nil
 }
 
-// isEntry reports whether a cache file is a live store entry — a
-// compiled benchmark or a slice profile — as opposed to an abandoned
-// temp file.
-func isEntry(p string) bool {
-	switch filepath.Ext(p) {
-	case ".artc", ".sliceprof":
-		return true
-	}
-	return false
-}
+// isEntry reports whether a cache file is a live store entry, as
+// opposed to an abandoned file: a temp file a writer never renamed, or
+// an entry kind only an older build knew.
+func isEntry(p string) bool { return filepath.Ext(p) == ".artc" }
 
 // entry is one cache file seen by the evictor.
 type entry struct {
@@ -225,7 +219,7 @@ type entry struct {
 }
 
 // evict removes least-recently-used entries until the store fits
-// maxBytes. Stray temp files older than an hour are cleaned up too.
+// maxBytes. Abandoned files older than an hour are cleaned up too.
 func (s *Store) evict() error {
 	var entries []entry
 	var total int64
@@ -239,7 +233,7 @@ func (s *Store) evict() error {
 		}
 		if !isEntry(p) {
 			if time.Since(info.ModTime()) > time.Hour {
-				os.Remove(p) // abandoned temp file
+				os.Remove(p) // abandoned
 			}
 			return nil
 		}

@@ -206,24 +206,55 @@ func TestEvictionLRU(t *testing.T) {
 	}
 }
 
+// Files that are not entries — a temp file no writer renamed, a
+// *.sliceprof entry left by a build that still had slice profiles — are
+// not counted, do not disturb Open, Get or Put, and are swept by the
+// next eviction walk once they are older than an hour.
 func TestStaleTempFilesCleaned(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, 1) // tiny cap forces evict() to walk
-	if err != nil {
-		t.Fatal(err)
+	key := Key([]byte("x"), nil, "linux", core.DefaultModes())
+	b := mustCompile(t, genBench(t))
+	cases := []struct {
+		name  string
+		path  string // relative to the store
+		age   time.Duration
+		swept bool
+	}{
+		{"abandoned temp file", ".put-stale", 2 * time.Hour, true},
+		{"old slice profile beside its benchmark", filepath.Join(key[:2], key+".sliceprof"), 2 * time.Hour, true},
+		{"slice profile under an hour old", filepath.Join("ab", "ab12.sliceprof"), time.Minute, false},
 	}
-	stale := filepath.Join(dir, ".put-stale")
-	if err := os.WriteFile(stale, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	old := time.Now().Add(-2 * time.Hour)
-	os.Chtimes(stale, old, old)
-	gen := genBench(t)
-	if _, err := s.Put(Key([]byte("x"), nil, "linux", core.DefaultModes()), mustCompile(t, gen)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("stale temp file not cleaned")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			planted := filepath.Join(dir, tc.path)
+			if err := os.MkdirAll(filepath.Dir(planted), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(planted, []byte("junk"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			old := time.Now().Add(-tc.age)
+			if err := os.Chtimes(planted, old, old); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir, 1) // tiny cap: every Put walks and evicts
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, size, err := s.Len(); err != nil || n != 0 || size != 0 {
+				t.Fatalf("Len = %d entries, %d bytes, %v; the planted file is not an entry", n, size, err)
+			}
+			if _, _, err := s.Get(key); err != ErrMiss {
+				t.Fatalf("Get beside the planted file: %v, want ErrMiss", err)
+			}
+			if _, err := s.Put(key, b); err != nil {
+				t.Fatal(err)
+			}
+			_, err = os.Stat(planted)
+			if swept := errors.Is(err, os.ErrNotExist); swept != tc.swept {
+				t.Fatalf("after Put: swept = %v (%v), want %v", swept, err, tc.swept)
+			}
+		})
 	}
 }
 

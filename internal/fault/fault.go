@@ -199,6 +199,17 @@ type Stats struct {
 	StorageSlow int64
 }
 
+// Add folds another injector's counters into s: a sharded replay has
+// one injector per replica and reports their sum.
+func (s *Stats) Add(o Stats) {
+	s.SyscallInjected += o.SyscallInjected
+	s.Retries += o.Retries
+	s.Recovered += o.Recovered
+	s.Skipped += o.Skipped
+	s.StorageErrors += o.StorageErrors
+	s.StorageSlow += o.StorageSlow
+}
+
 // String renders the counters compactly for logs and chaos tables.
 func (s Stats) String() string {
 	return fmt.Sprintf("syscall=%d retries=%d recovered=%d skipped=%d dev-err=%d dev-slow=%d",

@@ -47,13 +47,6 @@ type SliceOptions struct {
 	// its virtual times are those of the per-slice devices. Perf corpora
 	// opt in; differential corpora must not.
 	AllowDeviceSync bool
-	// Profile, when set, switches the cut to profile-guided mode: the
-	// static thread-adjacency+program-order edge counts are blended with
-	// the profile's observed per-atom-pair virtual wait (microseconds)
-	// and publish counts, and the balance constraint bounds per-slice
-	// observed atom cost instead of action count. The emitted plan is
-	// still a pure function of (trace, options, profile).
-	Profile *SliceProfile
 }
 
 // balanceSlack is the allowed overshoot of a slice's action count over
@@ -108,13 +101,6 @@ func Slice(an *core.Analysis, g *core.Graph, p *Plan, opt SliceOptions) *Plan {
 		lastOfTID[tid] = int32(i)
 	}
 
-	// Profile lookups, keyed by atom min-action-index. Built once; each
-	// component resolves its own atoms against them.
-	var prof *profLookup
-	if opt.Profile != nil {
-		prof = newProfLookup(opt.Profile)
-	}
-
 	// sliceOf[i] is action i's slice within its component (0 for
 	// components kept whole).
 	sliceOf := make([]int32, n)
@@ -126,7 +112,7 @@ func Slice(an *core.Analysis, g *core.Graph, p *Plan, opt SliceOptions) *Plan {
 		if !opt.AllowDeviceSync && hasDeviceSync(an, members) {
 			continue
 		}
-		if sliceComponent(members, au, g, threadPrev, p.CompOf, opt, prof, sliceOf) {
+		if sliceComponent(members, au, g, threadPrev, p.CompOf, opt, sliceOf) {
 			split = true
 		}
 	}
@@ -207,42 +193,15 @@ func hasDeviceSync(an *core.Analysis, members []int32) bool {
 	return false
 }
 
-// profLookup indexes a SliceProfile by atom min-action-index key.
-type profLookup struct {
-	cost  map[int32]int64    // atom key -> observed CostNs
-	pairW map[[2]int32]int64 // (a,b) keys, a<b -> blended extra weight
-}
-
-// newProfLookup converts profile entries into cut-cost units: a pair's
-// extra affinity is its observed virtual wait in microseconds plus its
-// publish count, so re-cutting an edge that stalled the downstream
-// slice is penalized in proportion to the stall it caused.
-func newProfLookup(p *SliceProfile) *profLookup {
-	l := &profLookup{
-		cost:  make(map[int32]int64, len(p.Atoms)),
-		pairW: make(map[[2]int32]int64, len(p.Pairs)),
-	}
-	for _, a := range p.Atoms {
-		l.cost[a.Atom] = a.CostNs
-	}
-	for _, pr := range p.Pairs {
-		l.pairW[[2]int32{pr.A, pr.B}] = pr.WaitNs/1000 + pr.Publishes
-	}
-	return l
-}
-
 // sliceComponent partitions one oversized component's atoms into
 // balanced slices minimizing the ordering cut, writing each member's
 // slice into sliceOf. Reports whether the component was actually split.
 func sliceComponent(members []int32, au *uf, g *core.Graph, threadPrev []int32,
-	compOf []int32, opt SliceOptions, prof *profLookup, sliceOf []int32) bool {
+	compOf []int32, opt SliceOptions, sliceOf []int32) bool {
 	// Dense atom ids in first-occurrence (== smallest action) order.
-	// Because members ascend, an atom's first occurrence is its smallest
-	// action index — the key profiles name atoms by (atomKey).
 	atomID := make(map[int32]int32)
 	atomOf := make(map[int32]int32, len(members)) // action -> dense atom
-	var atomSize []int32
-	var atomKey []int32
+	var atomSize []int64
 	for _, a := range members {
 		r := au.find(a)
 		id, ok := atomID[r]
@@ -250,7 +209,6 @@ func sliceComponent(members []int32, au *uf, g *core.Graph, threadPrev []int32,
 			id = int32(len(atomSize))
 			atomID[r] = id
 			atomSize = append(atomSize, 0)
-			atomKey = append(atomKey, a)
 		}
 		atomOf[a] = id
 		atomSize[id]++
@@ -300,35 +258,6 @@ func sliceComponent(members []int32, au *uf, g *core.Graph, threadPrev []int32,
 		}
 		addW(atomOf[int32(e.From)], atomOf[int32(e.To)])
 	}
-	// Profile-guided mode: (1) pairs that stalled the profiling run gain
-	// affinity proportional to the observed wait, so refinement pulls
-	// them onto one slice and routes the cut through quiet edges
-	// instead; (2) balance switches from action counts to observed atom
-	// cost, so a slice full of cheap actions can absorb more of them
-	// while a hot atom's slice stays small. Pairs the profile never saw
-	// keep their static edge-count weight.
-	atomCost := make([]int64, na)
-	for a := int32(0); a < int32(na); a++ {
-		atomCost[a] = int64(atomSize[a])
-	}
-	if prof != nil {
-		for a := int32(0); a < int32(na); a++ {
-			if c, ok := prof.cost[atomKey[a]]; ok && c > 0 {
-				// Keep the action count as a floor so zero-cost atoms
-				// still weigh something and ties stay stable.
-				atomCost[a] = c + int64(atomSize[a])
-			}
-		}
-		for k := range weight {
-			ka, kb := atomKey[k.a], atomKey[k.b]
-			if ka > kb {
-				ka, kb = kb, ka
-			}
-			if extra, ok := prof.pairW[[2]int32{ka, kb}]; ok {
-				weight[k] += extra
-			}
-		}
-	}
 	// Adjacency lists in deterministic neighbor order.
 	type nbr struct {
 		atom int32
@@ -351,9 +280,8 @@ func sliceComponent(members []int32, au *uf, g *core.Graph, threadPrev []int32,
 		adj[p.b] = append(adj[p.b], nbr{atom: p.a, w: w})
 	}
 
-	// Seed: costliest atoms first onto the lightest slice (ties to the
-	// lowest index on both sides). atomCost equals the action count in
-	// static mode, so the profile-off seeding is unchanged.
+	// Seed: largest atoms first onto the lightest slice (ties to the
+	// lowest index on both sides).
 	order := make([]int32, na)
 	for i := range order {
 		order[i] = int32(i)
@@ -361,7 +289,7 @@ func sliceComponent(members []int32, au *uf, g *core.Graph, threadPrev []int32,
 	for i := 1; i < na; i++ { // insertion sort: stable, deterministic
 		for j := i; j > 0; j-- {
 			a, b := order[j-1], order[j]
-			if atomCost[a] > atomCost[b] || (atomCost[a] == atomCost[b] && a < b) {
+			if atomSize[a] > atomSize[b] || (atomSize[a] == atomSize[b] && a < b) {
 				break
 			}
 			order[j-1], order[j] = b, a
@@ -377,16 +305,12 @@ func sliceComponent(members []int32, au *uf, g *core.Graph, threadPrev []int32,
 			}
 		}
 		assign[a] = int32(best)
-		load[best] += atomCost[a]
+		load[best] += atomSize[a]
 	}
 
 	// KL-style refinement: move atoms toward their neighbors while the
 	// cut shrinks and the balance bound holds.
-	var total int64
-	for _, c := range atomCost {
-		total += c
-	}
-	limit := int64(float64(total)/float64(k)*(1+balanceSlack)) + 1
+	limit := int64(float64(len(members))/float64(k)*(1+balanceSlack)) + 1
 	gainTo := make([]int64, k)
 	for pass := 0; pass < refinePasses; pass++ {
 		moved := false
@@ -408,7 +332,7 @@ func sliceComponent(members []int32, au *uf, g *core.Graph, threadPrev []int32,
 			// bestGain to displace an earlier one.
 			best, bestGain := cur, int64(0)
 			for s := int32(0); s < int32(k); s++ {
-				if s == cur || load[s]+atomCost[a] > limit {
+				if s == cur || load[s]+atomSize[a] > limit {
 					continue
 				}
 				if gain := gainTo[s] - gainTo[cur]; gain > bestGain {
@@ -416,8 +340,8 @@ func sliceComponent(members []int32, au *uf, g *core.Graph, threadPrev []int32,
 				}
 			}
 			if best != cur {
-				load[cur] -= atomCost[a]
-				load[best] += atomCost[a]
+				load[cur] -= atomSize[a]
+				load[best] += atomSize[a]
 				assign[a] = best
 				moved = true
 			}

@@ -58,23 +58,6 @@ type Pipeline struct {
 	Fsync int
 	// Seed drives the per-stage op mix.
 	Seed int64
-	// HotStage, when in [1, Stages], skews that stage's private writes
-	// to HotPages pages each instead of one, striding by the write
-	// width so the hot stage's dirty footprint grows HotPages times
-	// faster than its peers'. Record counts, the offsets' rng
-	// consumption, and the op mix are unchanged — only Size and the
-	// offset stride differ — so the trace shape is identical and
-	// HotStage=0 output is byte-for-byte the unskewed family. The skew
-	// is invisible to action-count balancing (the static slicer's
-	// proxy) but not to virtual time: wide writes cost cache time per
-	// page and their fsyncs write back HotPages times the data, so the
-	// hot stage's atom carries several times the virtual cost of its
-	// peers — the intentionally unbalanced cut the profile-guided
-	// re-slicer exists to fix. 1-based (stage s is traced TID s).
-	HotStage int
-	// HotPages is the hot stage's pages per private write (default 4
-	// when HotStage is set).
-	HotPages int
 }
 
 func (p *Pipeline) withDefaults() Pipeline {
@@ -90,9 +73,6 @@ func (p *Pipeline) withDefaults() Pipeline {
 	}
 	if out.FileBytes <= 0 {
 		out.FileBytes = 256 << 10
-	}
-	if out.HotStage > 0 && out.HotPages <= 0 {
-		out.HotPages = 4
 	}
 	return out
 }
@@ -175,20 +155,10 @@ func SynthPipeline(params Pipeline) (*trace.Trace, *snapshot.Snapshot, error) {
 			}
 			f := priv[st][rng.Intn(2)]
 			if written == 0 || rng.Intn(3) != 0 { // 2:1 write:read mix
-				// The hot stage writes wider, not more: same records, same
-				// rng draws, several pages per pwrite, clamped in-bounds.
-				pages := int64(1)
-				if p.HotStage == st+1 {
-					pages = int64(p.HotPages)
-					if pages > blocks {
-						pages = blocks
-					}
-				}
-				starts := blocks - pages + 1
-				off := ((written * pages) % starts) * 4096
+				off := (written % blocks) * 4096
 				written++
 				g.emit(trace.Record{Call: "open", Path: f, Flags: trace.ORdwr, FD: fdPriv, Ret: fdPriv})
-				g.emit(trace.Record{Call: "pwrite", FD: fdPriv, Offset: off, Size: pages * 4096, Ret: pages * 4096})
+				g.emit(trace.Record{Call: "pwrite", FD: fdPriv, Offset: off, Size: 4096, Ret: 4096})
 				if p.Fsync > 0 && written%int64(p.Fsync) == 0 {
 					g.emit(trace.Record{Call: "fsync", FD: fdPriv, Ret: 0})
 				}

@@ -62,104 +62,6 @@ func TestPipelineFamilyDeterministic(t *testing.T) {
 	}
 }
 
-// The hot-stage knob must change only the skewed stage's write widths
-// and offsets: record counts, thread structure, and the op mix are
-// those of the unskewed family, and HotStage=0 is byte-for-byte the
-// unskewed output (the knob defaults to off everywhere).
-func TestPipelineFamilyHotStageShape(t *testing.T) {
-	enc := func(p workload.Pipeline) ([]byte, int) {
-		tr, _, err := workload.SynthPipeline(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes(), len(tr.Records)
-	}
-	base := workload.Pipeline{Stages: 4, Ops: 200, Handoff: 16, Seed: 11}
-	cold, coldN := enc(base)
-	zero := base
-	zero.HotStage = 0
-	if got, _ := enc(zero); !bytes.Equal(got, cold) {
-		t.Fatal("HotStage=0 output differs from the unskewed family")
-	}
-	hot := base
-	hot.HotStage = 2
-	hot.HotPages = 4
-	hotBytes, hotN := enc(hot)
-	if hotN != coldN {
-		t.Fatalf("hot family has %d records, unskewed %d; the skew must not add records", hotN, coldN)
-	}
-	if bytes.Equal(hotBytes, cold) {
-		t.Fatal("HotStage=2 output is identical to the unskewed family; the skew is missing")
-	}
-	// Only the hot stage's records may differ.
-	trHot, _, err := workload.SynthPipeline(hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trCold, _, err := workload.SynthPipeline(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range trCold.Records {
-		c, h := trCold.Records[i], trHot.Records[i]
-		if c.TID != h.TID || c.Call != h.Call || c.Start != h.Start {
-			t.Fatalf("record %d: structure differs (%s tid=%d vs %s tid=%d)", i, c.Call, c.TID, h.Call, h.TID)
-		}
-		if c.TID != 2 && (c.Size != h.Size || c.Offset != h.Offset) {
-			t.Fatalf("record %d: cold stage tid=%d skewed (%d@%d vs %d@%d)",
-				i, c.TID, c.Size, c.Offset, h.Size, h.Offset)
-		}
-	}
-}
-
-// Hot generation is a pure function of the parameters, like the
-// unskewed family.
-func TestPipelineFamilyHotDeterministic(t *testing.T) {
-	params := workload.Pipeline{Stages: 4, Ops: 200, Handoff: 16, Seed: 11, HotStage: 2, HotPages: 4}
-	enc := func() []byte {
-		tr, _, err := workload.SynthPipeline(params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := tr.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if !bytes.Equal(enc(), enc()) {
-		t.Fatal("two generations of the same hot parameters differ")
-	}
-}
-
-// The checked-in hot spec pins the generator's output the same way the
-// unskewed golden does (CI regenerates it through cmd/tracegen
-// -hot-stage and diffs).
-func TestPipelineFamilyHotGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/pipeline_hot_small.trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _, err := workload.SynthPipeline(workload.Pipeline{
-		Stages: 4, Ops: 200, Handoff: 16, Seed: 11, HotStage: 2, HotPages: 4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("regenerated spec differs from testdata/pipeline_hot_small.trace (%d vs %d bytes)",
-			buf.Len(), len(want))
-	}
-}
-
 // The checked-in spec pins the generator's output: regeneration with
 // the recorded parameters must reproduce it byte for byte (CI runs the
 // same check through cmd/tracegen).
