@@ -23,7 +23,7 @@ vet:
 # BENCH_$(TAG).json and compares against the newest earlier snapshot).
 bench:
 	$(GO) test -run '^$$' -bench 'Kernel|OracleHeap' -benchmem ./internal/sim/
-	$(GO) test -run '^$$' -bench 'ParseStrace|ParseSharded' -benchmem ./internal/trace/
+	$(GO) test -run '^$$' -bench 'ParseStrace' -benchmem ./internal/trace/
 	$(GO) test -run '^$$' -bench 'ReplayFault' -benchtime 1x -benchmem .
 	./scripts/ci.sh bench $(TAG)
 

@@ -1,17 +1,17 @@
 // Command artc compiles and replays system-call traces.
 //
 //	artc compile -trace app.strace -format strace -snapshot init.snap -o app.bench
-//	artc convert -trace app.strace -format strace -shards -1 -to native -o app.trace
+//	artc convert -trace app.strace -format strace -to native -o app.trace
 //	artc replay  -bench app.bench -target linux-ext4-hdd -method artc -speed afap
 //	artc inspect -bench app.bench
 //	artc trace   -magritte pages_docphoto15 -o replay.trace.json
 //	artc chaos   -magritte pages_docphoto15 -seeds 16 -verify
 //	artc chaos   -magritte pages_docphoto15 -seed 3 -o chaos-seed3.json
 //
-// compile turns a trace (native or strace format) plus an optional
-// initial-state snapshot into a self-contained benchmark file; -shards
-// lexes strace input in parallel, -stream overlaps strace lexing with
-// compilation. convert re-encodes a trace between formats. replay
+// compile turns a trace (native, strace or ibench format) plus an
+// optional initial-state snapshot into a self-contained binary benchmark
+// file; strace input streams from the lexer into the compiler. convert
+// re-encodes a trace between formats. replay
 // executes a benchmark on a simulated target machine and reports timing
 // and semantic accuracy. inspect prints a benchmark's dependency-graph
 // statistics. trace replays with the observability recorder enabled and
@@ -74,10 +74,8 @@ func usage() {
 	os.Exit(2)
 }
 
-// readTrace parses a trace file in the named format. For strace input,
-// shards selects the lexer: 0 sequential, N > 0 that many parallel
-// shards, negative one shard per CPU.
-func readTrace(path, format string, shards int) (*trace.Trace, error) {
+// readTrace parses a trace file in the named format.
+func readTrace(path, format string) (*trace.Trace, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -85,12 +83,6 @@ func readTrace(path, format string, shards int) (*trace.Trace, error) {
 	defer f.Close()
 	switch format {
 	case "strace":
-		if shards != 0 {
-			if shards < 0 {
-				shards = 0 // ParseStraceSharded reads <= 0 as GOMAXPROCS
-			}
-			return trace.ParseStraceSharded(f, shards)
-		}
 		return trace.ParseStrace(f)
 	case "ibench":
 		return trace.ParseIBench(f)
@@ -228,14 +220,13 @@ func (f *runFlags) load() (*artc.Benchmark, error) {
 	}
 }
 
-// readBench reads a compiled benchmark in either encoding.
+// readBench reads a compiled benchmark.
 func readBench(path string) (*artc.Benchmark, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return artc.DecodeAny(f)
+	return artc.DecodeBinaryBytes(data)
 }
 
 func readSnapshot(path string) (*snapshot.Snapshot, error) {
@@ -257,9 +248,6 @@ func compileCmd(args []string) error {
 	snapPath := fs.String("snapshot", "", "initial snapshot file (optional; inferred if absent)")
 	out := fs.String("o", "out.bench", "output benchmark file")
 	modesFlag := fs.String("modes", artc.ModesString(core.DefaultModes()), "ordering modes")
-	shards := fs.Int("shards", 0, "parse strace input in N parallel shards (0 = sequential, -1 = one per CPU)")
-	stream := fs.Bool("stream", false, "stream strace parsing into the compiler (requires -format strace; overlap needs -snapshot)")
-	binOut := fs.Bool("binary", false, "write the output as a binary artifact instead of text")
 	var cacheDir string
 	var noCache bool
 	cacheFlags(fs, &cacheDir, &noCache)
@@ -279,10 +267,9 @@ func compileCmd(args []string) error {
 
 	var b *artc.Benchmark
 	var st artifact.Stats
-	switch {
-	case store != nil && *format == "strace":
-		// Key on the raw strace bytes so a warm hit skips parsing too;
-		// cold misses compile through the streaming path.
+	if *format == "strace" {
+		// Key on the raw strace bytes so a warm hit skips parsing too; a
+		// miss (or no store) streams the lexer into the compiler.
 		raw, err := os.ReadFile(*tracePath)
 		if err != nil {
 			return err
@@ -290,20 +277,8 @@ func compileCmd(args []string) error {
 		if b, st, err = artifact.CompileStrace(store, raw, snap, modes); err != nil {
 			return err
 		}
-	case *stream:
-		if *format != "strace" {
-			return fmt.Errorf("-stream requires -format strace")
-		}
-		f, err := os.Open(*tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if b, err = artc.CompileStraceStream(f, snap, modes); err != nil {
-			return err
-		}
-	default:
-		tr, err := readTrace(*tracePath, *format, *shards)
+	} else {
+		tr, err := readTrace(*tracePath, *format)
 		if err != nil {
 			return err
 		}
@@ -312,11 +287,7 @@ func compileCmd(args []string) error {
 		}
 	}
 	reportCache(st, false)
-	enc := b.Encode
-	if *binOut {
-		enc = b.EncodeBinary
-	}
-	if err := writeFile(*out, enc); err != nil {
+	if err := writeFile(*out, b.EncodeBinary); err != nil {
 		return err
 	}
 	fmt.Printf("compiled %d records, %d threads, %d dependency edges -> %s\n",
@@ -327,41 +298,34 @@ func compileCmd(args []string) error {
 	return nil
 }
 
-// convertCmd re-encodes a trace between formats. Its main job is the
-// ingest CI lane: parse the same strace text sequentially and sharded
-// and compare the native encodings byte for byte.
+// convertCmd re-encodes a trace between formats.
 func convertCmd(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	tracePath := fs.String("trace", "", "trace file (required)")
 	format := fs.String("format", "strace", "input format: native | strace | ibench")
 	outFormat := fs.String("to", "native", "output format: native | strace")
-	shards := fs.Int("shards", 0, "parse strace input in N parallel shards (0 = sequential, -1 = one per CPU)")
 	out := fs.String("o", "-", "output file (- = stdout)")
 	fs.Parse(args)
 	if *tracePath == "" {
 		return fmt.Errorf("-trace is required")
 	}
-	tr, err := readTrace(*tracePath, *format, *shards)
+	tr, err := readTrace(*tracePath, *format)
 	if err != nil {
 		return err
 	}
-	w := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
+	var encode func(io.Writer) error
 	switch *outFormat {
 	case "native":
-		return tr.Encode(w)
+		encode = tr.Encode
 	case "strace":
-		return trace.EncodeStrace(w, tr)
+		encode = func(w io.Writer) error { return trace.EncodeStrace(w, tr) }
 	default:
 		return fmt.Errorf("unknown output format %q", *outFormat)
 	}
+	if *out == "-" {
+		return encode(os.Stdout)
+	}
+	return writeFile(*out, encode)
 }
 
 func parseReplay(args []string) (*runFlags, error) {

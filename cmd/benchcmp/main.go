@@ -43,7 +43,6 @@ var gatedMetrics = map[string]bool{
 	"pipeline_sliced_ns":               true,
 	"records_per_second":               false,
 	"parse_records_per_second":         false,
-	"parse_sharded_records_per_second": false,
 }
 
 // dirMark annotates a one-sided gated metric with its direction, so the

@@ -37,13 +37,11 @@ type Stats struct {
 	CompileNsPerOp   int64   `json:"compile_ns_per_op"`
 	RecordsPerSecond float64 `json:"records_per_second"`
 	// Trace ingest: the benchmark trace rendered as strace text and fed
-	// back through the fast parser, sequentially and sharded.
-	ParseRecords                 int     `json:"parse_records"`
-	ParseNs                      int64   `json:"parse_ns"`
-	ParseRecordsPerSecond        float64 `json:"parse_records_per_second"`
-	ParseAllocsPerRecord         float64 `json:"parse_allocs_per_record"`
-	ParseShardedNs               int64   `json:"parse_sharded_ns"`
-	ParseShardedRecordsPerSecond float64 `json:"parse_sharded_records_per_second"`
+	// back through the fast parser.
+	ParseRecords          int     `json:"parse_records"`
+	ParseNs               int64   `json:"parse_ns"`
+	ParseRecordsPerSecond float64 `json:"parse_records_per_second"`
+	ParseAllocsPerRecord  float64 `json:"parse_allocs_per_record"`
 	// Dependency-graph structure of the compiled benchmark.
 	RawEdges      int `json:"raw_edges"`
 	EnforcedEdges int `json:"enforced_edges"`
@@ -405,19 +403,6 @@ func main() {
 			st.ParseAllocsPerRecord = float64(pr.AllocsPerOp()) / float64(st.ParseRecords)
 		}
 	}
-	ps := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := trace.ParseStraceSharded(bytes.NewReader(straceText), 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	if ps.N > 0 {
-		st.ParseShardedNs = ps.T.Nanoseconds() / int64(ps.N)
-		if st.ParseShardedNs > 0 {
-			st.ParseShardedRecordsPerSecond = float64(st.ParseRecords) / (float64(st.ParseShardedNs) / 1e9)
-		}
-	}
 
 	st.KernelTimerChurnNsPerOp, st.KernelTimerChurnAllocsPerOp = microbench(simbench.TimerChurn)
 	st.KernelSleepChurnNsPerOp, _ = microbench(simbench.SleepChurn)
@@ -443,9 +428,8 @@ func main() {
 	fmt.Printf("perfstat: artifact %d bytes, warm load %.2f ms (hit=%v) vs parse+compile %.2f ms\n",
 		st.ArtifactBytes, float64(st.CachedLoadNs)/1e6, st.CacheHit,
 		float64(st.ParseNs+st.CompileNsPerOp)/1e6)
-	fmt.Printf("perfstat: parse %.2f ms (%.0f records/s, %.2f allocs/record), sharded %.2f ms (%.0f records/s) over %d records\n",
-		float64(st.ParseNs)/1e6, st.ParseRecordsPerSecond, st.ParseAllocsPerRecord,
-		float64(st.ParseShardedNs)/1e6, st.ParseShardedRecordsPerSecond, st.ParseRecords)
+	fmt.Printf("perfstat: parse %.2f ms (%.0f records/s, %.2f allocs/record) over %d records\n",
+		float64(st.ParseNs)/1e6, st.ParseRecordsPerSecond, st.ParseAllocsPerRecord, st.ParseRecords)
 	fmt.Printf("perfstat: obs replay %.2f ms (plain %.2f ms), %d spans, %d samples, critical path %d hops (in-call %v, slack %v)\n",
 		float64(st.ObsReplayNs)/1e6, float64(st.ReplayNs)/1e6, st.ObsSpans, st.ObsSamples,
 		st.CritPathHops, cp.InCall, cp.Slack)

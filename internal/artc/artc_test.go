@@ -160,10 +160,10 @@ func TestBenchmarkEncodeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
+	if err := b.EncodeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := Decode(bytes.NewReader(buf.Bytes()))
+	b2, err := DecodeBinary(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,8 @@
 package artc
 
 import (
-	"bufio"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"strings"
 	"sync"
 
@@ -142,188 +140,10 @@ func InferSnapshot(tr *trace.Trace) *snapshot.Snapshot {
 	return snapshot.FromTrace(pre)
 }
 
-// crcTable is the CRC-32C (Castagnoli) table both benchmark codecs use
-// for their whole-artifact checksums; Castagnoli is hardware-accelerated
-// on every platform the repo targets.
+// crcTable is the CRC-32C (Castagnoli) table of the binary codec's
+// whole-artifact checksum; Castagnoli is hardware-accelerated on every
+// platform the repo targets.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// crcWriter mirrors everything written into a running CRC-32C so the
-// encoder can emit a whole-artifact checksum footer without buffering
-// the artifact.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	cw.crc = crc32.Update(cw.crc, crcTable, p)
-	return cw.w.Write(p)
-}
-
-// Encode writes the benchmark as a single self-contained text artifact:
-// a header, the snapshot section, the trace section, and a checksum
-// footer over everything before it:
-//
-//	#artc-benchmark v2 platform=linux modes=...
-//	%%snapshot
-//	...
-//	%%trace
-//	...
-//	%%end crc32c=89abcdef
-//
-// This is the moral equivalent of ARTC's generated-C benchmark: compile
-// once, replay anywhere. For the compact compiled form that also skips
-// recompilation on load, see EncodeBinary.
-func (b *Benchmark) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if _, err := fmt.Fprintf(cw, "#artc-benchmark v2 platform=%s modes=%s\n",
-		b.Platform, encodeModes(b.Modes)); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(cw, "%%snapshot\n"); err != nil {
-		return err
-	}
-	if err := b.Snapshot.Encode(cw); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(cw, "%%trace\n"); err != nil {
-		return err
-	}
-	if err := b.Trace.Encode(cw); err != nil {
-		return err
-	}
-	// The footer itself is excluded from the checksum it carries.
-	if _, err := fmt.Fprintf(bw, "%%%%end crc32c=%08x\n", cw.crc); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Decode reads a text-encoded benchmark and recompiles it (the analysis
-// and dependency graph are deterministic functions of trace + snapshot +
-// modes, so they are rebuilt rather than serialized; DecodeBinary loads
-// them directly).
-//
-// Decode is strict about artifact integrity: the %%snapshot and %%trace
-// markers must each appear exactly once, in order, at section
-// boundaries — a body line that merely looks like a marker is a
-// corruption error, not a section flip — and the artifact must end with
-// a %%end footer whose CRC-32C matches every byte before it. Truncated
-// files, repeated or out-of-order markers, checksum mismatches, and
-// trailing garbage are all rejected with the byte offset of the fault.
-func Decode(r io.Reader) (*Benchmark, error) {
-	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("artc: reading benchmark header: %w", err)
-	}
-	fieldsOf := strings.Fields(header)
-	if len(fieldsOf) == 0 || fieldsOf[0] != "#artc-benchmark" {
-		return nil, fmt.Errorf("artc: not a benchmark file")
-	}
-	if len(fieldsOf) < 2 || (fieldsOf[1] != "v1" && fieldsOf[1] != "v2") {
-		return nil, fmt.Errorf("artc: unsupported benchmark format version in header %q", strings.TrimSpace(header))
-	}
-	platform := "linux"
-	modes := core.DefaultModes()
-	for _, f := range fieldsOf {
-		if v, ok := strings.CutPrefix(f, "platform="); ok {
-			platform = v
-		}
-		if v, ok := strings.CutPrefix(f, "modes="); ok {
-			m, err := decodeModes(v)
-			if err != nil {
-				return nil, err
-			}
-			modes = m
-		}
-	}
-
-	const (
-		sectNone = iota // after header, before %%snapshot
-		sectSnap
-		sectTrace
-		sectDone // after the %%end footer
-	)
-	crc := crc32.Update(0, crcTable, []byte(header))
-	offset := int64(len(header))
-	section := sectNone
-	var snapText, traceText strings.Builder
-	for {
-		line, rerr := br.ReadString('\n')
-		if line != "" {
-			lineStart := offset
-			switch trimmed := strings.TrimSpace(line); {
-			case trimmed == "%%snapshot":
-				if section != sectNone {
-					return nil, fmt.Errorf("artc: offset %d: repeated or out-of-order %%%%snapshot marker", lineStart)
-				}
-				section = sectSnap
-			case trimmed == "%%trace":
-				if section != sectSnap {
-					return nil, fmt.Errorf("artc: offset %d: repeated or out-of-order %%%%trace marker", lineStart)
-				}
-				section = sectTrace
-			case strings.HasPrefix(trimmed, "%%end"):
-				if section != sectTrace {
-					return nil, fmt.Errorf("artc: offset %d: %%%%end footer before both sections", lineStart)
-				}
-				var want uint32
-				if _, err := fmt.Sscanf(trimmed, "%%%%end crc32c=%08x", &want); err != nil {
-					return nil, fmt.Errorf("artc: offset %d: malformed %%%%end footer %q", lineStart, trimmed)
-				}
-				if want != crc {
-					return nil, fmt.Errorf("artc: offset %d: artifact checksum mismatch: footer says crc32c=%08x, content is %08x",
-						lineStart, want, crc)
-				}
-				section = sectDone
-			case strings.HasPrefix(trimmed, "%%"):
-				return nil, fmt.Errorf("artc: offset %d: unknown section marker %q", lineStart, trimmed)
-			case section == sectSnap:
-				snapText.WriteString(line)
-			case section == sectTrace:
-				traceText.WriteString(line)
-			case trimmed == "":
-				// Blank padding between header and sections is tolerated.
-			case section == sectDone:
-				return nil, fmt.Errorf("artc: offset %d: trailing data after %%%%end footer", lineStart)
-			default:
-				return nil, fmt.Errorf("artc: offset %d: content before %%%%snapshot marker", lineStart)
-			}
-			if section != sectDone {
-				crc = crc32.Update(crc, crcTable, []byte(line))
-			}
-			offset += int64(len(line))
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-	}
-	if section != sectDone {
-		missing := "%%end footer"
-		switch section {
-		case sectNone:
-			missing = "%%snapshot section"
-		case sectSnap:
-			missing = "%%trace section"
-		}
-		return nil, fmt.Errorf("artc: truncated benchmark: reached EOF at offset %d without %s", offset, missing)
-	}
-	snap, err := snapshot.Decode(strings.NewReader(snapText.String()))
-	if err != nil {
-		return nil, err
-	}
-	tr, err := trace.Decode(strings.NewReader(traceText.String()))
-	if err != nil {
-		return nil, err
-	}
-	tr.Platform = platform
-	return Compile(tr, snap, modes)
-}
 
 // encodeModes renders a ModeSet as a comma-joined flag list.
 func encodeModes(m core.ModeSet) string {

@@ -3,14 +3,12 @@ package artc
 // The binary benchmark format: a compiled artifact that loads back into
 // a ready-to-replay Benchmark without re-running parse or compile.
 //
-// The text format (Encode/Decode) serializes only trace + snapshot and
-// recompiles on load; that keeps artifacts human-readable but makes
-// every `artc replay` pay the analysis and graph build again. The
-// binary format serializes the compiler's outputs too — actions with
-// their resource touch sets, the interned resource table and per-
-// resource action series, the reduced dependency graph, and the
-// replayer's per-action touch plans — so loading is a single linear
-// decode pass.
+// It is the only on-disk form of a benchmark: `artc compile`, the
+// artifact store and artcd all write it. Beside the trace and snapshot
+// it serializes the compiler's outputs — actions with their resource
+// touch sets, the interned resource table and per-resource action
+// series, the reduced dependency graph, and the replayer's per-action
+// touch plans — so loading is a single linear decode pass.
 //
 // Layout (all integers little-endian; varints are encoding/binary
 // Uvarint/Varint):
@@ -35,7 +33,6 @@ package artc
 // the damage, never silently loaded into a wrong benchmark.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
@@ -61,15 +58,6 @@ const BinaryFormatVersion = 1
 // binMagic opens every binary benchmark artifact.
 var binMagic = [8]byte{'A', 'R', 'T', 'C', 'B', 'I', 'N', '1'}
 
-// IsBinaryArtifact reports whether prefix (the first bytes of a file,
-// at least BinaryMagicLen long) begins a binary benchmark artifact.
-func IsBinaryArtifact(prefix []byte) bool {
-	return len(prefix) >= len(binMagic) && bytes.Equal(prefix[:len(binMagic)], binMagic[:])
-}
-
-// BinaryMagicLen is how many leading bytes IsBinaryArtifact needs.
-const BinaryMagicLen = 8
-
 // Section ids, in required file order.
 const (
 	secMeta      = 1
@@ -82,9 +70,8 @@ const (
 	secFooter    = 0xFF
 )
 
-// Trace record field-presence bits (mirrors the text encoder's "write
-// only non-zero fields" rule, so both codecs agree on what a default
-// field is).
+// Trace record field-presence bits: only non-zero fields are written,
+// the rule the native trace encoding follows too.
 const (
 	fPath = 1 << iota
 	fPath2
@@ -170,9 +157,6 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		return fmt.Errorf("artc: EncodeBinary needs a compiled benchmark (analysis, graph, snapshot, trace)")
 	}
 	an := b.Analysis
-	if an.Resources == nil && len(an.Series) > 0 {
-		return fmt.Errorf("artc: EncodeBinary needs the analyzer's dense resource list (benchmark not produced by Compile?)")
-	}
 	bw := &binWriter{str: make(map[string]uint64)}
 
 	// meta: platform + modes. Interned first so the platform is string 0.
@@ -361,7 +345,7 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		bw.uvarint(uint64(len(act.Touches)))
 		for _, t := range act.Touches {
 			if t.Idx < 0 || int(t.Idx) >= len(an.Resources) || an.Resources[t.Idx] != t.Res {
-				return fmt.Errorf("artc: action %d touches %v, which is not entry %d of the resource table", i, t.Res, t.Idx)
+				return fmt.Errorf("artc: action %d touches %v, which is not entry %d of the analyzer's resource table (benchmark not produced by Compile?)", i, t.Res, t.Idx)
 			}
 			bw.uvarint(uint64(t.Idx))
 			bw.byte(byte(t.Role))
@@ -574,10 +558,15 @@ func (r *binReader) done() error {
 func DecodeBinaryBytes(data []byte) (*Benchmark, error) {
 	const headerLen = 8 + 4
 	const footerLen = 1 + 4
+	// Older builds of `artc compile` wrote a text format by default; the
+	// owner of such a file is told what to do with it.
+	if bytes.HasPrefix(data, []byte("#artc-benchmark")) {
+		return nil, fmt.Errorf("artc: text benchmark files are no longer read; recompile from the trace")
+	}
 	if len(data) < headerLen+footerLen {
 		return nil, fmt.Errorf("artc: truncated binary artifact: %d bytes", len(data))
 	}
-	if !IsBinaryArtifact(data) {
+	if !bytes.HasPrefix(data, binMagic[:]) {
 		return nil, fmt.Errorf("artc: not a binary benchmark artifact")
 	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != BinaryFormatVersion {
@@ -1129,13 +1118,8 @@ func decodeAnalysisSec(ar *binReader, nRec int) (*core.Analysis, error) {
 	if err := ar.done(); err != nil {
 		return nil, err
 	}
-	series := make(map[core.ResourceID][]int, nRes)
-	for i, res := range resources {
-		series[res] = seriesList[i]
-	}
 	return &core.Analysis{
 		Actions:    actions,
-		Series:     series,
 		Resources:  resources,
 		SeriesList: seriesList,
 		PathGens:   pathGens,
@@ -1247,14 +1231,4 @@ func DecodeBinary(r io.Reader) (*Benchmark, error) {
 		return nil, err
 	}
 	return DecodeBinaryBytes(data)
-}
-
-// DecodeAny reads a benchmark in either encoding, sniffing the binary
-// magic and falling back to the text decoder.
-func DecodeAny(r io.Reader) (*Benchmark, error) {
-	br := bufio.NewReader(r)
-	if prefix, err := br.Peek(BinaryMagicLen); err == nil && IsBinaryArtifact(prefix) {
-		return DecodeBinary(br)
-	}
-	return Decode(br)
 }

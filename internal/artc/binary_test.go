@@ -3,6 +3,7 @@ package artc
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rootreplay/internal/core"
@@ -142,8 +143,13 @@ func TestBinaryDecodeRejectsDamage(t *testing.T) {
 	if _, err := DecodeBinaryBytes(nil); err == nil {
 		t.Fatal("empty artifact decoded without error")
 	}
-	if _, err := DecodeBinaryBytes([]byte("#artc-benchmark v2\n")); err == nil {
-		t.Fatal("text artifact decoded as binary without error")
+	// A .bench an older `artc compile` wrote is text: the error has to say
+	// so and what to do, whatever the file's length.
+	for _, text := range []string{"#artc-benchmark v2\n", "#artc-benchmark v2 platform=linux modes=none\n%%snapshot\n%%trace\n%%end crc32c=00000000\n"} {
+		_, err := DecodeBinaryBytes([]byte(text))
+		if err == nil || !strings.Contains(err.Error(), "text benchmark files are no longer read; recompile from the trace") {
+			t.Fatalf("text artifact: err = %v, want the cause and the remedy", err)
+		}
 	}
 	// Flip one bit in the middle: checksum must catch it.
 	mut := append([]byte(nil), art...)
@@ -156,22 +162,5 @@ func TestBinaryDecodeRejectsDamage(t *testing.T) {
 	mut[8] = 99
 	if _, err := DecodeBinaryBytes(mut); err == nil {
 		t.Fatal("future-version artifact decoded without error")
-	}
-}
-
-func TestDecodeAnySniffsBothFormats(t *testing.T) {
-	b := compileSample(t, core.DefaultModes())
-	var bin, txt bytes.Buffer
-	if err := b.EncodeBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Encode(&txt); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := DecodeAny(bytes.NewReader(bin.Bytes())); err != nil || len(got.Trace.Records) != len(b.Trace.Records) {
-		t.Fatalf("DecodeAny(binary): %v", err)
-	}
-	if got, err := DecodeAny(bytes.NewReader(txt.Bytes())); err != nil || len(got.Trace.Records) != len(b.Trace.Records) {
-		t.Fatalf("DecodeAny(text): %v", err)
 	}
 }

@@ -127,12 +127,7 @@ func buildHot(b *Benchmark) *hotTables {
 	}
 	hintSlot := func(res core.ResourceID) int32 {
 		if intern == nil {
-			intern = make(map[core.ResourceID]int32)
-			for i, r := range an.Resources {
-				if r.Kind == core.KFD {
-					intern[r] = int32(i)
-				}
-			}
+			intern = an.FDIndex()
 		}
 		if s, ok := intern[res]; ok {
 			return s

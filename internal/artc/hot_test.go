@@ -56,7 +56,7 @@ func TestHandBuiltAnalysisGetsTables(t *testing.T) {
 	}
 	hand := &Benchmark{
 		Platform: compiled.Platform, Modes: compiled.Modes, Trace: tr, Snapshot: snap,
-		Analysis: &core.Analysis{Trace: tr, Actions: acts, Series: compiled.Analysis.Series},
+		Analysis: &core.Analysis{Trace: tr, Actions: acts},
 		Graph:    compiled.Graph,
 	}
 	replay := func(b *Benchmark) string {

@@ -52,7 +52,7 @@ func streamFixture(t *testing.T) (string, *snapshot.Snapshot) {
 func encodeBench(t *testing.T, b *Benchmark) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
+	if err := b.EncodeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -60,8 +60,8 @@ func encodeBench(t *testing.T, b *Benchmark) []byte {
 
 // TestCompileStraceStreamEquivalence holds the streaming parse→compile
 // path to the batch path: same strace text, same snapshot, same modes
-// must yield byte-identical encoded benchmarks and identical dependency
-// graphs — and the streamed benchmark must replay cleanly.
+// must yield byte-identical artifacts — trace, snapshot, analysis, graph
+// and touch plan — and the streamed benchmark must replay cleanly.
 func TestCompileStraceStreamEquivalence(t *testing.T) {
 	text, snap := streamFixture(t)
 	modes := core.DefaultModes()
@@ -80,7 +80,7 @@ func TestCompileStraceStreamEquivalence(t *testing.T) {
 	}
 
 	if got, want := encodeBench(t, streamed), encodeBench(t, batch); !bytes.Equal(got, want) {
-		t.Fatalf("streamed encoding differs from batch:\nstreamed:\n%s\nbatch:\n%s", got, want)
+		t.Fatalf("streamed artifact (%d bytes) differs from batch (%d bytes)", len(got), len(want))
 	}
 	if !reflect.DeepEqual(streamed.Graph.Edges, batch.Graph.Edges) {
 		t.Fatalf("streamed graph edges differ: %v vs %v", streamed.Graph.Edges, batch.Graph.Edges)
@@ -121,7 +121,7 @@ func TestCompileStraceStreamNilSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := encodeBench(t, streamed), encodeBench(t, batch); !bytes.Equal(got, want) {
-		t.Fatalf("nil-snapshot streamed encoding differs from batch:\nstreamed:\n%s\nbatch:\n%s", got, want)
+		t.Fatalf("nil-snapshot streamed artifact (%d bytes) differs from batch (%d bytes)", len(got), len(want))
 	}
 	if !reflect.DeepEqual(streamed.Graph.Edges, batch.Graph.Edges) {
 		t.Fatal("nil-snapshot streamed graph edges differ from batch")

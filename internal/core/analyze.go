@@ -35,14 +35,10 @@ type Action struct {
 type Analysis struct {
 	Trace   *trace.Trace
 	Actions []Action
-	// Series maps each resource to the indices (= Seq values) of the
-	// actions touching it, in trace order.
-	Series map[ResourceID][]int
 	// Resources lists every resource in first-touch order, and
-	// SeriesList holds the matching action series (aliasing the Series
-	// values). Consumers that only need to enumerate resources iterate
-	// these dense slices instead of hashing into the map; both are
-	// populated by Finish and may be nil for hand-built analyses.
+	// SeriesList[k] holds the indices (= Seq values) of the actions
+	// touching Resources[k], in trace order; Touch.Idx is k. Both are
+	// populated by Finish and are nil for hand-built analyses.
 	Resources  []ResourceID
 	SeriesList [][]int
 	// PathGens maps a path name to its successive generations in
@@ -52,6 +48,26 @@ type Analysis struct {
 	// interpret (the equivalent of ARTC's missed-dependency edge cases);
 	// such actions fall back to thread-only ordering.
 	Warnings []string
+}
+
+// index maps each resource keep accepts to its position in Resources.
+// The few consumers that are handed a resource by identity rather than
+// by Touch.Idx build one over just the resources they can be asked for.
+func (an *Analysis) index(keep func(ResourceID) bool) map[ResourceID]int32 {
+	idx := make(map[ResourceID]int32)
+	for k, r := range an.Resources {
+		if keep(r) {
+			idx[r] = int32(k)
+		}
+	}
+	return idx
+}
+
+// FDIndex maps every descriptor resource to its position in Resources,
+// which is how an Action.FDHint — a resource the action does not touch —
+// is found.
+func (an *Analysis) FDIndex() map[ResourceID]int32 {
+	return an.index(func(r ResourceID) bool { return r.Kind == KFD })
 }
 
 // analyzer walks the trace against a symbolic vfs, assigning resource
@@ -83,9 +99,8 @@ type analyzer struct {
 
 	// resIdx interns each ResourceID to a dense index into series, so
 	// the Feed hot loop hashes a resource key once on first sight and
-	// appends to a slice thereafter; Finish materializes the exported
-	// Series map from these in one pass (one map insert per resource
-	// instead of one per touch).
+	// appends to a slice thereafter; Finish exports resIDs and series
+	// as Resources and SeriesList.
 	resIdx map[ResourceID]int32
 	resIDs []ResourceID
 	series [][]int
@@ -153,10 +168,7 @@ func NewAnalyzer(fs *vfs.FS) *Analyzer {
 		fdPath:  make(map[int64]string),
 		resIdx:  make(map[ResourceID]int32),
 		inoName: make(map[uint64]string),
-		res: &Analysis{
-			Series:   make(map[ResourceID][]int),
-			PathGens: make(map[string][]int),
-		},
+		res:     &Analysis{PathGens: make(map[string][]int)},
 	}}
 }
 
@@ -237,9 +249,6 @@ func (z *Analyzer) Finish(tr *trace.Trace) (*Analysis, error) {
 	if len(z.a.res.Actions) != len(tr.Records) {
 		return nil, fmt.Errorf("core: analyzer saw %d records, trace has %d",
 			len(z.a.res.Actions), len(tr.Records))
-	}
-	for k, r := range z.a.resIDs {
-		z.a.res.Series[r] = z.a.series[k]
 	}
 	z.a.res.Resources = z.a.resIDs
 	z.a.res.SeriesList = z.a.series

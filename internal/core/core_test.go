@@ -77,7 +77,12 @@ func figure2Snapshot() []snapshot.Entry {
 }
 
 func seriesFor(an *Analysis, kind Kind, name string, gen int) []int {
-	return an.Series[ResourceID{Kind: kind, Name: name, Gen: gen}]
+	for k, r := range an.Resources {
+		if r == (ResourceID{Kind: kind, Name: name, Gen: gen}) {
+			return an.SeriesList[k]
+		}
+	}
+	return nil
 }
 
 func eq(a []int, b ...int) bool {
@@ -157,8 +162,8 @@ func TestFigure2FileSeries(t *testing.T) {
 	// file1 (created by open at action 1) touched by 1,2,3,4 (rename of
 	// its parent directory touches the contained file).
 	var file1 []int
-	for r, s := range an.Series {
-		if r.Kind == KFile && eq(s, 1, 2, 3, 4) {
+	for k, r := range an.Resources {
+		if s := an.SeriesList[k]; r.Kind == KFile && eq(s, 1, 2, 3, 4) {
 			file1 = s
 		}
 	}
@@ -169,7 +174,8 @@ func TestFigure2FileSeries(t *testing.T) {
 	// lookup in open), 4 (rename). dirA (in the snapshot) is touched by
 	// 0, 4 and 6 as a parent. Both series must exist.
 	foundDirB, foundDirA := false, false
-	for r, s := range an.Series {
+	for k, r := range an.Resources {
+		s := an.SeriesList[k]
 		if r.Kind != KFile {
 			continue
 		}

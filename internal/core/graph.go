@@ -116,19 +116,10 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 		return newGraph(n, dedupEdges(edges))
 	}
 
-	// Deterministic resource iteration order. The analyzer's dense
-	// resource list avoids a map iteration plus one hash per resource;
-	// hand-built analyses without it fall back to the map. Either way
-	// the sort permutes int32 indices (4-byte swaps, no reflect).
+	// Deterministic resource iteration order. The sort permutes int32
+	// indices into the analyzer's dense resource list (4-byte swaps, no
+	// reflect).
 	resources := an.Resources
-	seriesOf := func(k int32) []int { return an.SeriesList[k] }
-	if resources == nil {
-		resources = make([]ResourceID, 0, len(an.Series))
-		for r := range an.Series {
-			resources = append(resources, r)
-		}
-		seriesOf = func(k int32) []int { return an.Series[resources[k]] }
-	}
 	rord := make([]int32, len(resources))
 	for i := range rord {
 		rord[i] = int32(i)
@@ -155,7 +146,7 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 
 	for _, k := range rord {
 		r := resources[k]
-		series := seriesOf(k)
+		series := an.SeriesList[k]
 		if len(series) < 2 {
 			continue
 		}
@@ -198,10 +189,16 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 	// last action of one generation precedes the first action of the
 	// next.
 	if modes.PathStageName {
+		regen := an.index(func(r ResourceID) bool { return r.Kind == KPath && len(an.PathGens[r.Name]) > 1 })
+		seriesOf := func(name string, gen int) []int {
+			if k, ok := regen[ResourceID{Kind: KPath, Name: name, Gen: gen}]; ok {
+				return an.SeriesList[k]
+			}
+			return nil
+		}
 		for name, gens := range an.PathGens {
 			for gi := 1; gi < len(gens); gi++ {
-				prev := an.Series[ResourceID{Kind: KPath, Name: name, Gen: gens[gi-1]}]
-				next := an.Series[ResourceID{Kind: KPath, Name: name, Gen: gens[gi]}]
+				prev, next := seriesOf(name, gens[gi-1]), seriesOf(name, gens[gi])
 				if len(prev) == 0 || len(next) == 0 {
 					continue
 				}

@@ -277,22 +277,14 @@ func resourceClosure(u *uf, an *core.Analysis, g *core.Graph) {
 	// (c) Resource series: any two actions touching the same resource —
 	// same file, path generation, descriptor, or AIOCB — share state and
 	// therefore a component, even in modes whose graph drops the edge.
-	unionSeries := func(r core.ResourceID, series []int) {
+	for k, r := range an.Resources {
+		series := an.SeriesList[k]
 		if r.Kind == core.KProgram || len(series) < 2 {
-			return
+			continue
 		}
 		first := int32(series[0])
 		for _, a := range series[1:] {
 			u.union(first, int32(a))
-		}
-	}
-	if an.Resources != nil {
-		for k, r := range an.Resources {
-			unionSeries(r, an.SeriesList[k])
-		}
-	} else {
-		for r, series := range an.Series {
-			unionSeries(r, series)
 		}
 	}
 
@@ -304,6 +296,7 @@ func resourceClosure(u *uf, an *core.Analysis, g *core.Graph) {
 	// safely; for successful calls the path resources of rule (c) make
 	// most of these unions redundant.
 	byName := make(map[string]int32)
+	var fds map[core.ResourceID]int32 // built on the first FDHint
 	uniteName := func(name string, act int32) {
 		if name == "" || name == "/" {
 			return
@@ -328,8 +321,11 @@ func resourceClosure(u *uf, an *core.Analysis, g *core.Graph) {
 		// A failed call on a then-valid descriptor is remapped through
 		// its hint resource; keep it with that descriptor's series.
 		if act.FDHint != nil {
-			if series, ok := an.Series[*act.FDHint]; ok && len(series) > 0 {
-				u.union(int32(series[0]), ai)
+			if fds == nil {
+				fds = an.FDIndex()
+			}
+			if k, ok := fds[*act.FDHint]; ok && len(an.SeriesList[k]) > 0 {
+				u.union(int32(an.SeriesList[k][0]), ai)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"rootreplay/internal/artc"
 	"rootreplay/internal/core"
@@ -277,6 +278,31 @@ func TestPartitionSharedState(t *testing.T) {
 	checkPlan(t, b.Graph, p)
 	if len(p.Components) != 1 {
 		t.Fatalf("shared-file groups split into %d components", len(p.Components))
+	}
+}
+
+// TestPartitionKeepsFailedCallWithItsDescriptor: a failed call touches
+// nothing, but replay remaps its descriptor through Action.FDHint so it
+// fails the way it did when traced; it has to land in the component that
+// opens the descriptor even when its thread does nothing else there.
+func TestPartitionKeepsFailedCallWithItsDescriptor(t *testing.T) {
+	us := func(n int64) time.Duration { return time.Duration(n) * time.Microsecond }
+	tr := &trace.Trace{Platform: "linux", Records: []*trace.Record{
+		{TID: 1, Call: "open", Path: "/dir", Flags: trace.ORdonly | trace.ODir, Ret: 3, Start: us(0), End: us(1)},
+		{TID: 2, Call: "read", FD: 3, Size: 64, Ret: -1, Err: "EISDIR", Start: us(2), End: us(3)},
+		{TID: 1, Call: "close", FD: 3, Start: us(4), End: us(5)},
+	}}
+	b, err := artc.Compile(tr, nil, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hint := b.Analysis.Actions[1].FDHint; hint == nil || len(b.Analysis.Actions[1].Touches) != 0 {
+		t.Fatalf("fixture: failed read has hint %v and %d touches, want a hint and none", hint, len(b.Analysis.Actions[1].Touches))
+	}
+	p := shard.Partition(b.Analysis, b.Graph)
+	checkPlan(t, b.Graph, p)
+	if len(p.Components) != 1 {
+		t.Fatalf("failed read split from its descriptor: %d components", len(p.Components))
 	}
 }
 

@@ -145,9 +145,6 @@ func assertErrEqual(t *testing.T, label string, want, got error) {
 // the reference's output.
 func assertParsersAgree(t *testing.T, name, input string) {
 	t.Helper()
-	defer func(old int) { shardMinBytes = old }(shardMinBytes)
-	shardMinBytes = 1 // force real sharding on small fixtures
-
 	want, wantErr := parseStraceReference(strings.NewReader(input))
 	check := func(label string, got *Trace, gotErr error) {
 		t.Helper()
@@ -172,11 +169,6 @@ func assertParsersAgree(t *testing.T, name, input string) {
 	check("stream", got, err)
 	if err == nil && !reflect.DeepEqual(streamed, got.Records) {
 		t.Fatalf("%s/stream: emitted batches differ from final records", name)
-	}
-
-	for _, n := range []int{1, 2, 3, 8} {
-		got, err = ParseStraceSharded(strings.NewReader(input), n)
-		check(fmt.Sprintf("sharded%d", n), got, err)
 	}
 }
 
@@ -287,23 +279,5 @@ func TestMergeSharesInternedStorage(t *testing.T) {
 	tab := m.InternTable()
 	if !tab.Has("/a/path") || !tab.Has("/b/path") {
 		t.Fatal("merged intern table is not the union of the inputs'")
-	}
-}
-
-// TestShardedSharesInterning asserts the sharded parse unions shard
-// tables instead of dropping them.
-func TestShardedSharesInterning(t *testing.T) {
-	defer func(old int) { shardMinBytes = old }(shardMinBytes)
-	shardMinBytes = 1
-	var sb strings.Builder
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(&sb, "1 %d.0 open(\"/common/file\", O_RDONLY) = 3 <0.1>\n", i+1)
-	}
-	tr, err := ParseStraceSharded(strings.NewReader(sb.String()), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !tr.InternTable().Has("/common/file") {
-		t.Fatal("sharded parse lost the intern table")
 	}
 }

@@ -13,8 +13,7 @@ import "strings"
 // so a flag combination is scanned once per trace rather than once per
 // call.
 //
-// An Intern is not safe for concurrent use; the sharded parser gives
-// each shard its own table and unions them during the merge.
+// An Intern is not safe for concurrent use.
 type Intern struct {
 	strs  map[string]string
 	flags map[string]OpenFlag

@@ -31,9 +31,8 @@ var straceMaxLine = 16 << 20
 // ParseStrace is the zero-copy fast path (strace_fast.go); the original
 // line-at-a-time parser lives on as parseStraceReference in
 // strace_reference_test.go, the semantic oracle the golden and fuzz
-// tests compare against. For
-// parallel parsing of large inputs see ParseStraceSharded; for
-// overlapping the parse with compilation see ParseStraceStream.
+// tests compare against. For overlapping the parse with compilation
+// see ParseStraceStream.
 func ParseStrace(r io.Reader) (*Trace, error) {
 	return parseStraceFast(r)
 }

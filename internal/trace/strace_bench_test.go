@@ -2,8 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -46,25 +44,6 @@ func BenchmarkParseStraceReference(b *testing.B) {
 		if _, err := parseStraceReference(bytes.NewReader(data)); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkParseSharded(b *testing.B) {
-	corpus, _ := benchCorpus(b)
-	data := []byte(corpus)
-	for _, n := range []int{1, 2, 4, 8} {
-		if n > runtime.GOMAXPROCS(0) {
-			break
-		}
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := parseStraceBytes(data, n); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

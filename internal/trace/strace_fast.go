@@ -360,10 +360,6 @@ type pendingCall struct {
 	buf []byte
 }
 
-// straceParser holds the per-parse state of the fast path. It is used
-// in two bases: the sequential parser rebases timestamps as it goes
-// (rebase=true), while shards parse with absolute timestamps and the
-// merge rebases afterwards (see shard.go).
 // pendingSlot is one entry of the open-call table. tid < 0 marks a
 // tombstone whose slot (but not pc, which moves to the free list) can
 // be reused.
@@ -372,6 +368,9 @@ type pendingSlot struct {
 	pc  *pendingCall
 }
 
+// straceParser holds the per-parse state of the fast path. Timestamps
+// are rebased against firstTS, the first one seen, as records are
+// materialized.
 type straceParser struct {
 	tr      *Trace
 	tab     *Intern
@@ -379,7 +378,6 @@ type straceParser struct {
 	live    int           // non-tombstone entries of pending
 	free    []*pendingCall
 	firstTS int64
-	rebase  bool
 
 	chunk []Record
 	used  int  // slots of chunk handed out
@@ -388,13 +386,12 @@ type straceParser struct {
 	patch []byte // scratch for the "] " header rewrite
 }
 
-func newStraceParser(rebase bool) *straceParser {
+func newStraceParser() *straceParser {
 	tab := NewIntern()
 	return &straceParser{
 		tr:      &Trace{Platform: "linux", intern: tab},
 		tab:     tab,
 		firstTS: -1,
-		rebase:  rebase,
 	}
 }
 
@@ -440,15 +437,6 @@ func (p *straceParser) putPending(pc *pendingCall) {
 		return
 	}
 	p.pending = append(p.pending, pendingSlot{pc.tid, pc})
-}
-
-// base is the value subtracted from epoch timestamps when a record is
-// materialized.
-func (p *straceParser) base() int64 {
-	if p.rebase {
-		return p.firstTS
-	}
-	return 0
 }
 
 // alloc returns the next slab slot without committing it. finish
@@ -854,7 +842,7 @@ func (p *straceParser) finish(tid int, ts int64, text string) error {
 	} else {
 		rec.Call = p.tab.Str(name)
 	}
-	rec.Start = time.Duration(ts - p.base())
+	rec.Start = time.Duration(ts - p.firstTS)
 	// Result: "= ret [ERRNO (text)] [<dur>]".
 	result = strings.TrimPrefix(result, "=")
 	result = trimFast(result)
@@ -894,7 +882,7 @@ func (p *straceParser) finish(tid int, ts int64, text string) error {
 	}
 	p.used++
 	p.dirty = false
-	rec.Seq = int64(len(p.tr.Records)) // final for the sequential parse; merges renumber
+	rec.Seq = int64(len(p.tr.Records))
 	p.tr.Records = append(p.tr.Records, rec)
 	return nil
 }
@@ -1022,7 +1010,7 @@ func ParseStraceStream(r io.Reader, batch int, emit func([]*Record) error) (*Tra
 
 func parseStraceEmit(r io.Reader, batch int, emit func([]*Record) error) (*Trace, error) {
 	ls := newLineScanner(r)
-	p := newStraceParser(true)
+	p := newStraceParser()
 	lineNo := 0
 	emitted := 0
 	for {

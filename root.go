@@ -93,12 +93,6 @@ func ParseModes(s string) (ModeSet, error) { return artc.ParseModes(s) }
 // ParseStrace parses `strace -f -ttt -T` output into a Trace.
 func ParseStrace(r io.Reader) (*Trace, error) { return trace.ParseStrace(r) }
 
-// ParseStraceSharded parses strace output using shards parallel lexers
-// (<= 0 selects GOMAXPROCS); the result is identical to ParseStrace.
-func ParseStraceSharded(r io.Reader, shards int) (*Trace, error) {
-	return trace.ParseStraceSharded(r, shards)
-}
-
 // CompileStrace parses strace output and compiles it in one streaming
 // pass, overlapping lexing with model evaluation; see
 // artc.CompileStraceStream.
@@ -121,10 +115,9 @@ func Compile(tr *Trace, snap *Snapshot, modes ModeSet) (*Benchmark, error) {
 	return artc.Compile(tr, snap, modes)
 }
 
-// DecodeBenchmark reads a benchmark file in either encoding: the text
-// format written by Benchmark.Encode or the binary artifact format
-// written by Benchmark.EncodeBinary.
-func DecodeBenchmark(r io.Reader) (*Benchmark, error) { return artc.DecodeAny(r) }
+// DecodeBenchmark reads a benchmark file, the binary artifact
+// Benchmark.EncodeBinary and `artc compile` write.
+func DecodeBenchmark(r io.Reader) (*Benchmark, error) { return artc.DecodeBinary(r) }
 
 // CompileTraceCached compiles through a content-addressed artifact
 // store: repeat compiles of the same trace/snapshot/modes load the

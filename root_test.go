@@ -31,7 +31,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	// Round-trip the benchmark file.
 	var buf bytes.Buffer
-	if err := b.Encode(&buf); err != nil {
+	if err := b.EncodeBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := DecodeBenchmark(&buf)

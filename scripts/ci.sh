@@ -19,7 +19,9 @@
 # printed), vet-race (race-enabled tests, internal/sim
 # five times over, internal/coord twenty times at GOMAXPROCS 1, 2, 8),
 # determinism (byte-identical trace export under forced parallelism),
-# ingest (sequential and sharded strace parses agree), shard (sharded
+# ingest (strace text compiles to the same .bench bytes with the
+# artifact cache off, cold and warm, and a text .bench of an older build
+# is refused by name), shard (sharded
 # and sliced replay match serial byte for byte across GOMAXPROCS, shard
 # counts, and slice granularities, the components and pipeline family
 # specs regenerate exactly, and the chaos invariants hold through the
@@ -135,17 +137,32 @@ determinism() {
 }
 
 ingest() {
-  echo "== ingest: sequential and sharded strace parses agree byte for byte"
+  echo "== ingest: strace compiles to the same .bench with the cache off, cold and warm"
   go build -o "$tmp/artc" ./cmd/artc
   go build -o "$tmp/tracegen" ./cmd/tracegen
   "$tmp/tracegen" -format strace -threads 8 -ops 2500 -seed 42 \
     -o "$tmp/ingest.strace" -snapshot "$tmp/ingest.snap"
-  "$tmp/artc" convert -trace "$tmp/ingest.strace" -format strace -to native -o "$tmp/ingest-seq.trace"
-  GOMAXPROCS=8 "$tmp/artc" convert -trace "$tmp/ingest.strace" -format strace -shards 8 \
-    -to native -o "$tmp/ingest-shard.trace"
-  cmp "$tmp/ingest-seq.trace" "$tmp/ingest-shard.trace"
+  ingest_compile() {
+    "$tmp/artc" compile -trace "$tmp/ingest.strace" -format strace -snapshot "$tmp/ingest.snap" "$@"
+  }
+  ingest_compile -no-cache -o "$tmp/ingest-nocache.bench"
+  ingest_compile -cache-dir "$tmp/ingest-cache" -o "$tmp/ingest-cold.bench" 2>"$tmp/ingest-cold.err"
+  grep -q "cache: miss" "$tmp/ingest-cold.err"
+  ingest_compile -cache-dir "$tmp/ingest-cache" -o "$tmp/ingest-warm.bench" 2>"$tmp/ingest-warm.err"
+  grep -q "cache: hit" "$tmp/ingest-warm.err"
+  cmp "$tmp/ingest-nocache.bench" "$tmp/ingest-cold.bench"
+  cmp "$tmp/ingest-cold.bench" "$tmp/ingest-warm.bench"
+  for kind in nocache cold warm; do
+    "$tmp/artc" inspect -bench "$tmp/ingest-$kind.bench" >/dev/null
+  done
+  echo "== ingest: a text .bench written by an older artc compile is refused by name"
+  printf '#artc-benchmark v2 platform=linux modes=none\n' > "$tmp/old.bench"
+  if "$tmp/artc" inspect -bench "$tmp/old.bench" 2>"$tmp/old.err"; then
+    echo "text benchmark file was accepted" >&2; exit 1
+  fi
+  grep -q "text benchmark files are no longer read; recompile from the trace" "$tmp/old.err"
   GOMAXPROCS=8 go test -race -count=1 \
-    -run 'StraceGolden|ParseStraceAllocRegression|MergeShares|ShardedShares' ./internal/trace/
+    -run 'StraceGolden|ParseStraceAllocRegression|MergeShares' ./internal/trace/
 }
 
 shard() {
