@@ -4,16 +4,19 @@
 // replacement. Reads that miss block the calling simulated thread while
 // the backing blocks are fetched through the I/O scheduler; writes dirty
 // pages in memory and are flushed on Sync (fsync) or when eviction needs
-// a dirty victim. Each file's resident and dirty pages are also indexed
-// per file, so fsync, sync and unlink cost the host what they touch, not
-// what is resident. The cache's capacity is a first-class experimental
-// parameter: the paper's §5.2.1 "Cache size" experiment traces on a 4 GB
-// machine and replays on 1.5 GB (and vice versa).
+// a dirty victim. Resident pages are records of a pointer-free slab,
+// found through a page table per file and listed per file with the dirty
+// ones apart, so building a warm cache costs the host little per page
+// and fsync, sync and unlink cost what they touch, not what is resident
+// (DESIGN.md, Page cache). The cache's capacity is a first-class
+// experimental parameter: the paper's §5.2.1 "Cache size" experiment
+// traces on a 4 GB machine and replays on 1.5 GB (and vice versa).
 package cache
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -38,30 +41,112 @@ type Stats struct {
 	Evictions  int64
 }
 
+// pageKey names a page in Cache.reading.
 type pageKey struct {
 	file FileID
 	idx  int64
 }
 
+const (
+	chunkBits = 10 // slab chunk: 1024 records, 48 KiB
+	leafBits  = 9  // page-table leaf: 512 slots
+)
+
+// page is one record of the slab: 48 bytes and no pointers, so the
+// collector never scans resident pages. Records refer to each other by
+// slot number; slot 0 is never handed out and means "none".
 type page struct {
-	key pageKey
+	file FileID
+	idx  int64
+	lba  int64 // placement recorded at insert, used for writeback
+	// gen is drawn from Cache.gen when the page becomes resident and is 0
+	// while the slot is free. Slots are reused, so it takes (slot, gen) to
+	// tell whether the page seen before a blocking call is still there.
+	gen uint64
 	// newer and older link the page into the cache's recency list, from
-	// Cache.mru (older) and Cache.lru (newer); nil at the respective end.
-	newer, older *page
-	lba          int64 // placement recorded at insert, used for writeback
-	fpos         int   // position in fileIndex.pages
-	dpos         int   // position in fileIndex.dirty; -1 while clean
+	// Cache.mru (older) and Cache.lru (newer); 0 at the respective end. A
+	// free slot's older is the next free slot.
+	newer, older int32
+	fpos         int32 // position in fileIndex.pages
+	dpos         int32 // position in fileIndex.dirty; -1 while clean
 }
 
-// fileIndex lists one file's resident pages and, separately, its dirty
-// ones, so Sync and Drop cost what that file holds rather than what the
-// cache holds. Both slices are unordered (removal swaps the last entry
-// in); writePages imposes the order. An index exists only while its
-// file has a resident page.
+// fileIndex is one file's page table plus the lists of its resident and
+// of its dirty pages, so a look-up hashes nothing per page and Sync and
+// Drop cost what that file holds rather than what the cache holds. The
+// table is leaves of 512 slots keyed by idx>>leafBits (the outline of
+// Linux's per-inode i_pages): a page at offset 1 TiB costs one leaf, not
+// a dense table. cur remembers the last leaf used. Both lists are
+// unordered (removal swaps the last entry in); writePages imposes the
+// order. An index exists only while its file has a resident page and a
+// leaf only while it holds one: a *fileIndex does not survive evicting
+// (the victim may be its last page) nor a call that can block (Drop runs
+// on another simulated thread), which are evictFor when it returns true,
+// writePages and the waits in Read. Look it up again after those.
 type fileIndex struct {
-	pages []*page
-	dirty []*page
-	qpos  int // position in Cache.dirtyFiles; -1 while dirty is empty
+	leaves map[int64]*leaf
+	cur    *leaf
+	curKey int64
+	pages  []int32
+	dirty  []int32
+	qpos   int // position in Cache.dirtyFiles; -1 while dirty is empty
+}
+
+type leaf struct {
+	slots [1 << leafBits]int32
+	n     int // slots in use
+}
+
+// leaf returns the leaf keyed key, nil if there is none.
+func (fi *fileIndex) leaf(key int64) *leaf {
+	if fi.cur == nil || fi.curKey != key {
+		l := fi.leaves[key]
+		if l == nil {
+			return nil
+		}
+		fi.cur, fi.curKey = l, key
+	}
+	return fi.cur
+}
+
+// lookup returns the slot of page idx, 0 if it is not resident. A nil
+// index is that of a file with no resident page.
+func (fi *fileIndex) lookup(idx int64) int32 {
+	if fi == nil {
+		return 0
+	}
+	if l := fi.leaf(idx >> leafBits); l != nil {
+		return l.slots[idx&(1<<leafBits-1)]
+	}
+	return 0
+}
+
+// set enters page idx, not resident so far, at slot s.
+func (fi *fileIndex) set(idx int64, s int32) {
+	key := idx >> leafBits
+	l := fi.leaf(key)
+	if l == nil {
+		if fi.leaves == nil {
+			fi.leaves = make(map[int64]*leaf)
+		}
+		l = new(leaf)
+		fi.leaves[key] = l
+		fi.cur, fi.curKey = l, key
+	}
+	l.slots[idx&(1<<leafBits-1)] = s
+	l.n++
+}
+
+// clear takes resident page idx out of the table, and its leaf with it
+// when that was the leaf's last.
+func (fi *fileIndex) clear(idx int64) {
+	key := idx >> leafBits
+	l := fi.leaf(key)
+	l.slots[idx&(1<<leafBits-1)] = 0
+	if l.n--; l.n == 0 {
+		delete(fi.leaves, key)
+		fi.cur = nil
+	}
 }
 
 // inflight tracks a page read that has been issued but not completed, so
@@ -78,8 +163,18 @@ type Cache struct {
 	sched sched.Scheduler
 
 	capacity int64 // max resident pages; <=0 means unbounded
-	pages    map[pageKey]*page
-	mru, lru *page // ends of the recency list threaded through the pages
+	resident int64
+
+	// slab holds the page records in chunks that are never moved or
+	// given back, so growth copies nothing, a *page stays valid across
+	// inserts and every slot ever handed out stays addressable. Slots
+	// below next have been handed out; free heads the list of those that
+	// hold no page now. gen counts the pages ever made resident.
+	slab       []*[1 << chunkBits]page
+	next, free int32
+	gen        uint64
+
+	mru, lru int32 // ends of the recency list threaded through the pages
 	reading  map[pageKey]*inflight
 
 	// files indexes pages by file; dirtyFiles lists the indexes whose
@@ -101,7 +196,7 @@ func New(k *sim.Kernel, s sched.Scheduler, capacityPages int64) *Cache {
 		k:        k,
 		sched:    s,
 		capacity: capacityPages,
-		pages:    make(map[pageKey]*page),
+		next:     1,
 		reading:  make(map[pageKey]*inflight),
 		files:    make(map[FileID]*fileIndex),
 	}
@@ -111,134 +206,135 @@ func New(k *sim.Kernel, s sched.Scheduler, capacityPages int64) *Cache {
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Resident reports the number of pages currently cached.
-func (c *Cache) Resident() int64 { return int64(len(c.pages)) }
+func (c *Cache) Resident() int64 { return c.resident }
 
 // Capacity returns the configured capacity in pages.
 func (c *Cache) Capacity() int64 { return c.capacity }
 
+// at returns the record in slot s.
+func (c *Cache) at(s int32) *page { return &c.slab[s>>chunkBits][s&(1<<chunkBits-1)] }
+
 // touch moves a page to the MRU position.
-func (c *Cache) touch(p *page) {
-	if c.mru != p {
-		c.unlink(p)
-		c.linkMRU(p)
+func (c *Cache) touch(s int32) {
+	if c.mru != s {
+		c.unlink(s)
+		c.linkMRU(s)
 	}
 }
 
 // linkMRU puts an unlinked page at the MRU end of the recency list.
-func (c *Cache) linkMRU(p *page) {
-	p.newer, p.older = nil, c.mru
-	if c.mru != nil {
-		c.mru.newer = p
+func (c *Cache) linkMRU(s int32) {
+	p := c.at(s)
+	p.newer, p.older = 0, c.mru
+	if c.mru != 0 {
+		c.at(c.mru).newer = s
 	} else {
-		c.lru = p
+		c.lru = s
 	}
-	c.mru = p
+	c.mru = s
 }
 
 // unlink takes a page out of the recency list.
-func (c *Cache) unlink(p *page) {
-	if p.newer != nil {
-		p.newer.older = p.older
+func (c *Cache) unlink(s int32) {
+	p := c.at(s)
+	if p.newer != 0 {
+		c.at(p.newer).older = p.older
 	} else {
 		c.mru = p.older
 	}
-	if p.older != nil {
-		p.older.newer = p.newer
+	if p.older != 0 {
+		c.at(p.older).newer = p.newer
 	} else {
 		c.lru = p.newer
 	}
-	p.newer, p.older = nil, nil
+	p.newer, p.older = 0, 0
 }
 
-// add makes a clean page resident at the MRU position and enters it in
-// its file's index.
-func (c *Cache) add(key pageKey, lba int64) *page {
-	fi := c.files[key.file]
+// index returns file's index, creating it for a caller about to add a
+// page to it.
+func (c *Cache) index(file FileID) *fileIndex {
+	fi := c.files[file]
 	if fi == nil {
 		fi = &fileIndex{qpos: -1}
-		c.files[key.file] = fi
+		c.files[file] = fi
 	}
-	p := &page{key: key, lba: lba, fpos: len(fi.pages), dpos: -1}
-	fi.pages = append(fi.pages, p)
-	c.linkMRU(p)
-	c.pages[key] = p
-	return p
+	return fi
 }
 
-// remove makes a resident page non-resident without writeback. A page
-// that already left (its file was dropped while an evicting thread
-// waited on the device) is left alone.
-func (c *Cache) remove(p *page) {
-	if c.pages[p.key] != p {
-		return
-	}
-	c.markClean(p)
-	fi := c.files[p.key.file]
-	var moved *page
-	fi.pages, moved = swapOut(fi.pages, p.fpos)
-	moved.fpos = p.fpos
-	if len(fi.pages) == 0 {
-		delete(c.files, p.key.file)
-	}
-	c.unlink(p)
-	delete(c.pages, p.key)
-}
-
-// insert adds a page, evicting as needed when t is non-nil. The calling
-// thread t performs any synchronous writeback eviction requires (write
-// throttling). A nil t (kernel context, e.g. a read-completion callback)
-// skips eviction; the waiting thread trims the cache after it wakes.
-func (c *Cache) insert(t *sim.Thread, key pageKey, lba int64, dirty bool) *page {
-	if p, ok := c.pages[key]; ok {
-		if dirty {
-			if p.dpos < 0 {
-				c.stats.Writes++
-				c.markDirty(p)
-			}
+// add makes a clean page of fi's file resident at the MRU position, in
+// a free slot or else a fresh one, and returns the slot.
+func (c *Cache) add(fi *fileIndex, file FileID, idx, lba int64) int32 {
+	s := c.free
+	if s != 0 {
+		c.free = c.at(s).older
+	} else {
+		if c.next == math.MaxInt32 {
+			panic("cache: out of page slots")
 		}
-		c.touch(p)
-		return p
+		if int(c.next>>chunkBits) == len(c.slab) {
+			c.slab = append(c.slab, new([1 << chunkBits]page))
+		}
+		s = c.next
+		c.next++
 	}
-	if t != nil {
-		c.evictFor(t, 1)
-	}
-	p := c.add(key, lba)
-	if dirty {
-		c.stats.Writes++
-		c.markDirty(p)
-	}
-	return p
+	c.gen++
+	*c.at(s) = page{file: file, idx: idx, lba: lba, gen: c.gen, fpos: int32(len(fi.pages)), dpos: -1}
+	fi.pages = append(fi.pages, s)
+	fi.set(idx, s)
+	c.linkMRU(s)
+	c.resident++
+	return s
 }
 
-// markDirty transitions a clean page to dirty, maintaining the index
-// and the count and firing the writeback trigger on the first dirty
-// page.
-func (c *Cache) markDirty(p *page) {
-	if p.dpos >= 0 {
-		return
+// release returns the slot of a page that is off the recency list to
+// the free list.
+func (c *Cache) release(s int32) {
+	*c.at(s) = page{older: c.free}
+	c.free = s
+	c.resident--
+}
+
+// remove makes a resident page non-resident without writeback.
+func (c *Cache) remove(s int32) {
+	p := c.at(s)
+	fi := c.files[p.file]
+	c.markClean(fi, s)
+	var moved int32
+	fi.pages, moved = swapOut(fi.pages, int(p.fpos))
+	c.at(moved).fpos = p.fpos
+	fi.clear(p.idx)
+	if len(fi.pages) == 0 {
+		delete(c.files, p.file)
 	}
-	fi := c.files[p.key.file]
+	c.unlink(s)
+	c.release(s)
+}
+
+// markDirty transitions a clean page of fi to dirty, maintaining the
+// index and the count and firing the writeback trigger on the first
+// dirty page.
+func (c *Cache) markDirty(fi *fileIndex, s int32) {
 	if len(fi.dirty) == 0 {
 		fi.qpos = len(c.dirtyFiles)
 		c.dirtyFiles = append(c.dirtyFiles, fi)
 	}
-	p.dpos = len(fi.dirty)
-	fi.dirty = append(fi.dirty, p)
+	c.at(s).dpos = int32(len(fi.dirty))
+	fi.dirty = append(fi.dirty, s)
 	c.dirty++
 	if c.dirty == 1 && c.onFirstDirty != nil {
 		c.onFirstDirty()
 	}
 }
 
-// markClean is markDirty's inverse.
-func (c *Cache) markClean(p *page) {
+// markClean is markDirty's inverse; a clean page is left alone.
+func (c *Cache) markClean(fi *fileIndex, s int32) {
+	p := c.at(s)
 	if p.dpos < 0 {
 		return
 	}
-	fi := c.files[p.key.file]
-	var moved *page
-	fi.dirty, moved = swapOut(fi.dirty, p.dpos)
-	moved.dpos = p.dpos
+	var moved int32
+	fi.dirty, moved = swapOut(fi.dirty, int(p.dpos))
+	c.at(moved).dpos = p.dpos
 	p.dpos = -1
 	if len(fi.dirty) == 0 {
 		c.unlistDirty(fi)
@@ -257,11 +353,12 @@ func (c *Cache) unlistDirty(fi *fileIndex) {
 // swapOut removes s[i] by moving the last element into its place. It
 // returns that element (s[i] itself when i was last) for the caller to
 // record its new position i.
-func swapOut[T any](s []*T, i int) ([]*T, *T) {
+func swapOut[T any](s []T, i int) ([]T, T) {
+	var zero T
 	last := len(s) - 1
 	moved := s[last]
 	s[i] = moved
-	s[last] = nil
+	s[last] = zero
 	return s[:last], moved
 }
 
@@ -271,22 +368,28 @@ func swapOut[T any](s []*T, i int) ([]*T, *T) {
 func (c *Cache) OnFirstDirty(fn func()) { c.onFirstDirty = fn }
 
 // evictFor makes room for n new pages. Clean victims are dropped; dirty
-// victims are written back synchronously by the calling thread.
-func (c *Cache) evictFor(t *sim.Thread, n int64) {
+// victims are written back synchronously by the calling thread. It
+// reports whether it evicted anything.
+func (c *Cache) evictFor(t *sim.Thread, n int64) (evicted bool) {
 	if c.capacity <= 0 {
-		return
+		return false
 	}
-	for int64(len(c.pages))+n > c.capacity {
+	for c.resident+n > c.capacity && c.lru != 0 {
 		victim := c.lru
-		if victim == nil {
-			return
+		p := c.at(victim)
+		gen := p.gen
+		if p.dpos >= 0 {
+			c.writePages(t, []int32{victim})
 		}
-		if victim.dpos >= 0 {
-			c.writePages(t, []*page{victim})
+		// The victim may have left while t waited (its file was dropped,
+		// or the whole cache) and its slot may hold another page by now.
+		if p.gen == gen {
+			c.remove(victim)
 		}
-		c.remove(victim)
 		c.stats.Evictions++
+		evicted = true
 	}
+	return evicted
 }
 
 // Read ensures pages [start, start+n) of file are resident, blocking t
@@ -299,18 +402,20 @@ func (c *Cache) Read(t *sim.Thread, file FileID, m Mapper, start, n int64) {
 	type run struct{ first, count int64 }
 	var runs []run
 	var waits []*inflight
+	fi := c.files[file]
 	for i := start; i < start+n; i++ {
-		key := pageKey{file, i}
-		if p, ok := c.pages[key]; ok {
+		if s := fi.lookup(i); s != 0 {
 			c.stats.Hits++
-			c.touch(p)
+			c.touch(s)
 			continue
 		}
-		if inf, ok := c.reading[key]; ok {
-			// Someone else is fetching this page.
-			c.stats.Hits++
-			waits = append(waits, inf)
-			continue
+		if len(c.reading) > 0 {
+			if inf, ok := c.reading[pageKey{file, i}]; ok {
+				// Someone else is fetching this page.
+				c.stats.Hits++
+				waits = append(waits, inf)
+				continue
+			}
 		}
 		c.stats.Misses++
 		if len(runs) > 0 {
@@ -339,10 +444,16 @@ func (c *Cache) Read(t *sim.Thread, file FileID, m Mapper, start, n int64) {
 			Owner:  t.ID(),
 		}
 		c.sched.Submit(req, func() {
+			// Kernel context: insert without evicting; the waiting
+			// thread trims the cache after it wakes.
+			fi := c.index(file)
 			for i := r.first; i < r.first+r.count; i++ {
-				key := pageKey{file, i}
-				delete(c.reading, key)
-				c.insert(nil, key, m(i), false)
+				delete(c.reading, pageKey{file, i})
+				if s := fi.lookup(i); s != 0 {
+					c.touch(s)
+				} else {
+					c.add(fi, file, i, m(i))
+				}
 			}
 			remaining--
 			if remaining == 0 {
@@ -370,23 +481,51 @@ func (c *Cache) Read(t *sim.Thread, file FileID, m Mapper, start, n int64) {
 // untouched — warming happens outside the measured run — and warming
 // stops at capacity rather than evicting resident state.
 func (c *Cache) Warm(file FileID, m Mapper, start, n int64) {
-	for i := start; i < start+n; i++ {
-		key := pageKey{file, i}
-		if _, ok := c.pages[key]; ok {
-			continue
+	room := n
+	if c.capacity > 0 {
+		room = min(n, c.capacity-c.resident)
+	}
+	if room <= 0 {
+		return
+	}
+	// A new index gets its first page below: none of the file's is
+	// resident and there is room for one.
+	fi := c.index(file)
+	fi.pages = slices.Grow(fi.pages, int(room))
+	for i := start; i < start+n && room > 0; i++ {
+		if fi.lookup(i) == 0 {
+			c.add(fi, file, i, m(i))
+			room--
 		}
-		if c.capacity > 0 && int64(len(c.pages)) >= c.capacity {
-			return
-		}
-		c.add(key, m(i))
 	}
 }
 
 // Write dirties pages [start, start+n) of file in memory. It returns
 // immediately in virtual time except when eviction forces writeback.
+// The calling thread t performs any synchronous writeback eviction
+// requires (write throttling).
 func (c *Cache) Write(t *sim.Thread, file FileID, m Mapper, start, n int64) {
+	fi := c.files[file]
 	for i := start; i < start+n; i++ {
-		c.insert(t, pageKey{file, i}, m(i), true)
+		s := fi.lookup(i)
+		if s == 0 && c.evictFor(t, 1) {
+			// The index may be gone or, if t waited on the device, the
+			// page brought in.
+			fi = c.files[file]
+			s = fi.lookup(i)
+		}
+		if s != 0 {
+			c.touch(s)
+		} else {
+			if fi == nil {
+				fi = c.index(file)
+			}
+			s = c.add(fi, file, i, m(i))
+		}
+		if c.at(s).dpos < 0 {
+			c.stats.Writes++
+			c.markDirty(fi, s)
+		}
 	}
 }
 
@@ -407,7 +546,7 @@ func (c *Cache) SyncAll(t *sim.Thread) int {
 	if c.dirty == 0 {
 		return 0
 	}
-	dirty := make([]*page, 0, c.dirty)
+	dirty := make([]int32, 0, c.dirty)
 	for _, fi := range c.dirtyFiles {
 		dirty = append(dirty, fi.dirty...)
 	}
@@ -415,19 +554,21 @@ func (c *Cache) SyncAll(t *sim.Thread) int {
 	return len(dirty)
 }
 
-// writePages issues write requests for the given pages (coalescing
-// contiguous LBAs) and blocks t until all complete. Pages are marked
-// clean when the writes are issued; the model does not redirty mid-write.
-// It reorders pages, which must not alias an index slice.
-func (c *Cache) writePages(t *sim.Thread, pages []*page) {
+// writePages issues write requests for the pages in the given slots
+// (coalescing contiguous LBAs) and blocks t until all complete. Pages
+// are marked clean when the writes are issued; the model does not
+// redirty mid-write. It reorders slots, which must not alias an index
+// slice.
+func (c *Cache) writePages(t *sim.Thread, slots []int32) {
 	// (lba, file, idx) is a total order over resident pages, so the
 	// request sequence does not depend on the order the caller collected
 	// them in, even when two files map onto the same LBA.
-	slices.SortFunc(pages, func(a, b *page) int {
+	slices.SortFunc(slots, func(a, b int32) int {
+		p, q := c.at(a), c.at(b)
 		return cmp.Or(
-			cmp.Compare(a.lba, b.lba),
-			cmp.Compare(a.key.file, b.key.file),
-			cmp.Compare(a.key.idx, b.key.idx),
+			cmp.Compare(p.lba, q.lba),
+			cmp.Compare(p.file, q.file),
+			cmp.Compare(p.idx, q.idx),
 		)
 	})
 	type run struct {
@@ -435,8 +576,9 @@ func (c *Cache) writePages(t *sim.Thread, pages []*page) {
 		blocks int
 	}
 	var runs []run
-	for _, p := range pages {
-		c.markClean(p)
+	for _, s := range slots {
+		p := c.at(s)
+		c.markClean(c.files[p.file], s)
 		c.stats.Writebacks++
 		if len(runs) > 0 && runs[len(runs)-1].lba+int64(runs[len(runs)-1].blocks) == p.lba {
 			runs[len(runs)-1].blocks++
@@ -462,8 +604,7 @@ func (c *Cache) writePages(t *sim.Thread, pages []*page) {
 
 // Contains reports whether the page is resident (for tests).
 func (c *Cache) Contains(file FileID, idx int64) bool {
-	_, ok := c.pages[pageKey{file, idx}]
-	return ok
+	return c.files[file].lookup(idx) != 0
 }
 
 // DirtyCount reports the number of dirty resident pages.
@@ -477,9 +618,9 @@ func (c *Cache) Drop(file FileID) {
 	if fi == nil {
 		return
 	}
-	for _, p := range fi.pages {
-		c.unlink(p)
-		delete(c.pages, p.key)
+	for _, s := range fi.pages {
+		c.unlink(s)
+		c.release(s)
 	}
 	if len(fi.dirty) > 0 {
 		c.dirty -= len(fi.dirty)
@@ -489,10 +630,15 @@ func (c *Cache) Drop(file FileID) {
 }
 
 // DropAll empties the cache without writeback (echo 3 >
-// /proc/sys/vm/drop_caches between benchmark phases).
+// /proc/sys/vm/drop_caches between benchmark phases). Every slot goes
+// through release, so no generation outlives it.
 func (c *Cache) DropAll() {
-	c.pages = make(map[pageKey]*page)
-	c.mru, c.lru = nil, nil
+	for s := c.mru; s != 0; {
+		older := c.at(s).older
+		c.release(s)
+		s = older
+	}
+	c.mru, c.lru = 0, 0
 	c.files = make(map[FileID]*fileIndex)
 	c.dirtyFiles = nil
 	c.dirty = 0

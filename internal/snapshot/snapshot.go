@@ -299,7 +299,7 @@ func (s *Snapshot) Encode(w io.Writer) error {
 // Decode parses a serialized snapshot.
 func Decode(r io.Reader) (*Snapshot, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20) // grown on demand; lines stay capped at 1 MiB (TestLineLimit)
 	snap := &Snapshot{}
 	byPath := make(map[string]int)
 	lineNo := 0

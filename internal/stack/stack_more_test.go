@@ -1,6 +1,8 @@
 package stack
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -549,4 +551,33 @@ func TestAgedLayoutSlowsSequentialReads(t *testing.T) {
 	if float64(aged) < 1.5*float64(fresh) {
 		t.Fatalf("aged sequential read (%v) not much slower than fresh (%v)", aged, fresh)
 	}
+}
+
+// BenchmarkWarmAll warms a freshly built machine, as every replica of a
+// warmed replay does before its first action: a thousand files of one
+// page to 2 MiB, about a hundred thousand pages. It reports host time
+// and heap bytes per page left resident; TestWarmAllocsPerPage in
+// internal/artc holds the allocation count down.
+func BenchmarkWarmAll(b *testing.B) {
+	var pages int64
+	var bytes uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, sys := newSys(nil)
+		for f := 0; f < 1024; f++ {
+			if err := sys.SetupCreate(fmt.Sprintf("/lib/%02d/%02d", f/32, f%32), 4096<<(f%10)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		sys.WarmAll()
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		pages += sys.Cache.Resident()
+		bytes += after.TotalAlloc - before.TotalAlloc
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pages), "ns/page")
+	b.ReportMetric(float64(bytes)/float64(pages), "B/page")
 }

@@ -93,7 +93,7 @@ func (e *ParseError) Error() string {
 // Decode parses a native-format trace.
 func Decode(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20) // grown on demand; lines stay capped at 1 MiB (TestLineLimit)
 	tr := &Trace{Platform: "linux"}
 	lineNo := 0
 	for sc.Scan() {

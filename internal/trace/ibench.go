@@ -30,7 +30,7 @@ import (
 // are skipped, mirroring ParseStrace.
 func ParseIBench(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(make([]byte, 64<<10), 1<<20) // grown on demand; lines stay capped at 1 MiB (TestLineLimit)
 	tr := &Trace{Platform: "osx"}
 	lineNo := 0
 	base := int64(-1)

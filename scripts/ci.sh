@@ -28,11 +28,11 @@
 # sharded replayer), chaos (seeded fault sweep with per-seed
 # verification plus a single-seed bit-repro check), cache (artifact
 # cache hit/corruption behavior), allocs (the replay loop's
-# allocations-per-record ceilings under GOMAXPROCS 1 and 2, and escape
-# analysis saying no syscall entry point's trace.Record reaches the
-# heap), fuzz (short smokes: the strace lexer
-# and the Chrome exporter against their reference implementations, the
-# artifact decoder against malformed input), service (boot artcd, drive
+# allocations-per-record ceilings and the warm's per-page ceiling under
+# GOMAXPROCS 1 and 2, and escape analysis saying no syscall entry
+# point's trace.Record reaches the heap), fuzz (short smokes: the strace
+# lexer, the Chrome exporter and the page cache against their reference
+# implementations, the artifact decoder against malformed input), service (boot artcd, drive
 # replays over HTTP, compare the serial and the sharded + sliced export
 # byte for byte against the artc CLI), service-fault (overfill a tenant
 # queue, assert bounded 429 backpressure and a clean SIGTERM drain),
@@ -243,14 +243,17 @@ cache() {
   grep -qi "truncat" "$tmp/cache-trunc.err"
 }
 
-# allocs answers one question: does the replay loop still allocate
-# nothing per record? The ceilings count a whole Replay's allocations per
-# record; the escape check catches the commonest way back, a change to
-# System.record that lets the entry points' Record literals escape.
+# allocs answers two questions: does the replay loop still allocate
+# nothing per record, and does warming a replica still allocate nothing
+# per page? The ceilings count a whole Replay's allocations per record
+# and a whole WarmAll's per resident page (plus the page cache's
+# sparse-file bound); the escape check catches the commonest way back
+# for the first, a change to System.record that lets the entry points'
+# Record literals escape.
 allocs() {
   for procs in 1 2; do
-    echo "== allocs: allocations-per-record ceilings at GOMAXPROCS=$procs"
-    GOMAXPROCS=$procs go test -count=1 -run 'ReplayAllocs' ./internal/artc/
+    echo "== allocs: allocations-per-record and per-warmed-page ceilings at GOMAXPROCS=$procs"
+    GOMAXPROCS=$procs go test -count=1 -run 'ReplayAllocs|WarmAllocs' ./internal/artc/ ./internal/cache/
   done
   echo "== allocs: syscall entry points keep their trace.Record on the stack"
   go build -gcflags=-m ./internal/stack 2>&1 |
@@ -273,6 +276,8 @@ fuzz() {
   go test -run '^$' -fuzz 'FuzzDecodeBinary' -fuzztime 20s -fuzzminimizetime 5s ./internal/artc/
   echo "== fuzz: 20s streaming Chrome exporter vs encoding/json reference smoke"
   go test -run '^$' -fuzz 'FuzzWriteChrome' -fuzztime 20s -fuzzminimizetime 5s ./internal/obs/
+  echo "== fuzz: 10s page cache vs scanning oracle smoke"
+  go test -run '^$' -fuzz 'FuzzCacheOps' -fuzztime 10s -fuzzminimizetime 1s ./internal/cache/
 }
 
 # start_artcd boots the daemon on an ephemeral port with the given
@@ -395,6 +400,8 @@ bench() {
   go test -run '^$' -bench 'Compile' -benchtime 1x -benchmem .
   echo "== go test -bench='SyncResident|DropResident' -benchtime=1x"
   go test -run '^$' -bench 'SyncResident|DropResident' -benchtime 1x ./internal/cache
+  echo "== go test -bench=WarmAll -benchtime=1x"
+  go test -run '^$' -bench 'WarmAll' -benchtime 1x ./internal/stack
   echo "== go test -bench=WriteChrome -benchtime=1x"
   go test -run '^$' -bench 'WriteChrome' -benchtime 1x ./internal/obs
   echo "== perfstat -> BENCH_${tag}.json"
