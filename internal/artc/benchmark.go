@@ -96,8 +96,22 @@ func Compile(tr *trace.Trace, snap *snapshot.Snapshot, modes core.ModeSet) (*Ben
 	if err != nil {
 		return nil, fmt.Errorf("artc: analysis: %w", err)
 	}
+	return assemble(tr, snap, an, modes)
+}
+
+// assemble derives the graph and the touch plan from a finished
+// analysis. Both only read it, so the plan is built on a second
+// goroutine while this one builds, checks and reduces the graph.
+func assemble(tr *trace.Trace, snap *snapshot.Snapshot, an *core.Analysis, modes core.ModeSet) (*Benchmark, error) {
+	planned := make(chan []actionTouches, 1)
+	go func() { planned <- planTouches(an) }()
 	g := core.BuildGraph(an, modes)
-	if err := g.CheckAcyclic(); err != nil {
+	err := g.CheckAcyclic()
+	if err == nil {
+		g = g.Reduce(an)
+	}
+	plan := <-planned // on the error path too: the goroutine ends before assemble returns
+	if err != nil {
 		return nil, err
 	}
 	return &Benchmark{
@@ -106,8 +120,8 @@ func Compile(tr *trace.Trace, snap *snapshot.Snapshot, modes core.ModeSet) (*Ben
 		Trace:    tr,
 		Snapshot: snap,
 		Analysis: an,
-		Graph:    g.Reduce(an),
-		touches:  planTouches(an),
+		Graph:    g,
+		touches:  plan,
 	}, nil
 }
 

@@ -39,7 +39,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -88,12 +90,17 @@ const (
 	fRet
 )
 
-// binWriter accumulates one section payload, interning strings into the
-// shared table as they are first seen.
+// binWriter builds the artifact in one buffer, interning strings into
+// the shared table as they are first seen. Sections are written where
+// they will stay, each behind its id and a length patched in when it
+// closes — all but the string table, complete only once every other
+// section has interned its strings: strLen tracks what its payload will
+// take, and EncodeBinary ends by opening a gap of that size for it.
 type binWriter struct {
-	buf  []byte
-	str  map[string]uint64
-	strs []string
+	buf    []byte
+	str    map[string]uint64
+	strs   []string
+	strLen int // bytes of the strtab payload's entries, without their count
 }
 
 func (w *binWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
@@ -106,9 +113,24 @@ func (w *binWriter) intern(s string) uint64 {
 	i := uint64(len(w.strs))
 	w.str[s] = i
 	w.strs = append(w.strs, s)
+	w.strLen += uvarintLen(uint64(len(s))) + len(s)
 	return i
 }
 func (w *binWriter) string(s string) { w.uvarint(w.intern(s)) }
+
+// open starts a section and returns where its payload begins; close
+// patches the payload's length into the header open wrote.
+func (w *binWriter) open(id byte) int {
+	w.buf = append(w.buf, id, 0, 0, 0, 0, 0, 0, 0, 0)
+	return len(w.buf)
+}
+
+func (w *binWriter) close(start int) {
+	binary.LittleEndian.PutUint64(w.buf[start-8:], uint64(len(w.buf)-start))
+}
+
+// uvarintLen is len(binary.AppendUvarint(nil, v)).
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // modesByte packs a ModeSet into one byte.
 func modesByte(m core.ModeSet) byte {
@@ -157,15 +179,43 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		return fmt.Errorf("artc: EncodeBinary needs a compiled benchmark (analysis, graph, snapshot, trace)")
 	}
 	an := b.Analysis
-	bw := &binWriter{str: make(map[string]uint64)}
+	if len(an.SeriesList) != len(an.Resources) {
+		return fmt.Errorf("artc: analysis has %d series for %d resources", len(an.SeriesList), len(an.Resources))
+	}
+	// Totals up front, for the decoder's slab allocations and for sizing
+	// the buffer here.
+	var totalSeries, totalTouches uint64
+	for _, s := range an.SeriesList {
+		totalSeries += uint64(len(s))
+	}
+	for i := range an.Actions {
+		totalTouches += uint64(len(an.Actions[i].Touches))
+	}
+	// The whole artifact is built in one buffer, allocated once (a payload
+	// grown from nil by append allocates several times what it keeps).
+	// The bytes per element are a little over what the Magritte,
+	// components and pipeline corpora take, the slack covering their
+	// string tables; a denser artifact grows the buffer by append.
+	nRec := len(b.Trace.Records)
+	bw := &binWriter{
+		str: make(map[string]uint64),
+		buf: make([]byte, 0, 256+16*len(b.Snapshot.Entries)+23*nRec+
+			3*int(totalTouches)+2*int(totalSeries)+7*len(an.Resources)+12*len(b.Graph.Edges)),
+	}
+	bw.buf = append(bw.buf, binMagic[:]...)
+	bw.buf = binary.LittleEndian.AppendUint32(bw.buf, BinaryFormatVersion)
 
 	// meta: platform + modes. Interned first so the platform is string 0.
+	sec := bw.open(secMeta)
 	bw.string(b.Platform)
 	bw.byte(modesByte(b.Modes))
-	meta := bw.buf
-	bw.buf = nil
+	bw.close(sec)
+	// The string table is the second section of the file and the last to
+	// be written: every later section slides down to make room for it.
+	strtabAt := len(bw.buf)
 
 	// snapshot.
+	sec = bw.open(secSnapshot)
 	bw.uvarint(uint64(len(b.Snapshot.Entries)))
 	for i := range b.Snapshot.Entries {
 		e := &b.Snapshot.Entries[i]
@@ -201,10 +251,10 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 			bw.svarint(e.Xattrs[n])
 		}
 	}
-	snapPayload := bw.buf
-	bw.buf = nil
+	bw.close(sec)
 
 	// trace records.
+	sec = bw.open(secTrace)
 	bw.uvarint(uint64(len(b.Trace.Records)))
 	// Timestamps are delta-coded: Start against the previous record's
 	// Start, End against the record's own Start (the call latency). The
@@ -298,24 +348,16 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		bw.svarint(int64(r.End) - int64(r.Start))
 		prevStart = int64(r.Start)
 	}
-	tracePayload := bw.buf
-	bw.buf = nil
+	bw.close(sec)
 
 	// analysis: resource table, action series, actions, path
 	// generations, warnings.
+	sec = bw.open(secAnalysis)
 	bw.uvarint(uint64(len(an.Resources)))
 	for _, res := range an.Resources {
 		bw.byte(byte(res.Kind))
 		bw.string(res.Name)
 		bw.uvarint(uint64(res.Gen))
-	}
-	if len(an.SeriesList) != len(an.Resources) {
-		return fmt.Errorf("artc: analysis has %d series for %d resources", len(an.SeriesList), len(an.Resources))
-	}
-	// Total series length up front, for the decoder's slab allocation.
-	var totalSeries uint64
-	for _, s := range an.SeriesList {
-		totalSeries += uint64(len(s))
 	}
 	bw.uvarint(totalSeries)
 	for _, s := range an.SeriesList {
@@ -331,12 +373,6 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		}
 	}
 	bw.uvarint(uint64(len(an.Actions)))
-	var totalTouches uint64
-	for i := range an.Actions {
-		totalTouches += uint64(len(an.Actions[i].Touches))
-	}
-	// Total touch count up front so the decoder can slab-allocate the
-	// touch lists in one shot instead of growing through appends.
 	bw.uvarint(totalTouches)
 	for i := range an.Actions {
 		act := &an.Actions[i]
@@ -377,11 +413,11 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 	for _, wmsg := range an.Warnings {
 		bw.string(wmsg)
 	}
-	analysisPayload := bw.buf
-	bw.buf = nil
+	bw.close(sec)
 
-	// graph: the compile-time reduced graph. Deps/Succs/Indegree are
+	// graph: the compile-time reduced graph. The adjacency indexes are
 	// rebuilt from the edge list on load.
+	sec = bw.open(secGraph)
 	g := b.Graph
 	bw.uvarint(uint64(g.N))
 	bw.uvarint(uint64(g.ReducedEdges))
@@ -394,10 +430,10 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		bw.string(e.Res.Name)
 		bw.uvarint(uint64(e.Res.Gen))
 	}
-	graphPayload := bw.buf
-	bw.buf = nil
+	bw.close(sec)
 
 	// touchplan: the replayer's per-action FD/AIO plan.
+	sec = bw.open(secTouchplan)
 	plan := b.touches
 	if plan == nil {
 		plan = planTouches(an)
@@ -409,44 +445,27 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		bw.svarint(int64(p.aioUse))
 		bw.svarint(int64(p.aioCreate))
 	}
-	planPayload := bw.buf
-	bw.buf = nil
+	bw.close(sec)
 
-	// strtab, complete now that every section has interned its strings.
-	bw.uvarint(uint64(len(bw.strs)))
+	// strtab, complete now that every section has interned its strings:
+	// open the gap, write the section into it, then the footer and the
+	// whole-artifact checksum.
+	payload := uvarintLen(uint64(len(bw.strs))) + bw.strLen
+	gap := 1 + 8 + payload
+	end := len(bw.buf)
+	bw.buf = slices.Grow(bw.buf, gap+5)[:end+gap]
+	copy(bw.buf[strtabAt+gap:], bw.buf[strtabAt:end])
+	st := append(bw.buf[:strtabAt], secStrtab)
+	st = binary.LittleEndian.AppendUint64(st, uint64(payload))
+	st = binary.AppendUvarint(st, uint64(len(bw.strs)))
 	for _, s := range bw.strs {
-		bw.uvarint(uint64(len(s)))
-		bw.buf = append(bw.buf, s...)
+		st = binary.AppendUvarint(st, uint64(len(s)))
+		st = append(st, s...)
 	}
-	strtabPayload := bw.buf
-	bw.buf = nil
-
-	// Assemble the artifact and append the whole-artifact checksum.
-	sections := []struct {
-		id      byte
-		payload []byte
-	}{
-		{secMeta, meta},
-		{secStrtab, strtabPayload},
-		{secSnapshot, snapPayload},
-		{secTrace, tracePayload},
-		{secAnalysis, analysisPayload},
-		{secGraph, graphPayload},
-		{secTouchplan, planPayload},
+	if len(st) != strtabAt+gap {
+		panic("artc: string table is not the size interning counted")
 	}
-	total := len(binMagic) + 4
-	for _, s := range sections {
-		total += 1 + 8 + len(s.payload)
-	}
-	out := make([]byte, 0, total+5)
-	out = append(out, binMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, BinaryFormatVersion)
-	for _, s := range sections {
-		out = append(out, s.id)
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(s.payload)))
-		out = append(out, s.payload...)
-	}
-	out = append(out, secFooter)
+	out := append(bw.buf, secFooter)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 	_, err := w.Write(out)
 	return err

@@ -1,0 +1,93 @@
+package artc_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"rootreplay/internal/artc"
+	"rootreplay/internal/artifact"
+	"rootreplay/internal/core"
+)
+
+// The artifact golden pins the bytes EncodeBinary emits for every pinned
+// corpus compiled under the default modes: length and sha256.
+// testdata/artifact_bytes.golden was recorded with -update-artifact-bytes
+// at e4d1ce9, the last commit whose encoder grew one buffer per section
+// and assembled them afterwards; an encoder that lays the sections out
+// differently in memory must still reproduce every byte. Regenerate it
+// only together with a BinaryFormatVersion bump.
+var updateArtifactBytes = flag.Bool("update-artifact-bytes", false, "rewrite testdata/artifact_bytes.golden")
+
+const artifactBytesGolden = "testdata/artifact_bytes.golden"
+
+// writeLog keeps a copy of every Write it is handed.
+type writeLog struct{ writes [][]byte }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, bytes.Clone(p))
+	return len(p), nil
+}
+
+// TestEncodeBinaryWritesOnce holds the encoder to one Write of the whole
+// artifact (the store hands it the temp file itself, so a second Write
+// would be a second syscall and a torn artifact if the first failed), to
+// the length Store.Put reports, and to the pinned bytes.
+func TestEncodeBinaryWritesOnce(t *testing.T) {
+	store, err := artifact.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, c := range pinnedCorpora(testing.Short() && !*updateArtifactBytes) {
+		tr, snap, err := c.load()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		b, err := artc.Compile(tr, snap, core.DefaultModes())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var w writeLog
+		if err := b.EncodeBinary(&w); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(w.writes) != 1 {
+			t.Fatalf("%s: EncodeBinary made %d writes, want 1", c.name, len(w.writes))
+		}
+		key, err := artifact.KeyTrace(tr, b.Snapshot, b.Modes)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n, err := store.Put(key, b); err != nil || n != int64(len(w.writes[0])) {
+			t.Fatalf("%s: Put = %d, %v; EncodeBinary wrote %d bytes", c.name, n, err, len(w.writes[0]))
+		}
+		got = append(got, fmt.Sprintf("%s %d %x", c.name, len(w.writes[0]), sha256.Sum256(w.writes[0])))
+	}
+
+	if *updateArtifactBytes {
+		if err := os.WriteFile(artifactBytesGolden, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(artifactBytesGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		name, _, _ := strings.Cut(l, " ")
+		want[name] = l
+	}
+	for _, g := range got {
+		name, _, _ := strings.Cut(g, " ")
+		if want[name] != g {
+			t.Errorf("artifact bytes moved:\n got %s\nwant %s", g, want[name])
+		}
+	}
+}

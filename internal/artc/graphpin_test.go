@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -94,23 +95,20 @@ func generationsCorpus() (*trace.Trace, *snapshot.Snapshot, error) {
 	return tr, snap, nil
 }
 
-func TestGraphEdgesPinned(t *testing.T) {
-	ladder := []core.ModeSet{
-		{},
-		{FDStage: true},
-		{FDStage: true, FDSeq: true},
-		{FDStage: true, FDSeq: true, PathStageName: true},
-		core.DefaultModes(),
-		{ProgramSeq: true},
-	}
-	type corpus struct {
-		name string
-		load func() (*trace.Trace, *snapshot.Snapshot, error)
-	}
-	var corpora []corpus
+// pinCorpus is one input of the pinned corpora: every Magritte spec, the
+// components and pipeline family files, and generationsCorpus.
+type pinCorpus struct {
+	name string
+	load func() (*trace.Trace, *snapshot.Snapshot, error)
+}
+
+// pinnedCorpora lists the corpora the goldens of this package are
+// recorded on; short keeps four Magritte specs and the rest.
+func pinnedCorpora(short bool) []pinCorpus {
+	var corpora []pinCorpus
 	gen := magritte.DefaultSuiteOptions().Gen
 	for _, spec := range magritte.Specs {
-		corpora = append(corpora, corpus{"magritte/" + spec.FullName(), func() (*trace.Trace, *snapshot.Snapshot, error) {
+		corpora = append(corpora, pinCorpus{"magritte/" + spec.FullName(), func() (*trace.Trace, *snapshot.Snapshot, error) {
 			g, err := magritte.Generate(spec, gen)
 			if err != nil {
 				return nil, nil, err
@@ -119,7 +117,7 @@ func TestGraphEdgesPinned(t *testing.T) {
 		}})
 	}
 	for _, file := range []string{"components_small", "pipeline_small"} {
-		corpora = append(corpora, corpus{file, func() (*trace.Trace, *snapshot.Snapshot, error) {
+		corpora = append(corpora, pinCorpus{file, func() (*trace.Trace, *snapshot.Snapshot, error) {
 			f, err := os.Open("../workload/testdata/" + file + ".trace")
 			if err != nil {
 				return nil, nil, err
@@ -129,10 +127,44 @@ func TestGraphEdgesPinned(t *testing.T) {
 			return tr, nil, err // Compile infers the snapshot
 		}})
 	}
-	corpora = append(corpora, corpus{"generations", generationsCorpus})
-	if testing.Short() && !*updateGraphEdges {
+	corpora = append(corpora, pinCorpus{"generations", generationsCorpus})
+	if short {
 		corpora = append(corpora[:4:4], corpora[len(magritte.Specs):]...)
 	}
+	return corpora
+}
+
+// checkAdjacency holds a graph's CSR rows to the per-action [][]int
+// index newGraph built at e4d1ce9 (one append per edge, in Edges order),
+// rebuilt here as the oracle.
+func checkAdjacency(t *testing.T, name string, g *core.Graph) {
+	t.Helper()
+	deps, succs := make([][]int, g.N), make([][]int, g.N)
+	for ei, e := range g.Edges {
+		deps[e.To] = append(deps[e.To], ei)
+		succs[e.From] = append(succs[e.From], ei)
+	}
+	same := func(row []int32, want []int) bool {
+		return slices.EqualFunc(row, want, func(a int32, b int) bool { return int(a) == b })
+	}
+	for i := 0; i < g.N; i++ {
+		if !same(g.Deps(i), deps[i]) || !same(g.Succs(i), succs[i]) || g.Indegree(i) != len(deps[i]) {
+			t.Fatalf("%s: action %d: Deps %v Succs %v Indegree %d, oracle %v %v",
+				name, i, g.Deps(i), g.Succs(i), g.Indegree(i), deps[i], succs[i])
+		}
+	}
+}
+
+func TestGraphEdgesPinned(t *testing.T) {
+	ladder := []core.ModeSet{
+		{},
+		{FDStage: true},
+		{FDStage: true, FDSeq: true},
+		{FDStage: true, FDSeq: true, PathStageName: true},
+		core.DefaultModes(),
+		{ProgramSeq: true},
+	}
+	corpora := pinnedCorpora(testing.Short() && !*updateGraphEdges)
 
 	type line struct{ key, val string } // "corpus modes", "edges digest"
 	var got []line
@@ -145,8 +177,10 @@ func TestGraphEdgesPinned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
+		checkAdjacency(t, c.name+" reduced", b.Graph)
 		for _, modes := range ladder {
 			g := core.BuildGraph(b.Analysis, modes)
+			checkAdjacency(t, c.name+" "+artc.ModesString(modes), g)
 			h := sha256.New()
 			var num [8]byte
 			for _, e := range g.Edges {

@@ -72,8 +72,8 @@ func oracleReplay(sys *stack.System, b *artc.Benchmark, opts artc.Options) (*art
 		callCount:    make(map[string]int64),
 		perThread:    make(map[int]time.Duration),
 	}
-	for i, d := range g.Indegree {
-		o.remaining[i] = int32(d)
+	for i := range o.remaining {
+		o.remaining[i] = int32(g.Indegree(i))
 		o.releasedEdge[i] = -1
 	}
 	// Predelay: the traced gap to the previous action on the same thread.
@@ -119,11 +119,11 @@ func oracleReplay(sys *stack.System, b *artc.Benchmark, opts artc.Options) (*art
 	return rep, nil
 }
 
-func (o *oracleState) depSatisfied(ei int) {
+func (o *oracleState) depSatisfied(ei int32) {
 	to := o.g.Edges[ei].To
 	o.remaining[to]--
 	if o.remaining[to] == 0 {
-		o.releasedEdge[to] = int32(ei)
+		o.releasedEdge[to] = ei
 		o.releasedAt[to] = o.sys.K.Now() - o.start
 		if w := o.waiting[to]; w != nil {
 			o.sys.K.Unpark(w)
@@ -151,7 +151,7 @@ func (o *oracleState) playAction(t *sim.Thread, idx int) {
 	}
 	now := o.sys.K.Now()
 	o.issueAt[idx] = now - o.start
-	for _, ei := range o.g.Succs[idx] {
+	for _, ei := range o.g.Succs(idx) {
 		if o.g.Edges[ei].Kind == core.WaitIssue {
 			o.depSatisfied(ei)
 		}
@@ -175,7 +175,7 @@ func (o *oracleState) playAction(t *sim.Thread, idx int) {
 
 	end := o.sys.K.Now()
 	o.doneAt[idx] = end - o.start
-	for _, ei := range o.g.Succs[idx] {
+	for _, ei := range o.g.Succs(idx) {
 		if o.g.Edges[ei].Kind == core.WaitComplete {
 			o.depSatisfied(ei)
 		}

@@ -413,8 +413,8 @@ func start(sys *stack.System, b *Benchmark, opts Options) (*replayState, error) 
 func newReplayState(sys *stack.System, b *Benchmark, opts Options, g *core.Graph) *replayState {
 	n := len(b.Trace.Records)
 	remaining := make([]int32, n)
-	for i, d := range g.Indegree {
-		remaining[i] = int32(d)
+	for i := range remaining {
+		remaining[i] = int32(g.Indegree(i))
 	}
 	hot := b.hot()
 	native := make([]bool, len(hot.calls))
@@ -636,14 +636,14 @@ func (rs *replayState) finish() (*Report, error) {
 // negative means the graph's Indegree disagrees with its edge list — a
 // construction bug that would otherwise surface as a silent ordering
 // violation, so it panics instead.
-func (rs *replayState) depSatisfied(ei int) {
+func (rs *replayState) depSatisfied(ei int32) {
 	e := &rs.g.Edges[ei]
 	to := e.To
 	rs.remaining[to]--
 	switch {
 	case rs.remaining[to] == 0:
 		if rs.obs != nil {
-			rs.releasedEdge[to] = int32(ei)
+			rs.releasedEdge[to] = ei
 			rs.releasedAt[to] = rs.sys.K.Now() - rs.start
 		}
 		if w := rs.waiting[to]; w != nil {
@@ -663,7 +663,7 @@ func (rs *replayState) depSatisfied(ei int) {
 // be used here because an action legitimately issued at virtual time 0
 // is indistinguishable from one that never ran.
 func (rs *replayState) waitReason(idx int) string {
-	for _, ei := range rs.g.Deps[idx] {
+	for _, ei := range rs.g.Deps(idx) {
 		e := rs.g.Edges[ei]
 		sat := rs.status[e.From]&actDone != 0
 		if e.Kind == core.WaitIssue {
@@ -714,7 +714,7 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 	now := rs.sys.K.Now()
 	rs.issueAt[idx] = now - rs.start
 	rs.status[idx] |= actIssued
-	for _, ei := range rs.g.Succs[idx] {
+	for _, ei := range rs.g.Succs(idx) {
 		if rs.g.Edges[ei].Kind == core.WaitIssue {
 			rs.depSatisfied(ei)
 		}
@@ -746,7 +746,7 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 	rs.doneAt[idx] = end - rs.start
 	rs.status[idx] |= actDone
 	rs.completed++
-	for _, ei := range rs.g.Succs[idx] {
+	for _, ei := range rs.g.Succs(idx) {
 		if rs.g.Edges[ei].Kind == core.WaitComplete {
 			rs.depSatisfied(ei)
 		}

@@ -17,19 +17,7 @@ import (
 // scenarios need graphs the compiler (which only emits forward edges)
 // can never produce.
 func handGraph(n int, edges []core.Edge) *core.Graph {
-	g := &core.Graph{
-		N:        n,
-		Edges:    edges,
-		Deps:     make([][]int, n),
-		Succs:    make([][]int, n),
-		Indegree: make([]int, n),
-	}
-	for ei, e := range edges {
-		g.Deps[e.To] = append(g.Deps[e.To], ei)
-		g.Succs[e.From] = append(g.Succs[e.From], ei)
-		g.Indegree[e.To]++
-	}
-	return g
+	return core.NewGraph(n, edges)
 }
 
 // handBench wraps a trace and graph as a benchmark without compiling.
@@ -117,15 +105,14 @@ func TestWaitReasonInCallPredecessor(t *testing.T) {
 	}
 }
 
-// A dependency counter driven negative means the graph's Indegree
-// disagrees with its edge list; the replayer must fail loudly instead of
-// silently un-ordering the replay.
+// A dependency counter driven negative means the replayer's counters
+// disagree with the graph's edge list; the replayer must fail loudly
+// instead of silently un-ordering the replay.
 func TestDepSatisfiedUnderflowPanics(t *testing.T) {
 	g := handGraph(2, []core.Edge{{From: 0, To: 1, Kind: core.WaitComplete}})
-	g.Indegree[1] = 0 // malformed: edge list says 1, Indegree says 0
 	rs := &replayState{
 		g:         g,
-		remaining: []int32{0, 0}, // built from the corrupt Indegree
+		remaining: []int32{0, 0}, // malformed: the edge list says action 1 waits on one edge
 		waiting:   make([]*sim.Thread, 2),
 	}
 	defer func() {

@@ -1,6 +1,7 @@
 package artc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -38,8 +39,22 @@ const (
 // Compile. The compiled benchmark is identical to
 // Compile(ParseStrace(r), snap, modes) either way.
 func CompileStraceStream(r io.Reader, snap *snapshot.Snapshot, modes core.ModeSet) (*Benchmark, error) {
+	return compileStraceStream(r, 0, snap, modes)
+}
+
+// CompileStrace is CompileStraceStream over text already in memory.
+// Every record ends a line, so the line count (+1: the last line may
+// lack its newline) bounds the records, and the trace's record list and
+// the analyzer's action table are each allocated once at that size. The
+// bound is capacity only: the benchmark is the same for any value.
+func CompileStrace(raw []byte, snap *snapshot.Snapshot, modes core.ModeSet) (*Benchmark, error) {
+	return compileStraceStream(bytes.NewReader(raw), bytes.Count(raw, []byte{'\n'})+1, snap, modes)
+}
+
+// compileStraceStream takes the line bound; 0 means unknown.
+func compileStraceStream(r io.Reader, lines int, snap *snapshot.Snapshot, modes core.ModeSet) (*Benchmark, error) {
 	if snap == nil {
-		tr, err := trace.ParseStrace(r)
+		tr, err := trace.ParseStraceStream(r, lines, 0, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -50,6 +65,7 @@ func CompileStraceStream(r io.Reader, snap *snapshot.Snapshot, modes core.ModeSe
 		return nil, fmt.Errorf("artc: restoring snapshot for analysis: %w", err)
 	}
 	anz := core.NewAnalyzer(fs)
+	anz.Grow(lines)
 
 	type parseOut struct {
 		tr  *trace.Trace
@@ -60,7 +76,7 @@ func CompileStraceStream(r io.Reader, snap *snapshot.Snapshot, modes core.ModeSe
 	out := make(chan parseOut, 1)
 	go func() {
 		defer close(batches)
-		tr, err := trace.ParseStraceStream(r, streamBatch, func(recs []*trace.Record) error {
+		tr, err := trace.ParseStraceStream(r, lines, streamBatch, func(recs []*trace.Record) error {
 			select {
 			case batches <- recs:
 				return nil
@@ -91,17 +107,5 @@ func CompileStraceStream(r io.Reader, snap *snapshot.Snapshot, modes core.ModeSe
 	if err != nil {
 		return nil, fmt.Errorf("artc: analysis: %w", err)
 	}
-	g := core.BuildGraph(an, modes)
-	if err := g.CheckAcyclic(); err != nil {
-		return nil, err
-	}
-	return &Benchmark{
-		Platform: parsed.tr.Platform,
-		Modes:    modes,
-		Trace:    parsed.tr,
-		Snapshot: snap,
-		Analysis: an,
-		Graph:    g.Reduce(an),
-		touches:  planTouches(an),
-	}, nil
+	return assemble(parsed.tr, snap, an, modes)
 }

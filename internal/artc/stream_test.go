@@ -127,3 +127,41 @@ func TestCompileStraceStreamNilSnapshot(t *testing.T) {
 		t.Fatal("nil-snapshot streamed graph edges differ from batch")
 	}
 }
+
+// TestCompileStraceLineBoundIsCapacityOnly: the line count
+// CompileStrace hands the parser and the analyzer sizes two tables and
+// must change nothing else. Every input shape that makes lines and
+// records differ — split calls, CRLF, no final newline, blank and signal
+// lines — compiles to the same bytes with the bound unknown, exact and
+// ten times over.
+func TestCompileStraceLineBoundIsCapacityOnly(t *testing.T) {
+	text, snap := streamFixture(t)
+	for name, in := range map[string]string{
+		"split calls":      text,
+		"crlf":             strings.ReplaceAll(text, "\n", "\r\n"),
+		"no final newline": strings.TrimRight(text, "\n"),
+		"blank and signal": "\n+++ exited with 0 +++\n--- SIGCHLD {si_signo=SIGCHLD} ---\n  \n" + text + "\n\n",
+	} {
+		exact := strings.Count(in, "\n") + 1
+		var want []byte
+		for _, lines := range []int{0, exact, 10 * exact} {
+			b, err := compileStraceStream(strings.NewReader(in), lines, snap, core.DefaultModes())
+			if err != nil {
+				t.Fatalf("%s, %d lines: %v", name, lines, err)
+			}
+			if n, c := len(b.Trace.Records), cap(b.Analysis.Actions); n != 6 || c > 8 {
+				t.Fatalf("%s, %d lines: %d records, action table of capacity %d kept", name, lines, n, c)
+			}
+			got := encodeBench(t, b)
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Fatalf("%s: artifact with a bound of %d lines differs from the unbounded compile", name, lines)
+			}
+		}
+		b, err := CompileStrace([]byte(in), snap, core.DefaultModes())
+		if err != nil || !bytes.Equal(encodeBench(t, b), want) {
+			t.Fatalf("%s: CompileStrace differs from the unbounded compile (%v)", name, err)
+		}
+	}
+}

@@ -21,9 +21,12 @@
 //     checksum, and a Get that fails to decode removes the damaged
 //     entry and reports a CorruptError so the caller can fall back to
 //     recompiling. A corrupt cache can cost time, never correctness.
-//   - The store is size-capped: after each Put, least-recently-used
-//     entries (by file mtime, refreshed on hit) are evicted until the
-//     store fits the cap.
+//   - The store is size-capped: a Put that takes it over the cap evicts
+//     least-recently-used entries (by file mtime, refreshed on hit) until
+//     it fits. The size is a running total (a walk at Open, plus every
+//     Put since) that can run ahead of this process's writes, never
+//     behind; what another process adds to a shared directory is counted
+//     at the next walk or Open.
 package artifact
 
 import (
@@ -38,6 +41,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"rootreplay/internal/artc"
@@ -72,6 +76,10 @@ const DefaultMaxBytes = 1 << 30
 type Store struct {
 	dir      string
 	maxBytes int64
+
+	mu    sync.Mutex
+	total int64 // bytes of entries: the last walk's count plus every Put since
+	walks int   // directory walks made, Open's included
 }
 
 // DefaultDir returns the per-user default cache directory,
@@ -100,7 +108,8 @@ func Open(dir string, maxBytes int64) (*Store, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBytes
 	}
-	return &Store{dir: dir, maxBytes: maxBytes}, nil
+	s := &Store{dir: dir, maxBytes: maxBytes}
+	return s, s.evict() // nobody else holds s yet
 }
 
 // Dir returns the store's root directory.
@@ -173,12 +182,8 @@ func (s *Store) Get(key string) (*artc.Benchmark, int64, error) {
 
 // Put stores a compiled benchmark at key and returns the artifact size.
 // The write is atomic (temp file + rename) and triggers LRU eviction of
-// older entries if the store exceeds its size cap.
+// older entries if it takes the store over its size cap.
 func (s *Store) Put(key string, b *artc.Benchmark) (int64, error) {
-	var buf bytes.Buffer
-	if err := b.EncodeBinary(&buf); err != nil {
-		return 0, err
-	}
 	p := s.path(key)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return 0, fmt.Errorf("artifact: %w", err)
@@ -187,23 +192,34 @@ func (s *Store) Put(key string, b *artc.Benchmark) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("artifact: %w", err)
 	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
+	fail := func(err error) (int64, error) {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return 0, fmt.Errorf("artifact: %w", err)
 	}
+	// EncodeBinary makes one Write of the whole artifact, so the encoder's
+	// buffer goes to the file without a copy in between.
+	if err := b.EncodeBinary(tmp); err != nil {
+		return fail(err)
+	}
+	size, err := tmp.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return fail(err)
+	}
 	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("artifact: %w", err)
+		return fail(err)
 	}
 	if err := os.Rename(tmp.Name(), p); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("artifact: %w", err)
+		return fail(err)
 	}
-	if err := s.evict(); err != nil {
-		return 0, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.total += size; s.total > s.maxBytes {
+		if err := s.evict(); err != nil {
+			return 0, err
+		}
 	}
-	return int64(buf.Len()), nil
+	return size, nil
 }
 
 // isEntry reports whether a cache file is a live store entry, as
@@ -218,9 +234,12 @@ type entry struct {
 	mtime time.Time
 }
 
-// evict removes least-recently-used entries until the store fits
-// maxBytes. Abandoned files older than an hour are cleaned up too.
+// evict walks the store: it removes abandoned files older than an hour,
+// then least-recently-used entries until the store fits maxBytes, and
+// sets total to what is left. Callers hold mu, which also keeps two
+// walks from evicting for the same overflow.
 func (s *Store) evict() error {
+	s.walks++
 	var entries []entry
 	var total int64
 	err := filepath.WalkDir(s.dir, func(p string, d fs.DirEntry, err error) error {
@@ -244,18 +263,18 @@ func (s *Store) evict() error {
 	if err != nil {
 		return fmt.Errorf("artifact: evicting: %w", err)
 	}
-	if total <= s.maxBytes {
-		return nil
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
-	for _, e := range entries {
-		if total <= s.maxBytes {
-			break
+	if total > s.maxBytes {
+		sort.Slice(entries, func(i, j int) bool { return entries[i].mtime.Before(entries[j].mtime) })
+		for _, e := range entries {
+			if total <= s.maxBytes {
+				break
+			}
+			if os.Remove(e.path) == nil {
+				total -= e.size
+			}
 		}
-		if os.Remove(e.path) == nil {
-			total -= e.size
-		}
 	}
+	s.total = total
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -203,6 +204,91 @@ func TestEvictionLRU(t *testing.T) {
 	}
 	if total > 3*one+one/2 {
 		t.Fatalf("store over cap after eviction: %d entries, %d bytes", n, total)
+	}
+}
+
+// TestPutWalksOnlyOverTheCap: the store's size is a running total, so
+// filling a store under its cap walks the directory once, at Open, and
+// the put that takes it over the cap walks once more and evicts
+// oldest-mtime-first, as a walk after every put did.
+func TestPutWalksOnlyOverTheCap(t *testing.T) {
+	b := mustCompile(t, genBench(t))
+	var buf bytes.Buffer
+	if err := b.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	one := int64(buf.Len())
+	const puts = 200
+	s, err := Open(t.TempDir(), puts*one+one/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, puts+1)
+	for i := range keys {
+		keys[i] = Key([]byte{byte(i), byte(i >> 8)}, nil, "linux", core.DefaultModes())
+	}
+	for i, k := range keys[:puts] {
+		if _, err := s.Put(k, b); err != nil {
+			t.Fatal(err)
+		}
+		// keys[1] is the oldest entry, keys[0] the second oldest.
+		old := time.Now().Add(time.Duration(i^1-puts) * time.Hour)
+		if err := os.Chtimes(s.path(k), old, old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.walks != 1 || s.total != puts*one {
+		t.Fatalf("after %d puts under the cap: %d walks (want Open's one), total %d (want %d)", puts, s.walks, s.total, puts*one)
+	}
+	if _, err := s.Put(keys[puts], b); err != nil {
+		t.Fatal(err)
+	}
+	if s.walks != 2 || s.total != puts*one {
+		t.Fatalf("after the put over the cap: %d walks, total %d; want 2 and %d", s.walks, s.total, puts*one)
+	}
+	if _, _, err := s.Get(keys[1]); err != ErrMiss {
+		t.Fatalf("oldest entry survived: %v", err)
+	}
+	for _, k := range []string{keys[0], keys[puts]} {
+		if _, _, err := s.Get(k); err != nil {
+			t.Fatalf("entry evicted out of mtime order: %v", err)
+		}
+	}
+	// A store reopened over the same directory starts from what is there.
+	if s, err = Open(s.Dir(), 0); err != nil || s.total != puts*one {
+		t.Fatalf("reopened: total %d, %v; want %d", s.total, err, puts*one)
+	}
+}
+
+// TestConcurrentPutsKeepTheTotal: puts from several goroutines, some of
+// them over the cap, leave the running total equal to what is on disk
+// (run under -race in the vet-race lane).
+func TestConcurrentPutsKeepTheTotal(t *testing.T) {
+	b := mustCompile(t, genBench(t))
+	var buf bytes.Buffer
+	if err := b.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(t.TempDir(), 5*int64(buf.Len())+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				if _, err := s.Put(Key([]byte{byte(g), byte(i)}, nil, "linux", core.DefaultModes()), b); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	n, size, err := s.Len()
+	if err != nil || n != 5 || size != s.total {
+		t.Fatalf("%d entries, %d bytes on disk, running total %d, %v; want 5 entries and equal sizes", n, size, s.total, err)
 	}
 }
 

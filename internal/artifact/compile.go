@@ -1,7 +1,6 @@
 package artifact
 
 import (
-	"bytes"
 	"errors"
 	"time"
 
@@ -42,11 +41,11 @@ func CompileTrace(s *Store, tr *trace.Trace, snap *snapshot.Snapshot, modes core
 
 // CompileStrace compiles raw strace text through the store, keyed on
 // the raw bytes. On a miss it compiles via the streaming path
-// (CompileStraceStream), so cold compiles keep the lex/analyze overlap.
+// (artc.CompileStrace), so cold compiles keep the lex/analyze overlap.
 // A nil store compiles directly.
 func CompileStrace(s *Store, raw []byte, snap *snapshot.Snapshot, modes core.ModeSet) (*artc.Benchmark, Stats, error) {
 	compile := func() (*artc.Benchmark, error) {
-		return artc.CompileStraceStream(bytes.NewReader(raw), snap, modes)
+		return artc.CompileStrace(raw, snap, modes)
 	}
 	if s == nil {
 		t0 := time.Now()

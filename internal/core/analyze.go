@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	gopath "path"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -97,21 +98,14 @@ type analyzer struct {
 	scratch []Touch
 	slab    []Touch
 
-	// resIdx interns each ResourceID to a dense index into series, so
-	// the Feed hot loop hashes a resource key once on first sight and
-	// appends to a slice thereafter; Finish exports resIDs and series
-	// as Resources and SeriesList.
+	// resIdx numbers each ResourceID densely in first-touch order. It is
+	// all Feed keeps per resource: how many there are and how long each
+	// one's series is are known only at the end, so Finish lays Resources
+	// and SeriesList out there, once, at their final sizes.
 	resIdx map[ResourceID]int32
-	resIDs []ResourceID
-	series [][]int
 	// inoName caches the decimal rendering of inode numbers so fileRes
 	// does not re-format (and re-allocate) the name on every touch.
 	inoName map[uint64]string
-	// intSlab carves the initial capacity-4 backing of each resource's
-	// series, so the common short series (most resources are touched a
-	// handful of times) never hits the allocator; longer series fall
-	// back to ordinary append growth.
-	intSlab []int
 
 	res *Analysis
 }
@@ -172,19 +166,20 @@ func NewAnalyzer(fs *vfs.FS) *Analyzer {
 	}}
 }
 
+// Grow makes room for n more records' actions. A caller that knows how
+// many records are coming (or a bound on them) calls it once before the
+// first Feed, and the action table is allocated once at that size;
+// capacity is all it changes.
+func (z *Analyzer) Grow(n int) {
+	z.a.res.Actions = slices.Grow(z.a.res.Actions, n)
+}
+
 // Feed advances the model over the next batch of records. Records must
 // arrive in trace order with dense Seq numbers continuing where the
 // previous batch stopped.
 func (z *Analyzer) Feed(recs []*trace.Record) error {
 	a := z.a
-	if need := len(a.res.Actions) + len(recs); cap(a.res.Actions) < need {
-		if grown := 2 * cap(a.res.Actions); grown > need {
-			need = grown
-		}
-		na := make([]Action, len(a.res.Actions), need)
-		copy(na, a.res.Actions)
-		a.res.Actions = na
-	}
+	z.Grow(len(recs))
 	for _, rec := range recs {
 		i := len(a.res.Actions)
 		if rec.Seq != int64(i) {
@@ -219,25 +214,10 @@ func (z *Analyzer) Feed(recs []*trace.Record) error {
 			t := &touches[ti]
 			idx, ok := a.resIdx[t.Res]
 			if !ok {
-				idx = int32(len(a.series))
+				idx = int32(len(a.resIdx))
 				a.resIdx[t.Res] = idx
-				a.resIDs = append(a.resIDs, t.Res)
-				a.series = append(a.series, nil)
 			}
 			t.Idx = idx
-			s := a.series[idx]
-			switch {
-			case s == nil:
-				if len(a.intSlab) < 4 {
-					a.intSlab = make([]int, 4096)
-				}
-				s = a.intSlab[0:1:4]
-				a.intSlab = a.intSlab[4:]
-				s[0] = i
-				a.series[idx] = s
-			case s[len(s)-1] != i:
-				a.series[idx] = append(s, i)
-			}
 		}
 	}
 	return nil
@@ -250,10 +230,41 @@ func (z *Analyzer) Finish(tr *trace.Trace) (*Analysis, error) {
 		return nil, fmt.Errorf("core: analyzer saw %d records, trace has %d",
 			len(z.a.res.Actions), len(tr.Records))
 	}
-	z.a.res.Resources = z.a.resIDs
-	z.a.res.SeriesList = z.a.series
-	z.a.res.Trace = tr
-	return z.a.res, nil
+	res := z.a.res
+	res.Trace = tr
+	// A line bound is loose on text full of calls the parser skips; what
+	// it over-allocated must not live as long as the analysis does.
+	if cap(res.Actions) > len(res.Actions)+len(res.Actions)/4 {
+		res.Actions = slices.Clone(res.Actions)
+	}
+	res.Resources = make([]ResourceID, len(z.a.resIdx))
+	for r, k := range z.a.resIdx {
+		res.Resources[k] = r
+	}
+	// Series: count each resource's touches, carve one slab by the
+	// counts, fill in trace order. An action that touches a resource
+	// twice is counted twice and entered once.
+	counts := make([]int32, len(res.Resources))
+	total := 0
+	for i := range res.Actions {
+		for _, t := range res.Actions[i].Touches {
+			counts[t.Idx]++
+		}
+		total += len(res.Actions[i].Touches)
+	}
+	slab := make([]int, total)
+	res.SeriesList = make([][]int, len(counts))
+	for k, c := range counts {
+		res.SeriesList[k], slab = slab[:0:c], slab[c:]
+	}
+	for i := range res.Actions {
+		for _, t := range res.Actions[i].Touches {
+			if s := res.SeriesList[t.Idx]; len(s) == 0 || s[len(s)-1] != i {
+				res.SeriesList[t.Idx] = append(s, i)
+			}
+		}
+	}
+	return res, nil
 }
 
 // canon returns the canonical absolute form of a traced path. Absolute

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -417,6 +418,24 @@ func TestTemporalGraph(t *testing.T) {
 	}
 	if len(UnconstrainedGraph(an).Edges) != 0 {
 		t.Fatal("unconstrained graph has edges")
+	}
+}
+
+// TestNewGraphRows covers what no compiled corpus has: no actions at
+// all, actions with no edge, a backward edge and a self-loop (the
+// replayer's deadlock tests hand-build those). Rows list edge indices in
+// Edges order.
+func TestNewGraphRows(t *testing.T) {
+	if g := NewGraph(0, nil); g.N != 0 || len(g.Edges) != 0 {
+		t.Fatalf("empty graph: %+v", g)
+	}
+	g := NewGraph(4, []Edge{{From: 2, To: 0}, {From: 0, To: 2}, {From: 2, To: 2}, {From: 0, To: 3}})
+	wantDeps := [][]int32{{0}, {}, {1, 2}, {3}}
+	wantSuccs := [][]int32{{1, 3}, {}, {0, 2}, {}}
+	for i := 0; i < g.N; i++ {
+		if d, s := g.Deps(i), g.Succs(i); !slices.Equal(d, wantDeps[i]) || !slices.Equal(s, wantSuccs[i]) || g.Indegree(i) != len(wantDeps[i]) {
+			t.Fatalf("action %d: Deps %v Succs %v Indegree %d, want %v %v", i, d, s, g.Indegree(i), wantDeps[i], wantSuccs[i])
+		}
 	}
 }
 

@@ -32,53 +32,62 @@ type Edge struct {
 	Res ResourceID
 }
 
-// Graph is the partial order a replayer enforces.
+// Graph is the partial order a replayer enforces. Each action's incoming
+// and outgoing edges are kept in compressed-sparse-row form, as int32
+// indices into Edges (a [][]int pair spends 48 bytes of slice headers
+// per action before the first edge, on every graph a compile or a
+// decode builds).
 type Graph struct {
 	N     int
 	Edges []Edge
-	// Deps[i] lists the indices of edges whose To == i.
-	Deps [][]int
-	// Succs[i] lists the indices of edges whose From == i; the
-	// replayer's indegree scheduler walks it when action i issues or
-	// completes.
-	Succs [][]int
-	// Indegree[i] is len(Deps[i]): the number of edges action i must
-	// wait out before it can be issued.
-	Indegree []int
 	// ReducedEdges counts edges removed by Reduce; the raw edge count is
 	// len(Edges) + ReducedEdges.
 	ReducedEdges int
+
+	// depIdx[depOff[i]:depOff[i+1]] are the edges whose To == i, and
+	// succIdx[succOff[i]:succOff[i+1]] those whose From == i, both in
+	// Edges order.
+	depOff, succOff []int32
+	depIdx, succIdx []int32
 }
 
-// newGraph builds the indexes from an edge list.
+// Deps lists the indices into Edges of the edges whose To == i.
+func (g *Graph) Deps(i int) []int32 { return g.depIdx[g.depOff[i]:g.depOff[i+1]] }
+
+// Succs lists the indices into Edges of the edges whose From == i; the
+// replayer's indegree scheduler walks it when action i issues or
+// completes.
+func (g *Graph) Succs(i int) []int32 { return g.succIdx[g.succOff[i]:g.succOff[i+1]] }
+
+// Indegree is len(Deps(i)): the number of edges action i must wait out
+// before it can be issued.
+func (g *Graph) Indegree(i int) int { return int(g.depOff[i+1] - g.depOff[i]) }
+
+// newGraph builds the indexes from an edge list. Rows are counted two
+// slots to the right and summed, which leaves off[i+1] at row i's
+// start; placing row i's edges advances it to the row's end, which is
+// row i+1's start, so off[i] ends up where row i begins with no second
+// cursor array.
 func newGraph(n int, edges []Edge) *Graph {
-	g := &Graph{
-		N:        n,
-		Edges:    edges,
-		Deps:     make([][]int, n),
-		Succs:    make([][]int, n),
-		Indegree: make([]int, n),
-	}
-	// Size the adjacency slices in two passes so the per-node slices are
-	// exact-capacity single allocations rather than append-grown.
-	outDeg := make([]int, n)
+	off := make([]int32, 2*(n+2))
+	idx := make([]int32, 2*len(edges))
+	depOff, succOff := off[:n+2], off[n+2:]
+	depIdx, succIdx := idx[:len(edges)], idx[len(edges):]
 	for _, e := range edges {
-		g.Indegree[e.To]++
-		outDeg[e.From]++
+		depOff[e.To+2]++
+		succOff[e.From+2]++
 	}
-	depBuf := make([]int, len(edges))
-	succBuf := make([]int, len(edges))
-	for i := 0; i < n; i++ {
-		g.Deps[i] = depBuf[:0:g.Indegree[i]]
-		depBuf = depBuf[g.Indegree[i]:]
-		g.Succs[i] = succBuf[:0:outDeg[i]]
-		succBuf = succBuf[outDeg[i]:]
+	for i := 2; i < n+2; i++ {
+		depOff[i] += depOff[i-1]
+		succOff[i] += succOff[i-1]
 	}
 	for ei, e := range edges {
-		g.Deps[e.To] = append(g.Deps[e.To], ei)
-		g.Succs[e.From] = append(g.Succs[e.From], ei)
+		depIdx[depOff[e.To+1]] = int32(ei)
+		depOff[e.To+1]++
+		succIdx[succOff[e.From+1]] = int32(ei)
+		succOff[e.From+1]++
 	}
-	return g
+	return &Graph{N: n, Edges: edges, depOff: depOff[:n+1], succOff: succOff[:n+1], depIdx: depIdx, succIdx: succIdx}
 }
 
 // NewGraph assembles a graph from an explicit edge list, building the
@@ -97,7 +106,10 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 	// Edges are appended freely (the ordering rules emit the same pair
 	// through different resources) and deduplicated afterward by a
 	// sort+compact pass — far cheaper than a map probe per candidate.
-	edges := make([]Edge, 0, n)
+	// Cross-thread candidates run to a few percent of the actions on the
+	// volume corpora (5 % over ingest_strace's): n/8 is rarely outgrown,
+	// and room for n would mostly be memory cleared for nothing.
+	edges := make([]Edge, 0, n/8)
 	add := func(from, to int, kind EdgeKind, res ResourceID) {
 		if from == to || from > to {
 			return
@@ -370,12 +382,12 @@ func (g *Graph) Reduce(an *Analysis) *Graph {
 			relax(u, next[u])
 			account(next[u])
 		}
-		for _, ei := range g.Succs[u] {
+		for _, ei := range g.Succs(u) {
 			w := g.Edges[ei].To
 			relax(u, w)
 			account(w)
 		}
-		for _, ei := range g.Succs[u] {
+		for _, ei := range g.Succs(u) {
 			v := g.Edges[ei].To
 			t := tidIdx[v]
 			m := min1[t]

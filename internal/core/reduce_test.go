@@ -71,7 +71,7 @@ func randomSchedule(rng *rand.Rand, an *Analysis, g *Graph) (issue, complete []t
 				continue
 			}
 			ok := prevSame[i] < 0 || (done[prevSame[i]] && complete[prevSame[i]] <= now)
-			for _, ei := range g.Deps[i] {
+			for _, ei := range g.Deps(i) {
 				f := g.Edges[ei].From
 				if !done[f] || complete[f] > now {
 					ok = false

@@ -115,7 +115,7 @@ func Critical(g *core.Graph, recs []*trace.Record, issue, done []time.Duration) 
 			release = done[p]
 			h.From, h.Via = int(p), ViaThread
 		}
-		for _, ei := range g.Deps[cur] {
+		for _, ei := range g.Deps(cur) {
 			e := &g.Edges[ei]
 			var rel time.Duration
 			if e.Kind == core.WaitComplete {

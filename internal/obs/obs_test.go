@@ -12,22 +12,10 @@ import (
 	"rootreplay/internal/trace"
 )
 
-// mkGraph indexes an edge list the way core.newGraph does; obs tests
-// hand-build graphs because the public compile path is overkill here.
+// mkGraph indexes a hand-written edge list; obs tests hand-build graphs
+// because the public compile path is overkill here.
 func mkGraph(n int, edges []core.Edge) *core.Graph {
-	g := &core.Graph{
-		N:        n,
-		Edges:    edges,
-		Deps:     make([][]int, n),
-		Succs:    make([][]int, n),
-		Indegree: make([]int, n),
-	}
-	for ei, e := range edges {
-		g.Deps[e.To] = append(g.Deps[e.To], ei)
-		g.Succs[e.From] = append(g.Succs[e.From], ei)
-		g.Indegree[e.To]++
-	}
-	return g
+	return core.NewGraph(n, edges)
 }
 
 func TestNilRecorderIsNoop(t *testing.T) {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -98,7 +99,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), r.ContentLength, s.cfg.MaxUploadBytes)
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -144,6 +145,19 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		Bytes        int    `json:"bytes"`
 		Deduplicated bool   `json:"deduplicated"`
 	}{id, len(body), dedupGlobal})
+}
+
+// readBody is io.ReadAll into a buffer sized from the declared length
+// when that is within the limit: bytes.MinRead over, so a body of that
+// length ends without the buffer growing, and a longer one grows it and
+// runs into r's own limit. A chunked body (length -1) goes to io.ReadAll.
+func readBody(r io.Reader, declared, limit int64) ([]byte, error) {
+	if declared <= 0 || declared > limit {
+		return io.ReadAll(r)
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, declared+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // handleJobs is POST (submit) / GET (list) on /v1/tenants/{t}/jobs.

@@ -174,6 +174,44 @@ func TestUploadTooLargeAndEmpty(t *testing.T) {
 	checkJSONErrorLine(t, w, "empty_upload")
 }
 
+// TestReadBodySizedFromDeclaredLength: a declared length sizes the
+// buffer once, and is not trusted — a body longer than it declared still
+// arrives whole or runs into the reader's limit, a chunked one (-1) and
+// a declaration over the limit fall back to io.ReadAll.
+func TestReadBodySizedFromDeclaredLength(t *testing.T) {
+	const limit = 64
+	body := strings.Repeat("x", 40)
+	for _, tc := range []struct {
+		name     string
+		declared int64
+		wantCap  int // 0: not checked
+	}{
+		{"exact", 40, 40 + bytes.MinRead},
+		{"declared short", 4, 0},
+		{"declared long", 60, 60 + bytes.MinRead},
+		{"chunked", -1, 0},
+		{"declared over the limit", 1 << 40, 0},
+	} {
+		got, err := readBody(strings.NewReader(body), tc.declared, limit)
+		if err != nil || string(got) != body {
+			t.Errorf("%s: read %d bytes, %v", tc.name, len(got), err)
+		}
+		if tc.wantCap != 0 && cap(got) != tc.wantCap {
+			t.Errorf("%s: buffer capacity %d, want %d (sized once, never regrown)", tc.name, cap(got), tc.wantCap)
+		}
+	}
+	// The limit is the reader's, whatever was declared.
+	s, _ := newTestServer(t, Config{Workers: 1, MaxUploadBytes: 8})
+	r := httptest.NewRequest(http.MethodPost, "/v1/tenants/a/traces", strings.NewReader("123456789"))
+	r.ContentLength = 4
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, r)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("upload longer than declared and than the limit: %d %s", w.Code, w.Body)
+	}
+	checkJSONErrorLine(t, w, "upload_too_large")
+}
+
 func TestSubmitValidation(t *testing.T) {
 	s, _ := newTestServer(t, Config{Workers: 1})
 	cases := []struct {

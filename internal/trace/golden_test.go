@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -162,12 +163,22 @@ func assertParsersAgree(t *testing.T, name, input string) {
 	check("fast", got, err)
 
 	var streamed []*Record
-	got, err = ParseStraceStream(strings.NewReader(input), 3, func(recs []*Record) error {
+	// Every record ends a line, so the line count the compile path hands
+	// over bounds the records and Records never regrows (a bound more
+	// than a quarter over is clipped at the end).
+	lines := strings.Count(input, "\n") + 1
+	got, err = ParseStraceStream(strings.NewReader(input), lines, 3, func(recs []*Record) error {
 		streamed = append(streamed, recs...)
 		return nil
 	})
 	check("stream", got, err)
-	if err == nil && !reflect.DeepEqual(streamed, got.Records) {
+	if err != nil {
+		return
+	}
+	if n := len(got.Records); n > lines || cap(got.Records) > lines || cap(got.Records) > n+n/4+8 {
+		t.Fatalf("%s/stream: %d records in capacity %d from %d counted lines", name, len(got.Records), cap(got.Records), lines)
+	}
+	if !slices.Equal(streamed, got.Records) {
 		t.Fatalf("%s/stream: emitted batches differ from final records", name)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -990,8 +991,7 @@ func (ls *lineScanner) readErr() error {
 
 // parseStraceFast is the sequential fast path behind ParseStrace.
 func parseStraceFast(r io.Reader) (*Trace, error) {
-	tr, err := parseStraceEmit(r, 0, nil)
-	return tr, err
+	return parseStraceEmit(r, 0, 0, nil)
 }
 
 // ParseStraceStream parses strace output sequentially while handing
@@ -1000,17 +1000,23 @@ func parseStraceFast(r io.Reader) (*Trace, error) {
 // emitted exactly once, in trace order; the returned Trace owns them
 // all. An emit error aborts the parse and is returned verbatim. This
 // is the producer half of the streaming parse→compile path (see
-// artc.CompileStraceStream); batch <= 0 selects a default.
-func ParseStraceStream(r io.Reader, batch int, emit func([]*Record) error) (*Trace, error) {
+// artc.CompileStraceStream); batch <= 0 selects a default. lines, when
+// the caller has counted them, is the number of lines r holds or more;
+// it sizes the trace's Records and changes nothing else (0: unknown).
+func ParseStraceStream(r io.Reader, lines, batch int, emit func([]*Record) error) (*Trace, error) {
 	if batch <= 0 {
 		batch = 512
 	}
-	return parseStraceEmit(r, batch, emit)
+	return parseStraceEmit(r, lines, batch, emit)
 }
 
-func parseStraceEmit(r io.Reader, batch int, emit func([]*Record) error) (*Trace, error) {
+func parseStraceEmit(r io.Reader, lines, batch int, emit func([]*Record) error) (*Trace, error) {
 	ls := newLineScanner(r)
 	p := newStraceParser()
+	if lines > 0 {
+		// Every record ends a line, so Records never regrows.
+		p.tr.Records = make([]*Record, 0, lines)
+	}
 	lineNo := 0
 	emitted := 0
 	for {
@@ -1040,6 +1046,11 @@ func parseStraceEmit(r io.Reader, batch int, emit func([]*Record) error) (*Trace
 		if err := p.flush(emit, &emitted); err != nil {
 			return nil, err
 		}
+	}
+	// A line bound is loose on text full of calls the parser skips; what
+	// it over-allocated must not live as long as the trace does.
+	if recs := p.tr.Records; cap(recs) > len(recs)+len(recs)/4 {
+		p.tr.Records = slices.Clone(recs)
 	}
 	return p.tr, nil
 }

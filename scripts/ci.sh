@@ -16,21 +16,24 @@
 # Lanes: lint (Go >= 1.23, gofmt, go vet, no caller of the replay
 # engines outside artc.Run, internal/coord importing internal/sim only
 # and no sync/atomic, and the non-test line counts ROADMAP tracks,
-# printed), vet-race (race-enabled tests, internal/sim
-# five times over, internal/coord twenty times at GOMAXPROCS 1, 2, 8),
+# printed), vet-race (race-enabled tests — among them every compile,
+# whose touch plan is built on a goroutine of its own beside the graph —
+# internal/sim five times over, internal/coord twenty times at
+# GOMAXPROCS 1, 2, 8),
 # determinism (byte-identical trace export under forced parallelism),
 # ingest (strace text compiles to the same .bench bytes with the
-# artifact cache off, cold and warm, and a text .bench of an older build
-# is refused by name), shard (sharded
+# artifact cache off, cold and warm, and at GOMAXPROCS 1 and 2, and a
+# text .bench of an older build is refused by name), shard (sharded
 # and sliced replay match serial byte for byte across GOMAXPROCS, shard
 # counts, and slice granularities, the components and pipeline family
 # specs regenerate exactly, and the chaos invariants hold through the
 # sharded replayer), chaos (seeded fault sweep with per-seed
 # verification plus a single-seed bit-repro check), cache (artifact
 # cache hit/corruption behavior), allocs (the replay loop's
-# allocations-per-record ceilings and the warm's per-page ceiling under
-# GOMAXPROCS 1 and 2, and escape analysis saying no syscall entry
-# point's trace.Record reaches the heap), fuzz (short smokes: the strace
+# allocations-per-record ceilings, the warm's per-page ceiling and the
+# ingest path's bytes-per-record ceiling, printed, under GOMAXPROCS 1
+# and 2, and escape analysis saying no syscall entry point's
+# trace.Record reaches the heap), fuzz (short smokes: the strace
 # lexer, the Chrome exporter and the page cache against their reference
 # implementations, the artifact decoder against malformed input), service (boot artcd, drive
 # replays over HTTP, compare the serial and the sharded + sliced export
@@ -155,6 +158,11 @@ ingest() {
   for kind in nocache cold warm; do
     "$tmp/artc" inspect -bench "$tmp/ingest-$kind.bench" >/dev/null
   done
+  echo "== ingest: the compile's plan-beside-graph overlap gives the same bytes at GOMAXPROCS=1 and 2"
+  for procs in 1 2; do
+    GOMAXPROCS=$procs ingest_compile -no-cache -o "$tmp/ingest-procs$procs.bench"
+    cmp "$tmp/ingest-nocache.bench" "$tmp/ingest-procs$procs.bench"
+  done
   echo "== ingest: a text .bench written by an older artc compile is refused by name"
   printf '#artc-benchmark v2 platform=linux modes=none\n' > "$tmp/old.bench"
   if "$tmp/artc" inspect -bench "$tmp/old.bench" 2>"$tmp/old.err"; then
@@ -243,17 +251,22 @@ cache() {
   grep -qi "truncat" "$tmp/cache-trunc.err"
 }
 
-# allocs answers two questions: does the replay loop still allocate
-# nothing per record, and does warming a replica still allocate nothing
-# per page? The ceilings count a whole Replay's allocations per record
-# and a whole WarmAll's per resident page (plus the page cache's
-# sparse-file bound); the escape check catches the commonest way back
-# for the first, a change to System.record that lets the entry points'
-# Record literals escape.
+# allocs answers three questions: does the replay loop still allocate
+# nothing per record, does warming a replica still allocate nothing per
+# page, and what does ingesting a record allocate? The ceilings count a
+# whole Replay's allocations per record, a whole WarmAll's per resident
+# page (plus the page cache's sparse-file bound) and the bytes of a whole
+# strace-to-store-and-back ingest per record, a figure printed as lint
+# prints its line counts; the escape check catches the commonest way
+# back for the first, a change to System.record that lets the entry
+# points' Record literals escape.
 allocs() {
   for procs in 1 2; do
     echo "== allocs: allocations-per-record and per-warmed-page ceilings at GOMAXPROCS=$procs"
     GOMAXPROCS=$procs go test -count=1 -run 'ReplayAllocs|WarmAllocs' ./internal/artc/ ./internal/cache/
+    GOMAXPROCS=$procs go test -count=1 -v -run 'IngestBytesPerRecord' ./internal/artifact/ > "$tmp/ingest-allocs.txt" ||
+      { cat "$tmp/ingest-allocs.txt" >&2; exit 1; }
+    echo "== allocs: $(sed -n 's/^.*ingest_test\.go:[0-9]*: //p' "$tmp/ingest-allocs.txt") at GOMAXPROCS=$procs"
   done
   echo "== allocs: syscall entry points keep their trace.Record on the stack"
   go build -gcflags=-m ./internal/stack 2>&1 |
