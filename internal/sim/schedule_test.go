@@ -160,10 +160,25 @@ func (p *schedProg) step(t *Thread, depth int) {
 	}
 }
 
-// runSchedule runs the program for seed and returns its log: "r" lines
-// for resumes, "e" lines for events and, with hooks, an "h" line with
-// the run-queue depth at every scheduling point.
-func runSchedule(seed int64, hooks bool) string {
+// schedOpts says what rides along with a schedule run.
+type schedOpts struct {
+	hooks  bool // log an "h" line with the run-queue depth at every scheduling point
+	states bool // with hooks: add every unfinished thread's state and the event sequence number
+	paced  bool // install nopPacer, so that no sleep is taken in place
+	sparse bool // two long threads and no pipe where the golden has six and one: mostly lone sleepers
+}
+
+// nopPacer never objects to an advance. A paced kernel must ask before
+// its clock moves, so installing it turns sleepInPlace off and nothing
+// else: the differential tests need no switch in the kernel.
+type nopPacer struct{}
+
+func (nopPacer) Advance(time.Duration) bool { return false }
+
+// runSchedule runs the program for seed and returns its log — "r" lines
+// for resumes, "e" lines for events and, with hooks, an "h" line at
+// every scheduling point — and how many of its sleeps were in place.
+func runSchedule(seed int64, o schedOpts) (log string, inPlace uint64) {
 	k := NewKernel()
 	p := &schedProg{k: k, r: rand.New(rand.NewSource(seed))}
 	for i := range p.conds {
@@ -176,25 +191,45 @@ func runSchedule(seed int64, hooks bool) string {
 			p.conds[i].Signal()
 		})
 	}
-	if hooks {
+	if o.paced {
+		k.SetPacer(nopPacer{})
+	}
+	if o.hooks {
 		k.AddSchedHook(func() {
-			fmt.Fprintf(&p.log, "h %d %d\n", k.now, k.RunqLen())
+			fmt.Fprintf(&p.log, "h %d %d", k.now, k.RunqLen())
+			if o.states {
+				// k.threads is unordered but moves only when a thread
+				// ends, so equal schedules list it equally.
+				for _, t := range k.threads {
+					fmt.Fprintf(&p.log, " %d:%v:%s", t.id, t.State(), t.BlockReason())
+				}
+				fmt.Fprintf(&p.log, " current=%v seq=%d", k.current != nil, k.eseq)
+			}
+			p.log.WriteByte('\n')
 		})
 	}
-	for i := 0; i < 6; i++ {
-		p.spawn(10+p.r.Intn(20), 0)
+	if o.sparse {
+		for i := 0; i < 2; i++ {
+			p.spawn(60+p.r.Intn(60), 1)
+		}
+	} else {
+		for i := 0; i < 6; i++ {
+			p.spawn(10+p.r.Intn(20), 0)
+		}
+		p.spawnPipe()
 	}
-	p.spawnPipe()
 	err := k.Run()
 	fmt.Fprintf(&p.log, "end %d %v\n", k.now, err)
-	return p.log.String()
+	_, inPlace = k.Sleeps()
+	return p.log.String(), inPlace
 }
 
 func scheduleLog(hooks bool) string {
 	var b strings.Builder
 	for seed := int64(1); seed <= scheduleSeeds; seed++ {
 		fmt.Fprintf(&b, "== seed %d\n", seed)
-		b.WriteString(runSchedule(seed, hooks))
+		log, _ := runSchedule(seed, schedOpts{hooks: hooks})
+		b.WriteString(log)
 	}
 	return b.String()
 }
@@ -241,4 +276,33 @@ func TestScheduleGolden(t *testing.T) {
 	}
 	diffSchedule(t, "with hooks", hooked, string(golden))
 	diffSchedule(t, "without hooks", scheduleLog(false), withoutHookLines(string(golden)))
+}
+
+// TestSleepInPlaceMatchesPacedSchedule is the equivalence of the two
+// sleep paths: on every golden seed a hook that logs the clock, the
+// run-queue depth and each thread's state and wait reason sees the same
+// thing at the same scheduling points whether lone sleeps advance the
+// clock in place or, under a no-op Pacer, all go through the wheel. The
+// unpaced dense side is the run TestScheduleGolden pins; the sparse
+// programs are there because six busy threads seldom leave one alone.
+func TestSleepInPlaceMatchesPacedSchedule(t *testing.T) {
+	for _, sparse := range []bool{false, true} {
+		var taken uint64
+		for seed := int64(1); seed <= scheduleSeeds; seed++ {
+			for _, o := range []schedOpts{{sparse: sparse}, {sparse: sparse, hooks: true, states: true}} {
+				got, inPlace := runSchedule(seed, o)
+				o.paced = true
+				want, pacedInPlace := runSchedule(seed, o)
+				diffSchedule(t, fmt.Sprintf("seed %d, %+v: in place vs paced", seed, o), got, want)
+				if pacedInPlace != 0 {
+					t.Errorf("seed %d: %d sleeps in place on a paced kernel", seed, pacedInPlace)
+				}
+				taken += inPlace
+			}
+		}
+		if taken == 0 {
+			t.Fatalf("sparse=%v: no seed took a sleep in place, the comparison covers nothing", sparse)
+		}
+		t.Logf("sparse=%v: %d sleeps in place over %d seeds, with and without hooks", sparse, taken, scheduleSeeds)
+	}
 }

@@ -12,16 +12,18 @@
 // path: Run resumes the head of the run queue with next(), and a thread
 // that blocks, yields or returns gives the CPU back to Run with yield().
 // A coroutine switch never enters the Go scheduler. Because every switch
-// passes through Run, sched hooks, timed events and the Pacer execute on
-// Run's goroutine, never inside a thread, so a Pacer may block on host
-// synchronisation. A panic in a body surfaces from Run as a *ThreadPanic;
-// threads Run leaves unfinished (Stop, deadlock, a panic) are unwound
-// before it returns, so no goroutine outlives Run.
+// passes through Run, timed events and the Pacer execute on Run's
+// goroutine, never inside a thread, so a Pacer may block on host
+// synchronisation (sleepInPlace switches nothing, and asks no Pacer). A
+// panic in a body surfaces from Run as a *ThreadPanic; threads Run leaves
+// unfinished (Stop, deadlock, a panic) are unwound before it returns, so
+// no goroutine outlives Run.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime/debug"
 	"sort"
 	"strings"
@@ -93,7 +95,7 @@ func (k *Kernel) NewTimer(fn func()) *Timer {
 // first. Non-positive d fires at the current instant.
 func (tm *Timer) Reset(d time.Duration) {
 	tm.ev = nil // orphan any pending event; it fires as a no-op
-	e := tm.k.newEvent(tm.k.now + d)
+	e := tm.k.newEvent(tm.k.after(d))
 	e.op = opTimer
 	e.tm = tm
 	tm.ev = e
@@ -183,8 +185,12 @@ type Kernel struct {
 	// them; with none installed the cost is a single length check.
 	schedHooks []*schedHook
 
-	// stopped is set by Stop to abort Run at the next scheduling point.
-	stopped bool
+	// stopped is set by Stop to abort Run at the next scheduling point;
+	// running holds while Run's loop is live, not while it reaps.
+	stopped, running bool
+
+	// sleeps counts Sleep(d > 0) calls, inPlace those sleepInPlace served.
+	sleeps, inPlace uint64
 
 	// pacer, when set, gates every virtual-clock advance (see Pacer).
 	pacer Pacer
@@ -218,9 +224,11 @@ type schedHook struct{ fn func() }
 
 // AddSchedHook installs fn to run at every scheduling point of Run: just
 // before a thread is resumed or a timed event is dispatched. Hooks are
-// for sampling probes (run-queue depth, device state) and must not block
-// or spawn. The returned func removes the hook; removing during Run takes
-// effect at the next scheduling point.
+// for sampling probes (run-queue depth, device state) and must not block,
+// spawn or schedule. They run in kernel order, but those of a sleep taken
+// in place (sleepInPlace) run on the sleeping thread's stack. The returned
+// func removes the hook; removing during Run takes effect at the next
+// scheduling point.
 func (k *Kernel) AddSchedHook(fn func()) (remove func()) {
 	h := &schedHook{fn: fn}
 	k.schedHooks = append(k.schedHooks, h)
@@ -247,6 +255,19 @@ func (k *Kernel) Now() time.Duration { return k.now }
 
 // Live returns the number of spawned threads that have not finished.
 func (k *Kernel) Live() int { return k.live }
+
+// Sleeps reports how many positive-duration Sleep calls the kernel has
+// served and how many of them advanced the clock in place.
+func (k *Kernel) Sleeps() (total, inPlace uint64) { return k.sleeps, k.inPlace }
+
+// after returns now+d, saturating where the sum would wrap: a sleep
+// "forever" must not wake at once.
+func (k *Kernel) after(d time.Duration) time.Duration {
+	if d > math.MaxInt64-k.now {
+		return math.MaxInt64
+	}
+	return k.now + d
+}
 
 // newEvent takes an event from the pool (or allocates one) and stamps
 // it with the clamped time and the next FIFO sequence number.
@@ -303,14 +324,14 @@ func (k *Kernel) At(at time.Duration, fn func()) {
 
 // After schedules fn to run in kernel context d from now.
 func (k *Kernel) After(d time.Duration, fn func()) {
-	k.At(k.now+d, fn)
+	k.At(k.after(d), fn)
 }
 
 // AfterComplete schedules c.Complete(tag) to run in kernel context d
 // from now. It is the allocation-free completion path: the event is
 // pooled and carries only the opcode and operand words, no closure.
 func (k *Kernel) AfterComplete(d time.Duration, c Completer, tag uint64) {
-	e := k.newEvent(k.now + d)
+	e := k.newEvent(k.after(d))
 	e.op = opComplete
 	e.c = c
 	e.tag = tag
@@ -389,6 +410,7 @@ func (t *Thread) retire() {
 // is resumed with yield reporting false and unwinds with errKilled,
 // running its deferred calls; a body that never started is discarded.
 func (k *Kernel) reap() {
+	k.running = false
 	for len(k.threads) > 0 {
 		t := k.threads[len(k.threads)-1]
 		k.current = t // a deferred call in the body may try to block
@@ -430,12 +452,9 @@ func (e *DeadlockError) Error() string {
 // the sched hooks run before each resume or event dispatch.
 func (k *Kernel) Run() error {
 	defer k.reap()
+	k.running = true
 	for !k.stopped {
-		if len(k.schedHooks) > 0 {
-			for _, h := range k.schedHooks {
-				h.fn()
-			}
-		}
+		k.runHooks()
 		if len(k.runq) > 0 {
 			t := k.runq[0]
 			copy(k.runq, k.runq[1:])
@@ -489,6 +508,12 @@ func (k *Kernel) Run() error {
 		return nil
 	}
 	return nil
+}
+
+func (k *Kernel) runHooks() {
+	for _, h := range k.schedHooks {
+		h.fn()
+	}
 }
 
 // dispatch runs one expired event by opcode and recycles it. Operands
@@ -582,10 +607,15 @@ func (t *Thread) Sleep(d time.Duration) {
 		t.Yield()
 		return
 	}
+	k := t.k
+	wake := k.after(d)
+	k.sleeps++
+	if k.sleepInPlace(t, wake) {
+		return
+	}
 	// The wake is a tagged pooled event (opWake), not a closure: the
 	// hottest event in the simulator allocates nothing.
-	k := t.k
-	e := k.newEvent(k.now + d)
+	e := k.newEvent(wake)
 	e.op = opWake
 	e.th = t
 	k.enqueue(e)
@@ -593,6 +623,35 @@ func (t *Thread) Sleep(d time.Duration) {
 	// can never appear in a deadlock report; a constant avoids a
 	// fmt.Sprintf on every simulated sleep.
 	t.block("sleeping")
+}
+
+// sleepInPlace moves the clock to wake on t's own stack when the trip
+// through Run could resume nothing but t: Run is live and not stopped, t
+// is current, the run queue and the instant batch are empty, no Pacer has
+// to be asked, and wake is strictly before every pending event (one due
+// at wake itself has a smaller seq and goes first). It then does what Run
+// would have, in Run's order: switching is still the same with and without
+// sched hooks, which see both scheduling points as Run shows them.
+func (k *Kernel) sleepInPlace(t *Thread, wake time.Duration) bool {
+	if !k.running || k.stopped || k.current != t || len(k.runq) > 0 || len(k.batch) > 0 ||
+		k.pacer != nil || wake >= k.wheel.earliest() {
+		return false
+	}
+	k.inPlace++
+	k.eseq++ // the wake event's sequence number
+	t.state, t.blockReason, k.current = StateBlocked, "sleeping", nil
+	k.runHooks()
+	k.now = wake
+	k.wheel.rebase(wake)
+	t.state = StateRunnable
+	k.runq = append(k.runq, t)
+	if k.stopped {
+		t.switchOut() // a hook stopped the kernel: Run ends with t runnable
+	}
+	k.runHooks()
+	k.runq = k.runq[:copy(k.runq, k.runq[1:])]
+	t.state, t.blockReason, k.current = StateRunning, "", t
+	return true
 }
 
 // Park blocks the calling thread until another thread or event calls

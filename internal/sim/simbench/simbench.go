@@ -46,19 +46,26 @@ func TimerChurn(b *testing.B) {
 	}
 }
 
-// SleepChurn measures the thread wake path: one thread sleeping b.N
-// times through the pooled opWake event.
+// SleepChurn measures the thread wake path: b.N sleeps through the
+// pooled opWake event. Two sleepers run in lockstep so that each wake is
+// due at the instant of the other's, never strictly first, and none is
+// taken in place (sim.BenchmarkKernelSleepAlone measures that path).
 func SleepChurn(b *testing.B) {
 	b.ReportAllocs()
 	k := sim.NewKernel()
-	k.Spawn("sleeper", func(t *sim.Thread) {
-		for i := 0; i < b.N; i++ {
-			t.Sleep(time.Duration(1+i%5) * time.Microsecond)
-		}
-	})
+	for _, n := range [2]int{(b.N + 1) / 2, b.N / 2} {
+		k.Spawn("sleeper", func(t *sim.Thread) {
+			for i := 0; i < n; i++ {
+				t.Sleep(time.Duration(1+i%5) * time.Microsecond)
+			}
+		})
+	}
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
+	}
+	if _, inPlace := k.Sleeps(); inPlace > 1 {
+		b.Fatalf("%d sleeps in place: the probe no longer measures the event path", inPlace)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 	"time"
@@ -113,12 +114,12 @@ type wheel struct {
 
 	// base is the absolute tick of level-0 slot 0, always aligned to
 	// wheelSlots and never beyond the earliest pending tick. It advances
-	// inside expire, immediately before the kernel moves the clock to
-	// the minimum event it returns — but the pacer hook sits between
-	// those two points, and a paced kernel may inject an event earlier
-	// than the expired batch (though never earlier than now). insert
-	// detects tick(at) < base and rewinds the window, so the only
-	// standing invariant is tick(at) >= tick(now).
+	// inside expire, just before the kernel moves the clock to the minimum
+	// it returns (and with the clock when a sleep taken in place finds the
+	// wheel empty) — but the pacer hook sits between expire and the move,
+	// and a paced kernel may inject an event earlier than the expired batch
+	// (never earlier than now). insert detects tick(at) < base and rewinds
+	// the window, so the only standing invariant is tick(at) >= tick(now).
 	base int64
 
 	l0     [wheelSlots]bucket
@@ -192,6 +193,28 @@ func (w *wheel) expire(batch *[]*event) bool {
 	w.l0n -= cut
 	w.n -= cut
 	return true
+}
+
+// earliest returns the time of the earliest pending event when level 0
+// holds one, otherwise a lower bound on it — levels 1 and up hold only
+// ticks at or past base+wheelSlots — and the far future when empty.
+func (w *wheel) earliest() time.Duration {
+	if w.l0n == 0 {
+		if w.n == 0 {
+			return math.MaxInt64
+		}
+		return time.Duration((w.base + wheelSlots) << wheelShift)
+	}
+	b := &w.l0[w.firstL0()]
+	b.ensureSorted()
+	return b.evs[0].at
+}
+
+// rebase moves an empty wheel's window to at, so near inserts stay in level 0.
+func (w *wheel) rebase(at time.Duration) {
+	if w.n == 0 {
+		w.base = wheelTick(at) &^ wheelMask
+	}
 }
 
 // firstL0 returns the index of the first non-empty level-0 slot.

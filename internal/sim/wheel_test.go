@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -55,7 +56,10 @@ func randomAt(r *rand.Rand, now time.Duration) time.Duration {
 
 // TestWheelMatchesHeapOracle drives a wheel and the old heap with the
 // same randomized insert/expire sequence and requires identical dequeue
-// order — the determinism contract of the replacement.
+// order — the determinism contract of the replacement. Mixed in are the
+// clock moves of sleeps taken in place: now jumps to any instant strictly
+// before earliest() without an expire, then rebase as sleepInPlace does. After every step earliest() must not exceed
+// the oracle's minimum and must equal it whenever level 0 is occupied.
 func TestWheelMatchesHeapOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 12345, 987654321} {
 		r := rand.New(rand.NewSource(seed))
@@ -64,6 +68,7 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 		var seq uint64
 		now := time.Duration(0)
 		var batch []*event
+		var rebased, advanced int
 
 		expireOne := func() {
 			batch = batch[:0]
@@ -88,28 +93,77 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 				}
 			}
 		}
+		insert := func(at time.Duration) {
+			e := &event{at: at, seq: seq}
+			seq++
+			w.insert(e)
+			heap.Push(&h, e)
+		}
+		checkEarliest := func(op int) {
+			got := w.earliest()
+			if len(h) == 0 {
+				if got != math.MaxInt64 {
+					t.Fatalf("seed %d op %d: earliest() = %v on an empty wheel", seed, op, got)
+				}
+				return
+			}
+			if min := h[0].at; got > min || w.l0n > 0 && got != min {
+				t.Fatalf("seed %d op %d: earliest() = %v, oracle minimum %v, %d events in level 0",
+					seed, op, got, min, w.l0n)
+			}
+		}
+		// advanceInPlace moves now as a sleep to wake would, if the wheel
+		// allows it.
+		advanceInPlace := func(wake time.Duration) {
+			if wake <= now || wake >= w.earliest() {
+				return
+			}
+			now = wake
+			advanced++
+			w.rebase(wake)
+			if w.n == 0 {
+				rebased++
+				// The point of re-basing: an insert at the new now is a
+				// level-0 insert, whose time earliest() knows exactly.
+				insert(now)
+				if w.l0n != 1 {
+					t.Fatalf("seed %d: insert just after a re-base to %v missed level 0", seed, now)
+				}
+			}
+		}
 
 		for op := 0; op < 20000; op++ {
-			if w.n == 0 || r.Intn(3) != 0 {
+			switch k := r.Intn(12); {
+			case w.n == 0 || k < 6:
 				// Insert a burst of 1–4 events; bursts create the
 				// same-instant ties the seq tie-break exists for.
 				burst := 1 + r.Intn(4)
 				at := randomAt(r, now)
 				for i := 0; i < burst; i++ {
-					e := &event{at: at, seq: seq}
-					seq++
-					w.insert(e)
-					heap.Push(&h, e)
+					insert(at)
 				}
-			} else {
+			case k < 9:
 				expireOne()
+			case k < 11:
+				advanceInPlace(randomAt(r, now))
+			default:
+				// A lone sleeper: drain, then sleep past the old window.
+				for w.n > 0 {
+					expireOne()
+				}
+				advanceInPlace(randomAt(r, now))
 			}
+			checkEarliest(op)
 		}
 		for w.n > 0 {
 			expireOne()
 		}
 		if len(h) != 0 {
 			t.Fatalf("seed %d: drained wheel but oracle holds %d events", seed, len(h))
+		}
+		if rebased == 0 || advanced == rebased {
+			t.Fatalf("seed %d: %d in-place advances, %d on an empty wheel: one of the two cases went untested",
+				seed, advanced, rebased)
 		}
 	}
 }

@@ -18,9 +18,14 @@
 # and no sync/atomic, and the non-test line counts ROADMAP tracks,
 # printed), vet-race (race-enabled tests — among them every compile,
 # whose touch plan is built on a goroutine of its own beside the graph —
-# internal/sim five times over, internal/coord twenty times at
-# GOMAXPROCS 1, 2, 8),
-# determinism (byte-identical trace export under forced parallelism),
+# internal/sim five times over, which covers the sleep taken in place:
+# it runs on the sleeper's coroutine, hooks included, internal/coord
+# twenty times at GOMAXPROCS 1, 2, 8),
+# determinism (byte-identical trace export under forced parallelism, and
+# the no-op-pacer differentials: a kernel that takes lone sleeps in
+# place against one that sends every sleep through the wheel, schedule
+# logs in internal/sim and whole replays in internal/artc, three times
+# each at GOMAXPROCS 1, 2, 8),
 # ingest (strace text compiles to the same .bench bytes with the
 # artifact cache off, cold and warm, and at GOMAXPROCS 1 and 2, and a
 # text .bench of an older build is refused by name), shard (sharded
@@ -32,10 +37,11 @@
 # cache hit/corruption behavior), allocs (the replay loop's
 # allocations-per-record ceilings, the warm's per-page ceiling and the
 # ingest path's bytes-per-record ceiling, printed, under GOMAXPROCS 1
-# and 2, and escape analysis saying no syscall entry point's
-# trace.Record reaches the heap), fuzz (short smokes: the strace
-# lexer, the Chrome exporter and the page cache against their reference
-# implementations, the artifact decoder against malformed input), service (boot artcd, drive
+# and 2, escape analysis saying no syscall entry point's trace.Record
+# reaches the heap, and 0 allocs/op on both sleep paths), fuzz (short
+# smokes: the strace lexer, the Chrome exporter and the page cache
+# against their reference implementations, the artifact decoder against
+# malformed input), service (boot artcd, drive
 # replays over HTTP, compare the serial and the sharded + sliced export
 # byte for byte against the artc CLI), service-fault (overfill a tenant
 # queue, assert bounded 429 backpressure and a clean SIGTERM drain),
@@ -137,6 +143,10 @@ determinism() {
   GOMAXPROCS=8 "$tmp/artc" trace -magritte pages_docphoto15 -quiet -o "$tmp/trace-1.json"
   GOMAXPROCS=8 "$tmp/artc" trace -magritte pages_docphoto15 -quiet -o "$tmp/trace-2.json"
   cmp "$tmp/trace-1.json" "$tmp/trace-2.json"
+  for procs in 1 2 8; do
+    echo "== determinism: sleeps in place vs every sleep through the wheel (no-op pacer) at GOMAXPROCS=$procs"
+    GOMAXPROCS=$procs go test -count=3 -run 'SleepInPlace' ./internal/sim/ ./internal/artc/
+  done
 }
 
 ingest() {
@@ -278,6 +288,14 @@ allocs() {
   literals="$(cat internal/stack/fileio.go internal/stack/meta.go internal/stack/aio.go | grep -c '&trace\.Record{')"
   if [ "$(wc -l < "$tmp/escape.txt")" -ne "$literals" ]; then
     echo "escape analysis reported $(wc -l < "$tmp/escape.txt") of the $literals &trace.Record{...} literals: the check no longer sees them all" >&2
+    exit 1
+  fi
+  echo "== allocs: neither sleep path allocates"
+  go test -run '^$' -bench 'KernelSleep(Churn|Alone)$' -benchmem ./internal/sim/ > "$tmp/sleep-allocs.txt" ||
+    { cat "$tmp/sleep-allocs.txt" >&2; exit 1; }
+  grep '^Benchmark' "$tmp/sleep-allocs.txt"
+  if [ "$(grep -c '^BenchmarkKernelSleep.* 0 allocs/op$' "$tmp/sleep-allocs.txt")" -ne 2 ]; then
+    echo "a sleep allocates: BenchmarkKernelSleepChurn (the opWake event) and BenchmarkKernelSleepAlone (in place) must both report 0 allocs/op" >&2
     exit 1
   fi
 }
