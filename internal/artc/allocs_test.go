@@ -1,6 +1,7 @@
 package artc
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -75,6 +76,44 @@ func TestReplayAllocsHitsObsOff(t *testing.T) {
 func TestReplayAllocsHitsRecorder(t *testing.T) {
 	if got := replayAllocsPerRecord(t, hitsPipeline, "linux-ext4-ssd-noop", true, true); got > 0.1 {
 		t.Fatalf("%.3f allocations per record, ceiling 0.1", got)
+	}
+}
+
+// decodeBytesPerRecordCeiling is 15 % over what decoding the hits
+// pipeline's artifact allocates per record today: 343 bytes, and 428
+// while every touch carried a copy of its resource's identity.
+const decodeBytesPerRecordCeiling = 395
+
+// TestDecodeBytesPerRecord counts every byte DecodeBinaryBytes allocates,
+// section goroutines included, per record decoded. scripts/ci.sh allocs
+// runs it under GOMAXPROCS 1 and 2 and prints the figure.
+func TestDecodeBytesPerRecord(t *testing.T) {
+	tr, snap, err := workload.SynthPipeline(hitsPipeline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Compile(tr, snap, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := b.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBinaryBytes(buf.Bytes()); err != nil { // lazily built runtime state is not the decode's own
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = DecodeBinaryBytes(buf.Bytes())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRecord := (after.TotalAlloc - before.TotalAlloc) / uint64(len(tr.Records))
+	t.Logf("decode: %d bytes allocated per record (%d records, ceiling %d)", perRecord, len(tr.Records), decodeBytesPerRecordCeiling)
+	if perRecord > decodeBytesPerRecordCeiling {
+		t.Errorf("decode allocates %d bytes per record, ceiling %d", perRecord, decodeBytesPerRecordCeiling)
 	}
 }
 

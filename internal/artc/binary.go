@@ -380,8 +380,8 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		bw.string(act.CanonPath2)
 		bw.uvarint(uint64(len(act.Touches)))
 		for _, t := range act.Touches {
-			if t.Idx < 0 || int(t.Idx) >= len(an.Resources) || an.Resources[t.Idx] != t.Res {
-				return fmt.Errorf("artc: action %d touches %v, which is not entry %d of the analyzer's resource table (benchmark not produced by Compile?)", i, t.Res, t.Idx)
+			if t.Idx < 0 || int(t.Idx) >= len(an.Resources) || an.Resources[t.Idx].Kind != t.Kind {
+				return fmt.Errorf("artc: action %d touches a %v as resource %d, which the analyzer's %d-entry resource table does not hold (benchmark not produced by Compile?)", i, t.Kind, t.Idx, len(an.Resources))
 			}
 			bw.uvarint(uint64(t.Idx))
 			bw.byte(byte(t.Role))
@@ -1064,7 +1064,7 @@ func decodeAnalysisSec(ar *binReader, nRec int) (*core.Analysis, error) {
 			if role > byte(core.RoleDelete) {
 				return nil, ar.errAt("action %d touch %d: unknown role %d", i, j, role)
 			}
-			touchSlab = append(touchSlab, core.Touch{Res: resources[ri], Idx: int32(ri), Role: core.Role(role)})
+			touchSlab = append(touchSlab, core.Touch{Idx: int32(ri), Kind: resources[ri].Kind, Role: core.Role(role)})
 		}
 		if nt > 0 {
 			act.Touches = touchSlab[start : start+nt : start+nt]

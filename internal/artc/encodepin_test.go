@@ -91,3 +91,41 @@ func TestEncodeBinaryWritesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestTouchKindsMatchResources: on every pinned corpus, compiled and then
+// decoded, each touch indexes the resource table in range and carries its
+// resource's kind. The analyzer copies the kind from the resource it
+// found, the decoder from the table, and the replay plan trusts it
+// without looking the resource up.
+func TestTouchKindsMatchResources(t *testing.T) {
+	for _, c := range pinnedCorpora(testing.Short()) {
+		tr, snap, err := c.load()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		b, err := artc.Compile(tr, snap, core.DefaultModes())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var buf bytes.Buffer
+		if err := b.EncodeBinary(&buf); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		decoded, err := artc.DecodeBinaryBytes(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for side, an := range map[string]*core.Analysis{"compiled": b.Analysis, "decoded": decoded.Analysis} {
+			for i := range an.Actions {
+				for ti, tc := range an.Actions[i].Touches {
+					if tc.Idx < 0 || int(tc.Idx) >= len(an.Resources) {
+						t.Fatalf("%s %s: action %d touch %d: Idx %d outside %d resources", c.name, side, i, ti, tc.Idx, len(an.Resources))
+					}
+					if res := an.Resources[tc.Idx]; res.Kind != tc.Kind {
+						t.Fatalf("%s %s: action %d touch %d is a %v touch of %v", c.name, side, i, ti, tc.Kind, res)
+					}
+				}
+			}
+		}
+	}
+}

@@ -19,11 +19,10 @@ import (
 // slot's opcode). A thread slot numbers the traced thread ids in
 // ascending order, the order replay threads are spawned in. A resource
 // slot numbers the resources descriptors and AIOCBs are remapped
-// through: for a compiled or decoded benchmark it is the resource's
-// index in Analysis.Resources (core.Touch.Idx, which the binary codec
-// stores), for a hand-built analysis without that list the slots are
-// interned here, and a shard renumbers the slots its actions use from
-// zero so its table is as small as its share of the trace.
+// through: it is the resource's index in Analysis.Resources
+// (core.Touch.Idx, which the binary codec stores), and a shard renumbers
+// the slots its actions use from zero so its table is as small as its
+// share of the trace.
 type hotTables struct {
 	acts  []hotAction
 	calls []hotCall
@@ -109,31 +108,10 @@ func buildHot(b *Benchmark) *hotTables {
 	if an == nil {
 		return h
 	}
-	// Resource slots. intern serves a hand-built analysis; hintSlot finds
-	// the slot of an FDHint, which names its resource by identity.
-	var intern map[core.ResourceID]int32
-	slotOf := func(t *core.Touch) int32 { return t.Idx }
+	// Resource slots are touch indices. An FDHint names its resource by
+	// identity, so the first one builds the descriptor index.
 	h.nSlots = len(an.Resources)
-	if an.Resources == nil {
-		intern = make(map[core.ResourceID]int32)
-		slotOf = func(t *core.Touch) int32 {
-			s, ok := intern[t.Res]
-			if !ok {
-				s = int32(len(intern))
-				intern[t.Res] = s
-			}
-			return s
-		}
-	}
-	hintSlot := func(res core.ResourceID) int32 {
-		if intern == nil {
-			intern = an.FDIndex()
-		}
-		if s, ok := intern[res]; ok {
-			return s
-		}
-		return -1
-	}
+	var fdIdx map[core.ResourceID]int32
 	for i := range an.Actions {
 		act := &an.Actions[i]
 		ha := &h.acts[i]
@@ -141,29 +119,31 @@ func buildHot(b *Benchmark) *hotTables {
 		if b.touches != nil {
 			plan = b.touches[i]
 		} else {
-			plan = planOne(act)
+			plan = planOne(an, i)
 		}
 		slot := func(ti int16) int32 {
 			if ti < 0 {
 				return -1
 			}
-			return slotOf(&act.Touches[ti])
+			return act.Touches[ti].Idx
 		}
 		ha.fdUse, ha.fdCreate = slot(plan.fdUse), slot(plan.fdCreate)
 		ha.aioUse, ha.aioCreate = slot(plan.aioUse), slot(plan.aioCreate)
 		if ha.fdUse < 0 && act.FDHint != nil {
-			ha.fdUse = hintSlot(*act.FDHint)
+			if fdIdx == nil {
+				fdIdx = an.FDIndex()
+			}
+			if s, ok := fdIdx[*act.FDHint]; ok {
+				ha.fdUse = s
+			}
 		}
 		if h.calls[ha.call].op == stack.OpDup2 {
-			for ti := range act.Touches {
-				if tc := &act.Touches[ti]; tc.Res.Kind == core.KFD && tc.Role == core.RoleDelete {
-					ha.fdDelete = slotOf(tc)
+			for _, tc := range act.Touches {
+				if tc.Kind == core.KFD && tc.Role == core.RoleDelete {
+					ha.fdDelete = tc.Idx
 				}
 			}
 		}
-	}
-	if an.Resources == nil {
-		h.nSlots = len(intern)
 	}
 	return h
 }

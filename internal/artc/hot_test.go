@@ -10,9 +10,9 @@ import (
 	"rootreplay/internal/vfs"
 )
 
-// A hand-built benchmark — an analysis that never went through Finish (no
-// Resources list, touch indices unset) and no compile-time touch plan —
-// gets its tables interned when replay starts and replays exactly like the
+// A hand-built benchmark — an analysis that never went through Finish (its
+// own resource numbering, no SeriesList) and no compile-time touch plan —
+// gets its tables built when replay starts and replays exactly like the
 // compiled one: remapped descriptors (dup2 and a failed call's FDHint
 // among them) and AIOCBs, same report.
 func TestHandBuiltAnalysisGetsTables(t *testing.T) {
@@ -46,17 +46,24 @@ func TestHandBuiltAnalysisGetsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The hand-built analysis numbers the resources in the reverse of the
+	// analyzer's first-touch order, so nothing may lean on that order.
+	nRes := int32(len(compiled.Analysis.Resources))
+	resources := make([]core.ResourceID, nRes)
+	for k, r := range compiled.Analysis.Resources {
+		resources[nRes-1-int32(k)] = r
+	}
 	acts := make([]core.Action, len(compiled.Analysis.Actions))
 	for i, act := range compiled.Analysis.Actions {
 		act.Touches = append([]core.Touch(nil), act.Touches...)
 		for ti := range act.Touches {
-			act.Touches[ti].Idx = 0
+			act.Touches[ti].Idx = nRes - 1 - act.Touches[ti].Idx
 		}
 		acts[i] = act
 	}
 	hand := &Benchmark{
 		Platform: compiled.Platform, Modes: compiled.Modes, Trace: tr, Snapshot: snap,
-		Analysis: &core.Analysis{Trace: tr, Actions: acts},
+		Analysis: &core.Analysis{Trace: tr, Actions: acts, Resources: resources},
 		Graph:    compiled.Graph,
 	}
 	replay := func(b *Benchmark) string {
@@ -76,8 +83,7 @@ func TestHandBuiltAnalysisGetsTables(t *testing.T) {
 	if got, want := replay(hand), replay(compiled); got != want {
 		t.Fatalf("hand-built benchmark replays differently:\n got %s\nwant %s", got, want)
 	}
-	if h := hand.hot(); h.nSlots == 0 || h.nSlots >= len(compiled.Analysis.Resources) {
-		t.Fatalf("interned %d resource slots; want the few descriptors and AIOCBs, not all %d resources",
-			h.nSlots, len(compiled.Analysis.Resources))
+	if h := hand.hot(); h.nSlots != len(resources) {
+		t.Fatalf("%d resource slots for %d resources", h.nSlots, len(resources))
 	}
 }

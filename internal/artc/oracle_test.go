@@ -233,22 +233,21 @@ func (o *oracleState) compare(idx int, rec *trace.Record, errno vfs.Errno) bool 
 
 // fdTouch finds the fd resource an action references with the given
 // number and role class.
-func fdTouch(act *core.Action, num int64, create bool) *core.ResourceID {
+func (o *oracleState) fdTouch(act *core.Action, num int64, create bool) *core.ResourceID {
 	name := strconv.FormatInt(num, 10)
-	for i := range act.Touches {
-		tc := &act.Touches[i]
-		if tc.Res.Kind == core.KFD && tc.Res.Name == name && create == (tc.Role == core.RoleCreate) {
-			return &tc.Res
+	for _, tc := range act.Touches {
+		res := &o.b.Analysis.Resources[tc.Idx]
+		if res.Kind == core.KFD && res.Name == name && create == (tc.Role == core.RoleCreate) {
+			return res
 		}
 	}
 	return nil
 }
 
-func aioTouch(act *core.Action, create bool) *core.ResourceID {
-	for i := range act.Touches {
-		tc := &act.Touches[i]
-		if tc.Res.Kind == core.KAIO && create == (tc.Role == core.RoleCreate) {
-			return &tc.Res
+func (o *oracleState) aioTouch(act *core.Action, create bool) *core.ResourceID {
+	for _, tc := range act.Touches {
+		if res := &o.b.Analysis.Resources[tc.Idx]; res.Kind == core.KAIO && create == (tc.Role == core.RoleCreate) {
+			return res
 		}
 	}
 	return nil
@@ -269,7 +268,7 @@ func (o *oracleState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errno
 	if act.CanonPath2 != "" {
 		rec.Path2 = o.prefixPath(act.CanonPath2, false)
 	}
-	if use := fdTouch(act, rec.FD, false); use != nil {
+	if use := o.fdTouch(act, rec.FD, false); use != nil {
 		if actual, ok := o.fdMap[*use]; ok {
 			rec.FD = actual
 		}
@@ -278,7 +277,7 @@ func (o *oracleState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errno
 			rec.FD = actual
 		}
 	}
-	if use := aioTouch(act, false); use != nil {
+	if use := o.aioTouch(act, false); use != nil {
 		if actual, ok := o.aioMap[*use]; ok {
 			rec.AIO = actual
 		}
@@ -299,12 +298,12 @@ func (o *oracleState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errno
 			}
 		}
 		if created >= 0 {
-			if res := fdTouch(act, created, true); res != nil {
+			if res := o.fdTouch(act, created, true); res != nil {
 				o.fdMap[*res] = ret
 			}
 		}
 		if call == "aio_read" || call == "aio_write" {
-			if res := aioTouch(act, true); res != nil {
+			if res := o.aioTouch(act, true); res != nil {
 				o.aioMap[*res] = ret
 			}
 		}
@@ -330,8 +329,8 @@ func (o *oracleState) applyWithEmulation(t *sim.Thread, act *core.Action, call s
 	target := sys.Conf.Platform
 	if call == "dup2" {
 		for _, tc := range act.Touches {
-			if tc.Res.Kind == core.KFD && tc.Role == core.RoleDelete {
-				if actual, ok := o.fdMap[tc.Res]; ok {
+			if res := o.b.Analysis.Resources[tc.Idx]; res.Kind == core.KFD && tc.Role == core.RoleDelete {
+				if actual, ok := o.fdMap[res]; ok {
 					sys.Close(t, actual)
 				}
 			}

@@ -860,13 +860,14 @@ type actionTouches struct {
 	fdUse, fdCreate, aioUse, aioCreate int16
 }
 
-// planOne resolves one action's touch plan from its analysis record.
-func planOne(act *core.Action) actionTouches {
+// planOne resolves action i's touch plan from its analysis record.
+func planOne(an *core.Analysis, i int) actionTouches {
+	act := &an.Actions[i]
 	p := actionTouches{fdUse: -1, fdCreate: -1, aioUse: -1, aioCreate: -1}
-	p.fdUse = findFDTouch(act, act.Rec.FD, false)
+	p.fdUse = findFDTouch(an, act, act.Rec.FD, false)
 	p.aioUse = findAIOTouch(act, false)
 	if num := createdFDNum(act); num >= 0 {
-		p.fdCreate = findFDTouch(act, num, true)
+		p.fdCreate = findFDTouch(an, act, num, true)
 	}
 	switch stack.Canonical(act.Rec.Call) {
 	case "aio_read", "aio_write":
@@ -879,7 +880,7 @@ func planOne(act *core.Action) actionTouches {
 func planTouches(an *core.Analysis) []actionTouches {
 	out := make([]actionTouches, len(an.Actions))
 	for i := range an.Actions {
-		out[i] = planOne(&an.Actions[i])
+		out[i] = planOne(an, i)
 	}
 	return out
 }
@@ -901,14 +902,13 @@ func createdFDNum(act *core.Action) int64 {
 }
 
 // findFDTouch locates the fd resource an action references with the
-// given number and role class, returning its touch index or -1.
-func findFDTouch(act *core.Action, num int64, create bool) int16 {
+// given number and role class, returning its touch index or -1. Only a
+// descriptor touch of the right role has its name read from the
+// resource table.
+func findFDTouch(an *core.Analysis, act *core.Action, num int64, create bool) int16 {
 	name := strconv.FormatInt(num, 10)
 	for ti, tc := range act.Touches {
-		if tc.Res.Kind != core.KFD || tc.Res.Name != name {
-			continue
-		}
-		if create == (tc.Role == core.RoleCreate) {
+		if tc.Kind == core.KFD && create == (tc.Role == core.RoleCreate) && an.Resources[tc.Idx].Name == name {
 			return int16(ti)
 		}
 	}
@@ -917,10 +917,7 @@ func findFDTouch(act *core.Action, num int64, create bool) int16 {
 
 func findAIOTouch(act *core.Action, create bool) int16 {
 	for ti, tc := range act.Touches {
-		if tc.Res.Kind != core.KAIO {
-			continue
-		}
-		if create == (tc.Role == core.RoleCreate) {
+		if tc.Kind == core.KAIO && create == (tc.Role == core.RoleCreate) {
 			return int16(ti)
 		}
 	}

@@ -361,7 +361,8 @@ func buildOneShard(b *Benchmark, g *core.Graph, plan *shard.Plan, comp int32,
 		Modes:    b.Modes,
 		Trace:    subTrace,
 		Snapshot: b.Snapshot,
-		Analysis: &core.Analysis{Trace: subTrace, Actions: acts},
+		// The actions' touches index the parent's resource table.
+		Analysis: &core.Analysis{Trace: subTrace, Actions: acts, Resources: b.Analysis.Resources},
 	}
 	sub := &subState{
 		comp:          comp,

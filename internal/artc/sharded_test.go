@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rootreplay/internal/core"
 	"rootreplay/internal/fault"
@@ -428,5 +429,35 @@ func TestShardedCrossReasonNamesPeer(t *testing.T) {
 	want := fmt.Sprintf("awaiting action %d (shard %d)", e.From, ce.From)
 	if !strings.Contains(reason, want) || !strings.Contains(reason, fmt.Sprintf("action %d:", e.To)) {
 		t.Fatalf("cross reason %q does not name peer (want %q)", reason, want)
+	}
+}
+
+// A member's sub-analysis shares its parent's resource table, so every
+// touch index a member holds names what it named in the full analysis;
+// partitioned and sliced plans alike.
+func TestShardSubAnalysesShareResources(t *testing.T) {
+	tr, snap := genPipeline(t, 3, 100, 8)
+	b, err := Compile(tr, snap, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := b.Analysis.Resources
+	plan := shard.Partition(b.Analysis, b.Graph)
+	sliced := shard.Slice(b.Analysis, b.Graph, plan, shard.SliceOptions{MaxActions: len(tr.Records)/4 + 1})
+	if len(sliced.Components) <= len(plan.Components) {
+		t.Fatalf("slicing made %d members of %d components; want more", len(sliced.Components), len(plan.Components))
+	}
+	for _, p := range []*shard.Plan{plan, sliced} {
+		for _, cs := range buildShards(b, b.Graph, p, false) {
+			sub := cs.b.Analysis
+			if len(sub.Resources) != len(parent) || unsafe.SliceData(sub.Resources) != unsafe.SliceData(parent) {
+				t.Fatalf("member %d has its own %d-entry resource table, not its parent's %d", cs.comp, len(sub.Resources), len(parent))
+			}
+			for li, gidx := range cs.members {
+				if got, want := sub.Actions[li].Touches, b.Analysis.Actions[gidx].Touches; !reflect.DeepEqual(got, want) {
+					t.Fatalf("member %d action %d touches %v, parent's action %d %v", cs.comp, li, got, gidx, want)
+				}
+			}
+		}
 	}
 }

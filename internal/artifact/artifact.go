@@ -23,10 +23,11 @@
 //     recompiling. A corrupt cache can cost time, never correctness.
 //   - The store is size-capped: a Put that takes it over the cap evicts
 //     least-recently-used entries (by file mtime, refreshed on hit) until
-//     it fits. The size is a running total (a walk at Open, plus every
-//     Put since) that can run ahead of this process's writes, never
-//     behind; what another process adds to a shared directory is counted
-//     at the next walk or Open.
+//     it fits. The size is a running total (a walk at Open, then each
+//     Put's bytes less those of the entry it replaced, less each corrupt
+//     entry Get removes) that matches what this process wrote; what
+//     another process does to a shared directory is counted at the next
+//     walk or Open.
 package artifact
 
 import (
@@ -78,7 +79,7 @@ type Store struct {
 	maxBytes int64
 
 	mu    sync.Mutex
-	total int64 // bytes of entries: the last walk's count plus every Put since
+	total int64 // bytes of entries: the last walk's count, kept current by Put and Get since
 	walks int   // directory walks made, Open's included
 }
 
@@ -169,7 +170,11 @@ func (s *Store) Get(key string) (*artc.Benchmark, int64, error) {
 	}
 	b, err := artc.DecodeBinaryBytes(data)
 	if err != nil {
-		os.Remove(p)
+		s.mu.Lock()
+		if info, serr := os.Stat(p); serr == nil && os.Remove(p) == nil {
+			s.total -= info.Size()
+		}
+		s.mu.Unlock()
 		return nil, 0, &CorruptError{Key: key, Path: p, Err: err}
 	}
 	// Refresh mtime so eviction is least-recently-used, not
@@ -209,12 +214,18 @@ func (s *Store) Put(key string, b *artc.Benchmark) (int64, error) {
 	if err := tmp.Close(); err != nil {
 		return fail(err)
 	}
+	// The entry a rename replaces leaves the total; stat and rename under
+	// mu, so two Puts of one key cannot both miss what the other wrote.
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var replaced int64
+	if info, err := os.Stat(p); err == nil {
+		replaced = info.Size()
+	}
 	if err := os.Rename(tmp.Name(), p); err != nil {
 		return fail(err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.total += size; s.total > s.maxBytes {
+	if s.total += size - replaced; s.total > s.maxBytes {
 		if err := s.evict(); err != nil {
 			return 0, err
 		}

@@ -260,6 +260,72 @@ func TestPutWalksOnlyOverTheCap(t *testing.T) {
 	}
 }
 
+// TestRePutReplacesItsSize: a Put over an existing entry counts the new
+// bytes instead of the old, so putting one key again and again under a
+// cap of two and a half entries never walks past Open's walk.
+func TestRePutReplacesItsSize(t *testing.T) {
+	b := mustCompile(t, genBench(t))
+	var buf bytes.Buffer
+	if err := b.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	one := int64(buf.Len())
+	s, err := Open(t.TempDir(), 2*one+one/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key([]byte("again"), nil, "linux", core.DefaultModes())
+	for i := 0; i < 10; i++ {
+		if _, err := s.Put(key, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.walks != 1 || s.total != one {
+		t.Fatalf("after 10 puts of one key: %d walks (want Open's one), total %d (want %d)", s.walks, s.total, one)
+	}
+}
+
+// TestCorruptRemovalLeavesTheTotal: Get's removal of a corrupt entry
+// takes its bytes off the total, so the re-Put that repopulates the key
+// leaves the total what a fresh walk of the directory counts.
+func TestCorruptRemovalLeavesTheTotal(t *testing.T) {
+	gen := genBench(t)
+	s, err := Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := CompileTrace(s, gen.Trace, gen.Snapshot, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := s.path(st.Key)
+	data, err := os.ReadFile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x04
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ce *CorruptError
+	if _, _, err := s.Get(st.Key); !errors.As(err, &ce) {
+		t.Fatalf("Get of the damaged entry: %v, want CorruptError", err)
+	}
+	if s.total != 0 {
+		t.Fatalf("total %d after the only entry was removed, want 0", s.total)
+	}
+	if _, err := s.Put(st.Key, mustCompile(t, gen)); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := Open(s.Dir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.total != fresh.total {
+		t.Fatalf("running total %d, a fresh walk counts %d", s.total, fresh.total)
+	}
+}
+
 // TestConcurrentPutsKeepTheTotal: puts from several goroutines, some of
 // them over the cap, leave the running total equal to what is on disk
 // (run under -race in the vet-race lane).

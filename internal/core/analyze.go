@@ -38,8 +38,8 @@ type Analysis struct {
 	Actions []Action
 	// Resources lists every resource in first-touch order, and
 	// SeriesList[k] holds the indices (= Seq values) of the actions
-	// touching Resources[k], in trace order; Touch.Idx is k. Both are
-	// populated by Finish and are nil for hand-built analyses.
+	// touching Resources[k], in trace order; Touch.Idx is k. A shard's
+	// sub-analysis shares its parent's Resources and has no SeriesList.
 	Resources  []ResourceID
 	SeriesList [][]int
 	// PathGens maps a path name to its successive generations in
@@ -92,10 +92,10 @@ type analyzer struct {
 	fdPath map[int64]string
 
 	// scratch is the reusable touch buffer analyzeRecord appends into;
-	// sealTouches copies each record's result out of it into slab-carved
-	// exact-size slices, so building a touch set costs no per-record
-	// append growth.
-	scratch []Touch
+	// sealTouches numbers each record's result and writes it into
+	// slab-carved exact-size slices, so building a touch set costs no
+	// per-record append growth.
+	scratch []rawTouch
 	slab    []Touch
 
 	// resIdx numbers each ResourceID densely in first-touch order. It is
@@ -110,22 +110,34 @@ type analyzer struct {
 	res *Analysis
 }
 
-// sealTouches copies a scratch-backed touch set into a compact slice
-// carved from a slab, so Action.Touches never retains scratch capacity.
-func (a *analyzer) sealTouches(ts []Touch) []Touch {
+// rawTouch is a touch as analyzeRecord finds it, naming its resource by
+// identity; sealTouches turns it into a Touch.
+type rawTouch struct {
+	Res  ResourceID
+	Role Role
+}
+
+// sealTouches numbers a scratch-backed touch set's resources and writes
+// it into a compact slice carved from a slab, so Action.Touches never
+// retains scratch capacity. Touches are numbered in trace order, so each
+// resource's number is its first-touch position.
+func (a *analyzer) sealTouches(ts []rawTouch) []Touch {
 	if len(ts) == 0 {
 		return nil
 	}
 	if len(a.slab) < len(ts) {
-		n := 1024
-		if len(ts) > n {
-			n = len(ts)
-		}
-		a.slab = make([]Touch, n)
+		a.slab = make([]Touch, max(len(ts), 1024))
 	}
 	out := a.slab[:len(ts):len(ts)]
 	a.slab = a.slab[len(ts):]
-	copy(out, ts)
+	for i, t := range ts {
+		idx, ok := a.resIdx[t.Res]
+		if !ok {
+			idx = int32(len(a.resIdx))
+			a.resIdx[t.Res] = idx
+		}
+		out[i] = Touch{Idx: idx, Kind: t.Res.Kind, Role: t.Role}
+	}
 	return out
 }
 
@@ -200,9 +212,8 @@ func (z *Analyzer) Feed(recs []*trace.Record) error {
 		touches := a.analyzeRecord(rec, call)
 		if touches != nil {
 			a.scratch = touches[:0] // keep any grown capacity for reuse
-			touches = a.sealTouches(touches)
 		}
-		act.Touches = touches
+		act.Touches = a.sealTouches(touches)
 		if !rec.OK() {
 			if _, tracked := a.fdFile[rec.FD]; tracked && rec.FD != 0 {
 				r := a.fdRes(rec.FD)
@@ -210,15 +221,6 @@ func (z *Analyzer) Feed(recs []*trace.Record) error {
 			}
 		}
 		a.res.Actions = append(a.res.Actions, act)
-		for ti := range touches {
-			t := &touches[ti]
-			idx, ok := a.resIdx[t.Res]
-			if !ok {
-				idx = int32(len(a.resIdx))
-				a.resIdx[t.Res] = idx
-			}
-			t.Idx = idx
-		}
 	}
 	return nil
 }
@@ -386,7 +388,7 @@ func (a *analyzer) parentOf(p string) *vfs.Inode {
 // analyzeRecord computes the record's touch set and symbolically applies
 // its effect to the file-system model. Thread resources are implicit
 // (thread_seq is enforced structurally), so they are not materialized.
-func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []Touch {
+func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 	// Failed calls carry no resource hints beyond their thread: replay
 	// may legally reorder them (a stat that failed during tracing might
 	// validly run earlier or later during replay; §4.2 "Paths").
@@ -394,9 +396,9 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []Touch {
 		return nil
 	}
 	ts := a.scratch[:0]
-	use := func(r ResourceID) { ts = append(ts, Touch{Res: r, Role: RoleUse}) }
-	create := func(r ResourceID) { ts = append(ts, Touch{Res: r, Role: RoleCreate}) }
-	del := func(r ResourceID) { ts = append(ts, Touch{Res: r, Role: RoleDelete}) }
+	use := func(r ResourceID) { ts = append(ts, rawTouch{r, RoleUse}) }
+	create := func(r ResourceID) { ts = append(ts, rawTouch{r, RoleCreate}) }
+	del := func(r ResourceID) { ts = append(ts, rawTouch{r, RoleDelete}) }
 	useParent := func(p string) {
 		if dir := a.parentOf(p); dir != nil {
 			use(a.fileRes(dir))
@@ -655,10 +657,10 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []Touch {
 // analyzeRename handles the hardest case in the model: a rename touches
 // the parents, the moved file, and — when a directory moves — every
 // path and file in its subtree (Figure 2's rename touches "four paths").
-func (a *analyzer) analyzeRename(rec *trace.Record, ts *[]Touch) {
-	use := func(r ResourceID) { *ts = append(*ts, Touch{Res: r, Role: RoleUse}) }
-	create := func(r ResourceID) { *ts = append(*ts, Touch{Res: r, Role: RoleCreate}) }
-	del := func(r ResourceID) { *ts = append(*ts, Touch{Res: r, Role: RoleDelete}) }
+func (a *analyzer) analyzeRename(rec *trace.Record, ts *[]rawTouch) {
+	use := func(r ResourceID) { *ts = append(*ts, rawTouch{r, RoleUse}) }
+	create := func(r ResourceID) { *ts = append(*ts, rawTouch{r, RoleCreate}) }
+	del := func(r ResourceID) { *ts = append(*ts, rawTouch{r, RoleDelete}) }
 	oldP, newP := a.canon(rec.Path), a.canon(rec.Path2)
 	if dir := a.parentOf(oldP); dir != nil {
 		use(a.fileRes(dir))

@@ -135,13 +135,13 @@ func TestLinkCreatesPathNotFile(t *testing.T) {
 	// file: the final stat via /b still touches a live file.
 	var unlinkTouches []Touch
 	for _, tc := range an.Actions[2].Touches {
-		if tc.Res.Kind == KFile {
+		if an.Resources[tc.Idx].Kind == KFile {
 			unlinkTouches = append(unlinkTouches, tc)
 		}
 	}
 	for _, tc := range unlinkTouches {
 		if tc.Role == RoleDelete {
-			t.Errorf("unlink of multi-link file marked file delete: %v", tc)
+			t.Errorf("unlink of multi-link file marked file delete: %v", an.Resources[tc.Idx])
 		}
 	}
 }
@@ -157,7 +157,7 @@ func TestUnlinkLastLinkIsFileDelete(t *testing.T) {
 	an := analyze(t, tr, snap)
 	foundDelete := false
 	for _, tc := range an.Actions[3].Touches {
-		if tc.Res.Kind == KFile && tc.Role == RoleDelete {
+		if an.Resources[tc.Idx].Kind == KFile && tc.Role == RoleDelete {
 			foundDelete = true
 		}
 	}

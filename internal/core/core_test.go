@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -137,25 +138,55 @@ func TestFigure2ActionSeries(t *testing.T) {
 	}
 }
 
-// Every touch carries its resource's index in Analysis.Resources — what
-// the replayer indexes its tables by — and carrying it cost Touch nothing.
+// Every touch names its resource by its index in Analysis.Resources —
+// what the replayer indexes its tables by — and repeats that resource's
+// kind. A touch is 8 bytes and holds no pointer, so the collector never
+// scans the touch tables; the walk below fails as soon as a field that
+// carries a pointer is added.
 func TestTouchIndexesResources(t *testing.T) {
 	an := analyze(t, figure2Trace(), figure2Snapshot())
 	touches := 0
 	for i := range an.Actions {
 		for _, tc := range an.Actions[i].Touches {
 			touches++
-			if int(tc.Idx) >= len(an.Resources) || an.Resources[tc.Idx] != tc.Res {
-				t.Fatalf("action %d: touch of %v has Idx %d, which is not that resource", i, tc.Res, tc.Idx)
+			if tc.Idx < 0 || int(tc.Idx) >= len(an.Resources) || an.Resources[tc.Idx].Kind != tc.Kind {
+				t.Fatalf("action %d: %v touch has Idx %d, which is not a resource of that kind", i, tc.Kind, tc.Idx)
 			}
 		}
 	}
 	if touches == 0 {
 		t.Fatal("no touches analysed")
 	}
-	if size := unsafe.Sizeof(Touch{}); size != 40 {
-		t.Fatalf("Touch is %d bytes, want the 40 it was before it carried Idx", size)
+	if size := unsafe.Sizeof(Touch{}); size != 8 {
+		t.Fatalf("Touch is %d bytes, want 8", size)
 	}
+	typ := reflect.TypeOf(Touch{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); !pointerFree(f.Type) {
+			t.Errorf("Touch.%s is a %v, which can carry a pointer; a touch must hold none", f.Name, f.Type)
+		}
+	}
+}
+
+// pointerFree reports whether no value of typ can hold a pointer:
+// booleans and numbers, and arrays and structs of nothing else.
+func pointerFree(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return pointerFree(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if !pointerFree(typ.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
 }
 
 func TestFigure2FileSeries(t *testing.T) {

@@ -147,9 +147,9 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 		return a.Gen - b.Gen
 	})
 
-	roleOf := func(actIdx int, r ResourceID) Role {
+	roleOf := func(actIdx int, k int32) Role {
 		for _, t := range an.Actions[actIdx].Touches {
-			if t.Res == r {
+			if t.Idx == k {
 				return t.Role
 			}
 		}
@@ -184,12 +184,12 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 		}
 		if stage {
 			first, last := series[0], series[len(series)-1]
-			if roleOf(first, r) == RoleCreate {
+			if roleOf(first, k) == RoleCreate {
 				for _, i := range series[1:] {
 					add(first, i, WaitComplete, r)
 				}
 			}
-			if roleOf(last, r) == RoleDelete {
+			if roleOf(last, k) == RoleDelete {
 				for _, i := range series[:len(series)-1] {
 					add(i, last, WaitComplete, r)
 				}

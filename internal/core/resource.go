@@ -25,8 +25,9 @@ package core
 
 import "fmt"
 
-// Kind classifies resources (§4.2, Table 2).
-type Kind int
+// Kind classifies resources (§4.2, Table 2). It is one byte wide, like
+// Role, so that a Touch carrying both is 8 bytes.
+type Kind uint8
 
 // Resource kinds.
 const (
@@ -72,8 +73,7 @@ func (r ResourceID) String() string {
 	return fmt.Sprintf("%s(%s)@%d", r.Kind, r.Name, r.Gen)
 }
 
-// Role is an action's relationship to a resource it touches. It is one
-// byte wide so that Touch fits the resource index in its old 40 bytes.
+// Role is an action's relationship to a resource it touches.
 type Role uint8
 
 // Roles within an action series.
@@ -100,15 +100,16 @@ func (r Role) String() string {
 	}
 }
 
-// Touch is one action↔resource relationship.
+// Touch is one action↔resource relationship. It names the resource by
+// Idx, its position in Analysis.Resources, which is the only place the
+// resource's name and generation are kept: the analyzer numbers
+// resources densely in first-touch order and the binary codec stores
+// touches by that number, so consumers index slices by it. Kind repeats
+// Resources[Idx].Kind, so the passes that pick touches by kind do not
+// read the resource table once per touch. A Touch holds no pointer.
 type Touch struct {
-	Res ResourceID
-	// Idx is Res's position in Analysis.Resources: the analyzer numbers
-	// resources densely in first-touch order and the binary codec stores
-	// touches by that number, so consumers index slices by it instead of
-	// hashing Res. It means nothing in an analysis whose Resources is nil
-	// (hand-built, or a shard's sub-analysis).
 	Idx  int32
+	Kind Kind
 	Role Role
 }
 

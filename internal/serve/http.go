@@ -117,9 +117,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	sum := sha256.Sum256(body)
 	id := "sha256:" + hex.EncodeToString(sum[:])
 
+	// Like every handler, this one writes only after releasing s.mu: a
+	// client that stops reading must not hold up /healthz, the dispatcher
+	// and every other tenant.
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.draining {
+		s.mu.Unlock()
 		s.jsonError(w, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
@@ -128,6 +131,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	if _, charged := t.uploads[id]; !charged {
 		if t.used+int64(len(body)) > s.cfg.TenantBudgetBytes {
 			s.counters.Add("artcd_rejected_budget", 1)
+			s.mu.Unlock()
 			s.jsonError(w, http.StatusInsufficientStorage, "budget_exhausted",
 				fmt.Sprintf("tenant upload budget %d bytes exhausted", s.cfg.TenantBudgetBytes))
 			return
@@ -140,6 +144,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.counters.Add("artcd_uploads", 1)
 	s.counters.Add("artcd_upload_bytes", int64(len(body)))
+	s.mu.Unlock()
 	s.writeJSON(w, http.StatusOK, struct {
 		ID           string `json:"id"`
 		Bytes        int    `json:"bytes"`
@@ -192,35 +197,33 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.draining {
+		s.mu.Unlock()
 		s.jsonError(w, http.StatusServiceUnavailable, "draining", "server is draining")
 		return
 	}
 	t := s.tenantLocked(name)
-	if req.Trace != "" {
-		if _, ok := t.uploads[req.Trace]; !ok {
-			s.jsonError(w, http.StatusNotFound, "unknown_trace",
-				"trace "+req.Trace+" was not uploaded by this tenant")
+	// A job with a trace names only blobs its tenant uploaded.
+	for _, up := range []struct{ what, id string }{{"trace", req.Trace}, {"snapshot", req.Snapshot}} {
+		if _, ok := t.uploads[up.id]; req.Trace != "" && up.id != "" && !ok {
+			s.mu.Unlock()
+			s.jsonError(w, http.StatusNotFound, "unknown_"+up.what,
+				up.what+" "+up.id+" was not uploaded by this tenant")
 			return
-		}
-		if req.Snapshot != "" {
-			if _, ok := t.uploads[req.Snapshot]; !ok {
-				s.jsonError(w, http.StatusNotFound, "unknown_snapshot",
-					"snapshot "+req.Snapshot+" was not uploaded by this tenant")
-				return
-			}
 		}
 	}
 	if t.queued >= s.cfg.QueueBound {
 		s.counters.Add("artcd_rejected_backpressure", 1)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterLocked()))
+		retry := strconv.Itoa(s.retryAfterLocked())
+		s.mu.Unlock()
+		w.Header().Set("Retry-After", retry)
 		s.jsonError(w, http.StatusTooManyRequests, "queue_full",
 			fmt.Sprintf("tenant queue bound %d reached", s.cfg.QueueBound))
 		return
 	}
-	j := s.admitLocked(t, req)
-	s.writeJSON(w, http.StatusAccepted, s.statusDocLocked(j))
+	doc := s.statusDocLocked(s.admitLocked(t, req))
+	s.mu.Unlock()
+	s.writeJSON(w, http.StatusAccepted, doc)
 }
 
 // statusDoc is the job-status JSON shape.

@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -417,5 +420,86 @@ func TestResultRetentionBound(t *testing.T) {
 	w = do(s, http.MethodGet, "/metrics", nil)
 	if !strings.Contains(w.Body.String(), "artcd_results_evicted 1\n") {
 		t.Fatalf("metrics missing the eviction:\n%s", w.Body)
+	}
+}
+
+// stalledWriter is a ResponseWriter whose client stopped reading: Write
+// blocks until release is closed.
+type stalledWriter struct {
+	header  http.Header
+	status  int
+	body    bytes.Buffer
+	once    sync.Once
+	stalled chan struct{} // closed when the first Write starts
+	release chan struct{}
+}
+
+func newStalledWriter() *stalledWriter {
+	return &stalledWriter{header: http.Header{}, stalled: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (w *stalledWriter) Header() http.Header    { return w.header }
+func (w *stalledWriter) WriteHeader(status int) { w.status = status }
+func (w *stalledWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.stalled) })
+	<-w.release
+	return w.body.Write(p)
+}
+
+// TestStalledResponseDoesNotHoldTheLock: upload and submit write their
+// response after releasing the server mutex, so a client that stops
+// reading leaves /healthz answering, and the bytes it gets once it reads
+// again are the response it was owed.
+func TestStalledResponseDoesNotHoldTheLock(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	submitSleep(t, s, "a", 60_000) // occupies the worker: the next job stays queued
+	sum := sha256.Sum256([]byte("hello"))
+	id := "sha256:" + hex.EncodeToString(sum[:])
+	cases := []struct {
+		name, path, body string
+		status           int
+		want             func(got []byte) string // the owed response
+	}{
+		{"upload", "/v1/tenants/a/traces", "hello", http.StatusOK, func([]byte) string {
+			return `{"id":"` + id + `","bytes":5,"deduplicated":false}` + "\n"
+		}},
+		{"submit", "/v1/tenants/a/jobs", `{"kind":"sleep","ms":1}`, http.StatusAccepted, func(got []byte) string {
+			var doc statusDoc
+			if err := json.Unmarshal(got, &doc); err != nil {
+				t.Fatalf("submit response %q: %v", got, err)
+			}
+			s.mu.Lock()
+			want := s.statusDocLocked(s.tenants["a"].jobs[doc.ID])
+			s.mu.Unlock()
+			js, _ := json.Marshal(want)
+			return string(js) + "\n"
+		}},
+	}
+	for _, tc := range cases {
+		w := newStalledWriter()
+		handled := make(chan struct{})
+		go func() {
+			defer close(handled)
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, tc.path, strings.NewReader(tc.body)))
+		}()
+		<-w.stalled
+		healthy := make(chan int, 1)
+		go func() { healthy <- do(s, http.MethodGet, "/healthz", nil).Code }()
+		select {
+		case code := <-healthy:
+			if code != http.StatusOK {
+				t.Errorf("%s: /healthz answered %d while the response was stalled", tc.name, code)
+			}
+		case <-time.After(time.Second):
+			t.Errorf("%s: /healthz waited on a stalled response", tc.name)
+		}
+		close(w.release)
+		<-handled
+		if w.status != tc.status || w.header.Get("Content-Type") != "application/json" {
+			t.Fatalf("%s: status %d, Content-Type %q", tc.name, w.status, w.header.Get("Content-Type"))
+		}
+		if got, want := w.body.String(), tc.want(w.body.Bytes()); got != want {
+			t.Fatalf("%s: response\n got %q\nwant %q", tc.name, got, want)
+		}
 	}
 }

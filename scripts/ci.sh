@@ -36,9 +36,10 @@
 # verification plus a single-seed bit-repro check), cache (artifact
 # cache hit/corruption behavior), allocs (the replay loop's
 # allocations-per-record ceilings, the warm's per-page ceiling and the
-# ingest path's bytes-per-record ceiling, printed, under GOMAXPROCS 1
-# and 2, escape analysis saying no syscall entry point's trace.Record
-# reaches the heap, and 0 allocs/op on both sleep paths), fuzz (short
+# decoder's and the ingest path's bytes-per-record ceilings, printed,
+# under GOMAXPROCS 1 and 2, escape analysis saying no syscall entry
+# point's trace.Record reaches the heap, and 0 allocs/op on both sleep
+# paths), fuzz (short
 # smokes: the strace lexer, the Chrome exporter and the page cache
 # against their reference implementations, the artifact decoder against
 # malformed input), service (boot artcd, drive
@@ -263,10 +264,11 @@ cache() {
 
 # allocs answers three questions: does the replay loop still allocate
 # nothing per record, does warming a replica still allocate nothing per
-# page, and what does ingesting a record allocate? The ceilings count a
-# whole Replay's allocations per record, a whole WarmAll's per resident
-# page (plus the page cache's sparse-file bound) and the bytes of a whole
-# strace-to-store-and-back ingest per record, a figure printed as lint
+# page, and what do decoding and ingesting a record allocate? The
+# ceilings count a whole Replay's allocations per record, a whole
+# WarmAll's per resident page (plus the page cache's sparse-file bound)
+# and the bytes of a whole DecodeBinaryBytes and of a whole
+# strace-to-store-and-back ingest per record, figures printed as lint
 # prints its line counts; the escape check catches the commonest way
 # back for the first, a change to System.record that lets the entry
 # points' Record literals escape.
@@ -274,9 +276,10 @@ allocs() {
   for procs in 1 2; do
     echo "== allocs: allocations-per-record and per-warmed-page ceilings at GOMAXPROCS=$procs"
     GOMAXPROCS=$procs go test -count=1 -run 'ReplayAllocs|WarmAllocs' ./internal/artc/ ./internal/cache/
-    GOMAXPROCS=$procs go test -count=1 -v -run 'IngestBytesPerRecord' ./internal/artifact/ > "$tmp/ingest-allocs.txt" ||
-      { cat "$tmp/ingest-allocs.txt" >&2; exit 1; }
-    echo "== allocs: $(sed -n 's/^.*ingest_test\.go:[0-9]*: //p' "$tmp/ingest-allocs.txt") at GOMAXPROCS=$procs"
+    GOMAXPROCS=$procs go test -count=1 -v -run 'DecodeBytesPerRecord|IngestBytesPerRecord' ./internal/artc/ ./internal/artifact/ > "$tmp/bytes-allocs.txt" ||
+      { cat "$tmp/bytes-allocs.txt" >&2; exit 1; }
+    sed -n 's/^.*\(allocs\|ingest\)_test\.go:[0-9]*: //p' "$tmp/bytes-allocs.txt" |
+      while read -r line; do echo "== allocs: $line at GOMAXPROCS=$procs"; done
   done
   echo "== allocs: syscall entry points keep their trace.Record on the stack"
   go build -gcflags=-m ./internal/stack 2>&1 |
