@@ -179,17 +179,15 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		return fmt.Errorf("artc: EncodeBinary needs a compiled benchmark (analysis, graph, snapshot, trace)")
 	}
 	an := b.Analysis
-	if len(an.SeriesList) != len(an.Resources) {
-		return fmt.Errorf("artc: analysis has %d series for %d resources", len(an.SeriesList), len(an.Resources))
+	if len(an.SeriesOff) != len(an.Resources)+1 {
+		return fmt.Errorf("artc: analysis has %d series offsets for %d resources", len(an.SeriesOff), len(an.Resources))
 	}
 	// Totals up front, for the decoder's slab allocations and for sizing
 	// the buffer here.
-	var totalSeries, totalTouches uint64
-	for _, s := range an.SeriesList {
-		totalSeries += uint64(len(s))
-	}
+	totalSeries := uint64(an.SeriesOff[len(an.Resources)])
+	var totalTouches uint64
 	for i := range an.Actions {
-		totalTouches += uint64(len(an.Actions[i].Touches))
+		totalTouches += uint64(an.Actions[i].TouchLen)
 	}
 	// The whole artifact is built in one buffer, allocated once (a payload
 	// grown from nil by append allocates several times what it keeps).
@@ -360,9 +358,10 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		bw.uvarint(uint64(res.Gen))
 	}
 	bw.uvarint(totalSeries)
-	for _, s := range an.SeriesList {
+	for k := range an.Resources {
+		s := an.Series(k)
 		bw.uvarint(uint64(len(s)))
-		prev := 0
+		prev := int32(0)
 		for j, idx := range s {
 			if j == 0 {
 				bw.uvarint(uint64(idx))
@@ -374,25 +373,35 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 	}
 	bw.uvarint(uint64(len(an.Actions)))
 	bw.uvarint(totalTouches)
+	path := func(p int32) string {
+		if p < 0 {
+			return ""
+		}
+		return an.Paths[p]
+	}
 	for i := range an.Actions {
 		act := &an.Actions[i]
-		bw.string(act.CanonPath)
-		bw.string(act.CanonPath2)
-		bw.uvarint(uint64(len(act.Touches)))
-		for _, t := range act.Touches {
+		bw.string(path(act.CanonPath))
+		bw.string(path(act.CanonPath2))
+		bw.uvarint(uint64(act.TouchLen))
+		for _, t := range an.Touches(i) {
 			if t.Idx < 0 || int(t.Idx) >= len(an.Resources) || an.Resources[t.Idx].Kind != t.Kind {
 				return fmt.Errorf("artc: action %d touches a %v as resource %d, which the analyzer's %d-entry resource table does not hold (benchmark not produced by Compile?)", i, t.Kind, t.Idx, len(an.Resources))
 			}
 			bw.uvarint(uint64(t.Idx))
 			bw.byte(byte(t.Role))
 		}
-		if act.FDHint == nil {
+		if act.FDHint < 0 {
 			bw.byte(0)
 		} else {
+			if int(act.FDHint) >= len(an.Resources) {
+				return fmt.Errorf("artc: action %d hints at resource %d of %d", i, act.FDHint, len(an.Resources))
+			}
+			hint := &an.Resources[act.FDHint]
 			bw.byte(1)
-			bw.byte(byte(act.FDHint.Kind))
-			bw.string(act.FDHint.Name)
-			bw.uvarint(uint64(act.FDHint.Gen))
+			bw.byte(byte(hint.Kind))
+			bw.string(hint.Name)
+			bw.uvarint(uint64(hint.Gen))
 		}
 	}
 	pgNames := make([]string, 0, len(an.PathGens))
@@ -552,14 +561,40 @@ func (r *binReader) count(min int) (int, error) {
 }
 
 func (r *binReader) string() (string, error) {
-	i, err := r.uvarint()
+	i, err := r.strIndex()
 	if err != nil {
 		return "", err
 	}
-	if i >= uint64(len(r.strs)) {
-		return "", r.errAt("string index %d out of range (table has %d)", i, len(r.strs))
-	}
 	return r.strs[i], nil
+}
+
+// strIndex reads a string-table index.
+func (r *binReader) strIndex() (uint64, error) {
+	i, err := r.uvarint()
+	if err == nil && i >= uint64(len(r.strs)) {
+		err = r.errAt("string index %d out of range (table has %d)", i, len(r.strs))
+	}
+	return i, err
+}
+
+// resource reads a resource identity: kind, name and generation. what and
+// i name it in errors.
+func (r *binReader) resource(what string, i int) (core.ResourceID, error) {
+	var res core.ResourceID
+	kb, err := r.byte()
+	if err != nil {
+		return res, err
+	}
+	if kb > byte(core.KAIO) {
+		return res, r.errAt("%s %d has unknown kind %d", what, i, kb)
+	}
+	res.Kind = core.Kind(kb)
+	if res.Name, err = r.string(); err != nil {
+		return res, err
+	}
+	gen, err := r.uvarint()
+	res.Gen = int(gen)
+	return res, err
 }
 
 func (r *binReader) done() error {
@@ -708,17 +743,16 @@ func DecodeBinaryBytes(data []byte) (*Benchmark, error) {
 		return r
 	}
 	var (
-		snap    *snapshot.Snapshot
-		tr      *trace.Trace
-		records []*trace.Record
-		an      *core.Analysis
-		g       *core.Graph
-		plan    []actionTouches
-		secErr  [4]error
+		snap   *snapshot.Snapshot
+		tr     *trace.Trace
+		an     *core.Analysis
+		g      *core.Graph
+		plan   []actionTouches
+		secErr [4]error
 	)
 	parts := [4]func(){
 		func() { snap, secErr[0] = decodeSnapshotSec(rds(2)) },
-		func() { tr, records, secErr[1] = decodeTraceSec(rds(3), platform) },
+		func() { tr, secErr[1] = decodeTraceSec(rds(3), platform) },
 		func() { an, secErr[2] = decodeAnalysisSec(rds(4), nRec) },
 		func() {
 			if g, secErr[3] = decodeGraphSec(rds(5), nRec); secErr[3] != nil {
@@ -744,11 +778,8 @@ func DecodeBinaryBytes(data []byte) (*Benchmark, error) {
 			return nil, err
 		}
 	}
-	// The analysis decoded without the trace; stitch them together.
+	// The analysis decoded without the trace.
 	an.Trace = tr
-	for i := range an.Actions {
-		an.Actions[i].Rec = records[i]
-	}
 
 	return &Benchmark{
 		Platform: platform,
@@ -838,10 +869,10 @@ func decodeSnapshotSec(snr *binReader) (*snapshot.Snapshot, error) {
 
 // decodeTraceSec parses the trace section into a contiguous record
 // slab.
-func decodeTraceSec(tr2 *binReader, platform string) (*trace.Trace, []*trace.Record, error) {
+func decodeTraceSec(tr2 *binReader, platform string) (*trace.Trace, error) {
 	nRec, err := tr2.count(4)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	recSlab := make([]trace.Record, nRec)
 	var prevStart int64
@@ -852,111 +883,111 @@ func decodeTraceSec(tr2 *binReader, platform string) (*trace.Trace, []*trace.Rec
 		r.Seq = int64(i)
 		tid, err := tr2.uvarint()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		r.TID = int(tid)
 		if r.Call, err = tr2.string(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		mask, err := tr2.uvarint()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if mask >= fRet<<1 {
-			return nil, nil, tr2.errAt("record %d has unknown field bits %#x", i, mask)
+			return nil, tr2.errAt("record %d has unknown field bits %#x", i, mask)
 		}
 		if mask&fPath != 0 {
 			if r.Path, err = tr2.string(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if mask&fPath2 != 0 {
 			if r.Path2, err = tr2.string(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if mask&fFD != 0 {
 			if r.FD, err = tr2.svarint(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if mask&fFD2 != 0 {
 			if r.FD2, err = tr2.svarint(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if mask&fOffset != 0 {
 			if r.Offset, err = tr2.svarint(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if mask&fSize != 0 {
 			if r.Size, err = tr2.svarint(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if mask&fFlags != 0 {
 			fl, err := tr2.uvarint()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			r.Flags = trace.OpenFlag(fl)
 		}
 		if mask&fMode != 0 {
 			m, err := tr2.uvarint()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			r.Mode = uint32(m)
 		}
 		if mask&fName != 0 {
 			if r.Name, err = tr2.string(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if mask&fWhence != 0 {
 			wv, err := tr2.svarint()
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			r.Whence = int(wv)
 		}
 		if mask&fAIO != 0 {
 			if r.AIO, err = tr2.svarint(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if mask&fErr != 0 {
 			if r.Err, err = tr2.string(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if mask&fRet != 0 {
 			if r.Ret, err = tr2.svarint(); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		dStart, err := tr2.svarint()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		dEnd, err := tr2.svarint()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		start := prevStart + dStart
 		prevStart = start
 		r.Start, r.End = time.Duration(start), time.Duration(start+dEnd)
 	}
 	if err := tr2.done(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return &trace.Trace{Platform: platform, Records: records}, records, nil
+	return &trace.Trace{Platform: platform, Records: records}, nil
 }
 
 // decodeAnalysisSec parses the analysis section. The returned
-// analysis has nil Trace and nil Action.Rec pointers; the caller
-// stitches the concurrently-decoded trace in.
+// analysis has a nil Trace; the caller sets the concurrently-decoded
+// one.
 func decodeAnalysisSec(ar *binReader, nRec int) (*core.Analysis, error) {
 	nRes, err := ar.count(3)
 	if err != nil {
@@ -964,41 +995,24 @@ func decodeAnalysisSec(ar *binReader, nRec int) (*core.Analysis, error) {
 	}
 	resources := make([]core.ResourceID, nRes)
 	for i := 0; i < nRes; i++ {
-		kb, err := ar.byte()
-		if err != nil {
+		if resources[i], err = ar.resource("resource", i); err != nil {
 			return nil, err
 		}
-		if kb > byte(core.KAIO) {
-			return nil, ar.errAt("resource %d has unknown kind %d", i, kb)
-		}
-		resources[i].Kind = core.Kind(kb)
-		if resources[i].Name, err = ar.string(); err != nil {
-			return nil, err
-		}
-		gen, err := ar.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		resources[i].Gen = int(gen)
 	}
 	totalSeries, err := ar.count(1)
 	if err != nil {
 		return nil, err
 	}
-	seriesList := make([][]int, nRes)
-	seriesSlab := make([]int, 0, totalSeries)
+	seriesOff := make([]int32, nRes+1)
+	seriesIdx := make([]int32, 0, totalSeries)
 	for i := 0; i < nRes; i++ {
 		n, err := ar.count(1)
 		if err != nil {
 			return nil, err
 		}
-		if n == 0 {
-			continue
-		}
-		if len(seriesSlab)+n > totalSeries {
+		if len(seriesIdx)+n > totalSeries {
 			return nil, ar.errAt("resource %d: series overflow the declared total %d", i, totalSeries)
 		}
-		start := len(seriesSlab)
 		prev := 0
 		for j := 0; j < n; j++ {
 			d, err := ar.uvarint()
@@ -1016,9 +1030,9 @@ func decodeAnalysisSec(ar *binReader, nRec int) (*core.Analysis, error) {
 			if prev >= nRec {
 				return nil, ar.errAt("resource %d series index %d out of range (%d actions)", i, prev, nRec)
 			}
-			seriesSlab = append(seriesSlab, prev)
+			seriesIdx = append(seriesIdx, int32(prev))
 		}
-		seriesList[i] = seriesSlab[start : start+n : start+n]
+		seriesOff[i+1] = int32(len(seriesIdx))
 	}
 	nAct, err := ar.count(4)
 	if err != nil {
@@ -1033,12 +1047,29 @@ func decodeAnalysisSec(ar *binReader, nRec int) (*core.Analysis, error) {
 	}
 	actions := make([]core.Action, nAct)
 	touchSlab := make([]core.Touch, 0, totalTouches)
+	// pathAt maps a string-table index to its Paths index + 1 (0: unseen),
+	// in first-use order as the analyzer numbers them; fds, built on the
+	// first hint, finds a hint's descriptor by identity.
+	var paths []string
+	pathAt := make([]int32, len(ar.strs))
+	readPath := func() (int32, error) {
+		si, err := ar.strIndex()
+		if err != nil || ar.strs[si] == "" {
+			return -1, err
+		}
+		if pathAt[si] == 0 {
+			paths = append(paths, ar.strs[si])
+			pathAt[si] = int32(len(paths))
+		}
+		return pathAt[si] - 1, nil
+	}
+	var fds map[core.ResourceID]int32
 	for i := 0; i < nAct; i++ {
 		act := &actions[i]
-		if act.CanonPath, err = ar.string(); err != nil {
+		if act.CanonPath, err = readPath(); err != nil {
 			return nil, err
 		}
-		if act.CanonPath2, err = ar.string(); err != nil {
+		if act.CanonPath2, err = readPath(); err != nil {
 			return nil, err
 		}
 		nt, err := ar.count(2)
@@ -1066,34 +1097,31 @@ func decodeAnalysisSec(ar *binReader, nRec int) (*core.Analysis, error) {
 			}
 			touchSlab = append(touchSlab, core.Touch{Idx: int32(ri), Kind: resources[ri].Kind, Role: core.Role(role)})
 		}
-		if nt > 0 {
-			act.Touches = touchSlab[start : start+nt : start+nt]
-		}
+		act.TouchOff, act.TouchLen = int32(start), int32(nt)
 		hint, err := ar.byte()
 		if err != nil {
 			return nil, err
 		}
+		act.FDHint = -1
 		switch hint {
 		case 0:
 		case 1:
-			var res core.ResourceID
-			kb, err := ar.byte()
+			res, err := ar.resource("fd hint of action", i)
 			if err != nil {
 				return nil, err
 			}
-			if kb > byte(core.KAIO) {
-				return nil, ar.errAt("action %d fd hint has unknown kind %d", i, kb)
+			if fds == nil {
+				fds = make(map[core.ResourceID]int32)
+				for k, r := range resources {
+					if r.Kind == core.KFD {
+						fds[r] = int32(k)
+					}
+				}
 			}
-			res.Kind = core.Kind(kb)
-			if res.Name, err = ar.string(); err != nil {
-				return nil, err
+			var ok bool
+			if act.FDHint, ok = fds[res]; !ok {
+				return nil, ar.errAt("action %d fd hint %v names no descriptor in the resource table", i, res)
 			}
-			gen, err := ar.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			res.Gen = int(gen)
-			act.FDHint = &res
 		default:
 			return nil, ar.errAt("action %d has unknown fd-hint tag %d", i, hint)
 		}
@@ -1138,11 +1166,14 @@ func decodeAnalysisSec(ar *binReader, nRec int) (*core.Analysis, error) {
 		return nil, err
 	}
 	return &core.Analysis{
-		Actions:    actions,
-		Resources:  resources,
-		SeriesList: seriesList,
-		PathGens:   pathGens,
-		Warnings:   warnings,
+		Actions:   actions,
+		Paths:     paths,
+		TouchSlab: touchSlab,
+		Resources: resources,
+		SeriesOff: seriesOff,
+		SeriesIdx: seriesIdx,
+		PathGens:  pathGens,
+		Warnings:  warnings,
 	}, nil
 }
 
@@ -1187,22 +1218,9 @@ func decodeGraphSec(gr *binReader, nRec int) (*core.Graph, error) {
 			return nil, gr.errAt("edge %d has unknown kind %d", i, kb)
 		}
 		e.Kind = core.EdgeKind(kb)
-		rk, err := gr.byte()
-		if err != nil {
+		if e.Res, err = gr.resource("resource of edge", i); err != nil {
 			return nil, err
 		}
-		if rk > byte(core.KAIO) {
-			return nil, gr.errAt("edge %d resource has unknown kind %d", i, rk)
-		}
-		e.Res.Kind = core.Kind(rk)
-		if e.Res.Name, err = gr.string(); err != nil {
-			return nil, err
-		}
-		gen, err := gr.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		e.Res.Gen = int(gen)
 	}
 	if err := gr.done(); err != nil {
 		return nil, err

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,10 +94,13 @@ func TestEncodeBinaryWritesOnce(t *testing.T) {
 }
 
 // TestTouchKindsMatchResources: on every pinned corpus, compiled and then
-// decoded, each touch indexes the resource table in range and carries its
-// resource's kind. The analyzer copies the kind from the resource it
-// found, the decoder from the table, and the replay plan trusts it
-// without looking the resource up.
+// decoded, the analysis' index tables hold together. Each touch indexes
+// the resource table in range and carries its resource's kind (the
+// analyzer copies the kind from the resource it found, the decoder from
+// the table, and the replay plan trusts it without looking the resource
+// up); each resource's series is the actions whose touches name it; each
+// hint indexes a descriptor; and each action's canonical paths read the
+// same through Paths on both sides.
 func TestTouchKindsMatchResources(t *testing.T) {
 	for _, c := range pinnedCorpora(testing.Short()) {
 		tr, snap, err := c.load()
@@ -116,15 +120,42 @@ func TestTouchKindsMatchResources(t *testing.T) {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		for side, an := range map[string]*core.Analysis{"compiled": b.Analysis, "decoded": decoded.Analysis} {
+			series := make([][]int, len(an.Resources))
 			for i := range an.Actions {
-				for ti, tc := range an.Actions[i].Touches {
+				for ti, tc := range an.Touches(i) {
 					if tc.Idx < 0 || int(tc.Idx) >= len(an.Resources) {
 						t.Fatalf("%s %s: action %d touch %d: Idx %d outside %d resources", c.name, side, i, ti, tc.Idx, len(an.Resources))
 					}
 					if res := an.Resources[tc.Idx]; res.Kind != tc.Kind {
 						t.Fatalf("%s %s: action %d touch %d is a %v touch of %v", c.name, side, i, ti, tc.Kind, res)
 					}
+					if s := series[tc.Idx]; len(s) == 0 || s[len(s)-1] != i {
+						series[tc.Idx] = append(s, i)
+					}
 				}
+				if h := an.Actions[i].FDHint; h >= 0 && (int(h) >= len(an.Resources) || an.Resources[h].Kind != core.KFD) {
+					t.Fatalf("%s %s: action %d hints at resource %d, not a descriptor", c.name, side, i, h)
+				}
+			}
+			for k, want := range series {
+				if got := an.Series(k); !slices.EqualFunc(got, want, func(a int32, b int) bool { return int(a) == b }) {
+					t.Fatalf("%s %s: resource %d series %v, touches say %v", c.name, side, k, got, want)
+				}
+			}
+		}
+		path := func(an *core.Analysis, p int32) string {
+			if p < 0 {
+				return "(none)"
+			}
+			return an.Paths[p]
+		}
+		for i, act := range b.Analysis.Actions {
+			dec := decoded.Analysis.Actions[i]
+			if path(b.Analysis, act.CanonPath) != path(decoded.Analysis, dec.CanonPath) ||
+				path(b.Analysis, act.CanonPath2) != path(decoded.Analysis, dec.CanonPath2) {
+				t.Fatalf("%s: action %d paths %q %q decode as %q %q", c.name, i,
+					path(b.Analysis, act.CanonPath), path(b.Analysis, act.CanonPath2),
+					path(decoded.Analysis, dec.CanonPath), path(decoded.Analysis, dec.CanonPath2))
 			}
 		}
 	}

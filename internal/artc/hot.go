@@ -108,12 +108,10 @@ func buildHot(b *Benchmark) *hotTables {
 	if an == nil {
 		return h
 	}
-	// Resource slots are touch indices. An FDHint names its resource by
-	// identity, so the first one builds the descriptor index.
+	// Resource slots are resource indices, as touches and hints hold them.
 	h.nSlots = len(an.Resources)
-	var fdIdx map[core.ResourceID]int32
 	for i := range an.Actions {
-		act := &an.Actions[i]
+		touches := an.Touches(i)
 		ha := &h.acts[i]
 		var plan actionTouches
 		if b.touches != nil {
@@ -125,20 +123,15 @@ func buildHot(b *Benchmark) *hotTables {
 			if ti < 0 {
 				return -1
 			}
-			return act.Touches[ti].Idx
+			return touches[ti].Idx
 		}
 		ha.fdUse, ha.fdCreate = slot(plan.fdUse), slot(plan.fdCreate)
 		ha.aioUse, ha.aioCreate = slot(plan.aioUse), slot(plan.aioCreate)
-		if ha.fdUse < 0 && act.FDHint != nil {
-			if fdIdx == nil {
-				fdIdx = an.FDIndex()
-			}
-			if s, ok := fdIdx[*act.FDHint]; ok {
-				ha.fdUse = s
-			}
+		if ha.fdUse < 0 {
+			ha.fdUse = an.Actions[i].FDHint
 		}
 		if h.calls[ha.call].op == stack.OpDup2 {
-			for _, tc := range act.Touches {
+			for _, tc := range touches {
 				if tc.Kind == core.KFD && tc.Role == core.RoleDelete {
 					ha.fdDelete = tc.Idx
 				}

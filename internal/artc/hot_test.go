@@ -1,6 +1,7 @@
 package artc
 
 import (
+	"slices"
 	"testing"
 
 	"rootreplay/internal/core"
@@ -11,7 +12,7 @@ import (
 )
 
 // A hand-built benchmark — an analysis that never went through Finish (its
-// own resource numbering, no SeriesList) and no compile-time touch plan —
+// own resource numbering, no series) and no compile-time touch plan —
 // gets its tables built when replay starts and replays exactly like the
 // compiled one: remapped descriptors (dup2 and a failed call's FDHint
 // among them) and AIOCBs, same report.
@@ -53,17 +54,19 @@ func TestHandBuiltAnalysisGetsTables(t *testing.T) {
 	for k, r := range compiled.Analysis.Resources {
 		resources[nRes-1-int32(k)] = r
 	}
-	acts := make([]core.Action, len(compiled.Analysis.Actions))
-	for i, act := range compiled.Analysis.Actions {
-		act.Touches = append([]core.Touch(nil), act.Touches...)
-		for ti := range act.Touches {
-			act.Touches[ti].Idx = nRes - 1 - act.Touches[ti].Idx
+	touches := slices.Clone(compiled.Analysis.TouchSlab)
+	for ti := range touches {
+		touches[ti].Idx = nRes - 1 - touches[ti].Idx
+	}
+	acts := slices.Clone(compiled.Analysis.Actions)
+	for i := range acts {
+		if acts[i].FDHint >= 0 {
+			acts[i].FDHint = nRes - 1 - acts[i].FDHint
 		}
-		acts[i] = act
 	}
 	hand := &Benchmark{
 		Platform: compiled.Platform, Modes: compiled.Modes, Trace: tr, Snapshot: snap,
-		Analysis: &core.Analysis{Trace: tr, Actions: acts, Resources: resources},
+		Analysis: &core.Analysis{Trace: tr, Actions: acts, Paths: compiled.Analysis.Paths, TouchSlab: touches, Resources: resources},
 		Graph:    compiled.Graph,
 	}
 	replay := func(b *Benchmark) string {

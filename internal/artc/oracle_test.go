@@ -233,9 +233,9 @@ func (o *oracleState) compare(idx int, rec *trace.Record, errno vfs.Errno) bool 
 
 // fdTouch finds the fd resource an action references with the given
 // number and role class.
-func (o *oracleState) fdTouch(act *core.Action, num int64, create bool) *core.ResourceID {
+func (o *oracleState) fdTouch(touches []core.Touch, num int64, create bool) *core.ResourceID {
 	name := strconv.FormatInt(num, 10)
-	for _, tc := range act.Touches {
+	for _, tc := range touches {
 		res := &o.b.Analysis.Resources[tc.Idx]
 		if res.Kind == core.KFD && res.Name == name && create == (tc.Role == core.RoleCreate) {
 			return res
@@ -244,8 +244,8 @@ func (o *oracleState) fdTouch(act *core.Action, num int64, create bool) *core.Re
 	return nil
 }
 
-func (o *oracleState) aioTouch(act *core.Action, create bool) *core.ResourceID {
-	for _, tc := range act.Touches {
+func (o *oracleState) aioTouch(touches []core.Touch, create bool) *core.ResourceID {
+	for _, tc := range touches {
 		if res := &o.b.Analysis.Resources[tc.Idx]; res.Kind == core.KAIO && create == (tc.Role == core.RoleCreate) {
 			return res
 		}
@@ -254,56 +254,57 @@ func (o *oracleState) aioTouch(act *core.Action, create bool) *core.ResourceID {
 }
 
 func (o *oracleState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errno, bool, bool) {
-	act := &o.b.Analysis.Actions[idx]
+	an := o.b.Analysis
+	act, touches, traced := &an.Actions[idx], an.Touches(idx), o.b.Trace.Records[idx]
 	if o.inj != nil {
-		if e, ok := o.inj.SyscallFault(idx, attempt, act.Rec.Call, act.Rec.Path); ok {
+		if e, ok := o.inj.SyscallFault(idx, attempt, traced.Call, traced.Path); ok {
 			return -1, e, false, true
 		}
 	}
-	rec := *act.Rec // shallow copy to rewrite
+	rec := *traced // shallow copy to rewrite
 	call := stack.Canonical(rec.Call)
-	if act.CanonPath != "" {
-		rec.Path = o.prefixPath(act.CanonPath, call == "symlink")
+	if act.CanonPath >= 0 {
+		rec.Path = o.prefixPath(an.Paths[act.CanonPath], call == "symlink")
 	}
-	if act.CanonPath2 != "" {
-		rec.Path2 = o.prefixPath(act.CanonPath2, false)
+	if act.CanonPath2 >= 0 {
+		rec.Path2 = o.prefixPath(an.Paths[act.CanonPath2], false)
 	}
-	if use := o.fdTouch(act, rec.FD, false); use != nil {
+	if use := o.fdTouch(touches, rec.FD, false); use != nil {
 		if actual, ok := o.fdMap[*use]; ok {
 			rec.FD = actual
 		}
-	} else if act.FDHint != nil {
-		if actual, ok := o.fdMap[*act.FDHint]; ok {
+	} else if act.FDHint >= 0 {
+		if actual, ok := o.fdMap[an.Resources[act.FDHint]]; ok {
 			rec.FD = actual
 		}
 	}
-	if use := o.aioTouch(act, false); use != nil {
+	if use := o.aioTouch(touches, false); use != nil {
 		if actual, ok := o.aioMap[*use]; ok {
 			rec.AIO = actual
 		}
 	}
 
-	ret, errno, emulated := o.applyWithEmulation(t, act, call, &rec)
+	ret, errno, emulated := o.applyWithEmulation(t, touches, call, &rec)
 
 	if errno == vfs.OK {
 		created := int64(-1)
 		switch call {
 		case "open", "creat", "dup":
-			created = act.Rec.Ret
+			created = traced.Ret
 		case "dup2":
-			created = act.Rec.FD2
+			created = traced.FD2
 		case "fcntl":
-			if act.Rec.Name == "F_DUPFD" {
-				created = act.Rec.Ret
+			if traced.Name == "F_DUPFD" {
+				created = traced.Ret
 			}
 		}
 		if created >= 0 {
-			if res := o.fdTouch(act, created, true); res != nil {
+			if res := o.fdTouch(touches, created, true); res != nil {
 				o.fdMap[*res] = ret
 			}
 		}
 		if call == "aio_read" || call == "aio_write" {
-			if res := o.aioTouch(act, true); res != nil {
+			if res := o.aioTouch(touches, true); res != nil {
 				o.aioMap[*res] = ret
 			}
 		}
@@ -324,11 +325,11 @@ func (o *oracleState) apply(t *sim.Thread, call string, rec *trace.Record) (int6
 		&stack.Redirect{Path: rec.Path, Path2: rec.Path2, FD: rec.FD, AIO: rec.AIO})
 }
 
-func (o *oracleState) applyWithEmulation(t *sim.Thread, act *core.Action, call string, rec *trace.Record) (int64, vfs.Errno, bool) {
+func (o *oracleState) applyWithEmulation(t *sim.Thread, touches []core.Touch, call string, rec *trace.Record) (int64, vfs.Errno, bool) {
 	sys := o.sys
 	target := sys.Conf.Platform
 	if call == "dup2" {
-		for _, tc := range act.Touches {
+		for _, tc := range touches {
 			if res := o.b.Analysis.Resources[tc.Idx]; res.Kind == core.KFD && tc.Role == core.RoleDelete {
 				if actual, ok := o.fdMap[res]; ok {
 					sys.Close(t, actual)

@@ -852,26 +852,25 @@ func (rs *replayState) finishReport() {
 }
 
 // actionTouches is one action's precomputed FD/AIO resource plan: the
-// indices into Action.Touches of the descriptor resource it uses and the
-// one it creates on success (-1 = none). Compile derives it once per
-// action and the binary codec stores it; buildHot resolves the indices
-// to resource slots, which is what the replayer reads.
+// indices into the action's touches of the descriptor resource it uses
+// and the one it creates on success (-1 = none). Compile derives it once
+// per action and the binary codec stores it; buildHot resolves the
+// indices to resource slots, which is what the replayer reads.
 type actionTouches struct {
 	fdUse, fdCreate, aioUse, aioCreate int16
 }
 
 // planOne resolves action i's touch plan from its analysis record.
 func planOne(an *core.Analysis, i int) actionTouches {
-	act := &an.Actions[i]
-	p := actionTouches{fdUse: -1, fdCreate: -1, aioUse: -1, aioCreate: -1}
-	p.fdUse = findFDTouch(an, act, act.Rec.FD, false)
-	p.aioUse = findAIOTouch(act, false)
-	if num := createdFDNum(act); num >= 0 {
-		p.fdCreate = findFDTouch(an, act, num, true)
+	rec, touches := an.Trace.Records[i], an.Touches(i)
+	p := actionTouches{fdUse: findFDTouch(an, touches, rec.FD, false), fdCreate: -1,
+		aioUse: findAIOTouch(touches, false), aioCreate: -1}
+	if num := createdFDNum(rec); num >= 0 {
+		p.fdCreate = findFDTouch(an, touches, num, true)
 	}
-	switch stack.Canonical(act.Rec.Call) {
+	switch stack.Canonical(rec.Call) {
 	case "aio_read", "aio_write":
-		p.aioCreate = findAIOTouch(act, true)
+		p.aioCreate = findAIOTouch(touches, true)
 	}
 	return p
 }
@@ -885,17 +884,17 @@ func planTouches(an *core.Analysis) []actionTouches {
 	return out
 }
 
-// createdFDNum returns the traced descriptor number an action creates on
+// createdFDNum returns the traced descriptor number a record creates on
 // success, or -1 if the call creates none.
-func createdFDNum(act *core.Action) int64 {
-	switch stack.Canonical(act.Rec.Call) {
+func createdFDNum(rec *trace.Record) int64 {
+	switch stack.Canonical(rec.Call) {
 	case "open", "creat", "dup":
-		return act.Rec.Ret
+		return rec.Ret
 	case "dup2":
-		return act.Rec.FD2
+		return rec.FD2
 	case "fcntl":
-		if act.Rec.Name == "F_DUPFD" {
-			return act.Rec.Ret
+		if rec.Name == "F_DUPFD" {
+			return rec.Ret
 		}
 	}
 	return -1
@@ -905,9 +904,9 @@ func createdFDNum(act *core.Action) int64 {
 // given number and role class, returning its touch index or -1. Only a
 // descriptor touch of the right role has its name read from the
 // resource table.
-func findFDTouch(an *core.Analysis, act *core.Action, num int64, create bool) int16 {
+func findFDTouch(an *core.Analysis, touches []core.Touch, num int64, create bool) int16 {
 	name := strconv.FormatInt(num, 10)
-	for ti, tc := range act.Touches {
+	for ti, tc := range touches {
 		if tc.Kind == core.KFD && create == (tc.Role == core.RoleCreate) && an.Resources[tc.Idx].Name == name {
 			return int16(ti)
 		}
@@ -915,8 +914,8 @@ func findFDTouch(an *core.Analysis, act *core.Action, num int64, create bool) in
 	return -1
 }
 
-func findAIOTouch(act *core.Action, create bool) int16 {
-	for ti, tc := range act.Touches {
+func findAIOTouch(touches []core.Touch, create bool) int16 {
+	for ti, tc := range touches {
 		if tc.Kind == core.KAIO && create == (tc.Role == core.RoleCreate) {
 			return int16(ti)
 		}
@@ -931,8 +930,9 @@ func findAIOTouch(act *core.Action, create bool) int16 {
 // replaces execution entirely, like a call failing in the kernel's
 // entry path, so a failed attempt leaves no partial state behind).
 func (rs *replayState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errno, bool, bool) {
-	act := &rs.b.Analysis.Actions[idx]
-	rec := act.Rec
+	an := rs.b.Analysis
+	act := &an.Actions[idx]
+	rec := rs.b.Trace.Records[idx]
 	if rs.inj != nil {
 		// Fault decisions key on the global action index so an injection
 		// plan selects the same actions whether the replay is sharded or
@@ -948,11 +948,11 @@ func (rs *replayState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errn
 	// what replay substitutes goes beside it: canonical, prefixed paths
 	// and remapped identifiers.
 	a := stack.Redirect{Path: rec.Path, Path2: rec.Path2, FD: rec.FD, AIO: rec.AIO}
-	if act.CanonPath != "" {
-		a.Path = rs.prefixPath(act.CanonPath, op == stack.OpSymlink)
+	if act.CanonPath >= 0 {
+		a.Path = rs.prefixPath(an.Paths[act.CanonPath], op == stack.OpSymlink)
 	}
-	if act.CanonPath2 != "" {
-		a.Path2 = rs.prefixPath(act.CanonPath2, false)
+	if act.CanonPath2 >= 0 {
+		a.Path2 = rs.prefixPath(an.Paths[act.CanonPath2], false)
 	}
 	if ha.fdUse >= 0 {
 		if actual := rs.remap[ha.fdUse]; actual != unmapped {

@@ -353,7 +353,6 @@ func buildOneShard(b *Benchmark, g *core.Graph, plan *shard.Plan, comp int32,
 		recs[li].Seq = int64(li)
 		recPtrs[li] = &recs[li]
 		acts[li] = b.Analysis.Actions[gidx]
-		acts[li].Rec = recPtrs[li]
 	}
 	subTrace := &trace.Trace{Platform: b.Trace.Platform, Records: recPtrs}
 	subB := &Benchmark{
@@ -361,8 +360,9 @@ func buildOneShard(b *Benchmark, g *core.Graph, plan *shard.Plan, comp int32,
 		Modes:    b.Modes,
 		Trace:    subTrace,
 		Snapshot: b.Snapshot,
-		// The actions' touches index the parent's resource table.
-		Analysis: &core.Analysis{Trace: subTrace, Actions: acts, Resources: b.Analysis.Resources},
+		// The actions index the parent's paths, touches and resources.
+		Analysis: &core.Analysis{Trace: subTrace, Actions: acts, Paths: b.Analysis.Paths,
+			TouchSlab: b.Analysis.TouchSlab, Resources: b.Analysis.Resources},
 	}
 	sub := &subState{
 		comp:          comp,

@@ -432,9 +432,9 @@ func TestShardedCrossReasonNamesPeer(t *testing.T) {
 	}
 }
 
-// A member's sub-analysis shares its parent's resource table, so every
-// touch index a member holds names what it named in the full analysis;
-// partitioned and sliced plans alike.
+// A member's sub-analysis shares its parent's path, touch and resource
+// tables, so every index a member's actions hold names what it named in
+// the full analysis; partitioned and sliced plans alike.
 func TestShardSubAnalysesShareResources(t *testing.T) {
 	tr, snap := genPipeline(t, 3, 100, 8)
 	b, err := Compile(tr, snap, core.DefaultModes())
@@ -453,8 +453,17 @@ func TestShardSubAnalysesShareResources(t *testing.T) {
 			if len(sub.Resources) != len(parent) || unsafe.SliceData(sub.Resources) != unsafe.SliceData(parent) {
 				t.Fatalf("member %d has its own %d-entry resource table, not its parent's %d", cs.comp, len(sub.Resources), len(parent))
 			}
+			if len(sub.Paths) != len(b.Analysis.Paths) || unsafe.SliceData(sub.Paths) != unsafe.SliceData(b.Analysis.Paths) {
+				t.Fatalf("member %d has its own %d-entry path table, not its parent's %d", cs.comp, len(sub.Paths), len(b.Analysis.Paths))
+			}
+			if len(sub.TouchSlab) != len(b.Analysis.TouchSlab) || unsafe.SliceData(sub.TouchSlab) != unsafe.SliceData(b.Analysis.TouchSlab) {
+				t.Fatalf("member %d has its own %d-entry touch slab, not its parent's %d", cs.comp, len(sub.TouchSlab), len(b.Analysis.TouchSlab))
+			}
 			for li, gidx := range cs.members {
-				if got, want := sub.Actions[li].Touches, b.Analysis.Actions[gidx].Touches; !reflect.DeepEqual(got, want) {
+				if got, want := sub.Actions[li], b.Analysis.Actions[gidx]; got != want {
+					t.Fatalf("member %d action %d is %+v, parent's action %d %+v", cs.comp, li, got, gidx, want)
+				}
+				if got, want := sub.Touches(li), b.Analysis.Touches(int(gidx)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("member %d action %d touches %v, parent's action %d %v", cs.comp, li, got, gidx, want)
 				}
 			}

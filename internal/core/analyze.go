@@ -12,23 +12,25 @@ import (
 	"rootreplay/internal/vfs"
 )
 
-// Action is one trace record annotated with the resources it touches.
+// Action is one trace record annotated with the resources it touches: a
+// row of indices, 20 bytes with no pointer, so the collector never scans
+// the action table. Action i's record is Analysis.Trace.Records[i].
 type Action struct {
-	Rec     *trace.Record
-	Touches []Touch
-	// CanonPath and CanonPath2 are the record's path arguments resolved
-	// to canonical absolute form against the working directory in effect
-	// when the action ran; replay uses them so chdir history need not be
-	// re-enacted. For symlink, CanonPath is left as traced (the target
-	// string is data, not a lookup).
-	CanonPath  string
-	CanonPath2 string
-	// FDHint identifies the descriptor resource a *failed* call
-	// referenced, when the descriptor was valid at the time. Failed
-	// calls carry no ordering constraints, but the replayer still needs
-	// the fd remapped so the call fails the same way it did in the trace
-	// (EISDIR on a directory read, say, rather than EBADF).
-	FDHint *ResourceID
+	// CanonPath and CanonPath2 index Analysis.Paths, -1 for none: the
+	// record's path arguments resolved to canonical absolute form against
+	// the working directory in effect when the action ran; replay uses
+	// them so chdir history need not be re-enacted. For symlink, CanonPath
+	// is left as traced (the target string is data, not a lookup).
+	CanonPath, CanonPath2 int32
+	// FDHint indexes Analysis.Resources, -1 for none: the descriptor a
+	// *failed* call referenced, when the descriptor was valid at the time.
+	// Failed calls carry no ordering constraints, but the replayer still
+	// needs the fd remapped so the call fails the same way it did in the
+	// trace (EISDIR on a directory read, say, rather than EBADF).
+	FDHint int32
+	// TouchOff and TouchLen place the action's touches in
+	// Analysis.TouchSlab; Analysis.Touches reads them.
+	TouchOff, TouchLen int32
 }
 
 // Analysis is the result of running the trace model over a trace: every
@@ -36,12 +38,17 @@ type Action struct {
 type Analysis struct {
 	Trace   *trace.Trace
 	Actions []Action
-	// Resources lists every resource in first-touch order, and
-	// SeriesList[k] holds the indices (= Seq values) of the actions
-	// touching Resources[k], in trace order; Touch.Idx is k. A shard's
-	// sub-analysis shares its parent's Resources and has no SeriesList.
-	Resources  []ResourceID
-	SeriesList [][]int
+	// Paths lists the distinct canonical paths in the order actions first
+	// name them, and TouchSlab every action's touches, action by action.
+	Paths     []string
+	TouchSlab []Touch
+	// Resources lists every resource in first-touch order; Touch.Idx and
+	// Action.FDHint index it. Resource k's action series, the indices
+	// (= Seq values) of the actions touching it in trace order, is
+	// SeriesIdx[SeriesOff[k]:SeriesOff[k+1]]. A shard's sub-analysis
+	// shares its parent's Paths, TouchSlab and Resources and has no series.
+	Resources            []ResourceID
+	SeriesOff, SeriesIdx []int32
 	// PathGens maps a path name to its successive generations in
 	// creation order, for the name-ordering rule.
 	PathGens map[string][]int
@@ -51,25 +58,14 @@ type Analysis struct {
 	Warnings []string
 }
 
-// index maps each resource keep accepts to its position in Resources.
-// The few consumers that are handed a resource by identity rather than
-// by Touch.Idx build one over just the resources they can be asked for.
-func (an *Analysis) index(keep func(ResourceID) bool) map[ResourceID]int32 {
-	idx := make(map[ResourceID]int32)
-	for k, r := range an.Resources {
-		if keep(r) {
-			idx[r] = int32(k)
-		}
-	}
-	return idx
+// Touches lists action i's touches.
+func (an *Analysis) Touches(i int) []Touch {
+	a := &an.Actions[i]
+	return an.TouchSlab[a.TouchOff : a.TouchOff+a.TouchLen : a.TouchOff+a.TouchLen]
 }
 
-// FDIndex maps every descriptor resource to its position in Resources,
-// which is how an Action.FDHint — a resource the action does not touch —
-// is found.
-func (an *Analysis) FDIndex() map[ResourceID]int32 {
-	return an.index(func(r ResourceID) bool { return r.Kind == KFD })
-}
+// Series lists the actions touching Resources[k], in trace order.
+func (an *Analysis) Series(k int) []int32 { return an.SeriesIdx[an.SeriesOff[k]:an.SeriesOff[k+1]] }
 
 // analyzer walks the trace against a symbolic vfs, assigning resource
 // identities and generations.
@@ -79,10 +75,10 @@ type analyzer struct {
 	// cwdPath is the textual cwd used to canonicalize relative paths.
 	cwdPath string
 
-	// pathGen is the current generation of each canonical path name.
-	// Generations advance whenever the name's binding changes (created,
-	// deleted, retargeted by rename or exchangedata).
-	pathGen map[string]int
+	// pathGen holds, per path name, its current generation and its index
+	// in Paths. Generations advance whenever the name's binding changes
+	// (created, deleted, retargeted by rename or exchangedata).
+	pathGen map[string]pathName
 	// fdGen is the current generation of each descriptor number.
 	fdGen map[int64]int
 	// fdFile maps open descriptor numbers to their file inodes.
@@ -92,16 +88,17 @@ type analyzer struct {
 	fdPath map[int64]string
 
 	// scratch is the reusable touch buffer analyzeRecord appends into;
-	// sealTouches numbers each record's result and writes it into
-	// slab-carved exact-size slices, so building a touch set costs no
-	// per-record append growth.
-	scratch []rawTouch
-	slab    []Touch
+	// sealTouches numbers each record's result onto a table of fixed-size
+	// chunks, which grows without copying until Finish lays it out as one
+	// slab of its final size.
+	scratch  []rawTouch
+	chunks   [][]Touch
+	nTouches int
 
 	// resIdx numbers each ResourceID densely in first-touch order. It is
 	// all Feed keeps per resource: how many there are and how long each
 	// one's series is are known only at the end, so Finish lays Resources
-	// and SeriesList out there, once, at their final sizes.
+	// and the series out there, once, at their final sizes.
 	resIdx map[ResourceID]int32
 	// inoName caches the decimal rendering of inode numbers so fileRes
 	// does not re-format (and re-allocate) the name on every touch.
@@ -117,28 +114,39 @@ type rawTouch struct {
 	Role Role
 }
 
-// sealTouches numbers a scratch-backed touch set's resources and writes
-// it into a compact slice carved from a slab, so Action.Touches never
-// retains scratch capacity. Touches are numbered in trace order, so each
-// resource's number is its first-touch position.
-func (a *analyzer) sealTouches(ts []rawTouch) []Touch {
-	if len(ts) == 0 {
-		return nil
-	}
-	if len(a.slab) < len(ts) {
-		a.slab = make([]Touch, max(len(ts), 1024))
-	}
-	out := a.slab[:len(ts):len(ts)]
-	a.slab = a.slab[len(ts):]
-	for i, t := range ts {
+// pathName is a path name's current generation (0 before the first) and
+// its index in Paths (-1 while no action names it): one hash for both.
+type pathName struct{ gen, path int32 }
+
+// sealTouches numbers a touch set's resources and appends it to the
+// touch table, returning where it starts. Touches are numbered in trace
+// order, so each resource's number is its first-touch position.
+func (a *analyzer) sealTouches(ts []rawTouch) int32 {
+	for _, t := range ts {
 		idx, ok := a.resIdx[t.Res]
 		if !ok {
 			idx = int32(len(a.resIdx))
 			a.resIdx[t.Res] = idx
 		}
-		out[i] = Touch{Idx: idx, Kind: t.Res.Kind, Role: t.Role}
+		if n := len(a.chunks); n == 0 || len(a.chunks[n-1]) == cap(a.chunks[n-1]) {
+			a.chunks = append(a.chunks, make([]Touch, 0, 1024))
+		}
+		c := &a.chunks[len(a.chunks)-1]
+		*c = append(*c, Touch{Idx: idx, Kind: t.Res.Kind, Role: t.Role})
 	}
-	return out
+	a.nTouches += len(ts)
+	return int32(a.nTouches - len(ts))
+}
+
+// internPath returns p's index in Paths, adding it on first sight.
+func (a *analyzer) internPath(p string) int32 {
+	st, ok := a.pathGen[p]
+	if !ok || st.path < 0 {
+		st.path = int32(len(a.res.Paths))
+		a.pathGen[p] = st
+		a.res.Paths = append(a.res.Paths, p)
+	}
+	return st.path
 }
 
 // Analyze runs the trace model over tr. The fs argument must hold the
@@ -168,7 +176,7 @@ func NewAnalyzer(fs *vfs.FS) *Analyzer {
 		fs:      fs,
 		cwd:     fs.Root(),
 		cwdPath: "/",
-		pathGen: make(map[string]int),
+		pathGen: make(map[string]pathName),
 		fdGen:   make(map[int64]int),
 		fdFile:  make(map[int64]*vfs.Inode),
 		fdPath:  make(map[int64]string),
@@ -197,27 +205,31 @@ func (z *Analyzer) Feed(recs []*trace.Record) error {
 		if rec.Seq != int64(i) {
 			return fmt.Errorf("core: record %d has Seq %d; call Trace.Renumber first", i, rec.Seq)
 		}
-		act := Action{Rec: rec}
+		act := Action{CanonPath: -1, CanonPath2: -1, FDHint: -1}
 		call := stack.Canonical(rec.Call)
 		if rec.Path != "" {
 			if call == "symlink" {
-				act.CanonPath = rec.Path
+				act.CanonPath = a.internPath(rec.Path)
 			} else {
-				act.CanonPath = a.canon(rec.Path)
+				act.CanonPath = a.internPath(a.canon(rec.Path))
 			}
 		}
 		if rec.Path2 != "" {
-			act.CanonPath2 = a.canon(rec.Path2)
+			act.CanonPath2 = a.internPath(a.canon(rec.Path2))
 		}
 		touches := a.analyzeRecord(rec, call)
 		if touches != nil {
 			a.scratch = touches[:0] // keep any grown capacity for reuse
 		}
-		act.Touches = a.sealTouches(touches)
+		act.TouchOff, act.TouchLen = a.sealTouches(touches), int32(len(touches))
 		if !rec.OK() {
 			if _, tracked := a.fdFile[rec.FD]; tracked && rec.FD != 0 {
-				r := a.fdRes(rec.FD)
-				act.FDHint = &r
+				// The record that opened the descriptor touched it, so it
+				// is numbered.
+				var ok bool
+				if act.FDHint, ok = a.resIdx[a.fdRes(rec.FD)]; !ok {
+					return fmt.Errorf("core: record %d: open descriptor %d was never touched", i, rec.FD)
+				}
 			}
 		}
 		a.res.Actions = append(a.res.Actions, act)
@@ -243,26 +255,32 @@ func (z *Analyzer) Finish(tr *trace.Trace) (*Analysis, error) {
 	for r, k := range z.a.resIdx {
 		res.Resources[k] = r
 	}
-	// Series: count each resource's touches, carve one slab by the
-	// counts, fill in trace order. An action that touches a resource
-	// twice is counted twice and entered once.
-	counts := make([]int32, len(res.Resources))
-	total := 0
+	res.TouchSlab = slices.Concat(z.a.chunks...)
+	// Series: count each resource's actions, lay the rows out by the
+	// counts, fill in trace order. An action touching a resource twice is
+	// entered once; last[k] is one past the action last counted for
+	// resource k, then the fill cursor of its row.
+	nRes := len(res.Resources)
+	last := make([]int32, nRes)
+	res.SeriesOff = make([]int32, nRes+1)
 	for i := range res.Actions {
-		for _, t := range res.Actions[i].Touches {
-			counts[t.Idx]++
+		for _, t := range res.Touches(i) {
+			if last[t.Idx] != int32(i)+1 {
+				last[t.Idx] = int32(i) + 1
+				res.SeriesOff[t.Idx+1]++
+			}
 		}
-		total += len(res.Actions[i].Touches)
 	}
-	slab := make([]int, total)
-	res.SeriesList = make([][]int, len(counts))
-	for k, c := range counts {
-		res.SeriesList[k], slab = slab[:0:c], slab[c:]
+	for k := 0; k < nRes; k++ {
+		res.SeriesOff[k+1] += res.SeriesOff[k]
 	}
+	copy(last, res.SeriesOff)
+	res.SeriesIdx = make([]int32, res.SeriesOff[nRes])
 	for i := range res.Actions {
-		for _, t := range res.Actions[i].Touches {
-			if s := res.SeriesList[t.Idx]; len(s) == 0 || s[len(s)-1] != i {
-				res.SeriesList[t.Idx] = append(s, i)
+		for _, t := range res.Touches(i) {
+			if c := last[t.Idx]; c == res.SeriesOff[t.Idx] || res.SeriesIdx[c-1] != int32(i) {
+				res.SeriesIdx[c] = int32(i)
+				last[t.Idx]++
 			}
 		}
 	}
@@ -310,27 +328,23 @@ func pathIsClean(p string) bool {
 // pathRes returns the path resource for the current generation of name,
 // creating generation bookkeeping on first sight.
 func (a *analyzer) pathRes(name string) ResourceID {
-	gen, ok := a.pathGen[name]
-	if !ok {
-		gen = 1
-		a.pathGen[name] = gen
-		a.res.PathGens[name] = append(a.res.PathGens[name], gen)
+	if st := a.pathGen[name]; st.gen != 0 {
+		return ResourceID{Kind: KPath, Name: name, Gen: int(st.gen)}
 	}
-	return ResourceID{Kind: KPath, Name: name, Gen: gen}
+	return a.bumpPath(name)
 }
 
 // bumpPath advances the generation of a path name (its binding changed)
 // and returns the new-generation resource.
 func (a *analyzer) bumpPath(name string) ResourceID {
-	gen := a.pathGen[name]
-	if gen == 0 {
-		gen = 1
-	} else {
-		gen++
+	st, ok := a.pathGen[name]
+	if !ok {
+		st.path = -1
 	}
-	a.pathGen[name] = gen
-	a.res.PathGens[name] = append(a.res.PathGens[name], gen)
-	return ResourceID{Kind: KPath, Name: name, Gen: gen}
+	st.gen++
+	a.pathGen[name] = st
+	a.res.PathGens[name] = append(a.res.PathGens[name], int(st.gen))
+	return ResourceID{Kind: KPath, Name: name, Gen: int(st.gen)}
 }
 
 func (a *analyzer) fileRes(ino *vfs.Inode) ResourceID {

@@ -109,8 +109,8 @@ func TestChdirRelativePathsCanonicalized(t *testing.T) {
 		{Kind: snapshot.KindFile, Path: "/work/data.txt", Size: 64},
 	}
 	an := analyze(t, tr, snap)
-	if an.Actions[1].CanonPath != "/work/data.txt" {
-		t.Fatalf("canonicalized path = %q", an.Actions[1].CanonPath)
+	if p := an.Actions[1].CanonPath; p < 0 || an.Paths[p] != "/work/data.txt" {
+		t.Fatalf("canonicalized path = %d of %q", p, an.Paths)
 	}
 	// The path resource uses the canonical name.
 	if s := seriesFor(an, KPath, "/work/data.txt", 1); len(s) == 0 {
@@ -134,7 +134,7 @@ func TestLinkCreatesPathNotFile(t *testing.T) {
 	// The unlink of /a with nlink 2 must be a Use (not Delete) of the
 	// file: the final stat via /b still touches a live file.
 	var unlinkTouches []Touch
-	for _, tc := range an.Actions[2].Touches {
+	for _, tc := range an.Touches(2) {
 		if an.Resources[tc.Idx].Kind == KFile {
 			unlinkTouches = append(unlinkTouches, tc)
 		}
@@ -156,7 +156,7 @@ func TestUnlinkLastLinkIsFileDelete(t *testing.T) {
 	snap := []snapshot.Entry{{Kind: snapshot.KindFile, Path: "/f", Size: 10}}
 	an := analyze(t, tr, snap)
 	foundDelete := false
-	for _, tc := range an.Actions[3].Touches {
+	for _, tc := range an.Touches(3) {
 		if an.Resources[tc.Idx].Kind == KFile && tc.Role == RoleDelete {
 			foundDelete = true
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"strconv"
@@ -78,16 +79,16 @@ func figure2Snapshot() []snapshot.Entry {
 	}
 }
 
-func seriesFor(an *Analysis, kind Kind, name string, gen int) []int {
+func seriesFor(an *Analysis, kind Kind, name string, gen int) []int32 {
 	for k, r := range an.Resources {
 		if r == (ResourceID{Kind: kind, Name: name, Gen: gen}) {
-			return an.SeriesList[k]
+			return an.Series(k)
 		}
 	}
 	return nil
 }
 
-func eq(a []int, b ...int) bool {
+func eq(a []int32, b ...int32) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -140,14 +141,14 @@ func TestFigure2ActionSeries(t *testing.T) {
 
 // Every touch names its resource by its index in Analysis.Resources —
 // what the replayer indexes its tables by — and repeats that resource's
-// kind. A touch is 8 bytes and holds no pointer, so the collector never
-// scans the touch tables; the walk below fails as soon as a field that
-// carries a pointer is added.
+// kind. A touch is 8 bytes and an action at most 20, and neither holds a
+// pointer, so the collector never scans the touch or action tables; the
+// walk below fails as soon as a field that carries a pointer is added.
 func TestTouchIndexesResources(t *testing.T) {
 	an := analyze(t, figure2Trace(), figure2Snapshot())
 	touches := 0
 	for i := range an.Actions {
-		for _, tc := range an.Actions[i].Touches {
+		for _, tc := range an.Touches(i) {
 			touches++
 			if tc.Idx < 0 || int(tc.Idx) >= len(an.Resources) || an.Resources[tc.Idx].Kind != tc.Kind {
 				t.Fatalf("action %d: %v touch has Idx %d, which is not a resource of that kind", i, tc.Kind, tc.Idx)
@@ -160,10 +161,43 @@ func TestTouchIndexesResources(t *testing.T) {
 	if size := unsafe.Sizeof(Touch{}); size != 8 {
 		t.Fatalf("Touch is %d bytes, want 8", size)
 	}
-	typ := reflect.TypeOf(Touch{})
-	for i := 0; i < typ.NumField(); i++ {
-		if f := typ.Field(i); !pointerFree(f.Type) {
-			t.Errorf("Touch.%s is a %v, which can carry a pointer; a touch must hold none", f.Name, f.Type)
+	if size := unsafe.Sizeof(Action{}); size > 20 {
+		t.Fatalf("Action is %d bytes, want at most 20", size)
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(Touch{}), reflect.TypeOf(Action{})} {
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); !pointerFree(f.Type) {
+				t.Errorf("%s.%s is a %v, which can carry a pointer; it must hold none", typ.Name(), f.Name, f.Type)
+			}
+		}
+	}
+}
+
+var sinkString string
+
+// TestResourceIDString holds the strconv rendering to the fmt one it
+// replaced, on every kind, known or not, and to one allocation.
+func TestResourceIDString(t *testing.T) {
+	known := map[Kind]string{KProgram: "program", KThread: "thread", KFile: "file", KPath: "path", KFD: "fd", KAIO: "aiocb"}
+	names := []string{"", "3", "/a/b c.txt", "%d(x)@7", "日本語\x00\xff", strings.Repeat("long/", 40)}
+	for k := 0; k < 256; k++ {
+		kind, ok := known[Kind(k)]
+		if !ok {
+			kind = fmt.Sprintf("Kind(%d)", k)
+		}
+		if got := Kind(k).String(); got != kind {
+			t.Fatalf("Kind(%d).String() = %q, want %q", k, got, kind)
+		}
+		for _, name := range names {
+			for _, gen := range []int{0, 1, 1 << 40, -1} {
+				r := ResourceID{Kind: Kind(k), Name: name, Gen: gen}
+				if got, want := r.String(), fmt.Sprintf("%s(%s)@%d", kind, name, gen); got != want {
+					t.Fatalf("%#v.String() = %q, want %q", r, got, want)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { sinkString = r.String() }); allocs > 1 {
+					t.Fatalf("%#v.String() makes %.0f allocations, want at most 1", r, allocs)
+				}
+			}
 		}
 	}
 }
@@ -193,9 +227,9 @@ func TestFigure2FileSeries(t *testing.T) {
 	an := analyze(t, figure2Trace(), figure2Snapshot())
 	// file1 (created by open at action 1) touched by 1,2,3,4 (rename of
 	// its parent directory touches the contained file).
-	var file1 []int
+	var file1 []int32
 	for k, r := range an.Resources {
-		if s := an.SeriesList[k]; r.Kind == KFile && eq(s, 1, 2, 3, 4) {
+		if s := an.Series(k); r.Kind == KFile && eq(s, 1, 2, 3, 4) {
 			file1 = s
 		}
 	}
@@ -207,7 +241,7 @@ func TestFigure2FileSeries(t *testing.T) {
 	// 0, 4 and 6 as a parent. Both series must exist.
 	foundDirB, foundDirA := false, false
 	for k, r := range an.Resources {
-		s := an.SeriesList[k]
+		s := an.Series(k)
 		if r.Kind != KFile {
 			continue
 		}
@@ -393,8 +427,8 @@ func TestFailedCallsUnconstrained(t *testing.T) {
 	})
 	snap := []snapshot.Entry{{Kind: snapshot.KindFile, Path: "/f", Size: 10}}
 	an := analyze(t, tr, snap)
-	if len(an.Actions[1].Touches) != 0 {
-		t.Fatalf("failed call touches = %v, want none", an.Actions[1].Touches)
+	if len(an.Touches(1)) != 0 {
+		t.Fatalf("failed call touches = %v, want none", an.Touches(1))
 	}
 	g := BuildGraph(an, DefaultModes())
 	for _, e := range g.Edges {
@@ -535,8 +569,8 @@ func TestStageEdgesImpliedBySeq(t *testing.T) {
 		}
 		// Same-thread order is implicit: add those edges too.
 		byTID := make(map[int][]int)
-		for i, a := range an.Actions {
-			byTID[a.Rec.TID] = append(byTID[a.Rec.TID], i)
+		for i := range an.Actions {
+			byTID[tr.Records[i].TID] = append(byTID[tr.Records[i].TID], i)
 		}
 		for _, idxs := range byTID {
 			for i := 1; i < len(idxs); i++ {
@@ -602,7 +636,7 @@ func TestQuickGraphInvariants(t *testing.T) {
 			return false
 		}
 		for _, e := range g.Edges {
-			if an.Actions[e.From].Rec.TID == an.Actions[e.To].Rec.TID {
+			if tr.Records[e.From].TID == tr.Records[e.To].TID {
 				return false
 			}
 		}
@@ -631,8 +665,8 @@ func TestQuickSubsumptionEdgeInclusion(t *testing.T) {
 		next[e.From] = append(next[e.From], e.To)
 	}
 	byTID := make(map[int][]int)
-	for i, a := range an.Actions {
-		byTID[a.Rec.TID] = append(byTID[a.Rec.TID], i)
+	for i := range an.Actions {
+		byTID[tr.Records[i].TID] = append(byTID[tr.Records[i].TID], i)
 	}
 	for _, idxs := range byTID {
 		for i := 1; i < len(idxs); i++ {
@@ -672,6 +706,76 @@ func TestKindRoleStrings(t *testing.T) {
 	r := ResourceID{Kind: KFD, Name: "3", Gen: 2}
 	if r.String() != "fd(3)@2" {
 		t.Fatalf("resource string = %s", r.String())
+	}
+}
+
+// handAnalysis lays out an analysis of len(touches) actions, alternating
+// between threads 1 and 2, the way Finish does: action i touches
+// touches[i].
+func handAnalysis(resources []ResourceID, touches [][]Touch, pathGens map[string][]int) *Analysis {
+	an := &Analysis{Trace: &trace.Trace{}, Resources: resources, PathGens: pathGens,
+		SeriesOff: make([]int32, len(resources)+1)}
+	series := make([][]int32, len(resources))
+	for i, ts := range touches {
+		an.Trace.Records = append(an.Trace.Records, &trace.Record{Seq: int64(i), TID: 1 + i%2})
+		an.Actions = append(an.Actions, Action{CanonPath: -1, CanonPath2: -1, FDHint: -1,
+			TouchOff: int32(len(an.TouchSlab)), TouchLen: int32(len(ts))})
+		for _, tc := range ts {
+			tc.Kind = resources[tc.Idx].Kind
+			an.TouchSlab = append(an.TouchSlab, tc)
+			series[tc.Idx] = append(series[tc.Idx], int32(i))
+		}
+	}
+	for k, s := range series {
+		an.SeriesIdx = append(an.SeriesIdx, s...)
+		an.SeriesOff[k+1] = int32(len(an.SeriesIdx))
+	}
+	return an
+}
+
+// TestSharedPairSurvivor: when several resources order the same action
+// pair, the edge kept is the one emitted first when resources were walked
+// in (Kind, Name, Gen) order and the name rule after them, whatever the
+// resources' index order and PathGens' map order.
+func TestSharedPairSurvivor(t *testing.T) {
+	file := func(name string) ResourceID { return ResourceID{Kind: KFile, Name: name, Gen: 1} }
+	path := func(name string, gen int) ResourceID { return ResourceID{Kind: KPath, Name: name, Gen: gen} }
+	use := func(k int32) Touch { return Touch{Idx: k, Role: RoleUse} }
+	create := func(k int32) Touch { return Touch{Idx: k, Role: RoleCreate} }
+	cases := []struct {
+		name  string
+		an    *Analysis
+		modes ModeSet
+		want  ResourceID
+	}{
+		{
+			// Index order puts file 9 first; name order puts "10" first.
+			"files", handAnalysis([]ResourceID{file("9"), file("10")},
+				[][]Touch{{use(0), use(1)}, {use(0), use(1)}}, nil),
+			ModeSet{FileSeq: true}, file("10"),
+		},
+		{
+			// Two names rebound by the same two actions: (Name, Gen) order.
+			"name rule", handAnalysis([]ResourceID{path("/b", 1), path("/a", 1), path("/b", 2), path("/a", 2)},
+				[][]Touch{{create(0), create(1)}, {create(2), create(3)}},
+				map[string][]int{"/a": {1, 2}, "/b": {1, 2}}),
+			ModeSet{PathStageName: true}, path("/a", 2),
+		},
+		{
+			// A resource-rule edge outranks the name rule's smaller name.
+			"resource rule first", handAnalysis([]ResourceID{path("/b", 1), path("/a", 1), path("/b", 2), path("/a", 2), path("/z", 1)},
+				[][]Touch{{create(0), create(1), create(4)}, {create(2), create(3), use(4)}},
+				map[string][]int{"/a": {1, 2}, "/b": {1, 2}, "/z": {1}}),
+			ModeSet{PathStageName: true}, path("/z", 1),
+		},
+	}
+	for _, c := range cases {
+		for run := 0; run < 20; run++ { // PathGens iterates in a new order each time
+			g := BuildGraph(c.an, c.modes)
+			if len(g.Edges) != 1 || g.Edges[0].From != 0 || g.Edges[0].To != 1 || g.Edges[0].Res != c.want {
+				t.Fatalf("%s: edges %v, want one 0->1 edge through %v", c.name, g.Edges, c.want)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -102,7 +103,8 @@ func NewGraph(n int, edges []Edge) *Graph { return newGraph(n, edges) }
 // thread on its own replay thread, which subsumes them.
 func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 	n := len(an.Actions)
-	tid := func(i int) int { return an.Actions[i].Rec.TID }
+	recs := an.Trace.Records
+	tid := func(i int) int { return recs[i].TID }
 	// Edges are appended freely (the ordering rules emit the same pair
 	// through different resources) and deduplicated afterward by a
 	// sort+compact pass — far cheaper than a map probe per candidate.
@@ -125,40 +127,21 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 			add(i-1, i, WaitComplete, ResourceID{Kind: KProgram, Name: "program", Gen: 1})
 		}
 		// program_seq subsumes every other rule; no further edges needed.
-		return newGraph(n, dedupEdges(edges))
+		return newGraph(n, dedupEdges(edges, len(edges)))
 	}
 
-	// Deterministic resource iteration order. The sort permutes int32
-	// indices into the analyzer's dense resource list (4-byte swaps, no
-	// reflect).
-	resources := an.Resources
-	rord := make([]int32, len(resources))
-	for i := range rord {
-		rord[i] = int32(i)
-	}
-	slices.SortFunc(rord, func(i, j int32) int {
-		a, b := &resources[i], &resources[j]
-		if a.Kind != b.Kind {
-			return int(a.Kind) - int(b.Kind)
-		}
-		if c := strings.Compare(a.Name, b.Name); c != 0 {
-			return c
-		}
-		return a.Gen - b.Gen
-	})
-
-	roleOf := func(actIdx int, k int32) Role {
-		for _, t := range an.Actions[actIdx].Touches {
-			if t.Idx == k {
+	roleOf := func(actIdx int32, k int) Role {
+		for _, t := range an.Touches(int(actIdx)) {
+			if int(t.Idx) == k {
 				return t.Role
 			}
 		}
 		return RoleUse
 	}
 
-	for _, k := range rord {
-		r := resources[k]
-		series := an.SeriesList[k]
+	for k := range an.Resources {
+		r := &an.Resources[k]
+		series := an.Series(k)
 		if len(series) < 2 {
 			continue
 		}
@@ -177,7 +160,7 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 		}
 		if seq {
 			for i := 1; i < len(series); i++ {
-				add(series[i-1], series[i], WaitComplete, r)
+				add(int(series[i-1]), int(series[i]), WaitComplete, *r)
 			}
 			// Sequential subsumes stage for the same resource.
 			continue
@@ -186,25 +169,31 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 			first, last := series[0], series[len(series)-1]
 			if roleOf(first, k) == RoleCreate {
 				for _, i := range series[1:] {
-					add(first, i, WaitComplete, r)
+					add(int(first), int(i), WaitComplete, *r)
 				}
 			}
 			if roleOf(last, k) == RoleDelete {
 				for _, i := range series[:len(series)-1] {
-					add(i, last, WaitComplete, r)
+					add(int(i), int(last), WaitComplete, *r)
 				}
 			}
 		}
 	}
+	resourceRule := len(edges)
 
 	// Name ordering: for each path name with multiple generations, the
 	// last action of one generation precedes the first action of the
 	// next.
 	if modes.PathStageName {
-		regen := an.index(func(r ResourceID) bool { return r.Kind == KPath && len(an.PathGens[r.Name]) > 1 })
-		seriesOf := func(name string, gen int) []int {
+		regen := make(map[ResourceID]int)
+		for k, r := range an.Resources {
+			if r.Kind == KPath && len(an.PathGens[r.Name]) > 1 {
+				regen[r] = k
+			}
+		}
+		seriesOf := func(name string, gen int) []int32 {
 			if k, ok := regen[ResourceID{Kind: KPath, Name: name, Gen: gen}]; ok {
-				return an.SeriesList[k]
+				return an.Series(k)
 			}
 			return nil
 		}
@@ -214,21 +203,22 @@ func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 				if len(prev) == 0 || len(next) == 0 {
 					continue
 				}
-				add(prev[len(prev)-1], next[0], WaitComplete,
+				add(int(prev[len(prev)-1]), int(next[0]), WaitComplete,
 					ResourceID{Kind: KPath, Name: name, Gen: gens[gi]})
 			}
 		}
 	}
-	return newGraph(n, dedupEdges(edges))
+	return newGraph(n, dedupEdges(edges, resourceRule))
 }
 
-// dedupEdges sorts edges by (From, To) and keeps the first-emitted edge
-// of each pair, preserving the rule order BuildGraph added them in (the
-// behaviour the old seen-map dedup had). It sorts a permutation of int32
-// indices rather than the edges themselves: swaps move 4 bytes instead
-// of a whole Edge, and the emission-index tiebreak makes the sort stable
-// without sort.SliceStable's merge passes.
-func dedupEdges(edges []Edge) []Edge {
+// dedupEdges sorts edges by (From, To) and keeps one edge of each pair: a
+// resource-rule edge (the first resourceRule) over a name-rule one, then
+// the smallest resource by (Kind, Name, Gen), then the first emitted — so
+// neither the resource walk nor PathGens' map order picks the survivor.
+// It sorts a permutation of int32 indices rather than the edges: swaps
+// move 4 bytes instead of a whole Edge, and the emission-index tiebreak
+// makes the sort stable without sort.SliceStable's merge passes.
+func dedupEdges(edges []Edge, resourceRule int) []Edge {
 	if len(edges) < 2 {
 		return edges
 	}
@@ -236,6 +226,7 @@ func dedupEdges(edges []Edge) []Edge {
 	for i := range ord {
 		ord[i] = int32(i)
 	}
+	rr := int32(resourceRule)
 	slices.SortFunc(ord, func(i, j int32) int {
 		a, b := &edges[i], &edges[j]
 		if a.From != b.From {
@@ -244,7 +235,11 @@ func dedupEdges(edges []Edge) []Edge {
 		if a.To != b.To {
 			return a.To - b.To
 		}
-		return int(i - j)
+		if (i < rr) != (j < rr) {
+			return int(i - j) // every resource-rule edge was emitted first
+		}
+		return cmp.Or(cmp.Compare(a.Res.Kind, b.Res.Kind), strings.Compare(a.Res.Name, b.Res.Name),
+			cmp.Compare(a.Res.Gen, b.Res.Gen), int(i-j))
 	})
 	uniq := 1
 	for k := 1; k < len(ord); k++ {
@@ -306,7 +301,7 @@ func (g *Graph) Reduce(an *Analysis) *Graph {
 	lastOf := make(map[int]int)
 	for i := 0; i < n; i++ {
 		next[i] = -1
-		tid := an.Actions[i].Rec.TID
+		tid := an.Trace.Records[i].TID
 		ti, ok := threadOf[tid]
 		if !ok {
 			ti = len(threadOf)
@@ -422,7 +417,7 @@ func TemporalGraph(an *Analysis) *Graph {
 	n := len(an.Actions)
 	var edges []Edge
 	for i := 1; i < n; i++ {
-		if an.Actions[i-1].Rec.TID == an.Actions[i].Rec.TID {
+		if an.Trace.Records[i-1].TID == an.Trace.Records[i].TID {
 			continue // implied by per-thread replay order
 		}
 		edges = append(edges, Edge{From: i - 1, To: i, Kind: WaitIssue})
@@ -472,7 +467,7 @@ func (g *Graph) Stats(an *Analysis) GraphStats {
 	}
 	var total time.Duration
 	for _, e := range g.Edges {
-		l := an.Actions[e.To].Rec.Start - an.Actions[e.From].Rec.Start
+		l := an.Trace.Records[e.To].Start - an.Trace.Records[e.From].Start
 		if l < 0 {
 			l = 0
 		}

@@ -11,12 +11,13 @@ import (
 // fakeAnalysis builds the minimal Analysis Reduce needs: actions with
 // thread IDs, in trace order.
 func fakeAnalysis(tids []int) *Analysis {
-	an := &Analysis{}
+	an := &Analysis{Trace: &trace.Trace{}}
 	for i, tid := range tids {
-		an.Actions = append(an.Actions, Action{Rec: &trace.Record{
+		an.Trace.Records = append(an.Trace.Records, &trace.Record{
 			Seq: int64(i), TID: tid,
 			Start: time.Duration(i) * time.Millisecond,
-		}})
+		})
+		an.Actions = append(an.Actions, Action{CanonPath: -1, CanonPath2: -1, FDHint: -1})
 	}
 	return an
 }
@@ -38,7 +39,7 @@ func randomCompleteGraph(rng *rand.Rand, n, nt, edges int) (*Analysis, *Graph) {
 		}
 		es = append(es, Edge{From: from, To: to, Kind: WaitComplete})
 	}
-	return an, newGraph(n, dedupEdges(es))
+	return an, newGraph(n, dedupEdges(es, len(es)))
 }
 
 // randomSchedule executes the graph with an indegree scheduler making
@@ -56,7 +57,7 @@ func randomSchedule(rng *rand.Rand, an *Analysis, g *Graph) (issue, complete []t
 	lastOf := map[int]int{}
 	for i := 0; i < n; i++ {
 		prevSame[i] = -1
-		tid := an.Actions[i].Rec.TID
+		tid := an.Trace.Records[i].TID
 		if p, ok := lastOf[tid]; ok {
 			prevSame[i] = p
 		}

@@ -23,7 +23,10 @@
 // relationships, then builds the dependency graph a replayer enforces.
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Kind classifies resources (§4.2, Table 2). It is one byte wide, like
 // Role, so that a Touch carrying both is 8 bytes.
@@ -39,24 +42,22 @@ const (
 	KAIO
 )
 
+var kindNames = [...]string{KProgram: "program", KThread: "thread", KFile: "file", KPath: "path", KFD: "fd", KAIO: "aiocb"}
+
 // String names the kind.
 func (k Kind) String() string {
-	switch k {
-	case KProgram:
-		return "program"
-	case KThread:
-		return "thread"
-	case KFile:
-		return "file"
-	case KPath:
-		return "path"
-	case KFD:
-		return "fd"
-	case KAIO:
-		return "aiocb"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return string(k.append(nil))
+}
+
+// append appends the kind's name, "Kind(n)" for an unknown one.
+func (k Kind) append(b []byte) []byte {
+	if int(k) < len(kindNames) {
+		return append(b, kindNames[k]...)
+	}
+	return append(strconv.AppendUint(append(b, "Kind("...), uint64(k), 10), ')')
 }
 
 // ResourceID identifies one resource: a kind, a name, and a generation
@@ -68,9 +69,11 @@ type ResourceID struct {
 	Gen  int
 }
 
-// String renders "kind(name)@gen".
+// String renders "kind(name)@gen" in one exact-size allocation (kind and
+// generation go to stack buffers the concatenation reads in place).
 func (r ResourceID) String() string {
-	return fmt.Sprintf("%s(%s)@%d", r.Kind, r.Name, r.Gen)
+	var kind, gen [20]byte
+	return string(r.Kind.append(kind[:0])) + "(" + r.Name + ")@" + string(strconv.AppendInt(gen[:0], int64(r.Gen), 10))
 }
 
 // Role is an action's relationship to a resource it touches.

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rootreplay/internal/metrics"
@@ -61,16 +62,20 @@ func CompareSpans(a, b *Span) int {
 // hundred write calls, small enough to stay in cache.
 const chromeChunk = 64 << 10
 
+// chromeBufs recycles the buffer WriteChrome encodes into, which holds a
+// small document whole and so would otherwise grow anew for each one.
+var chromeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // WriteChrome writes the recorder's contents as Chrome trace_event JSON.
 // Spans are emitted in CompareSpans order rather than raw record order,
 // which makes the export a pure function of the recorded span set, so
 // sliced output can be byte-compared to serial.
 //
-// The document streams to w in chunks. A counter sample that JSON cannot
-// represent (NaN, ±Inf) fails the export with *json.UnsupportedValueError
-// before anything is written; after that the only error is w's. A w with
-// a Grow(int) method, as bytes.Buffer has, is first told roughly how much
-// is coming, so that it is not left to find the size by doubling.
+// The document streams to w in chunks (a small one in one piece). A
+// counter sample that JSON cannot represent fails the export with
+// *json.UnsupportedValueError before anything is written; after that the
+// only error is w's. A w with a Grow(int) method, as bytes.Buffer has, is
+// first told how much is coming, so that it need not double its way up.
 func (r *Recorder) WriteChrome(w io.Writer) error {
 	if r == nil {
 		r = &Recorder{}
@@ -109,8 +114,14 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	slices.Sort(tids)
 	recorded := r.indexActions(order)
 
-	b := make([]byte, 0, chromeChunk+4<<10)
-	if g, ok := w.(interface{ Grow(int) }); ok {
+	// A document no larger than what extrapolate would encode to size it
+	// is encoded once, whole, and sized exactly before it is written.
+	whole := len(order) <= sizeSample && len(samples) <= sizeSample
+	bp := chromeBufs.Get().(*[]byte)
+	b := slices.Grow((*bp)[:0], chromeChunk+4<<10)
+	defer func() { *bp = b[:0]; chromeBufs.Put(bp) }()
+	g, growable := w.(interface{ Grow(int) })
+	if growable && !whole {
 		scratch := b
 		size := 64 + 96*len(tids)
 		size += extrapolate(len(order), func(i int) int {
@@ -140,7 +151,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		b = append(b, sep...)
 		b = r.appendSpan(b, pos, &recorded)
 		sep = ","
-		if len(b) >= chromeChunk {
+		if !whole && len(b) >= chromeChunk {
 			if b, err = writeChunk(w, b); err != nil {
 				return err
 			}
@@ -150,7 +161,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		b = append(b, sep...)
 		b = appendSample(b, sampleAt(i))
 		sep = ","
-		if len(b) >= chromeChunk {
+		if !whole && len(b) >= chromeChunk {
 			if b, err = writeChunk(w, b); err != nil {
 				return err
 			}
@@ -158,6 +169,9 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	}
 	b = append(b, `],"displayTimeUnit":"ms"}`...)
 	b = append(b, '\n')
+	if growable && whole {
+		g.Grow(len(b))
+	}
 	_, err = writeChunk(w, b)
 	return err
 }
@@ -256,11 +270,14 @@ func appendSample(b []byte, s *Sample) []byte {
 	return append(b, `}}`...)
 }
 
-// extrapolate estimates the sum of size(i) over 0..n-1 from at most 1024
-// evenly spaced i: within a percent or two for event sizes, which vary by
-// a small factor, and exact when n is that small.
+// sizeSample is how many evenly spaced events extrapolate encodes.
+const sizeSample = 1024
+
+// extrapolate estimates the sum of size(i) over 0..n-1 from at most
+// sizeSample evenly spaced i: within a percent or two for event sizes,
+// which vary by a small factor.
 func extrapolate(n int, size func(i int) int) int {
-	k := min(n, 1024)
+	k := min(n, sizeSample)
 	if k == 0 {
 		return 0
 	}
@@ -375,9 +392,13 @@ func appendUsec(b []byte, d time.Duration) []byte {
 // appendJSONFloat appends a finite f the way encoding/json does (ES6
 // number-to-string): plain decimal unless |f| < 1e-6 or |f| >= 1e21,
 // then exponent form with a one-digit negative exponent unpadded
-// ("3e-09" becomes "3e-9").
+// ("3e-09" becomes "3e-9"). An integral f within ±2^53 other than -0, as
+// most counter samples are, is exactly its integer's digits.
 func appendJSONFloat(b []byte, f float64) []byte {
 	abs := math.Abs(f)
+	if abs <= 1<<53 && f == math.Trunc(f) && (f != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(b, int64(f), 10)
+	}
 	format := byte('f')
 	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

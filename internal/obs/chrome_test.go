@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 )
@@ -342,6 +343,34 @@ func TestAppendJSONFloatMatchesJSON(t *testing.T) {
 	}
 }
 
+// TestAppendJSONFloatIntegral holds the integer path of appendJSONFloat to
+// the float path it skips, at the edges of its range and on random
+// integral values of every magnitude on both sides of 2^53.
+func TestAppendJSONFloatIntegral(t *testing.T) {
+	check := func(f float64) {
+		t.Helper()
+		float := strconv.AppendFloat(nil, f, 'f', -1, 64) // the path integral values skip
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendJSONFloat(nil, f); !bytes.Equal(got, float) || !bytes.Equal(got, want) {
+			t.Fatalf("appendJSONFloat(%g) = %s, float path %s, encoding/json %s", f, got, float, want)
+		}
+	}
+	for _, f := range []float64{0, math.Copysign(0, -1), 1, -1, 1<<53 - 1, -(1<<53 - 1), 1 << 53, -(1 << 53), 1<<53 + 2, 1e15} {
+		check(f)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200_000; i++ {
+		f := float64(rng.Int63() >> uint(rng.Intn(63)))
+		if rng.Intn(2) == 0 {
+			f = -f
+		}
+		check(f)
+	}
+}
+
 func TestAppendJSONStringMatchesJSON(t *testing.T) {
 	check := func(s string) {
 		t.Helper()
@@ -476,6 +505,81 @@ func TestWriteChromeSizesBuffer(t *testing.T) {
 			t.Errorf("%s: %d-byte export left a %d-byte buffer, want at most %d", name, buf.Len(), buf.Cap(), limit)
 		}
 	}
+}
+
+// countingBuffer is a bytes.Buffer that counts the writes it is handed.
+type countingBuffer struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *countingBuffer) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// TestWriteChromeSmallDocuments: a document of at most sizeSample spans
+// and sizeSample samples is encoded once and handed over in one write;
+// one a single event past that streams in chunks. Both match the
+// reference byte for byte, and both leave a growable writer within the
+// size hint's margin, since the service retains small exports as much as
+// large ones.
+func TestWriteChromeSmallDocuments(t *testing.T) {
+	for _, n := range []int{0, 1, sizeSample - 1, sizeSample, sizeSample + 1} {
+		for _, mix := range []struct{ spans, samples int }{{n, 0}, {0, n}, {n, n}, {n, n / 3}} {
+			r := benchRecorder(mix.spans)
+			r.ClearSamples()
+			for i := 0; i < mix.samples; i++ {
+				r.Sample(time.Duration(i)*1000, CounterKind(i%int(numCounters)), counterValues[i%len(counterValues)])
+			}
+			name := fmt.Sprintf("%d spans, %d samples", mix.spans, mix.samples)
+			if len(r.Spans()) != mix.spans || len(r.Samples()) != mix.samples {
+				t.Fatalf("%s: fixture holds %d spans and %d samples", name, len(r.Spans()), len(r.Samples()))
+			}
+			exportBoth(t, r)
+			var buf countingBuffer
+			if err := r.WriteChrome(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if whole := mix.spans <= sizeSample && mix.samples <= sizeSample; whole && buf.writes != 1 {
+				t.Errorf("%s: %d writes, want the document in one", name, buf.writes)
+			}
+			if limit := buf.Len() + buf.Len()/8; n >= sizeSample-1 && buf.Cap() > limit {
+				t.Errorf("%s: %d-byte export left a %d-byte buffer, want at most %d", name, buf.Len(), buf.Cap(), limit)
+			}
+		}
+	}
+}
+
+// TestWriteChromeConcurrent: exports running at once, small and large,
+// each get a buffer of their own from the pool and the bytes a lone
+// export writes.
+func TestWriteChromeConcurrent(t *testing.T) {
+	recorders := []*Recorder{benchRecorder(10), benchRecorder(sizeSample), benchRecorder(3 * sizeSample)}
+	want := make([][]byte, len(recorders))
+	for i, r := range recorders {
+		var buf bytes.Buffer
+		if err := r.WriteChrome(&buf); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				i := (g + n) % len(recorders)
+				var buf bytes.Buffer
+				if err := recorders[i].WriteChrome(&buf); err != nil || !bytes.Equal(buf.Bytes(), want[i]) {
+					t.Errorf("goroutine %d, export %d of recorder %d: err %v, %d bytes, want %d", g, n, i, err, buf.Len(), len(want[i]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // failAfter accepts limit bytes, then fails every write: with an error,

@@ -206,8 +206,8 @@ func Partition(an *core.Analysis, g *core.Graph) *Plan {
 	// (a) Thread membership: a traced thread replays as one simulated
 	// thread, so all its actions share a component.
 	lastOfTID := make(map[int]int32)
-	for i := range an.Actions {
-		tid := an.Actions[i].Rec.TID
+	for i, rec := range an.Trace.Records {
+		tid := rec.TID
 		if prev, ok := lastOfTID[tid]; ok {
 			u.union(prev, int32(i))
 		}
@@ -278,13 +278,12 @@ func resourceClosure(u *uf, an *core.Analysis, g *core.Graph) {
 	// same file, path generation, descriptor, or AIOCB — share state and
 	// therefore a component, even in modes whose graph drops the edge.
 	for k, r := range an.Resources {
-		series := an.SeriesList[k]
+		series := an.Series(k)
 		if r.Kind == core.KProgram || len(series) < 2 {
 			continue
 		}
-		first := int32(series[0])
 		for _, a := range series[1:] {
-			u.union(first, int32(a))
+			u.union(series[0], a)
 		}
 	}
 
@@ -296,7 +295,6 @@ func resourceClosure(u *uf, an *core.Analysis, g *core.Graph) {
 	// safely; for successful calls the path resources of rule (c) make
 	// most of these unions redundant.
 	byName := make(map[string]int32)
-	var fds map[core.ResourceID]int32 // built on the first FDHint
 	uniteName := func(name string, act int32) {
 		if name == "" || name == "/" {
 			return
@@ -310,22 +308,19 @@ func resourceClosure(u *uf, an *core.Analysis, g *core.Graph) {
 	for i := range an.Actions {
 		act := &an.Actions[i]
 		ai := int32(i)
-		if p := act.CanonPath; p != "" && act.Rec.Call != "symlink" {
-			uniteName(p, ai)
-			uniteName(gopath.Dir(p), ai)
+		if p := act.CanonPath; p >= 0 && an.Trace.Records[i].Call != "symlink" {
+			uniteName(an.Paths[p], ai)
+			uniteName(gopath.Dir(an.Paths[p]), ai)
 		}
-		if p := act.CanonPath2; p != "" {
-			uniteName(p, ai)
-			uniteName(gopath.Dir(p), ai)
+		if p := act.CanonPath2; p >= 0 {
+			uniteName(an.Paths[p], ai)
+			uniteName(gopath.Dir(an.Paths[p]), ai)
 		}
 		// A failed call on a then-valid descriptor is remapped through
 		// its hint resource; keep it with that descriptor's series.
-		if act.FDHint != nil {
-			if fds == nil {
-				fds = an.FDIndex()
-			}
-			if k, ok := fds[*act.FDHint]; ok && len(an.SeriesList[k]) > 0 {
-				u.union(int32(an.SeriesList[k][0]), ai)
+		if act.FDHint >= 0 {
+			if s := an.Series(int(act.FDHint)); len(s) > 0 {
+				u.union(s[0], ai)
 			}
 		}
 	}

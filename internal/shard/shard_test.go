@@ -296,8 +296,8 @@ func TestPartitionKeepsFailedCallWithItsDescriptor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hint := b.Analysis.Actions[1].FDHint; hint == nil || len(b.Analysis.Actions[1].Touches) != 0 {
-		t.Fatalf("fixture: failed read has hint %v and %d touches, want a hint and none", hint, len(b.Analysis.Actions[1].Touches))
+	if hint := b.Analysis.Actions[1].FDHint; hint < 0 || len(b.Analysis.Touches(1)) != 0 {
+		t.Fatalf("fixture: failed read has hint %d and %d touches, want a hint and none", hint, len(b.Analysis.Touches(1)))
 	}
 	p := shard.Partition(b.Analysis, b.Graph)
 	checkPlan(t, b.Graph, p)

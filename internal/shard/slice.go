@@ -91,8 +91,8 @@ func Slice(an *core.Analysis, g *core.Graph, p *Plan, opt SliceOptions) *Plan {
 	// cost and, after the cut, the synthetic edges.
 	threadPrev := make([]int32, n)
 	lastOfTID := make(map[int]int32)
-	for i := range an.Actions {
-		tid := an.Actions[i].Rec.TID
+	for i, rec := range an.Trace.Records {
+		tid := rec.TID
 		if prev, ok := lastOfTID[tid]; ok {
 			threadPrev[i] = prev
 		} else {
@@ -185,7 +185,7 @@ func Slice(an *core.Analysis, g *core.Graph, p *Plan, opt SliceOptions) *Plan {
 // serial replayer's single shared device. Such components stay whole.
 func hasDeviceSync(an *core.Analysis, members []int32) bool {
 	for _, i := range members {
-		switch an.Actions[i].Rec.Call {
+		switch an.Trace.Records[i].Call {
 		case "fsync", "fdatasync", "sync", "msync":
 			return true
 		}
