@@ -401,43 +401,6 @@ func TestInferSnapshotCompile(t *testing.T) {
 	}
 }
 
-func TestDeltaInitAfterReplay(t *testing.T) {
-	tr, snap := traceWorkload(t, defaultConf(),
-		func(sys *stack.System) error { return sys.SetupCreate("/d/keep", 4096) },
-		func(sys *stack.System, th *sim.Thread) {
-			fd, _ := sys.Open(th, "/d/tmp", trace.OWronly|trace.OCreat, 0o644)
-			sys.Write(th, fd, 4096)
-			sys.Close(th, fd)
-		})
-	b, err := Compile(tr, snap, core.DefaultModes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.NewKernel()
-	sys := stack.New(k, defaultConf())
-	if err := Init(sys, b, ""); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Replay(sys, b, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// The replay created /d/tmp; delta init must remove it.
-	st, err := DeltaInit(sys, b, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Removed == 0 {
-		t.Fatalf("delta init removed nothing: %+v", st)
-	}
-	rep2, err := Replay(sys, b, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Errors != 0 {
-		t.Fatalf("second replay after delta init: %v", rep2.ErrorSamples)
-	}
-}
-
 func TestReportConcurrency(t *testing.T) {
 	rep := &Report{Elapsed: 10 * time.Second, ThreadTime: 25 * time.Second}
 	if c := rep.Concurrency(); c < 2.4 || c > 2.6 {

@@ -217,12 +217,6 @@ func Init(sys *stack.System, b *Benchmark, prefix string) error {
 	return snapshot.Restore(sys, prefix, b.Snapshot)
 }
 
-// DeltaInit restores the snapshot with minimal work after a prior
-// replay.
-func DeltaInit(sys *stack.System, b *Benchmark, prefix string) (snapshot.DeltaStats, error) {
-	return snapshot.DeltaRestore(sys, prefix, b.Snapshot)
-}
-
 // replayState is the shared bookkeeping the replay threads use.
 type replayState struct {
 	sys  *stack.System
@@ -325,50 +319,6 @@ func Replay(sys *stack.System, b *Benchmark, opts Options) (*Report, error) {
 		return nil, fmt.Errorf("artc: replay stalled: %w", err)
 	}
 	return rs.finish()
-}
-
-// ConcurrentItem pairs a benchmark with its replay options for
-// ReplayConcurrent.
-type ConcurrentItem struct {
-	B    *Benchmark
-	Opts Options
-}
-
-// ReplayConcurrent replays several benchmarks simultaneously on one
-// system — the §4.3.2 scenario of browsing photos in iPhoto while
-// listening to music in iTunes. Each benchmark's snapshot must have been
-// restored first (overlay init: call Init once per benchmark, with
-// distinct prefixes if their trees collide). Reports are returned in
-// argument order.
-func ReplayConcurrent(sys *stack.System, items []ConcurrentItem) ([]*Report, error) {
-	states := make([]*replayState, len(items))
-	for i, it := range items {
-		rs, err := start(sys, it.B, it.Opts)
-		if err != nil {
-			return nil, fmt.Errorf("artc: benchmark %d: %w", i, err)
-		}
-		states[i] = rs
-	}
-	if err := sys.K.Run(); err != nil {
-		return nil, fmt.Errorf("artc: concurrent replay stalled: %w", err)
-	}
-	// A watchdog or degrade abort stops the whole kernel, leaving the
-	// other benchmarks incomplete: report the stall, not the incidental
-	// self-check failures of its victims.
-	for i, rs := range states {
-		if rs.stall != nil {
-			return nil, fmt.Errorf("artc: benchmark %d: %w", i, rs.stall)
-		}
-	}
-	reports := make([]*Report, len(states))
-	for i, rs := range states {
-		rep, err := rs.finish()
-		if err != nil {
-			return nil, fmt.Errorf("artc: benchmark %d: %w", i, err)
-		}
-		reports[i] = rep
-	}
-	return reports, nil
 }
 
 // methodGraph resolves the replay method's dependency graph, defaulting

@@ -86,74 +86,6 @@ func TestReplayModeOverride(t *testing.T) {
 	}
 }
 
-// Concurrent replay of two independent benchmarks on one system: both
-// replay cleanly and their activity interleaves in time. An SSD target
-// makes the overlap visible in elapsed time (on a disk, interleaving
-// two streams adds seeks, which is correct but obscures the check).
-func TestReplayConcurrentOverlay(t *testing.T) {
-	conf := defaultConf()
-	conf.Device = stack.DeviceSSD
-	mk := func(root string) (*trace.Trace, *snapshot.Snapshot) {
-		return traceWorkloadPlain(t, conf, root)
-	}
-	trA, snapA := mk("/appA")
-	trB, snapB := mk("/appB")
-	bA, err := Compile(trA, snapA, core.DefaultModes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bB, err := Compile(trB, snapB, core.DefaultModes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.NewKernel()
-	sys := stack.New(k, conf)
-	// Overlay init: both snapshots into one tree.
-	if err := Init(sys, bA, ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := Init(sys, bB, ""); err != nil {
-		t.Fatal(err)
-	}
-	reports, err := ReplayConcurrent(sys, []ConcurrentItem{
-		{B: bA, Opts: Options{SelfCheck: true}},
-		{B: bB, Opts: Options{SelfCheck: true}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	for i, rep := range reports {
-		if rep.Errors != 0 {
-			t.Errorf("benchmark %d: %d errors: %v", i, rep.Errors, rep.ErrorSamples)
-		}
-	}
-	// Concurrency: the two replays overlap, so the joint elapsed time is
-	// less than the sum of their individual times.
-	solo := func(b *Benchmark) int64 {
-		k2 := sim.NewKernel()
-		sys2 := stack.New(k2, conf)
-		if err := Init(sys2, b, ""); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Replay(sys2, b, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return int64(rep.Elapsed)
-	}
-	sum := solo(bA) + solo(bB)
-	joint := int64(reports[0].Elapsed)
-	if j := int64(reports[1].Elapsed); j > joint {
-		joint = j
-	}
-	if joint >= sum {
-		t.Fatalf("concurrent replay (%d) not faster than serial sum (%d)", joint, sum)
-	}
-}
-
 // traceWorkloadPlain traces a small single-thread workload under root.
 func traceWorkloadPlain(t *testing.T, conf stack.Config, root string) (*trace.Trace, *snapshot.Snapshot) {
 	t.Helper()
@@ -224,39 +156,6 @@ func TestFailedCallFDHintRemap(t *testing.T) {
 	}
 	if rep.Errors != 0 {
 		t.Fatalf("failed-call errno not reproduced: %v", rep.ErrorSamples)
-	}
-}
-
-// Merging two traces into one benchmark (the trace-level alternative to
-// ReplayConcurrent) compiles and replays cleanly: thread and descriptor
-// remapping keeps the inputs' resources distinct.
-func TestMergedTraceReplay(t *testing.T) {
-	conf := defaultConf()
-	trA, snapA := traceWorkloadPlain(t, conf, "/appA")
-	trB, snapB := traceWorkloadPlain(t, conf, "/appB")
-	merged, err := trace.Merge(trA, trB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(merged.Records) != len(trA.Records)+len(trB.Records) {
-		t.Fatalf("merged %d records", len(merged.Records))
-	}
-	snap := &snapshot.Snapshot{Entries: append(append([]snapshot.Entry{}, snapA.Entries...), snapB.Entries...)}
-	b, err := Compile(merged, snap, core.DefaultModes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := sim.NewKernel()
-	sys := stack.New(k, conf)
-	if err := Init(sys, b, ""); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Replay(sys, b, Options{SelfCheck: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Fatalf("merged replay errors: %v", rep.ErrorSamples)
 	}
 }
 

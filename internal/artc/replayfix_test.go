@@ -158,65 +158,3 @@ func TestReplayDeadlockReport(t *testing.T) {
 		}
 	}
 }
-
-func TestReplayConcurrentUnknownMethod(t *testing.T) {
-	tr := &trace.Trace{Platform: "linux", Records: []*trace.Record{
-		{TID: 1, Call: "open", Path: "/x", Ret: 3},
-	}}
-	b := handBench(tr, handGraph(1, nil))
-	sys := stack.New(sim.NewKernel(), defaultConf())
-	_, err := ReplayConcurrent(sys, []ConcurrentItem{
-		{B: b, Opts: Options{}},
-		{B: b, Opts: Options{Method: "bogus"}},
-	})
-	if err == nil {
-		t.Fatal("unknown method accepted")
-	}
-	for _, want := range []string{"benchmark 1", "unknown replay method"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q missing %q (must identify the offending item)", err, want)
-		}
-	}
-}
-
-func TestReplayConcurrentDeadlockIdentifiesBlockage(t *testing.T) {
-	okTr := &trace.Trace{Platform: "linux", Records: []*trace.Record{
-		{TID: 1, Call: "stat", Path: "/f", Start: 0, End: 1},
-	}}
-	okB, err := Compile(okTr, nil, core.DefaultModes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	badTr := &trace.Trace{Platform: "linux", Records: []*trace.Record{
-		{TID: 1, Call: "read", FD: 9, Start: 0, End: 10},
-		{TID: 2, Call: "write", FD: 9, Start: 0, End: 10},
-	}}
-	res := core.ResourceID{Kind: core.KFD, Name: "9", Gen: 1}
-	cyclic := handGraph(2, []core.Edge{
-		{From: 0, To: 1, Kind: core.WaitComplete, Res: res},
-		{From: 1, To: 0, Kind: core.WaitComplete, Res: res},
-	})
-	sys := stack.New(sim.NewKernel(), defaultConf())
-	if err := Init(sys, okB, ""); err != nil {
-		t.Fatal(err)
-	}
-	_, err = ReplayConcurrent(sys, []ConcurrentItem{
-		{B: okB, Opts: Options{}},
-		{B: handBench(badTr, cyclic), Opts: Options{}},
-	})
-	if err == nil {
-		t.Fatal("concurrent replay with a cyclic benchmark did not fail")
-	}
-	var dl *sim.DeadlockError
-	if !errors.As(err, &dl) {
-		t.Fatalf("error = %v, want a *sim.DeadlockError in the chain", err)
-	}
-	// Only the cyclic benchmark's two threads remain blocked; the healthy
-	// benchmark's thread must have finished.
-	if len(dl.Blocked) != 2 {
-		t.Fatalf("blocked threads = %d, want 2: %v", len(dl.Blocked), dl.Blocked)
-	}
-	if !strings.Contains(err.Error(), "concurrent replay stalled") {
-		t.Fatalf("error should say the concurrent replay stalled: %v", err)
-	}
-}

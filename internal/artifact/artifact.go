@@ -288,21 +288,3 @@ func (s *Store) evict() error {
 	s.total = total
 	return nil
 }
-
-// Len reports how many artifacts the store currently holds and their
-// total size.
-func (s *Store) Len() (n int, bytes int64, err error) {
-	err = filepath.WalkDir(s.dir, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !isEntry(p) {
-			return err
-		}
-		info, err := d.Info()
-		if err != nil {
-			return nil
-		}
-		n++
-		bytes += info.Size()
-		return nil
-	})
-	return n, bytes, err
-}

@@ -208,9 +208,6 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Resident reports the number of pages currently cached.
 func (c *Cache) Resident() int64 { return c.resident }
 
-// Capacity returns the configured capacity in pages.
-func (c *Cache) Capacity() int64 { return c.capacity }
-
 // at returns the record in slot s.
 func (c *Cache) at(s int32) *page { return &c.slab[s>>chunkBits][s&(1<<chunkBits-1)] }
 

@@ -64,7 +64,7 @@ func runCluster(t *testing.T, c *Cluster, bodies ...body) {
 // reported wait is max(0, v - now).
 func await(t *testing.T, h *Member, th *sim.Thread, edge int32) (v, waited time.Duration) {
 	t.Helper()
-	k := th.Kernel()
+	k := h.k
 	before := k.Now()
 	v, waited = h.Await(th, edge, func() string { return "test await" })
 	if want := max(v, before); k.Now() != want {
@@ -76,8 +76,8 @@ func await(t *testing.T, h *Member, th *sim.Thread, edge int32) (v, waited time.
 	return v, waited
 }
 
-func sleepUntil(th *sim.Thread, at time.Duration) {
-	if d := at - th.Kernel().Now(); d > 0 {
+func sleepUntil(h *Member, th *sim.Thread, at time.Duration) {
+	if d := at - h.k.Now(); d > 0 {
 		th.Sleep(d)
 	}
 }
@@ -96,14 +96,14 @@ func chain(t *testing.T, n int) Stats {
 	runCluster(t, c,
 		func(h *Member, th *sim.Thread) {
 			for i := range edges {
-				sleepUntil(th, at(i))
+				sleepUntil(h, th, at(i))
 				h.Publish(edges[i].ID, at(i))
 			}
 		},
 		func(h *Member, th *sim.Thread) {
 			for i := range edges {
 				if i%2 == 1 {
-					sleepUntil(th, at(i)+5)
+					sleepUntil(h, th, at(i)+5)
 				}
 				if v, _ := await(t, h, th, edges[i].ID); v != at(i) {
 					t.Errorf("edge %d satisfied at %v, want %v", i, v, at(i))
@@ -163,7 +163,7 @@ func TestStatsWaitOnBothRoutes(t *testing.T) {
 	runCluster(t, c,
 		func(h *Member, th *sim.Thread) {
 			await(t, h, th, e2)
-			sleepUntil(th, 50)
+			sleepUntil(h, th, 50)
 			h.Publish(e1, 50)
 			h.Publish(e4, 80)
 		},
@@ -200,12 +200,12 @@ func exchange(t *testing.T) []string {
 	member := func(name string, out, in int32, steps ...time.Duration) body {
 		return func(h *Member, th *sim.Thread) {
 			for _, at := range steps {
-				sleepUntil(th, at)
+				sleepUntil(h, th, at)
 				mu.Lock()
-				log = append(log, fmt.Sprintf("%s@%d", name, th.Kernel().Now()))
+				log = append(log, fmt.Sprintf("%s@%d", name, h.k.Now()))
 				mu.Unlock()
 			}
-			h.Publish(out, th.Kernel().Now())
+			h.Publish(out, h.k.Now())
 			await(t, h, th, in)
 		}
 	}

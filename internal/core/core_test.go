@@ -524,6 +524,24 @@ func TestValidateOrder(t *testing.T) {
 	}
 }
 
+// Subsumes reports whether mode set a allows only orderings that b also
+// allows (a is at least as constrained as b) based on rule subsumption:
+// program_seq subsumes everything; fd_seq subsumes fd_stage.
+func (a ModeSet) Subsumes(b ModeSet) bool {
+	if a.ProgramSeq {
+		return true
+	}
+	if b.ProgramSeq {
+		return false
+	}
+	ge := func(x, y bool) bool { return x || !y }
+	return ge(a.FileSeq, b.FileSeq) &&
+		ge(a.PathStageName, b.PathStageName) &&
+		ge(a.FDSeq, b.FDSeq) &&
+		ge(a.FDStage || a.FDSeq, b.FDStage || b.FDSeq) &&
+		ge(a.AIOStage, b.AIOStage)
+}
+
 func TestModeSubsumption(t *testing.T) {
 	all := DefaultModes()
 	prog := ModeSet{ProgramSeq: true}

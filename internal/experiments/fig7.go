@@ -208,38 +208,3 @@ func (r *Fig7Result) Format() string {
 	out += "Figure 7(b): timing-error distribution\n" + s.String()
 	return out
 }
-
-// CDF returns the error CDF for a method (the curve of Figure 7(b)).
-func (r *Fig7Result) CDF(m artc.Method) []metrics.CDFPoint {
-	return metrics.CDF(r.Errors[m])
-}
-
-// Fig7Pair runs a single source/target combination of the readrandom
-// workload (indices into LevelDBConfigs), for quick spot checks and
-// benchmarks.
-func Fig7Pair(p Params, srcIdx, tgtIdx int) (*Fig7Cell, error) {
-	configs := LevelDBConfigs(p)
-	src, tgt := configs[srcIdx], configs[tgtIdx]
-	w := &leveldb.ReadRandom{Threads: 8, OpsPerThread: p.DBOpsPerThread,
-		Records: p.DBRecords, ValueBytes: p.DBValueBytes, Seed: 72}
-	orig, err := workload.Run(tgt, w)
-	if err != nil {
-		return nil, err
-	}
-	w2 := &leveldb.ReadRandom{Threads: 8, OpsPerThread: p.DBOpsPerThread,
-		Records: p.DBRecords, ValueBytes: p.DBValueBytes, Seed: 72}
-	tr, snap, _, err := workload.TraceWorkload(src, w2)
-	if err != nil {
-		return nil, err
-	}
-	cell := &Fig7Cell{Source: src.Name, Target: tgt.Name, Original: orig}
-	for _, m := range Methods {
-		run, err := replayOnce(tr, snap, tgt, m)
-		if err != nil {
-			return nil, err
-		}
-		run.Err = metrics.RelError(run.Elapsed, orig)
-		cell.Runs = append(cell.Runs, *run)
-	}
-	return cell, nil
-}

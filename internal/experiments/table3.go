@@ -35,24 +35,6 @@ func (r *Table3Result) Format() string {
 	return "Table 3: replay failure counts (UC vs ARTC)\n" + magritte.FormatTable3(r.Results)
 }
 
-// TotalUCErrors sums unconstrained errors across the suite.
-func (r *Table3Result) TotalUCErrors() int {
-	n := 0
-	for _, res := range r.Results {
-		n += res.UCErrors
-	}
-	return n
-}
-
-// TotalARTCErrors sums ARTC errors across the suite.
-func (r *Table3Result) TotalARTCErrors() int {
-	n := 0
-	for _, res := range r.Results {
-		n += res.ARTCErrors
-	}
-	return n
-}
-
 // Fig10Row is one application's thread-time breakdown on HDD and SSD.
 type Fig10Row struct {
 	Name     string
@@ -132,16 +114,4 @@ func (r *Fig10Result) Format() string {
 		t.Row(append([]any{"", "ssd"}, norm(row.SSD, row.SSDTotal)...)...)
 	}
 	return "Figure 10: Magritte thread-time breakdown (normalized to HDD total)\n" + t.String()
-}
-
-// MeanSpeedup returns the mean HDD/SSD thread-time ratio (the paper
-// reports 5-20x for most applications).
-func (r *Fig10Result) MeanSpeedup() float64 {
-	var ratios []float64
-	for _, row := range r.Rows {
-		if row.SSDTotal > 0 {
-			ratios = append(ratios, float64(row.HDDTotal)/float64(row.SSDTotal))
-		}
-	}
-	return metrics.Mean(ratios)
 }

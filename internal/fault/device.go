@@ -59,9 +59,6 @@ func (d *faultyDevice) QueueDepth() int { return d.inner.QueueDepth() }
 // Rotational implements storage.Device.
 func (d *faultyDevice) Rotational() bool { return d.inner.Rotational() }
 
-// Blocks implements storage.Device.
-func (d *faultyDevice) Blocks() int64 { return d.inner.Blocks() }
-
 // Stats implements storage.Device, reporting the inner device's
 // counters (retried requests are counted per service, as a real drive's
 // SMART counters would).

@@ -111,9 +111,6 @@ type SyscallPlan struct {
 	MaxInjections int64
 }
 
-// Enabled reports whether the plan injects anything.
-func (p SyscallPlan) Enabled() bool { return p.Rate > 0 }
-
 // RetryPlan configures the replayer's per-action retry of injected
 // failures, with capped exponential backoff in virtual time.
 type RetryPlan struct {
@@ -257,9 +254,6 @@ func New(plan Plan) *Injector {
 	}
 	return in
 }
-
-// Plan returns the normalized plan the injector was built from.
-func (in *Injector) Plan() Plan { return in.plan }
 
 // Stats returns a snapshot of the fault counters.
 func (in *Injector) Stats() Stats { return in.stats }

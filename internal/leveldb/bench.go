@@ -67,9 +67,6 @@ func (w *FillSync) Spawn(sys *stack.System) {
 	}
 }
 
-// DB returns the database (after the workload has run), for inspection.
-func (w *FillSync) DB() *DB { return w.db }
-
 // ReadRandom is the readrandom workload: the database is pre-populated
 // with Records entries during Setup, then Threads threads each perform
 // OpsPerThread random Gets.
@@ -159,6 +156,3 @@ func (w *ReadRandom) Spawn(sys *stack.System) {
 		})
 	}
 }
-
-// DB returns the database, for inspection.
-func (w *ReadRandom) DB() *DB { return w.db }

@@ -138,9 +138,6 @@ func Open(sys *stack.System, t *sim.Thread, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Stats returns a snapshot of DB counters.
-func (db *DB) Stats() Stats { return db.stats }
-
 // Close flushes the memtable and closes descriptors.
 func (db *DB) Close(t *sim.Thread) {
 	if len(db.mem) > 0 {

@@ -73,7 +73,7 @@ func TestMemtableFlushCreatesTable(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			db.Put(th, fmt.Sprintf("key%04d", i), val, false)
 		}
-		if db.Stats().Flushes == 0 {
+		if db.stats.Flushes == 0 {
 			t.Error("no flush despite exceeding memtable budget")
 		}
 		// Values written before the flush must be readable from tables.
@@ -109,7 +109,7 @@ func TestCompactionMergesTables(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			db.Put(th, fmt.Sprintf("key%04d", i%50), val, false)
 		}
-		if db.Stats().Compactions == 0 {
+		if db.stats.Compactions == 0 {
 			t.Error("no compaction")
 		}
 		for i := 0; i < 50; i++ {
@@ -149,7 +149,7 @@ func TestGroupCommitBatching(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := db.Stats()
+	st := db.stats
 	if st.Puts != threads*per {
 		t.Fatalf("puts = %d", st.Puts)
 	}
@@ -184,8 +184,8 @@ func TestFillSyncWorkload(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w.DB().Stats().Puts != 80 {
-		t.Fatalf("puts = %d", w.DB().Stats().Puts)
+	if w.db.stats.Puts != 80 {
+		t.Fatalf("puts = %d", w.db.stats.Puts)
 	}
 	// Sync inserts hit the device.
 	if sys.Dev.Stats().Writes == 0 {
@@ -204,8 +204,8 @@ func TestReadRandomWorkload(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w.DB().Stats().Gets != 200 {
-		t.Fatalf("gets = %d", w.DB().Stats().Gets)
+	if w.db.stats.Gets != 200 {
+		t.Fatalf("gets = %d", w.db.stats.Gets)
 	}
 	if sys.Dev.Stats().Reads == readsBefore {
 		t.Fatal("readrandom measured phase issued no device reads (cache not cold?)")

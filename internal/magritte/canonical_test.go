@@ -40,7 +40,7 @@ func TestCorpusCallNamesCanonicalize(t *testing.T) {
 		if again := stack.Canonical(c); again != c {
 			t.Errorf("Canonical not a fixed point: %q -> %q -> %q", name, c, again)
 		}
-		if !stack.Supported(name) {
+		if stack.OpOf(name) == stack.OpNone {
 			t.Errorf("corpus call %q (canonical %q) not supported by the model", name, c)
 		}
 	}

@@ -31,24 +31,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Percentile returns the p-quantile (0..1) of xs using nearest-rank on a
-// sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	idx := int(math.Ceil(p*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
-}
-
 // TailMean averages the worst (largest) fraction p of the sample — the
 // paper's "least accurate 10% of each method's replays".
 func TailMean(xs []float64, p float64) float64 {
@@ -62,26 +44,6 @@ func TailMean(xs []float64, p float64) float64 {
 		n = 1
 	}
 	return Mean(s[len(s)-n:])
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	F float64 // cumulative fraction <= X
-}
-
-// CDF computes the empirical CDF of xs.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, x := range s {
-		out[i] = CDFPoint{X: x, F: float64(i+1) / float64(len(s))}
-	}
-	return out
 }
 
 // Table accumulates rows for fixed-width text output.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -145,4 +146,42 @@ func TestDurationFormats(t *testing.T) {
 	if !strings.Contains(s, "2.0ms") || !strings.Contains(s, "25.00s") {
 		t.Fatalf("duration formats:\n%s", s)
 	}
+}
+
+// Percentile returns the p-quantile (0..1) of xs using nearest-rank on a
+// sorted copy.
+func Percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	idx := int(math.Ceil(p*float64(len(s)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(s) {
+		idx = len(s) - 1
+	}
+	return s[idx]
+}
+
+// CDFPoint is one point of an empirical CDF.
+type CDFPoint struct {
+	X float64 // value
+	F float64 // cumulative fraction <= X
+}
+
+// CDF computes the empirical CDF of xs.
+func CDF(xs []float64) []CDFPoint {
+	if len(xs) == 0 {
+		return nil
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	out := make([]CDFPoint, len(s))
+	for i, x := range s {
+		out[i] = CDFPoint{X: x, F: float64(i+1) / float64(len(s))}
+	}
+	return out
 }

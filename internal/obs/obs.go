@@ -165,17 +165,8 @@ func NewRecorder(spanCap, sampleCap int) *Recorder {
 	return &Recorder{spanCap: spanCap, sampleCap: sampleCap}
 }
 
-// SpanCap and SampleCap report the ring capacities (0 for a nil
-// recorder); the sharded replayer mirrors a caller recorder's
-// configuration onto its per-component recorders.
-func (r *Recorder) SpanCap() int {
-	if r == nil {
-		return 0
-	}
-	return r.spanCap
-}
-
-// SampleCap reports the counter-sample ring capacity.
+// SampleCap reports the counter-sample ring capacity (0 for a nil
+// recorder).
 func (r *Recorder) SampleCap() int {
 	if r == nil {
 		return 0

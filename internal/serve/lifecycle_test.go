@@ -377,3 +377,13 @@ func uploadBlob(t *testing.T, s *Server, tenant string, data []byte) string {
 	json.Unmarshal(w.Body.Bytes(), &doc)
 	return doc.ID
 }
+
+// flightWaiters reports how many jobs are blocked on the named flight.
+func (s *Server) flightWaiters(key string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f := s.flights[key]; f != nil {
+		return f.waiters
+	}
+	return 0
+}

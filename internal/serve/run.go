@@ -91,17 +91,6 @@ func (s *Server) compileShared(j *Job) (*artc.Benchmark, error) {
 	return f.b, f.err
 }
 
-// flightWaiters reports how many jobs are blocked on the named flight
-// (test instrumentation).
-func (s *Server) flightWaiters(key string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f := s.flights[key]; f != nil {
-		return f.waiters
-	}
-	return 0
-}
-
 // doCompile is the singleflight leader's work: decode inputs, compile
 // through the store (or directly when caching is off).
 func (s *Server) doCompile(key string, req jobRequest, raw, snapRaw []byte) (*artc.Benchmark, artifact.Stats, error) {

@@ -258,14 +258,6 @@ func (s *Server) cancelAll() {
 	}
 }
 
-// Drained reports whether every admitted job has reached a terminal
-// state (used by tests and the health endpoint during drain).
-func (s *Server) Drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.liveJobs == 0
-}
-
 // retryAfter estimates how long a rejected submitter should wait before
 // retrying: one second is the floor; deeper system backlogs scale it.
 func (s *Server) retryAfterLocked() int {

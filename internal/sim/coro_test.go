@@ -71,8 +71,8 @@ func TestFinishedThreadDropsCoroutine(t *testing.T) {
 	killed := k.Spawn("killed", func(th *Thread) { th.Park("forever") })
 	k.Run()
 	for _, th := range []*Thread{done, killed} {
-		if th.State() != StateDone || th.next != nil || th.stop != nil || th.yield != nil {
-			t.Fatalf("%s: state %v, coroutine handles kept", th.Name(), th.State())
+		if th.state != StateDone || th.next != nil || th.stop != nil || th.yield != nil {
+			t.Fatalf("%s: state %v, coroutine handles kept", th.Name(), th.state)
 		}
 	}
 }

@@ -33,7 +33,7 @@ func TestThreadsHoldsOnlyLive(t *testing.T) {
 	k := NewKernel()
 	const spawns = 10_000
 	worst := 0 // most entries k.threads ever held beyond the live threads
-	check := func() { worst = max(worst, len(k.threads)-k.Live()) }
+	check := func() { worst = max(worst, len(k.threads)-k.live) }
 	k.Spawn("parent", func(th *Thread) {
 		for i := 0; i < spawns; i++ {
 			k.Spawn("child", func(c *Thread) {
@@ -54,8 +54,8 @@ func TestThreadsHoldsOnlyLive(t *testing.T) {
 	if worst != 0 {
 		t.Fatalf("k.threads held %d finished threads", worst)
 	}
-	if len(k.threads) != 0 || k.Live() != 0 {
-		t.Fatalf("after Run: %d threads remembered, %d live", len(k.threads), k.Live())
+	if len(k.threads) != 0 || k.live != 0 {
+		t.Fatalf("after Run: %d threads remembered, %d live", len(k.threads), k.live)
 	}
 }
 
@@ -116,8 +116,8 @@ func TestNoGoroutinesAfterStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitGoroutines(t, base)
-	if k.Live() != 0 {
-		t.Fatalf("%d threads still live after Run", k.Live())
+	if k.live != 0 {
+		t.Fatalf("%d threads still live after Run", k.live)
 	}
 }
 
@@ -160,8 +160,8 @@ func TestSleepForeverNeverWakes(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if k.Now() != time.Millisecond || k.Live() != 0 {
-		t.Fatalf("Run ended at %v with %d live threads, want 1ms and 0", k.Now(), k.Live())
+	if k.Now() != time.Millisecond || k.live != 0 {
+		t.Fatalf("Run ended at %v with %d live threads, want 1ms and 0", k.Now(), k.live)
 	}
 	// After and AfterComplete saturate the same way.
 	k = NewKernel()
@@ -230,7 +230,7 @@ func TestSleepInPlaceLifecycle(t *testing.T) {
 			defer func() { res.panicked = recover() }()
 			res.err = k.Run()
 		}()
-		res.now, res.live = k.Now(), k.Live()
+		res.now, res.live = k.Now(), k.live
 		if _, inPlace := k.Sleeps(); paced != (inPlace == 0) {
 			t.Errorf("%d sleeps in place, paced=%v", inPlace, paced)
 		}
@@ -257,15 +257,15 @@ func TestSleepInPlaceLifecycle(t *testing.T) {
 			var lone *Thread
 			var remove func()
 			remove = k.AddSchedHook(func() {
-				logf("hook: %v, runq %d", lone.State(), k.RunqLen())
-				if lone.State() == StateBlocked {
+				logf("hook: %v, runq %d", lone.state, k.RunqLen())
+				if lone.state == StateBlocked {
 					remove() // at the first scheduling point of the first sleep
 				}
 			})
 			lone = k.Spawn("lone", func(th *Thread) {
 				for i := 0; i < 3; i++ {
 					th.Sleep(time.Millisecond)
-					logf("woke %v", th.State())
+					logf("woke %v", th.state)
 				}
 			})
 		}, func(t *testing.T, r result) {
@@ -277,12 +277,12 @@ func TestSleepInPlaceLifecycle(t *testing.T) {
 		{"a hook that stops the kernel ends Run with the sleeper woken", func(k *Kernel, logf func(string, ...any)) {
 			var lone *Thread
 			k.AddSchedHook(func() {
-				if lone.State() == StateBlocked {
+				if lone.state == StateBlocked {
 					k.Stop()
 				}
 			})
 			lone = k.Spawn("lone", func(th *Thread) {
-				defer func() { logf("unwound %v", th.State()) }()
+				defer func() { logf("unwound %v", th.state) }()
 				th.Sleep(time.Millisecond)
 				logf("ran past a stop")
 			})
@@ -294,7 +294,7 @@ func TestSleepInPlaceLifecycle(t *testing.T) {
 		{"a hook panic surfaces from Run", func(k *Kernel, logf func(string, ...any)) {
 			var lone *Thread
 			k.AddSchedHook(func() {
-				if lone.State() == StateRunnable && k.Now() >= time.Millisecond {
+				if lone.state == StateRunnable && k.Now() >= time.Millisecond {
 					panic("boom") // at the second scheduling point of the long sleep
 				}
 			})

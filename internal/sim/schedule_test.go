@@ -201,7 +201,7 @@ func runSchedule(seed int64, o schedOpts) (log string, inPlace uint64) {
 				// k.threads is unordered but moves only when a thread
 				// ends, so equal schedules list it equally.
 				for _, t := range k.threads {
-					fmt.Fprintf(&p.log, " %d:%v:%s", t.id, t.State(), t.BlockReason())
+					fmt.Fprintf(&p.log, " %d:%v:%s", t.id, t.state, t.BlockReason())
 				}
 				fmt.Fprintf(&p.log, " current=%v seq=%d", k.current != nil, k.eseq)
 			}

@@ -106,9 +106,6 @@ func (tm *Timer) Reset(d time.Duration) {
 // until the next Reset.
 func (tm *Timer) Stop() { tm.ev = nil }
 
-// Pending reports whether the timer is armed.
-func (tm *Timer) Pending() bool { return tm.ev != nil }
-
 // Thread is a simulated thread of execution. A Thread's body runs as a
 // coroutine: it executes only between the kernel resuming it and the
 // thread's next blocking call (Sleep, Park, Cond.Wait, ...).
@@ -149,12 +146,6 @@ func (t *Thread) ID() int { return t.id }
 
 // Name returns the name given at spawn time.
 func (t *Thread) Name() string { return t.name }
-
-// State returns the thread's scheduling state.
-func (t *Thread) State() ThreadState { return t.state }
-
-// Kernel returns the kernel this thread belongs to.
-func (t *Thread) Kernel() *Kernel { return t.k }
 
 // Kernel is a discrete-event simulator with cooperative simulated threads.
 // The zero value is not usable; call NewKernel.
@@ -253,9 +244,6 @@ func NewKernel() *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
 
-// Live returns the number of spawned threads that have not finished.
-func (k *Kernel) Live() int { return k.live }
-
 // Sleeps reports how many positive-duration Sleep calls the kernel has
 // served and how many of them advanced the clock in place.
 func (k *Kernel) Sleeps() (total, inPlace uint64) { return k.sleeps, k.inPlace }
@@ -309,9 +297,6 @@ func (k *Kernel) enqueue(e *event) {
 	}
 	k.wheel.insert(e)
 }
-
-// pending reports the number of undispatched timed events.
-func (k *Kernel) pending() int { return k.wheel.n + len(k.batch) }
 
 // At schedules fn to run in kernel context at absolute virtual time at.
 // Scheduling in the past (at < Now) runs the event at the current time.
@@ -717,9 +702,6 @@ func (c *Cond) Broadcast() {
 	c.waiters = c.waiters[:0]
 }
 
-// Waiters returns the number of threads currently waiting.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
 // WaitGroup counts outstanding work items, like sync.WaitGroup but for
 // simulated threads.
 type WaitGroup struct {
@@ -752,41 +734,6 @@ func (w *WaitGroup) Wait(t *Thread) {
 	for w.n > 0 {
 		w.cond.WaitFn(t, func() string { return fmt.Sprintf("waitgroup (%d remaining)", w.n) })
 	}
-}
-
-// Semaphore is a counting semaphore for simulated threads.
-type Semaphore struct {
-	k     *Kernel
-	avail int
-	cond  *Cond
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(k *Kernel, n int) *Semaphore {
-	return &Semaphore{k: k, avail: n, cond: NewCond(k)}
-}
-
-// Acquire blocks t until a permit is available, then takes it.
-func (s *Semaphore) Acquire(t *Thread) {
-	for s.avail == 0 {
-		s.cond.Wait(t, "semaphore")
-	}
-	s.avail--
-}
-
-// TryAcquire takes a permit if one is available, reporting whether it did.
-func (s *Semaphore) TryAcquire() bool {
-	if s.avail == 0 {
-		return false
-	}
-	s.avail--
-	return true
-}
-
-// Release returns a permit and wakes one waiter.
-func (s *Semaphore) Release() {
-	s.avail++
-	s.cond.Signal()
 }
 
 // Chan is a bounded FIFO channel between simulated threads. A capacity of

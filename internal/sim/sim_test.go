@@ -207,6 +207,41 @@ func TestWaitGroupNegativePanics(t *testing.T) {
 	wg.Done()
 }
 
+// Semaphore is a counting semaphore for simulated threads.
+type Semaphore struct {
+	k     *Kernel
+	avail int
+	cond  *Cond
+}
+
+// NewSemaphore returns a semaphore with n initial permits.
+func NewSemaphore(k *Kernel, n int) *Semaphore {
+	return &Semaphore{k: k, avail: n, cond: NewCond(k)}
+}
+
+// Acquire blocks t until a permit is available, then takes it.
+func (s *Semaphore) Acquire(t *Thread) {
+	for s.avail == 0 {
+		s.cond.Wait(t, "semaphore")
+	}
+	s.avail--
+}
+
+// TryAcquire takes a permit if one is available, reporting whether it did.
+func (s *Semaphore) TryAcquire() bool {
+	if s.avail == 0 {
+		return false
+	}
+	s.avail--
+	return true
+}
+
+// Release returns a permit and wakes one waiter.
+func (s *Semaphore) Release() {
+	s.avail++
+	s.cond.Signal()
+}
+
 func TestSemaphore(t *testing.T) {
 	k := NewKernel()
 	sem := NewSemaphore(k, 2)
@@ -332,8 +367,8 @@ func TestThreadIDsAndNames(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if t1.State() != StateDone {
-		t.Fatalf("state = %v", t1.State())
+	if t1.state != StateDone {
+		t.Fatalf("state = %v", t1.state)
 	}
 }
 

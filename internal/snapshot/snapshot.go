@@ -4,10 +4,8 @@
 // A snapshot records the parts of the namespace a program touches:
 // directory structure, file sizes (contents are never recorded),
 // symbolic-link targets, extended-attribute names and sizes, and special
-// files. Restoring a snapshot populates a simulated System before
-// replay; a delta init fixes up only the differences from the current
-// state; overlay init merges multiple snapshots so several benchmarks
-// can run concurrently.
+// files. Restoring a snapshot populates a fresh simulated System before
+// replay.
 package snapshot
 
 import (
@@ -83,9 +81,7 @@ func Capture(sys *stack.System) *Snapshot {
 }
 
 // Restore populates sys with the snapshot's entries under the given path
-// prefix ("" or "/" for the root). Existing compatible entries are
-// tolerated, making Restore idempotent and usable for overlay init: call
-// it once per snapshot to merge several trees.
+// prefix ("" or "/" for the root).
 func Restore(sys *stack.System, prefix string, snap *Snapshot) error {
 	prefix = strings.TrimSuffix(prefix, "/")
 	for _, e := range snap.Entries {
@@ -101,17 +97,10 @@ func Restore(sys *stack.System, prefix string, snap *Snapshot) error {
 			}
 		case KindSymlink:
 			if err := sys.SetupSymlink(e.Target, p); err != nil {
-				// An identical pre-existing link is fine (overlay).
-				if cur, cerr := sys.FS.Readlink(nil, p); cerr == vfs.OK && cur == e.Target {
-					continue
-				}
 				return err
 			}
 		case KindSpecial:
 			if err := sys.SetupSpecial(p, e.Kind2); err != nil {
-				if _, cerr := sys.FS.ResolveNoFollow(nil, p); cerr == vfs.OK {
-					continue
-				}
 				return err
 			}
 		}
@@ -122,85 +111,6 @@ func Restore(sys *stack.System, prefix string, snap *Snapshot) error {
 		}
 	}
 	return nil
-}
-
-// DeltaStats reports what a DeltaRestore changed.
-type DeltaStats struct {
-	Created int // entries created from scratch
-	Resized int // files whose size was fixed
-	Removed int // extraneous entries deleted
-	Kept    int // entries already correct
-}
-
-// DeltaRestore brings sys's tree to the snapshot state with minimal
-// work: missing entries are created, wrong-size files resized, and
-// extraneous files under the snapshot's directories removed. This is
-// ARTC's delta init, useful when a prior replay only slightly modified
-// a previously initialized tree.
-func DeltaRestore(sys *stack.System, prefix string, snap *Snapshot) (DeltaStats, error) {
-	prefix = strings.TrimSuffix(prefix, "/")
-	var st DeltaStats
-	want := make(map[string]*Entry, len(snap.Entries))
-	dirs := make(map[string]bool)
-	for i := range snap.Entries {
-		e := &snap.Entries[i]
-		want[prefix+e.Path] = e
-		if e.Kind == KindDir {
-			dirs[prefix+e.Path] = true
-		}
-	}
-	// Remove extraneous entries under snapshot directories, including
-	// whole extraneous subtrees (a child is removable when its parent is
-	// a snapshot directory or itself extraneous; Walk visits parents
-	// before children). Deletion runs deepest-first so directories empty
-	// out before Rmdir.
-	var extraneous []string
-	extraSet := make(map[string]bool)
-	sys.FS.Walk(func(p string, ino *vfs.Inode) {
-		if _, ok := want[p]; ok {
-			return
-		}
-		parent := p[:strings.LastIndex(p, "/")]
-		if parent == "" {
-			parent = "/"
-		}
-		if dirs[parent] || extraSet[parent] {
-			extraneous = append(extraneous, p)
-			extraSet[p] = true
-		}
-	})
-	sort.Slice(extraneous, func(i, j int) bool { return len(extraneous[i]) > len(extraneous[j]) })
-	for _, p := range extraneous {
-		ino, err := sys.FS.ResolveNoFollow(nil, p)
-		if err != vfs.OK {
-			continue
-		}
-		if ino.IsDir() {
-			if sys.FS.Rmdir(nil, p) == vfs.OK {
-				st.Removed++
-			}
-		} else if sys.FS.Unlink(nil, p) == vfs.OK {
-			st.Removed++
-		}
-	}
-	// Create or fix wanted entries.
-	for _, e := range snap.Entries {
-		p := prefix + e.Path
-		ino, err := sys.FS.ResolveNoFollow(nil, p)
-		switch {
-		case err != vfs.OK:
-			if rerr := Restore(sys, prefix, &Snapshot{Entries: []Entry{e}}); rerr != nil {
-				return st, rerr
-			}
-			st.Created++
-		case e.Kind == KindFile && ino.Type == vfs.TypeRegular && ino.Size != e.Size:
-			ino.Size = e.Size
-			st.Resized++
-		default:
-			st.Kept++
-		}
-	}
-	return st, nil
 }
 
 // quotePath renders a path for the text format: paths stay bare when

@@ -238,14 +238,6 @@ var opByName = func() map[string]Op {
 // OpNone if the model does not implement it.
 func OpOf(call string) Op { return opByName[call] }
 
-// Supported reports whether the model can execute the (possibly aliased)
-// call name.
-func Supported(call string) bool { return OpOf(call) != OpNone }
-
-// SupportedCallCount returns the number of distinct traced call names
-// the model accepts (canonical + aliases).
-func SupportedCallCount() int { return len(opByName) }
-
 // Native reports whether the call is part of the platform's native
 // syscall surface; non-native calls must be emulated by the replayer
 // (§4.3.4). A call outside the model counts as native: the replayer hands

@@ -211,3 +211,14 @@ func TestCloseDuringBlockedReadDoesNotRecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// DumpFDs lists open descriptor numbers.
+func (s *System) DumpFDs() []int64 {
+	var out []int64
+	for n, f := range s.fds {
+		if f != nil {
+			out = append(out, int64(n))
+		}
+	}
+	return out
+}

@@ -3,10 +3,8 @@ package stack
 import (
 	"fmt"
 	"path"
-	"time"
 
 	"rootreplay/internal/cache"
-	"rootreplay/internal/sim"
 	"rootreplay/internal/storage"
 	"rootreplay/internal/vfs"
 )
@@ -85,36 +83,11 @@ func (s *System) SetupXattr(p, name string, size int64) error {
 	return nil
 }
 
-// SetupUnlink removes a file created earlier in setup.
-func (s *System) SetupUnlink(p string) error {
-	if err := s.FS.Unlink(nil, p); err != vfs.OK {
-		return fmt.Errorf("setup unlink %s: %w", p, err)
-	}
-	return nil
-}
-
-// WarmFile faults every page of the file at p into the cache,
-// simulating a benchmark whose initialization leaves the cache hot.
-// It must be called from a simulated thread.
-func (s *System) WarmFile(t *sim.Thread, p string) error {
-	ino, err := s.FS.Resolve(nil, p)
-	if err != vfs.OK {
-		return fmt.Errorf("warm %s: %w", p, err)
-	}
-	if ino.Size == 0 || ino.Type != vfs.TypeRegular {
-		return nil
-	}
-	pages := (ino.Size + storage.BlockSize - 1) / storage.BlockSize
-	m := s.mapperFor(ino, pages)
-	s.Cache.Read(t, cache.FileID(ino.Ino), m, 0, pages)
-	return nil
-}
-
 // WarmAll makes every inode's metadata block and every regular file's
 // data pages cache-resident in zero virtual time — a machine whose
 // dentry, inode, and page caches are hot at measurement start, as
 // after a pre-run tree walk plus full read pass. Setup-style instant
-// operation (no thread, no I/O), unlike WarmFile. Replays that must be
+// operation (no thread, no I/O). Replays that must be
 // device-independent — the sliced-vs-serial differential corpora, where
 // each slice replica has its own device and cache, so a cold open or a
 // read of data another slice wrote would be timed by that replica's
@@ -137,17 +110,5 @@ func (s *System) WarmAll() {
 // DropCaches empties the page cache (between initialization and
 // measurement).
 func (s *System) DropCaches() { s.Cache.DropAll() }
-
-// RunWorkload runs fn as the body of a fresh simulated thread on the
-// system's kernel and executes the simulation to completion, returning
-// the virtual time elapsed. Convenience for single-shot experiments.
-func RunWorkload(sys *System, name string, fn func(t *sim.Thread)) (time.Duration, error) {
-	start := sys.K.Now()
-	sys.K.Spawn(name, fn)
-	if err := sys.K.Run(); err != nil {
-		return 0, err
-	}
-	return sys.K.Now() - start, nil
-}
 
 func cacheID(ino *vfs.Inode) cache.FileID { return cache.FileID(ino.Ino) }

@@ -338,13 +338,6 @@ func (s *System) Stats() *Stats {
 	return st
 }
 
-// ResetStats clears the per-call statistics.
-func (s *System) ResetStats() {
-	s.callCount = [numOps]int64{}
-	s.callTime = [numOps]time.Duration{}
-	s.callErrors, s.threadTime = 0, 0
-}
-
 // placementOf returns (allocating if needed) the block placement of ino,
 // covering at least pages pages. With Conf.Aging > 0 allocations are
 // split into scattered extents, modelling a fragmented, aged file
@@ -573,20 +566,6 @@ func (s *System) releaseDesc(f *fdesc) {
 		s.freeDesc = f
 	}
 }
-
-// DumpFDs lists open descriptor numbers, for tests.
-func (s *System) DumpFDs() []int64 {
-	var out []int64
-	for n, f := range s.fds {
-		if f != nil {
-			out = append(out, int64(n))
-		}
-	}
-	return out
-}
-
-// Cwd returns the current working directory inode.
-func (s *System) Cwd() *vfs.Inode { return s.cwd }
 
 func (s *System) String() string {
 	return fmt.Sprintf("System(%s: %s/%s/%s/%s)", s.Conf.Name, s.Conf.Platform,

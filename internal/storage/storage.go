@@ -107,8 +107,6 @@ type Device interface {
 	// use it as their dispatch budget: keeping this many requests at the
 	// device lets its internal elevator work.
 	QueueDepth() int
-	// Blocks reports the device capacity in blocks.
-	Blocks() int64
 	// Rotational reports whether the device has seek/rotation mechanics;
 	// schedulers disable anticipatory idling on non-rotational devices,
 	// as Linux CFQ does.
@@ -197,9 +195,6 @@ func (d *HDD) QueueDepth() int { return d.p.QueueDepth }
 
 // Rotational implements Device.
 func (d *HDD) Rotational() bool { return true }
-
-// Blocks implements Device.
-func (d *HDD) Blocks() int64 { return d.p.Blocks }
 
 // Outstanding implements Device.
 func (d *HDD) Outstanding() int { return d.nQueue }
@@ -380,9 +375,6 @@ func (d *SSD) QueueDepth() int { return 32 }
 // Rotational implements Device.
 func (d *SSD) Rotational() bool { return false }
 
-// Blocks implements Device.
-func (d *SSD) Blocks() int64 { return d.p.Blocks }
-
 // Outstanding implements Device.
 func (d *SSD) Outstanding() int { return d.nQueue }
 
@@ -495,17 +487,6 @@ func (d *RAID0) Rotational() bool {
 		}
 	}
 	return false
-}
-
-// Blocks implements Device.
-func (d *RAID0) Blocks() int64 {
-	var min int64 = math.MaxInt64
-	for _, m := range d.members {
-		if m.Blocks() < min {
-			min = m.Blocks()
-		}
-	}
-	return min * int64(len(d.members))
 }
 
 // Outstanding implements Device.

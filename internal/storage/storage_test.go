@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -259,14 +261,32 @@ func TestRAID0ParallelSpeedup(t *testing.T) {
 	}
 }
 
+// capacity is a device's size in blocks; a stripe set holds its
+// smallest member's capacity once per member.
+func capacity(d Device) int64 {
+	switch d := d.(type) {
+	case *HDD:
+		return d.p.Blocks
+	case *SSD:
+		return d.p.Blocks
+	case *RAID0:
+		smallest := int64(math.MaxInt64)
+		for _, m := range d.members {
+			smallest = min(smallest, capacity(m))
+		}
+		return smallest * int64(len(d.members))
+	}
+	panic(fmt.Sprintf("capacity of %T", d))
+}
+
 func TestRAID0Blocks(t *testing.T) {
 	k := sim.NewKernel()
 	p := DefaultHDD()
 	m0 := NewHDD(k, "m0", p)
 	m1 := NewHDD(k, "m1", p)
 	r := NewRAID0("raid", 128, m0, m1)
-	if r.Blocks() != 2*p.Blocks {
-		t.Fatalf("Blocks() = %d, want %d", r.Blocks(), 2*p.Blocks)
+	if c := capacity(r); c != 2*p.Blocks {
+		t.Fatalf("capacity = %d, want %d", c, 2*p.Blocks)
 	}
 	if r.Parallelism() != 2 {
 		t.Fatalf("Parallelism() = %d, want 2", r.Parallelism())
@@ -301,7 +321,7 @@ func TestQuickAllRequestsComplete(t *testing.T) {
 				kind = Write
 			}
 			for _, a := range addrs {
-				lba := int64(a) % (dev.Blocks() - 64)
+				lba := int64(a) % (capacity(dev) - 64)
 				dev.Submit(&Request{Kind: kind, LBA: lba, Blocks: int(a%8) + 1}, func() { completions++ })
 			}
 			if err := k.Run(); err != nil {
@@ -354,7 +374,7 @@ func BenchmarkHDDRandomReads(b *testing.B) {
 	d := NewHDD(k, "d", DefaultHDD())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lba := (int64(i)*2654435761 + 7) % d.Blocks()
+		lba := (int64(i)*2654435761 + 7) % capacity(d)
 		d.Submit(&Request{Kind: Read, LBA: lba, Blocks: 1}, func() {})
 	}
 	if err := k.Run(); err != nil {

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 )
@@ -141,5 +143,155 @@ func TestMergeRemapsFcntlDupFD(t *testing.T) {
 	// The duplicate must not collide with a's descriptor range.
 	if dup.Ret == m.Records[0].Ret {
 		t.Fatal("F_DUPFD duplicate collides with the other input's descriptor")
+	}
+}
+
+// Trace-editing helpers: cut a trace down to a window or a set of
+// threads, or merge traces into one.
+
+// FilterThreads returns a new trace containing only the records of the
+// given thread IDs, in the original order, renumbered.
+func (tr *Trace) FilterThreads(tids ...int) *Trace {
+	keep := make(map[int]bool, len(tids))
+	for _, t := range tids {
+		keep[t] = true
+	}
+	out := &Trace{Platform: tr.Platform}
+	for _, r := range tr.Records {
+		if keep[r.TID] {
+			cp := *r
+			out.Records = append(out.Records, &cp)
+		}
+	}
+	out.Renumber()
+	return out
+}
+
+// Window returns a new trace containing the records whose start times
+// fall in [from, to), rebased so the window begins at zero, renumbered.
+func (tr *Trace) Window(from, to time.Duration) *Trace {
+	out := &Trace{Platform: tr.Platform}
+	for _, r := range tr.Records {
+		if r.Start < from || r.Start >= to {
+			continue
+		}
+		cp := *r
+		cp.Start -= from
+		cp.End -= from
+		out.Records = append(out.Records, &cp)
+	}
+	out.Renumber()
+	return out
+}
+
+// Merge interleaves several traces into one by start time, remapping
+// thread IDs so different inputs never share a thread, and remapping
+// descriptor numbers into per-input ranges so a descriptor number used
+// by two inputs is not mistaken for a shared resource. Inputs must all
+// record the same platform — a merged replay runs against one syscall
+// surface, so mixing platforms is an error, not a silent pick of the
+// first. The result is renumbered.
+//
+// The merged trace reuses the inputs' intern tables rather than
+// re-allocating merged strings: records are copied by value, so their
+// string fields keep the inputs' backing storage, and the output's
+// table is the union of the inputs' tables (first table seen wins a
+// duplicate), so downstream editors keep deduplicating against the
+// same storage.
+func Merge(traces ...*Trace) (*Trace, error) {
+	out := &Trace{}
+	for _, tr := range traces {
+		if tr.intern != nil {
+			out.InternTable().AddAll(tr.intern)
+		}
+	}
+	const tidStride = 1000
+	const fdStride = 100000
+	for i, tr := range traces {
+		if tr.Platform != "" {
+			if out.Platform == "" {
+				out.Platform = tr.Platform
+			} else if tr.Platform != out.Platform {
+				return nil, fmt.Errorf("trace: merge input %d is %q, earlier inputs are %q",
+					i, tr.Platform, out.Platform)
+			}
+		}
+		for _, r := range tr.Records {
+			cp := *r
+			cp.TID = r.TID + (i+1)*tidStride
+			// Remap descriptor arguments (0/1/2 are stdio and unused by
+			// the model; any nonzero fd is file I/O here).
+			if cp.FD != 0 {
+				cp.FD += int64(i+1) * fdStride
+			}
+			if cp.FD2 != 0 {
+				cp.FD2 += int64(i+1) * fdStride
+			}
+			if createsFDInRet(&cp) && cp.Ret > 0 {
+				cp.Ret += int64(i+1) * fdStride
+			}
+			if cp.AIO != 0 {
+				cp.AIO += int64(i+1) * fdStride
+			}
+			out.Records = append(out.Records, &cp)
+		}
+	}
+	sort.SliceStable(out.Records, func(a, b int) bool {
+		return out.Records[a].Start < out.Records[b].Start
+	})
+	out.Renumber()
+	return out, nil
+}
+
+// createsFDInRet reports whether a record's return value is a new
+// descriptor number and must be remapped alongside FD/FD2. Besides the
+// obvious creators, fcntl(F_DUPFD) returns a duplicate descriptor; a
+// merge that leaves its Ret unmapped splices the duplicate into another
+// input's descriptor range. Call names are matched literally (including
+// the fcntl64 spelling) because this package sits below the stack's
+// canonicalization layer.
+func createsFDInRet(r *Record) bool {
+	switch r.Call {
+	case "open", "open64", "creat", "dup":
+		return true
+	case "fcntl", "fcntl64":
+		return r.Name == "F_DUPFD"
+	}
+	return false
+}
+
+// InternTable returns the trace's string-interning table, creating an
+// empty one on first use so editors (Merge) can always extend it.
+func (tr *Trace) InternTable() *Intern {
+	if tr.intern == nil {
+		tr.intern = NewIntern()
+	}
+	return tr.intern
+}
+
+// Has reports whether s is already interned. Tests use it to assert
+// sharing invariants.
+func (t *Intern) Has(s string) bool {
+	_, ok := t.strs[s]
+	return ok
+}
+
+// AddAll merges src's entries into t. Existing entries win, so strings
+// already shared by t's records keep their backing storage; new entries
+// reuse src's backing storage rather than re-copying. A nil src is a
+// no-op.
+func (t *Intern) AddAll(src *Intern) {
+	if src == nil {
+		return
+	}
+	for k, v := range src.strs {
+		if _, ok := t.strs[k]; !ok {
+			t.strs[k] = v
+		}
+	}
+	for k, v := range src.flags {
+		if _, ok := t.flags[k]; !ok {
+			t.flags[k] = v
+		}
 	}
 }

@@ -51,35 +51,8 @@ func (t *Intern) str(s string) string {
 	return t.Str(s)
 }
 
-// Has reports whether s is already interned. Tests use it to assert
-// sharing invariants.
-func (t *Intern) Has(s string) bool {
-	_, ok := t.strs[s]
-	return ok
-}
-
 // Len reports the number of distinct strings in the table.
 func (t *Intern) Len() int { return len(t.strs) }
-
-// AddAll merges src's entries into t. Existing entries win, so strings
-// already shared by t's records keep their backing storage; new entries
-// reuse src's backing storage rather than re-copying. A nil src is a
-// no-op.
-func (t *Intern) AddAll(src *Intern) {
-	if src == nil {
-		return
-	}
-	for k, v := range src.strs {
-		if _, ok := t.strs[k]; !ok {
-			t.strs[k] = v
-		}
-	}
-	for k, v := range src.flags {
-		if _, ok := t.flags[k]; !ok {
-			t.flags[k] = v
-		}
-	}
-}
 
 // openFlags parses a rendered flag set, answering repeats from the
 // composite cache. The nil receiver parses without caching (reference

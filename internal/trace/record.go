@@ -101,9 +101,6 @@ type Record struct {
 // OK reports whether the call succeeded.
 func (r *Record) OK() bool { return r.Err == "" }
 
-// Latency returns the traced service time of the call.
-func (r *Record) Latency() time.Duration { return r.End - r.Start }
-
 // String renders the record in the native one-line format (see
 // encoding.go for the full grammar).
 func (r *Record) String() string {
@@ -120,19 +117,9 @@ type Trace struct {
 	Records []*Record
 
 	// intern is the string table the records' Path/Call/Name/Err fields
-	// were deduplicated through, when the trace came from a parser that
-	// interns (the strace fast path, ParseTrace, Merge). May be nil for
-	// hand-built traces.
+	// were deduplicated through, when the trace came from the strace fast
+	// path. May be nil for hand-built traces.
 	intern *Intern
-}
-
-// InternTable returns the trace's string-interning table, creating an
-// empty one on first use so editors (Merge) can always extend it.
-func (tr *Trace) InternTable() *Intern {
-	if tr.intern == nil {
-		tr.intern = NewIntern()
-	}
-	return tr.intern
 }
 
 // Renumber rewrites Seq fields to match slice positions; parsers call it

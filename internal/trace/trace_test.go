@@ -89,8 +89,8 @@ func TestTraceHelpers(t *testing.T) {
 	if r.OK() {
 		t.Fatal("failed record reports OK")
 	}
-	if r.Latency() != 150 {
-		t.Fatalf("latency = %v", r.Latency())
+	if d := r.End - r.Start; d != 150 {
+		t.Fatalf("latency = %v", d)
 	}
 	tr.Records[0].Seq = 99
 	tr.Renumber()

@@ -643,38 +643,6 @@ func (fs *FS) Release(ino *Inode) {
 	}
 }
 
-// PathOf returns an absolute path for the inode by walking parent
-// pointers (directories) or scanning the tree (files; first match in
-// sorted order). It is intended for diagnostics and snapshot capture, not
-// hot paths. The second result is false if the inode is not reachable.
-func (fs *FS) PathOf(target *Inode) (string, bool) {
-	if target == fs.root {
-		return "/", true
-	}
-	var found string
-	var walk func(dir *Inode, prefix string) bool
-	walk = func(dir *Inode, prefix string) bool {
-		for _, name := range dir.Children() {
-			child := dir.children[name]
-			p := prefix + "/" + name
-			if child == target {
-				found = p
-				return true
-			}
-			if child.Type == TypeDir {
-				if walk(child, p) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if walk(fs.root, "") {
-		return found, true
-	}
-	return "", false
-}
-
 // Walk visits every inode reachable from the root in sorted path order,
 // calling fn with the absolute path of each entry (excluding the root).
 func (fs *FS) Walk(fn func(path string, ino *Inode)) {
@@ -692,19 +660,6 @@ func (fs *FS) Walk(fn func(path string, ino *Inode)) {
 	rec(fs.root, "")
 }
 
-// Getxattr returns the named extended attribute of the file at path.
-func (fs *FS) Getxattr(base *Inode, path, name string) ([]byte, Errno) {
-	ino, err := fs.Resolve(base, path)
-	if err != OK {
-		return nil, err
-	}
-	v, ok := ino.Xattrs[name]
-	if !ok {
-		return nil, ENODATA
-	}
-	return v, OK
-}
-
 // Setxattr sets an extended attribute on the file at path.
 func (fs *FS) Setxattr(base *Inode, path, name string, value []byte) Errno {
 	ino, err := fs.Resolve(base, path)
@@ -716,31 +671,4 @@ func (fs *FS) Setxattr(base *Inode, path, name string, value []byte) Errno {
 	}
 	ino.Xattrs[name] = append([]byte(nil), value...)
 	return OK
-}
-
-// Removexattr deletes an extended attribute from the file at path.
-func (fs *FS) Removexattr(base *Inode, path, name string) Errno {
-	ino, err := fs.Resolve(base, path)
-	if err != OK {
-		return err
-	}
-	if _, ok := ino.Xattrs[name]; !ok {
-		return ENODATA
-	}
-	delete(ino.Xattrs, name)
-	return OK
-}
-
-// Listxattr lists extended attribute names on the file at path, sorted.
-func (fs *FS) Listxattr(base *Inode, path string) ([]string, Errno) {
-	ino, err := fs.Resolve(base, path)
-	if err != OK {
-		return nil, err
-	}
-	names := make([]string, 0, len(ino.Xattrs))
-	for n := range ino.Xattrs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names, OK
 }

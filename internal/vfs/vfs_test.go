@@ -3,6 +3,7 @@ package vfs
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -778,4 +779,76 @@ func TestRenameSymlinkItself(t *testing.T) {
 	if _, err := fs.ResolveNoFollow(nil, "/link"); err != ENOENT {
 		t.Fatal("old link name survives")
 	}
+}
+
+// PathOf returns an absolute path for the inode by walking parent
+// pointers (directories) or scanning the tree (files; first match in
+// sorted order). The second result is false if the inode is not
+// reachable.
+func (fs *FS) PathOf(target *Inode) (string, bool) {
+	if target == fs.root {
+		return "/", true
+	}
+	var found string
+	var walk func(dir *Inode, prefix string) bool
+	walk = func(dir *Inode, prefix string) bool {
+		for _, name := range dir.Children() {
+			child := dir.children[name]
+			p := prefix + "/" + name
+			if child == target {
+				found = p
+				return true
+			}
+			if child.Type == TypeDir {
+				if walk(child, p) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	if walk(fs.root, "") {
+		return found, true
+	}
+	return "", false
+}
+
+// Getxattr returns the named extended attribute of the file at path.
+func (fs *FS) Getxattr(base *Inode, path, name string) ([]byte, Errno) {
+	ino, err := fs.Resolve(base, path)
+	if err != OK {
+		return nil, err
+	}
+	v, ok := ino.Xattrs[name]
+	if !ok {
+		return nil, ENODATA
+	}
+	return v, OK
+}
+
+// Removexattr deletes an extended attribute from the file at path.
+func (fs *FS) Removexattr(base *Inode, path, name string) Errno {
+	ino, err := fs.Resolve(base, path)
+	if err != OK {
+		return err
+	}
+	if _, ok := ino.Xattrs[name]; !ok {
+		return ENODATA
+	}
+	delete(ino.Xattrs, name)
+	return OK
+}
+
+// Listxattr lists extended attribute names on the file at path, sorted.
+func (fs *FS) Listxattr(base *Inode, path string) ([]string, Errno) {
+	ino, err := fs.Resolve(base, path)
+	if err != OK {
+		return nil, err
+	}
+	names := make([]string, 0, len(ino.Xattrs))
+	for n := range ino.Xattrs {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names, OK
 }

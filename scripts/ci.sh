@@ -15,7 +15,8 @@
 #
 # Lanes: lint (Go >= 1.23, gofmt, go vet, no caller of the replay
 # engines outside artc.Run, internal/coord importing internal/sim only
-# and no sync/atomic, and the non-test line counts ROADMAP tracks,
+# and no sync/atomic, no function that only tests reach — scripts/deadcode
+# asks the linker — and the non-test line counts ROADMAP tracks,
 # printed), vet-race (race-enabled tests — among them every compile,
 # whose touch plan is built on a goroutine of its own beside the graph —
 # internal/sim five times over, which covers the sleep taken in place:
@@ -115,6 +116,8 @@ lint() {
     echo "sync/atomic in the coordinator or its caller: every coordinator field is a plain value under the cluster mutex" >&2
     exit 1
   fi
+  echo "== no code without a caller: every function is reached by a command, an example, bench/ or the root facade"
+  go run ./scripts/deadcode
   loc
 }
 
