@@ -29,7 +29,7 @@ func main() {
 	}
 	osxCalls := 0
 	for _, r := range gen.Trace.Records {
-		switch r.Call {
+		switch gen.Trace.Str(r.Call) {
 		case "getattrlist", "setattrlist", "exchangedata", "searchfs", "fsctl", "vfsconf", "getdirentriesattr":
 			osxCalls++
 		}

@@ -76,7 +76,7 @@ func traceHandoffProgram(conf stack.Config) (*trace.Trace, *snapshot.Snapshot) {
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 
 	toRead := sim.NewChan[int64](k, 4)
 	toClose := sim.NewChan[int64](k, 4)

@@ -80,12 +80,14 @@ func TestReplayAllocsHitsRecorder(t *testing.T) {
 }
 
 // decodeBytesPerRecordCeiling is 15 % over what decoding the hits
-// pipeline's artifact allocates per record today: 273 bytes. It was 343
-// while an action was a 72-byte record of pointers (its trace record,
-// touch slice, path strings and hint) and the series a slice per
-// resource, and 428 while every touch carried a copy of its resource's
-// identity.
-const decodeBytesPerRecordCeiling = 314
+// pipeline's artifact allocates per record today: 193 bytes. It was 273
+// while a trace record was 184 bytes of strings and numbers reached
+// through an 8-byte pointer (112 bytes of indices and numbers now, in
+// one slab), 343 while an action was a 72-byte record of pointers (its
+// trace record, touch slice, path strings and hint) and the series a
+// slice per resource, and 428 while every touch carried a copy of its
+// resource's identity.
+const decodeBytesPerRecordCeiling = 222
 
 // TestDecodeBytesPerRecord counts every byte DecodeBinaryBytes allocates,
 // section goroutines included, per record decoded. scripts/ci.sh allocs

@@ -26,7 +26,7 @@ func traceWorkload(t *testing.T, conf stack.Config, setup func(*stack.System) er
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	k.Spawn("workload", func(th *sim.Thread) { fn(sys, th) })
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestCrossThreadHandoffSemantics(t *testing.T) {
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 
 	var fd int64 = -1
 	opened := sim.NewCond(k)

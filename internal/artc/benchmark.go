@@ -132,9 +132,10 @@ func assemble(tr *trace.Trace, snap *snapshot.Snapshot, an *core.Analysis, modes
 // the alias table used to live here and had drifted).
 func InferSnapshot(tr *trace.Trace) *snapshot.Snapshot {
 	var pre []snapshot.PreScanRecord
-	for _, r := range tr.Records {
+	for i := range tr.Records {
+		r := &tr.Records[i]
 		ps := snapshot.PreScanRecord{
-			Call: stack.Canonical(r.Call), Path: r.Path, Path2: r.Path2,
+			Call: stack.Canonical(tr.Str(r.Call)), Path: tr.Str(r.Path), Path2: tr.Str(r.Path2),
 			FD: r.FD, Size: r.Size, Offset: r.Offset, OK: r.OK(),
 		}
 		switch ps.Call {

@@ -101,6 +101,11 @@ type binWriter struct {
 	str    map[string]uint64
 	strs   []string
 	strLen int // bytes of the strtab payload's entries, without their count
+	// remap[s] is the artifact slot of the trace's Str s plus one, 0
+	// until a record first names s: each distinct string of the trace is
+	// hashed once, when first used, so the table fills in the order
+	// interning the records' strings by value gives.
+	remap []uint32
 }
 
 func (w *binWriter) uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
@@ -117,6 +122,16 @@ func (w *binWriter) intern(s string) uint64 {
 	return i
 }
 func (w *binWriter) string(s string) { w.uvarint(w.intern(s)) }
+
+// traceStr writes a record's string s of tr.
+func (w *binWriter) traceStr(tr *trace.Trace, s trace.Str) {
+	slot := w.remap[s]
+	if slot == 0 {
+		slot = uint32(w.intern(tr.Str(s))) + 1
+		w.remap[s] = slot
+	}
+	w.uvarint(uint64(slot - 1))
+}
 
 // open starts a section and returns where its payload begins; close
 // patches the payload's length into the header open wrote.
@@ -253,20 +268,23 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 
 	// trace records.
 	sec = bw.open(secTrace)
-	bw.uvarint(uint64(len(b.Trace.Records)))
+	tr := b.Trace
+	bw.uvarint(uint64(len(tr.Records)))
+	bw.remap = make([]uint32, max(len(tr.Strs), 1))
 	// Timestamps are delta-coded: Start against the previous record's
 	// Start, End against the record's own Start (the call latency). The
 	// deltas are microsecond-scale where the absolutes are second-scale,
 	// so they fit 1-3 varint bytes instead of 5-6.
 	var prevStart int64
-	for _, r := range b.Trace.Records {
+	for i := range tr.Records {
+		r := &tr.Records[i]
 		bw.uvarint(uint64(r.TID))
-		bw.string(r.Call)
+		bw.traceStr(tr, r.Call)
 		var mask uint64
-		if r.Path != "" {
+		if r.Path != 0 {
 			mask |= fPath
 		}
-		if r.Path2 != "" {
+		if r.Path2 != 0 {
 			mask |= fPath2
 		}
 		if r.FD != 0 {
@@ -287,7 +305,7 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		if r.Mode != 0 {
 			mask |= fMode
 		}
-		if r.Name != "" {
+		if r.Name != 0 {
 			mask |= fName
 		}
 		if r.Whence != 0 {
@@ -296,7 +314,7 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		if r.AIO != 0 {
 			mask |= fAIO
 		}
-		if r.Err != "" {
+		if r.Err != 0 {
 			mask |= fErr
 		}
 		if r.Ret != 0 {
@@ -304,10 +322,10 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 		}
 		bw.uvarint(mask)
 		if mask&fPath != 0 {
-			bw.string(r.Path)
+			bw.traceStr(tr, r.Path)
 		}
 		if mask&fPath2 != 0 {
-			bw.string(r.Path2)
+			bw.traceStr(tr, r.Path2)
 		}
 		if mask&fFD != 0 {
 			bw.svarint(r.FD)
@@ -328,7 +346,7 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 			bw.uvarint(uint64(r.Mode))
 		}
 		if mask&fName != 0 {
-			bw.string(r.Name)
+			bw.traceStr(tr, r.Name)
 		}
 		if mask&fWhence != 0 {
 			bw.svarint(int64(r.Whence))
@@ -337,7 +355,7 @@ func (b *Benchmark) EncodeBinary(w io.Writer) error {
 			bw.svarint(r.AIO)
 		}
 		if mask&fErr != 0 {
-			bw.string(r.Err)
+			bw.traceStr(tr, r.Err)
 		}
 		if mask&fRet != 0 {
 			bw.svarint(r.Ret)
@@ -486,7 +504,9 @@ type binReader struct {
 	off  int    // within data
 	base int    // file offset of data[0], for error messages
 	strs []string
-	name string // section name, for error messages
+	// empty is the index of "" in strs, or ^0 if it holds none.
+	empty uint64
+	name  string // section name, for error messages
 }
 
 func (r *binReader) errAt(format string, args ...any) error {
@@ -566,6 +586,17 @@ func (r *binReader) string() (string, error) {
 		return "", err
 	}
 	return r.strs[i], nil
+}
+
+// traceStr reads a record's string as a Str of the decoded trace, whose
+// table is the artifact's offset by one (see decodeTraceSec); the empty
+// string is always Str 0.
+func (r *binReader) traceStr() (trace.Str, error) {
+	i, err := r.strIndex()
+	if err != nil || i == r.empty {
+		return 0, err
+	}
+	return trace.Str(i + 1), nil
 }
 
 // strIndex reads a string-table index.
@@ -687,7 +718,10 @@ func DecodeBinaryBytes(data []byte) (*Benchmark, error) {
 	}
 	backing := string(sr.data[sr.off:])
 	backOff := sr.off
-	strs := make([]string, 0, nStr)
+	// The decoded trace's string table is this one behind a leading "",
+	// so the entries are laid out there once.
+	table := make([]string, 1, nStr+1)
+	empty := ^uint64(0)
 	for i := 0; i < nStr; i++ {
 		n, err := sr.uvarint()
 		if err != nil {
@@ -697,9 +731,13 @@ func DecodeBinaryBytes(data []byte) (*Benchmark, error) {
 			return nil, sr.errAt("string %d claims %d bytes, only %d remain", i, n, len(sr.data)-sr.off)
 		}
 		start := sr.off - backOff
-		strs = append(strs, backing[start:start+int(n)])
+		if n == 0 && empty == ^uint64(0) {
+			empty = uint64(i)
+		}
+		table = append(table, backing[start:start+int(n)])
 		sr.off += int(n)
 	}
+	strs := table[1:]
 	if err := sr.done(); err != nil {
 		return nil, err
 	}
@@ -739,7 +777,7 @@ func DecodeBinaryBytes(data []byte) (*Benchmark, error) {
 	// point is a format violation, not silent corruption.
 	rds := func(i int) *binReader {
 		r := rd(i)
-		r.strs = strs
+		r.strs, r.empty = strs, empty
 		return r
 	}
 	var (
@@ -752,7 +790,7 @@ func DecodeBinaryBytes(data []byte) (*Benchmark, error) {
 	)
 	parts := [4]func(){
 		func() { snap, secErr[0] = decodeSnapshotSec(rds(2)) },
-		func() { tr, secErr[1] = decodeTraceSec(rds(3), platform) },
+		func() { tr, secErr[1] = decodeTraceSec(rds(3), platform, table) },
 		func() { an, secErr[2] = decodeAnalysisSec(rds(4), nRec) },
 		func() {
 			if g, secErr[3] = decodeGraphSec(rds(5), nRec); secErr[3] != nil {
@@ -868,25 +906,27 @@ func decodeSnapshotSec(snr *binReader) (*snapshot.Snapshot, error) {
 }
 
 // decodeTraceSec parses the trace section into a contiguous record
-// slab.
-func decodeTraceSec(tr2 *binReader, platform string) (*trace.Trace, error) {
+// slab. table is the artifact's string table behind one leading "" (the
+// reader's strs is table[1:]): it becomes the trace's own, so a record
+// names string table slot k as Str k+1 and nothing is copied or hashed.
+func decodeTraceSec(tr2 *binReader, platform string, table []string) (*trace.Trace, error) {
 	nRec, err := tr2.count(4)
 	if err != nil {
 		return nil, err
 	}
-	recSlab := make([]trace.Record, nRec)
+	records := make([]trace.Record, nRec)
 	var prevStart int64
-	records := make([]*trace.Record, nRec)
-	for i := 0; i < nRec; i++ {
-		r := &recSlab[i]
-		records[i] = r
+	for i := range records {
+		r := &records[i]
 		r.Seq = int64(i)
 		tid, err := tr2.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		r.TID = int(tid)
-		if r.Call, err = tr2.string(); err != nil {
+		if r.TID = int32(tid); uint64(r.TID) != tid {
+			return nil, tr2.errAt("record %d has thread id %d, out of range", i, int64(tid))
+		}
+		if r.Call, err = tr2.traceStr(); err != nil {
 			return nil, err
 		}
 		mask, err := tr2.uvarint()
@@ -897,12 +937,12 @@ func decodeTraceSec(tr2 *binReader, platform string) (*trace.Trace, error) {
 			return nil, tr2.errAt("record %d has unknown field bits %#x", i, mask)
 		}
 		if mask&fPath != 0 {
-			if r.Path, err = tr2.string(); err != nil {
+			if r.Path, err = tr2.traceStr(); err != nil {
 				return nil, err
 			}
 		}
 		if mask&fPath2 != 0 {
-			if r.Path2, err = tr2.string(); err != nil {
+			if r.Path2, err = tr2.traceStr(); err != nil {
 				return nil, err
 			}
 		}
@@ -941,7 +981,7 @@ func decodeTraceSec(tr2 *binReader, platform string) (*trace.Trace, error) {
 			r.Mode = uint32(m)
 		}
 		if mask&fName != 0 {
-			if r.Name, err = tr2.string(); err != nil {
+			if r.Name, err = tr2.traceStr(); err != nil {
 				return nil, err
 			}
 		}
@@ -950,7 +990,9 @@ func decodeTraceSec(tr2 *binReader, platform string) (*trace.Trace, error) {
 			if err != nil {
 				return nil, err
 			}
-			r.Whence = int(wv)
+			if r.Whence = int32(wv); int64(r.Whence) != wv {
+				return nil, tr2.errAt("record %d has whence %d, out of range", i, wv)
+			}
 		}
 		if mask&fAIO != 0 {
 			if r.AIO, err = tr2.svarint(); err != nil {
@@ -958,7 +1000,7 @@ func decodeTraceSec(tr2 *binReader, platform string) (*trace.Trace, error) {
 			}
 		}
 		if mask&fErr != 0 {
-			if r.Err, err = tr2.string(); err != nil {
+			if r.Err, err = tr2.traceStr(); err != nil {
 				return nil, err
 			}
 		}
@@ -982,7 +1024,7 @@ func decodeTraceSec(tr2 *binReader, platform string) (*trace.Trace, error) {
 	if err := tr2.done(); err != nil {
 		return nil, err
 	}
-	return &trace.Trace{Platform: platform, Records: records}, nil
+	return &trace.Trace{Platform: platform, Records: records, Strs: table}, nil
 }
 
 // decodeAnalysisSec parses the analysis section. The returned

@@ -55,8 +55,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 		t.Fatalf("record count %d vs %d", len(got.Trace.Records), len(b.Trace.Records))
 	}
 	for i := range b.Trace.Records {
-		if *got.Trace.Records[i] != *b.Trace.Records[i] {
-			t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, *got.Trace.Records[i], *b.Trace.Records[i])
+		if g, w := Resolve(got.Trace, i), Resolve(b.Trace, i); g != w {
+			t.Fatalf("record %d drift:\n got %+v\nwant %+v", i, g, w)
 		}
 	}
 	if !reflect.DeepEqual(got.Snapshot, b.Snapshot) {
@@ -167,11 +167,13 @@ func TestBinaryDecodeRejectsDamage(t *testing.T) {
 	// descriptor of the resource table; only a hand-crafted artifact has
 	// one, made here by pointing the hint of a failed directory read at
 	// the directory's file resource.
-	tr := &trace.Trace{Platform: "linux", Records: []*trace.Record{
-		{TID: 1, Call: "open", Path: "/dir", Flags: trace.ORdonly | trace.ODir, Ret: 3},
-		{TID: 2, Call: "read", FD: 3, Size: 64, Ret: -1, Err: "EISDIR"},
-		{TID: 1, Call: "close", FD: 3},
-	}}
+	tr := &trace.Trace{Platform: "linux"}
+	s := tr.Intern
+	tr.Records = []trace.Record{
+		{TID: 1, Call: s("open"), Path: s("/dir"), Flags: trace.ORdonly | trace.ODir, Ret: 3},
+		{TID: 2, Call: s("read"), FD: 3, Size: 64, Ret: -1, Err: s("EISDIR")},
+		{TID: 1, Call: s("close"), FD: 3},
+	}
 	hinted, err := Compile(tr, nil, core.DefaultModes())
 	if err != nil {
 		t.Fatal(err)
@@ -189,4 +191,24 @@ func TestBinaryDecodeRejectsDamage(t *testing.T) {
 	if _, err := DecodeBinaryBytes(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "names no descriptor") {
 		t.Fatalf("artifact with a hint naming no descriptor: err = %v", err)
 	}
+}
+
+// ResolvedRecord is a record with its strings read out of its trace's
+// table (its Str fields are zero), so records of different traces
+// compare by what they say. Exported for the package's external tests.
+type ResolvedRecord struct {
+	trace.Record
+	Call, Path, Path2, Name, Err string
+}
+
+// OK reports whether the call succeeded.
+func (r *ResolvedRecord) OK() bool { return r.Err == "" }
+
+// Resolve reads tr's record i with its strings.
+func Resolve(tr *trace.Trace, i int) ResolvedRecord {
+	r := tr.Records[i]
+	out := ResolvedRecord{Call: tr.Str(r.Call), Path: tr.Str(r.Path), Path2: tr.Str(r.Path2), Name: tr.Str(r.Name), Err: tr.Str(r.Err)}
+	r.Call, r.Path, r.Path2, r.Name, r.Err = 0, 0, 0, 0, 0
+	out.Record = r
+	return out
 }

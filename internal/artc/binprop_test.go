@@ -36,9 +36,10 @@ func hostileBench(tb testing.TB, platform string, modes core.ModeSet) *Benchmark
 	tb.Helper()
 	tr := &trace.Trace{Platform: platform}
 	now := time.Duration(0)
-	add := func(rec *trace.Record) {
+	s := tr.Intern
+	add := func(rec trace.Record) {
 		rec.Seq = int64(len(tr.Records))
-		rec.TID = 1 + int(rec.Seq)%2
+		rec.TID = 1 + int32(rec.Seq)%2
 		rec.Start = now
 		now += 73 * time.Microsecond
 		rec.End = now
@@ -46,13 +47,13 @@ func hostileBench(tb testing.TB, platform string, modes core.ModeSet) *Benchmark
 	}
 	for i, p := range hostilePaths {
 		fd := int64(3 + i)
-		add(&trace.Record{Call: "open", Path: p, Flags: trace.OWronly | trace.OCreat, Mode: 0o644, Ret: fd})
-		add(&trace.Record{Call: "write", FD: fd, Size: 4096, Offset: int64(i) * 512, Ret: 4096})
-		add(&trace.Record{Call: "fsync", FD: fd})
-		add(&trace.Record{Call: "close", FD: fd})
-		add(&trace.Record{Call: "stat", Path: p + ".missing", Err: "ENOENT", Ret: -1})
-		add(&trace.Record{Call: "rename", Path: p, Path2: p + " (v2)"})
-		add(&trace.Record{Call: "unlink", Path: p + " (v2)"})
+		add(trace.Record{Call: s("open"), Path: s(p), Flags: trace.OWronly | trace.OCreat, Mode: 0o644, Ret: fd})
+		add(trace.Record{Call: s("write"), FD: fd, Size: 4096, Offset: int64(i) * 512, Ret: 4096})
+		add(trace.Record{Call: s("fsync"), FD: fd})
+		add(trace.Record{Call: s("close"), FD: fd})
+		add(trace.Record{Call: s("stat"), Path: s(p + ".missing"), Err: s("ENOENT"), Ret: -1})
+		add(trace.Record{Call: s("rename"), Path: s(p), Path2: s(p + " (v2)")})
+		add(trace.Record{Call: s("unlink"), Path: s(p + " (v2)")})
 	}
 	b, err := Compile(tr, nil, modes)
 	if err != nil {
@@ -95,7 +96,7 @@ func TestEncodeDecodeEncodeStable(t *testing.T) {
 				}
 
 				// The hostile paths survived the trip intact.
-				if got := dec.Trace.Records[0].Path; got != hostilePaths[0] {
+				if got := dec.Trace.Str(dec.Trace.Records[0].Path); got != hostilePaths[0] {
 					t.Errorf("path drift: %q", got)
 				}
 			})

@@ -108,7 +108,7 @@ func (rs *replayState) applyWithEmulation(t *sim.Thread, ha *hotAction, op stack
 		return ret, err, true
 	case stack.OpFadvise:
 		if target == stack.OSX {
-			if rec.Name == "POSIX_FADV_WILLNEED" {
+			if a.Name == "POSIX_FADV_WILLNEED" {
 				ret, err := sys.Fcntl(t, a.FD, "F_RDADVISE", rec.Size)
 				return ret, err, true
 			}

@@ -13,6 +13,7 @@ import (
 	"rootreplay/internal/artc"
 	"rootreplay/internal/artifact"
 	"rootreplay/internal/core"
+	"rootreplay/internal/trace"
 )
 
 // The artifact golden pins the bytes EncodeBinary emits for every pinned
@@ -157,6 +158,84 @@ func TestTouchKindsMatchResources(t *testing.T) {
 					path(b.Analysis, act.CanonPath), path(b.Analysis, act.CanonPath2),
 					path(decoded.Analysis, dec.CanonPath), path(decoded.Analysis, dec.CanonPath2))
 			}
+		}
+	}
+}
+
+// TestCodecsRoundTripByteIdentical: on every pinned corpus each codec
+// reproduces its own bytes through the decoded form, whose records
+// index a table the decoder built rather than the producer's. The
+// binary artifact decodes and re-encodes to itself, the native trace
+// text likewise, and a strace rendering is a fixed point of
+// parse-then-render (after the first pass, which drops the calls strace
+// text cannot carry).
+func TestCodecsRoundTripByteIdentical(t *testing.T) {
+	for _, c := range pinnedCorpora(testing.Short()) {
+		tr, snap, err := c.load()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		b, err := artc.Compile(tr, snap, core.DefaultModes())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		var bin1, bin2 bytes.Buffer
+		if err := b.EncodeBinary(&bin1); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		dec, err := artc.DecodeBinaryBytes(bin1.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := dec.EncodeBinary(&bin2); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(bin1.Bytes(), bin2.Bytes()) {
+			t.Errorf("%s: EncodeBinary(DecodeBinaryBytes(a)) differs from a", c.name)
+		}
+
+		var nat1, nat2 bytes.Buffer
+		if err := tr.Encode(&nat1); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if err := dec.Trace.Encode(&nat2); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(nat1.Bytes(), nat2.Bytes()) {
+			t.Errorf("%s: the decoded trace's native encoding differs from the compiled one's", c.name)
+		}
+		back, err := trace.Decode(bytes.NewReader(nat1.Bytes()))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		nat2.Reset()
+		if err := back.Encode(&nat2); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !bytes.Equal(nat1.Bytes(), nat2.Bytes()) {
+			t.Errorf("%s: native Encode(Decode(a)) differs from a", c.name)
+		}
+
+		strace := func(tr *trace.Trace) []byte {
+			var buf bytes.Buffer
+			if err := trace.EncodeStrace(&buf, tr); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return buf.Bytes()
+		}
+		parse := func(text []byte) *trace.Trace {
+			tr, err := trace.ParseStrace(bytes.NewReader(text))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return tr
+		}
+		if !bytes.Equal(strace(tr), strace(dec.Trace)) {
+			t.Errorf("%s: the decoded trace's strace rendering differs from the compiled one's", c.name)
+		}
+		text := strace(parse(strace(tr)))
+		if again := strace(parse(text)); !bytes.Equal(text, again) {
+			t.Errorf("%s: strace rendering is not a fixed point of parse-then-render", c.name)
 		}
 	}
 }

@@ -200,20 +200,24 @@ func TestDegradeAbortStopsReplay(t *testing.T) {
 // DeadlockError; with one, the report is the replayer's richer form.
 func TestWatchdogStallReportTable(t *testing.T) {
 	res := core.ResourceID{Kind: core.KFD, Name: "9", Gen: 1}
-	cycleTrace := &trace.Trace{Platform: "linux", Records: []*trace.Record{
-		{TID: 1, Call: "read", FD: 9, Path: "/cyc", Start: 0, End: 10},
-		{TID: 2, Call: "write", FD: 9, Path: "/cyc", Start: 0, End: 10},
-	}}
+	cycleTrace := &trace.Trace{Platform: "linux"}
+	s := cycleTrace.Intern
+	cycleTrace.Records = []trace.Record{
+		{TID: 1, Call: s("read"), FD: 9, Path: s("/cyc"), Start: 0, End: 10},
+		{TID: 2, Call: s("write"), FD: 9, Path: s("/cyc"), Start: 0, End: 10},
+	}
 	cycle := []core.Edge{
 		{From: 0, To: 1, Kind: core.WaitComplete, Res: res},
 		{From: 1, To: 0, Kind: core.WaitComplete, Res: res},
 	}
 	// Three actions: 0 completes, then 1 and 2 deadlock on each other.
-	partialTrace := &trace.Trace{Platform: "linux", Records: []*trace.Record{
-		{TID: 1, Call: "stat", Path: "/f", Err: "ENOENT", Start: 0, End: 5},
-		{TID: 1, Call: "read", FD: 9, Path: "/cyc", Start: 5, End: 10},
-		{TID: 2, Call: "write", FD: 9, Path: "/cyc", Start: 5, End: 10},
-	}}
+	partialTrace := &trace.Trace{Platform: "linux"}
+	s = partialTrace.Intern
+	partialTrace.Records = []trace.Record{
+		{TID: 1, Call: s("stat"), Path: s("/f"), Err: s("ENOENT"), Start: 0, End: 5},
+		{TID: 1, Call: s("read"), FD: 9, Path: s("/cyc"), Start: 5, End: 10},
+		{TID: 2, Call: s("write"), FD: 9, Path: s("/cyc"), Start: 5, End: 10},
+	}
 	partial := []core.Edge{
 		{From: 1, To: 2, Kind: core.WaitComplete, Res: res},
 		{From: 2, To: 1, Kind: core.WaitComplete, Res: res},

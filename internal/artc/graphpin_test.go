@@ -52,7 +52,7 @@ func generationsCorpus() (*trace.Trace, *snapshot.Snapshot, error) {
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	const workers, rounds, slot = 3, 4, 5 * time.Millisecond
 	for w := 0; w < workers; w++ {
 		k.Spawn("w", func(th *sim.Thread) {

@@ -65,40 +65,46 @@ func (b *Benchmark) hot() *hotTables {
 }
 
 func buildHot(b *Benchmark) *hotTables {
-	recs := b.Trace.Records
+	tr := b.Trace
+	recs := tr.Records
 	h := &hotTables{
 		acts:     make([]hotAction, len(recs)),
 		predelay: make([]time.Duration, len(recs)),
 	}
 
-	// Calls and threads. Threads are numbered in first-appearance order
-	// here and renumbered ascending below.
-	callSlot := make(map[string]int32)
-	tidSlot := make(map[int]int32)
-	for i, rec := range recs {
-		cs, ok := callSlot[rec.Call]
-		if !ok {
+	// Calls and threads. A call slot is found by the record's Str
+	// (callSlot holds slot+1, 0 for a name not seen yet); threads are
+	// numbered in first-appearance order here and renumbered ascending
+	// below.
+	callSlot := make([]int32, max(len(tr.Strs), 1))
+	tidSlot := make(map[int32]int32)
+	for i := range recs {
+		rec := &recs[i]
+		cs := callSlot[rec.Call] - 1
+		if cs < 0 {
 			cs = int32(len(h.calls))
-			callSlot[rec.Call] = cs
-			h.calls = append(h.calls, hotCall{name: rec.Call, op: stack.OpOf(rec.Call)})
+			callSlot[rec.Call] = cs + 1
+			name := tr.Str(rec.Call)
+			h.calls = append(h.calls, hotCall{name: name, op: stack.OpOf(name)})
 		}
 		ts, ok := tidSlot[rec.TID]
 		if !ok {
 			ts = int32(len(h.tids))
 			tidSlot[rec.TID] = ts
-			h.tids = append(h.tids, rec.TID)
+			h.tids = append(h.tids, int(rec.TID))
 		}
 		h.acts[i] = hotAction{fdUse: -1, fdCreate: -1, fdDelete: -1, aioUse: -1, aioCreate: -1, thread: ts, call: cs}
 	}
 	sorted := slices.Clone(h.tids)
 	slices.Sort(sorted)
 	for i, tid := range sorted {
-		tidSlot[tid] = int32(i)
+		tidSlot[int32(tid)] = int32(i)
 	}
 	lastEnd := make([]time.Duration, len(sorted))
-	for i, rec := range recs {
+	for i := range recs {
+		rec := &recs[i]
 		ha := &h.acts[i]
-		ha.thread = tidSlot[h.tids[ha.thread]]
+		ha.thread = tidSlot[int32(h.tids[ha.thread])]
 		h.predelay[i] = max(rec.Start-lastEnd[ha.thread], 0)
 		lastEnd[ha.thread] = rec.End
 	}

@@ -78,7 +78,7 @@ func oracleReplay(sys *stack.System, b *artc.Benchmark, opts artc.Options) (*art
 	}
 	// Predelay: the traced gap to the previous action on the same thread.
 	o.predelay = make([]time.Duration, n)
-	lastEnd := make(map[int]time.Duration)
+	lastEnd := make(map[int32]time.Duration)
 	for i, rec := range b.Trace.Records {
 		o.predelay[i] = max(rec.Start-lastEnd[rec.TID], 0)
 		lastEnd[rec.TID] = rec.End
@@ -87,10 +87,11 @@ func oracleReplay(sys *stack.System, b *artc.Benchmark, opts artc.Options) (*art
 	byThread := make(map[int][]int)
 	var order []int
 	for i, rec := range b.Trace.Records {
-		if _, ok := byThread[rec.TID]; !ok {
-			order = append(order, rec.TID)
+		tid := int(rec.TID)
+		if _, ok := byThread[tid]; !ok {
+			order = append(order, tid)
 		}
-		byThread[rec.TID] = append(byThread[rec.TID], i)
+		byThread[tid] = append(byThread[tid], i)
 	}
 	sort.Ints(order)
 	for _, tid := range order {
@@ -157,7 +158,7 @@ func (o *oracleState) playAction(t *sim.Thread, idx int) {
 		}
 	}
 
-	rec := o.b.Trace.Records[idx]
+	rec := artc.Resolve(o.b.Trace, idx)
 	_, errno, emulated, injected := o.execute(t, idx, 0)
 	if o.inj != nil && injected && errno != vfs.OK && rec.OK() {
 		for attempt := 1; attempt < o.inj.RetryAttempts(); attempt++ {
@@ -184,13 +185,13 @@ func (o *oracleState) playAction(t *sim.Thread, idx int) {
 	o.callTime[rec.Call] += d
 	o.callCount[rec.Call]++
 	o.rep.ThreadTime += d
-	o.perThread[rec.TID] += d
+	o.perThread[int(rec.TID)] += d
 	if emulated {
 		o.emulated++
 	}
 	if o.opts.Obs != nil {
 		sp := obs.Span{
-			Action: int32(idx), TID: int32(rec.TID), Call: rec.Call,
+			Action: int32(idx), TID: rec.TID, Call: rec.Call,
 			WaitStart: waitStart, Issue: o.issueAt[idx], Done: o.doneAt[idx],
 			Predelay: slept, ReleasedBy: -1,
 		}
@@ -204,12 +205,12 @@ func (o *oracleState) playAction(t *sim.Thread, idx int) {
 		}
 		o.opts.Obs.Record(sp)
 	}
-	if o.compare(idx, rec, errno) && o.inj != nil && injected {
+	if o.compare(idx, &rec, errno) && o.inj != nil && injected {
 		o.inj.CountSkipped()
 	}
 }
 
-func (o *oracleState) compare(idx int, rec *trace.Record, errno vfs.Errno) bool {
+func (o *oracleState) compare(idx int, rec *artc.ResolvedRecord, errno vfs.Errno) bool {
 	tracedOK, replayOK := rec.OK(), errno == vfs.OK
 	mismatch := ""
 	switch {
@@ -255,13 +256,13 @@ func (o *oracleState) aioTouch(touches []core.Touch, create bool) *core.Resource
 
 func (o *oracleState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errno, bool, bool) {
 	an := o.b.Analysis
-	act, touches, traced := &an.Actions[idx], an.Touches(idx), o.b.Trace.Records[idx]
+	act, touches, traced := &an.Actions[idx], an.Touches(idx), artc.Resolve(o.b.Trace, idx)
 	if o.inj != nil {
 		if e, ok := o.inj.SyscallFault(idx, attempt, traced.Call, traced.Path); ok {
 			return -1, e, false, true
 		}
 	}
-	rec := *traced // shallow copy to rewrite
+	rec := traced // copy to rewrite
 	call := stack.Canonical(rec.Call)
 	if act.CanonPath >= 0 {
 		rec.Path = o.prefixPath(an.Paths[act.CanonPath], call == "symlink")
@@ -320,12 +321,12 @@ func (o *oracleState) prefixPath(p string, symlinkTarget bool) string {
 }
 
 // apply hands the rewritten record to the stack by canonical name.
-func (o *oracleState) apply(t *sim.Thread, call string, rec *trace.Record) (int64, vfs.Errno) {
-	return o.sys.Apply(t, stack.OpOf(call), rec,
-		&stack.Redirect{Path: rec.Path, Path2: rec.Path2, FD: rec.FD, AIO: rec.AIO})
+func (o *oracleState) apply(t *sim.Thread, call string, rec *artc.ResolvedRecord) (int64, vfs.Errno) {
+	return o.sys.Apply(t, stack.OpOf(call), &rec.Record,
+		&stack.Redirect{Path: rec.Path, Path2: rec.Path2, Name: rec.Name, FD: rec.FD, AIO: rec.AIO})
 }
 
-func (o *oracleState) applyWithEmulation(t *sim.Thread, touches []core.Touch, call string, rec *trace.Record) (int64, vfs.Errno, bool) {
+func (o *oracleState) applyWithEmulation(t *sim.Thread, touches []core.Touch, call string, rec *artc.ResolvedRecord) (int64, vfs.Errno, bool) {
 	sys := o.sys
 	target := sys.Conf.Platform
 	if call == "dup2" {

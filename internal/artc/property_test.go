@@ -122,7 +122,7 @@ func TestQuickRandomProgramsReplayClean(t *testing.T) {
 		}
 		snap := snapshot.Capture(sys)
 		tr := &trace.Trace{Platform: string(conf.Platform)}
-		sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+		sys.SetTracer(tr)
 		randomProgram(sys, threads, opsPer, seed)
 		if err := k.Run(); err != nil {
 			t.Logf("seed %d: workload: %v", seed, err)

@@ -148,7 +148,7 @@ func (r *Report) CriticalPath(b *Benchmark) *obs.CriticalPath {
 	if r.graph == nil {
 		return &obs.CriticalPath{}
 	}
-	return obs.Critical(r.graph, b.Trace.Records, r.IssueAt, r.DoneAt)
+	return obs.Critical(r.graph, b.Trace, r.IssueAt, r.DoneAt)
 }
 
 // BlockedAction is one not-yet-completed action in a StallReport, with
@@ -231,17 +231,22 @@ type replayState struct {
 	// a blocked action wakes once instead of re-scanning its dependency
 	// list on every predecessor broadcast.
 	remaining []int32
-	issueAt   []time.Duration
-	doneAt    []time.Duration
+	// issueAt and doneAt are the report's IssueAt and DoneAt: the replay
+	// writes the times where the report hands them out.
+	issueAt []time.Duration
+	doneAt  []time.Duration
 	// status tracks each action's lifecycle explicitly (actIssued,
 	// actDone bits). issueAt/doneAt alone cannot distinguish "not yet
 	// issued" from "legitimately issued at virtual time 0".
 	status []uint8
-	// waiting[i] is action i's replay thread while it is parked on the
-	// dependency counter, nil otherwise. Registering the thread directly
-	// and using the kernel's pooled park/unpark path replaces a lazily
-	// allocated sim.Cond per blocked action.
-	waiting []*sim.Thread
+	// waiting[s] is the replay thread playing traced-thread slot s's
+	// actions and the action it is parked on, while it is parked on the
+	// dependency counter; t is nil otherwise. A thread parks on at most
+	// its next action, so one slot per thread covers every action.
+	// Registering the thread directly and using the kernel's pooled
+	// park/unpark path replaces a lazily allocated sim.Cond per blocked
+	// action.
+	waiting []parked
 	// hot holds the per-action plans interned before replay (see
 	// hotTables); native[c] says whether call slot c is on the target's
 	// native surface. remap[s] is the replay-time value of resource slot
@@ -297,6 +302,12 @@ func (rs *replayState) gi(idx int) int {
 		return int(rs.sub.global[idx])
 	}
 	return idx
+}
+
+// parked is a replay thread waiting for action idx's dependencies.
+type parked struct {
+	t   *sim.Thread
+	idx int32
 }
 
 // unmapped marks a resource slot no replayed call has created yet.
@@ -375,16 +386,17 @@ func newReplayState(sys *stack.System, b *Benchmark, opts Options, g *core.Graph
 	for i := range remap {
 		remap[i] = unmapped
 	}
+	issueAt, doneAt := make([]time.Duration, n), make([]time.Duration, n)
 	rs := &replayState{
 		sys:       sys,
 		b:         b,
 		opts:      opts,
 		g:         g,
 		remaining: remaining,
-		issueAt:   make([]time.Duration, n),
-		doneAt:    make([]time.Duration, n),
+		issueAt:   issueAt,
+		doneAt:    doneAt,
 		status:    make([]uint8, n),
-		waiting:   make([]*sim.Thread, n),
+		waiting:   make([]parked, len(hot.tids)),
 		hot:       hot,
 		native:    native,
 		remap:     remap,
@@ -393,8 +405,8 @@ func newReplayState(sys *stack.System, b *Benchmark, opts Options, g *core.Graph
 		rep: &Report{
 			Method:  opts.Method,
 			Actions: n,
-			IssueAt: make([]time.Duration, n),
-			DoneAt:  make([]time.Duration, n),
+			IssueAt: issueAt,
+			DoneAt:  doneAt,
 			graph:   g,
 		},
 	}
@@ -516,14 +528,15 @@ func (rs *replayState) buildStall(trigger string) *StallReport {
 	if trigger == "watchdog" && rs.inj != nil {
 		s.Window = rs.inj.Watchdog()
 	}
+	tr := rs.b.Trace
 	for i := range rs.status {
 		if rs.status[i]&actDone != 0 {
 			continue
 		}
-		rec := rs.b.Trace.Records[i]
-		ba := BlockedAction{Action: rs.gi(i), TID: rec.TID, Call: rec.Call, Path: rec.Path}
-		switch {
-		case rs.waiting[i] != nil:
+		rec := &tr.Records[i]
+		ba := BlockedAction{Action: rs.gi(i), TID: int(rec.TID), Call: tr.Str(rec.Call), Path: tr.Str(rec.Path)}
+		switch w := rs.waiting[rs.hot.acts[i].thread]; {
+		case w.t != nil && int(w.idx) == i:
 			ba.Reason = rs.waitReason(i)
 		case rs.sub != nil && rs.sub.crossWaitEdge[i] >= 0:
 			// Parked on a clock-exchange barrier: name the peer shard and
@@ -543,7 +556,7 @@ func (rs *replayState) buildStall(trigger string) *StallReport {
 		s.Blocked = append(s.Blocked, ba)
 	}
 	if rs.obs != nil {
-		s.Crit = obs.Critical(rs.g, rs.b.Trace.Records, rs.issueAt, rs.doneAt)
+		s.Crit = obs.Critical(rs.g, rs.b.Trace, rs.issueAt, rs.doneAt)
 	}
 	return s
 }
@@ -596,8 +609,8 @@ func (rs *replayState) depSatisfied(ei int32) {
 			rs.releasedEdge[to] = ei
 			rs.releasedAt[to] = rs.sys.K.Now() - rs.start
 		}
-		if w := rs.waiting[to]; w != nil {
-			rs.sys.K.Unpark(w)
+		if w := &rs.waiting[rs.hot.acts[to].thread]; w.t != nil && int(w.idx) == to {
+			rs.sys.K.Unpark(w.t)
 		}
 	case rs.remaining[to] < 0:
 		panic(fmt.Sprintf(
@@ -643,11 +656,12 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 		waitStart = rs.sys.K.Now() - rs.start
 	}
 	if rs.remaining[idx] > 0 {
-		rs.waiting[idx] = t
+		w := &rs.waiting[rs.hot.acts[idx].thread]
+		*w = parked{t, int32(idx)}
 		for rs.remaining[idx] > 0 {
 			t.ParkFn(func() string { return rs.waitReason(idx) })
 		}
-		rs.waiting[idx] = nil
+		w.t = nil
 	}
 	if rs.sub != nil {
 		rs.sub.waitCross(t, idx)
@@ -674,7 +688,9 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 	}
 
 	ret, errno, emulated, injected := rs.execute(t, idx, 0)
-	if rs.inj != nil && injected && errno != vfs.OK && rs.b.Trace.Records[idx].OK() {
+	tr := rs.b.Trace
+	rec := &tr.Records[idx]
+	if rs.inj != nil && injected && errno != vfs.OK && rec.OK() {
 		// The failure was injected and the trace expected success: retry
 		// with capped exponential backoff in virtual time. Each attempt
 		// re-decides injection independently (transient faults), and a
@@ -705,7 +721,6 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 		rs.sub.publishCross(idx, core.WaitComplete, end)
 	}
 
-	rec := rs.b.Trace.Records[idx]
 	ha := &rs.hot.acts[idx]
 	d := end - now
 	rs.tot.callTime[ha.call] += d
@@ -719,8 +734,8 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 	if rs.obs != nil {
 		sp := obs.Span{
 			Action:     int32(rs.gi(idx)),
-			TID:        int32(rec.TID),
-			Call:       rec.Call,
+			TID:        rec.TID,
+			Call:       rs.hot.calls[ha.call].name,
 			WaitStart:  waitStart,
 			Issue:      rs.issueAt[idx],
 			Done:       rs.doneAt[idx],
@@ -740,7 +755,7 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 		}
 		rs.obs.Record(sp)
 	}
-	if mismatched := rs.compare(idx, rec, ret, errno); mismatched && rs.inj != nil {
+	if mismatched := rs.compare(idx, tr, rec, ret, errno); mismatched && rs.inj != nil {
 		if injected {
 			// An injected failure survived the retry budget: in skip
 			// mode it is counted and the replay degrades gracefully.
@@ -755,8 +770,9 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 }
 
 // compare records a semantic mismatch between the traced and replayed
-// outcome of an action, reporting whether one occurred.
-func (rs *replayState) compare(idx int, rec *trace.Record, ret int64, errno vfs.Errno) bool {
+// outcome of an action, reporting whether one occurred. rec is the
+// action's record of tr.
+func (rs *replayState) compare(idx int, tr *trace.Trace, rec *trace.Record, ret int64, errno vfs.Errno) bool {
 	tracedOK := rec.OK()
 	replayOK := errno == vfs.OK
 	mismatch := ""
@@ -764,9 +780,9 @@ func (rs *replayState) compare(idx int, rec *trace.Record, ret int64, errno vfs.
 	case tracedOK && !replayOK:
 		mismatch = fmt.Sprintf("traced success, replay failed with %v", errno)
 	case !tracedOK && replayOK:
-		mismatch = fmt.Sprintf("traced %s, replay succeeded", rec.Err)
-	case !tracedOK && !replayOK && errno.String() != rec.Err:
-		mismatch = fmt.Sprintf("traced %s, replay %v", rec.Err, errno)
+		mismatch = fmt.Sprintf("traced %s, replay succeeded", tr.Str(rec.Err))
+	case !tracedOK && !replayOK && errno.String() != tr.Str(rec.Err):
+		mismatch = fmt.Sprintf("traced %s, replay %v", tr.Str(rec.Err), errno)
 	}
 	if mismatch == "" {
 		return false
@@ -774,7 +790,7 @@ func (rs *replayState) compare(idx int, rec *trace.Record, ret int64, errno vfs.
 	rs.rep.Errors++
 	if len(rs.rep.ErrorSamples) < rs.opts.MaxErrorSamples {
 		rs.rep.ErrorSamples = append(rs.rep.ErrorSamples,
-			fmt.Sprintf("action %d [T%d] %s(%s): %s", rs.gi(idx), rec.TID, rec.Call, rec.Path, mismatch))
+			fmt.Sprintf("action %d [T%d] %s(%s): %s", rs.gi(idx), rec.TID, tr.Str(rec.Call), tr.Str(rec.Path), mismatch))
 		if rs.sub != nil {
 			rs.sampleAt = append(rs.sampleAt, rs.doneAt[idx])
 		}
@@ -792,8 +808,6 @@ func (rs *replayState) finishReport() {
 	}
 	rs.rep.Elapsed = last
 	rs.tot.render(rs.hot, rs.rep)
-	copy(rs.rep.IssueAt, rs.issueAt)
-	copy(rs.rep.DoneAt, rs.doneAt)
 	rs.rep.Graph = rs.g.Stats(rs.b.Analysis)
 	if rs.inj != nil {
 		st := rs.inj.Stats()
@@ -812,13 +826,15 @@ type actionTouches struct {
 
 // planOne resolves action i's touch plan from its analysis record.
 func planOne(an *core.Analysis, i int) actionTouches {
-	rec, touches := an.Trace.Records[i], an.Touches(i)
+	tr := an.Trace
+	rec, touches := &tr.Records[i], an.Touches(i)
 	p := actionTouches{fdUse: findFDTouch(an, touches, rec.FD, false), fdCreate: -1,
 		aioUse: findAIOTouch(touches, false), aioCreate: -1}
-	if num := createdFDNum(rec); num >= 0 {
+	call := stack.Canonical(tr.Str(rec.Call))
+	if num := createdFDNum(call, tr, rec); num >= 0 {
 		p.fdCreate = findFDTouch(an, touches, num, true)
 	}
-	switch stack.Canonical(rec.Call) {
+	switch call {
 	case "aio_read", "aio_write":
 		p.aioCreate = findAIOTouch(touches, true)
 	}
@@ -834,16 +850,17 @@ func planTouches(an *core.Analysis) []actionTouches {
 	return out
 }
 
-// createdFDNum returns the traced descriptor number a record creates on
-// success, or -1 if the call creates none.
-func createdFDNum(rec *trace.Record) int64 {
-	switch stack.Canonical(rec.Call) {
+// createdFDNum returns the traced descriptor number a record of tr
+// creates on success, or -1 if the call, canonically named call,
+// creates none.
+func createdFDNum(call string, tr *trace.Trace, rec *trace.Record) int64 {
+	switch call {
 	case "open", "creat", "dup":
 		return rec.Ret
 	case "dup2":
 		return rec.FD2
 	case "fcntl":
-		if rec.Name == "F_DUPFD" {
+		if tr.Str(rec.Name) == "F_DUPFD" {
 			return rec.Ret
 		}
 	}
@@ -882,22 +899,24 @@ func findAIOTouch(touches []core.Touch, create bool) int16 {
 func (rs *replayState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errno, bool, bool) {
 	an := rs.b.Analysis
 	act := &an.Actions[idx]
-	rec := rs.b.Trace.Records[idx]
+	tr := rs.b.Trace
+	rec := &tr.Records[idx]
+	ha := &rs.hot.acts[idx]
 	if rs.inj != nil {
 		// Fault decisions key on the global action index so an injection
 		// plan selects the same actions whether the replay is sharded or
 		// serial.
-		if e, ok := rs.inj.SyscallFault(rs.gi(idx), attempt, rec.Call, rec.Path); ok {
+		if e, ok := rs.inj.SyscallFault(rs.gi(idx), attempt, rs.hot.calls[ha.call].name, tr.Str(rec.Path)); ok {
 			return -1, e, false, true
 		}
 	}
-	ha := &rs.hot.acts[idx]
 	op := rs.hot.calls[ha.call].op
 
 	// The record is shared with every other replay of the benchmark, so
-	// what replay substitutes goes beside it: canonical, prefixed paths
-	// and remapped identifiers.
-	a := stack.Redirect{Path: rec.Path, Path2: rec.Path2, FD: rec.FD, AIO: rec.AIO}
+	// what replay substitutes goes beside it: canonical, prefixed paths,
+	// remapped identifiers, and the name argument out of the trace's
+	// string table.
+	a := stack.Redirect{Path: tr.Str(rec.Path), Path2: tr.Str(rec.Path2), Name: tr.Str(rec.Name), FD: rec.FD, AIO: rec.AIO}
 	if act.CanonPath >= 0 {
 		a.Path = rs.prefixPath(an.Paths[act.CanonPath], op == stack.OpSymlink)
 	}

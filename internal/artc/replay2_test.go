@@ -29,7 +29,7 @@ func TestReplayModeOverride(t *testing.T) {
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 
 	created := false
 	done := sim.NewCond(k)
@@ -96,7 +96,7 @@ func traceWorkloadPlain(t *testing.T, conf stack.Config, root string) (*trace.Tr
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	k.Spawn("w", func(th *sim.Thread) {
 		fd, _ := sys.Open(th, root+"/data", trace.ORdonly, 0)
 		for i := 0; i < 20; i++ {
@@ -125,7 +125,7 @@ func TestFailedCallFDHintRemap(t *testing.T) {
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	k.Spawn("w", func(th *sim.Thread) {
 		// Shift descriptor numbering so replay numbers differ from traced
 		// numbers unless remapped.
@@ -171,7 +171,7 @@ func TestNaturalSpeedIdentity(t *testing.T) {
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	start := k.Now()
 	k.Spawn("w", func(th *sim.Thread) {
 		fd, _ := sys.Open(th, "/f", trace.ORdonly, 0)

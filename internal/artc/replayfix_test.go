@@ -28,9 +28,11 @@ func handBench(tr *trace.Trace, g *core.Graph) *Benchmark {
 // MaxErrorSamples: zero means the default of 10, so callers cannot
 // accidentally disable sample retention; negative disables it.
 func TestMaxErrorSamplesZeroMeansDefault(t *testing.T) {
-	tr := &trace.Trace{Platform: "linux", Records: []*trace.Record{
-		{TID: 1, Call: "open", Path: "/x", Ret: 3},
-	}}
+	tr := &trace.Trace{Platform: "linux"}
+	s := tr.Intern
+	tr.Records = []trace.Record{
+		{TID: 1, Call: s("open"), Path: s("/x"), Ret: 3},
+	}
 	b := handBench(tr, handGraph(1, nil))
 	for _, tc := range []struct {
 		in, want int
@@ -51,9 +53,10 @@ func TestMaxErrorSamplesZeroMeansDefault(t *testing.T) {
 
 func TestNegativeMaxErrorSamplesRetainsNone(t *testing.T) {
 	rs := &replayState{opts: Options{MaxErrorSamples: -1}, rep: &Report{}}
-	rec := &trace.Record{TID: 1, Call: "open", Path: "/x", Err: "ENOENT"}
+	tr := &trace.Trace{}
+	rec := &trace.Record{TID: 1, Call: tr.Intern("open"), Path: tr.Intern("/x"), Err: tr.Intern("ENOENT")}
 	for i := 0; i < 5; i++ {
-		rs.compare(i, rec, 3, vfs.OK) // traced failure, replay success
+		rs.compare(i, tr, rec, 3, vfs.OK) // traced failure, replay success
 	}
 	if rs.rep.Errors != 5 {
 		t.Fatalf("Errors = %d, want 5 (counting must not be disabled)", rs.rep.Errors)
@@ -113,7 +116,6 @@ func TestDepSatisfiedUnderflowPanics(t *testing.T) {
 	rs := &replayState{
 		g:         g,
 		remaining: []int32{0, 0}, // malformed: the edge list says action 1 waits on one edge
-		waiting:   make([]*sim.Thread, 2),
 	}
 	defer func() {
 		r := recover()
@@ -130,10 +132,12 @@ func TestDepSatisfiedUnderflowPanics(t *testing.T) {
 // A cyclic graph deadlocks; the report must name a blocked action and
 // the dependency it is blocked on, so the failure is actionable.
 func TestReplayDeadlockReport(t *testing.T) {
-	tr := &trace.Trace{Platform: "linux", Records: []*trace.Record{
-		{TID: 1, Call: "read", FD: 9, Start: 0, End: 10},
-		{TID: 2, Call: "write", FD: 9, Start: 0, End: 10},
-	}}
+	tr := &trace.Trace{Platform: "linux"}
+	s := tr.Intern
+	tr.Records = []trace.Record{
+		{TID: 1, Call: s("read"), FD: 9, Start: 0, End: 10},
+		{TID: 2, Call: s("write"), FD: 9, Start: 0, End: 10},
+	}
 	res := core.ResourceID{Kind: core.KFD, Name: "9", Gen: 1}
 	g := handGraph(2, []core.Edge{
 		{From: 0, To: 1, Kind: core.WaitComplete, Res: res},

@@ -346,15 +346,14 @@ func buildOneShard(b *Benchmark, g *core.Graph, plan *shard.Plan, comp int32,
 	// Contiguous local copies: the replay hot path walks records and
 	// actions densely instead of striding through the whole trace.
 	recs := make([]trace.Record, m)
-	recPtrs := make([]*trace.Record, m)
 	acts := make([]core.Action, m)
 	for li, gidx := range members {
-		recs[li] = *b.Trace.Records[gidx]
+		recs[li] = b.Trace.Records[gidx]
 		recs[li].Seq = int64(li)
-		recPtrs[li] = &recs[li]
 		acts[li] = b.Analysis.Actions[gidx]
 	}
-	subTrace := &trace.Trace{Platform: b.Trace.Platform, Records: recPtrs}
+	// The records keep indexing the parent's string table.
+	subTrace := &trace.Trace{Platform: b.Trace.Platform, Records: recs, Strs: b.Trace.Strs}
 	subB := &Benchmark{
 		Platform: b.Platform,
 		Modes:    b.Modes,

@@ -47,7 +47,7 @@ func genGroups(t *testing.T, nComp, opsPer int, shared bool) (*trace.Trace, *sna
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(stack.Linux)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	for c := 0; c < nComp; c++ {
 		c := c
 		rng := rand.New(rand.NewSource(int64(c)*104729 + 1))

@@ -227,7 +227,7 @@ func genFlat(t *testing.T, nThreads, opsPer int) (*trace.Trace, *snapshot.Snapsh
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(stack.Linux)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	for c := 0; c < nThreads; c++ {
 		c := c
 		k.Spawn(fmt.Sprintf("flat-%d", c), func(th *sim.Thread) {

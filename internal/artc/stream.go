@@ -18,9 +18,7 @@ var errStreamAborted = errors.New("artc: stream consumer aborted")
 
 // streamBatch is how many records the parser hands over per channel
 // send, and streamDepth how many batches may be in flight — together
-// they bound the streaming path's parse-side memory at a few thousand
-// records ahead of the analyzer (each record also pins its slab chunk,
-// so the bound is in chunks, not bytes of input).
+// they bound how far the lexer runs ahead of the analyzer.
 const (
 	streamBatch = 512
 	streamDepth = 8
@@ -71,14 +69,22 @@ func compileStraceStream(r io.Reader, lines int, snap *snapshot.Snapshot, modes 
 		tr  *trace.Trace
 		err error
 	}
-	batches := make(chan []*trace.Record, streamDepth)
+	// A batch travels with the string table's slice header as it stood
+	// when the batch was handed over: the lexer keeps appending to the
+	// trace's records and table, but never over an entry either holds,
+	// so the analyzer reads them without touching the growing fields.
+	type batch struct {
+		recs []trace.Record
+		strs []string
+	}
+	batches := make(chan batch, streamDepth)
 	done := make(chan struct{})
 	out := make(chan parseOut, 1)
 	go func() {
 		defer close(batches)
-		tr, err := trace.ParseStraceStream(r, lines, streamBatch, func(recs []*trace.Record) error {
+		tr, err := trace.ParseStraceStream(r, lines, streamBatch, func(recs []trace.Record, strs []string) error {
 			select {
-			case batches <- recs:
+			case batches <- batch{recs, strs}:
 				return nil
 			case <-done:
 				return errStreamAborted
@@ -88,11 +94,11 @@ func compileStraceStream(r io.Reader, lines int, snap *snapshot.Snapshot, modes 
 	}()
 
 	var feedErr error
-	for recs := range batches {
+	for bt := range batches {
 		if feedErr != nil {
 			continue // drain so the producer can exit
 		}
-		if feedErr = anz.Feed(recs); feedErr != nil {
+		if feedErr = anz.Feed(bt.recs, bt.strs); feedErr != nil {
 			close(done)
 		}
 	}

@@ -2,7 +2,9 @@ package artc
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -28,16 +30,18 @@ func streamFixture(t *testing.T) (string, *snapshot.Snapshot) {
 	}, func(sys *stack.System, th *sim.Thread) {})
 
 	ms := func(n int64) time.Duration { return time.Duration(n) * time.Millisecond }
-	tr := &trace.Trace{Platform: "linux", Records: []*trace.Record{
+	tr := &trace.Trace{Platform: "linux"}
+	s := tr.Intern
+	tr.Records = []trace.Record{
 		// TID 1's open spans TID 2's open start; TID 2's pwrite spans
 		// TID 1's read start — both directions split.
-		{TID: 1, Call: "open", Path: "/a", Flags: trace.ORdonly, FD: 3, Ret: 3, Start: ms(0), End: ms(5)},
-		{TID: 2, Call: "open", Path: "/b", Flags: trace.ORdwr, FD: 4, Ret: 4, Start: ms(1), End: ms(2)},
-		{TID: 2, Call: "pwrite64", FD: 4, Size: 4096, Ret: 4096, Start: ms(3), End: ms(8)},
-		{TID: 1, Call: "read", FD: 3, Size: 4096, Ret: 4096, Start: ms(6), End: ms(7)},
-		{TID: 2, Call: "close", FD: 4, Ret: 0, Start: ms(9), End: ms(10)},
-		{TID: 1, Call: "close", FD: 3, Ret: 0, Start: ms(11), End: ms(12)},
-	}}
+		{TID: 1, Call: s("open"), Path: s("/a"), Flags: trace.ORdonly, FD: 3, Ret: 3, Start: ms(0), End: ms(5)},
+		{TID: 2, Call: s("open"), Path: s("/b"), Flags: trace.ORdwr, FD: 4, Ret: 4, Start: ms(1), End: ms(2)},
+		{TID: 2, Call: s("pwrite64"), FD: 4, Size: 4096, Ret: 4096, Start: ms(3), End: ms(8)},
+		{TID: 1, Call: s("read"), FD: 3, Size: 4096, Ret: 4096, Start: ms(6), End: ms(7)},
+		{TID: 2, Call: s("close"), FD: 4, Ret: 0, Start: ms(9), End: ms(10)},
+		{TID: 1, Call: s("close"), FD: 3, Ret: 0, Start: ms(11), End: ms(12)},
+	}
 	tr.Renumber()
 	var buf bytes.Buffer
 	if err := trace.EncodeStrace(&buf, tr); err != nil {
@@ -163,5 +167,67 @@ func TestCompileStraceLineBoundIsCapacityOnly(t *testing.T) {
 		if err != nil || !bytes.Equal(encodeBench(t, b), want) {
 			t.Fatalf("%s: CompileStrace differs from the unbounded compile (%v)", name, err)
 		}
+	}
+}
+
+// TestCompileStraceTableHandoff: the lexer hands the analyzer each batch
+// of records with the string table's slice header as it stood, and goes
+// on appending to both while the analyzer reads. Every batch of this
+// corpus names paths no earlier batch did, so the table grows — and
+// reallocates — after each hand-off. Under -race at GOMAXPROCS 2 a write
+// to anything a batch holds, or a read of the growing fields, is a
+// reported race; and the streamed benchmark must be the parse-then-
+// compile one byte for byte.
+func TestCompileStraceTableHandoff(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	tr := &trace.Trace{Platform: "linux"}
+	s := tr.Intern
+	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
+	const files = 4 * streamBatch
+	for i := 0; i < files; i++ {
+		tid, fd := int32(1+i%4), int64(3+i%4)
+		path := s(fmt.Sprintf("/d/%d/f%d", i%7, i))
+		tr.Records = append(tr.Records,
+			trace.Record{TID: tid, Call: s("open"), Path: path, Flags: trace.OWronly | trace.OCreat, Mode: 0o644, FD: fd, Ret: fd, Start: us(4 * i), End: us(4*i + 1)},
+			trace.Record{TID: tid, Call: s("close"), FD: fd, Start: us(4*i + 2), End: us(4*i + 3)})
+	}
+	tr.Renumber()
+	var buf bytes.Buffer
+	if err := trace.EncodeStrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	snap := &snapshot.Snapshot{Entries: []snapshot.Entry{{Kind: snapshot.KindDir, Path: "/d", Mode: 0o755}}}
+	for i := 0; i < 7; i++ {
+		snap.Entries = append(snap.Entries, snapshot.Entry{Kind: snapshot.KindDir, Path: fmt.Sprintf("/d/%d", i), Mode: 0o755})
+	}
+
+	var first int
+	parsed, err := trace.ParseStraceStream(bytes.NewReader(raw), 0, streamBatch, func(recs []trace.Record, strs []string) error {
+		if first == 0 {
+			first = len(strs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parsed.Strs) < 2*first {
+		t.Fatalf("string table has %d entries at the first hand-off and %d at the end: the corpus does not grow it", first, len(parsed.Strs))
+	}
+
+	streamed, err := CompileStrace(raw, snap, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := Compile(parsed, snap, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := encodeBench(t, streamed), encodeBench(t, batch); !bytes.Equal(got, want) {
+		t.Fatalf("streamed artifact (%d bytes) differs from parse-then-compile (%d bytes)", len(got), len(want))
+	}
+	if len(streamed.Analysis.Warnings) != 0 {
+		t.Fatalf("corpus does not analyse cleanly: %v", streamed.Analysis.Warnings[:1])
 	}
 }

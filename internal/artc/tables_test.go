@@ -65,7 +65,7 @@ func descriptorCorpus(t *testing.T) (*trace.Trace, *snapshot.Snapshot) {
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	for w := 0; w < 3; w++ {
 		k.Spawn("w", func(th *sim.Thread) {
 			for round := 0; round < 6; round++ {

@@ -20,11 +20,12 @@ func (r *Report) Timeline(b *Benchmark, width int) string {
 	}
 	byThread := make(map[int][]int)
 	var tids []int
-	for i, rec := range b.Trace.Records {
-		if _, ok := byThread[rec.TID]; !ok {
-			tids = append(tids, rec.TID)
+	for i := range b.Trace.Records {
+		tid := int(b.Trace.Records[i].TID)
+		if _, ok := byThread[tid]; !ok {
+			tids = append(tids, tid)
 		}
-		byThread[rec.TID] = append(byThread[rec.TID], i)
+		byThread[tid] = append(byThread[tid], i)
 	}
 	sort.Ints(tids)
 	colDur := r.Elapsed / time.Duration(width)

@@ -11,13 +11,15 @@ import (
 )
 
 // ingestBytesPerRecordCeiling is 15 % over what one ingest allocates per
-// record today: 691 bytes. It was 805 while an action was a 72-byte
-// record of pointers (20 bytes of indices now) and the series a slice
-// per resource, 962 while every touch carried a copy of its resource's
+// record today: 516 bytes. It was 691 while a trace record was 184 bytes
+// of strings and numbers reached through an 8-byte pointer (112 bytes of
+// indices and numbers now, in one slab), 805 while an action was a
+// 72-byte record of pointers (20 bytes of indices now) and the series a
+// slice per resource, 962 while every touch carried a copy of its resource's
 // identity (40 bytes a touch, now 8), and 1468 before the ingest path
 // sized its tables from the line count, encoded into one buffer and kept
 // graphs in CSR form.
-const ingestBytesPerRecordCeiling = 795
+const ingestBytesPerRecordCeiling = 594
 
 // TestIngestBytesPerRecord counts every byte the ingest path allocates —
 // strace text through CompileStrace into the store and back out through

@@ -104,6 +104,9 @@ type analyzer struct {
 	// does not re-format (and re-allocate) the name on every touch.
 	inoName map[uint64]string
 
+	// strs is the string table of the batch Feed is reading.
+	strs []string
+
 	res *Analysis
 }
 
@@ -138,6 +141,14 @@ func (a *analyzer) sealTouches(ts []rawTouch) int32 {
 	return int32(a.nTouches - len(ts))
 }
 
+// str reads a string of the batch being fed.
+func (a *analyzer) str(s trace.Str) string {
+	if s == 0 {
+		return ""
+	}
+	return a.strs[s]
+}
+
 // internPath returns p's index in Paths, adding it on first sight.
 func (a *analyzer) internPath(p string) int32 {
 	st, ok := a.pathGen[p]
@@ -154,7 +165,7 @@ func (a *analyzer) internPath(p string) int32 {
 // it while symbolically replaying the trace.
 func Analyze(tr *trace.Trace, fs *vfs.FS) (*Analysis, error) {
 	z := NewAnalyzer(fs)
-	if err := z.Feed(tr.Records); err != nil {
+	if err := z.Feed(tr.Records, tr.Strs); err != nil {
 		return nil, err
 	}
 	return z.Finish(tr)
@@ -194,28 +205,32 @@ func (z *Analyzer) Grow(n int) {
 	z.a.res.Actions = slices.Grow(z.a.res.Actions, n)
 }
 
-// Feed advances the model over the next batch of records. Records must
-// arrive in trace order with dense Seq numbers continuing where the
-// previous batch stopped.
-func (z *Analyzer) Feed(recs []*trace.Record) error {
+// Feed advances the model over the next batch of records, whose strings
+// strs (their trace's table, or any prefix of it that names them all)
+// holds. Records must arrive in trace order with dense Seq numbers
+// continuing where the previous batch stopped. Feed only reads recs and
+// strs.
+func (z *Analyzer) Feed(recs []trace.Record, strs []string) error {
 	a := z.a
+	a.strs = strs
 	z.Grow(len(recs))
-	for _, rec := range recs {
+	for ri := range recs {
+		rec := &recs[ri]
 		i := len(a.res.Actions)
 		if rec.Seq != int64(i) {
 			return fmt.Errorf("core: record %d has Seq %d; call Trace.Renumber first", i, rec.Seq)
 		}
 		act := Action{CanonPath: -1, CanonPath2: -1, FDHint: -1}
-		call := stack.Canonical(rec.Call)
-		if rec.Path != "" {
+		call := stack.Canonical(a.str(rec.Call))
+		if p := a.str(rec.Path); p != "" {
 			if call == "symlink" {
-				act.CanonPath = a.internPath(rec.Path)
+				act.CanonPath = a.internPath(p)
 			} else {
-				act.CanonPath = a.internPath(a.canon(rec.Path))
+				act.CanonPath = a.internPath(a.canon(p))
 			}
 		}
-		if rec.Path2 != "" {
-			act.CanonPath2 = a.internPath(a.canon(rec.Path2))
+		if p := a.str(rec.Path2); p != "" {
+			act.CanonPath2 = a.internPath(a.canon(p))
 		}
 		touches := a.analyzeRecord(rec, call)
 		if touches != nil {
@@ -378,7 +393,7 @@ func aioRes(id int64) ResourceID {
 // warnf records a model-interpretation warning for a record.
 func (a *analyzer) warnf(rec *trace.Record, format string, args ...any) {
 	a.res.Warnings = append(a.res.Warnings,
-		fmt.Sprintf("action %d (%s): %s", rec.Seq, rec.Call, fmt.Sprintf(format, args...)))
+		fmt.Sprintf("action %d (%s): %s", rec.Seq, a.str(rec.Call), fmt.Sprintf(format, args...)))
 }
 
 // parentOf resolves the directory containing the final component of p,
@@ -409,6 +424,7 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 	if !rec.OK() {
 		return nil
 	}
+	path, path2 := a.str(rec.Path), a.str(rec.Path2)
 	ts := a.scratch[:0]
 	use := func(r ResourceID) { ts = append(ts, rawTouch{r, RoleUse}) }
 	create := func(r ResourceID) { ts = append(ts, rawTouch{r, RoleCreate}) }
@@ -447,7 +463,7 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 
 	switch call {
 	case "open", "creat":
-		cp := a.canon(rec.Path)
+		cp := a.canon(path)
 		flags := rec.Flags
 		if call == "creat" {
 			flags = trace.OWronly | trace.OCreat | trace.OTrunc
@@ -508,7 +524,7 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 		} else {
 			a.warnf(rec, "fd %d not tracked", rec.FD)
 		}
-		if rec.Call == "ftruncate" {
+		if a.str(rec.Call) == "ftruncate" {
 			if ino := a.fdFile[rec.FD]; ino != nil {
 				a.fs.TruncateInode(ino, rec.Size)
 			}
@@ -518,7 +534,7 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 		if ino := a.fdFile[rec.FD]; ino != nil {
 			use(a.fileRes(ino))
 		}
-		if rec.Name == "F_DUPFD" && rec.Ret >= 0 {
+		if a.str(rec.Name) == "F_DUPFD" && rec.Ret >= 0 {
 			create(a.bumpFD(rec.Ret))
 			a.fdFile[rec.Ret] = a.fdFile[rec.FD]
 			a.fdPath[rec.Ret] = a.fdPath[rec.FD]
@@ -547,14 +563,14 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 	case "stat", "access", "statfs", "chmod", "chown", "utimes",
 		"getattrlist", "setattrlist", "fsctl", "searchfs", "vfsconf",
 		"getxattr", "setxattr", "listxattr", "removexattr", "truncate":
-		ino := statLike(rec.Path, true)
-		if rec.Call == "truncate" && ino != nil {
+		ino := statLike(path, true)
+		if a.str(rec.Call) == "truncate" && ino != nil {
 			a.fs.TruncateInode(ino, rec.Size)
 		}
 	case "lstat", "readlink", "lgetxattr", "lsetxattr", "llistxattr", "lremovexattr":
-		statLike(rec.Path, false)
+		statLike(path, false)
 	case "mkdir":
-		cp := a.canon(rec.Path)
+		cp := a.canon(path)
 		useParent(cp)
 		ino, err := a.fs.MkdirAll(nil, cp, rec.Mode)
 		if err != vfs.OK {
@@ -564,9 +580,9 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 		create(a.bumpPath(cp))
 		create(a.fileRes(ino))
 	case "rmdir":
-		cp := a.canon(rec.Path)
+		cp := a.canon(path)
 		useParent(cp)
-		ino := resolveFile(rec.Path, false)
+		ino := resolveFile(path, false)
 		if ino != nil {
 			del(a.fileRes(ino))
 		}
@@ -575,9 +591,9 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 			a.warnf(rec, "rmdir %q failed in model: %v", cp, err)
 		}
 	case "unlink":
-		cp := a.canon(rec.Path)
+		cp := a.canon(path)
 		useParent(cp)
-		ino := resolveFile(rec.Path, false)
+		ino := resolveFile(path, false)
 		del(a.pathRes(cp))
 		if ino != nil {
 			if ino.Nlink <= 1 {
@@ -592,11 +608,11 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 	case "rename":
 		a.analyzeRename(rec, &ts)
 	case "link":
-		oldP, newP := a.canon(rec.Path), a.canon(rec.Path2)
+		oldP, newP := a.canon(path), a.canon(path2)
 		use(a.pathRes(oldP))
 		useParent(oldP)
 		useParent(newP)
-		ino := resolveFile(rec.Path, false)
+		ino := resolveFile(path, false)
 		if ino != nil {
 			use(a.fileRes(ino))
 		}
@@ -605,9 +621,9 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 			a.warnf(rec, "link failed in model: %v", err)
 		}
 	case "symlink":
-		linkP := a.canon(rec.Path2)
+		linkP := a.canon(path2)
 		useParent(linkP)
-		ino, err := a.fs.Symlink(nil, rec.Path, linkP)
+		ino, err := a.fs.Symlink(nil, path, linkP)
 		if err != vfs.OK {
 			a.warnf(rec, "symlink failed in model: %v", err)
 			return ts
@@ -615,11 +631,11 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 		create(a.bumpPath(linkP))
 		create(a.fileRes(ino))
 	case "exchangedata":
-		pa, pb := a.canon(rec.Path), a.canon(rec.Path2)
+		pa, pb := a.canon(path), a.canon(path2)
 		useParent(pa)
 		useParent(pb)
-		inoA := resolveFile(rec.Path, true)
-		inoB := resolveFile(rec.Path2, true)
+		inoA := resolveFile(path, true)
+		inoB := resolveFile(path2, true)
 		if inoA != nil {
 			use(a.fileRes(inoA))
 		}
@@ -636,10 +652,10 @@ func (a *analyzer) analyzeRecord(rec *trace.Record, call string) []rawTouch {
 			a.warnf(rec, "exchangedata failed in model: %v", err)
 		}
 	case "chdir":
-		ino := statLike(rec.Path, true)
+		ino := statLike(path, true)
 		if ino != nil && ino.IsDir() {
 			a.cwd = ino
-			a.cwdPath = a.canon(rec.Path)
+			a.cwdPath = a.canon(path)
 		}
 	case "fchdir":
 		use(a.fdRes(rec.FD))
@@ -675,7 +691,7 @@ func (a *analyzer) analyzeRename(rec *trace.Record, ts *[]rawTouch) {
 	use := func(r ResourceID) { *ts = append(*ts, rawTouch{r, RoleUse}) }
 	create := func(r ResourceID) { *ts = append(*ts, rawTouch{r, RoleCreate}) }
 	del := func(r ResourceID) { *ts = append(*ts, rawTouch{r, RoleDelete}) }
-	oldP, newP := a.canon(rec.Path), a.canon(rec.Path2)
+	oldP, newP := a.canon(a.str(rec.Path)), a.canon(a.str(rec.Path2))
 	if dir := a.parentOf(oldP); dir != nil {
 		use(a.fileRes(dir))
 	}

@@ -33,9 +33,9 @@ type rspec struct {
 func buildTrace(specs []rspec) *trace.Trace {
 	tr := &trace.Trace{Platform: "linux"}
 	for i, s := range specs {
-		rec := &trace.Record{
-			Seq: int64(i), TID: s.tid, Call: s.call, Path: s.path, Path2: s.path2,
-			FD: s.fd, FD2: s.fd2, Flags: s.flags, Ret: s.ret, Err: s.err, AIO: s.aio,
+		rec := trace.Record{
+			Seq: int64(i), TID: int32(s.tid), Call: tr.Intern(s.call), Path: tr.Intern(s.path), Path2: tr.Intern(s.path2),
+			FD: s.fd, FD2: s.fd2, Flags: s.flags, Ret: s.ret, Err: tr.Intern(s.err), AIO: s.aio,
 			Start: time.Duration(i) * time.Millisecond,
 			End:   time.Duration(i)*time.Millisecond + 500*time.Microsecond,
 		}
@@ -586,7 +586,7 @@ func TestStageEdgesImpliedBySeq(t *testing.T) {
 			next[e.From] = append(next[e.From], e.To)
 		}
 		// Same-thread order is implicit: add those edges too.
-		byTID := make(map[int][]int)
+		byTID := make(map[int32][]int)
 		for i := range an.Actions {
 			byTID[tr.Records[i].TID] = append(byTID[tr.Records[i].TID], i)
 		}
@@ -682,7 +682,7 @@ func TestQuickSubsumptionEdgeInclusion(t *testing.T) {
 	for _, e := range strong.Edges {
 		next[e.From] = append(next[e.From], e.To)
 	}
-	byTID := make(map[int][]int)
+	byTID := make(map[int32][]int)
 	for i := range an.Actions {
 		byTID[tr.Records[i].TID] = append(byTID[tr.Records[i].TID], i)
 	}
@@ -735,7 +735,7 @@ func handAnalysis(resources []ResourceID, touches [][]Touch, pathGens map[string
 		SeriesOff: make([]int32, len(resources)+1)}
 	series := make([][]int32, len(resources))
 	for i, ts := range touches {
-		an.Trace.Records = append(an.Trace.Records, &trace.Record{Seq: int64(i), TID: 1 + i%2})
+		an.Trace.Records = append(an.Trace.Records, trace.Record{Seq: int64(i), TID: int32(1 + i%2)})
 		an.Actions = append(an.Actions, Action{CanonPath: -1, CanonPath2: -1, FDHint: -1,
 			TouchOff: int32(len(an.TouchSlab)), TouchLen: int32(len(ts))})
 		for _, tc := range ts {

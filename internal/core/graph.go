@@ -104,7 +104,7 @@ func NewGraph(n int, edges []Edge) *Graph { return newGraph(n, edges) }
 func BuildGraph(an *Analysis, modes ModeSet) *Graph {
 	n := len(an.Actions)
 	recs := an.Trace.Records
-	tid := func(i int) int { return recs[i].TID }
+	tid := func(i int) int { return int(recs[i].TID) }
 	// Edges are appended freely (the ordering rules emit the same pair
 	// through different resources) and deduplicated afterward by a
 	// sort+compact pass — far cheaper than a map probe per candidate.
@@ -297,8 +297,8 @@ func (g *Graph) Reduce(an *Analysis) *Graph {
 	tidIdx := make([]int, n)
 	pos := make([]int, n)
 	next := make([]int, n)
-	threadOf := make(map[int]int)
-	lastOf := make(map[int]int)
+	threadOf := make(map[int32]int)
+	lastOf := make(map[int32]int)
 	for i := 0; i < n; i++ {
 		next[i] = -1
 		tid := an.Trace.Records[i].TID

@@ -13,8 +13,8 @@ import (
 func fakeAnalysis(tids []int) *Analysis {
 	an := &Analysis{Trace: &trace.Trace{}}
 	for i, tid := range tids {
-		an.Trace.Records = append(an.Trace.Records, &trace.Record{
-			Seq: int64(i), TID: tid,
+		an.Trace.Records = append(an.Trace.Records, trace.Record{
+			Seq: int64(i), TID: int32(tid),
 			Start: time.Duration(i) * time.Millisecond,
 		})
 		an.Actions = append(an.Actions, Action{CanonPath: -1, CanonPath2: -1, FDHint: -1})
@@ -54,7 +54,7 @@ func randomSchedule(rng *rand.Rand, an *Analysis, g *Graph) (issue, complete []t
 	done := make([]bool, n)
 	issued := make([]bool, n)
 	prevSame := make([]int, n) // same-thread predecessor, -1 if first
-	lastOf := map[int]int{}
+	lastOf := map[int32]int{}
 	for i := 0; i < n; i++ {
 		prevSame[i] = -1
 		tid := an.Trace.Records[i].TID

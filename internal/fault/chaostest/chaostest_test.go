@@ -14,8 +14,9 @@ import (
 	"rootreplay/internal/fault"
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/obs"
+	"rootreplay/internal/sched"
 	"rootreplay/internal/stack"
-	"rootreplay/internal/trace"
+	"rootreplay/internal/storage"
 )
 
 // compileSmall compiles a small Magritte benchmark shared by the tests.
@@ -159,18 +160,19 @@ func TestPanickingReplayIsAViolation(t *testing.T) {
 			if err := magritte.InitTarget(sys, b, true); err != nil {
 				return err
 			}
-			// The tracer runs inside the replay thread issuing the call.
-			sys.SetTracer(func(*trace.Record) {
+			// A journal commit submits its write inside the replay
+			// thread whose fsync forced it.
+			sys.Sched = explodingSched{sys.Sched, func() {
 				if calls++; calls == 20 {
-					panic("tracer exploded")
+					panic("scheduler exploded")
 				}
-			})
+			}}
 			return nil
 		},
 	}}
 	res, _ := RunSeed(opts, 1)
 	if len(res.Violations) != 1 || !strings.HasPrefix(res.Violations[0], "panic: ") ||
-		!strings.Contains(res.Violations[0], "tracer exploded") ||
+		!strings.Contains(res.Violations[0], "scheduler exploded") ||
 		!strings.Contains(res.Violations[0], "replay-T") {
 		t.Fatalf("violations = %q, want one panic naming the replay thread", res.Violations)
 	}
@@ -220,4 +222,16 @@ func TestFailedExportIsAViolation(t *testing.T) {
 			t.Errorf("%s: violations = %q, want one naming the failed export and its error", name, v)
 		}
 	}
+}
+
+// explodingSched is a scheduler that calls onSubmit before passing each
+// request on.
+type explodingSched struct {
+	sched.Scheduler
+	onSubmit func()
+}
+
+func (s explodingSched) Submit(r *storage.Request, done func()) {
+	s.onSubmit()
+	s.Scheduler.Submit(r, done)
 }

@@ -29,7 +29,7 @@ func TestCorpusCallNamesCanonicalize(t *testing.T) {
 			t.Fatalf("%s: %v", sp.FullName(), err)
 		}
 		for _, r := range gen.Trace.Records {
-			names[r.Call] = true
+			names[gen.Trace.Str(r.Call)] = true
 		}
 	}
 	if len(names) < 10 {

@@ -74,12 +74,8 @@ func Generate(spec Spec, opts GenOptions) (*Generated, error) {
 	}
 
 	tr := &trace.Trace{Platform: string(stack.OSX)}
-	count := 0
-	sys.SetTracer(func(r *trace.Record) {
-		tr.Records = append(tr.Records, r)
-		count++
-	})
-	runProgram(sys, spec, paths, target, &count, opts.Seed)
+	sys.SetTracer(tr)
+	runProgram(sys, spec, paths, target, tr, opts.Seed)
 	if err := k.Run(); err != nil {
 		return nil, fmt.Errorf("magritte %s: %w", spec.FullName(), err)
 	}
@@ -141,9 +137,9 @@ type handoffItem struct {
 	size int64
 }
 
-// runProgram spawns the application's threads. They stop once the traced
-// event counter passes target.
-func runProgram(sys *stack.System, spec Spec, p *appPaths, target int, count *int, seed int64) {
+// runProgram spawns the application's threads. They stop once the trace
+// they are recorded into holds target events.
+func runProgram(sys *stack.System, spec Spec, p *appPaths, target int, tr *trace.Trace, seed int64) {
 	k := sys.K
 
 	var dbFD int64 = -1
@@ -177,7 +173,7 @@ func runProgram(sys *stack.System, spec Spec, p *appPaths, target int, count *in
 			sys.Read(t, fd, 4096)
 			sys.Close(t, fd)
 			sys.Getattrlist(t, pl, "common")
-			if *count >= target {
+			if len(tr.Records) >= target {
 				break
 			}
 		}
@@ -195,7 +191,7 @@ func runProgram(sys *stack.System, spec Spec, p *appPaths, target int, count *in
 		// Library-DB commit loop: commit frequency follows the app's
 		// write/fsync character, so read-dominated apps (Numbers,
 		// Keynote) rarely touch the database.
-		for *count < target {
+		for len(tr.Records) < target {
 			if rng.Intn(totalW) < spec.WWrite {
 				sys.Pwrite(t, dbFD, int64(4096+rng.Intn(16384)), int64(rng.Intn(900))*4096)
 			}
@@ -263,7 +259,7 @@ func runProgram(sys *stack.System, spec Spec, p *appPaths, target int, count *in
 			// HDD/SSD thread-time ratio in the paper's 5-20x band).
 			lastMedia := ""
 			lastOff := int64(0)
-			for *count < target {
+			for len(tr.Records) < target {
 				r := rng.Intn(totalW)
 				switch {
 				case r < spec.WRead:

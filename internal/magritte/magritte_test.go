@@ -48,10 +48,10 @@ func TestGenerateProducesOSXTrace(t *testing.T) {
 	hasAttrList := false
 	hasDevRandom := false
 	for _, r := range gen.Trace.Records {
-		if r.Call == "getattrlist" {
+		if gen.Trace.Str(r.Call) == "getattrlist" {
 			hasAttrList = true
 		}
-		if r.Path == "/dev/random" {
+		if gen.Trace.Str(r.Path) == "/dev/random" {
 			hasDevRandom = true
 		}
 	}
@@ -259,7 +259,7 @@ func TestIMovieTracesUseAIO(t *testing.T) {
 	}
 	counts := map[string]int{}
 	for _, r := range gen.Trace.Records {
-		counts[r.Call]++
+		counts[gen.Trace.Str(r.Call)]++
 	}
 	for _, call := range []string{"aio_read", "aio_suspend", "aio_return"} {
 		if counts[call] == 0 {

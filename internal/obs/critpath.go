@@ -74,16 +74,17 @@ type CriticalPath struct {
 // the satisfaction of a WaitComplete/WaitIssue dependency edge,
 // whichever released last. Ties prefer the earlier-ordered candidate
 // (thread order first, then edges in graph order), which keeps the walk
-// deterministic. issue and done are the replay's per-action times; recs
-// supplies thread and call identity.
-func Critical(g *core.Graph, recs []*trace.Record, issue, done []time.Duration) *CriticalPath {
+// deterministic. issue and done are the replay's per-action times; tr's
+// records supply thread and call identity.
+func Critical(g *core.Graph, tr *trace.Trace, issue, done []time.Duration) *CriticalPath {
 	n := g.N
+	recs := tr.Records
 	if n == 0 || len(recs) != n || len(issue) != n || len(done) != n {
 		return &CriticalPath{}
 	}
 	// Same-thread predecessor of each action.
 	prev := make([]int32, n)
-	lastOf := make(map[int]int)
+	lastOf := make(map[int32]int)
 	for i := 0; i < n; i++ {
 		prev[i] = -1
 		if p, ok := lastOf[recs[i].TID]; ok {
@@ -103,8 +104,8 @@ func Critical(g *core.Graph, recs []*trace.Record, issue, done []time.Duration) 
 	for cur := end; cur >= 0; {
 		h := Hop{
 			Action: cur,
-			TID:    recs[cur].TID,
-			Call:   recs[cur].Call,
+			TID:    int(recs[cur].TID),
+			Call:   tr.Str(recs[cur].Call),
 			Issue:  issue[cur],
 			Done:   done[cur],
 			From:   -1,

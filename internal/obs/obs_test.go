@@ -139,19 +139,21 @@ func TestInstallProbesSamplesOnVirtualClock(t *testing.T) {
 // chainTimes builds issue/done arrays for a 3-action two-thread replay:
 // T1 runs a0 then a2, T2 runs a1; a2 also depends on a1 completing and
 // a1's completion is the binding (later) constraint.
-func chainFixture() (*core.Graph, []*trace.Record, []time.Duration, []time.Duration) {
+func chainFixture() (*core.Graph, *trace.Trace, []time.Duration, []time.Duration) {
 	g := mkGraph(3, []core.Edge{
 		{From: 1, To: 2, Kind: core.WaitComplete,
 			Res: core.ResourceID{Kind: core.KFD, Name: "3", Gen: 1}},
 	})
-	recs := []*trace.Record{
-		{TID: 1, Call: "open"},
-		{TID: 2, Call: "pwrite"},
-		{TID: 1, Call: "pread"},
+	tr := &trace.Trace{}
+	s := tr.Intern
+	tr.Records = []trace.Record{
+		{TID: 1, Call: s("open")},
+		{TID: 2, Call: s("pwrite")},
+		{TID: 1, Call: s("pread")},
 	}
 	issue := []time.Duration{0, 0, 130}
 	done := []time.Duration{50, 120, 200}
-	return g, recs, issue, done
+	return g, tr, issue, done
 }
 
 func TestCriticalPath(t *testing.T) {
@@ -191,7 +193,8 @@ func TestCriticalPath(t *testing.T) {
 func TestCriticalPathThreadOrder(t *testing.T) {
 	// Single thread, no edges: the path is pure thread order.
 	g := mkGraph(2, nil)
-	recs := []*trace.Record{{TID: 1, Call: "open"}, {TID: 1, Call: "close"}}
+	recs := &trace.Trace{}
+	recs.Records = []trace.Record{{TID: 1, Call: recs.Intern("open")}, {TID: 1, Call: recs.Intern("close")}}
 	issue := []time.Duration{0, 60}
 	done := []time.Duration{50, 90}
 	cp := Critical(g, recs, issue, done)
@@ -205,11 +208,11 @@ func TestCriticalPathThreadOrder(t *testing.T) {
 
 func TestCriticalPathFormatElision(t *testing.T) {
 	n := 10
-	recs := make([]*trace.Record, n)
+	recs := &trace.Trace{Records: make([]trace.Record, n)}
 	issue := make([]time.Duration, n)
 	done := make([]time.Duration, n)
 	for i := 0; i < n; i++ {
-		recs[i] = &trace.Record{TID: 1, Call: "write"}
+		recs.Records[i] = trace.Record{TID: 1, Call: recs.Intern("write")}
 		issue[i] = time.Duration(i * 10)
 		done[i] = time.Duration(i*10 + 10)
 	}
@@ -224,12 +227,12 @@ func TestCriticalPathFormatElision(t *testing.T) {
 }
 
 func TestCriticalPathEmptyAndMismatched(t *testing.T) {
-	cp := Critical(&core.Graph{}, nil, nil, nil)
+	cp := Critical(&core.Graph{}, &trace.Trace{}, nil, nil)
 	if cp == nil || len(cp.Hops) != 0 {
 		t.Fatalf("empty graph: %+v", cp)
 	}
 	g := mkGraph(2, nil)
-	cp = Critical(g, []*trace.Record{{TID: 1}}, nil, nil) // lengths disagree
+	cp = Critical(g, &trace.Trace{Records: []trace.Record{{TID: 1}}}, nil, nil) // lengths disagree
 	if cp == nil || len(cp.Hops) != 0 {
 		t.Fatalf("mismatched inputs should yield empty path: %+v", cp)
 	}

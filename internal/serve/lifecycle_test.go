@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -12,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rootreplay/internal/artifact"
 	"rootreplay/internal/magritte"
 	"rootreplay/internal/sim"
 	"rootreplay/internal/snapshot"
@@ -78,7 +82,7 @@ func stallingBlobs(t *testing.T) (traceBlob, snapBlob []byte) {
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(sys.Conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	k.Spawn("reader", func(th *sim.Thread) {
 		fd, _ := sys.Open(th, "/entropy", trace.ORdonly, 0)
 		sys.Read(th, fd, 1000)
@@ -324,6 +328,78 @@ func TestConcurrentSameTraceSharesCompile(t *testing.T) {
 	case k := <-entered:
 		t.Fatalf("a second compile started (key %s)", k)
 	default:
+	}
+}
+
+// A repeat of a compile that succeeded loads the artifact under the key
+// remembered for its inputs: the second identical job decodes no
+// snapshot and keys nothing, still counts as a cache hit, and exports
+// the same bytes. A damaged entry sends the next repeat down the full
+// path again.
+func TestRepeatJobSkipsInputDecode(t *testing.T) {
+	store, err := artifact.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _ := newTestServer(t, Config{Workers: 1, Store: store})
+	traceID, snapID := uploadMagritte(t, s, "a")
+	var decodes atomic.Int32
+	s.hooks.inputsDecoded = func(string) { decodes.Add(1) }
+	export := func() []byte {
+		t.Helper()
+		id := submitJob(t, s, "a", fmt.Sprintf(`{"kind":"export","trace":"%s","snapshot":"%s"}`, traceID, snapID))
+		waitState(t, s, "a", id, StateDone)
+		w := do(s, http.MethodGet, "/v1/tenants/a/jobs/"+id+"/result", nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("result: %d %s", w.Code, w.Body)
+		}
+		return w.Body.Bytes()
+	}
+	first := export()
+	if n := decodes.Load(); n != 1 {
+		t.Fatalf("first job decoded its inputs %d times, want 1", n)
+	}
+	second := export()
+	if n := decodes.Load(); n != 1 {
+		t.Fatalf("repeat job decoded its inputs again (%d decodes)", n)
+	}
+	if !bytes.Equal(first, second) {
+		t.Fatalf("repeat export differs: %d vs %d bytes", len(second), len(first))
+	}
+	if hits, misses := s.counters.Get("artcd_cache_hits"), s.counters.Get("artcd_cache_misses"); hits != 1 || misses != 1 {
+		t.Fatalf("cache hits/misses = %d/%d, want 1/1", hits, misses)
+	}
+
+	// Damage the stored artifact: the repeat falls back to decoding and
+	// recompiling, and still exports the same bytes.
+	damaged := 0
+	err = filepath.WalkDir(store.Dir(), func(path string, e fs.DirEntry, err error) error {
+		if err != nil || e.IsDir() || filepath.Ext(path) != ".artc" {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		data[len(data)/2] ^= 0xFF
+		damaged++
+		return os.WriteFile(path, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if damaged == 0 {
+		t.Fatal("no artifact in the store to damage")
+	}
+	third := export()
+	if n := decodes.Load(); n != 2 {
+		t.Fatalf("repeat after damage decoded its inputs %d times in all, want 2", n)
+	}
+	if !bytes.Equal(first, third) {
+		t.Fatal("export after recompiling a damaged entry differs")
+	}
+	if misses := s.counters.Get("artcd_cache_misses"); misses != 2 {
+		t.Fatalf("cache misses after damage = %d, want 2", misses)
 	}
 }
 

@@ -87,17 +87,27 @@ func (s *Server) compileShared(j *Job) (*artc.Benchmark, error) {
 		} else {
 			s.counters.Add("artcd_cache_misses", 1)
 		}
+		s.mu.Lock()
+		s.keys[key] = f.st.Key
+		s.mu.Unlock()
 	}
 	return f.b, f.err
 }
 
-// doCompile is the singleflight leader's work: decode inputs, compile
-// through the store (or directly when caching is off).
+// doCompile is the singleflight leader's work: load the artifact the
+// inputs compiled to before, or decode them and compile through the
+// store (or directly when caching is off).
 func (s *Server) doCompile(key string, req jobRequest, raw, snapRaw []byte) (*artc.Benchmark, artifact.Stats, error) {
 	if s.hooks.compileStarted != nil {
 		s.hooks.compileStarted(key)
 	}
 	s.counters.Add("artcd_compiles", 1)
+	if b, st, ok := s.loadKeyed(key); ok {
+		return b, st, nil
+	}
+	if s.hooks.inputsDecoded != nil {
+		s.hooks.inputsDecoded(key)
+	}
 	if raw == nil {
 		return nil, artifact.Stats{}, fmt.Errorf("trace blob %s disappeared", req.Trace)
 	}
@@ -122,6 +132,30 @@ func (s *Server) doCompile(key string, req jobRequest, raw, snapRaw []byte) (*ar
 		}
 		return artifact.CompileTrace(s.cfg.Store, tr, snap, modes)
 	}
+}
+
+// loadKeyed answers a repeat of a compile that succeeded before straight
+// from the store, under the artifact key remembered for its inputs: the
+// snapshot is not decoded, the raw trace not hashed, a native trace not
+// decoded and re-encoded. ok is false for inputs never compiled, with
+// caching off, and when the entry is gone or damaged (Get drops a
+// damaged one); the caller then takes the full path, which compiles and
+// puts the artifact again. An entry of s.keys lives as long as the blobs
+// its key names, which are never dropped; a server that drops blobs
+// must drop their entries with them.
+func (s *Server) loadKeyed(key string) (b *artc.Benchmark, st artifact.Stats, ok bool) {
+	s.mu.Lock()
+	akey, known := s.keys[key]
+	s.mu.Unlock()
+	if !known || s.cfg.Store == nil {
+		return nil, st, false
+	}
+	t0 := time.Now()
+	b, n, err := s.cfg.Store.Get(akey)
+	if err != nil {
+		return nil, st, false
+	}
+	return b, artifact.Stats{Key: akey, Hit: true, LoadNs: time.Since(t0).Nanoseconds(), Bytes: n}, true
 }
 
 // executeIsolated is execute with a panic turned into the job's error,

@@ -72,6 +72,9 @@ type Config struct {
 type hooks struct {
 	// compileStarted runs in the singleflight leader before compiling.
 	compileStarted func(key string)
+	// inputsDecoded runs in the singleflight leader when it decodes a
+	// job's inputs (the snapshot, and a native trace) to key them.
+	inputsDecoded func(key string)
 	// replicaInit runs on every target machine a replay job builds (one
 	// per member of a sharded replay), after it has been initialized.
 	replicaInit func(sys *stack.System)
@@ -94,7 +97,8 @@ type Server struct {
 	rr       int
 	blobs    map[string][]byte // content-addressed uploads, deduplicated globally
 	flights  map[string]*flight
-	liveJobs int // jobs admitted but not yet terminal
+	keys     map[string]string // flight key → artifact key it compiled under (see loadKeyed)
+	liveJobs int               // jobs admitted but not yet terminal
 	draining bool
 	stopped  bool
 	dispWG   sync.WaitGroup
@@ -136,6 +140,7 @@ func New(cfg Config) *Server {
 		tenants:  make(map[string]*tenant),
 		blobs:    make(map[string][]byte),
 		flights:  make(map[string]*flight),
+		keys:     make(map[string]string),
 		pool:     par.NewPool(cfg.Workers),
 	}
 	s.cond = sync.NewCond(&s.mu)

@@ -205,9 +205,9 @@ func Partition(an *core.Analysis, g *core.Graph) *Plan {
 
 	// (a) Thread membership: a traced thread replays as one simulated
 	// thread, so all its actions share a component.
-	lastOfTID := make(map[int]int32)
-	for i, rec := range an.Trace.Records {
-		tid := rec.TID
+	lastOfTID := make(map[int32]int32)
+	for i := range an.Trace.Records {
+		tid := an.Trace.Records[i].TID
 		if prev, ok := lastOfTID[tid]; ok {
 			u.union(prev, int32(i))
 		}
@@ -308,7 +308,7 @@ func resourceClosure(u *uf, an *core.Analysis, g *core.Graph) {
 	for i := range an.Actions {
 		act := &an.Actions[i]
 		ai := int32(i)
-		if p := act.CanonPath; p >= 0 && an.Trace.Records[i].Call != "symlink" {
+		if p := act.CanonPath; p >= 0 && an.Trace.Str(an.Trace.Records[i].Call) != "symlink" {
 			uniteName(an.Paths[p], ai)
 			uniteName(gopath.Dir(an.Paths[p]), ai)
 		}

@@ -123,7 +123,7 @@ func genIsolated(t *testing.T, nComp, opsPer int) (*trace.Trace, *snapshot.Snaps
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(stack.Linux)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	for c := 0; c < nComp; c++ {
 		c := c
 		rng := rand.New(rand.NewSource(int64(c)*104729 + 1))
@@ -248,7 +248,7 @@ func TestPartitionSharedState(t *testing.T) {
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(stack.Linux)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	done := sim.NewWaitGroup(k)
 	done.Add(1)
 	k.Spawn("writer", func(th *sim.Thread) {
@@ -287,11 +287,13 @@ func TestPartitionSharedState(t *testing.T) {
 // opens the descriptor even when its thread does nothing else there.
 func TestPartitionKeepsFailedCallWithItsDescriptor(t *testing.T) {
 	us := func(n int64) time.Duration { return time.Duration(n) * time.Microsecond }
-	tr := &trace.Trace{Platform: "linux", Records: []*trace.Record{
-		{TID: 1, Call: "open", Path: "/dir", Flags: trace.ORdonly | trace.ODir, Ret: 3, Start: us(0), End: us(1)},
-		{TID: 2, Call: "read", FD: 3, Size: 64, Ret: -1, Err: "EISDIR", Start: us(2), End: us(3)},
-		{TID: 1, Call: "close", FD: 3, Start: us(4), End: us(5)},
-	}}
+	tr := &trace.Trace{Platform: "linux"}
+	s := tr.Intern
+	tr.Records = []trace.Record{
+		{TID: 1, Call: s("open"), Path: s("/dir"), Flags: trace.ORdonly | trace.ODir, Ret: 3, Start: us(0), End: us(1)},
+		{TID: 2, Call: s("read"), FD: 3, Size: 64, Ret: -1, Err: s("EISDIR"), Start: us(2), End: us(3)},
+		{TID: 1, Call: s("close"), FD: 3, Start: us(4), End: us(5)},
+	}
 	b, err := artc.Compile(tr, nil, core.DefaultModes())
 	if err != nil {
 		t.Fatal(err)

@@ -263,17 +263,19 @@ func Native(p Platform, op Op) bool {
 
 // Redirect holds the arguments a replayer substitutes for the traced
 // ones: paths (canonical, under the replay prefix) and the identifiers the
-// target's kernel hands out (descriptor, AIO control block). They travel
-// beside the record because the record itself is shared by every replay
-// of its benchmark and must not be written.
+// target's kernel hands out (descriptor, AIO control block), plus the
+// record's name argument read out of its trace's string table. They
+// travel beside the record because the record itself is shared by every
+// replay of its benchmark and must not be written.
 type Redirect struct {
-	Path, Path2 string
-	FD, AIO     int64
+	Path, Path2, Name string
+	FD, AIO           int64
 }
 
 // Apply executes call op against the system on behalf of thread t,
-// returning the result: a's arguments where the replayer redirects them,
-// rec's for the rest. rec.Call is not consulted.
+// returning the result: a's arguments where the replayer redirects them
+// (and a.Name, the one string argument it does not), rec's numbers for
+// the rest. rec.Call and rec's string fields are not consulted.
 func (s *System) Apply(t *sim.Thread, op Op, rec *trace.Record, a *Redirect) (int64, vfs.Errno) {
 	switch op {
 	case OpOpen:
@@ -291,7 +293,7 @@ func (s *System) Apply(t *sim.Thread, op Op, rec *trace.Record, a *Redirect) (in
 	case OpPwrite:
 		return s.Pwrite(t, a.FD, rec.Size, rec.Offset)
 	case OpLseek:
-		return s.Lseek(t, a.FD, rec.Offset, rec.Whence)
+		return s.Lseek(t, a.FD, rec.Offset, int(rec.Whence))
 	case OpFsync:
 		return s.Fsync(t, a.FD)
 	case OpFdatasync:
@@ -303,13 +305,13 @@ func (s *System) Apply(t *sim.Thread, op Op, rec *trace.Record, a *Redirect) (in
 	case OpDup2:
 		return s.Dup2(t, a.FD, rec.FD2)
 	case OpFcntl:
-		return s.Fcntl(t, a.FD, rec.Name, rec.Offset)
+		return s.Fcntl(t, a.FD, a.Name, rec.Offset)
 	case OpFtruncate:
 		return s.Ftruncate(t, a.FD, rec.Size)
 	case OpTruncate:
 		return s.Truncate(t, a.Path, rec.Size)
 	case OpFadvise:
-		return s.Fadvise(t, a.FD, rec.Offset, rec.Size, rec.Name)
+		return s.Fadvise(t, a.FD, rec.Offset, rec.Size, a.Name)
 	case OpFallocate:
 		return s.Fallocate(t, a.FD, rec.Offset, rec.Size)
 	case OpMmap:
@@ -369,33 +371,33 @@ func (s *System) Apply(t *sim.Thread, op Op, rec *trace.Record, a *Redirect) (in
 	case OpFstatfs:
 		return s.Fstatfs(t, a.FD)
 	case OpGetxattr:
-		return s.Getxattr(t, a.Path, rec.Name, true)
+		return s.Getxattr(t, a.Path, a.Name, true)
 	case OpLgetxattr:
-		return s.Getxattr(t, a.Path, rec.Name, false)
+		return s.Getxattr(t, a.Path, a.Name, false)
 	case OpSetxattr:
-		return s.Setxattr(t, a.Path, rec.Name, rec.Size, true)
+		return s.Setxattr(t, a.Path, a.Name, rec.Size, true)
 	case OpLsetxattr:
-		return s.Setxattr(t, a.Path, rec.Name, rec.Size, false)
+		return s.Setxattr(t, a.Path, a.Name, rec.Size, false)
 	case OpListxattr:
 		return s.Listxattr(t, a.Path, true)
 	case OpLlistxattr:
 		return s.Listxattr(t, a.Path, false)
 	case OpRemovexattr:
-		return s.Removexattr(t, a.Path, rec.Name, true)
+		return s.Removexattr(t, a.Path, a.Name, true)
 	case OpLremovexattr:
-		return s.Removexattr(t, a.Path, rec.Name, false)
+		return s.Removexattr(t, a.Path, a.Name, false)
 	case OpFgetxattr:
-		return s.Fgetxattr(t, a.FD, rec.Name)
+		return s.Fgetxattr(t, a.FD, a.Name)
 	case OpFsetxattr:
-		return s.Fsetxattr(t, a.FD, rec.Name, rec.Size)
+		return s.Fsetxattr(t, a.FD, a.Name, rec.Size)
 	case OpFlistxattr:
 		return s.Flistxattr(t, a.FD)
 	case OpFremovexattr:
-		return s.Fremovexattr(t, a.FD, rec.Name)
+		return s.Fremovexattr(t, a.FD, a.Name)
 	case OpGetattrlist:
-		return s.Getattrlist(t, a.Path, rec.Name)
+		return s.Getattrlist(t, a.Path, a.Name)
 	case OpSetattrlist:
-		return s.Setattrlist(t, a.Path, rec.Name)
+		return s.Setattrlist(t, a.Path, a.Name)
 	case OpGetdirentriesattr:
 		return s.Getdirentriesattr(t, a.FD, rec.Size)
 	case OpExchangedata:

@@ -47,7 +47,7 @@ func (s *System) specialKind(ino *vfs.Inode) (SpecialKind, bool) {
 // Open opens path with flags, returning a new descriptor number.
 func (s *System) Open(t *sim.Thread, path string, flags trace.OpenFlag, mode uint32) (int64, vfs.Errno) {
 	enter := s.enter(t, OpOpen)
-	rec := &trace.Record{Path: path, Flags: flags, Mode: mode}
+	rec := &trace.Record{Path: s.str(path), Flags: flags, Mode: mode}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 
 	var ino *vfs.Inode
@@ -258,7 +258,7 @@ const (
 // Lseek repositions a descriptor's offset.
 func (s *System) Lseek(t *sim.Thread, fd, off int64, whence int) (int64, vfs.Errno) {
 	enter := s.enter(t, OpLseek)
-	rec := &trace.Record{FD: fd, Offset: off, Whence: whence}
+	rec := &trace.Record{FD: fd, Offset: off, Whence: int32(whence)}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -385,7 +385,7 @@ func (s *System) Ftruncate(t *sim.Thread, fd, size int64) (int64, vfs.Errno) {
 // Truncate sets the size of the file at path.
 func (s *System) Truncate(t *sim.Thread, path string, size int64) (int64, vfs.Errno) {
 	enter := s.enter(t, OpTruncate)
-	rec := &trace.Record{Path: path, Size: size}
+	rec := &trace.Record{Path: s.str(path), Size: size}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if e := s.FS.Truncate(s.cwd, path, size); e != vfs.OK {
 		return s.record(t, enter, rec, -1, e)
@@ -399,7 +399,7 @@ func (s *System) Truncate(t *sim.Thread, path string, size int64) (int64, vfs.Er
 // F_PREALLOCATE, F_GETFL/F_SETFL (no-ops).
 func (s *System) Fcntl(t *sim.Thread, fd int64, op string, arg int64) (int64, vfs.Errno) {
 	enter := s.enter(t, OpFcntl)
-	rec := &trace.Record{FD: fd, Name: op, Offset: arg}
+	rec := &trace.Record{FD: fd, Name: s.str(op), Offset: arg}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -453,7 +453,7 @@ func (s *System) prefetch(f *fdesc, off, bytes int64) {
 // accepted and ignored.
 func (s *System) Fadvise(t *sim.Thread, fd, off, length int64, advice string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpFadvise)
-	rec := &trace.Record{FD: fd, Offset: off, Size: length, Name: advice}
+	rec := &trace.Record{FD: fd, Offset: off, Size: length, Name: s.str(advice)}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)

@@ -27,7 +27,7 @@ func (s *System) statCommon(t *sim.Thread, path string, follow bool) (*vfs.Inode
 // Stat returns the size of the file at path (the model's stat result).
 func (s *System) Stat(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpStat)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	ino, err := s.statCommon(t, path, true)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -38,7 +38,7 @@ func (s *System) Stat(t *sim.Thread, path string) (int64, vfs.Errno) {
 // Lstat is Stat without following a final symlink.
 func (s *System) Lstat(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpLstat)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	ino, err := s.statCommon(t, path, false)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -61,7 +61,7 @@ func (s *System) Fstat(t *sim.Thread, fd int64) (int64, vfs.Errno) {
 // modelled, so any existing path is accessible).
 func (s *System) Access(t *sim.Thread, path string, mode uint32) (int64, vfs.Errno) {
 	enter := s.enter(t, OpAccess)
-	rec := &trace.Record{Path: path, Mode: mode}
+	rec := &trace.Record{Path: s.str(path), Mode: mode}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -71,7 +71,7 @@ func (s *System) Access(t *sim.Thread, path string, mode uint32) (int64, vfs.Err
 // Mkdir creates a directory.
 func (s *System) Mkdir(t *sim.Thread, path string, mode uint32) (int64, vfs.Errno) {
 	enter := s.enter(t, OpMkdir)
-	rec := &trace.Record{Path: path, Mode: mode}
+	rec := &trace.Record{Path: s.str(path), Mode: mode}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if _, err := s.FS.Mkdir(s.cwd, path, mode); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -82,7 +82,7 @@ func (s *System) Mkdir(t *sim.Thread, path string, mode uint32) (int64, vfs.Errn
 // Rmdir removes an empty directory.
 func (s *System) Rmdir(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpRmdir)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if err := s.FS.Rmdir(s.cwd, path); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -93,7 +93,7 @@ func (s *System) Rmdir(t *sim.Thread, path string) (int64, vfs.Errno) {
 // Unlink removes a file name.
 func (s *System) Unlink(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpUnlink)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	ino, _ := s.FS.ResolveNoFollow(s.cwd, path)
 	if err := s.FS.Unlink(s.cwd, path); err != vfs.OK {
@@ -108,7 +108,7 @@ func (s *System) Unlink(t *sim.Thread, path string) (int64, vfs.Errno) {
 // Rename moves a name, replacing any existing target.
 func (s *System) Rename(t *sim.Thread, oldPath, newPath string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpRename)
-	rec := &trace.Record{Path: oldPath, Path2: newPath}
+	rec := &trace.Record{Path: s.str(oldPath), Path2: s.str(newPath)}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if err := s.FS.Rename(s.cwd, oldPath, newPath); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -119,7 +119,7 @@ func (s *System) Rename(t *sim.Thread, oldPath, newPath string) (int64, vfs.Errn
 // Link creates a hard link.
 func (s *System) Link(t *sim.Thread, oldPath, newPath string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpLink)
-	rec := &trace.Record{Path: oldPath, Path2: newPath}
+	rec := &trace.Record{Path: s.str(oldPath), Path2: s.str(newPath)}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if err := s.FS.Link(s.cwd, oldPath, newPath); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -130,7 +130,7 @@ func (s *System) Link(t *sim.Thread, oldPath, newPath string) (int64, vfs.Errno)
 // Symlink creates a symbolic link at linkPath pointing to target.
 func (s *System) Symlink(t *sim.Thread, target, linkPath string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpSymlink)
-	rec := &trace.Record{Path: target, Path2: linkPath}
+	rec := &trace.Record{Path: s.str(target), Path2: s.str(linkPath)}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if _, err := s.FS.Symlink(s.cwd, target, linkPath); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -141,7 +141,7 @@ func (s *System) Symlink(t *sim.Thread, target, linkPath string) (int64, vfs.Err
 // Readlink reads a symlink target, returning its length.
 func (s *System) Readlink(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpReadlink)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	target, err := s.FS.Readlink(s.cwd, path)
 	if err != vfs.OK {
@@ -153,7 +153,7 @@ func (s *System) Readlink(t *sim.Thread, path string) (int64, vfs.Errno) {
 // Chmod sets permission bits.
 func (s *System) Chmod(t *sim.Thread, path string, mode uint32) (int64, vfs.Errno) {
 	enter := s.enter(t, OpChmod)
-	rec := &trace.Record{Path: path, Mode: mode}
+	rec := &trace.Record{Path: s.str(path), Mode: mode}
 	ino, err := s.statCommon(t, path, true)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -177,7 +177,7 @@ func (s *System) Fchmod(t *sim.Thread, fd int64, mode uint32) (int64, vfs.Errno)
 // Chown is accepted and ignored (ownership is not modelled).
 func (s *System) Chown(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpChown)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -187,7 +187,7 @@ func (s *System) Chown(t *sim.Thread, path string) (int64, vfs.Errno) {
 // Utimes is accepted and ignored (timestamps are not modelled).
 func (s *System) Utimes(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpUtimes)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -197,7 +197,7 @@ func (s *System) Utimes(t *sim.Thread, path string) (int64, vfs.Errno) {
 // Chdir changes the working directory.
 func (s *System) Chdir(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpChdir)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	ino, err := s.statCommon(t, path, true)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -257,7 +257,7 @@ func (s *System) Getdents(t *sim.Thread, fd, count int64) (int64, vfs.Errno) {
 // metadata call).
 func (s *System) Statfs(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpStatfs)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -281,7 +281,7 @@ func (s *System) Getxattr(t *sim.Thread, path, name string, follow bool) (int64,
 		op = OpLgetxattr
 	}
 	enter := s.enter(t, op)
-	rec := &trace.Record{Path: path, Name: name}
+	rec := &trace.Record{Path: s.str(path), Name: s.str(name)}
 	ino, err := s.statCommon(t, path, follow)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -300,7 +300,7 @@ func (s *System) Setxattr(t *sim.Thread, path, name string, size int64, follow b
 		op = OpLsetxattr
 	}
 	enter := s.enter(t, op)
-	rec := &trace.Record{Path: path, Name: name, Size: size}
+	rec := &trace.Record{Path: s.str(path), Name: s.str(name), Size: size}
 	ino, err := s.statCommon(t, path, follow)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -320,7 +320,7 @@ func (s *System) Listxattr(t *sim.Thread, path string, follow bool) (int64, vfs.
 		op = OpLlistxattr
 	}
 	enter := s.enter(t, op)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	ino, err := s.statCommon(t, path, follow)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -339,7 +339,7 @@ func (s *System) Removexattr(t *sim.Thread, path, name string, follow bool) (int
 		op = OpLremovexattr
 	}
 	enter := s.enter(t, op)
-	rec := &trace.Record{Path: path, Name: name}
+	rec := &trace.Record{Path: s.str(path), Name: s.str(name)}
 	ino, err := s.statCommon(t, path, follow)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -355,7 +355,7 @@ func (s *System) Removexattr(t *sim.Thread, path, name string, follow bool) (int
 // descriptor.
 func (s *System) Fgetxattr(t *sim.Thread, fd int64, name string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpFgetxattr)
-	rec := &trace.Record{FD: fd, Name: name}
+	rec := &trace.Record{FD: fd, Name: s.str(name)}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -370,7 +370,7 @@ func (s *System) Fgetxattr(t *sim.Thread, fd int64, name string) (int64, vfs.Err
 // Fsetxattr sets an attribute on an open descriptor.
 func (s *System) Fsetxattr(t *sim.Thread, fd int64, name string, size int64) (int64, vfs.Errno) {
 	enter := s.enter(t, OpFsetxattr)
-	rec := &trace.Record{FD: fd, Name: name, Size: size}
+	rec := &trace.Record{FD: fd, Name: s.str(name), Size: size}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -400,7 +400,7 @@ func (s *System) Flistxattr(t *sim.Thread, fd int64) (int64, vfs.Errno) {
 // Fremovexattr removes an attribute on an open descriptor.
 func (s *System) Fremovexattr(t *sim.Thread, fd int64, name string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpFremovexattr)
-	rec := &trace.Record{FD: fd, Name: name}
+	rec := &trace.Record{FD: fd, Name: s.str(name)}
 	f, err := s.fd(fd)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -416,7 +416,7 @@ func (s *System) Fremovexattr(t *sim.Thread, fd int64, name string) (int64, vfs.
 // special metadata-access APIs). The model charges a stat.
 func (s *System) Getattrlist(t *sim.Thread, path, attrs string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpGetattrlist)
-	rec := &trace.Record{Path: path, Name: attrs}
+	rec := &trace.Record{Path: s.str(path), Name: s.str(attrs)}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -426,7 +426,7 @@ func (s *System) Getattrlist(t *sim.Thread, path, attrs string) (int64, vfs.Errn
 // Setattrlist is OS X's bulk metadata write.
 func (s *System) Setattrlist(t *sim.Thread, path, attrs string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpSetattrlist)
-	rec := &trace.Record{Path: path, Name: attrs}
+	rec := &trace.Record{Path: s.str(path), Name: s.str(attrs)}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -468,7 +468,7 @@ func (s *System) Getdirentriesattr(t *sim.Thread, fd, count int64) (int64, vfs.E
 // Exchangedata is OS X's atomic file-content swap (§4.3.4).
 func (s *System) Exchangedata(t *sim.Thread, pathA, pathB string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpExchangedata)
-	rec := &trace.Record{Path: pathA, Path2: pathB}
+	rec := &trace.Record{Path: s.str(pathA), Path2: s.str(pathB)}
 	t.Sleep(s.Conf.Profile.MetaCPU)
 	if err := s.FS.Exchange(s.cwd, pathA, pathB); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -480,7 +480,7 @@ func (s *System) Exchangedata(t *sim.Thread, pathA, pathB string) (int64, vfs.Er
 // Mac OS X calls the paper emulates with small metadata accesses.
 func (s *System) Fsctl(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpFsctl)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}
@@ -491,7 +491,7 @@ func (s *System) Fsctl(t *sim.Thread, path string) (int64, vfs.Errno) {
 // scan.
 func (s *System) Searchfs(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpSearchfs)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	ino, err := s.statCommon(t, path, true)
 	if err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
@@ -509,7 +509,7 @@ func (s *System) Searchfs(t *sim.Thread, path string) (int64, vfs.Errno) {
 // Vfsconf models an undocumented metadata query as a cheap stat.
 func (s *System) Vfsconf(t *sim.Thread, path string) (int64, vfs.Errno) {
 	enter := s.enter(t, OpVfsconf)
-	rec := &trace.Record{Path: path}
+	rec := &trace.Record{Path: s.str(path)}
 	if _, err := s.statCommon(t, path, true); err != vfs.OK {
 		return s.record(t, enter, rec, -1, err)
 	}

@@ -175,7 +175,7 @@ type System struct {
 	Cache  *cache.Cache
 	Sched  sched.Scheduler
 	Dev    storage.Device
-	tracer func(*trace.Record)
+	tracer *trace.Trace
 
 	// fds is the descriptor table, indexed by descriptor number (nil =
 	// free). Every number in [3, minFree) is in use, so allocation starts
@@ -312,12 +312,23 @@ func (s *System) armWriteback() {
 	})
 }
 
-// SetTracer installs fn to receive a Record for every syscall; nil stops
-// tracing. Timestamps are relative to the moment the tracer is set.
-func (s *System) SetTracer(fn func(*trace.Record)) {
-	s.tracer = fn
+// SetTracer appends a Record for every syscall to tr, interning its
+// strings into tr's table; nil stops tracing. Timestamps are relative to
+// the moment the tracer is set.
+func (s *System) SetTracer(tr *trace.Trace) {
+	s.tracer = tr
 	s.traceStart = s.K.Now()
 	s.seq = 0
+}
+
+// str names v in the tracer's string table for an entry point's Record
+// literal: the zero Str when nothing is traced, so an untraced call
+// hashes no string.
+func (s *System) str(v string) trace.Str {
+	if s.tracer == nil {
+		return 0
+	}
+	return s.tracer.Intern(v)
 }
 
 // Stats returns a snapshot of the accumulated per-call statistics, keyed
@@ -453,9 +464,9 @@ func (s *System) enter(t *sim.Thread, op Op) callEntry {
 }
 
 // record accounts one completed call and, when a tracer is attached,
-// traces it. args holds the call's arguments; it is copied to the heap
-// only for the tracer, so the entry points' Record literals stay on
-// their stacks during a replay (scripts/ci.sh allocs checks that they do).
+// traces it. args holds the call's arguments; it is copied into the
+// tracer's records, so the entry points' Record literals stay on their
+// stacks (scripts/ci.sh allocs checks that they do).
 func (s *System) record(t *sim.Thread, enter callEntry, args *trace.Record, ret int64, err vfs.Errno) (int64, vfs.Errno) {
 	now := s.K.Now()
 	s.callCount[enter.op]++
@@ -465,20 +476,19 @@ func (s *System) record(t *sim.Thread, enter callEntry, args *trace.Record, ret 
 		s.callErrors++
 		ret = -1
 	}
-	if s.tracer != nil {
-		rec := new(trace.Record)
-		*rec = *args
-		rec.Call = opNames[enter.op]
+	if tr := s.tracer; tr != nil {
+		rec := *args
+		rec.Call = tr.Intern(opNames[enter.op])
 		rec.Seq = s.seq
 		s.seq++
-		rec.TID = t.ID()
+		rec.TID = int32(t.ID())
 		rec.Start = enter.at - s.traceStart
 		rec.End = now - s.traceStart
 		rec.Ret = ret
 		if err != vfs.OK {
-			rec.Err = err.String()
+			rec.Err = tr.Intern(err.String())
 		}
-		s.tracer(rec)
+		tr.Records = append(tr.Records, rec)
 	}
 	return ret, err
 }

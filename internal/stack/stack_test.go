@@ -363,24 +363,25 @@ func TestTracerRecordsCalls(t *testing.T) {
 	if err := sys.SetupCreate("/f", 8192); err != nil {
 		t.Fatal(err)
 	}
-	var recs []*trace.Record
-	sys.SetTracer(func(r *trace.Record) { recs = append(recs, r) })
+	tr := &trace.Trace{}
+	sys.SetTracer(tr)
 	run(t, k, func(th *sim.Thread) {
 		fd, _ := sys.Open(th, "/f", trace.ORdonly, 0)
 		sys.Read(th, fd, 4096)
 		sys.Close(th, fd)
 		sys.Stat(th, "/missing")
 	})
+	recs, s := tr.Records, tr.Str
 	if len(recs) != 4 {
 		t.Fatalf("traced %d records, want 4", len(recs))
 	}
-	if recs[0].Call != "open" || recs[0].Ret != 3 || recs[0].Path != "/f" {
+	if s(recs[0].Call) != "open" || recs[0].Ret != 3 || s(recs[0].Path) != "/f" {
 		t.Errorf("open record = %+v", recs[0])
 	}
-	if recs[1].Call != "read" || recs[1].Ret != 4096 {
+	if s(recs[1].Call) != "read" || recs[1].Ret != 4096 {
 		t.Errorf("read record = %+v", recs[1])
 	}
-	if recs[3].Err != "ENOENT" || recs[3].Ret != -1 {
+	if s(recs[3].Err) != "ENOENT" || recs[3].Ret != -1 {
 		t.Errorf("failed stat record = %+v", recs[3])
 	}
 	for i, r := range recs {

@@ -47,14 +47,18 @@ func TestWindow(t *testing.T) {
 }
 
 func TestMergeDisjointThreadsAndFDs(t *testing.T) {
-	a := &Trace{Platform: "linux", Records: []*Record{
-		{TID: 1, Call: "open", Path: "/a", Ret: 3, Start: 0, End: 10},
-		{TID: 1, Call: "read", FD: 3, Size: 100, Ret: 100, Start: 20, End: 30},
-	}}
-	b := &Trace{Platform: "linux", Records: []*Record{
-		{TID: 1, Call: "open", Path: "/b", Ret: 3, Start: 5, End: 15},
-		{TID: 1, Call: "close", FD: 3, Ret: 0, Start: 25, End: 26},
-	}}
+	a := &Trace{Platform: "linux"}
+	s := a.Intern
+	a.Records = []Record{
+		{TID: 1, Call: s("open"), Path: s("/a"), Ret: 3, Start: 0, End: 10},
+		{TID: 1, Call: s("read"), FD: 3, Size: 100, Ret: 100, Start: 20, End: 30},
+	}
+	b := &Trace{Platform: "linux"}
+	s = b.Intern
+	b.Records = []Record{
+		{TID: 1, Call: s("open"), Path: s("/b"), Ret: 3, Start: 5, End: 15},
+		{TID: 1, Call: s("close"), FD: 3, Ret: 0, Start: 25, End: 26},
+	}
 	m, err := Merge(a, b)
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
@@ -63,8 +67,8 @@ func TestMergeDisjointThreadsAndFDs(t *testing.T) {
 		t.Fatalf("merged records = %d", len(m.Records))
 	}
 	// Sorted by start: a.open(0), b.open(5), a.read(20), b.close(25).
-	if m.Records[0].Path != "/a" || m.Records[1].Path != "/b" {
-		t.Fatalf("merge order wrong: %v %v", m.Records[0].Path, m.Records[1].Path)
+	if m.Str(m.Records[0].Path) != "/a" || m.Str(m.Records[1].Path) != "/b" {
+		t.Fatalf("merge order wrong: %v %v", m.Str(m.Records[0].Path), m.Str(m.Records[1].Path))
 	}
 	// Threads disjoint.
 	if m.Records[0].TID == m.Records[1].TID {
@@ -86,7 +90,7 @@ func TestMergeDisjointThreadsAndFDs(t *testing.T) {
 }
 
 func TestMergePlatform(t *testing.T) {
-	a := &Trace{Platform: "osx", Records: []*Record{{TID: 1, Call: "sync"}}}
+	a := &Trace{Platform: "osx", Records: []Record{{TID: 1, Call: 1}}, Strs: []string{"", "sync"}}
 	m, err := Merge(a)
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
@@ -97,13 +101,13 @@ func TestMergePlatform(t *testing.T) {
 }
 
 func TestMergePlatformMismatchRejected(t *testing.T) {
-	a := &Trace{Platform: "osx", Records: []*Record{{TID: 1, Call: "sync"}}}
-	b := &Trace{Platform: "linux", Records: []*Record{{TID: 1, Call: "sync"}}}
+	a := &Trace{Platform: "osx", Records: []Record{{TID: 1, Call: 1}}, Strs: []string{"", "sync"}}
+	b := &Trace{Platform: "linux", Records: []Record{{TID: 1, Call: 1}}, Strs: []string{"", "sync"}}
 	if _, err := Merge(a, b); err == nil {
 		t.Fatal("merging osx with linux should fail")
 	}
 	// A platform-less input (e.g. synthetic) merges with anything.
-	c := &Trace{Records: []*Record{{TID: 1, Call: "sync"}}}
+	c := &Trace{Records: []Record{{TID: 1, Call: 1}}, Strs: []string{"", "sync"}}
 	m, err := Merge(c, a)
 	if err != nil {
 		t.Fatalf("Merge with platform-less input: %v", err)
@@ -117,22 +121,26 @@ func TestMergeRemapsFcntlDupFD(t *testing.T) {
 	// Input b duplicates fd 3 to fd 7 via fcntl(F_DUPFD) and then reads
 	// from the duplicate; the duplicate's number must be remapped into
 	// b's descriptor range along with everything else.
-	a := &Trace{Platform: "linux", Records: []*Record{
-		{TID: 1, Call: "open", Path: "/a", Ret: 7, Start: 0, End: 1},
-	}}
-	b := &Trace{Platform: "linux", Records: []*Record{
-		{TID: 1, Call: "open", Path: "/b", Ret: 3, Start: 2, End: 3},
-		{TID: 1, Call: "fcntl", Name: "F_DUPFD", FD: 3, Ret: 7, Start: 4, End: 5},
-		{TID: 1, Call: "read", FD: 7, Size: 10, Ret: 10, Start: 6, End: 7},
-	}}
+	a := &Trace{Platform: "linux"}
+	s := a.Intern
+	a.Records = []Record{
+		{TID: 1, Call: s("open"), Path: s("/a"), Ret: 7, Start: 0, End: 1},
+	}
+	b := &Trace{Platform: "linux"}
+	s = b.Intern
+	b.Records = []Record{
+		{TID: 1, Call: s("open"), Path: s("/b"), Ret: 3, Start: 2, End: 3},
+		{TID: 1, Call: s("fcntl"), Name: s("F_DUPFD"), FD: 3, Ret: 7, Start: 4, End: 5},
+		{TID: 1, Call: s("read"), FD: 7, Size: 10, Ret: 10, Start: 6, End: 7},
+	}
 	m, err := Merge(a, b)
 	if err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
 	// Records sorted by start: a.open, b.open, b.fcntl, b.read.
 	dup, rd := m.Records[2], m.Records[3]
-	if dup.Call != "fcntl" || rd.Call != "read" {
-		t.Fatalf("unexpected order: %s, %s", dup.Call, rd.Call)
+	if m.Str(dup.Call) != "fcntl" || m.Str(rd.Call) != "read" {
+		t.Fatalf("unexpected order: %s, %s", m.Str(dup.Call), m.Str(rd.Call))
 	}
 	if dup.Ret == 7 {
 		t.Fatalf("F_DUPFD return not remapped: %d", dup.Ret)
@@ -147,20 +155,20 @@ func TestMergeRemapsFcntlDupFD(t *testing.T) {
 }
 
 // Trace-editing helpers: cut a trace down to a window or a set of
-// threads, or merge traces into one.
+// threads, or merge traces into one. The cuts share their input's
+// string table: records are copied by value and keep indexing it.
 
 // FilterThreads returns a new trace containing only the records of the
 // given thread IDs, in the original order, renumbered.
 func (tr *Trace) FilterThreads(tids ...int) *Trace {
-	keep := make(map[int]bool, len(tids))
+	keep := make(map[int32]bool, len(tids))
 	for _, t := range tids {
-		keep[t] = true
+		keep[int32(t)] = true
 	}
-	out := &Trace{Platform: tr.Platform}
+	out := &Trace{Platform: tr.Platform, Strs: tr.Strs}
 	for _, r := range tr.Records {
 		if keep[r.TID] {
-			cp := *r
-			out.Records = append(out.Records, &cp)
+			out.Records = append(out.Records, r)
 		}
 	}
 	out.Renumber()
@@ -170,15 +178,14 @@ func (tr *Trace) FilterThreads(tids ...int) *Trace {
 // Window returns a new trace containing the records whose start times
 // fall in [from, to), rebased so the window begins at zero, renumbered.
 func (tr *Trace) Window(from, to time.Duration) *Trace {
-	out := &Trace{Platform: tr.Platform}
+	out := &Trace{Platform: tr.Platform, Strs: tr.Strs}
 	for _, r := range tr.Records {
 		if r.Start < from || r.Start >= to {
 			continue
 		}
-		cp := *r
-		cp.Start -= from
-		cp.End -= from
-		out.Records = append(out.Records, &cp)
+		r.Start -= from
+		r.End -= from
+		out.Records = append(out.Records, r)
 	}
 	out.Renumber()
 	return out
@@ -192,19 +199,13 @@ func (tr *Trace) Window(from, to time.Duration) *Trace {
 // surface, so mixing platforms is an error, not a silent pick of the
 // first. The result is renumbered.
 //
-// The merged trace reuses the inputs' intern tables rather than
-// re-allocating merged strings: records are copied by value, so their
-// string fields keep the inputs' backing storage, and the output's
-// table is the union of the inputs' tables (first table seen wins a
-// duplicate), so downstream editors keep deduplicating against the
-// same storage.
+// The merged trace's string table is the union of the inputs' (first
+// input wins a duplicate), and it reuses their strings rather than
+// copying them: records are re-pointed at the union through a per-input
+// remap.
 func Merge(traces ...*Trace) (*Trace, error) {
 	out := &Trace{}
-	for _, tr := range traces {
-		if tr.intern != nil {
-			out.InternTable().AddAll(tr.intern)
-		}
-	}
+	tab := out.table()
 	const tidStride = 1000
 	const fdStride = 100000
 	for i, tr := range traces {
@@ -216,9 +217,23 @@ func Merge(traces ...*Trace) (*Trace, error) {
 					i, tr.Platform, out.Platform)
 			}
 		}
+		remap := make([]Str, len(tr.Strs))
+		for j, s := range tr.Strs {
+			if s == "" {
+				continue
+			}
+			id, ok := tab.ids[s]
+			if !ok {
+				id = Str(len(out.Strs))
+				out.Strs = append(out.Strs, s)
+				tab.ids[s] = id
+			}
+			remap[j] = id
+		}
 		for _, r := range tr.Records {
-			cp := *r
-			cp.TID = r.TID + (i+1)*tidStride
+			cp := r
+			cp.Call, cp.Path, cp.Path2, cp.Name, cp.Err = remap[r.Call], remap[r.Path], remap[r.Path2], remap[r.Name], remap[r.Err]
+			cp.TID = r.TID + int32(i+1)*tidStride
 			// Remap descriptor arguments (0/1/2 are stdio and unused by
 			// the model; any nonzero fd is file I/O here).
 			if cp.FD != 0 {
@@ -227,13 +242,13 @@ func Merge(traces ...*Trace) (*Trace, error) {
 			if cp.FD2 != 0 {
 				cp.FD2 += int64(i+1) * fdStride
 			}
-			if createsFDInRet(&cp) && cp.Ret > 0 {
+			if createsFDInRet(out, &cp) && cp.Ret > 0 {
 				cp.Ret += int64(i+1) * fdStride
 			}
 			if cp.AIO != 0 {
 				cp.AIO += int64(i+1) * fdStride
 			}
-			out.Records = append(out.Records, &cp)
+			out.Records = append(out.Records, cp)
 		}
 	}
 	sort.SliceStable(out.Records, func(a, b int) bool {
@@ -243,55 +258,19 @@ func Merge(traces ...*Trace) (*Trace, error) {
 	return out, nil
 }
 
-// createsFDInRet reports whether a record's return value is a new
-// descriptor number and must be remapped alongside FD/FD2. Besides the
+// createsFDInRet reports whether a record of tr's returns a new
+// descriptor number that must be remapped alongside FD/FD2. Besides the
 // obvious creators, fcntl(F_DUPFD) returns a duplicate descriptor; a
 // merge that leaves its Ret unmapped splices the duplicate into another
 // input's descriptor range. Call names are matched literally (including
 // the fcntl64 spelling) because this package sits below the stack's
 // canonicalization layer.
-func createsFDInRet(r *Record) bool {
-	switch r.Call {
+func createsFDInRet(tr *Trace, r *Record) bool {
+	switch tr.Str(r.Call) {
 	case "open", "open64", "creat", "dup":
 		return true
 	case "fcntl", "fcntl64":
-		return r.Name == "F_DUPFD"
+		return tr.Str(r.Name) == "F_DUPFD"
 	}
 	return false
-}
-
-// InternTable returns the trace's string-interning table, creating an
-// empty one on first use so editors (Merge) can always extend it.
-func (tr *Trace) InternTable() *Intern {
-	if tr.intern == nil {
-		tr.intern = NewIntern()
-	}
-	return tr.intern
-}
-
-// Has reports whether s is already interned. Tests use it to assert
-// sharing invariants.
-func (t *Intern) Has(s string) bool {
-	_, ok := t.strs[s]
-	return ok
-}
-
-// AddAll merges src's entries into t. Existing entries win, so strings
-// already shared by t's records keep their backing storage; new entries
-// reuse src's backing storage rather than re-copying. A nil src is a
-// no-op.
-func (t *Intern) AddAll(src *Intern) {
-	if src == nil {
-		return
-	}
-	for k, v := range src.strs {
-		if _, ok := t.strs[k]; !ok {
-			t.strs[k] = v
-		}
-	}
-	for k, v := range src.flags {
-		if _, ok := t.flags[k]; !ok {
-			t.flags[k] = v
-		}
-	}
 }

@@ -25,22 +25,22 @@ func (tr *Trace) Encode(w io.Writer) error {
 	if _, err := fmt.Fprintf(bw, "#artc-trace v1 platform=%s\n", tr.Platform); err != nil {
 		return err
 	}
-	for _, r := range tr.Records {
-		if err := writeRecord(bw, r); err != nil {
+	for i := range tr.Records {
+		if err := writeRecord(bw, tr, &tr.Records[i]); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-func writeRecord(w *bufio.Writer, r *Record) error {
+func writeRecord(w *bufio.Writer, tr *Trace, r *Record) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d %d %s", r.Seq, r.TID, r.Call)
-	if r.Path != "" {
-		fmt.Fprintf(&b, " path=%q", r.Path)
+	fmt.Fprintf(&b, "%d %d %s", r.Seq, r.TID, tr.Str(r.Call))
+	if r.Path != 0 {
+		fmt.Fprintf(&b, " path=%q", tr.Str(r.Path))
 	}
-	if r.Path2 != "" {
-		fmt.Fprintf(&b, " path2=%q", r.Path2)
+	if r.Path2 != 0 {
+		fmt.Fprintf(&b, " path2=%q", tr.Str(r.Path2))
 	}
 	if r.FD != 0 {
 		fmt.Fprintf(&b, " fd=%d", r.FD)
@@ -60,8 +60,8 @@ func writeRecord(w *bufio.Writer, r *Record) error {
 	if r.Mode != 0 {
 		fmt.Fprintf(&b, " mode=%#o", r.Mode)
 	}
-	if r.Name != "" {
-		fmt.Fprintf(&b, " name=%q", r.Name)
+	if r.Name != 0 {
+		fmt.Fprintf(&b, " name=%q", tr.Str(r.Name))
 	}
 	if r.Whence != 0 {
 		fmt.Fprintf(&b, " whence=%d", r.Whence)
@@ -69,7 +69,7 @@ func writeRecord(w *bufio.Writer, r *Record) error {
 	if r.AIO != 0 {
 		fmt.Fprintf(&b, " aio=%d", r.AIO)
 	}
-	errs := r.Err
+	errs := tr.Str(r.Err)
 	if errs == "" {
 		errs = "-"
 	}
@@ -112,7 +112,7 @@ func Decode(r io.Reader) (*Trace, error) {
 			}
 			continue
 		}
-		rec, err := parseRecordLine(line)
+		rec, err := parseRecordLine(tr, line)
 		if err != nil {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: err.Error()}
 		}
@@ -157,63 +157,65 @@ func fields(line string) ([]string, error) {
 	return out, nil
 }
 
-func parseRecordLine(line string) (*Record, error) {
+// parseRecordLine parses one record line, interning its strings into
+// tr.
+func parseRecordLine(tr *Trace, line string) (Record, error) {
+	var rec Record
 	toks, err := fields(line)
 	if err != nil {
-		return nil, err
+		return rec, err
 	}
 	if len(toks) < 4 {
-		return nil, fmt.Errorf("too few fields")
+		return rec, fmt.Errorf("too few fields")
 	}
-	rec := &Record{}
 	if rec.Seq, err = strconv.ParseInt(toks[0], 10, 64); err != nil {
-		return nil, fmt.Errorf("bad seq: %v", err)
+		return rec, fmt.Errorf("bad seq: %v", err)
 	}
-	tid, err := strconv.Atoi(toks[1])
+	tid, err := strconv.ParseInt(toks[1], 10, 32)
 	if err != nil {
-		return nil, fmt.Errorf("bad tid: %v", err)
+		return rec, fmt.Errorf("bad tid: %v", err)
 	}
-	rec.TID = tid
-	rec.Call = toks[2]
+	rec.TID = int32(tid)
+	rec.Call = tr.Intern(toks[2])
 
 	i := 3
 	for i < len(toks) && toks[i] != "=" {
 		key, val, ok := strings.Cut(toks[i], "=")
 		if !ok {
-			return nil, fmt.Errorf("bad key=value token %q", toks[i])
+			return rec, fmt.Errorf("bad key=value token %q", toks[i])
 		}
-		if err := setField(rec, key, val); err != nil {
-			return nil, err
+		if err := setField(tr, &rec, key, val); err != nil {
+			return rec, err
 		}
 		i++
 	}
 	if i+4 >= len(toks)+1 && len(toks)-i != 5 {
-		return nil, fmt.Errorf("bad result section")
+		return rec, fmt.Errorf("bad result section")
 	}
 	// toks[i] == "=", then ret errno start end.
 	rest := toks[i+1:]
 	if len(rest) != 4 {
-		return nil, fmt.Errorf("result section has %d fields, want 4", len(rest))
+		return rec, fmt.Errorf("result section has %d fields, want 4", len(rest))
 	}
 	if rec.Ret, err = strconv.ParseInt(rest[0], 10, 64); err != nil {
-		return nil, fmt.Errorf("bad ret: %v", err)
+		return rec, fmt.Errorf("bad ret: %v", err)
 	}
 	if rest[1] != "-" {
-		rec.Err = rest[1]
+		rec.Err = tr.Intern(rest[1])
 	}
 	start, err := strconv.ParseInt(rest[2], 10, 64)
 	if err != nil {
-		return nil, fmt.Errorf("bad start: %v", err)
+		return rec, fmt.Errorf("bad start: %v", err)
 	}
 	end, err := strconv.ParseInt(rest[3], 10, 64)
 	if err != nil {
-		return nil, fmt.Errorf("bad end: %v", err)
+		return rec, fmt.Errorf("bad end: %v", err)
 	}
 	rec.Start, rec.End = time.Duration(start), time.Duration(end)
 	return rec, nil
 }
 
-func setField(rec *Record, key, val string) error {
+func setField(tr *Trace, rec *Record, key, val string) error {
 	switch key {
 	case "path", "path2", "name":
 		s, err := strconv.Unquote(val)
@@ -222,11 +224,11 @@ func setField(rec *Record, key, val string) error {
 		}
 		switch key {
 		case "path":
-			rec.Path = s
+			rec.Path = tr.Intern(s)
 		case "path2":
-			rec.Path2 = s
+			rec.Path2 = tr.Intern(s)
 		case "name":
-			rec.Name = s
+			rec.Name = tr.Intern(s)
 		}
 		return nil
 	case "flags":
@@ -244,11 +246,11 @@ func setField(rec *Record, key, val string) error {
 		rec.Mode = uint32(n)
 		return nil
 	case "whence":
-		n, err := strconv.Atoi(val)
+		n, err := strconv.ParseInt(val, 10, 32)
 		if err != nil {
 			return fmt.Errorf("bad whence: %v", err)
 		}
-		rec.Whence = n
+		rec.Whence = int32(n)
 		return nil
 	}
 	n, err := strconv.ParseInt(val, 0, 64)

@@ -34,39 +34,47 @@ func FuzzParseStrace(f *testing.F) {
 	})
 }
 
+// straceSeeds are the differential fuzz target's seeds. They sit on the
+// fast path's bail-out boundaries: the "] " header rewrite,
+// signed/oversized timestamps, base-0 return tokens, exponent
+// durations, unfinished/resumed pairing, and quoting edge cases.
+func straceSeeds(tb testing.TB) []string {
+	return []string{
+		sampleStrace,
+		genStraceCorpus(tb, 50, 7),
+		`[pid 7] 1679588291.000100 open("/etc/fstab", O_RDONLY) = 3 <0.000020>`,
+		`5 1679588291.5 write(1, "x] y", 4) = 4 <0.001>`,                 // "] " inside a quoted arg
+		`5 1679588291.5 write(1, "a\"b\\c", 5) = 5 <0.001>`,              // escapes inside quotes
+		`5 1679588291.5 fcntl(3, F_SETLK, {l_type=F_WRLCK}) = 0 <0.001>`, // nested braces
+		`1 -12.5 close(3) = 0 <0.000001>`,                                // negative epoch
+		`1 99999999999999999999.5 close(3) = 0 <1e-6>`,                   // sec overflow + exponent dur
+		`1 1.000000000999 close(3) = 0 <0.1>`,                            // >9 fraction digits
+		`1 1.5 close(3) = 010 <0.1>`,                                     // octal return (base 0)
+		`1 1.5 close(3) = 0x1f <0.1>`,                                    // hex return
+		`1 1.5 close(3) = 1_0 <0.1>`,                                     // underscore (base 0 only)
+		`1 1.5 close(3) = -9223372036854775808 <0.1>`,                    // MinInt64
+		`1 1.5 close(3) = ? <0.1>`,                                       // unknown return
+		`1 1.5 open("/gone", O_RDONLY) = -1 ENOENT (No such file or directory) <0.003>`,
+		"9 1.5 read(3, \"\", 0 <unfinished ...>\n9 1.6 <... read resumed>) = 0 <0.1>",
+		`9 1.5 read(3, "", 0 <unfinished ...>`, // never resumed
+		`9 1.6 <... read resumed>) = 0 <0.1>`,  // never started
+		"2 1.5 close(3 <unfinished ...>\n2 1.6 close(4 <unfinished ...>\n2 1.7 <... close resumed>) = 0 <0.05>",
+		"+++ exited with 0 +++\n--- SIGCHLD ---\n\n1 1.5 sync() = 0 <0.1>",
+		"1 1.5 close(3) = 0 <0.1>\r\n2 1.6 close(4) = 0 <0.1>", // CRLF
+		"  1.5 close(3) = 0 <0.1>",                             // Unicode space edge
+		`1 1.5 close(3) = 0 <0.000498000>`,                     // truncating duration
+		`1 1.5 statfs("/x"]) = 0 <0.1>`,                        // "] " rewrite mid-call: "])" stays
+		`1 1.5 weird] (call) = 0 <0.1>`,                        // "] " before the paren
+	}
+}
+
 // FuzzStraceFastVsReference is the differential target: every parser
 // variant (fast, streaming, sharded at several widths) must match
 // parseStraceReference — records byte for byte, errors field for field.
-// The seeds sit on the fast path's bail-out boundaries: the "] "
-// header rewrite, signed/oversized timestamps, base-0 return tokens,
-// exponent durations, unfinished/resumed pairing, and quoting edge
-// cases.
 func FuzzStraceFastVsReference(f *testing.F) {
-	f.Add(sampleStrace)
-	f.Add(genStraceCorpus(f, 50, 7))
-	f.Add(`[pid 7] 1679588291.000100 open("/etc/fstab", O_RDONLY) = 3 <0.000020>`)
-	f.Add(`5 1679588291.5 write(1, "x] y", 4) = 4 <0.001>`)                 // "] " inside a quoted arg
-	f.Add(`5 1679588291.5 write(1, "a\"b\\c", 5) = 5 <0.001>`)              // escapes inside quotes
-	f.Add(`5 1679588291.5 fcntl(3, F_SETLK, {l_type=F_WRLCK}) = 0 <0.001>`) // nested braces
-	f.Add(`1 -12.5 close(3) = 0 <0.000001>`)                                // negative epoch
-	f.Add(`1 99999999999999999999.5 close(3) = 0 <1e-6>`)                   // sec overflow + exponent dur
-	f.Add(`1 1.000000000999 close(3) = 0 <0.1>`)                            // >9 fraction digits
-	f.Add(`1 1.5 close(3) = 010 <0.1>`)                                     // octal return (base 0)
-	f.Add(`1 1.5 close(3) = 0x1f <0.1>`)                                    // hex return
-	f.Add(`1 1.5 close(3) = 1_0 <0.1>`)                                     // underscore (base 0 only)
-	f.Add(`1 1.5 close(3) = -9223372036854775808 <0.1>`)                    // MinInt64
-	f.Add(`1 1.5 close(3) = ? <0.1>`)                                       // unknown return
-	f.Add(`1 1.5 open("/gone", O_RDONLY) = -1 ENOENT (No such file or directory) <0.003>`)
-	f.Add("9 1.5 read(3, \"\", 0 <unfinished ...>\n9 1.6 <... read resumed>) = 0 <0.1>")
-	f.Add(`9 1.5 read(3, "", 0 <unfinished ...>`) // never resumed
-	f.Add(`9 1.6 <... read resumed>) = 0 <0.1>`)  // never started
-	f.Add("2 1.5 close(3 <unfinished ...>\n2 1.6 close(4 <unfinished ...>\n2 1.7 <... close resumed>) = 0 <0.05>")
-	f.Add("+++ exited with 0 +++\n--- SIGCHLD ---\n\n1 1.5 sync() = 0 <0.1>")
-	f.Add("1 1.5 close(3) = 0 <0.1>\r\n2 1.6 close(4) = 0 <0.1>") // CRLF
-	f.Add("  1.5 close(3) = 0 <0.1>")                             // Unicode space edge
-	f.Add(`1 1.5 close(3) = 0 <0.000498000>`)                     // truncating duration
-	f.Add(`1 1.5 statfs("/x"]) = 0 <0.1>`)                        // "] " rewrite mid-call: "])" stays
-	f.Add(`1 1.5 weird] (call) = 0 <0.1>`)                        // "] " before the paren
+	for _, seed := range straceSeeds(f) {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		assertParsersAgree(t, "fuzz", input)
 	})

@@ -1,11 +1,11 @@
 package trace
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -75,27 +75,28 @@ func genStraceCorpus(t testing.TB, records int, seed int64) string {
 		tid := 1 + rng.Intn(8)
 		at := now[tid]
 		dur := time.Duration(1+rng.Intn(2000)) * time.Microsecond
-		rec := &Record{TID: tid, Start: at, End: at + dur}
+		rec := Record{TID: int32(tid), Start: at, End: at + dur}
+		s := tr.Intern
 		switch rng.Intn(6) {
 		case 0:
-			rec.Call, rec.Path, rec.Flags, rec.Mode = "open", paths[rng.Intn(len(paths))], OWronly|OCreat, 0o644
+			rec.Call, rec.Path, rec.Flags, rec.Mode = s("open"), s(paths[rng.Intn(len(paths))]), OWronly|OCreat, 0o644
 			rec.Ret = int64(3 + rng.Intn(20))
 			rec.FD = rec.Ret
 		case 1:
-			rec.Call, rec.FD, rec.Size = "read", int64(3+rng.Intn(20)), int64(4096)
+			rec.Call, rec.FD, rec.Size = s("read"), int64(3+rng.Intn(20)), int64(4096)
 			rec.Ret = 4096
 		case 2:
-			rec.Call, rec.FD, rec.Size, rec.Offset = "pwrite64", int64(3+rng.Intn(20)), 512, int64(rng.Intn(1<<20))
+			rec.Call, rec.FD, rec.Size, rec.Offset = s("pwrite64"), int64(3+rng.Intn(20)), 512, int64(rng.Intn(1<<20))
 			rec.Ret = 512
 		case 3:
-			rec.Call, rec.Path = "stat", paths[rng.Intn(len(paths))]
+			rec.Call, rec.Path = s("stat"), s(paths[rng.Intn(len(paths))])
 			if rng.Intn(3) == 0 {
-				rec.Ret, rec.Err = -1, "ENOENT"
+				rec.Ret, rec.Err = -1, s("ENOENT")
 			}
 		case 4:
-			rec.Call, rec.FD = "close", int64(3+rng.Intn(20))
+			rec.Call, rec.FD = s("close"), int64(3+rng.Intn(20))
 		case 5:
-			rec.Call, rec.Path, rec.Path2 = "rename", paths[rng.Intn(len(paths))], paths[rng.Intn(len(paths))]
+			rec.Call, rec.Path, rec.Path2 = s("rename"), s(paths[rng.Intn(len(paths))]), s(paths[rng.Intn(len(paths))])
 		}
 		// A thread's calls are sequential (its next call starts after
 		// this one ends), but the per-TID clocks drift independently, so
@@ -112,6 +113,20 @@ func genStraceCorpus(t testing.TB, records int, seed int64) string {
 	return buf.String()
 }
 
+// recordText renders r, a record of tr, with its strings resolved: the
+// native encoding's line, which names every field, so two records of
+// different traces compare by what they say rather than by their
+// tables' numbering.
+func recordText(tr *Trace, r *Record) string {
+	var b bytes.Buffer
+	w := bufio.NewWriter(&b)
+	if err := writeRecord(w, tr, r); err != nil {
+		panic(err)
+	}
+	w.Flush()
+	return b.String()
+}
+
 // assertTraceEqual compares two parses field-for-field.
 func assertTraceEqual(t *testing.T, label string, want, got *Trace) {
 	t.Helper()
@@ -122,8 +137,8 @@ func assertTraceEqual(t *testing.T, label string, want, got *Trace) {
 		t.Fatalf("%s: %d records, want %d", label, len(got.Records), len(want.Records))
 	}
 	for i := range want.Records {
-		if !reflect.DeepEqual(want.Records[i], got.Records[i]) {
-			t.Fatalf("%s: record %d:\nwant %+v\ngot  %+v", label, i, want.Records[i], got.Records[i])
+		if w, g := recordText(want, &want.Records[i]), recordText(got, &got.Records[i]); w != g {
+			t.Fatalf("%s: record %d:\nwant %sgot  %s", label, i, w, g)
 		}
 	}
 }
@@ -162,13 +177,17 @@ func assertParsersAgree(t *testing.T, name, input string) {
 	got, err := ParseStrace(strings.NewReader(input))
 	check("fast", got, err)
 
-	var streamed []*Record
+	var streamed []string
 	// Every record ends a line, so the line count the compile path hands
 	// over bounds the records and Records never regrows (a bound more
-	// than a quarter over is clipped at the end).
+	// than a quarter over is clipped at the end). Each batch's records
+	// are rendered through the table slice that came with it.
 	lines := strings.Count(input, "\n") + 1
-	got, err = ParseStraceStream(strings.NewReader(input), lines, 3, func(recs []*Record) error {
-		streamed = append(streamed, recs...)
+	got, err = ParseStraceStream(strings.NewReader(input), lines, 3, func(recs []Record, strs []string) error {
+		view := &Trace{Strs: strs}
+		for i := range recs {
+			streamed = append(streamed, recordText(view, &recs[i]))
+		}
 		return nil
 	})
 	check("stream", got, err)
@@ -178,7 +197,11 @@ func assertParsersAgree(t *testing.T, name, input string) {
 	if n := len(got.Records); n > lines || cap(got.Records) > lines || cap(got.Records) > n+n/4+8 {
 		t.Fatalf("%s/stream: %d records in capacity %d from %d counted lines", name, len(got.Records), cap(got.Records), lines)
 	}
-	if !slices.Equal(streamed, got.Records) {
+	final := make([]string, len(got.Records))
+	for i := range got.Records {
+		final[i] = recordText(got, &got.Records[i])
+	}
+	if !slices.Equal(streamed, final) {
 		t.Fatalf("%s/stream: emitted batches differ from final records", name)
 	}
 }
@@ -254,20 +277,24 @@ func TestParseStraceInterning(t *testing.T) {
 	if len(tr.Records) != 3 {
 		t.Fatalf("records = %d", len(tr.Records))
 	}
-	p0 := stringData(tr.Records[0].Path)
+	p0 := tr.Records[0].Path
 	for i, r := range tr.Records {
-		if stringData(r.Path) != p0 {
+		if r.Path != p0 {
 			t.Fatalf("record %d path not interned with record 0", i)
 		}
 	}
-	if !tr.InternTable().Has("/shared/path") {
-		t.Fatal("trace intern table missing the path")
+	if tr.Str(p0) != "/shared/path" {
+		t.Fatalf("path reads %q", tr.Str(p0))
+	}
+	// "", the path, and the three call names.
+	if len(tr.Strs) != 5 {
+		t.Fatalf("string table %q, want 5 entries", tr.Strs)
 	}
 }
 
-// TestMergeSharesInternedStorage asserts Merge's intern reuse: merged
-// records keep their inputs' string backing, and the merged trace's
-// table is the union of the inputs'.
+// TestMergeSharesInternedStorage asserts Merge's interning: merged
+// records keep their inputs' string backing, and a string both inputs
+// hold is one entry of the merged table.
 func TestMergeSharesInternedStorage(t *testing.T) {
 	a, err := ParseStrace(strings.NewReader("1 1.0 open(\"/a/path\", O_RDONLY) = 3 <0.1>\n"))
 	if err != nil {
@@ -281,14 +308,17 @@ func TestMergeSharesInternedStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := stringData(m.Records[0].Path), stringData(a.Records[0].Path); got != want {
+	if got, want := stringData(m.Str(m.Records[0].Path)), stringData(a.Str(a.Records[0].Path)); got != want {
 		t.Fatal("merged record re-allocated input a's path")
 	}
-	if got, want := stringData(m.Records[1].Path), stringData(b.Records[0].Path); got != want {
+	if got, want := stringData(m.Str(m.Records[1].Path)), stringData(b.Str(b.Records[0].Path)); got != want {
 		t.Fatal("merged record re-allocated input b's path")
 	}
-	tab := m.InternTable()
-	if !tab.Has("/a/path") || !tab.Has("/b/path") {
-		t.Fatal("merged intern table is not the union of the inputs'")
+	if m.Records[1].Call == m.Records[0].Call || m.Str(m.Records[1].Call) != "stat" {
+		t.Fatalf("merged calls %q, %q", m.Str(m.Records[0].Call), m.Str(m.Records[1].Call))
+	}
+	// "", two paths, two call names: nothing twice.
+	if len(m.Strs) != 5 {
+		t.Fatalf("merged table %q, want 5 entries", m.Strs)
 	}
 }

@@ -55,11 +55,11 @@ func ParseIBench(r io.Reader) (*Trace, error) {
 		if err2 != nil {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: err2.Error()}
 		}
-		tid, err3 := strconv.Atoi(toks[2])
+		tid, err3 := strconv.ParseInt(toks[2], 10, 32)
 		if err3 != nil {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: "bad tid"}
 		}
-		rec := &Record{TID: tid, Call: toks[3]}
+		rec := Record{TID: int32(tid)}
 		if rec.Ret, err = strconv.ParseInt(toks[4], 0, 64); err != nil {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: "bad ret"}
 		}
@@ -68,7 +68,6 @@ func ParseIBench(r io.Reader) (*Trace, error) {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: "bad errno"}
 		}
 		if errno != 0 {
-			rec.Err = vfs.Errno(errno).String()
 			rec.Ret = -1
 		}
 		if base < 0 {
@@ -76,10 +75,15 @@ func ParseIBench(r io.Reader) (*Trace, error) {
 		}
 		rec.Start = durationFromNS(entry - base)
 		rec.End = durationFromNS(ret - base)
-		if ok, err := assignIBenchArgs(rec, toks[6:]); err != nil {
+		call, ok, err := assignIBenchArgs(tr, &rec, toks[3], toks[6:])
+		if err != nil {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: err.Error()}
 		} else if !ok {
 			continue
+		}
+		rec.Call = tr.Intern(call)
+		if errno != 0 {
+			rec.Err = tr.Intern(vfs.Errno(errno).String())
 		}
 		tr.Records = append(tr.Records, rec)
 	}
@@ -92,18 +96,20 @@ func ParseIBench(r io.Reader) (*Trace, error) {
 
 func durationFromNS(ns int64) time.Duration { return time.Duration(ns) }
 
-// assignIBenchArgs maps the call-specific argument list onto rec; the
-// first result is false for calls the model does not handle.
-func assignIBenchArgs(rec *Record, args []string) (bool, error) {
-	q := func(i int) (string, error) {
+// assignIBenchArgs maps the call-specific argument list of a call
+// traced as call onto rec, interning its strings into tr, and returns
+// the call's canonical name; ok is false for calls the model does not
+// handle.
+func assignIBenchArgs(tr *Trace, rec *Record, call string, args []string) (canon string, ok bool, err error) {
+	q := func(i int) (Str, error) {
 		if i >= len(args) {
-			return "", fmt.Errorf("%s: missing arg %d", rec.Call, i)
+			return 0, fmt.Errorf("%s: missing arg %d", call, i)
 		}
 		s, err := strconv.Unquote(args[i])
 		if err != nil {
-			return "", fmt.Errorf("%s: bad quoted arg %d", rec.Call, i)
+			return 0, fmt.Errorf("%s: bad quoted arg %d", call, i)
 		}
-		return s, nil
+		return tr.Intern(s), nil
 	}
 	n := func(i int) int64 {
 		if i >= len(args) {
@@ -112,14 +118,14 @@ func assignIBenchArgs(rec *Record, args []string) (bool, error) {
 		v, _ := strconv.ParseInt(args[i], 0, 64)
 		return v
 	}
-	var err error
-	switch rec.Call {
+	canon = call
+	switch call {
 	case "open", "open64", "creat", "guarded_open_np":
-		if rec.Call == "guarded_open_np" {
-			rec.Call = "open"
+		if call == "guarded_open_np" {
+			canon = "open"
 		}
 		if rec.Path, err = q(0); err != nil {
-			return false, err
+			return "", false, err
 		}
 		rec.Flags = OpenFlag(n(1))
 		rec.Mode = uint32(n(2))
@@ -129,7 +135,7 @@ func assignIBenchArgs(rec *Record, args []string) (bool, error) {
 	case "close", "fsync", "fdatasync", "fstat", "fstat64", "fchdir", "fstatfs",
 		"flistxattr", "getdirentries", "getdirentries64", "getdirentriesattr":
 		rec.FD = n(0)
-		if strings.HasPrefix(rec.Call, "getdirentries") {
+		if strings.HasPrefix(call, "getdirentries") {
 			rec.Size = rec.Ret
 		}
 	case "read", "write":
@@ -142,31 +148,31 @@ func assignIBenchArgs(rec *Record, args []string) (bool, error) {
 	case "lseek":
 		rec.FD = n(0)
 		rec.Offset = n(1)
-		rec.Whence = int(n(2))
+		rec.Whence = int32(n(2))
 	case "stat", "stat64", "lstat", "lstat64", "access", "readlink", "statfs",
 		"rmdir", "unlink", "chdir", "getattrlist", "setattrlist", "searchfs",
 		"fsctl", "vfsconf", "listxattr", "llistxattr", "pathconf":
-		if rec.Call == "pathconf" {
-			rec.Call = "access"
+		if call == "pathconf" {
+			canon = "access"
 		}
 		if rec.Path, err = q(0); err != nil {
-			return false, err
+			return "", false, err
 		}
 	case "mkdir", "chmod":
 		if rec.Path, err = q(0); err != nil {
-			return false, err
+			return "", false, err
 		}
 		rec.Mode = uint32(n(1))
 	case "rename", "link", "symlink", "exchangedata":
 		if rec.Path, err = q(0); err != nil {
-			return false, err
+			return "", false, err
 		}
 		if rec.Path2, err = q(1); err != nil {
-			return false, err
+			return "", false, err
 		}
 	case "truncate":
 		if rec.Path, err = q(0); err != nil {
-			return false, err
+			return "", false, err
 		}
 		rec.Size = n(1)
 	case "ftruncate":
@@ -179,28 +185,26 @@ func assignIBenchArgs(rec *Record, args []string) (bool, error) {
 		rec.FD2 = n(1)
 	case "fcntl":
 		rec.FD = n(0)
-		op, err := q(1)
-		if err != nil {
-			return false, err
+		if rec.Name, err = q(1); err != nil {
+			return "", false, err
 		}
-		rec.Name = op
 		rec.Offset = n(2)
 	case "getxattr", "setxattr", "removexattr":
 		if rec.Path, err = q(0); err != nil {
-			return false, err
+			return "", false, err
 		}
 		if rec.Name, err = q(1); err != nil {
-			return false, err
+			return "", false, err
 		}
-		if rec.Call == "setxattr" {
+		if call == "setxattr" {
 			rec.Size = n(2)
 		}
 	case "fgetxattr", "fsetxattr", "fremovexattr":
 		rec.FD = n(0)
 		if rec.Name, err = q(1); err != nil {
-			return false, err
+			return "", false, err
 		}
-		if rec.Call == "fsetxattr" {
+		if call == "fsetxattr" {
 			rec.Size = n(2)
 		}
 	case "aio_read", "aio_write":
@@ -215,7 +219,7 @@ func assignIBenchArgs(rec *Record, args []string) (bool, error) {
 	case "mmap":
 		fd := n(4)
 		if fd < 0 {
-			return false, nil
+			return "", false, nil
 		}
 		rec.FD = fd
 		rec.Size = n(1)
@@ -225,7 +229,7 @@ func assignIBenchArgs(rec *Record, args []string) (bool, error) {
 		rec.Size = n(1)
 	case "sync":
 	default:
-		return false, nil
+		return "", false, nil
 	}
-	return true, nil
+	return canon, true, nil
 }

@@ -34,8 +34,9 @@ func TestParseIBench(t *testing.T) {
 		}
 		t.Fatalf("records = %d, want 9", len(tr.Records))
 	}
+	s := tr.Str
 	r0 := tr.Records[0]
-	if r0.Call != "open" || r0.Path != "/Library/app/db" || r0.Ret != 3 ||
+	if s(r0.Call) != "open" || s(r0.Path) != "/Library/app/db" || r0.Ret != 3 ||
 		r0.Flags != ORdwr || r0.Mode != 0o644 || r0.TID != 5 {
 		t.Fatalf("open = %+v", r0)
 	}
@@ -43,27 +44,27 @@ func TestParseIBench(t *testing.T) {
 		t.Fatalf("open times = %v..%v", r0.Start, r0.End)
 	}
 	r1 := tr.Records[1]
-	if r1.Call != "pread" || r1.FD != 3 || r1.Size != 4096 || r1.Offset != 8192 {
+	if s(r1.Call) != "pread" || r1.FD != 3 || r1.Size != 4096 || r1.Offset != 8192 {
 		t.Fatalf("pread = %+v", r1)
 	}
 	r3 := tr.Records[3]
-	if r3.Err != "ENOENT" || r3.Ret != -1 {
+	if s(r3.Err) != "ENOENT" || r3.Ret != -1 {
 		t.Fatalf("failed stat = %+v", r3)
 	}
 	r4 := tr.Records[4]
-	if r4.Call != "exchangedata" || r4.Path2 != "/Library/b" {
+	if s(r4.Call) != "exchangedata" || s(r4.Path2) != "/Library/b" {
 		t.Fatalf("exchangedata = %+v", r4)
 	}
 	r5 := tr.Records[5]
-	if r5.Call != "fcntl" || r5.Name != "F_FULLFSYNC" || r5.FD != 3 {
+	if s(r5.Call) != "fcntl" || s(r5.Name) != "F_FULLFSYNC" || r5.FD != 3 {
 		t.Fatalf("fcntl = %+v", r5)
 	}
 	r7 := tr.Records[7]
-	if r7.Call != "aio_read" || r7.AIO != 9 || r7.FD != 4 {
+	if s(r7.Call) != "aio_read" || r7.AIO != 9 || r7.FD != 4 {
 		t.Fatalf("aio_read = %+v", r7)
 	}
 	r8 := tr.Records[8]
-	if r8.Call != "aio_return" || r8.AIO != 9 {
+	if s(r8.Call) != "aio_return" || r8.AIO != 9 {
 		t.Fatalf("aio_return = %+v", r8)
 	}
 	for i, r := range tr.Records {
@@ -97,7 +98,7 @@ func TestParseIBenchGuardedOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 1 || tr.Records[0].Call != "open" {
+	if len(tr.Records) != 1 || tr.Str(tr.Records[0].Call) != "open" {
 		t.Fatalf("records = %+v", tr.Records)
 	}
 }

@@ -2,12 +2,12 @@ package trace
 
 import "strings"
 
-// Intern is a string-interning table: one durable copy per distinct
-// string, shared by every record that mentions it. The strace lexer
-// hands it sub-slices of the scanner's reusable buffer; interning is
-// therefore also the copy-out point that breaks aliasing — a string
-// returned by Str never references a transient buffer, whatever the
-// argument aliased (see DESIGN.md "Trace ingest" for the contract).
+// Intern is a trace's string-interning table: the index from each
+// distinct string of Trace.Strs to its Str. The strace lexer hands it
+// sub-slices of the scanner's reusable buffer; interning is therefore
+// also the copy-out point that breaks aliasing — a string the table
+// adds never references a transient buffer, whatever the argument
+// aliased (see DESIGN.md "Trace ingest" for the contract).
 //
 // The table also caches composite open-flag sets ("O_WRONLY|O_CREAT"),
 // so a flag combination is scanned once per trace rather than once per
@@ -15,56 +15,38 @@ import "strings"
 //
 // An Intern is not safe for concurrent use.
 type Intern struct {
-	strs  map[string]string
+	tr    *Trace
+	ids   map[string]Str
 	flags map[string]OpenFlag
 }
 
-// NewIntern returns an empty interning table.
-func NewIntern() *Intern {
-	return &Intern{
-		strs:  make(map[string]string),
-		flags: make(map[string]OpenFlag),
-	}
-}
-
-// Str returns the durable interned copy of s, copying it into the table
-// on first sight. The argument may alias a reused buffer; the result
-// never does.
-func (t *Intern) Str(s string) string {
+// Str returns the Str naming s in the table's trace, copying s into
+// Trace.Strs on first sight. The argument may alias a reused buffer;
+// the table never does.
+func (t *Intern) Str(s string) Str {
 	if s == "" {
-		return ""
+		return 0
 	}
-	if v, ok := t.strs[s]; ok {
+	if v, ok := t.ids[s]; ok {
 		return v
 	}
-	v := strings.Clone(s)
-	t.strs[v] = v
+	v := Str(len(t.tr.Strs))
+	c := strings.Clone(s)
+	t.tr.Strs = append(t.tr.Strs, c)
+	t.ids[c] = v
 	return v
 }
 
-// str is Str with a nil-tolerant receiver: a nil table is the identity,
-// used by the reference parser, whose strings are already durable.
-func (t *Intern) str(s string) string {
-	if t == nil {
-		return s
-	}
-	return t.Str(s)
-}
-
-// Len reports the number of distinct strings in the table.
-func (t *Intern) Len() int { return len(t.strs) }
-
 // openFlags parses a rendered flag set, answering repeats from the
-// composite cache. The nil receiver parses without caching (reference
-// parser).
+// composite cache.
 func (t *Intern) openFlags(s string) OpenFlag {
-	if t == nil {
-		return parseOpenFlags(s)
-	}
 	if f, ok := t.flags[s]; ok {
 		return f
 	}
 	f := parseOpenFlags(s)
+	if t.flags == nil {
+		t.flags = make(map[string]OpenFlag)
+	}
 	t.flags[strings.Clone(s)] = f
 	return f
 }

@@ -42,7 +42,7 @@ func TestLineLimit(t *testing.T) {
 			switch {
 			case c.ok && err != nil:
 				t.Errorf("%s, %s: %v", s.name, c.name, err)
-			case c.ok && (len(tr.Records) != 1 || tr.Records[0].Call != s.call || len(tr.Records[0].Path) != limit-1-len(s.head)-len(s.tail)+1):
+			case c.ok && (len(tr.Records) != 1 || tr.Str(tr.Records[0].Call) != s.call || len(tr.Str(tr.Records[0].Path)) != limit-1-len(s.head)-len(s.tail)+1):
 				t.Errorf("%s, %s: parsed %d records", s.name, c.name, len(tr.Records))
 			case !c.ok && (err != bufio.ErrTooLong || err.Error() != "bufio.Scanner: token too long"):
 				t.Errorf("%s, %s: error %v, want %v", s.name, c.name, err, bufio.ErrTooLong)

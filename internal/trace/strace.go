@@ -132,11 +132,10 @@ func parseOpenFlags(s string) OpenFlag {
 
 // assignStraceArgs maps positional strace arguments onto Record fields
 // for each supported call. It is shared by the reference parser and the
-// zero-copy fast path: with a nil intern table retained strings are
-// stored as-is (the reference parser's lines are already durable
-// copies); with a table, every retained string — paths, xattr names,
-// fcntl op names — is interned, which both deduplicates storage and
-// severs any aliasing of the lexer's reusable line buffer.
+// zero-copy fast path. Every retained string — paths, xattr names,
+// fcntl op names — is interned into the trace tab belongs to, which
+// both deduplicates storage and severs any aliasing of the lexer's
+// reusable line buffer.
 func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) error {
 	need := func(n int) error {
 		if len(args) < n {
@@ -149,7 +148,7 @@ func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) erro
 		if err := need(2); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[0]))
+		rec.Path = tab.Str(unquoteStrace(args[0]))
 		rec.Flags = tab.openFlags(args[1])
 		if len(args) > 2 {
 			rec.Mode = uint32(parseIntArg(args[2]))
@@ -161,7 +160,7 @@ func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) erro
 		if err := need(3); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[1]))
+		rec.Path = tab.Str(unquoteStrace(args[1]))
 		rec.Flags = tab.openFlags(args[2])
 		if len(args) > 3 {
 			rec.Mode = uint32(parseIntArg(args[3]))
@@ -173,7 +172,7 @@ func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) erro
 		if err := need(2); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[0]))
+		rec.Path = tab.Str(unquoteStrace(args[0]))
 		rec.Mode = uint32(parseIntArg(args[1]))
 	case "close", "fsync", "fdatasync", "fstat", "fstat64", "fchdir", "fstatfs", "flistxattr":
 		if err := need(1); err != nil {
@@ -212,35 +211,35 @@ func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) erro
 		if err := need(1); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[0]))
+		rec.Path = tab.Str(unquoteStrace(args[0]))
 	case "unlinkat":
 		if err := need(2); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[1]))
+		rec.Path = tab.Str(unquoteStrace(args[1]))
 	case "mkdir", "chmod":
 		if err := need(2); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[0]))
+		rec.Path = tab.Str(unquoteStrace(args[0]))
 		rec.Mode = uint32(parseIntArg(args[1]))
 	case "rename", "link", "symlink":
 		if err := need(2); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[0]))
-		rec.Path2 = tab.str(unquoteStrace(args[1]))
+		rec.Path = tab.Str(unquoteStrace(args[0]))
+		rec.Path2 = tab.Str(unquoteStrace(args[1]))
 	case "renameat", "renameat2", "linkat", "symlinkat":
 		if err := need(4); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[1]))
-		rec.Path2 = tab.str(unquoteStrace(args[3]))
+		rec.Path = tab.Str(unquoteStrace(args[1]))
+		rec.Path2 = tab.Str(unquoteStrace(args[3]))
 	case "truncate":
 		if err := need(2); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[0]))
+		rec.Path = tab.Str(unquoteStrace(args[0]))
 		rec.Size = parseIntArg(args[1])
 	case "ftruncate", "ftruncate64":
 		if err := need(2); err != nil {
@@ -263,9 +262,9 @@ func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) erro
 		if err := need(2); err != nil {
 			return err
 		}
-		rec.Call = "fcntl"
+		rec.Call = tab.Str("fcntl")
 		rec.FD = parseIntArg(args[0])
-		rec.Name = tab.str(strings.TrimSpace(args[1]))
+		rec.Name = tab.Str(strings.TrimSpace(args[1]))
 		if len(args) > 2 {
 			rec.Offset = parseIntArg(args[2])
 		}
@@ -279,8 +278,8 @@ func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) erro
 		if err := need(2); err != nil {
 			return err
 		}
-		rec.Path = tab.str(unquoteStrace(args[0]))
-		rec.Name = tab.str(unquoteStrace(args[1]))
+		rec.Path = tab.Str(unquoteStrace(args[0]))
+		rec.Name = tab.Str(unquoteStrace(args[1]))
 		if strings.HasPrefix(name, "setxattr") || strings.HasPrefix(name, "lsetxattr") {
 			if len(args) > 3 {
 				rec.Size = parseIntArg(args[3])
@@ -291,7 +290,7 @@ func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) erro
 			return err
 		}
 		rec.FD = parseIntArg(args[0])
-		rec.Name = tab.str(unquoteStrace(args[1]))
+		rec.Name = tab.Str(unquoteStrace(args[1]))
 		if name == "fsetxattr" && len(args) > 3 {
 			rec.Size = parseIntArg(args[3])
 		}
@@ -299,11 +298,11 @@ func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) erro
 		if err := need(4); err != nil {
 			return err
 		}
-		rec.Call = "fadvise"
+		rec.Call = tab.Str("fadvise")
 		rec.FD = parseIntArg(args[0])
 		rec.Offset = parseIntArg(args[1])
 		rec.Size = parseIntArg(args[2])
-		rec.Name = tab.str(strings.TrimSpace(args[3]))
+		rec.Name = tab.Str(strings.TrimSpace(args[3]))
 	case "fallocate":
 		if err := need(4); err != nil {
 			return err
@@ -321,7 +320,7 @@ func assignStraceArgs(rec *Record, name string, args []string, tab *Intern) erro
 		if fd < 0 {
 			return errSkipCall
 		}
-		rec.Call = "mmap"
+		rec.Call = tab.Str("mmap")
 		rec.FD = fd
 		rec.Size = parseIntArg(args[1])
 		rec.Offset = parseIntArg(args[5])

@@ -23,10 +23,10 @@ import (
 //     view dies when the line is done; the only strings that outlive a
 //     line are (a) ParseError.Text, which is cloned, and (b) record
 //     strings, which pass through the Intern table — the copy-out
-//     point — so no Record ever references the scanner buffer.
-//   - Records are carved out of slab chunks ([]Record) rather than
-//     allocated one by one; Trace.Records holds pointers into the
-//     slabs, so the public shape ([]*Record) is unchanged.
+//     point — into Trace.Strs, so no string a Record names references
+//     the scanner buffer.
+//   - Records are built in place at the end of Trace.Records, one
+//     slab of values; a call the model skips is truncated off again.
 //   - `unfinished ... resumed` stitching uses a small per-TID map of
 //     open calls whose text buffers are pooled and reused.
 //
@@ -349,10 +349,6 @@ func trimFastSlow(s string) string {
 	return s
 }
 
-// recordChunk is the slab granularity: one allocation per this many
-// records.
-const recordChunk = 1024
-
 // pendingCall is an open `<unfinished ...>` call awaiting its resumed
 // half. Buffers are pooled on the parser's free list.
 type pendingCall struct {
@@ -380,18 +376,15 @@ type straceParser struct {
 	free    []*pendingCall
 	firstTS int64
 
-	chunk []Record
-	used  int  // slots of chunk handed out
-	dirty bool // chunk[used] holds an abandoned record and needs zeroing
 	args  []string
 	patch []byte // scratch for the "] " header rewrite
 }
 
 func newStraceParser() *straceParser {
-	tab := NewIntern()
+	tr := &Trace{Platform: "linux"}
 	return &straceParser{
-		tr:      &Trace{Platform: "linux", intern: tab},
-		tab:     tab,
+		tr:      tr,
+		tab:     tr.table(),
 		firstTS: -1,
 	}
 }
@@ -438,25 +431,6 @@ func (p *straceParser) putPending(pc *pendingCall) {
 		return
 	}
 	p.pending = append(p.pending, pendingSlot{pc.tid, pc})
-}
-
-// alloc returns the next slab slot without committing it. finish
-// builds the record in place — no stack copy, and the write barriers
-// cover only the pointer fields actually assigned — then either
-// commits the slot (p.used++) or abandons it by leaving p.dirty set,
-// in which case the next alloc re-zeroes it.
-func (p *straceParser) alloc() *Record {
-	if p.used == len(p.chunk) {
-		p.chunk = make([]Record, recordChunk)
-		p.used = 0
-		p.dirty = false
-	}
-	r := &p.chunk[p.used]
-	if p.dirty {
-		*r = Record{}
-		p.dirty = false
-	}
-	return r
 }
 
 func (p *straceParser) newPending(tid int, ts int64) *pendingCall {
@@ -580,160 +554,6 @@ func cutByteShort(s string, sep byte) (before, after string, found bool) {
 var errNoParen = errors.New("no opening paren")
 var errUnbalanced = errors.New("unbalanced parens")
 
-// internCall returns the canonical static string for a known syscall
-// name, or "" for names outside assignStraceArgs' case list. Every
-// returned literal shares one backing array per spelling, so records
-// stay interned without a map lookup.
-func internCall(name string) string {
-	switch name {
-	case "open":
-		return "open"
-	case "open64":
-		return "open64"
-	case "openat":
-		return "openat"
-	case "creat":
-		return "creat"
-	case "close":
-		return "close"
-	case "fsync":
-		return "fsync"
-	case "fdatasync":
-		return "fdatasync"
-	case "fstat":
-		return "fstat"
-	case "fstat64":
-		return "fstat64"
-	case "fchdir":
-		return "fchdir"
-	case "fstatfs":
-		return "fstatfs"
-	case "flistxattr":
-		return "flistxattr"
-	case "read":
-		return "read"
-	case "write":
-		return "write"
-	case "pread":
-		return "pread"
-	case "pread64":
-		return "pread64"
-	case "pwrite":
-		return "pwrite"
-	case "pwrite64":
-		return "pwrite64"
-	case "lseek":
-		return "lseek"
-	case "_llseek":
-		return "_llseek"
-	case "llseek":
-		return "llseek"
-	case "stat":
-		return "stat"
-	case "stat64":
-		return "stat64"
-	case "lstat":
-		return "lstat"
-	case "lstat64":
-		return "lstat64"
-	case "access":
-		return "access"
-	case "readlink":
-		return "readlink"
-	case "statfs":
-		return "statfs"
-	case "statfs64":
-		return "statfs64"
-	case "rmdir":
-		return "rmdir"
-	case "unlink":
-		return "unlink"
-	case "chdir":
-		return "chdir"
-	case "listxattr":
-		return "listxattr"
-	case "llistxattr":
-		return "llistxattr"
-	case "unlinkat":
-		return "unlinkat"
-	case "mkdir":
-		return "mkdir"
-	case "chmod":
-		return "chmod"
-	case "rename":
-		return "rename"
-	case "link":
-		return "link"
-	case "symlink":
-		return "symlink"
-	case "renameat":
-		return "renameat"
-	case "renameat2":
-		return "renameat2"
-	case "linkat":
-		return "linkat"
-	case "symlinkat":
-		return "symlinkat"
-	case "truncate":
-		return "truncate"
-	case "ftruncate":
-		return "ftruncate"
-	case "ftruncate64":
-		return "ftruncate64"
-	case "dup":
-		return "dup"
-	case "dup2":
-		return "dup2"
-	case "dup3":
-		return "dup3"
-	case "fcntl":
-		return "fcntl"
-	case "fcntl64":
-		return "fcntl64"
-	case "getdents":
-		return "getdents"
-	case "getdents64":
-		return "getdents64"
-	case "getdirentries":
-		return "getdirentries"
-	case "getxattr":
-		return "getxattr"
-	case "lgetxattr":
-		return "lgetxattr"
-	case "setxattr":
-		return "setxattr"
-	case "lsetxattr":
-		return "lsetxattr"
-	case "removexattr":
-		return "removexattr"
-	case "lremovexattr":
-		return "lremovexattr"
-	case "fgetxattr":
-		return "fgetxattr"
-	case "fsetxattr":
-		return "fsetxattr"
-	case "fremovexattr":
-		return "fremovexattr"
-	case "fadvise64":
-		return "fadvise64"
-	case "posix_fadvise":
-		return "posix_fadvise"
-	case "fallocate":
-		return "fallocate"
-	case "mmap":
-		return "mmap"
-	case "mmap2":
-		return "mmap2"
-	case "munmap":
-		return "munmap"
-	case "msync":
-		return "msync"
-	case "sync":
-		return "sync"
-	}
-	return ""
-}
-
 // Byte classes for finish's fused paren-match + arg-split scan. A
 // backslash is only meaningful inside quotes (the unquoted switch has
 // no clsEsc case, matching the original scanner, which ignored it
@@ -762,8 +582,8 @@ var argClass = [256]uint8{
 
 // finish parses an assembled call text and appends the record, if the
 // call is modelled. The logic tracks straceCall.finish exactly; the
-// differences are mechanical (slab record, interned strings, reused
-// args slice).
+// differences are mechanical (record built in place, reused args
+// slice).
 func (p *straceParser) finish(tid int, ts int64, text string) error {
 	name, rest, ok := cutByteShort(text, '(')
 	if !ok {
@@ -832,17 +652,13 @@ func (p *straceParser) finish(tid int, ts int64, text string) error {
 	p.args = args
 	result := trimFast(rest[end+1:])
 
-	rec := p.alloc()
-	p.dirty = true // assume abandoned until committed below
-	rec.TID = tid
-	// Known syscall names intern through a compiler string-switch
-	// (length dispatch + memeq, no hashing); names outside the model's
-	// set still go through the table, though their records are dropped.
-	if c := internCall(name); c != "" {
-		rec.Call = c
-	} else {
-		rec.Call = p.tab.Str(name)
-	}
+	// The record is built where it will stay and truncated off again if
+	// the call is not modelled.
+	n := len(p.tr.Records)
+	p.tr.Records = append(p.tr.Records, Record{})
+	rec := &p.tr.Records[n]
+	rec.TID = int32(tid)
+	rec.Call = p.tab.Str(name)
 	rec.Start = time.Duration(ts - p.firstTS)
 	// Result: "= ret [ERRNO (text)] [<dur>]".
 	result = strings.TrimPrefix(result, "=")
@@ -861,6 +677,7 @@ func (p *straceParser) finish(tid int, ts int64, text string) error {
 		// Hex returns appear for mmap.
 		ret, err := strconv.ParseInt(retTok, 0, 64)
 		if err != nil {
+			p.tr.Records = p.tr.Records[:n]
 			return fmt.Errorf("bad return %q", retTok)
 		}
 		rec.Ret = ret
@@ -876,15 +693,13 @@ func (p *straceParser) finish(tid int, ts int64, text string) error {
 	rec.End = rec.Start + dur
 
 	if err := assignStraceArgs(rec, name, args, p.tab); err != nil {
+		p.tr.Records = p.tr.Records[:n]
 		if err == errSkipCall {
 			return nil
 		}
 		return err
 	}
-	p.used++
-	p.dirty = false
-	rec.Seq = int64(len(p.tr.Records))
-	p.tr.Records = append(p.tr.Records, rec)
+	rec.Seq = int64(n)
 	return nil
 }
 
@@ -998,24 +813,28 @@ func parseStraceFast(r io.Reader) (*Trace, error) {
 // completed records to emit in batches of at least batch records (the
 // final batch may be smaller). Records carry final Seq numbers and are
 // emitted exactly once, in trace order; the returned Trace owns them
-// all. An emit error aborts the parse and is returned verbatim. This
-// is the producer half of the streaming parse→compile path (see
+// all. Each batch comes with strs, the string table as it stands when
+// the batch is handed over: it names every string the batch's records
+// index, and neither the batch nor strs is ever written again, so the
+// consumer may read both on another goroutine while the parse goes on.
+// An emit error aborts the parse and is returned verbatim. This is the
+// producer half of the streaming parse→compile path (see
 // artc.CompileStraceStream); batch <= 0 selects a default. lines, when
 // the caller has counted them, is the number of lines r holds or more;
 // it sizes the trace's Records and changes nothing else (0: unknown).
-func ParseStraceStream(r io.Reader, lines, batch int, emit func([]*Record) error) (*Trace, error) {
+func ParseStraceStream(r io.Reader, lines, batch int, emit func(recs []Record, strs []string) error) (*Trace, error) {
 	if batch <= 0 {
 		batch = 512
 	}
 	return parseStraceEmit(r, lines, batch, emit)
 }
 
-func parseStraceEmit(r io.Reader, lines, batch int, emit func([]*Record) error) (*Trace, error) {
+func parseStraceEmit(r io.Reader, lines, batch int, emit func([]Record, []string) error) (*Trace, error) {
 	ls := newLineScanner(r)
 	p := newStraceParser()
 	if lines > 0 {
 		// Every record ends a line, so Records never regrows.
-		p.tr.Records = make([]*Record, 0, lines)
+		p.tr.Records = make([]Record, 0, lines)
 	}
 	lineNo := 0
 	emitted := 0
@@ -1055,18 +874,16 @@ func parseStraceEmit(r io.Reader, lines, batch int, emit func([]*Record) error) 
 	return p.tr, nil
 }
 
-// flush assigns Seq numbers to the not-yet-emitted tail and hands it to
-// emit. Emitted sub-slices stay valid across later appends: the record
-// pointers they hold are slab slots, and the sub-slice views the array
-// as it was at emit time.
-func (p *straceParser) flush(emit func([]*Record) error, emitted *int) error {
-	recs := p.tr.Records[*emitted:]
+// flush hands the not-yet-emitted tail to emit with the string table's
+// current slice header. Both stay valid across later appends: an append
+// writes past what they hold (or into a new array, leaving theirs as it
+// was), never over an element either one holds.
+func (p *straceParser) flush(emit func([]Record, []string) error, emitted *int) error {
+	end := len(p.tr.Records)
+	recs := p.tr.Records[*emitted:end:end]
 	if len(recs) == 0 {
 		return nil
 	}
-	for i, r := range recs {
-		r.Seq = int64(*emitted + i)
-	}
-	*emitted += len(recs)
-	return emit(recs)
+	*emitted = end
+	return emit(recs, p.tr.Strs[:len(p.tr.Strs):len(p.tr.Strs)])
 }

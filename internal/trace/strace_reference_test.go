@@ -51,11 +51,11 @@ func parseStraceReference(r io.Reader) (*Trace, error) {
 				return nil, &ParseError{Line: lineNo, Text: line, Msg: "malformed resumed line"}
 			}
 			p.text += rest[idx+len("resumed>"):]
-			rec, err := p.finish(firstTS)
+			rec, ok, err := p.finish(tr, firstTS)
 			if err != nil {
 				return nil, &ParseError{Line: lineNo, Text: line, Msg: err.Error()}
 			}
-			if rec != nil {
+			if ok {
 				tr.Records = append(tr.Records, rec)
 			}
 			continue
@@ -69,11 +69,11 @@ func parseStraceReference(r io.Reader) (*Trace, error) {
 			continue
 		}
 		call := &straceCall{tid: tid, ts: ts, text: rest}
-		rec, err := call.finish(firstTS)
+		rec, ok, err := call.finish(tr, firstTS)
 		if err != nil {
 			return nil, &ParseError{Line: lineNo, Text: line, Msg: err.Error()}
 		}
-		if rec != nil {
+		if ok {
 			tr.Records = append(tr.Records, rec)
 		}
 	}
@@ -121,12 +121,12 @@ type straceCall struct {
 	text string
 }
 
-// finish parses the assembled call text into a Record; it returns
-// (nil, nil) for calls the model does not handle.
-func (c *straceCall) finish(base int64) (*Record, error) {
-	name, rest, ok := strings.Cut(c.text, "(")
-	if !ok {
-		return nil, fmt.Errorf("no opening paren")
+// finish parses the assembled call text into a Record, interning its
+// strings into tr; ok is false for calls the model does not handle.
+func (c *straceCall) finish(tr *Trace, base int64) (rec Record, ok bool, err error) {
+	name, rest, found := strings.Cut(c.text, "(")
+	if !found {
+		return rec, false, fmt.Errorf("no opening paren")
 	}
 	name = strings.TrimSpace(name)
 	// Split args from result: find the closing paren that matches at
@@ -160,12 +160,13 @@ func (c *straceCall) finish(base int64) (*Record, error) {
 		}
 	}
 	if end < 0 {
-		return nil, fmt.Errorf("unbalanced parens")
+		return rec, false, fmt.Errorf("unbalanced parens")
 	}
 	argstr := rest[:end]
 	result := strings.TrimSpace(rest[end+1:])
 
-	rec := &Record{TID: c.tid, Call: name}
+	tab := tr.table()
+	rec = Record{TID: int32(c.tid), Call: tab.Str(name)}
 	rec.Start = time.Duration(c.ts - base)
 	// Result: "= ret [ERRNO (text)] [<dur>]".
 	result = strings.TrimPrefix(result, "=")
@@ -182,13 +183,13 @@ func (c *straceCall) finish(base int64) (*Record, error) {
 		// Hex returns appear for mmap.
 		ret, err := strconv.ParseInt(retTok, 0, 64)
 		if err != nil {
-			return nil, fmt.Errorf("bad return %q", retTok)
+			return rec, false, fmt.Errorf("bad return %q", retTok)
 		}
 		rec.Ret = ret
 	}
 	if rec.Ret == -1 && errPart != "" {
 		sym, _, _ := strings.Cut(strings.TrimSpace(errPart), " ")
-		rec.Err = sym
+		rec.Err = tab.Str(sym)
 	}
 	dur := time.Duration(0)
 	if durS != "" {
@@ -199,13 +200,13 @@ func (c *straceCall) finish(base int64) (*Record, error) {
 	rec.End = rec.Start + dur
 
 	args := splitStraceArgs(argstr)
-	if err := assignStraceArgs(rec, name, args, nil); err != nil {
+	if err := assignStraceArgs(&rec, name, args, tab); err != nil {
 		if err == errSkipCall {
-			return nil, nil
+			return rec, false, nil
 		}
-		return nil, err
+		return rec, false, err
 	}
-	return rec, nil
+	return rec, true, nil
 }
 
 // splitStraceArgs splits a comma-separated argument list, respecting

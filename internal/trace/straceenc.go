@@ -46,11 +46,12 @@ func EncodeStrace(w io.Writer, tr *Trace) error {
 	// Sorted starts let the split check binary-search instead of
 	// scanning all records per record.
 	starts := make([]time.Duration, 0, len(recs))
-	for _, r := range recs {
-		starts = append(starts, r.Start)
+	for i := range recs {
+		starts = append(starts, recs[i].Start)
 	}
 	sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
-	for i, r := range recs {
+	for i := range recs {
+		r := &recs[i]
 		// Split if any start falls strictly inside (Start, End).
 		j := sort.Search(len(starts), func(k int) bool { return starts[k] > r.Start })
 		if j < len(starts) && starts[j] < r.End {
@@ -75,19 +76,19 @@ func EncodeStrace(w io.Writer, tr *Trace) error {
 		ts := straceEpochBase + int64(l.at)
 		fmt.Fprintf(bw, "%d %d.%09d ", r.TID, ts/int64(time.Second), ts%int64(time.Second))
 		if l.kind == 0 {
-			fmt.Fprintf(bw, "<... %s resumed>) ", straceCallName(r))
-			writeStraceResult(bw, r)
+			fmt.Fprintf(bw, "<... %s resumed>) ", straceCallName(tr, r))
+			writeStraceResult(bw, tr, r)
 			bw.WriteByte('\n')
 			continue
 		}
-		fmt.Fprintf(bw, "%s(", straceCallName(r))
-		writeStraceArgs(bw, r)
+		fmt.Fprintf(bw, "%s(", straceCallName(tr, r))
+		writeStraceArgs(bw, tr, r)
 		if split[l.seq] {
 			bw.WriteString(" <unfinished ...>\n")
 			continue
 		}
 		bw.WriteString(") ")
-		writeStraceResult(bw, r)
+		writeStraceResult(bw, tr, r)
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()
@@ -96,18 +97,18 @@ func EncodeStrace(w io.Writer, tr *Trace) error {
 // straceCallName maps a record's canonical call name back to a spelling
 // the parser's case list accepts ("fadvise" is only parsed from its
 // fadvise64/posix_fadvise spellings).
-func straceCallName(r *Record) string {
-	if r.Call == "fadvise" {
-		return "fadvise64"
+func straceCallName(tr *Trace, r *Record) string {
+	if c := tr.Str(r.Call); c != "fadvise" {
+		return c
 	}
-	return r.Call
+	return "fadvise64"
 }
 
 // writeStraceResult renders "= ret [ERR (desc)] <dur>".
-func writeStraceResult(w *bufio.Writer, r *Record) {
+func writeStraceResult(w *bufio.Writer, tr *Trace, r *Record) {
 	fmt.Fprintf(w, "= %d", r.Ret)
-	if r.Err != "" && r.Ret == -1 {
-		fmt.Fprintf(w, " %s (replayed error)", r.Err)
+	if r.Err != 0 && r.Ret == -1 {
+		fmt.Fprintf(w, " %s (replayed error)", tr.Str(r.Err))
 	}
 	d := r.End - r.Start
 	if d < 0 {
@@ -145,14 +146,15 @@ func straceDur(d time.Duration) string {
 
 // writeStraceArgs renders the argument list for each supported call,
 // inverting assignStraceArgs' positional mapping.
-func writeStraceArgs(w *bufio.Writer, r *Record) {
-	switch r.Call {
+func writeStraceArgs(w *bufio.Writer, tr *Trace, r *Record) {
+	q := func(s Str) string { return strconv.Quote(tr.Str(s)) }
+	switch tr.Str(r.Call) {
 	case "open", "open64":
-		fmt.Fprintf(w, "%s, %s, %#o", strconv.Quote(r.Path), r.Flags, r.Mode)
+		fmt.Fprintf(w, "%s, %s, %#o", q(r.Path), r.Flags, r.Mode)
 	case "openat":
-		fmt.Fprintf(w, "AT_FDCWD, %s, %s, %#o", strconv.Quote(r.Path), r.Flags, r.Mode)
+		fmt.Fprintf(w, "AT_FDCWD, %s, %s, %#o", q(r.Path), r.Flags, r.Mode)
 	case "creat":
-		fmt.Fprintf(w, "%s, %#o", strconv.Quote(r.Path), r.Mode)
+		fmt.Fprintf(w, "%s, %#o", q(r.Path), r.Mode)
 	case "close", "fsync", "fdatasync", "fstat", "fstat64", "fchdir", "fstatfs", "flistxattr", "dup":
 		fmt.Fprintf(w, "%d", r.FD)
 	case "read", "write":
@@ -170,38 +172,38 @@ func writeStraceArgs(w *bufio.Writer, r *Record) {
 		fmt.Fprintf(w, "%d, %d, %s", r.FD, r.Offset, whence)
 	case "stat", "stat64", "lstat", "lstat64", "access", "readlink", "statfs", "statfs64",
 		"rmdir", "unlink", "chdir", "listxattr", "llistxattr":
-		w.WriteString(strconv.Quote(r.Path))
+		w.WriteString(q(r.Path))
 	case "unlinkat":
-		fmt.Fprintf(w, "AT_FDCWD, %s, 0", strconv.Quote(r.Path))
+		fmt.Fprintf(w, "AT_FDCWD, %s, 0", q(r.Path))
 	case "mkdir", "chmod":
-		fmt.Fprintf(w, "%s, %#o", strconv.Quote(r.Path), r.Mode)
+		fmt.Fprintf(w, "%s, %#o", q(r.Path), r.Mode)
 	case "rename", "link", "symlink":
-		fmt.Fprintf(w, "%s, %s", strconv.Quote(r.Path), strconv.Quote(r.Path2))
+		fmt.Fprintf(w, "%s, %s", q(r.Path), q(r.Path2))
 	case "renameat", "renameat2", "linkat", "symlinkat":
-		fmt.Fprintf(w, "AT_FDCWD, %s, AT_FDCWD, %s", strconv.Quote(r.Path), strconv.Quote(r.Path2))
+		fmt.Fprintf(w, "AT_FDCWD, %s, AT_FDCWD, %s", q(r.Path), q(r.Path2))
 	case "truncate":
-		fmt.Fprintf(w, "%s, %d", strconv.Quote(r.Path), r.Size)
+		fmt.Fprintf(w, "%s, %d", q(r.Path), r.Size)
 	case "ftruncate", "ftruncate64":
 		fmt.Fprintf(w, "%d, %d", r.FD, r.Size)
 	case "dup2", "dup3":
 		fmt.Fprintf(w, "%d, %d", r.FD, r.FD2)
 	case "fcntl", "fcntl64":
-		fmt.Fprintf(w, "%d, %s", r.FD, r.Name)
+		fmt.Fprintf(w, "%d, %s", r.FD, tr.Str(r.Name))
 		if r.Offset != 0 {
 			fmt.Fprintf(w, ", %d", r.Offset)
 		}
 	case "getdents", "getdents64", "getdirentries":
 		fmt.Fprintf(w, "%d", r.FD)
 	case "getxattr", "lgetxattr", "removexattr", "lremovexattr":
-		fmt.Fprintf(w, "%s, %s", strconv.Quote(r.Path), strconv.Quote(r.Name))
+		fmt.Fprintf(w, "%s, %s", q(r.Path), q(r.Name))
 	case "setxattr", "lsetxattr":
-		fmt.Fprintf(w, "%s, %s, \"\"..., %d, 0", strconv.Quote(r.Path), strconv.Quote(r.Name), r.Size)
+		fmt.Fprintf(w, "%s, %s, \"\"..., %d, 0", q(r.Path), q(r.Name), r.Size)
 	case "fgetxattr", "fremovexattr":
-		fmt.Fprintf(w, "%d, %s", r.FD, strconv.Quote(r.Name))
+		fmt.Fprintf(w, "%d, %s", r.FD, q(r.Name))
 	case "fsetxattr":
-		fmt.Fprintf(w, "%d, %s, \"\"..., %d, 0", r.FD, strconv.Quote(r.Name), r.Size)
+		fmt.Fprintf(w, "%d, %s, \"\"..., %d, 0", r.FD, q(r.Name), r.Size)
 	case "fadvise", "fadvise64", "posix_fadvise":
-		fmt.Fprintf(w, "%d, %d, %d, %s", r.FD, r.Offset, r.Size, r.Name)
+		fmt.Fprintf(w, "%d, %d, %d, %s", r.FD, r.Offset, r.Size, tr.Str(r.Name))
 	case "fallocate":
 		fmt.Fprintf(w, "%d, 0, %d, %d", r.FD, r.Offset, r.Size)
 	case "mmap", "mmap2":

@@ -11,18 +11,18 @@ import (
 )
 
 func sampleTrace() *Trace {
-	return &Trace{
-		Platform: "osx",
-		Records: []*Record{
-			{Seq: 0, TID: 1, Call: "mkdir", Path: "/a/b", Mode: 0o755, Ret: 0, Start: 1000, End: 2000},
-			{Seq: 1, TID: 1, Call: "open", Path: "/a/b/c", Flags: OCreat | ORdwr, Mode: 0o644, FD: 3, Ret: 3, Start: 2100, End: 2400},
-			{Seq: 2, TID: 1, Call: "write", FD: 3, Size: 4096, Ret: 4096, Start: 2500, End: 2600},
-			{Seq: 3, TID: 2, Call: "stat", Path: "/missing with space", Ret: -1, Err: "ENOENT", Start: 2550, End: 2700},
-			{Seq: 4, TID: 1, Call: "rename", Path: "/a/b", Path2: "/a/old", Ret: 0, Start: 3000, End: 3100},
-			{Seq: 5, TID: 2, Call: "lseek", FD: 3, Offset: -100, Whence: 2, Ret: 3996, Start: 3200, End: 3300},
-			{Seq: 6, TID: 2, Call: "aio_read", FD: 3, Size: 512, Offset: 1024, AIO: 7, Ret: 7, Start: 3400, End: 3500},
-		},
+	tr := &Trace{Platform: "osx"}
+	s := tr.Intern
+	tr.Records = []Record{
+		{Seq: 0, TID: 1, Call: s("mkdir"), Path: s("/a/b"), Mode: 0o755, Ret: 0, Start: 1000, End: 2000},
+		{Seq: 1, TID: 1, Call: s("open"), Path: s("/a/b/c"), Flags: OCreat | ORdwr, Mode: 0o644, FD: 3, Ret: 3, Start: 2100, End: 2400},
+		{Seq: 2, TID: 1, Call: s("write"), FD: 3, Size: 4096, Ret: 4096, Start: 2500, End: 2600},
+		{Seq: 3, TID: 2, Call: s("stat"), Path: s("/missing with space"), Ret: -1, Err: s("ENOENT"), Start: 2550, End: 2700},
+		{Seq: 4, TID: 1, Call: s("rename"), Path: s("/a/b"), Path2: s("/a/old"), Ret: 0, Start: 3000, End: 3100},
+		{Seq: 5, TID: 2, Call: s("lseek"), FD: 3, Offset: -100, Whence: 2, Ret: 3996, Start: 3200, End: 3300},
+		{Seq: 6, TID: 2, Call: s("aio_read"), FD: 3, Size: 512, Offset: 1024, AIO: 7, Ret: 7, Start: 3400, End: 3500},
 	}
+	return tr
 }
 
 func TestNativeRoundTrip(t *testing.T) {
@@ -42,9 +42,13 @@ func TestNativeRoundTrip(t *testing.T) {
 		t.Fatalf("record count = %d", len(got.Records))
 	}
 	for i := range tr.Records {
-		if !reflect.DeepEqual(tr.Records[i], got.Records[i]) {
-			t.Fatalf("record %d:\nwant %+v\ngot  %+v", i, tr.Records[i], got.Records[i])
+		if w, g := recordText(tr, &tr.Records[i]), recordText(got, &got.Records[i]); w != g {
+			t.Fatalf("record %d:\nwant %sgot  %s", i, w, g)
 		}
+	}
+	// Decoding interns: each distinct string is one table entry.
+	if len(got.Strs) != len(tr.Strs) {
+		t.Fatalf("decoded table %q, want the %d entries of %q", got.Strs, len(tr.Strs), tr.Strs)
 	}
 }
 
@@ -127,26 +131,27 @@ func TestParseStrace(t *testing.T) {
 		}
 		t.Fatalf("parsed %d records, want 10", len(tr.Records))
 	}
+	s := tr.Str
 	r0 := tr.Records[0]
-	if r0.Call != "open" || r0.Path != "/etc/fstab" || r0.Ret != 3 || r0.TID != 1001 {
+	if s(r0.Call) != "open" || s(r0.Path) != "/etc/fstab" || r0.Ret != 3 || r0.TID != 1001 {
 		t.Fatalf("open record = %+v", r0)
 	}
 	if r0.Start != 0 {
 		t.Fatalf("first record not rebased to zero: %v", r0.Start)
 	}
 	r1 := tr.Records[1]
-	if r1.Call != "read" || r1.FD != 3 || r1.Size != 4096 || r1.Ret != 512 {
+	if s(r1.Call) != "read" || r1.FD != 3 || r1.Size != 4096 || r1.Ret != 512 {
 		t.Fatalf("read record = %+v", r1)
 	}
 	r2 := tr.Records[2]
-	if r2.Err != "ENOENT" || r2.Ret != -1 {
+	if s(r2.Err) != "ENOENT" || r2.Ret != -1 {
 		t.Fatalf("stat record = %+v", r2)
 	}
 	// The unfinished write must be stitched together, starting at its
 	// original entry timestamp and keeping trace order by line.
 	var wr *Record
-	for _, r := range tr.Records {
-		if r.Call == "write" {
+	for i := range tr.Records {
+		if r := &tr.Records[i]; s(r.Call) == "write" {
 			wr = r
 		}
 	}
@@ -157,8 +162,8 @@ func TestParseStrace(t *testing.T) {
 		t.Fatalf("stitched write start = %v", wr.Start)
 	}
 	var mm *Record
-	for _, r := range tr.Records {
-		if r.Call == "mmap" {
+	for i := range tr.Records {
+		if r := &tr.Records[i]; s(r.Call) == "mmap" {
 			mm = r
 		}
 	}
@@ -167,8 +172,8 @@ func TestParseStrace(t *testing.T) {
 	}
 	// Flags parse.
 	var op *Record
-	for _, r := range tr.Records {
-		if r.Call == "open" && r.Path == "/tmp/out" {
+	for i := range tr.Records {
+		if r := &tr.Records[i]; s(r.Call) == "open" && s(r.Path) == "/tmp/out" {
 			op = r
 		}
 	}
@@ -208,7 +213,7 @@ func TestParseStraceLongLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 2 || tr.Records[0].Call != "write" {
+	if len(tr.Records) != 2 || tr.Str(tr.Records[0].Call) != "write" {
 		t.Fatalf("records = %+v", tr.Records)
 	}
 }
@@ -252,11 +257,12 @@ func TestQuickNativeRoundTrip(t *testing.T) {
 	calls := []string{"open", "read", "write", "stat", "rename", "fcntl"}
 	f := func(tid uint8, call uint8, fd uint16, size int32, off int32, pathSeed uint16, errSeed uint8) bool {
 		path := "/p" + strings.Repeat("x", int(pathSeed%10)) + "/f f"
-		rec := &Record{
+		tr := &Trace{Platform: "linux"}
+		rec := Record{
 			Seq:    1,
-			TID:    int(tid)%8 + 1,
-			Call:   calls[int(call)%len(calls)],
-			Path:   path,
+			TID:    int32(tid)%8 + 1,
+			Call:   tr.Intern(calls[int(call)%len(calls)]),
+			Path:   tr.Intern(path),
 			FD:     int64(fd),
 			Size:   int64(size),
 			Offset: int64(off),
@@ -265,10 +271,10 @@ func TestQuickNativeRoundTrip(t *testing.T) {
 		}
 		rec.End = rec.Start + time.Microsecond
 		if errSeed%3 == 0 {
-			rec.Err = "ENOENT"
+			rec.Err = tr.Intern("ENOENT")
 			rec.Ret = -1
 		}
-		tr := &Trace{Platform: "linux", Records: []*Record{rec}}
+		tr.Records = []Record{rec}
 		var buf bytes.Buffer
 		if err := tr.Encode(&buf); err != nil {
 			return false
@@ -277,7 +283,7 @@ func TestQuickNativeRoundTrip(t *testing.T) {
 		if err != nil || len(got.Records) != 1 {
 			return false
 		}
-		return reflect.DeepEqual(got.Records[0], rec)
+		return recordText(got, &got.Records[0]) == recordText(tr, &rec)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

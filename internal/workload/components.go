@@ -90,12 +90,13 @@ func (c *Components) opsOf() []int {
 }
 
 // compRecorder emits one component's records on a private virtual
-// clock; streams are merged by time afterwards.
+// clock, appending them to tr; mergeStreams orders the streams by time
+// afterwards.
 type compRecorder struct {
-	recs []*trace.Record
-	tid  int
-	now  time.Duration
-	dir  string
+	tr  *trace.Trace
+	tid int32
+	now time.Duration
+	dir string
 }
 
 const compOpGap = 3 * time.Microsecond
@@ -105,8 +106,31 @@ func (g *compRecorder) emit(r trace.Record) {
 	r.Start = g.now
 	r.End = g.now + 2*time.Microsecond
 	g.now += compOpGap
-	rec := r
-	g.recs = append(g.recs, &rec)
+	g.tr.Records = append(g.tr.Records, r)
+}
+
+// mergeStreams puts tr's records, the streams' one after another, into
+// one total order by (Start, TID) and renumbers them. Each stream is
+// already time-sorted, so a stable sort interleaves them
+// deterministically; it sorts positions, and each record is copied once.
+func mergeStreams(tr *trace.Trace) {
+	recs := tr.Records
+	order := make([]int32, len(recs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := &recs[order[i]], &recs[order[j]]
+		if a.Start != b.Start {
+			return a.Start < b.Start
+		}
+		return a.TID < b.TID
+	})
+	tr.Records = make([]trace.Record, len(recs))
+	for i, k := range order {
+		tr.Records[i] = recs[k]
+	}
+	tr.Renumber()
 }
 
 // SynthComponents generates the family's trace and matching snapshot.
@@ -133,9 +157,10 @@ func SynthComponents(params Components) (*trace.Trace, *snapshot.Snapshot, error
 	snap := snapshot.Capture(sys)
 
 	ops := p.opsOf()
-	streams := make([]*compRecorder, p.N)
+	tr := &trace.Trace{Platform: string(stack.Linux)}
+	s := tr.Intern
 	for c := 0; c < p.N; c++ {
-		g := &compRecorder{tid: c + 1, dir: fmt.Sprintf("/comp%04d", c)}
+		g := &compRecorder{tr: tr, tid: int32(c + 1), dir: fmt.Sprintf("/comp%04d", c)}
 		// Each component cycles a distinct fd number: traced fds are
 		// process-global, so sharing one would chain every component
 		// into a single fd series and defeat the partition.
@@ -149,45 +174,25 @@ func SynthComponents(params Components) (*trace.Trace, *snapshot.Snapshot, error
 			f := paths[c][rng.Intn(p.FilesPer)]
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3, 4: // read session: open, 2 preads, close
-				g.emit(trace.Record{Call: "open", Path: f, Flags: trace.ORdonly, FD: fd, Ret: fd})
+				g.emit(trace.Record{Call: s("open"), Path: s(f), Flags: trace.ORdonly, FD: fd, Ret: fd})
 				for r := 0; r < 2; r++ {
 					off := rng.Int63n(blocks) * 4096
-					g.emit(trace.Record{Call: "pread", FD: fd, Offset: off, Size: 4096, Ret: 4096})
+					g.emit(trace.Record{Call: s("pread"), FD: fd, Offset: off, Size: 4096, Ret: 4096})
 				}
-				g.emit(trace.Record{Call: "close", FD: fd, Ret: 0})
+				g.emit(trace.Record{Call: s("close"), FD: fd, Ret: 0})
 			case 5, 6: // write session: open rw, pwrite, fsync, close
-				g.emit(trace.Record{Call: "open", Path: f, Flags: trace.ORdwr, FD: fd, Ret: fd})
+				g.emit(trace.Record{Call: s("open"), Path: s(f), Flags: trace.ORdwr, FD: fd, Ret: fd})
 				off := rng.Int63n(blocks) * 4096
-				g.emit(trace.Record{Call: "pwrite", FD: fd, Offset: off, Size: 4096, Ret: 4096})
-				g.emit(trace.Record{Call: "fsync", FD: fd, Ret: 0})
-				g.emit(trace.Record{Call: "close", FD: fd, Ret: 0})
+				g.emit(trace.Record{Call: s("pwrite"), FD: fd, Offset: off, Size: 4096, Ret: 4096})
+				g.emit(trace.Record{Call: s("fsync"), FD: fd, Ret: 0})
+				g.emit(trace.Record{Call: s("close"), FD: fd, Ret: 0})
 			case 7, 8: // metadata probe
-				g.emit(trace.Record{Call: "stat", Path: f, Ret: 0})
+				g.emit(trace.Record{Call: s("stat"), Path: s(f), Ret: 0})
 			case 9: // failed lookup, exercising errno matching
-				g.emit(trace.Record{Call: "stat", Path: g.dir + "/missing", Ret: -1, Err: "ENOENT"})
+				g.emit(trace.Record{Call: s("stat"), Path: s(g.dir + "/missing"), Ret: -1, Err: s("ENOENT")})
 			}
 		}
-		streams[c] = g
 	}
-
-	// Merge the per-component streams into one total order by (Start,
-	// component). Each stream is already time-sorted, so a stable sort
-	// of the concatenation interleaves them deterministically.
-	total := 0
-	for _, g := range streams {
-		total += len(g.recs)
-	}
-	tr := &trace.Trace{Platform: string(stack.Linux), Records: make([]*trace.Record, 0, total)}
-	for _, g := range streams {
-		tr.Records = append(tr.Records, g.recs...)
-	}
-	sort.SliceStable(tr.Records, func(i, j int) bool {
-		a, b := tr.Records[i], tr.Records[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.TID < b.TID
-	})
-	tr.Renumber()
+	mergeStreams(tr)
 	return tr, snap, nil
 }

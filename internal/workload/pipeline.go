@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"rootreplay/internal/sim"
@@ -117,9 +116,10 @@ func SynthPipeline(params Pipeline) (*trace.Trace, *snapshot.Snapshot, error) {
 	if blocks < 1 {
 		blocks = 1
 	}
-	streams := make([]*compRecorder, s)
+	tr := &trace.Trace{Platform: string(stack.Linux)}
+	str := tr.Intern
 	for st := 0; st < s; st++ {
-		g := &compRecorder{tid: st + 1}
+		g := &compRecorder{tr: tr, tid: int32(st + 1)}
 		// Three distinct fd numbers per stage — private files, handoff
 		// writes, handoff reads. Traced fds are process-global, so
 		// reusing a number across stages would merge unrelated atoms
@@ -142,14 +142,14 @@ func SynthPipeline(params Pipeline) (*trace.Trace, *snapshot.Snapshot, error) {
 					// Consume what the upstream stage produced last
 					// round: a strictly earlier trace instant, so the
 					// page is in this slice's cache by issue time.
-					g.emit(trace.Record{Call: "open", Path: hand[st-1], Flags: trace.ORdonly, FD: fdHandR, Ret: fdHandR})
-					g.emit(trace.Record{Call: "pread", FD: fdHandR, Offset: ((round - 1) % blocks) * 4096, Size: 4096, Ret: 4096})
-					g.emit(trace.Record{Call: "close", FD: fdHandR, Ret: 0})
+					g.emit(trace.Record{Call: str("open"), Path: str(hand[st-1]), Flags: trace.ORdonly, FD: fdHandR, Ret: fdHandR})
+					g.emit(trace.Record{Call: str("pread"), FD: fdHandR, Offset: ((round - 1) % blocks) * 4096, Size: 4096, Ret: 4096})
+					g.emit(trace.Record{Call: str("close"), FD: fdHandR, Ret: 0})
 				}
 				if st < s-1 {
-					g.emit(trace.Record{Call: "open", Path: hand[st], Flags: trace.ORdwr, FD: fdHandW, Ret: fdHandW})
-					g.emit(trace.Record{Call: "pwrite", FD: fdHandW, Offset: (round % blocks) * 4096, Size: 4096, Ret: 4096})
-					g.emit(trace.Record{Call: "close", FD: fdHandW, Ret: 0})
+					g.emit(trace.Record{Call: str("open"), Path: str(hand[st]), Flags: trace.ORdwr, FD: fdHandW, Ret: fdHandW})
+					g.emit(trace.Record{Call: str("pwrite"), FD: fdHandW, Offset: (round % blocks) * 4096, Size: 4096, Ret: 4096})
+					g.emit(trace.Record{Call: str("close"), FD: fdHandW, Ret: 0})
 				}
 				continue
 			}
@@ -157,42 +157,24 @@ func SynthPipeline(params Pipeline) (*trace.Trace, *snapshot.Snapshot, error) {
 			if written == 0 || rng.Intn(3) != 0 { // 2:1 write:read mix
 				off := (written % blocks) * 4096
 				written++
-				g.emit(trace.Record{Call: "open", Path: f, Flags: trace.ORdwr, FD: fdPriv, Ret: fdPriv})
-				g.emit(trace.Record{Call: "pwrite", FD: fdPriv, Offset: off, Size: 4096, Ret: 4096})
+				g.emit(trace.Record{Call: str("open"), Path: str(f), Flags: trace.ORdwr, FD: fdPriv, Ret: fdPriv})
+				g.emit(trace.Record{Call: str("pwrite"), FD: fdPriv, Offset: off, Size: 4096, Ret: 4096})
 				if p.Fsync > 0 && written%int64(p.Fsync) == 0 {
-					g.emit(trace.Record{Call: "fsync", FD: fdPriv, Ret: 0})
+					g.emit(trace.Record{Call: str("fsync"), FD: fdPriv, Ret: 0})
 				}
-				g.emit(trace.Record{Call: "close", FD: fdPriv, Ret: 0})
+				g.emit(trace.Record{Call: str("close"), FD: fdPriv, Ret: 0})
 			} else {
 				hot := written
 				if hot > blocks {
 					hot = blocks
 				}
 				off := rng.Int63n(hot) * 4096
-				g.emit(trace.Record{Call: "open", Path: f, Flags: trace.ORdonly, FD: fdPriv, Ret: fdPriv})
-				g.emit(trace.Record{Call: "pread", FD: fdPriv, Offset: off, Size: 4096, Ret: 4096})
-				g.emit(trace.Record{Call: "close", FD: fdPriv, Ret: 0})
+				g.emit(trace.Record{Call: str("open"), Path: str(f), Flags: trace.ORdonly, FD: fdPriv, Ret: fdPriv})
+				g.emit(trace.Record{Call: str("pread"), FD: fdPriv, Offset: off, Size: 4096, Ret: 4096})
+				g.emit(trace.Record{Call: str("close"), FD: fdPriv, Ret: 0})
 			}
 		}
-		streams[st] = g
 	}
-
-	// Merge per-stage streams into one total order by (Start, TID).
-	total := 0
-	for _, g := range streams {
-		total += len(g.recs)
-	}
-	tr := &trace.Trace{Platform: string(stack.Linux), Records: make([]*trace.Record, 0, total)}
-	for _, g := range streams {
-		tr.Records = append(tr.Records, g.recs...)
-	}
-	sort.SliceStable(tr.Records, func(i, j int) bool {
-		a, b := tr.Records[i], tr.Records[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		return a.TID < b.TID
-	})
-	tr.Renumber()
+	mergeStreams(tr)
 	return tr, snap, nil
 }

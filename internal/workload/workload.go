@@ -60,7 +60,7 @@ func TraceWorkload(conf stack.Config, w Workload) (*trace.Trace, *snapshot.Snaps
 	}
 	snap := snapshot.Capture(sys)
 	tr := &trace.Trace{Platform: string(conf.Platform)}
-	sys.SetTracer(func(r *trace.Record) { tr.Records = append(tr.Records, r) })
+	sys.SetTracer(tr)
 	elapsed, err := Execute(sys, w)
 	if err != nil {
 		return nil, nil, 0, err

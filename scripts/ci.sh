@@ -18,7 +18,11 @@
 # and no sync/atomic, no function that only tests reach — scripts/deadcode
 # asks the linker — and the non-test line counts ROADMAP tracks,
 # printed), vet-race (race-enabled tests — among them every compile,
-# whose touch plan is built on a goroutine of its own beside the graph —
+# whose touch plan is built on a goroutine of its own beside the graph,
+# and the streaming strace compile's hand-off, where the lexer passes
+# each record batch with the string table's slice header of the moment
+# and keeps appending to both while the analyzer reads, three times at
+# GOMAXPROCS 2 —
 # internal/sim five times over, which covers the sleep taken in place:
 # it runs on the sleeper's coroutine, hooks included, internal/coord
 # twenty times at GOMAXPROCS 1, 2, 8),
@@ -132,6 +136,8 @@ loc() {
 vet_race() {
   echo "== go test -race (GOMAXPROCS=8)"
   GOMAXPROCS=8 go test -race ./...
+  echo "== go test -race -count=3 the strace compile's batch and string-table hand-off (GOMAXPROCS=2)"
+  GOMAXPROCS=2 go test -race -count=3 -run 'TableHandoff|CompileStraceStream' ./internal/artc/
   echo "== go test -race -count=5 internal/sim (schedule golden, panic and goroutine-baseline tests under the coroutine race annotations)"
   GOMAXPROCS=8 go test -race -count=5 ./internal/sim/
   for procs in 1 2 8; do
