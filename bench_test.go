@@ -10,6 +10,7 @@ import (
 	"rootreplay/internal/obs"
 	"rootreplay/internal/sim"
 	"rootreplay/internal/stack"
+	"rootreplay/internal/workload"
 )
 
 // One benchmark per table and figure in the paper's evaluation. Each
@@ -300,4 +301,37 @@ func BenchmarkCompile(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(gen.Trace.Records)), "records")
+}
+
+// BenchmarkReplayComponents replays the components corpus (independent
+// groups of threads and files, no edge between groups) serially and
+// component-sharded, both through artc.Run, so the two sides pay for
+// the same work: building the machines, init, replay and, when sharded,
+// the merge. Run it at GOMAXPROCS 1 and 2 to see what sharding costs
+// and what a second core buys:
+//
+//	go test -run '^$' -bench ReplayComponents -cpu 1,2 -benchtime 3x .
+func BenchmarkReplayComponents(b *testing.B) {
+	tr, snap, err := workload.SynthComponents(workload.Components{N: 64, Ops: 200000, Skew: 0.5, Seed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	bench, err := Compile(tr, snap, DefaultModes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"serial", 0}, {"sharded", -1}} {
+		b.Run(c.name, func(b *testing.B) {
+			spec := artc.RunSpec{Target: magritte.DefaultSuiteOptions().Target, Shards: c.shards}
+			for i := 0; i < b.N; i++ {
+				if _, _, err := artc.Run(bench, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(tr.Records))*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
 }

@@ -818,6 +818,16 @@ func DecodeBinaryBytes(data []byte) (*Benchmark, error) {
 	}
 	// The analysis decoded without the trace.
 	an.Trace = tr
+	// And the plan without the analysis: each field indexes its action's
+	// touches, which buildHot reads without a bound check.
+	for i, p := range plan {
+		n := an.Actions[i].TouchLen
+		for j, ti := range [4]int16{p.fdUse, p.fdCreate, p.aioUse, p.aioCreate} {
+			if ti < -1 || int32(ti) >= n {
+				return nil, fmt.Errorf("artc: binary artifact: touchplan section: touch plan %d field %d is %d, action has %d touches", i, j, ti, n)
+			}
+		}
+	}
 
 	return &Benchmark{
 		Platform: platform,

@@ -191,6 +191,17 @@ func TestBinaryDecodeRejectsDamage(t *testing.T) {
 	if _, err := DecodeBinaryBytes(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "names no descriptor") {
 		t.Fatalf("artifact with a hint naming no descriptor: err = %v", err)
 	}
+	// A touch plan indexing past its action's touches. The int16 range
+	// check passes it; replay would index out of range building its
+	// tables.
+	b.touches[0].fdUse = 1000
+	buf.Reset()
+	if err := b.EncodeBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeBinaryBytes(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "touch plan 0 field 0 is 1000") {
+		t.Fatalf("artifact with a touch plan past its action's touches: err = %v", err)
+	}
 }
 
 // ResolvedRecord is a record with its strings read out of its trace's

@@ -105,10 +105,11 @@ func TestEncodeDecodeEncodeStable(t *testing.T) {
 }
 
 // FuzzDecodeBinary hammers the binary decoder with arbitrary bytes. The
-// invariants: it never panics, and when it accepts an input, the
-// decoded benchmark re-encodes and decodes to the same benchmark — a
-// damaged artifact may be rejected, never silently loaded as a
-// different benchmark.
+// invariants: it never panics, and when it accepts an input, replay can
+// build its tables from it and the decoded benchmark, touch plan
+// included, re-encodes and decodes to the same benchmark — a damaged
+// artifact may be rejected, never silently loaded as a different
+// benchmark.
 func FuzzDecodeBinary(f *testing.F) {
 	b := hostileBench(f, "linux", core.DefaultModes())
 	var buf bytes.Buffer
@@ -131,6 +132,8 @@ func FuzzDecodeBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// Replay builds its tables from whatever the decoder accepted.
+		dec.hot()
 		var out bytes.Buffer
 		if err := dec.EncodeBinary(&out); err != nil {
 			t.Fatalf("accepted artifact does not re-encode: %v", err)
@@ -142,6 +145,7 @@ func FuzzDecodeBinary(f *testing.F) {
 		if !reflect.DeepEqual(dec.Trace, again.Trace) ||
 			!reflect.DeepEqual(dec.Snapshot, again.Snapshot) ||
 			!reflect.DeepEqual(dec.Graph, again.Graph) ||
+			!reflect.DeepEqual(dec.touches, again.touches) ||
 			dec.Platform != again.Platform || dec.Modes != again.Modes {
 			t.Fatal("accepted artifact decodes to an unstable benchmark")
 		}

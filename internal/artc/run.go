@@ -12,9 +12,9 @@ import (
 // RunSpec says everything that turns a compiled benchmark into one
 // replay: the target machine, how a fresh machine is initialized, the
 // replay options, and which engine runs it. It is the one description
-// every driver (artc replay/trace/chaos, artcd, perfstat, the chaos
-// harness, the experiments) fills in, so two drivers given equal specs
-// run the same code, not two copies kept equal by hand.
+// every driver (artc replay/trace/chaos, artcd, the chaos harness, the
+// experiments) fills in, so two drivers given equal specs run the same
+// code, not two copies kept equal by hand.
 type RunSpec struct {
 	// Options are the replay options. Options.Fault must be nil: Run
 	// builds each machine's injector itself, from Fault.

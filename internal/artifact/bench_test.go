@@ -2,7 +2,8 @@ package artifact
 
 // BenchmarkDecodeBinaryMagritte times the warm half of the cache hot
 // path — rebuilding a ready-to-replay Benchmark from its binary
-// artifact — on the same mid-size Magritte trace perfstat measures.
+// artifact — on the same mid-size Magritte trace BenchmarkCompile and
+// BenchmarkReplayObsOff measure.
 
 import (
 	"bytes"

@@ -8,8 +8,8 @@ import (
 	"rootreplay/internal/sim/simbench"
 )
 
-// The benchmark bodies live in simbench so cmd/perfstat can run the
-// same code and report the numbers in BENCH JSON.
+// The benchmark bodies live in simbench so bench/probes.go can run the
+// same code and report the numbers as its sim.* rows.
 
 func BenchmarkKernelTimerChurn(b *testing.B)      { simbench.TimerChurn(b) }
 func BenchmarkKernelSleepChurn(b *testing.B)      { simbench.SleepChurn(b) }

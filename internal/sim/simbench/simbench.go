@@ -1,7 +1,7 @@
 // Package simbench holds the kernel microbenchmark bodies. They live
-// outside the _test files so cmd/perfstat can run them through
-// testing.Benchmark and publish the numbers in its JSON output, while
-// internal/sim's benchmark tests wrap the same bodies for `go test
+// outside the _test files so the bench/ harness (bench/probes.go) can
+// run them through testing.Benchmark and report them as its sim.* rows,
+// while internal/sim's benchmark tests wrap the same bodies for `go test
 // -bench`.
 package simbench
 

@@ -1,17 +1,11 @@
 #!/bin/sh
 # CI gate, runnable whole or as one lane per CI job:
 #
-#   scripts/ci.sh [lane] [tag] [prev]
+#   scripts/ci.sh [lane]
 #
 #   lane  one of lint | vet-race | determinism | ingest | shard | chaos |
 #         cache | allocs | fuzz | service | service-fault | bench, or "all"
-#         (the default). For backward compatibility a first argument that
-#         looks like a tag (pr5, v2, ...) selects "all" with that tag.
-#   tag   perfstat snapshot tag; the bench lane writes BENCH_<tag>.json.
-#         Defaults to pr<N+1> where N is the newest committed
-#         BENCH_pr<N>.json, so the script needs no edit per PR.
-#   prev  baseline BENCH_*.json for the benchcmp gate. When omitted, the
-#         newest BENCH_*.json other than the current tag's is used.
+#         (the default).
 #
 # Lanes: lint (Go >= 1.23, gofmt, go vet, no caller of the replay
 # engines outside artc.Run, internal/coord importing internal/sim only
@@ -51,40 +45,21 @@
 # replays over HTTP, compare the serial and the sharded + sliced export
 # byte for byte against the artc CLI), service-fault (overfill a tenant
 # queue, assert bounded 429 backpressure and a clean SIGTERM drain),
-# bench (perfstat snapshot and the benchcmp regression gate).
+# bench (the Go microbenchmarks once each, serial against
+# component-sharded replay of the components corpus at GOMAXPROCS 1 and
+# 2, then the bench/ harness twice: its smoke test, every workload at
+# 1/50 size with BENCHMARK.json checked against the metric tables, and a
+# one-second run of every workload at full size against the seed-7
+# goldens; a failed check in either fails the lane).
 set -eu
 
 cd "$(dirname "$0")/.."
 
-# Default perfstat tag: one past the newest committed BENCH_pr<N>.json,
-# so a new PR's snapshot never clobbers a landed baseline.
-default_tag() {
-  last="$(ls BENCH_*.json 2>/dev/null |
-    sed -n 's/^BENCH_pr\([0-9][0-9]*\)\.json$/\1/p' | sort -n | tail -n 1)"
-  if [ -n "$last" ]; then
-    echo "pr$((last + 1))"
-  else
-    echo "local"
-  fi
-}
-
 lane="${1:-all}"
-tag="${2:-$(default_tag)}"
-prev="${3:-}"
-case "$lane" in
-  lint|vet-race|determinism|ingest|shard|chaos|cache|allocs|fuzz|service|service-fault|bench|all) ;;
-  *) tag="$lane"; lane="all" ;;
-esac
 
 tmp="$(mktemp -d)"
 artcd_pid=""
 trap '[ -n "$artcd_pid" ] && kill "$artcd_pid" 2>/dev/null; rm -rf "$tmp"' EXIT INT TERM
-
-# Newest BENCH_*.json other than the current tag's, by version order, so
-# the gate always compares against the latest landed snapshot.
-latest_bench() {
-  ls BENCH_*.json 2>/dev/null | grep -v "^BENCH_${tag}\.json\$" | sort -V | tail -n 1
-}
 
 lint() {
   # internal/sim's coroutine switch sits in a //go:build go1.23 file; an
@@ -447,15 +422,12 @@ bench() {
   go test -run '^$' -bench 'WarmAll' -benchtime 1x ./internal/stack
   echo "== go test -bench=WriteChrome -benchtime=1x"
   go test -run '^$' -bench 'WriteChrome' -benchtime 1x ./internal/obs
-  echo "== perfstat -> BENCH_${tag}.json"
-  go run ./cmd/perfstat -o "BENCH_${tag}.json"
-  base="${prev:-$(latest_bench)}"
-  if [ -n "$base" ] && [ -f "$base" ]; then
-    echo "== benchcmp gate: $base vs BENCH_${tag}.json"
-    go run ./cmd/benchcmp -gate "$base" "BENCH_${tag}.json"
-  else
-    echo "== benchcmp gate skipped: no baseline BENCH_*.json"
-  fi
+  echo "== go test -bench=ReplayComponents -cpu 1,2 -benchtime=3x (serial vs component-sharded replay)"
+  go test -run '^$' -bench 'ReplayComponents' -cpu 1,2 -benchtime 3x .
+  echo "== bench/ smoke test: every workload at 1/50 size, BENCHMARK.json against the metric tables"
+  (cd bench && go test ./...)
+  echo "== bench/run.sh --seconds 1: every workload at full size against the seed-7 goldens"
+  bash bench/run.sh --seconds 1
 }
 
 case "$lane" in
@@ -473,4 +445,5 @@ case "$lane" in
   bench)         bench ;;
   all)           lint; vet_race; determinism; ingest; shard; chaos; cache
                  allocs; fuzz; service; service_fault; bench ;;
+  *)             echo "scripts/ci.sh: unknown lane \"$lane\"" >&2; exit 2 ;;
 esac
