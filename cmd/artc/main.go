@@ -418,7 +418,7 @@ func parseTrace(args []string) (*runFlags, error) {
 	f.magritteFlags(fs)
 	fs.StringVar(&f.out, "o", "-", "Chrome trace_event JSON output file (- = stdout)")
 	fs.DurationVar(&f.spec.Options.ObsInterval, "probe-interval", 0, "min virtual time between counter samples (0 = default)")
-	fs.IntVar(&f.spanCap, "span-cap", 0, "span ring capacity (0 = default)")
+	fs.IntVar(&f.spanCap, "span-cap", 0, "span ring capacity (0 = one span per action)")
 	fs.IntVar(&f.critHops, "crit-hops", 20, "critical-path rows to print (0 = all)")
 	fs.BoolVar(&f.quiet, "quiet", false, "suppress the text summary and critical path on stderr")
 	fs.BoolVar(&f.noSamples, "no-samples", false, "drop counter samples from the export (probes observe per-replica scheduler state, so sliced and serial sample streams differ even when the replay itself is byte-identical)")
@@ -437,7 +437,11 @@ func traceCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec := obs.NewRecorder(f.spanCap, 0)
+	spanCap := f.spanCap
+	if spanCap <= 0 {
+		spanCap = len(b.Trace.Records) // every span, as an artcd export job keeps
+	}
+	rec := obs.NewRecorder(spanCap, 0)
 	f.spec.Options.Obs = rec
 	f.spec.Init = magritte.TargetInit(b, true)
 	rep, sst, err := artc.Run(b, f.spec)

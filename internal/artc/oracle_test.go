@@ -191,7 +191,7 @@ func (o *oracleState) playAction(t *sim.Thread, idx int) {
 	}
 	if o.opts.Obs != nil {
 		sp := obs.Span{
-			Action: int32(idx), TID: rec.TID, Call: rec.Call,
+			Action: int32(idx), TID: rec.TID, Call: o.opts.Obs.Intern(rec.Call),
 			WaitStart: waitStart, Issue: o.issueAt[idx], Done: o.doneAt[idx],
 			Predelay: slept, ReleasedBy: -1,
 		}
@@ -200,7 +200,7 @@ func (o *oracleState) playAction(t *sim.Thread, idx int) {
 			sp.ReleasedBy = int32(e.From)
 			sp.ReleasedAt = o.releasedAt[idx]
 			if e.Res != (core.ResourceID{}) {
-				sp.ReleaseRes = e.Res.String()
+				sp.ReleaseRes = o.opts.Obs.Intern(e.Res.String())
 			}
 		}
 		o.opts.Obs.Record(sp)

@@ -263,9 +263,14 @@ type replayState struct {
 	// Observability (all nil/empty when opts.Obs is nil). releasedEdge[i]
 	// is the graph edge whose satisfaction zeroed remaining[i] (-1 if the
 	// action never had dependencies outstanding); releasedAt[i] is when.
+	// callNames[c] is call slot c's name in the recorder's table;
+	// resNames holds the name of each resource a released span has
+	// named so far, rendered and interned once.
 	obs          *obs.Recorder
 	releasedEdge []int32
 	releasedAt   []time.Duration
+	callNames    []obs.Name
+	resNames     map[core.ResourceID]obs.Name
 	obsDetach    func()
 
 	// Fault injection (all nil/zero when opts.Fault is nil). completed
@@ -418,6 +423,11 @@ func newReplayState(sys *stack.System, b *Benchmark, opts Options, g *core.Graph
 			rs.releasedEdge[i] = -1
 		}
 		rs.releasedAt = make([]time.Duration, n)
+		rs.callNames = make([]obs.Name, len(hot.calls))
+		for i, c := range hot.calls {
+			rs.callNames[i] = rs.obs.Intern(c.name)
+		}
+		rs.resNames = make(map[core.ResourceID]obs.Name)
 		probes := []obs.Probe{
 			{Kind: obs.CounterRunq, Fn: func() float64 { return float64(sys.K.RunqLen()) }},
 		}
@@ -735,7 +745,7 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 		sp := obs.Span{
 			Action:     int32(rs.gi(idx)),
 			TID:        rec.TID,
-			Call:       rs.hot.calls[ha.call].name,
+			Call:       rs.callNames[ha.call],
 			WaitStart:  waitStart,
 			Issue:      rs.issueAt[idx],
 			Done:       rs.doneAt[idx],
@@ -749,9 +759,7 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 			e := &rs.g.Edges[re]
 			sp.ReleasedBy = int32(e.From)
 			sp.ReleasedAt = rs.releasedAt[idx]
-			if e.Res != (core.ResourceID{}) {
-				sp.ReleaseRes = e.Res.String()
-			}
+			sp.ReleaseRes = rs.resName(e.Res)
 		}
 		rs.obs.Record(sp)
 	}
@@ -767,6 +775,20 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 			rs.sys.K.Stop()
 		}
 	}
+}
+
+// resName returns the recorder's name for res, the empty name for the
+// zero resource of temporal and program edges.
+func (rs *replayState) resName(res core.ResourceID) obs.Name {
+	if res == (core.ResourceID{}) {
+		return 0
+	}
+	n, ok := rs.resNames[res]
+	if !ok {
+		n = rs.obs.Intern(res.String())
+		rs.resNames[res] = n
+	}
+	return n
 }
 
 // compare records a semantic mismatch between the traced and replayed

@@ -244,9 +244,7 @@ func (s *subState) fillReleasedBy(rs *replayState, idx int, sp *obs.Span) {
 	e := &s.full.Edges[bestEdge]
 	sp.ReleasedBy = int32(e.From)
 	sp.ReleasedAt = bestAt
-	if e.Res != (core.ResourceID{}) {
-		sp.ReleaseRes = e.Res.String()
-	}
+	sp.ReleaseRes = rs.resName(e.Res)
 }
 
 // crossReason renders a cross-barrier wait for park and stall reports:
@@ -712,9 +710,19 @@ func mergeReports(b *Benchmark, g *core.Graph, shards []*compiledShard, opts Opt
 	rep.FaultStats = fstats
 
 	if opts.Obs != nil {
+		// Each member's spans name calls and resources in the member's
+		// table; they are re-interned into the caller's.
 		var spans []obs.Span
 		for _, cs := range shards {
-			spans = append(spans, cs.rec.Spans()...)
+			names := cs.rec.Names()
+			remap := make([]obs.Name, len(names))
+			for i, s := range names {
+				remap[i] = opts.Obs.Intern(s)
+			}
+			for _, sp := range cs.rec.Spans() {
+				sp.Call, sp.ReleaseRes = remap[sp.Call], remap[sp.ReleaseRes]
+				spans = append(spans, sp)
+			}
 		}
 		sliced := len(shards) > 0 && shards[0].sub.plan.Sliced()
 		if sliced {

@@ -85,10 +85,24 @@ func slicedOn(t *testing.T, tr *trace.Trace, snap *snapshot.Snapshot, opts Optio
 	return rep, st
 }
 
-// canonSpans sorts spans into the canonical (Done, Action) export order
-// so serial record order and sliced merge order compare equal.
-func canonSpans(spans []obs.Span) []obs.Span {
-	out := append([]obs.Span(nil), spans...)
+// namedSpan is a span with its names resolved: each recorder numbers
+// names in the order it first saw them, so spans of two recorders
+// compare by the names' strings, not their indices.
+type namedSpan struct {
+	obs.Span
+	Call, ReleaseRes string
+}
+
+// canonSpans resolves rec's spans and sorts them into the canonical
+// (Done, Action) export order so serial record order and sliced merge
+// order compare equal.
+func canonSpans(rec *obs.Recorder) []namedSpan {
+	var out []namedSpan
+	for _, sp := range rec.Spans() {
+		ns := namedSpan{Span: sp, Call: rec.Str(sp.Call), ReleaseRes: rec.Str(sp.ReleaseRes)}
+		ns.Span.Call, ns.Span.ReleaseRes = 0, 0
+		out = append(out, ns)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Done != out[j].Done {
 			return out[i].Done < out[j].Done
@@ -107,7 +121,7 @@ func TestSlicedPipelineByteIdenticalToSerial(t *testing.T) {
 	serialRec := obs.NewRecorder(0, 0)
 	serial := serialWarm(t, tr, snap, nil, Options{Obs: serialRec})
 	serialJS := reportJSON(t, serial)
-	serialSpans := canonSpans(serialRec.Spans())
+	serialSpans := canonSpans(serialRec)
 
 	n := len(tr.Records)
 	for _, shards := range []int{1, 2, 4, 8} {
@@ -122,7 +136,7 @@ func TestSlicedPipelineByteIdenticalToSerial(t *testing.T) {
 		if got := reportJSON(t, rep); got != serialJS {
 			t.Errorf("shards=%d: sliced report differs from serial:\n got %s\nwant %s", shards, got, serialJS)
 		}
-		spans := canonSpans(rec.Spans())
+		spans := canonSpans(rec)
 		if len(spans) != len(serialSpans) {
 			t.Fatalf("shards=%d: %d spans, serial %d", shards, len(spans), len(serialSpans))
 		}

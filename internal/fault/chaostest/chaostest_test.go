@@ -202,7 +202,7 @@ func TestFailedInitIsAViolation(t *testing.T) {
 func TestFailedExportIsAViolation(t *testing.T) {
 	good := func() *obs.Recorder {
 		r := obs.NewRecorder(8, 8)
-		r.Record(obs.Span{Action: 0, TID: 1, Call: "open", Done: time.Microsecond, ReleasedBy: -1})
+		r.Record(obs.Span{Action: 0, TID: 1, Call: r.Intern("open"), Done: time.Microsecond, ReleasedBy: -1})
 		r.Sample(0, obs.CounterRunq, 1)
 		return r
 	}

@@ -113,6 +113,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	}
 	slices.Sort(tids)
 	recorded := r.indexActions(order)
+	names := r.quotedNames()
 
 	// A document no larger than what extrapolate would encode to size it
 	// is encoded once, whole, and sized exactly before it is written.
@@ -125,7 +126,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 		scratch := b
 		size := 64 + 96*len(tids)
 		size += extrapolate(len(order), func(i int) int {
-			scratch = r.appendSpan(scratch[:0], order[i], &recorded)
+			scratch = r.appendSpan(scratch[:0], order[i], &recorded, names)
 			return len(scratch) + 1
 		})
 		size += extrapolate(len(samples), func(i int) int {
@@ -149,7 +150,7 @@ func (r *Recorder) WriteChrome(w io.Writer) error {
 	}
 	for _, pos := range order {
 		b = append(b, sep...)
-		b = r.appendSpan(b, pos, &recorded)
+		b = r.appendSpan(b, pos, &recorded, names)
 		sep = ","
 		if !whole && len(b) >= chromeChunk {
 			if b, err = writeChunk(w, b); err != nil {
@@ -203,14 +204,34 @@ func (r *Recorder) sortCanonical(order []int32) {
 	}
 }
 
+// quotedNames renders every name of the table as a JSON string, once
+// per export, indexed by Name. The slab is sized for names with nothing
+// to escape; one that outgrows it leaves the names already written
+// where they were.
+func (r *Recorder) quotedNames() [][]byte {
+	quoted := make([][]byte, len(r.names))
+	size := 0
+	for _, s := range r.names {
+		size += len(s) + 2
+	}
+	slab := make([]byte, 0, size)
+	for i, s := range r.names {
+		start := len(slab)
+		slab = appendJSONString(slab, s)
+		quoted[i] = slab[start:len(slab):len(slab)]
+	}
+	return quoted
+}
+
 // appendSpan appends the events of the span at ring position pos: its
 // wait slice if it waited, its call slice, and the flow pair if the span
-// that released it is still in the ring.
-func (r *Recorder) appendSpan(b []byte, pos int32, recorded *actionIndex) []byte {
+// that released it is still in the ring. names holds the table's names
+// quoted (quotedNames).
+func (r *Recorder) appendSpan(b []byte, pos int32, recorded *actionIndex, names [][]byte) []byte {
 	sp := r.spanAt(int(pos))
 	if wait := sp.Wait(); wait > 0 {
 		b = append(b, `{"name":`...)
-		b = appendJSONString(b, sp.Call)
+		b = append(b, names[sp.Call]...)
 		b = append(b, `,"cat":"wait","ph":"X","ts":`...)
 		b = appendUsec(b, sp.WaitStart)
 		b = append(b, `,"dur":`...)
@@ -225,7 +246,7 @@ func (r *Recorder) appendSpan(b []byte, pos int32, recorded *actionIndex) []byte
 	}
 
 	b = append(b, `{"name":`...)
-	b = appendJSONString(b, sp.Call)
+	b = append(b, names[sp.Call]...)
 	b = append(b, `,"cat":"call","ph":"X","ts":`...)
 	b = appendUsec(b, sp.Issue)
 	if in := sp.InCall(); in != 0 {
@@ -236,9 +257,9 @@ func (r *Recorder) appendSpan(b []byte, pos int32, recorded *actionIndex) []byte
 	b = strconv.AppendInt(b, int64(sp.TID), 10)
 	b = append(b, `,"args":{"action":`...)
 	b = strconv.AppendInt(b, int64(sp.Action), 10)
-	if sp.ReleaseRes != "" {
+	if sp.ReleaseRes != 0 {
 		b = append(b, `,"release_res":`...)
-		b = appendJSONString(b, sp.ReleaseRes)
+		b = append(b, names[sp.ReleaseRes]...)
 	}
 	b = append(b, `}}`...)
 
@@ -414,10 +435,11 @@ func appendJSONFloat(b []byte, f float64) []byte {
 }
 
 // appendJSONString appends s as a JSON string with encoding/json's
-// HTML-safe escaping. Call and counter names are plain printable ASCII
-// and are copied between quotes; anything json would escape (quote,
-// backslash, <, >, &, control bytes, DEL and non-ASCII, which covers
-// U+2028/9 and invalid UTF-8) goes through json.Marshal itself.
+// HTML-safe escaping. Call, resource and counter names are plain
+// printable ASCII and are copied between quotes; anything json would
+// escape (quote, backslash, <, >, &, control bytes, DEL and non-ASCII,
+// which covers U+2028/9 and invalid UTF-8) goes through json.Marshal
+// itself.
 func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
@@ -444,12 +466,12 @@ func (r *Recorder) Summary() string {
 		wait, inCall   time.Duration
 		maxWait, maxIn time.Duration
 	}
-	byCall := make(map[string]*agg)
+	byCall := make(map[Name]*agg)
 	for i := range spans {
 		sp := &spans[i]
 		a := byCall[sp.Call]
 		if a == nil {
-			a = &agg{name: sp.Call}
+			a = &agg{name: r.Str(sp.Call)}
 			byCall[sp.Call] = a
 		}
 		a.n++

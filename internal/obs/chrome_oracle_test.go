@@ -69,18 +69,18 @@ func writeChromeReference(r *Recorder, w io.Writer) error {
 		sp := &spans[i]
 		if wait := sp.Wait(); wait > 0 {
 			events = append(events, chromeEvent{
-				Name: sp.Call, Cat: "wait", Ph: "X",
+				Name: r.Str(sp.Call), Cat: "wait", Ph: "X",
 				TS: usec(sp.WaitStart), Dur: usec(wait),
 				PID: chromePID, TID: int(sp.TID),
 				Args: map[string]any{"action": sp.Action, "predelay_us": usec(sp.Predelay)},
 			})
 		}
 		args := map[string]any{"action": sp.Action}
-		if sp.ReleaseRes != "" {
-			args["release_res"] = sp.ReleaseRes
+		if sp.ReleaseRes != 0 {
+			args["release_res"] = r.Str(sp.ReleaseRes)
 		}
 		events = append(events, chromeEvent{
-			Name: sp.Call, Cat: "call", Ph: "X",
+			Name: r.Str(sp.Call), Cat: "call", Ph: "X",
 			TS: usec(sp.Issue), Dur: usec(sp.InCall()),
 			PID: chromePID, TID: int(sp.TID),
 			Args: args,

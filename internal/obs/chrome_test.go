@@ -112,7 +112,7 @@ func randomRecorder(rng *rand.Rand) *Recorder {
 		sp := Span{
 			Action:     base + int32(i)*stride,
 			TID:        tids[pick(len(tids))],
-			Call:       nastyStrings[pick(len(nastyStrings))],
+			Call:       r.Intern(nastyStrings[pick(len(nastyStrings))]),
 			ReleasedBy: -1,
 		}
 		if !inOrder && i > 0 {
@@ -142,7 +142,7 @@ func randomRecorder(rng *rand.Rand) *Recorder {
 				sp.ReleasedBy = math.MaxInt32 - int32(pick(3)) // never recorded
 			}
 			sp.ReleasedAt = sp.WaitStart + steps[pick(len(steps))]
-			sp.ReleaseRes = nastyStrings[pick(len(nastyStrings))]
+			sp.ReleaseRes = r.Intern(nastyStrings[pick(len(nastyStrings))])
 		}
 		keys.record(r, sp)
 	}
@@ -195,61 +195,61 @@ func TestWriteChromeEdgeCases(t *testing.T) {
 		},
 		"zero-length wait and call": func() *Recorder {
 			r := NewRecorder(4, 4)
-			r.Record(Span{Action: 0, TID: 1, Call: "close", WaitStart: 5 * us, Issue: 5 * us, Done: 5 * us, ReleasedBy: -1})
+			r.Record(Span{Action: 0, TID: 1, Call: r.Intern("close"), WaitStart: 5 * us, Issue: 5 * us, Done: 5 * us, ReleasedBy: -1})
 			return r
 		},
 		"negative and huge durations": func() *Recorder {
 			r := NewRecorder(8, 4)
-			r.Record(Span{Action: 0, TID: 1, Call: "a", WaitStart: 10, Issue: 5, Done: 1, ReleasedBy: -1})
-			r.Record(Span{Action: 1, TID: 1, Call: "b", WaitStart: -1<<53 - 1, Issue: 1<<53 + 1, Done: math.MaxInt64, ReleasedBy: 0, ReleasedAt: -1})
-			r.Record(Span{Action: 2, TID: 1, Call: "c", WaitStart: math.MinInt64, Issue: 0, Done: 1<<52 - 1, Predelay: 1 << 52, ReleasedBy: -1})
-			r.Record(Span{Action: 3, TID: 1, Call: "d", WaitStart: -usecExact + 1, Issue: -usecExact, Done: usecExact, ReleasedBy: -1})
+			r.Record(Span{Action: 0, TID: 1, Call: r.Intern("a"), WaitStart: 10, Issue: 5, Done: 1, ReleasedBy: -1})
+			r.Record(Span{Action: 1, TID: 1, Call: r.Intern("b"), WaitStart: -1<<53 - 1, Issue: 1<<53 + 1, Done: math.MaxInt64, ReleasedBy: 0, ReleasedAt: -1})
+			r.Record(Span{Action: 2, TID: 1, Call: r.Intern("c"), WaitStart: math.MinInt64, Issue: 0, Done: 1<<52 - 1, Predelay: 1 << 52, ReleasedBy: -1})
+			r.Record(Span{Action: 3, TID: 1, Call: r.Intern("d"), WaitStart: -usecExact + 1, Issue: -usecExact, Done: usecExact, ReleasedBy: -1})
 			return r
 		},
 		"ring wrap drops the releaser": func() *Recorder {
 			r := NewRecorder(3, 4)
 			for i := int32(0); i < 8; i++ {
-				r.Record(Span{Action: i, TID: 1 + i%2, Call: "pread", Issue: time.Duration(i) * us,
-					Done: time.Duration(i+1) * us, ReleasedBy: i - 4, ReleasedAt: time.Duration(i) * us, ReleaseRes: "fd(3)@1"})
+				r.Record(Span{Action: i, TID: 1 + i%2, Call: r.Intern("pread"), Issue: time.Duration(i) * us,
+					Done: time.Duration(i+1) * us, ReleasedBy: i - 4, ReleasedAt: time.Duration(i) * us, ReleaseRes: r.Intern("fd(3)@1")})
 			}
 			return r
 		},
 		"flow id omitted at action -1": func() *Recorder {
 			r := NewRecorder(4, 4)
-			r.Record(Span{Action: -2, TID: 1, Call: "x", Done: 1, ReleasedBy: -1})
-			r.Record(Span{Action: -1, TID: 2, Call: "y", Done: 2, ReleasedBy: -1})
+			r.Record(Span{Action: -2, TID: 1, Call: r.Intern("x"), Done: 1, ReleasedBy: -1})
+			r.Record(Span{Action: -1, TID: 2, Call: r.Intern("y"), Done: 2, ReleasedBy: -1})
 			// ReleasedBy < 0 means "none", so the only way to an id of zero
 			// is a releaser recorded under a non-negative action.
-			r.Record(Span{Action: 0, TID: 3, Call: "z", Done: 3, ReleasedBy: -1})
-			r.Record(Span{Action: -1, TID: 4, Call: "w", Done: 4, ReleasedBy: 0, ReleaseRes: "r"})
+			r.Record(Span{Action: 0, TID: 3, Call: r.Intern("z"), Done: 3, ReleasedBy: -1})
+			r.Record(Span{Action: -1, TID: 4, Call: r.Intern("w"), Done: 4, ReleasedBy: 0, ReleaseRes: r.Intern("r")})
 			return r
 		},
 		"sparse action ids": func() *Recorder {
 			r := NewRecorder(4, 4)
-			r.Record(Span{Action: math.MinInt32, TID: 1, Call: "lo", Done: 1, ReleasedBy: -1})
-			r.Record(Span{Action: math.MaxInt32, TID: 2, Call: "hi", Done: 2, ReleasedBy: 7})
-			r.Record(Span{Action: 7, TID: 3, Call: "mid", Done: 3, ReleasedBy: math.MaxInt32})
+			r.Record(Span{Action: math.MinInt32, TID: 1, Call: r.Intern("lo"), Done: 1, ReleasedBy: -1})
+			r.Record(Span{Action: math.MaxInt32, TID: 2, Call: r.Intern("hi"), Done: 2, ReleasedBy: 7})
+			r.Record(Span{Action: 7, TID: 3, Call: r.Intern("mid"), Done: 3, ReleasedBy: math.MaxInt32})
 			return r
 		},
 		"action recorded twice": func() *Recorder {
 			r := NewRecorder(8, 4)
-			r.Record(Span{Action: 5, TID: 1, Call: "first", Done: 10, ReleasedBy: -1})
-			r.Record(Span{Action: 5, TID: 2, Call: "second", Done: 20, ReleasedBy: -1})
-			r.Record(Span{Action: 6, TID: 3, Call: "user", Done: 15, ReleasedBy: 5}) // arrow from T2: last in export order
+			r.Record(Span{Action: 5, TID: 1, Call: r.Intern("first"), Done: 10, ReleasedBy: -1})
+			r.Record(Span{Action: 5, TID: 2, Call: r.Intern("second"), Done: 20, ReleasedBy: -1})
+			r.Record(Span{Action: 6, TID: 3, Call: r.Intern("user"), Done: 15, ReleasedBy: 5}) // arrow from T2: last in export order
 			return r
 		},
 		"every nasty string": func() *Recorder {
 			r := NewRecorder(64, 4)
 			for i, s := range nastyStrings {
-				r.Record(Span{Action: int32(i), TID: 1, Call: s, WaitStart: 0, Issue: 1, Done: time.Duration(i + 2),
-					ReleasedBy: int32(i) - 1, ReleaseRes: nastyStrings[len(nastyStrings)-1-i]})
+				r.Record(Span{Action: int32(i), TID: 1, Call: r.Intern(s), WaitStart: 0, Issue: 1, Done: time.Duration(i + 2),
+					ReleasedBy: int32(i) - 1, ReleaseRes: r.Intern(nastyStrings[len(nastyStrings)-1-i])})
 			}
 			return r
 		},
 		"out of order with ties on Done": func() *Recorder {
 			r := NewRecorder(16, 4)
 			for _, a := range []int32{4, 2, 9, 0, 7, 1} {
-				r.Record(Span{Action: a, TID: a % 3, Call: "w", Done: time.Duration(a/4) * us, ReleasedBy: -1})
+				r.Record(Span{Action: a, TID: a % 3, Call: r.Intern("w"), Done: time.Duration(a/4) * us, ReleasedBy: -1})
 			}
 			return r
 		},
@@ -266,7 +266,7 @@ func TestWriteChromeUnsupportedValue(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		r := NewRecorder(1<<12, 16)
 		for i := int32(0); i < 1<<12; i++ {
-			r.Record(Span{Action: i, TID: 1, Call: "pread", Done: time.Duration(i), ReleasedBy: -1})
+			r.Record(Span{Action: i, TID: 1, Call: r.Intern("pread"), Done: time.Duration(i), ReleasedBy: -1})
 		}
 		r.Sample(1, CounterRunq, 1)
 		r.Sample(2, CounterDevUtil, v)
@@ -423,7 +423,7 @@ func benchRecorder(n int) *Recorder {
 	for i := 0; i < n; i++ {
 		now += 1700 + time.Duration(i%7)*100
 		sp := Span{
-			Action: int32(i), TID: int32(i%8 + 1), Call: calls[i%len(calls)],
+			Action: int32(i), TID: int32(i%8 + 1), Call: r.Intern(calls[i%len(calls)]),
 			WaitStart: now - 1500, Issue: now - 1500, Done: now, ReleasedBy: -1,
 		}
 		if i%2 == 1 {
@@ -431,7 +431,7 @@ func benchRecorder(n int) *Recorder {
 			sp.Predelay = 125
 			sp.ReleasedBy = int32(i - 1)
 			sp.ReleasedAt = sp.Issue - 50
-			sp.ReleaseRes = "file(/stage" + strconv.Itoa(i%8) + "/f" + strconv.Itoa(i%64) + ")@1"
+			sp.ReleaseRes = r.Intern("file(/stage" + strconv.Itoa(i%8) + "/f" + strconv.Itoa(i%64) + ")@1")
 		}
 		r.Record(sp)
 		if i%64 == 0 {
@@ -481,11 +481,11 @@ func TestWriteChromeSizesBuffer(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := NewRecorder(30_000, 16)
 		for i := 0; i < 45_000; i++ { // wraps; strings from empty to escaped, sizes all over
-			sp := Span{Action: int32(i), TID: int32(rng.Intn(5)), Call: nastyStrings[rng.Intn(len(nastyStrings))],
+			sp := Span{Action: int32(i), TID: int32(rng.Intn(5)), Call: r.Intern(nastyStrings[rng.Intn(len(nastyStrings))]),
 				Issue: time.Duration(i) * 1000, Done: time.Duration(i)*1000 + time.Duration(rng.Intn(2000)), ReleasedBy: -1}
 			if rng.Intn(3) == 0 {
 				sp.WaitStart = sp.Issue - time.Duration(rng.Intn(1<<20))
-				sp.ReleasedBy, sp.ReleaseRes = int32(rng.Intn(i+1)), nastyStrings[rng.Intn(len(nastyStrings))]
+				sp.ReleasedBy, sp.ReleaseRes = int32(rng.Intn(i+1)), r.Intern(nastyStrings[rng.Intn(len(nastyStrings))])
 			} else {
 				sp.WaitStart = sp.Issue
 			}
@@ -682,10 +682,10 @@ func fuzzRecorder(data []byte, text string) *Recorder {
 			continue
 		}
 		keys.record(r, Span{
-			Action: int32(num()), TID: int32(num()), Call: str(),
+			Action: int32(num()), TID: int32(num()), Call: r.Intern(str()),
 			WaitStart: time.Duration(num()), Issue: time.Duration(num()), Done: time.Duration(num()),
 			Predelay: time.Duration(num()), ReleasedBy: int32(num()), ReleasedAt: time.Duration(num()),
-			ReleaseRes: str(),
+			ReleaseRes: r.Intern(str()),
 		})
 	}
 	return r

@@ -13,6 +13,9 @@
 // append-grown slice, amortized rather than free until it reaches its
 // capacity. When a ring fills, the oldest entries are overwritten and the
 // drop is counted rather than ever blocking or growing without bound.
+// A span is a 64-byte row of numbers: its call and resource names are
+// indices into the recorder's name table, so the ring holds no pointer
+// for the collector to scan.
 //
 // All times are virtual (sim-kernel) durations relative to replay start,
 // so recorded data — and every export derived from it — is deterministic
@@ -26,17 +29,35 @@ import (
 	"rootreplay/internal/sim"
 )
 
+// Name indexes a Recorder's name table (Recorder.Str reads one,
+// Recorder.Intern adds one). The zero Name is the empty string.
+type Name int32
+
 // Span is one replayed action's lifecycle: when its replay thread began
 // waiting to issue it, when it issued, and when it completed, plus the
 // predelay sleep applied and the dependency edge whose satisfaction
 // released it.
+//
+// A span is a row of numbers with no pointer in it: its two strings are
+// Names in the recording Recorder's table, and the 4-byte fields come
+// before the 8-byte ones so that the struct packs into 64 bytes.
 type Span struct {
 	// Action is the trace index of the action.
 	Action int32
 	// TID is the traced thread the action belongs to.
 	TID int32
-	// Call is the traced call name ("open", "pread", ...).
-	Call string
+	// Call names the traced call ("open", "pread", ...).
+	Call Name
+	// ReleasedBy is the action whose issue/completion satisfied this
+	// action's final dependency edge, or -1 if the action has no
+	// dependency edge in the replayed graph.
+	ReleasedBy int32
+	// ReleaseRes names the resource of the satisfying edge (0, the empty
+	// name, if none).
+	ReleaseRes Name
+	// Shard is the replay component the action executed on (0 for a
+	// serial replay, which runs everything as one component).
+	Shard int32
 	// WaitStart is when the replay thread reached this action;
 	// WaitStart..Issue covers dependency wait plus any predelay sleep.
 	WaitStart time.Duration
@@ -45,18 +66,9 @@ type Span struct {
 	// Predelay is the inter-call gap slept before issuing (zero under
 	// AFAP replay).
 	Predelay time.Duration
-	// ReleasedBy is the action whose issue/completion satisfied this
-	// action's final dependency edge, or -1 if the action never parked
-	// with unsatisfied dependencies.
-	ReleasedBy int32
 	// ReleasedAt is the virtual time the final dependency edge was
 	// satisfied (meaningful when ReleasedBy >= 0).
 	ReleasedAt time.Duration
-	// ReleaseRes names the resource of the satisfying edge ("" if none).
-	ReleaseRes string
-	// Shard is the replay component the action executed on (0 for a
-	// serial replay, which runs everything as one component).
-	Shard int32
 }
 
 // Wait returns the span's pre-issue time (dependency wait + predelay).
@@ -122,9 +134,8 @@ const (
 )
 
 // spanChunk is how many spans one chunk of the span ring holds. A ring
-// sized for a whole replay holds hundreds of thousands of 104-byte spans
-// with strings in them; grown by doubling, every regrowth copied them all
-// and left the collector another copy to scan.
+// sized for a whole replay holds hundreds of thousands of spans; grown by
+// doubling, every regrowth would copy them all.
 const (
 	spanChunkShift = 10
 	spanChunk      = 1 << spanChunkShift
@@ -151,6 +162,11 @@ type Recorder struct {
 	// last recorded value per counter, for change-only sampling.
 	lastVal   [numCounters]float64
 	lastValid [numCounters]bool
+
+	// names is the table spans' Names index; names[0] is "". ids maps
+	// each name back to its index.
+	names []string
+	ids   map[string]Name
 }
 
 // NewRecorder returns a recorder whose span and sample rings hold at
@@ -162,7 +178,39 @@ func NewRecorder(spanCap, sampleCap int) *Recorder {
 	if sampleCap <= 0 {
 		sampleCap = DefaultSampleCap
 	}
-	return &Recorder{spanCap: spanCap, sampleCap: sampleCap}
+	return &Recorder{spanCap: spanCap, sampleCap: sampleCap, names: []string{""}, ids: make(map[string]Name)}
+}
+
+// Intern returns the Name of s in the recorder's table, adding s on
+// first sight (0 for a nil recorder).
+func (r *Recorder) Intern(s string) Name {
+	if r == nil || s == "" {
+		return 0
+	}
+	if n, ok := r.ids[s]; ok {
+		return n
+	}
+	n := Name(len(r.names))
+	r.names = append(r.names, s)
+	r.ids[s] = n
+	return n
+}
+
+// Str returns the string n names in the recorder's table.
+func (r *Recorder) Str(n Name) string {
+	if n == 0 {
+		return ""
+	}
+	return r.names[n]
+}
+
+// Names returns the recorder's name table, indexed by Name (nil for a
+// nil recorder). The slice is the recorder's own; do not modify it.
+func (r *Recorder) Names() []string {
+	if r == nil {
+		return nil
+	}
+	return r.names
 }
 
 // SampleCap reports the counter-sample ring capacity (0 for a nil
@@ -270,7 +318,7 @@ func (r *Recorder) Dropped() (spans, samples int) {
 	return r.spanDrop, r.sampleDrop
 }
 
-// Reset clears recorded data, keeping capacities.
+// Reset clears recorded data, keeping capacities and the name table.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return

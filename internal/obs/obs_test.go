@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -16,6 +17,35 @@ import (
 // because the public compile path is overkill here.
 func mkGraph(n int, edges []core.Edge) *core.Graph {
 	return core.NewGraph(n, edges)
+}
+
+// TestSpanLayout holds a span to what DESIGN.md says of it: 64 bytes,
+// names as indices into the recorder's table, and nothing in it for the
+// collector to follow. A field that can carry a pointer, or an 8-byte
+// field moved in among the 4-byte ones, fails it.
+func TestSpanLayout(t *testing.T) {
+	typ := reflect.TypeOf(Span{})
+	if typ.Size() != 64 {
+		t.Errorf("a span is %d bytes, want 64", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch k := typ.Field(i).Type.Kind(); k {
+		case reflect.Int32, reflect.Int64:
+		default:
+			t.Errorf("field %s is a %v: a span must stay pointer-free", typ.Field(i).Name, k)
+		}
+	}
+	r := NewRecorder(1, 1)
+	if r.Str(0) != "" || r.Intern("") != 0 || len(r.Names()) != 1 {
+		t.Fatalf("name 0 is not the empty string: table %q", r.Names())
+	}
+	if n := r.Intern("pread"); n == 0 || r.Str(n) != "pread" || r.Intern("pread") != n || r.Names()[n] != "pread" {
+		t.Fatalf("interning pread gave %d, table %q", n, r.Names())
+	}
+	var nilRec *Recorder
+	if nilRec.Intern("open") != 0 || nilRec.Str(0) != "" || nilRec.Names() != nil {
+		t.Fatal("a nil recorder interns")
+	}
 }
 
 func TestNilRecorderIsNoop(t *testing.T) {
@@ -49,7 +79,7 @@ func TestSpanRingWraps(t *testing.T) {
 			for i := 0; i < n; i++ {
 				// Pairs complete at one instant, higher action first, so
 				// the export has a tie to sort in every pair.
-				r.Record(Span{Action: int32(i ^ 1), TID: int32(i % 3), Call: "c", Done: time.Duration(i / 2)})
+				r.Record(Span{Action: int32(i ^ 1), TID: int32(i % 3), Call: r.Intern("c"), Done: time.Duration(i / 2)})
 			}
 			kept := min(n, spanCap)
 			got := r.Spans()
@@ -240,12 +270,12 @@ func TestCriticalPathEmptyAndMismatched(t *testing.T) {
 
 func TestWriteChromeValidAndDeterministic(t *testing.T) {
 	record := func(r *Recorder) {
-		r.Record(Span{Action: 0, TID: 2, Call: "open", WaitStart: 0, Issue: 0,
+		r.Record(Span{Action: 0, TID: 2, Call: r.Intern("open"), WaitStart: 0, Issue: 0,
 			Done: 50 * time.Microsecond, ReleasedBy: -1})
-		r.Record(Span{Action: 1, TID: 1, Call: "pread", WaitStart: 10 * time.Microsecond,
+		r.Record(Span{Action: 1, TID: 1, Call: r.Intern("pread"), WaitStart: 10 * time.Microsecond,
 			Issue: 60 * time.Microsecond, Done: 90 * time.Microsecond,
 			Predelay:   5 * time.Microsecond,
-			ReleasedBy: 0, ReleasedAt: 50 * time.Microsecond, ReleaseRes: "fd(3)@1"})
+			ReleasedBy: 0, ReleasedAt: 50 * time.Microsecond, ReleaseRes: r.Intern("fd(3)@1")})
 		r.Sample(0, CounterRunq, 1)
 		r.Sample(20*time.Microsecond, CounterRunq, 2)
 	}
@@ -284,8 +314,8 @@ func TestWriteChromeValidAndDeterministic(t *testing.T) {
 
 func TestSummary(t *testing.T) {
 	r := NewRecorder(16, 16)
-	r.Record(Span{Action: 0, TID: 1, Call: "open", Issue: 0, Done: 40 * time.Microsecond, ReleasedBy: -1})
-	r.Record(Span{Action: 1, TID: 1, Call: "pread", WaitStart: 40 * time.Microsecond,
+	r.Record(Span{Action: 0, TID: 1, Call: r.Intern("open"), Issue: 0, Done: 40 * time.Microsecond, ReleasedBy: -1})
+	r.Record(Span{Action: 1, TID: 1, Call: r.Intern("pread"), WaitStart: 40 * time.Microsecond,
 		Issue: 60 * time.Microsecond, Done: 160 * time.Microsecond, ReleasedBy: -1})
 	r.Sample(0, CounterRunq, 3)
 	out := r.Summary()

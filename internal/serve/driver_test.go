@@ -14,6 +14,7 @@ import (
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
+	"rootreplay/internal/workload"
 )
 
 // An export job's bytes are what artc.Run plus WriteChrome produce for
@@ -90,5 +91,30 @@ func TestExportEqualsDriver(t *testing.T) {
 			t.Errorf("%s: HTTP export (%d bytes) differs from artc.Run + WriteChrome (%d bytes)",
 				tc.name, got.Body.Len(), want.Len())
 		}
+	}
+}
+
+// An export job holds one span per action, however many: a recorder at
+// the default capacity would keep only the newest obs.DefaultSpanCap
+// and silently lose the rest with their flow arrows.
+func TestExportKeepsEverySpan(t *testing.T) {
+	tr, snap, err := workload.SynthPipeline(workload.Pipeline{Stages: 8, Ops: 3000, Handoff: 64, FileBytes: 1 << 20, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) <= obs.DefaultSpanCap {
+		t.Fatalf("%d records: the corpus must outgrow the default span ring (%d)", len(tr.Records), obs.DefaultSpanCap)
+	}
+	s, _ := newTestServer(t, Config{Workers: 1})
+	tb, sb := encodeBlobs(t, tr, snap)
+	traceID, snapID := uploadBlob(t, s, "a", tb), uploadBlob(t, s, "a", sb)
+	id := submitJob(t, s, "a", fmt.Sprintf(`{"kind":"export","trace":"%s","snapshot":"%s","no_samples":true}`, traceID, snapID))
+	waitState(t, s, "a", id, StateDone)
+	got := do(s, http.MethodGet, "/v1/tenants/a/jobs/"+id+"/result", nil)
+	if got.Code != http.StatusOK {
+		t.Fatalf("result: %d %s", got.Code, got.Body)
+	}
+	if calls := bytes.Count(got.Body.Bytes(), []byte(`"cat":"call"`)); calls != len(tr.Records) {
+		t.Fatalf("export holds %d call slices, want one per action: %d", calls, len(tr.Records))
 	}
 }

@@ -255,7 +255,9 @@ func (s *Server) runReplay(j *Job, b *artc.Benchmark, conf stack.Config) ([]byte
 	}
 	var rec *obs.Recorder
 	if j.Kind == "export" {
-		rec = obs.NewRecorder(0, 0)
+		// One span per action: an export holds every span, where the
+		// default ring would keep only the newest DefaultSpanCap.
+		rec = obs.NewRecorder(len(b.Trace.Records), 0)
 		spec.Options.Obs = rec
 	}
 	rep, _, err := artc.Run(b, spec)

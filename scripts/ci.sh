@@ -248,11 +248,12 @@ cache() {
 
 # allocs answers three questions: does the replay loop still allocate
 # nothing per record, does warming a replica still allocate nothing per
-# page, and what do decoding and ingesting a record allocate? The
-# ceilings count a whole Replay's allocations per record, a whole
-# WarmAll's per resident page (plus the page cache's sparse-file bound)
-# and the bytes of a whole DecodeBinaryBytes and of a whole
-# strace-to-store-and-back ingest per record, figures printed as lint
+# page, and what do decoding and ingesting a record, and recording a
+# span, allocate? The ceilings count a whole Replay's allocations per
+# record, a whole WarmAll's per resident page (plus the page cache's
+# sparse-file bound), the bytes of a whole DecodeBinaryBytes and of a
+# whole strace-to-store-and-back ingest per record and the bytes a
+# recorder adds to a hits replay per span, figures printed as lint
 # prints its line counts; the escape check catches the commonest way
 # back for the first, a change to System.record that lets the entry
 # points' Record literals escape.
@@ -260,9 +261,9 @@ allocs() {
   for procs in 1 2; do
     echo "== allocs: allocations-per-record and per-warmed-page ceilings at GOMAXPROCS=$procs"
     GOMAXPROCS=$procs go test -count=1 -run 'ReplayAllocs|WarmAllocs' ./internal/artc/ ./internal/cache/
-    GOMAXPROCS=$procs go test -count=1 -v -run 'DecodeBytesPerRecord|IngestBytesPerRecord' ./internal/artc/ ./internal/artifact/ > "$tmp/bytes-allocs.txt" ||
+    GOMAXPROCS=$procs go test -count=1 -v -run 'DecodeBytesPerRecord|IngestBytesPerRecord|RecorderBytesPerSpan' ./internal/artc/ ./internal/artifact/ > "$tmp/bytes-allocs.txt" ||
       { cat "$tmp/bytes-allocs.txt" >&2; exit 1; }
-    sed -n 's/^.*\(allocs\|ingest\)_test\.go:[0-9]*: //p' "$tmp/bytes-allocs.txt" |
+    sed -n 's/^.*\(allocs\|ingest\)_test\.go:[0-9]*: \(.* bytes allocated per \)/\2/p' "$tmp/bytes-allocs.txt" |
       while read -r line; do echo "== allocs: $line at GOMAXPROCS=$procs"; done
   done
   echo "== allocs: syscall entry points keep their trace.Record on the stack"
