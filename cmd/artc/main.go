@@ -40,6 +40,7 @@ import (
 	"rootreplay/internal/snapshot"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/trace"
+	"rootreplay/internal/vfs"
 )
 
 func main() {
@@ -514,7 +515,8 @@ func inspectCmd(args []string) error {
 }
 
 // parseChaos leaves the fault plan template, the flags' values over
-// chaostest.DefaultPlan, in spec.Fault.
+// chaostest.DefaultPlan, in spec.Fault. A plan no replay can run is a
+// usage error here, not a violation in every seed.
 func parseChaos(args []string) (*runFlags, error) {
 	f := new(runFlags)
 	plan := chaostest.DefaultPlan()
@@ -539,6 +541,29 @@ func parseChaos(args []string) (*runFlags, error) {
 	}
 	if f.out != "" && f.seeds > 1 {
 		return nil, fmt.Errorf("-o requires a single seed (drop -seeds)")
+	}
+	if _, ok := vfs.ErrnoByName(plan.Syscall.Errno); !ok {
+		return nil, fmt.Errorf("-errno %q: unknown errno", plan.Syscall.Errno)
+	}
+	for _, r := range []struct {
+		flag string
+		v    float64
+	}{
+		{"-syscall-rate", plan.Syscall.Rate},
+		{"-storage-error-rate", plan.Storage.ErrorRate},
+		{"-storage-slow-rate", plan.Storage.SlowRate},
+	} {
+		if !(r.v >= 0 && r.v <= 1) {
+			return nil, fmt.Errorf("%s %v: a probability must be in [0, 1]", r.flag, r.v)
+		}
+	}
+	switch {
+	case plan.Retry.MaxAttempts < 1:
+		return nil, fmt.Errorf("-retries %d: at least 1 attempt", plan.Retry.MaxAttempts)
+	case plan.Watchdog < 0:
+		return nil, fmt.Errorf("-watchdog %v: must not be negative", plan.Watchdog)
+	case f.seeds < 1:
+		return nil, fmt.Errorf("-seeds %d: at least 1 seed", f.seeds)
 	}
 	return f, f.finish(0, 0)
 }

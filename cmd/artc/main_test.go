@@ -85,6 +85,16 @@ func TestFlagsToRunSpec(t *testing.T) {
 				Fault:  &harsh,
 				Shards: -1, SliceActions: 500, SliceMax: 2,
 			}},
+		{"chaos plan at its bounds", parseChaos,
+			"-magritte pages_docphoto15 -syscall-rate 1 -storage-error-rate 0 -storage-slow-rate 1 -retries 1 -watchdog 0",
+			artc.RunSpec{
+				Target: target(t, "linux-ext4-ssd-noop", 0, 0),
+				Fault: &fault.Plan{
+					Syscall: fault.SyscallPlan{Rate: 1, Errno: "EIO"},
+					Storage: fault.StoragePlan{SlowRate: 1},
+					Retry:   fault.RetryPlan{MaxAttempts: 1},
+				},
+			}},
 	}
 	for _, tc := range cases {
 		f, err := tc.parse(strings.Fields(tc.line))
@@ -145,6 +155,14 @@ func TestFlagErrors(t *testing.T) {
 		{"replay bad target", parseReplay, "-bench x.bench -target linux", "platform-fs-device"},
 		{"chaos without trace", parseChaos, "-seeds 4", "-magritte is required"},
 		{"chaos export of a sweep", parseChaos, "-magritte pages_docphoto15 -seeds 4 -o out.json", "single seed"},
+		// A fault plan no replay can run is refused before any seed replays.
+		{"chaos unknown errno", parseChaos, "-magritte pages_docphoto15 -errno BOGUS -seeds 2", `-errno "BOGUS": unknown errno`},
+		{"chaos syscall rate above one", parseChaos, "-magritte pages_docphoto15 -syscall-rate 7", "-syscall-rate 7: a probability"},
+		{"chaos negative storage error rate", parseChaos, "-magritte pages_docphoto15 -storage-error-rate -1", "-storage-error-rate -1: a probability"},
+		{"chaos slow rate not a number", parseChaos, "-magritte pages_docphoto15 -storage-slow-rate NaN", "-storage-slow-rate NaN: a probability"},
+		{"chaos no attempt", parseChaos, "-magritte pages_docphoto15 -retries 0", "-retries 0: at least 1"},
+		{"chaos negative watchdog", parseChaos, "-magritte pages_docphoto15 -watchdog -1s", "-watchdog -1s: must not be negative"},
+		{"chaos no seed", parseChaos, "-magritte pages_docphoto15 -seeds 0", "-seeds 0: at least 1"},
 	}
 	for _, tc := range cases {
 		if _, err := tc.parse(strings.Fields(tc.line)); err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -112,16 +112,17 @@ func TestSyscallInjectionDeterministic(t *testing.T) {
 	}
 }
 
-// With a bounded injection budget and a retry plan, every injected
-// failure must be retried to success: zero semantic errors, recovery
-// counted, and virtual time stretched by the backoff.
+// With a retry budget that outlasts the injection rate, every injected
+// failure must be retried to success: zero semantic errors, one retry
+// per injected attempt, recovery counted, nothing skipped, and virtual
+// time stretched by the backoff.
 func TestRetryRecoversInjectedFaults(t *testing.T) {
 	tr, snap := faultWorkloadTrace(t)
 	clean := replayOn(t, tr, snap, defaultConf(), Options{})
 	in := fault.New(fault.Plan{
 		Seed:    4,
-		Syscall: fault.SyscallPlan{Rate: 1, MaxInjections: 3},
-		Retry:   fault.RetryPlan{MaxAttempts: 8, Backoff: time.Millisecond},
+		Syscall: fault.SyscallPlan{Rate: 0.5},
+		Retry:   fault.RetryPlan{MaxAttempts: 16},
 	})
 	rep, err := replayWithInjector(t, tr, snap, in, Options{SelfCheck: true})
 	if err != nil {
@@ -131,8 +132,9 @@ func TestRetryRecoversInjectedFaults(t *testing.T) {
 		t.Fatalf("retries did not recover: %d errors %v", rep.Errors, rep.ErrorSamples)
 	}
 	st := in.Stats()
-	if st.SyscallInjected != 3 || st.Retries != 3 || st.Recovered != 1 {
-		t.Fatalf("stats = %v, want 3 injected, 3 retries, 1 recovered", st)
+	if st.SyscallInjected < 2 || st.Retries != st.SyscallInjected ||
+		st.Recovered == 0 || st.Recovered > st.Retries || st.Skipped != 0 {
+		t.Fatalf("stats = %v, want every injected attempt retried and recovered", st)
 	}
 	if rep.Elapsed <= clean.Elapsed {
 		t.Fatalf("backoff did not stretch virtual time: %v <= %v", rep.Elapsed, clean.Elapsed)
@@ -161,35 +163,6 @@ func TestStorageFaultsTransparentButSlower(t *testing.T) {
 	}
 	if rep.Elapsed <= clean.Elapsed {
 		t.Fatalf("device retries cost no virtual time: %v <= %v", rep.Elapsed, clean.Elapsed)
-	}
-}
-
-// The degrade-abort mode must stop the replay once the error budget is
-// exhausted and return a structured error-budget report.
-func TestDegradeAbortStopsReplay(t *testing.T) {
-	tr, snap := faultWorkloadTrace(t)
-	in := fault.New(fault.Plan{
-		Seed:      2,
-		Syscall:   fault.SyscallPlan{Rate: 1},
-		Degrade:   fault.DegradeAbort,
-		MaxErrors: 2,
-	})
-	_, err := replayWithInjector(t, tr, snap, in, Options{})
-	if err == nil {
-		t.Fatal("abort mode returned no error with a saturated injection rate")
-	}
-	var sr *StallReport
-	if !errors.As(err, &sr) {
-		t.Fatalf("error = %v, want a *StallReport", err)
-	}
-	if sr.Trigger != "error-budget" {
-		t.Fatalf("Trigger = %q, want error-budget", sr.Trigger)
-	}
-	if sr.Errors != 3 {
-		t.Fatalf("aborted with %d errors, want 3 (budget 2 exceeded)", sr.Errors)
-	}
-	if sr.Completed >= sr.Total {
-		t.Fatalf("abort should leave actions unfinished: %d/%d", sr.Completed, sr.Total)
 	}
 }
 

@@ -258,7 +258,7 @@ func (o *oracleState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errno
 	an := o.b.Analysis
 	act, touches, traced := &an.Actions[idx], an.Touches(idx), artc.Resolve(o.b.Trace, idx)
 	if o.inj != nil {
-		if e, ok := o.inj.SyscallFault(idx, attempt, traced.Call, traced.Path); ok {
+		if e, ok := o.inj.SyscallFault(idx, attempt); ok {
 			return -1, e, false, true
 		}
 	}

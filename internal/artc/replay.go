@@ -54,10 +54,6 @@ type Options struct {
 	// trace's fsync on an OS X target: F_FULLFSYNC instead of plain
 	// fsync (§4.3.4).
 	FullFsyncOnOSX bool
-	// MaxErrorSamples bounds the retained mismatch descriptions. Zero
-	// selects the default of 10 (callers cannot disable retention by
-	// leaving the field unset); a negative value retains none.
-	MaxErrorSamples int
 	// SelfCheck re-validates the executed order against the dependency
 	// graph after replay (a replayer assertion, cheap and on by default
 	// in tests).
@@ -79,11 +75,12 @@ type Options struct {
 	// Fault, when non-nil, applies the injector's plan to the replay:
 	// selected actions return injected errors (feeding the semantic
 	// error accounting), injected failures are retried with capped
-	// backoff in virtual time, the stall watchdog converts silent hangs
-	// into structured StallReports, and the degrade mode decides between
-	// skip-and-count and abort. Pass the same injector in the target's
-	// stack.Config.Faults so storage and syscall counters share one
-	// fault.Stats. Nil costs one pointer check per action.
+	// backoff in virtual time, an action still failing after its
+	// retries is counted and skipped, and the stall watchdog converts
+	// silent hangs into structured StallReports. Pass the same injector
+	// in the target's stack.Config.Faults so storage and syscall
+	// counters share one fault.Stats. Nil costs one pointer check per
+	// action.
 	Fault *fault.Injector
 }
 
@@ -173,17 +170,22 @@ func (b BlockedAction) String() string {
 // are counted in Truncated.
 const maxStallBlocked = 32
 
+// maxErrorSamples bounds a Report's retained mismatch descriptions; the
+// rest are only counted in Errors.
+const maxErrorSamples = 10
+
 // StallReport is the structured error a fault-injected replay returns
-// when the stall watchdog fires without progress or the degrade-abort
-// error budget is exhausted: which actions were stuck and why, plus the
-// critical path of the completed prefix when observability was on. It
-// converts a silent hang into an actionable deadlock report.
+// when the stall watchdog fires without progress, or a sharded replay
+// when a cluster blocks on cross-shard barriers: which actions were
+// stuck and why, plus the critical path of the completed prefix when
+// observability was on. It converts a silent hang into an actionable
+// deadlock report.
 type StallReport struct {
-	// Trigger is "watchdog" or "error-budget".
+	// Trigger is "watchdog" or "cross-barrier".
 	Trigger string
 	// At is the virtual time of the abort, relative to replay start;
 	// Window is the watchdog interval that elapsed without progress
-	// (zero for error-budget aborts).
+	// (zero for cross-barrier stalls).
 	At, Window time.Duration
 	// Completed of Total actions had finished; Errors semantic
 	// mismatches had accumulated.
@@ -277,7 +279,7 @@ type replayState struct {
 	// counts finished actions — the watchdog's progress signal;
 	// lastProgress is the count at the previous watchdog fire; stall is
 	// set (and the kernel stopped) when the watchdog fires without
-	// progress or the degrade-abort budget is exhausted.
+	// progress.
 	inj          *fault.Injector
 	completed    int
 	lastProgress int
@@ -360,9 +362,6 @@ func methodGraph(b *Benchmark, opts *Options) (*core.Graph, error) {
 // start validates options, builds the method's graph, and spawns the
 // replay threads; the caller runs the kernel and then calls finish.
 func start(sys *stack.System, b *Benchmark, opts Options) (*replayState, error) {
-	if opts.MaxErrorSamples == 0 {
-		opts.MaxErrorSamples = 10
-	}
 	g, err := methodGraph(b, &opts)
 	if err != nil {
 		return nil, err
@@ -374,8 +373,7 @@ func start(sys *stack.System, b *Benchmark, opts Options) (*replayState, error) 
 
 // newReplayState builds the replay bookkeeping for one benchmark on one
 // system: dependency counters, observability probes, and the fault
-// watchdog. opts must already have MaxErrorSamples normalized and the
-// method defaulted (see start).
+// watchdog. opts must already have the method defaulted (see start).
 func newReplayState(sys *stack.System, b *Benchmark, opts Options, g *core.Graph) *replayState {
 	n := len(b.Trace.Records)
 	remaining := make([]int32, n)
@@ -763,17 +761,10 @@ func (rs *replayState) playAction(t *sim.Thread, idx int) {
 		}
 		rs.obs.Record(sp)
 	}
-	if mismatched := rs.compare(idx, tr, rec, ret, errno); mismatched && rs.inj != nil {
-		if injected {
-			// An injected failure survived the retry budget: in skip
-			// mode it is counted and the replay degrades gracefully.
-			rs.inj.CountSkipped()
-		}
-		if mode, budget := rs.inj.Degrade(); mode == fault.DegradeAbort &&
-			rs.rep.Errors > budget && rs.stall == nil {
-			rs.stall = rs.buildStall("error-budget")
-			rs.sys.K.Stop()
-		}
+	if mismatched := rs.compare(idx, tr, rec, ret, errno); mismatched && injected {
+		// An injected failure survived the retry budget: it is counted
+		// and the replay goes on.
+		rs.inj.CountSkipped()
 	}
 }
 
@@ -810,7 +801,7 @@ func (rs *replayState) compare(idx int, tr *trace.Trace, rec *trace.Record, ret 
 		return false
 	}
 	rs.rep.Errors++
-	if len(rs.rep.ErrorSamples) < rs.opts.MaxErrorSamples {
+	if len(rs.rep.ErrorSamples) < maxErrorSamples {
 		rs.rep.ErrorSamples = append(rs.rep.ErrorSamples,
 			fmt.Sprintf("action %d [T%d] %s(%s): %s", rs.gi(idx), rec.TID, tr.Str(rec.Call), tr.Str(rec.Path), mismatch))
 		if rs.sub != nil {
@@ -928,7 +919,7 @@ func (rs *replayState) execute(t *sim.Thread, idx, attempt int) (int64, vfs.Errn
 		// Fault decisions key on the global action index so an injection
 		// plan selects the same actions whether the replay is sharded or
 		// serial.
-		if e, ok := rs.inj.SyscallFault(rs.gi(idx), attempt, rs.hot.calls[ha.call].name, tr.Str(rec.Path)); ok {
+		if e, ok := rs.inj.SyscallFault(rs.gi(idx), attempt); ok {
 			return -1, e, false, true
 		}
 	}

@@ -25,44 +25,20 @@ func handBench(tr *trace.Trace, g *core.Graph) *Benchmark {
 	return &Benchmark{Platform: tr.Platform, Trace: tr, Graph: g}
 }
 
-// MaxErrorSamples: zero means the default of 10, so callers cannot
-// accidentally disable sample retention; negative disables it.
-func TestMaxErrorSamplesZeroMeansDefault(t *testing.T) {
-	tr := &trace.Trace{Platform: "linux"}
-	s := tr.Intern
-	tr.Records = []trace.Record{
-		{TID: 1, Call: s("open"), Path: s("/x"), Ret: 3},
-	}
-	b := handBench(tr, handGraph(1, nil))
-	for _, tc := range []struct {
-		in, want int
-	}{
-		{0, 10}, {3, 3}, {-1, -1},
-	} {
-		sys := stack.New(sim.NewKernel(), defaultConf())
-		rs, err := start(sys, b, Options{MaxErrorSamples: tc.in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rs.opts.MaxErrorSamples != tc.want {
-			t.Fatalf("MaxErrorSamples %d normalized to %d, want %d",
-				tc.in, rs.opts.MaxErrorSamples, tc.want)
-		}
-	}
-}
-
-func TestNegativeMaxErrorSamplesRetainsNone(t *testing.T) {
-	rs := &replayState{opts: Options{MaxErrorSamples: -1}, rep: &Report{}}
+// A report keeps the first maxErrorSamples mismatch descriptions and
+// counts every mismatch.
+func TestErrorSamplesCappedErrorsCounted(t *testing.T) {
+	rs := &replayState{rep: &Report{}}
 	tr := &trace.Trace{}
 	rec := &trace.Record{TID: 1, Call: tr.Intern("open"), Path: tr.Intern("/x"), Err: tr.Intern("ENOENT")}
-	for i := 0; i < 5; i++ {
+	for i := 0; i < maxErrorSamples+5; i++ {
 		rs.compare(i, tr, rec, 3, vfs.OK) // traced failure, replay success
 	}
-	if rs.rep.Errors != 5 {
-		t.Fatalf("Errors = %d, want 5 (counting must not be disabled)", rs.rep.Errors)
+	if rs.rep.Errors != maxErrorSamples+5 {
+		t.Fatalf("Errors = %d, want %d (counting must not stop at the cap)", rs.rep.Errors, maxErrorSamples+5)
 	}
-	if len(rs.rep.ErrorSamples) != 0 {
-		t.Fatalf("ErrorSamples = %v, want none", rs.rep.ErrorSamples)
+	if len(rs.rep.ErrorSamples) != maxErrorSamples || !strings.HasPrefix(rs.rep.ErrorSamples[0], "action 0 ") {
+		t.Fatalf("ErrorSamples = %q, want the first %d", rs.rep.ErrorSamples, maxErrorSamples)
 	}
 }
 

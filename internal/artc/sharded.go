@@ -570,9 +570,6 @@ func ReplaySharded(b *Benchmark, opts Options, so ShardOptions) (*Report, *Shard
 	if opts.Fault != nil {
 		return nil, nil, fmt.Errorf("artc: sharded replay takes a fault plan in ShardOptions.Fault, not an injector in Options.Fault")
 	}
-	if opts.MaxErrorSamples == 0 {
-		opts.MaxErrorSamples = 10
-	}
 	g, err := methodGraph(b, &opts)
 	if err != nil {
 		return nil, nil, err
@@ -693,15 +690,15 @@ func mergeReports(b *Benchmark, g *core.Graph, shards []*compiledShard, opts Opt
 	rep.Elapsed = last
 	tot.render(hot, rep)
 	// Error samples keep the serial retention rule generalized: the
-	// first MaxErrorSamples in merged completion order.
+	// first maxErrorSamples in merged completion order.
 	sort.SliceStable(samples, func(i, j int) bool {
 		if samples[i].at != samples[j].at {
 			return samples[i].at < samples[j].at
 		}
 		return samples[i].comp < samples[j].comp
 	})
-	if max := opts.MaxErrorSamples; max >= 0 && len(samples) > max {
-		samples = samples[:max]
+	if len(samples) > maxErrorSamples {
+		samples = samples[:maxErrorSamples]
 	}
 	for _, s := range samples {
 		rep.ErrorSamples = append(rep.ErrorSamples, s.text)

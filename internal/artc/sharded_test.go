@@ -291,26 +291,22 @@ func TestShardedFaultDeterministicAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// An error-budget abort in one member must abort the whole cluster and
-// surface the member's structured stall report.
+// A watchdog stall in a member must abort the whole cluster and surface
+// the member's structured stall report.
 func TestShardedAbortPropagates(t *testing.T) {
 	tr, snap := genGroups(t, 3, 40, false)
-	plan := fault.Plan{
-		Seed:    11,
-		Syscall: fault.SyscallPlan{Rate: 1.0},
-		Degrade: fault.DegradeAbort,
-	}
+	plan := fault.Plan{Seed: 11, Watchdog: time.Nanosecond}
 	modes := core.ModeSet{ProgramSeq: true} // cluster the components
 	_, _, err := shardedOnErr(t, tr, snap, Options{Modes: &modes}, 0, &plan)
 	if err == nil {
-		t.Fatal("full-rate abort plan replayed cleanly")
+		t.Fatal("a 1ns watchdog replayed cleanly")
 	}
 	var stall *StallReport
 	if !errors.As(err, &stall) {
 		t.Fatalf("abort surfaced as %T (%v), want *StallReport", err, err)
 	}
-	if stall.Errors == 0 {
-		t.Fatalf("stall report counts no errors: %+v", stall)
+	if stall.Trigger != "watchdog" || stall.Completed >= stall.Total {
+		t.Fatalf("stall report = %+v, want a watchdog stall with actions left", stall)
 	}
 }
 

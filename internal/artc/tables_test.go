@@ -154,7 +154,7 @@ func diffCases(t *testing.T) []diffCase {
 	c = compileCase(t, "descriptors-faults", tr, snap, "linux-ext4-hdd-cfq")
 	c.plan = &fault.Plan{
 		Seed:    3,
-		Syscall: fault.SyscallPlan{Rate: 0.2, Calls: []string{"pread", "open", "fsync"}},
+		Syscall: fault.SyscallPlan{Rate: 0.2},
 		Retry:   fault.RetryPlan{MaxAttempts: 2},
 		Storage: fault.StoragePlan{SlowRate: 0.05},
 	}

@@ -182,10 +182,8 @@ type Cache struct {
 	files      map[FileID]*fileIndex
 	dirtyFiles []*fileIndex
 
-	// dirty counts dirty resident pages; onFirstDirty fires on each
-	// 0 -> 1 transition (the background-writeback trigger).
-	dirty        int
-	onFirstDirty func()
+	// dirty counts dirty resident pages.
+	dirty int
 
 	stats Stats
 }
@@ -318,9 +316,6 @@ func (c *Cache) markDirty(fi *fileIndex, s int32) {
 	c.at(s).dpos = int32(len(fi.dirty))
 	fi.dirty = append(fi.dirty, s)
 	c.dirty++
-	if c.dirty == 1 && c.onFirstDirty != nil {
-		c.onFirstDirty()
-	}
 }
 
 // markClean is markDirty's inverse; a clean page is left alone.
@@ -358,11 +353,6 @@ func swapOut[T any](s []T, i int) ([]T, T) {
 	s[last] = zero
 	return s[:last], moved
 }
-
-// OnFirstDirty registers fn to run whenever the cache transitions from
-// no dirty pages to one; the storage stack uses it to arm background
-// writeback.
-func (c *Cache) OnFirstDirty(fn func()) { c.onFirstDirty = fn }
 
 // evictFor makes room for n new pages. Clean victims are dropped; dirty
 // victims are written back synchronously by the calling thread. It
@@ -603,9 +593,6 @@ func (c *Cache) writePages(t *sim.Thread, slots []int32) {
 func (c *Cache) Contains(file FileID, idx int64) bool {
 	return c.files[file].lookup(idx) != 0
 }
-
-// DirtyCount reports the number of dirty resident pages.
-func (c *Cache) DirtyCount() int { return c.dirty }
 
 // Drop removes all pages of file without writeback (used when a deleted
 // file's last reference goes away; dirty pages of an unlinked file need

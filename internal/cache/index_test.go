@@ -29,6 +29,9 @@ func recordedEnv(k *sim.Kernel) *recorder {
 	return &recorder{Scheduler: sched.NewNoop(storage.NewHDD(k, "d", storage.DefaultHDD()))}
 }
 
+// DirtyCount reports the number of dirty resident pages.
+func (c *Cache) DirtyCount() int { return c.dirty }
+
 // recency lists the resident pages from most to least recently used.
 func (c *Cache) recency() []pageKey {
 	var keys []pageKey

@@ -193,7 +193,9 @@ func replayOnce(opts Options, seed uint64) (rep *artc.Report, rec *obs.Recorder,
 		spec.Init = magritte.TargetInit(opts.Bench, true)
 	}
 	if opts.Obs {
-		rec = obs.NewRecorder(0, 0)
+		// One span per action: an export holds every span, where the
+		// default ring would keep only the newest DefaultSpanCap.
+		rec = obs.NewRecorder(len(opts.Bench.Trace.Records), 0)
 		spec.Options.Obs = rec
 	}
 	r, _, err := artc.Run(opts.Bench, spec)

@@ -17,6 +17,7 @@ import (
 	"rootreplay/internal/sched"
 	"rootreplay/internal/stack"
 	"rootreplay/internal/storage"
+	"rootreplay/internal/workload"
 )
 
 // compileSmall compiles a small Magritte benchmark shared by the tests.
@@ -127,6 +128,35 @@ func TestExportBitReproducible(t *testing.T) {
 	}
 	if doc.Seed != 3 || len(doc.Chrome.TraceEvents) == 0 {
 		t.Fatalf("export lost content: seed=%d, %d trace events", doc.Seed, len(doc.Chrome.TraceEvents))
+	}
+}
+
+// A recorded chaos run keeps one span per action, also on a trace that
+// outgrows the default span ring, so an export is never silently
+// truncated.
+func TestRecordedRunKeepsEverySpan(t *testing.T) {
+	tr, snap, err := workload.SynthPipeline(workload.Pipeline{Stages: 8, Ops: 3000, Handoff: 64, FileBytes: 1 << 20, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Records) <= obs.DefaultSpanCap {
+		t.Fatalf("%d records: the corpus must outgrow the default span ring (%d)", len(tr.Records), obs.DefaultSpanCap)
+	}
+	b, err := artc.Compile(tr, snap, core.DefaultModes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := DefaultPlan()
+	res, rec := RunSeed(Options{
+		Bench: b,
+		Spec:  artc.RunSpec{Target: magritte.DefaultSuiteOptions().Target, Fault: &plan},
+		Obs:   true,
+	}, 1)
+	if !res.OK() {
+		t.Fatalf("%s:\n%s", res.String(), strings.Join(res.Violations, "\n"))
+	}
+	if dropped, _ := rec.Dropped(); len(rec.Spans()) != len(tr.Records) || dropped != 0 {
+		t.Fatalf("recorder holds %d spans (%d dropped), want one per action: %d", len(rec.Spans()), dropped, len(tr.Records))
 	}
 }
 

@@ -16,7 +16,6 @@ type faultyDevice struct {
 	inner storage.Device
 	k     *sim.Kernel
 	in    *Injector
-	plan  StoragePlan
 
 	errs stream
 	slow stream
@@ -29,19 +28,17 @@ type faultyDevice struct {
 }
 
 // WrapDevice returns d with this injector's storage plan applied, or d
-// unchanged when the effective plan for d's name injects nothing.
-// Wrapping happens per leaf device (RAID members are wrapped
-// individually by the stack), so per-device rates compose with striping.
+// unchanged when the plan injects nothing. Wrapping happens per leaf
+// device (RAID members are wrapped individually by the stack), so
+// per-device rates compose with striping.
 func (in *Injector) WrapDevice(k *sim.Kernel, d storage.Device) storage.Device {
-	plan := in.plan.storagePlanFor(d.Name())
-	if !plan.Enabled() {
+	if !in.plan.Storage.Enabled() {
 		return d
 	}
 	return &faultyDevice{
 		inner: d,
 		k:     k,
 		in:    in,
-		plan:  plan,
 		errs:  newStream(in.plan.Seed, d.Name()+"/eio"),
 		slow:  newStream(in.plan.Seed, d.Name()+"/slow"),
 	}
@@ -81,17 +78,18 @@ func (d *faultyDevice) submit(r *storage.Request, done func(), attempt int) {
 	d.inner.Submit(r, func() {
 		i := d.completions
 		d.completions++
-		if attempt < d.plan.MaxErrorRetries && d.errs.hit(i, d.plan.ErrorRate) {
+		plan := &d.in.plan.Storage
+		if attempt < maxErrorRetries && d.errs.hit(i, plan.ErrorRate) {
 			// Transient error: the device retries internally after a
 			// delay; the request re-enters the queue and the elevator
 			// picks it against the then-current candidate set.
 			d.in.stats.StorageErrors++
-			d.k.After(d.plan.RetryDelay, func() { d.submit(r, done, attempt+1) })
+			d.k.After(retryDelay, func() { d.submit(r, done, attempt+1) })
 			return
 		}
-		if d.slow.hit(i, d.plan.SlowRate) {
+		if d.slow.hit(i, plan.SlowRate) {
 			d.in.stats.StorageSlow++
-			d.k.After(d.plan.SlowExtra, func() {
+			d.k.After(slowExtra, func() {
 				d.outstanding--
 				done()
 			})

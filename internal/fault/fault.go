@@ -1,8 +1,9 @@
 // Package fault is the deterministic fault-injection subsystem: seeded
 // storage faults (transient errors and tail-latency spikes at device
 // completion time), syscall-level injection plans for the replayer, and
-// the resilience knobs the replayer consults (retry/backoff, stall
-// watchdog, graceful degradation).
+// the resilience knobs the replayer consults (retry with backoff, stall
+// watchdog). An action still failing after its retries is counted and
+// skipped.
 //
 // Determinism contract: every injection decision is a pure function of
 // (plan seed, site label, event index) — never of wall-clock time, host
@@ -20,33 +21,28 @@ package fault
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"rootreplay/internal/vfs"
 )
 
-// DegradeMode selects what the replayer does with actions that still
-// fail after retries (or with an exhausted error budget).
-type DegradeMode int
-
-// Degradation modes.
+// The constants of the plans: how often and how long a device retries a
+// transient error, how long a slow completion is deferred, and how the
+// replayer backs off between attempts of an injected failure.
 const (
-	// DegradeSkip counts the failure in the semantic-error accounting
-	// and moves on (the default: replay completes, errors are reported).
-	DegradeSkip DegradeMode = iota
-	// DegradeAbort stops the replay once Plan.MaxErrors semantic errors
-	// have accumulated, returning a structured StallReport-style error.
-	DegradeAbort
+	// maxErrorRetries caps a device's internal retries per request, so
+	// a saturated error rate cannot live-lock it.
+	maxErrorRetries = 8
+	// retryDelay is the virtual time before a failed request is
+	// resubmitted.
+	retryDelay = 500 * time.Microsecond
+	// slowExtra is the added completion delay of a slow completion.
+	slowExtra = 10 * time.Millisecond
+	// backoff is the first replayer retry's virtual-time delay; each
+	// later retry doubles it, up to backoffCap.
+	backoff    = 100 * time.Microsecond
+	backoffCap = 10 * time.Millisecond
 )
-
-// String names the mode for reports and flags.
-func (m DegradeMode) String() string {
-	if m == DegradeAbort {
-		return "abort"
-	}
-	return "skip"
-}
 
 // StoragePlan configures fault injection on one block device. Faults
 // are injected at completion time: the device's elevator/slot logic has
@@ -55,40 +51,17 @@ func (m DegradeMode) String() string {
 // completion (a slow-IO tail-latency spike).
 type StoragePlan struct {
 	// ErrorRate is the probability a completion is turned into a
-	// transient error. The device retries internally after RetryDelay,
-	// so upper layers observe only latency — as with a real drive whose
-	// firmware retries a flaky sector.
+	// transient error. The device retries internally after 500µs, up to
+	// 8 times per request, so upper layers observe only latency — as
+	// with a real drive whose firmware retries a flaky sector.
 	ErrorRate float64
-	// MaxErrorRetries caps internal retries per request so a saturated
-	// error rate cannot live-lock the device. Zero selects 8.
-	MaxErrorRetries int
-	// RetryDelay is the virtual-time delay before a failed request is
-	// resubmitted. Zero selects 500µs.
-	RetryDelay time.Duration
-	// SlowRate is the probability a completion is deferred by SlowExtra,
+	// SlowRate is the probability a completion is deferred by 10ms,
 	// modelling tail-latency spikes (media retries, thermal throttling).
 	SlowRate float64
-	// SlowExtra is the added completion delay for slow completions. Zero
-	// selects 10ms.
-	SlowExtra time.Duration
 }
 
 // Enabled reports whether the plan injects anything.
 func (p StoragePlan) Enabled() bool { return p.ErrorRate > 0 || p.SlowRate > 0 }
-
-// withDefaults fills zero fields.
-func (p StoragePlan) withDefaults() StoragePlan {
-	if p.MaxErrorRetries <= 0 {
-		p.MaxErrorRetries = 8
-	}
-	if p.RetryDelay <= 0 {
-		p.RetryDelay = 500 * time.Microsecond
-	}
-	if p.SlowExtra <= 0 {
-		p.SlowExtra = 10 * time.Millisecond
-	}
-	return p
-}
 
 // SyscallPlan configures syscall-level injection in the replayer:
 // selected replay actions return an error instead of executing, feeding
@@ -101,41 +74,15 @@ type SyscallPlan struct {
 	// Errno is the injected error's symbolic name (e.g. "EIO", the
 	// default, or "ENOSPC").
 	Errno string
-	// Calls, when non-empty, restricts injection to these call names
-	// (exact match on the traced name).
-	Calls []string
-	// PathSubstr, when non-empty, restricts injection to actions whose
-	// path contains it.
-	PathSubstr string
-	// MaxInjections caps total injections; zero means unlimited.
-	MaxInjections int64
 }
 
 // RetryPlan configures the replayer's per-action retry of injected
-// failures, with capped exponential backoff in virtual time.
+// failures, with capped exponential backoff in virtual time: 100µs
+// before the first retry, doubling up to 10ms.
 type RetryPlan struct {
 	// MaxAttempts is the total number of attempts per action (1 = no
 	// retry). Values above 16 are clamped.
 	MaxAttempts int
-	// Backoff is the first retry's virtual-time delay. Zero selects
-	// 100µs. Subsequent retries double it, capped at BackoffCap.
-	Backoff time.Duration
-	// BackoffCap bounds the doubled backoff. Zero selects 10ms.
-	BackoffCap time.Duration
-}
-
-// withDefaults fills zero fields and clamps.
-func (p RetryPlan) withDefaults() RetryPlan {
-	if p.MaxAttempts > 16 {
-		p.MaxAttempts = 16
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = 100 * time.Microsecond
-	}
-	if p.BackoffCap <= 0 {
-		p.BackoffCap = 10 * time.Millisecond
-	}
-	return p
 }
 
 // Plan is a complete fault-injection configuration. The zero value
@@ -144,11 +91,8 @@ type Plan struct {
 	// Seed drives every injection decision. Two runs with the same seed
 	// (and the same workload) inject identically.
 	Seed uint64
-	// Storage is the default per-device storage plan.
+	// Storage is the storage plan of every leaf device.
 	Storage StoragePlan
-	// StorageByDevice overrides Storage for devices whose Name ends with
-	// the map key (device names look like "linux-ext4-raid0/hdd0").
-	StorageByDevice map[string]StoragePlan
 	// Syscall is the replay-action injection plan.
 	Syscall SyscallPlan
 	// Retry configures replayer retry of injected failures.
@@ -157,23 +101,6 @@ type Plan struct {
 	// action completes for this much virtual time, the replay is stopped
 	// and a structured StallReport is returned instead of a silent hang.
 	Watchdog time.Duration
-	// Degrade selects skip-and-count (default) or abort.
-	Degrade DegradeMode
-	// MaxErrors is the semantic-error budget for DegradeAbort; zero
-	// aborts on the first error.
-	MaxErrors int
-}
-
-// storagePlanFor resolves the effective plan for a device name,
-// preferring the longest matching suffix override.
-func (p *Plan) storagePlanFor(name string) StoragePlan {
-	best, bestLen := p.Storage, -1
-	for suffix, sp := range p.StorageByDevice {
-		if strings.HasSuffix(name, suffix) && len(suffix) > bestLen {
-			best, bestLen = sp, len(suffix)
-		}
-	}
-	return best
 }
 
 // Stats counts injected faults and the recovery work they triggered.
@@ -187,8 +114,8 @@ type Stats struct {
 	// Recovered counts actions that failed an attempt but matched the
 	// trace after retrying.
 	Recovered int64
-	// Skipped counts actions still failing after the retry budget in
-	// skip-and-count mode.
+	// Skipped counts actions still failing after the retry budget,
+	// counted as semantic errors and skipped.
 	Skipped int64
 	// StorageErrors counts transient device errors (internally retried).
 	StorageErrors int64
@@ -221,19 +148,14 @@ type Injector struct {
 	plan    Plan
 	syscall stream
 	errno   vfs.Errno
-	calls   map[string]struct{}
 	stats   Stats
 }
 
-// New builds an Injector for plan, normalizing defaults. It panics on
+// New builds an Injector for plan, clamping MaxAttempts. It panics on
 // an unknown Syscall.Errno name so misconfigured chaos runs fail
 // loudly instead of injecting the wrong error.
 func New(plan Plan) *Injector {
-	plan.Storage = plan.Storage.withDefaults()
-	for k, sp := range plan.StorageByDevice {
-		plan.StorageByDevice[k] = sp.withDefaults()
-	}
-	plan.Retry = plan.Retry.withDefaults()
+	plan.Retry.MaxAttempts = min(plan.Retry.MaxAttempts, 16)
 	in := &Injector{
 		plan:    plan,
 		syscall: newStream(plan.Seed, "syscall"),
@@ -246,12 +168,6 @@ func New(plan Plan) *Injector {
 		}
 		in.errno = e
 	}
-	if len(plan.Syscall.Calls) > 0 {
-		in.calls = make(map[string]struct{}, len(plan.Syscall.Calls))
-		for _, c := range plan.Syscall.Calls {
-			in.calls[c] = struct{}{}
-		}
-	}
 	return in
 }
 
@@ -263,23 +179,8 @@ func (in *Injector) Stats() Stats { return in.stats }
 // (seed, action, attempt), so replays inject identically regardless of
 // interleaving; attempts are capped at 64 per action by construction
 // (RetryPlan clamps far below that).
-func (in *Injector) SyscallFault(action, attempt int, call, path string) (vfs.Errno, bool) {
-	p := &in.plan.Syscall
-	if p.Rate <= 0 {
-		return vfs.OK, false
-	}
-	if p.MaxInjections > 0 && in.stats.SyscallInjected >= p.MaxInjections {
-		return vfs.OK, false
-	}
-	if in.calls != nil {
-		if _, ok := in.calls[call]; !ok {
-			return vfs.OK, false
-		}
-	}
-	if p.PathSubstr != "" && !strings.Contains(path, p.PathSubstr) {
-		return vfs.OK, false
-	}
-	if !in.syscall.hit(uint64(action)<<6|uint64(attempt&63), p.Rate) {
+func (in *Injector) SyscallFault(action, attempt int) (vfs.Errno, bool) {
+	if !in.syscall.hit(uint64(action)<<6|uint64(attempt&63), in.plan.Syscall.Rate) {
 		return vfs.OK, false
 	}
 	in.stats.SyscallInjected++
@@ -295,17 +196,14 @@ func (in *Injector) RetryAttempts() int {
 }
 
 // Backoff returns the virtual-time delay before the given retry
-// attempt (attempt 1 = first retry): Backoff doubled per attempt,
-// capped at BackoffCap.
+// attempt (attempt 1 = first retry): 100µs doubled per attempt, capped
+// at 10ms.
 func (in *Injector) Backoff(attempt int) time.Duration {
-	d := in.plan.Retry.Backoff
-	for i := 1; i < attempt && d < in.plan.Retry.BackoffCap; i++ {
+	d := backoff
+	for i := 1; i < attempt && d < backoffCap; i++ {
 		d *= 2
 	}
-	if d > in.plan.Retry.BackoffCap {
-		d = in.plan.Retry.BackoffCap
-	}
-	return d
+	return min(d, backoffCap)
 }
 
 // CountRetry records one replayer retry attempt.
@@ -315,15 +213,11 @@ func (in *Injector) CountRetry() { in.stats.Retries++ }
 // retrying an injected failure.
 func (in *Injector) CountRecovered() { in.stats.Recovered++ }
 
-// CountSkipped records an action still failing after its retry budget
-// in skip-and-count mode.
+// CountSkipped records an action still failing after its retry budget.
 func (in *Injector) CountSkipped() { in.stats.Skipped++ }
 
 // Watchdog returns the stall-watchdog interval (zero = disabled).
 func (in *Injector) Watchdog() time.Duration { return in.plan.Watchdog }
-
-// Degrade returns the degradation mode and error budget.
-func (in *Injector) Degrade() (DegradeMode, int) { return in.plan.Degrade, in.plan.MaxErrors }
 
 // stream is a deterministic per-site decision source. It is stateless:
 // decision i is a pure function of (seed, site, i), so sites never

@@ -65,35 +65,19 @@ func TestStreamRateIsRoughlyCalibrated(t *testing.T) {
 	}
 }
 
-func TestSyscallFaultFilters(t *testing.T) {
-	in := New(Plan{Seed: 1, Syscall: SyscallPlan{
-		Rate: 1, Errno: "ENOSPC", Calls: []string{"write"}, PathSubstr: "/data",
-	}})
-	if _, ok := in.SyscallFault(0, 0, "read", "/data/f"); ok {
-		t.Fatal("call filter ignored")
-	}
-	if _, ok := in.SyscallFault(0, 0, "write", "/etc/f"); ok {
-		t.Fatal("path filter ignored")
-	}
-	e, ok := in.SyscallFault(0, 0, "write", "/data/f")
-	if !ok || e != vfs.ENOSPC {
-		t.Fatalf("got (%v, %v), want (ENOSPC, true)", e, ok)
-	}
-	if in.Stats().SyscallInjected != 1 {
-		t.Fatalf("SyscallInjected = %d, want 1", in.Stats().SyscallInjected)
-	}
-}
-
-func TestSyscallFaultCap(t *testing.T) {
-	in := New(Plan{Seed: 1, Syscall: SyscallPlan{Rate: 1, MaxInjections: 3}})
-	n := 0
-	for i := 0; i < 10; i++ {
-		if _, ok := in.SyscallFault(i, 0, "read", "/f"); ok {
-			n++
+// An injected fault returns the plan's named errno and is counted.
+func TestSyscallFaultReturnsNamedErrno(t *testing.T) {
+	in := New(Plan{Seed: 1, Syscall: SyscallPlan{Rate: 1, Errno: "ENOSPC"}})
+	for i := 0; i < 3; i++ {
+		if e, ok := in.SyscallFault(i, 0); !ok || e != vfs.ENOSPC {
+			t.Fatalf("got (%v, %v), want (ENOSPC, true)", e, ok)
 		}
 	}
-	if n != 3 {
-		t.Fatalf("injected %d, want capped at 3", n)
+	if in.Stats().SyscallInjected != 3 {
+		t.Fatalf("SyscallInjected = %d, want 3", in.Stats().SyscallInjected)
+	}
+	if _, ok := New(Plan{Seed: 1}).SyscallFault(0, 0); ok {
+		t.Fatal("zero rate injected")
 	}
 }
 
@@ -107,33 +91,20 @@ func TestUnknownErrnoPanics(t *testing.T) {
 }
 
 func TestBackoffDoublesAndCaps(t *testing.T) {
-	in := New(Plan{Retry: RetryPlan{
-		MaxAttempts: 8, Backoff: time.Millisecond, BackoffCap: 3 * time.Millisecond,
-	}})
-	if d := in.Backoff(1); d != time.Millisecond {
-		t.Fatalf("attempt 1 backoff %v", d)
-	}
-	if d := in.Backoff(2); d != 2*time.Millisecond {
-		t.Fatalf("attempt 2 backoff %v", d)
-	}
-	if d := in.Backoff(5); d != 3*time.Millisecond {
-		t.Fatalf("attempt 5 backoff %v, want capped at 3ms", d)
-	}
-}
-
-func TestStoragePlanSuffixOverride(t *testing.T) {
-	p := Plan{
-		Storage: StoragePlan{ErrorRate: 0.1},
-		StorageByDevice: map[string]StoragePlan{
-			"hdd0":      {ErrorRate: 0.5},
-			"raid/hdd0": {ErrorRate: 0.9},
-		},
-	}
-	if got := p.storagePlanFor("t/raid/hdd0").ErrorRate; got != 0.9 {
-		t.Fatalf("longest suffix must win, got rate %v", got)
-	}
-	if got := p.storagePlanFor("t/hdd1").ErrorRate; got != 0.1 {
-		t.Fatalf("unmatched device must use the default, got rate %v", got)
+	in := New(Plan{Retry: RetryPlan{MaxAttempts: 16}})
+	for _, tc := range []struct {
+		attempt int
+		want    time.Duration
+	}{
+		{1, 100 * time.Microsecond},
+		{2, 200 * time.Microsecond},
+		{7, 6400 * time.Microsecond},
+		{8, 10 * time.Millisecond}, // 12.8ms, capped
+		{15, 10 * time.Millisecond},
+	} {
+		if d := in.Backoff(tc.attempt); d != tc.want {
+			t.Fatalf("attempt %d backoff %v, want %v", tc.attempt, d, tc.want)
+		}
 	}
 }
 
@@ -197,14 +168,15 @@ func TestDeviceFaultsRetryAndReproduce(t *testing.T) {
 // A saturated error rate must terminate via the retry cap rather than
 // live-locking the simulation.
 func TestDeviceErrorRetryCap(t *testing.T) {
-	done, st := runDeviceWorkload(t, 5, StoragePlan{ErrorRate: 1, MaxErrorRetries: 4}, 16)
+	done, st := runDeviceWorkload(t, 5, StoragePlan{ErrorRate: 1}, 16)
 	for i, d := range done {
 		if d == 0 {
 			t.Fatalf("request %d never completed under saturated error rate", i)
 		}
 	}
-	if st.StorageErrors != 16*4 {
-		t.Fatalf("StorageErrors = %d, want 64 (4 capped retries per request)", st.StorageErrors)
+	if st.StorageErrors != 16*maxErrorRetries {
+		t.Fatalf("StorageErrors = %d, want %d (%d capped retries per request)",
+			st.StorageErrors, 16*maxErrorRetries, maxErrorRetries)
 	}
 }
 

@@ -192,9 +192,9 @@ func TestCloseDuringBlockedReadDoesNotRecycle(t *testing.T) {
 	})
 	k.Spawn("closer", func(th *sim.Thread) {
 		for fd == 0 {
-			th.Sleep(sys.Conf.SyscallCPU)
+			th.Sleep(syscallCPU)
 		}
-		th.Sleep(10 * sys.Conf.SyscallCPU) // the reader is inside its device wait now
+		th.Sleep(10 * syscallCPU) // the reader is inside its device wait now
 		if _, err := sys.Close(th, fd); err != vfs.OK {
 			t.Errorf("close = %v", err)
 		}

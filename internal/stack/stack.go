@@ -53,20 +53,6 @@ type Config struct {
 	Scheduler  SchedulerKind
 	SliceSync  time.Duration // CFQ slice_sync; zero = default 100ms
 	CachePages int64         // page-cache capacity; zero = 1 GiB worth
-	SyscallCPU time.Duration // base CPU charge per syscall; zero = 1µs
-	// WritebackDelay enables a pdflush-style background flusher: dirty
-	// pages are written to the device this long after the first dirty
-	// page appears, and periodically thereafter while dirty pages
-	// remain. Zero disables background writeback (dirty data reaches the
-	// device only through fsync/sync/eviction), which is the
-	// configuration the calibrated experiments use.
-	WritebackDelay time.Duration
-	// Aging fragments file layout, modelling a file system aged by
-	// real-world use (the initialization extension §4.3.2 suggests):
-	// 0 is a fresh, contiguous layout; 1 splits every allocation into
-	// scattered small extents. Sequential reads on an aged layout cost
-	// seeks, as on a real aged disk.
-	Aging float64
 	// Faults, when non-nil, injects storage faults per the injector's
 	// plan: each leaf device (RAID members individually) is wrapped so
 	// transient errors and tail-latency spikes hit at completion time,
@@ -197,9 +183,6 @@ type System struct {
 
 	openCount map[*vfs.Inode]int // open descriptors per inode, for deferred frees
 
-	// agingRNG drives deterministic layout scatter when Conf.Aging > 0.
-	agingRNG uint64
-
 	traceStart time.Duration
 	seq        int64
 
@@ -208,10 +191,6 @@ type System struct {
 	callTime   [numOps]time.Duration
 	callErrors int64
 	threadTime time.Duration
-
-	// writebackArmed guards against double-scheduling the background
-	// flusher.
-	writebackArmed bool
 }
 
 const (
@@ -219,6 +198,9 @@ const (
 	journalRegionBlocks = 1 << 15 // 128 MiB journal
 	pageBlocks          = 1       // one cache page = one device block
 	maxReadahead        = 32      // 128 KiB, the Linux default
+
+	// syscallCPU is the base CPU charge of every syscall.
+	syscallCPU = time.Microsecond
 )
 
 // New builds a System from a Config on a fresh kernel-bound device
@@ -260,9 +242,6 @@ func New(k *sim.Kernel, conf Config) *System {
 	if pages <= 0 {
 		pages = 1 << 18 // 1 GiB
 	}
-	if conf.SyscallCPU <= 0 {
-		conf.SyscallCPU = time.Microsecond
-	}
 	sys := &System{
 		K:          k,
 		Conf:       conf,
@@ -283,33 +262,7 @@ func New(k *sim.Kernel, conf Config) *System {
 			sys.Cache.Drop(cache.FileID(ino.Ino))
 		}
 	})
-	if conf.WritebackDelay > 0 {
-		sys.Cache.OnFirstDirty(sys.armWriteback)
-	}
 	return sys
-}
-
-// armWriteback schedules a background flush WritebackDelay after the
-// cache first becomes dirty (the pdflush model). The flush runs in its
-// own short-lived simulated thread; if new pages were dirtied while it
-// ran, another round is scheduled, and otherwise the next 0->1 dirty
-// transition re-arms the timer. Because flushes are armed only while
-// dirty data exists, the simulation still terminates when the workload
-// does.
-func (s *System) armWriteback() {
-	if s.writebackArmed {
-		return
-	}
-	s.writebackArmed = true
-	s.K.After(s.Conf.WritebackDelay, func() {
-		s.K.Spawn("writeback", func(t *sim.Thread) {
-			s.Cache.SyncAll(t)
-			s.writebackArmed = false
-			if s.Cache.DirtyCount() > 0 {
-				s.armWriteback()
-			}
-		})
-	})
 }
 
 // SetTracer appends a Record for every syscall to tr, interning its
@@ -350,9 +303,8 @@ func (s *System) Stats() *Stats {
 }
 
 // placementOf returns (allocating if needed) the block placement of ino,
-// covering at least pages pages. With Conf.Aging > 0 allocations are
-// split into scattered extents, modelling a fragmented, aged file
-// system.
+// covering at least pages pages. Each allocation is contiguous and
+// extends the file's last extent when the blocks follow it.
 func (s *System) placementOf(ino *vfs.Inode, pages int64) *placement {
 	p, _ := ino.Sys.(*placement)
 	if p == nil {
@@ -368,48 +320,17 @@ func (s *System) placementOf(ino *vfs.Inode, pages int64) *placement {
 	if need < 64 {
 		need = 64 // allocate in 256 KiB chunks to bound extent count
 	}
-	if s.Conf.Aging <= 0 {
-		lba := s.nextData
-		s.nextData += need + s.Conf.Profile.AllocGapBlocks
-		if len(p.extents) > 0 {
-			last := &p.extents[len(p.extents)-1]
-			if last.lba+last.blocks == lba {
-				last.blocks += need
-				return p
-			}
+	lba := s.nextData
+	s.nextData += need + s.Conf.Profile.AllocGapBlocks
+	if len(p.extents) > 0 {
+		last := &p.extents[len(p.extents)-1]
+		if last.lba+last.blocks == lba {
+			last.blocks += need
+			return p
 		}
-		p.extents = append(p.extents, extent{firstPage: covered, lba: lba, blocks: need})
-		return p
 	}
-	// Aged layout: carve the allocation into small extents, each placed
-	// after a pseudorandom gap proportional to the aging factor.
-	first := covered
-	for need > 0 {
-		chunk := int64(16) // 64 KiB fragments
-		if chunk > need {
-			chunk = need
-		}
-		gap := int64(float64(s.nextRand()%4096) * s.Conf.Aging)
-		lba := s.nextData + gap
-		s.nextData = lba + chunk + s.Conf.Profile.AllocGapBlocks
-		p.extents = append(p.extents, extent{firstPage: first, lba: lba, blocks: chunk})
-		first += chunk
-		need -= chunk
-	}
+	p.extents = append(p.extents, extent{firstPage: covered, lba: lba, blocks: need})
 	return p
-}
-
-// nextRand is a small deterministic xorshift for layout scatter.
-func (s *System) nextRand() uint64 {
-	if s.agingRNG == 0 {
-		s.agingRNG = 0x9E3779B97F4A7C15
-	}
-	x := s.agingRNG
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.agingRNG = x
-	return x
 }
 
 // mapperFor returns a cache.Mapper for ino covering at least pages.
@@ -459,7 +380,7 @@ type callEntry struct {
 // enter charges the base syscall CPU cost and notes the entry time.
 func (s *System) enter(t *sim.Thread, op Op) callEntry {
 	start := s.K.Now()
-	t.Sleep(s.Conf.SyscallCPU)
+	t.Sleep(syscallCPU)
 	return callEntry{op: op, at: start}
 }
 

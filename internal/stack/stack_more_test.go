@@ -463,35 +463,10 @@ func TestExt3VsExt4FsyncCost(t *testing.T) {
 	}
 }
 
-func TestBackgroundWriteback(t *testing.T) {
-	k, sys := newSys(func(c *Config) { c.WritebackDelay = 50 * time.Millisecond })
-	run(t, k, func(th *sim.Thread) {
-		fd, _ := sys.Open(th, "/f", trace.OWronly|trace.OCreat, 0o644)
-		sys.Write(th, fd, 16384)
-		if sys.Dev.Stats().Writes != 0 {
-			t.Error("write reached device before the writeback delay")
-		}
-		th.Sleep(100 * time.Millisecond)
-		if sys.Dev.Stats().Writes == 0 {
-			t.Error("background writeback never ran")
-		}
-		if sys.Cache.DirtyCount() != 0 {
-			t.Errorf("dirty pages remain: %d", sys.Cache.DirtyCount())
-		}
-		// Re-dirtying re-arms the flusher.
-		sys.Write(th, fd, 4096)
-		th.Sleep(100 * time.Millisecond)
-		if sys.Cache.DirtyCount() != 0 {
-			t.Error("second writeback round never ran")
-		}
-		sys.Close(th, fd)
-	})
-	// Reaching here means the simulation terminated: the flusher does
-	// not keep the kernel alive once everything is clean.
-}
-
+// Dirty data reaches the device only through fsync, sync or eviction:
+// there is no background flusher.
 func TestNoWritebackWhenDisabled(t *testing.T) {
-	k, sys := newSys(nil) // WritebackDelay zero
+	k, sys := newSys(nil)
 	run(t, k, func(th *sim.Thread) {
 		fd, _ := sys.Open(th, "/f", trace.OWronly|trace.OCreat, 0o644)
 		sys.Write(th, fd, 16384)
@@ -521,33 +496,6 @@ func TestDeadlineSchedulerConfig(t *testing.T) {
 		}
 		sys.Close(th, fd)
 	})
-}
-
-// Aged layout: a file written on a fragmented file system reads back
-// slower sequentially than on a fresh, contiguous layout (§4.3.2's
-// aging-aware initialization).
-func TestAgedLayoutSlowsSequentialReads(t *testing.T) {
-	seqRead := func(aging float64) time.Duration {
-		k, sys := newSys(func(c *Config) { c.Aging = aging; c.Scheduler = SchedNoop })
-		if err := sys.SetupCreate("/big", 16<<20); err != nil {
-			t.Fatal(err)
-		}
-		var d time.Duration
-		run(t, k, func(th *sim.Thread) {
-			fd, _ := sys.Open(th, "/big", trace.ORdonly, 0)
-			start := k.Now()
-			for i := 0; i < 4096; i++ {
-				sys.Read(th, fd, 4096)
-			}
-			d = k.Now() - start
-		})
-		return d
-	}
-	fresh := seqRead(0)
-	aged := seqRead(1.0)
-	if float64(aged) < 1.5*float64(fresh) {
-		t.Fatalf("aged sequential read (%v) not much slower than fresh (%v)", aged, fresh)
-	}
 }
 
 // BenchmarkWarmAll warms a freshly built machine, as every replica of a

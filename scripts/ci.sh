@@ -32,7 +32,8 @@
 # counts, and slice granularities, the components and pipeline family
 # specs regenerate exactly, and the chaos invariants hold through the
 # sharded replayer), chaos (seeded fault sweep with per-seed
-# verification plus a single-seed bit-repro check), cache (artifact
+# verification, a single-seed bit-repro check, and the default plan's
+# export hashes, pinned across commits), cache (artifact
 # cache hit/corruption behavior), allocs (the replay loop's
 # allocations-per-record ceilings, the warm's per-page ceiling and the
 # decoder's and the ingest path's bytes-per-record ceilings, printed,
@@ -218,6 +219,8 @@ chaos() {
   "$tmp/artc" chaos -magritte pages_docphoto15 -gen-scale 0.01 -seed 3 -quiet -o "$tmp/chaos-a.json"
   "$tmp/artc" chaos -magritte pages_docphoto15 -gen-scale 0.01 -seed 3 -quiet -o "$tmp/chaos-b.json"
   cmp "$tmp/chaos-a.json" "$tmp/chaos-b.json"
+  echo "== chaos: default-plan exports match their pinned hashes, serial and sharded"
+  go test -count=1 -run 'TestChaosDefaultPlanPinned$' ./internal/fault/chaostest/
 }
 
 cache() {
