@@ -120,7 +120,7 @@ func (c sleepCorpus) replay(t *testing.T, paced bool) sleepOutcome {
 }
 
 // TestSleepInPlaceMatchesPacedReplay: whether lone sleeps advance the
-// clock in place or, under a no-op Pacer, all go through the wheel, a
+// clock in place or, under a no-op Pacer, all go through the event queue, a
 // replay gives the same Report, the same Chrome export byte for byte —
 // counter samples included, so the obs probes sampled the same values at
 // the same virtual instants — and the same stack.Stats. scripts/ci.sh

@@ -177,21 +177,20 @@ func TestSleepForeverNeverWakes(t *testing.T) {
 	}
 }
 
-// A lone sleeper drags the empty wheel's window along with the clock.
-// Were base left behind, the timer armed after the long sleep would be
-// filed a level up, earliest() would know only a bound long past, and
-// no sleep could be taken in place while the timer was pending.
-func TestSleepInPlaceRebasesEmptyWheel(t *testing.T) {
+// A lone sleeper's long sleep is taken in place, and a timer armed after
+// it is the exact earliest pending event: the sleeps that end before it
+// are taken in place too, and only the sleep past it goes through Run.
+func TestSleepInPlaceBeforeTimer(t *testing.T) {
 	k := NewKernel()
 	fired := time.Duration(0)
-	const long = time.Duration(wheelSpan << wheelShift) // a window boundary, so the timer below is within level 0
+	const long = 300 * time.Millisecond
 	k.Spawn("lone", func(th *Thread) {
 		th.Sleep(long)
 		k.After(500*time.Microsecond, func() { fired = k.Now() })
 		for i := 0; i < 4; i++ {
 			th.Sleep(100 * time.Microsecond)
 		}
-		th.Sleep(time.Millisecond) // past the timer: through the wheel
+		th.Sleep(time.Millisecond) // past the timer: through Run
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -210,7 +209,7 @@ func (f completeFunc) Complete(tag uint64) { f(tag) }
 
 // The lifecycle cases of a sleep taken in place. Each runs twice, on a
 // plain kernel (the lone sleeper advances in place) and under nopPacer
-// (it goes through the wheel), and must come out the same.
+// (it goes through Run), and must come out the same.
 func TestSleepInPlaceLifecycle(t *testing.T) {
 	type result struct {
 		log      []string
@@ -306,7 +305,7 @@ func TestSleepInPlaceLifecycle(t *testing.T) {
 			k.Spawn("bystander", func(th *Thread) { th.Park("bystander") })
 		}, func(t *testing.T, r result) {
 			// In place the hook runs on the sleeper's stack, so the value
-			// arrives wrapped; through the wheel it is Run's own panic.
+			// arrives wrapped; through Run it is Run's own panic.
 			v := r.panicked
 			if tp, ok := v.(*ThreadPanic); ok {
 				v = tp.Value

@@ -4,13 +4,14 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
 
 // oracleHeap is the kernel's former container/heap event queue, kept
-// verbatim as the test oracle: the wheel must dequeue in exactly this
-// order for every insert sequence.
+// verbatim as the test oracle: the event queue must dequeue in exactly
+// this order for every insert sequence.
 type oracleHeap []*event
 
 func (h oracleHeap) Len() int { return len(h) }
@@ -31,110 +32,96 @@ func (h *oracleHeap) Pop() interface{} {
 	return e
 }
 
-// randomAt draws an insert time at or after now, weighted to exercise
-// every wheel path: same-instant ties, sub-tick offsets, level-0 and
-// level-1 distances, and far times beyond the wheel horizon that land
-// in the overflow heap and later cascade in.
+// randomAt draws an insert time at or after now, weighted toward the
+// simulation's own scales: same-instant ties, microsecond neighbours,
+// device latencies up to a millisecond, scheduler slices up to a quarter
+// second, and far times and jumps that leave long empty stretches.
 func randomAt(r *rand.Rand, now time.Duration) time.Duration {
+	const slice = 268 * time.Millisecond
 	switch r.Intn(10) {
 	case 0, 1:
 		return now // same-instant burst
 	case 2:
-		return now + time.Duration(r.Int63n(1<<wheelShift)) // same tick or next
+		return now + time.Duration(r.Int63n(int64(4*time.Microsecond))) // near neighbour
 	case 3, 4, 5:
-		return now + time.Duration(r.Int63n(int64(wheelSlots)<<wheelShift)) // level 0
+		return now + time.Duration(r.Int63n(int64(time.Millisecond))) // device latency
 	case 6, 7:
-		return now + time.Duration(r.Int63n(int64(wheelSpan)<<wheelShift)) // level 1
+		return now + time.Duration(r.Int63n(int64(slice))) // scheduler slice
 	case 8:
-		return now + time.Duration(int64(wheelSpan)<<wheelShift) +
-			time.Duration(r.Int63n(int64(wheelSpan)<<wheelShift)) // overflow
+		return now + slice + time.Duration(r.Int63n(int64(slice))) // far
 	default:
-		// Far jump: empty stretches force multi-slot advances.
-		return now + time.Duration(r.Int63n(int64(8*wheelSpan)<<wheelShift))
+		return now + time.Duration(r.Int63n(int64(8*slice))) // far jump
 	}
 }
 
-// TestWheelMatchesHeapOracle drives a wheel and the old heap with the
-// same randomized insert/expire sequence and requires identical dequeue
-// order — the determinism contract of the replacement. Mixed in are the
-// clock moves of sleeps taken in place: now jumps to any instant strictly
-// before earliest() without an expire, then rebase as sleepInPlace does. After every step earliest() must not exceed
-// the oracle's minimum and must equal it whenever level 0 is occupied.
-func TestWheelMatchesHeapOracle(t *testing.T) {
+// TestEventQueueMatchesHeapOracle drives the event queue and the old
+// heap with the same randomized insert/pop sequence and requires
+// identical dequeue order — the determinism contract of the queue. Mixed
+// in are the clock moves of sleeps taken in place: now jumps to any
+// instant strictly before earliest() without a pop. After every step
+// earliest() must equal the oracle's minimum.
+func TestEventQueueMatchesHeapOracle(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 12345, 987654321} {
 		r := rand.New(rand.NewSource(seed))
-		var w wheel
+		var q queue
 		var h oracleHeap
 		var seq uint64
 		now := time.Duration(0)
-		var batch []*event
-		var rebased, advanced int
+		var advanced, onEmpty int
 
-		expireOne := func() {
-			batch = batch[:0]
-			if !w.expire(&batch) {
+		popOne := func() {
+			if q.len() == 0 {
 				if len(h) != 0 {
-					t.Fatalf("seed %d: wheel empty, oracle has %d", seed, len(h))
+					t.Fatalf("seed %d: queue empty, oracle has %d", seed, len(h))
 				}
 				return
 			}
-			now = batch[0].at
-			for _, e := range batch {
-				if len(h) == 0 {
-					t.Fatalf("seed %d: wheel produced %v/%d, oracle empty", seed, e.at, e.seq)
-				}
-				want := heap.Pop(&h).(*event)
-				if e.at != want.at || e.seq != want.seq {
-					t.Fatalf("seed %d: wheel dequeued (%v, %d), oracle (%v, %d)",
-						seed, e.at, e.seq, want.at, want.seq)
-				}
-				if e.at != now {
-					t.Fatalf("seed %d: batch mixes instants %v and %v", seed, now, e.at)
-				}
+			e := q.pop()
+			if len(h) == 0 {
+				t.Fatalf("seed %d: queue produced %v/%d, oracle empty", seed, e.at, e.seq)
 			}
+			want := heap.Pop(&h).(*event)
+			if e.at != want.at || e.seq != want.seq {
+				t.Fatalf("seed %d: queue dequeued (%v, %d), oracle (%v, %d)",
+					seed, e.at, e.seq, want.at, want.seq)
+			}
+			if e.at < now {
+				t.Fatalf("seed %d: dequeued %v after the clock reached %v", seed, e.at, now)
+			}
+			now = e.at
 		}
 		insert := func(at time.Duration) {
 			e := &event{at: at, seq: seq}
 			seq++
-			w.insert(e)
+			q.push(e)
 			heap.Push(&h, e)
 		}
 		checkEarliest := func(op int) {
-			got := w.earliest()
-			if len(h) == 0 {
-				if got != math.MaxInt64 {
-					t.Fatalf("seed %d op %d: earliest() = %v on an empty wheel", seed, op, got)
-				}
-				return
+			got, want := q.earliest(), time.Duration(math.MaxInt64)
+			if len(h) > 0 {
+				want = h[0].at
 			}
-			if min := h[0].at; got > min || w.l0n > 0 && got != min {
-				t.Fatalf("seed %d op %d: earliest() = %v, oracle minimum %v, %d events in level 0",
-					seed, op, got, min, w.l0n)
+			if got != want || q.len() != len(h) {
+				t.Fatalf("seed %d op %d: earliest() = %v with %d pending, oracle minimum %v with %d",
+					seed, op, got, q.len(), want, len(h))
 			}
 		}
-		// advanceInPlace moves now as a sleep to wake would, if the wheel
+		// advanceInPlace moves now as a sleep to wake would, if the queue
 		// allows it.
 		advanceInPlace := func(wake time.Duration) {
-			if wake <= now || wake >= w.earliest() {
+			if wake <= now || wake >= q.earliest() {
 				return
 			}
 			now = wake
 			advanced++
-			w.rebase(wake)
-			if w.n == 0 {
-				rebased++
-				// The point of re-basing: an insert at the new now is a
-				// level-0 insert, whose time earliest() knows exactly.
-				insert(now)
-				if w.l0n != 1 {
-					t.Fatalf("seed %d: insert just after a re-base to %v missed level 0", seed, now)
-				}
+			if q.len() == 0 {
+				onEmpty++
 			}
 		}
 
 		for op := 0; op < 20000; op++ {
 			switch k := r.Intn(12); {
-			case w.n == 0 || k < 6:
+			case q.len() == 0 || k < 6:
 				// Insert a burst of 1–4 events; bursts create the
 				// same-instant ties the seq tie-break exists for.
 				burst := 1 + r.Intn(4)
@@ -143,33 +130,33 @@ func TestWheelMatchesHeapOracle(t *testing.T) {
 					insert(at)
 				}
 			case k < 9:
-				expireOne()
+				popOne()
 			case k < 11:
 				advanceInPlace(randomAt(r, now))
 			default:
-				// A lone sleeper: drain, then sleep past the old window.
-				for w.n > 0 {
-					expireOne()
+				// A lone sleeper: drain, then sleep.
+				for q.len() > 0 {
+					popOne()
 				}
 				advanceInPlace(randomAt(r, now))
 			}
 			checkEarliest(op)
 		}
-		for w.n > 0 {
-			expireOne()
+		for q.len() > 0 {
+			popOne()
 		}
 		if len(h) != 0 {
-			t.Fatalf("seed %d: drained wheel but oracle holds %d events", seed, len(h))
+			t.Fatalf("seed %d: drained queue but oracle holds %d events", seed, len(h))
 		}
-		if rebased == 0 || advanced == rebased {
-			t.Fatalf("seed %d: %d in-place advances, %d on an empty wheel: one of the two cases went untested",
-				seed, advanced, rebased)
+		if onEmpty == 0 || advanced == onEmpty {
+			t.Fatalf("seed %d: %d in-place advances, %d on an empty queue: one of the two cases went untested",
+				seed, advanced, onEmpty)
 		}
 	}
 }
 
-// BenchmarkOracleHeapTimerChurn reproduces the pre-wheel kernel's cost
-// model — container/heap plus a fresh event and closure per schedule —
+// BenchmarkOracleHeapTimerChurn reproduces the first kernel's cost model
+// — container/heap plus a fresh event and closure per schedule —
 // on the same churn pattern as simbench.TimerChurn, so the allocs/op
 // delta in BENCH JSON has an in-tree baseline.
 func BenchmarkOracleHeapTimerChurn(b *testing.B) {
@@ -208,8 +195,8 @@ func BenchmarkOracleHeapTimerChurn(b *testing.B) {
 
 // TestKernelEventOrderOracle checks the full kernel path: events
 // scheduled through At fire in (at, seq) order even when scheduling
-// happens from inside callbacks, which inserts into the live window and
-// appends to in-flight same-instant batches.
+// happens from inside callbacks, including at the instant being
+// dispatched.
 func TestKernelEventOrderOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	k := NewKernel()
@@ -224,7 +211,7 @@ func TestKernelEventOrderOracle(t *testing.T) {
 	schedule = func(depth int) {
 		n := 2 + r.Intn(6)
 		for i := 0; i < n; i++ {
-			at := k.Now() + time.Duration(r.Int63n(int64(2*wheelSpan)<<wheelShift))
+			at := k.Now() + time.Duration(r.Int63n(int64(536*time.Millisecond)))
 			if r.Intn(4) == 0 {
 				at = k.Now() // same-instant reentry
 			}
@@ -334,8 +321,7 @@ func TestTimerRandomStopReset(t *testing.T) {
 
 // TestBatchWakeSharedInstant stresses many threads released at one
 // instant: all wakes must happen at exactly that time, in the FIFO
-// order the sleeps were scheduled, regardless of direct-handoff and
-// same-instant batch extraction.
+// order the sleeps were scheduled.
 func TestBatchWakeSharedInstant(t *testing.T) {
 	const n = 500
 	k := NewKernel()
@@ -374,6 +360,51 @@ func TestBatchWakeSharedInstant(t *testing.T) {
 	for i := range order {
 		if order[i] != want[i] {
 			t.Fatalf("wake position %d: thread %d, want %d", i, order[i], want[i])
+		}
+	}
+}
+
+// pacerFunc adapts a function to the Pacer interface.
+type pacerFunc func(next time.Duration) bool
+
+func (f pacerFunc) Advance(next time.Duration) bool { return f(next) }
+
+// A pacer asked about the next instant may schedule work before it (never
+// before now). Whether it then asks for a re-plan or not, the injected
+// event runs first and the clock never moves backward.
+func TestPacerInjectionBeforeNextInstant(t *testing.T) {
+	for _, replan := range []bool{true, false} {
+		k := NewKernel()
+		var got []string
+		var times []time.Duration
+		logAt := func(name string) func() {
+			return func() {
+				got = append(got, name)
+				times = append(times, k.Now())
+			}
+		}
+		k.At(100*time.Microsecond, logAt("a"))
+		k.At(100*time.Microsecond, logAt("b"))
+		injected := false
+		k.SetPacer(pacerFunc(func(next time.Duration) bool {
+			if injected || next == PacerIdle {
+				return false
+			}
+			injected = true
+			k.At(k.Now()+(next-k.Now())/2, logAt("injected"))
+			return replan
+		}))
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := "injected a b"; strings.Join(got, " ") != want {
+			t.Errorf("replan=%v: dispatched %v at %v, want %s", replan, got, times, want)
+		}
+		for i := 1; i < len(times); i++ {
+			if times[i] < times[i-1] {
+				t.Errorf("replan=%v: clock moved backward: dispatch times %v", replan, times)
+				break
+			}
 		}
 	}
 }

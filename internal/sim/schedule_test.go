@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -166,14 +167,25 @@ type schedOpts struct {
 	states bool // with hooks: add every unfinished thread's state and the event sequence number
 	paced  bool // install nopPacer, so that no sleep is taken in place
 	sparse bool // two long threads and no pipe where the golden has six and one: mostly lone sleepers
+
+	advances *bytes.Buffer // with paced: the pacer logs every Advance call here
 }
 
 // nopPacer never objects to an advance. A paced kernel must ask before
 // its clock moves, so installing it turns sleepInPlace off and nothing
-// else: the differential tests need no switch in the kernel.
-type nopPacer struct{}
+// else: the differential tests need no switch in the kernel. With log
+// set it writes an "a next now eseq" line for every call.
+type nopPacer struct {
+	k   *Kernel
+	log *bytes.Buffer
+}
 
-func (nopPacer) Advance(time.Duration) bool { return false }
+func (p nopPacer) Advance(next time.Duration) bool {
+	if p.log != nil {
+		fmt.Fprintf(p.log, "a %d %d %d\n", next, p.k.now, p.k.eseq)
+	}
+	return false
+}
 
 // runSchedule runs the program for seed and returns its log — "r" lines
 // for resumes, "e" lines for events and, with hooks, an "h" line at
@@ -192,7 +204,7 @@ func runSchedule(seed int64, o schedOpts) (log string, inPlace uint64) {
 		})
 	}
 	if o.paced {
-		k.SetPacer(nopPacer{})
+		k.SetPacer(nopPacer{k: k, log: o.advances})
 	}
 	if o.hooks {
 		k.AddSchedHook(func() {
@@ -282,9 +294,10 @@ func TestScheduleGolden(t *testing.T) {
 // sleep paths: on every golden seed a hook that logs the clock, the
 // run-queue depth and each thread's state and wait reason sees the same
 // thing at the same scheduling points whether lone sleeps advance the
-// clock in place or, under a no-op Pacer, all go through the wheel. The
-// unpaced dense side is the run TestScheduleGolden pins; the sparse
-// programs are there because six busy threads seldom leave one alone.
+// clock in place or, under a no-op Pacer, all go through the event
+// queue. The unpaced dense side is the run TestScheduleGolden pins; the
+// sparse programs are there because six busy threads seldom leave one
+// alone.
 func TestSleepInPlaceMatchesPacedSchedule(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		var taken uint64
@@ -304,5 +317,60 @@ func TestSleepInPlaceMatchesPacedSchedule(t *testing.T) {
 			t.Fatalf("sparse=%v: no seed took a sleep in place, the comparison covers nothing", sparse)
 		}
 		t.Logf("sparse=%v: %d sleeps in place over %d seeds, with and without hooks", sparse, taken, scheduleSeeds)
+	}
+}
+
+// pacerAdvanceSums are the SHA-256 sums of the Advance logs of
+// TestPacerAdvancePinned, dense programs then sparse ones, seed 1 first.
+// They were recorded with the kernel whose event queue was a two-level
+// timer wheel with an instant batch.
+var pacerAdvanceSums = [2][scheduleSeeds]string{
+	{
+		"c6a3f5ee682e4315460e5142f9f3847defc406f3a8aab68b07ab7ee34874c448",
+		"f4ee4fd94e6fa1b9f8127291d176abb4467c352199d3503f302ba397af072d61",
+		"61e2db753bd0d71d1112a41a53c22ad5c6e0abf11c5a0db43079d5c1251c9c53",
+		"5b38f7cb08135b419f50c2daecbc6ed24390d6392508504194b615c77a1ad3c9",
+		"8a3494259ca9abaf0b7e27d082818cfaef0798af142c19ea7ef1a8705dd0d30e",
+		"091976df7957044b97eef2883487ff8df685ea50a0651b282f551fd77e7d9c00",
+		"ffc4e1f06877808c247cac127803bcdcf699fde82a4a44725a0c62cb18a87325",
+		"d25e0cdfb212f2c87fa81bbe2cf3c6289833e0cd55795cf2854d28665482a06d",
+		"4e5d929bdfadd70d9f9ba2ed731237510aad2114369d63b299a99dff8973d0ef",
+		"3f2436968ceb2f3bc332b65389d9262838e3ef25fe8600dfe2b71230501639fc",
+		"5eca8f4589851f2976aac1508485d2e6303df755b7d0eadd1a23117f9aaacb00",
+		"15d653857aa3e125942de1c5edfa86c44a5d721fb900e3a827ab249abada8ad5",
+	},
+	{
+		"712fcd117b78e5036e9991c667fefdc1091713eedf156766b7def751713c7494",
+		"0145ec1a2d3cb72bc7df06d34585ead319b1de9a917cb380f53a277de27af198",
+		"7b7e526e800ccf49fbfd4ba433e7717bd6682a7b68c869f9ba7aa538db9ebe32",
+		"3b7a2daa75cb935e0a186e1328658e11ae3de5b293a1aa8e7c159c2f88cd1909",
+		"f1a01eddd258ab228b83660a511b90be920e057b5a5a1ada1ad046f77d0ec4ea",
+		"e813e0a384ff3e06101db18289a4f167c48c1d59704a65b9cb15563af2223f95",
+		"19c7048e7c2f958ceacb3a40f80bc03e4105f74261209be212d91fdd782b7965",
+		"3c8a155e55c7a3a3b0ffefa45167f23a5ebb42354bef21c6af7a745b11e8f779",
+		"a8745918dce58ac00bf265bab0e5bddd2795365fe41609cb963a3be0f7289605",
+		"2a76318cb9ad18ee0558a12f022ff5c4f23fd22fb351fe5060b94fd10cc48904",
+		"43d478aa838eac257090e955a6ee20cb3d33869c6ced0505c26b23c14c5d168d",
+		"840a02b70b5a2b748847f50bf33a92d09254f08cdf9e1518c9087a35d514beea",
+	},
+}
+
+// TestPacerAdvancePinned pins the pacer conversation: the instants a
+// paced kernel asks about, at which clock and sequence number.
+// schedule.golden logs no Advance call, and the Advance calls are where
+// a parallel replay's members meet.
+func TestPacerAdvancePinned(t *testing.T) {
+	for i, sparse := range []bool{false, true} {
+		for seed := int64(1); seed <= scheduleSeeds; seed++ {
+			var advances bytes.Buffer
+			runSchedule(seed, schedOpts{paced: true, sparse: sparse, advances: &advances})
+			if advances.Len() == 0 {
+				t.Fatalf("sparse=%v seed %d: the pacer was never asked", sparse, seed)
+			}
+			sum := fmt.Sprintf("%x", sha256.Sum256(advances.Bytes()))
+			if want := pacerAdvanceSums[i][seed-1]; sum != want {
+				t.Errorf("sparse=%v seed %d: Advance log sha256 %s, pinned %s", sparse, seed, sum, want)
+			}
+		}
 	}
 }

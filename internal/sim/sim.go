@@ -99,7 +99,7 @@ func (tm *Timer) Reset(d time.Duration) {
 	e.op = opTimer
 	e.tm = tm
 	tm.ev = e
-	tm.k.enqueue(e)
+	tm.k.events.push(e)
 }
 
 // Stop revokes the pending expiry, if any. The callback will not run
@@ -152,20 +152,12 @@ func (t *Thread) Name() string { return t.name }
 type Kernel struct {
 	now     time.Duration
 	eseq    uint64
-	wheel   wheel
+	events  queue
 	runq    []*Thread
 	current *Thread
 	live    int // spawned threads whose bodies have not returned
 	nextID  int
 	threads []*Thread // unfinished threads, unordered: deadlock reports and reap
-
-	// batch holds the not-yet-dispatched remainder of the instant batch
-	// most recently expired from the wheel: every pending event at the
-	// earliest instant, in seq order. Events scheduled for the current
-	// instant while the batch is live are appended directly (seq is
-	// monotonic, so append preserves order), skipping the wheel.
-	batch   []*event
-	batchAt time.Duration
 
 	// pool is the event free list. Dispatched events are cleared and
 	// recycled here, so steady-state scheduling allocates nothing.
@@ -198,10 +190,11 @@ const PacerIdle = time.Duration(-1)
 // — and with next == PacerIdle when the kernel is out of work but
 // threads remain blocked. It may block the kernel, and it may inject
 // work (At, Unpark, Timer.Reset) before returning. Returning true tells
-// the kernel to re-plan: pending events are pushed back into the wheel
-// and the loop re-selects the earliest instant, picking up anything the
-// pacer injected. Returning false lets the kernel proceed: dispatch the
-// pending instant, or — after PacerIdle — declare deadlock.
+// the kernel to look at its run queue again before dispatching anything.
+// Returning false lets the kernel proceed: dispatch the earliest pending
+// event, or — after PacerIdle — declare deadlock. Event order does not
+// depend on the answer: an injected event earlier than next is the
+// earliest either way, and none is earlier than now.
 type Pacer interface {
 	Advance(next time.Duration) bool
 }
@@ -287,24 +280,13 @@ func (k *Kernel) release(e *event) {
 	k.pool = append(k.pool, e)
 }
 
-// enqueue files a stamped event: onto the live instant batch when it is
-// due at the instant currently being dispatched (append keeps seq
-// order), otherwise into the wheel.
-func (k *Kernel) enqueue(e *event) {
-	if len(k.batch) > 0 && e.at == k.batchAt {
-		k.batch = append(k.batch, e)
-		return
-	}
-	k.wheel.insert(e)
-}
-
 // At schedules fn to run in kernel context at absolute virtual time at.
 // Scheduling in the past (at < Now) runs the event at the current time.
 func (k *Kernel) At(at time.Duration, fn func()) {
 	e := k.newEvent(at)
 	e.op = opFunc
 	e.fn = fn
-	k.enqueue(e)
+	k.events.push(e)
 }
 
 // After schedules fn to run in kernel context d from now.
@@ -320,7 +302,7 @@ func (k *Kernel) AfterComplete(d time.Duration, c Completer, tag uint64) {
 	e.op = opComplete
 	e.c = c
 	e.tag = tag
-	k.enqueue(e)
+	k.events.push(e)
 }
 
 // Spawn creates a new simulated thread running fn and places it at the
@@ -452,27 +434,11 @@ func (k *Kernel) Run() error {
 			k.current = nil
 			continue
 		}
-		if len(k.batch) > 0 || k.wheel.n > 0 {
-			if len(k.batch) == 0 {
-				k.wheel.expire(&k.batch)
-				k.batchAt = k.batch[0].at
-				if k.pacer != nil && k.batchAt > k.now && k.pacer.Advance(k.batchAt) {
-					// The pacer injected work; push the expired instant
-					// back and re-select the earliest event. Injections at
-					// batchAt landed in the live batch and are reinserted
-					// with it.
-					for i, e := range k.batch {
-						k.wheel.insert(e)
-						k.batch[i] = nil
-					}
-					k.batch = k.batch[:0]
-					continue
-				}
+		if k.events.len() > 0 {
+			if at := k.events.earliest(); k.pacer != nil && at > k.now && k.pacer.Advance(at) {
+				continue // the pacer may have made a thread runnable
 			}
-			e := k.batch[0]
-			copy(k.batch, k.batch[1:])
-			k.batch[len(k.batch)-1] = nil
-			k.batch = k.batch[:len(k.batch)-1]
+			e := k.events.pop()
 			k.now = e.at
 			k.dispatch(e)
 			continue
@@ -603,7 +569,7 @@ func (t *Thread) Sleep(d time.Duration) {
 	e := k.newEvent(wake)
 	e.op = opWake
 	e.th = t
-	k.enqueue(e)
+	k.events.push(e)
 	// A sleeping thread always has a pending wake event, so its reason
 	// can never appear in a deadlock report; a constant avoids a
 	// fmt.Sprintf on every simulated sleep.
@@ -612,14 +578,14 @@ func (t *Thread) Sleep(d time.Duration) {
 
 // sleepInPlace moves the clock to wake on t's own stack when the trip
 // through Run could resume nothing but t: Run is live and not stopped, t
-// is current, the run queue and the instant batch are empty, no Pacer has
-// to be asked, and wake is strictly before every pending event (one due
-// at wake itself has a smaller seq and goes first). It then does what Run
-// would have, in Run's order: switching is still the same with and without
-// sched hooks, which see both scheduling points as Run shows them.
+// is current, the run queue is empty, no Pacer has to be asked, and wake
+// is strictly before every pending event (one due at wake itself has a
+// smaller seq and goes first). It then does what Run would have, in Run's
+// order: switching is still the same with and without sched hooks, which
+// see both scheduling points as Run shows them.
 func (k *Kernel) sleepInPlace(t *Thread, wake time.Duration) bool {
-	if !k.running || k.stopped || k.current != t || len(k.runq) > 0 || len(k.batch) > 0 ||
-		k.pacer != nil || wake >= k.wheel.earliest() {
+	if !k.running || k.stopped || k.current != t || len(k.runq) > 0 ||
+		k.pacer != nil || wake >= k.events.earliest() {
 		return false
 	}
 	k.inPlace++
@@ -627,7 +593,6 @@ func (k *Kernel) sleepInPlace(t *Thread, wake time.Duration) bool {
 	t.state, t.blockReason, k.current = StateBlocked, "sleeping", nil
 	k.runHooks()
 	k.now = wake
-	k.wheel.rebase(wake)
 	t.state = StateRunnable
 	k.runq = append(k.runq, t)
 	if k.stopped {

@@ -22,9 +22,9 @@
 # twenty times at GOMAXPROCS 1, 2, 8),
 # determinism (byte-identical trace export under forced parallelism, and
 # the no-op-pacer differentials: a kernel that takes lone sleeps in
-# place against one that sends every sleep through the wheel, schedule
-# logs in internal/sim and whole replays in internal/artc, three times
-# each at GOMAXPROCS 1, 2, 8),
+# place against one that sends every sleep through the event queue,
+# schedule logs in internal/sim and whole replays in internal/artc,
+# three times each at GOMAXPROCS 1, 2, 8),
 # ingest (strace text compiles to the same .bench bytes with the
 # artifact cache off, cold and warm, and at GOMAXPROCS 1 and 2, and a
 # text .bench of an older build is refused by name), shard (sharded
@@ -38,8 +38,8 @@
 # allocations-per-record ceilings, the warm's per-page ceiling and the
 # decoder's and the ingest path's bytes-per-record ceilings, printed,
 # under GOMAXPROCS 1 and 2, escape analysis saying no syscall entry
-# point's trace.Record reaches the heap, and 0 allocs/op on both sleep
-# paths), fuzz (short
+# point's trace.Record reaches the heap, and 0 allocs/op from all five
+# kernel microbenchmarks), fuzz (short
 # smokes: the strace lexer, the Chrome exporter and the page cache
 # against their reference implementations, the artifact decoder against
 # malformed input), service (boot artcd, drive
@@ -130,7 +130,7 @@ determinism() {
   GOMAXPROCS=8 "$tmp/artc" trace -magritte pages_docphoto15 -quiet -o "$tmp/trace-2.json"
   cmp "$tmp/trace-1.json" "$tmp/trace-2.json"
   for procs in 1 2 8; do
-    echo "== determinism: sleeps in place vs every sleep through the wheel (no-op pacer) at GOMAXPROCS=$procs"
+    echo "== determinism: sleeps in place vs every sleep through the event queue (no-op pacer) at GOMAXPROCS=$procs"
     GOMAXPROCS=$procs go test -count=3 -run 'SleepInPlace' ./internal/sim/ ./internal/artc/
   done
 }
@@ -259,7 +259,10 @@ cache() {
 # recorder adds to a hits replay per span, figures printed as lint
 # prints its line counts; the escape check catches the commonest way
 # back for the first, a change to System.record that lets the entry
-# points' Record literals escape.
+# points' Record literals escape. Last, every kernel microbenchmark —
+# both sleep paths, timer churn, completion storm and the Park/Unpark
+# ping-pong — must report 0 allocs/op: the event pool and the event
+# queue's backing array grow during warm-up only.
 allocs() {
   for procs in 1 2; do
     echo "== allocs: allocations-per-record and per-warmed-page ceilings at GOMAXPROCS=$procs"
@@ -281,12 +284,12 @@ allocs() {
     echo "escape analysis reported $(wc -l < "$tmp/escape.txt") of the $literals &trace.Record{...} literals: the check no longer sees them all" >&2
     exit 1
   fi
-  echo "== allocs: neither sleep path allocates"
-  go test -run '^$' -bench 'KernelSleep(Churn|Alone)$' -benchmem ./internal/sim/ > "$tmp/sleep-allocs.txt" ||
-    { cat "$tmp/sleep-allocs.txt" >&2; exit 1; }
-  grep '^Benchmark' "$tmp/sleep-allocs.txt"
-  if [ "$(grep -c '^BenchmarkKernelSleep.* 0 allocs/op$' "$tmp/sleep-allocs.txt")" -ne 2 ]; then
-    echo "a sleep allocates: BenchmarkKernelSleepChurn (the opWake event) and BenchmarkKernelSleepAlone (in place) must both report 0 allocs/op" >&2
+  echo "== allocs: no kernel path allocates"
+  go test -run '^$' -bench 'Kernel(SleepChurn|SleepAlone|TimerChurn|CompletionStorm|PingPong)$' -benchmem ./internal/sim/ > "$tmp/kernel-allocs.txt" ||
+    { cat "$tmp/kernel-allocs.txt" >&2; exit 1; }
+  grep '^Benchmark' "$tmp/kernel-allocs.txt"
+  if [ "$(grep -c '^BenchmarkKernel.* 0 allocs/op$' "$tmp/kernel-allocs.txt")" -ne 5 ]; then
+    echo "a kernel path allocates: BenchmarkKernel{SleepChurn,SleepAlone,TimerChurn,CompletionStorm,PingPong} must all report 0 allocs/op" >&2
     exit 1
   fi
 }
