@@ -149,11 +149,58 @@ func (fi *fileIndex) clear(idx int64) {
 	}
 }
 
-// inflight tracks a page read that has been issued but not completed, so
-// concurrent readers of the same page wait instead of duplicating I/O.
-type inflight struct {
-	cond *sim.Cond
-	done bool
+// readOp is the record of one Read that missed or found a page being
+// fetched: the runs it fetches and the fetches of other readers it waits
+// on. Other readers of a page it fetches find it in Cache.reading and
+// wait on its cond. holds counts the threads that may still look at it,
+// its own reader and each sharer, and the last to let go puts it back on
+// Cache.readFree, so a reused record's cond, runs and wait reasons cost
+// nothing (DESIGN.md, "I/O completion records").
+type readOp struct {
+	c         *Cache
+	file      FileID
+	m         Mapper
+	runs      []*readRun // runs[:nruns] are this Read's
+	nruns     int
+	remaining int  // runs not yet completed
+	done      bool // every run completed
+	holds     int
+	cond      *sim.Cond
+	shared    []*readOp // fetches of others this Read waits on, one per page
+
+	// readReason and sharedReason describe the two waits for a deadlock
+	// report, bound once so a wait formats nothing.
+	readReason, sharedReason func() string
+}
+
+// readRun is one contiguous fetch of a readOp: its request and the
+// completion handed to the scheduler, bound once.
+type readRun struct {
+	op           *readOp
+	first, count int64
+	req          storage.Request
+	fire         func()
+}
+
+// writeOp is the record of one writePages call: the slots it writes
+// (Sync and SyncAll copy theirs here, so the sort does not reorder an
+// index slice), one run per coalesced request, and the cond its thread
+// waits on. Only that thread waits, so the record goes back on
+// Cache.writeFree when the wait ends.
+type writeOp struct {
+	slots     []int32
+	runs      []*writeRun // runs[:nruns] are this call's
+	nruns     int
+	remaining int
+	cond      *sim.Cond
+}
+
+// writeRun is one coalesced write request of a writeOp and its
+// completion, bound once.
+type writeRun struct {
+	op   *writeOp
+	req  storage.Request
+	fire func()
 }
 
 // Cache is the page cache. It is used only from simulated threads and
@@ -175,7 +222,12 @@ type Cache struct {
 	gen        uint64
 
 	mru, lru int32 // ends of the recency list threaded through the pages
-	reading  map[pageKey]*inflight
+	reading  map[pageKey]*readOp
+
+	// readFree and writeFree hold the idle I/O records. The cache is
+	// used from one kernel only, so they need no lock.
+	readFree  []*readOp
+	writeFree []*writeOp
 
 	// files indexes pages by file; dirtyFiles lists the indexes whose
 	// dirty slice is non-empty, which is all SyncAll has to visit.
@@ -195,7 +247,7 @@ func New(k *sim.Kernel, s sched.Scheduler, capacityPages int64) *Cache {
 		sched:    s,
 		capacity: capacityPages,
 		next:     1,
-		reading:  make(map[pageKey]*inflight),
+		reading:  make(map[pageKey]*readOp),
 		files:    make(map[FileID]*fileIndex),
 	}
 }
@@ -366,7 +418,9 @@ func (c *Cache) evictFor(t *sim.Thread, n int64) (evicted bool) {
 		p := c.at(victim)
 		gen := p.gen
 		if p.dpos >= 0 {
-			c.writePages(t, []int32{victim})
+			o := c.writeOp()
+			o.slots = append(o.slots, victim)
+			c.writePages(t, o)
 		}
 		// The victim may have left while t waited (its file was dropped,
 		// or the whole cache) and its slot may hold another page by now.
@@ -383,12 +437,7 @@ func (c *Cache) evictFor(t *sim.Thread, n int64) (evicted bool) {
 // until any missing pages have been fetched. Contiguous missing runs are
 // fetched in single device requests. The mapper supplies placement.
 func (c *Cache) Read(t *sim.Thread, file FileID, m Mapper, start, n int64) {
-	if n <= 0 {
-		return
-	}
-	type run struct{ first, count int64 }
-	var runs []run
-	var waits []*inflight
+	var o *readOp // taken at the first page that is not resident
 	fi := c.files[file]
 	for i := start; i < start+n; i++ {
 		if s := fi.lookup(i); s != 0 {
@@ -396,70 +445,129 @@ func (c *Cache) Read(t *sim.Thread, file FileID, m Mapper, start, n int64) {
 			c.touch(s)
 			continue
 		}
+		if o == nil {
+			o = c.readOp(file, m)
+		}
 		if len(c.reading) > 0 {
 			if inf, ok := c.reading[pageKey{file, i}]; ok {
 				// Someone else is fetching this page.
 				c.stats.Hits++
-				waits = append(waits, inf)
+				inf.holds++
+				o.shared = append(o.shared, inf)
 				continue
 			}
 		}
 		c.stats.Misses++
-		if len(runs) > 0 {
-			last := &runs[len(runs)-1]
+		if o.nruns > 0 {
+			last := o.runs[o.nruns-1]
 			if last.first+last.count == i && m(i) == m(i-1)+1 {
 				last.count++
 				continue
 			}
 		}
-		runs = append(runs, run{i, 1})
+		o.addRun(i)
 	}
-	if len(runs) == 0 && len(waits) == 0 {
+	if o == nil {
 		return
 	}
-	remaining := len(runs)
-	myWait := &inflight{cond: sim.NewCond(c.k)}
-	for _, r := range runs {
+	o.remaining = o.nruns
+	for _, r := range o.runs[:o.nruns] {
 		for i := r.first; i < r.first+r.count; i++ {
-			c.reading[pageKey{file, i}] = myWait
+			c.reading[pageKey{file, i}] = o
 		}
-		r := r
-		req := &storage.Request{
+		r.req = storage.Request{
 			Kind:   storage.Read,
 			LBA:    m(r.first),
 			Blocks: int(r.count),
 			Owner:  t.ID(),
 		}
-		c.sched.Submit(req, func() {
-			// Kernel context: insert without evicting; the waiting
-			// thread trims the cache after it wakes.
-			fi := c.index(file)
-			for i := r.first; i < r.first+r.count; i++ {
-				delete(c.reading, pageKey{file, i})
-				if s := fi.lookup(i); s != 0 {
-					c.touch(s)
-				} else {
-					c.add(fi, file, i, m(i))
-				}
-			}
-			remaining--
-			if remaining == 0 {
-				myWait.done = true
-				myWait.cond.Broadcast()
-			}
-		})
+		c.sched.Submit(&r.req, r.fire)
 	}
-	for remaining > 0 {
-		myWait.cond.Wait(t, fmt.Sprintf("page read file=%d", file))
+	for o.remaining > 0 {
+		o.cond.WaitFn(t, o.readReason)
 	}
-	for _, w := range waits {
+	for _, w := range o.shared {
 		for !w.done {
-			w.cond.Wait(t, fmt.Sprintf("shared page read file=%d", file))
+			w.cond.WaitFn(t, o.sharedReason)
 		}
+	}
+	// Every wait is over: let go of o, then of the fetches it shared.
+	// Nothing runs in between, so o's list of them is still intact even
+	// if o is back on the free list.
+	o.release()
+	for _, w := range o.shared {
+		w.release()
 	}
 	// Completion callbacks inserted pages without evicting; trim back to
 	// capacity now that we are in thread context.
 	c.evictFor(t, 0)
+}
+
+// readOp takes an idle read record, or makes one, for a Read of file
+// through m held by its caller.
+func (c *Cache) readOp(file FileID, m Mapper) *readOp {
+	var o *readOp
+	if n := len(c.readFree); n > 0 {
+		o, c.readFree = c.readFree[n-1], c.readFree[:n-1]
+	} else {
+		o = &readOp{c: c, cond: sim.NewCond(c.k)}
+		o.readReason, o.sharedReason = o.describeRead, o.describeShared
+	}
+	o.file, o.m, o.holds, o.shared = file, m, 1, o.shared[:0]
+	return o
+}
+
+func (o *readOp) describeRead() string {
+	return fmt.Sprintf("page read file=%d", o.file)
+}
+
+func (o *readOp) describeShared() string {
+	return fmt.Sprintf("shared page read file=%d", o.file)
+}
+
+// addRun starts a run of one page at first.
+func (o *readOp) addRun(first int64) {
+	if o.nruns == len(o.runs) {
+		r := &readRun{op: o}
+		r.fire = r.complete
+		o.runs = append(o.runs, r)
+	}
+	r := o.runs[o.nruns]
+	r.first, r.count = first, 1
+	o.nruns++
+}
+
+// complete runs in kernel context when the run's request is done. It
+// inserts without evicting; the waiting thread trims the cache after it
+// wakes.
+func (r *readRun) complete() {
+	o := r.op
+	c := o.c
+	fi := c.index(o.file)
+	for i := r.first; i < r.first+r.count; i++ {
+		delete(c.reading, pageKey{o.file, i})
+		if s := fi.lookup(i); s != 0 {
+			c.touch(s)
+		} else {
+			c.add(fi, o.file, i, o.m(i))
+		}
+	}
+	o.remaining--
+	if o.remaining == 0 {
+		o.done = true
+		o.cond.Broadcast()
+	}
+}
+
+// release lets go of one hold on o. The last hold is let go only after
+// every run has completed (its reader waited for that) and no thread
+// waits on o any more, so o can go back on the free list.
+func (o *readOp) release() {
+	if o.holds--; o.holds > 0 {
+		return
+	}
+	o.m, o.nruns, o.done = nil, 0, false
+	o.c.readFree = append(o.c.readFree, o)
 }
 
 // Warm makes pages [start, start+n) of file resident and clean in zero
@@ -523,9 +631,11 @@ func (c *Cache) Sync(t *sim.Thread, file FileID) int {
 	if fi == nil || len(fi.dirty) == 0 {
 		return 0
 	}
-	dirty := slices.Clone(fi.dirty)
-	c.writePages(t, dirty)
-	return len(dirty)
+	o := c.writeOp()
+	o.slots = append(o.slots, fi.dirty...)
+	n := len(o.slots)
+	c.writePages(t, o)
+	return n
 }
 
 // SyncAll writes back every dirty page in the cache (the sync(2) call).
@@ -533,24 +643,34 @@ func (c *Cache) SyncAll(t *sim.Thread) int {
 	if c.dirty == 0 {
 		return 0
 	}
-	dirty := make([]int32, 0, c.dirty)
+	o := c.writeOp()
 	for _, fi := range c.dirtyFiles {
-		dirty = append(dirty, fi.dirty...)
+		o.slots = append(o.slots, fi.dirty...)
 	}
-	c.writePages(t, dirty)
-	return len(dirty)
+	n := len(o.slots)
+	c.writePages(t, o)
+	return n
 }
 
-// writePages issues write requests for the pages in the given slots
-// (coalescing contiguous LBAs) and blocks t until all complete. Pages
-// are marked clean when the writes are issued; the model does not
-// redirty mid-write. It reorders slots, which must not alias an index
-// slice.
-func (c *Cache) writePages(t *sim.Thread, slots []int32) {
+// writeOp takes an idle write record, or makes one, with no slots.
+func (c *Cache) writeOp() *writeOp {
+	if n := len(c.writeFree); n > 0 {
+		o := c.writeFree[n-1]
+		c.writeFree = c.writeFree[:n-1]
+		return o
+	}
+	return &writeOp{cond: sim.NewCond(c.k)}
+}
+
+// writePages issues write requests for the pages in o's slots
+// (coalescing contiguous LBAs) and blocks t until all complete, then
+// puts o back on the free list. Pages are marked clean when the writes
+// are issued; the model does not redirty mid-write.
+func (c *Cache) writePages(t *sim.Thread, o *writeOp) {
 	// (lba, file, idx) is a total order over resident pages, so the
 	// request sequence does not depend on the order the caller collected
 	// them in, even when two files map onto the same LBA.
-	slices.SortFunc(slots, func(a, b int32) int {
+	slices.SortFunc(o.slots, func(a, b int32) int {
 		p, q := c.at(a), c.at(b)
 		return cmp.Or(
 			cmp.Compare(p.lba, q.lba),
@@ -558,34 +678,41 @@ func (c *Cache) writePages(t *sim.Thread, slots []int32) {
 			cmp.Compare(p.idx, q.idx),
 		)
 	})
-	type run struct {
-		lba    int64
-		blocks int
-	}
-	var runs []run
-	for _, s := range slots {
+	var last *storage.Request
+	for _, s := range o.slots {
 		p := c.at(s)
 		c.markClean(c.files[p.file], s)
 		c.stats.Writebacks++
-		if len(runs) > 0 && runs[len(runs)-1].lba+int64(runs[len(runs)-1].blocks) == p.lba {
-			runs[len(runs)-1].blocks++
+		if last != nil && last.End() == p.lba {
+			last.Blocks++
 			continue
 		}
-		runs = append(runs, run{p.lba, 1})
+		if o.nruns == len(o.runs) {
+			r := &writeRun{op: o}
+			r.fire = r.complete
+			o.runs = append(o.runs, r)
+		}
+		last = &o.runs[o.nruns].req
+		*last = storage.Request{Kind: storage.Write, LBA: p.lba, Blocks: 1, Owner: t.ID()}
+		o.nruns++
 	}
-	remaining := len(runs)
-	cond := sim.NewCond(c.k)
-	for _, r := range runs {
-		req := &storage.Request{Kind: storage.Write, LBA: r.lba, Blocks: r.blocks, Owner: t.ID()}
-		c.sched.Submit(req, func() {
-			remaining--
-			if remaining == 0 {
-				cond.Broadcast()
-			}
-		})
+	o.remaining = o.nruns
+	for _, r := range o.runs[:o.nruns] {
+		c.sched.Submit(&r.req, r.fire)
 	}
-	for remaining > 0 {
-		cond.Wait(t, "writeback")
+	for o.remaining > 0 {
+		o.cond.Wait(t, "writeback")
+	}
+	// Every completion has run and only t waited: o is idle.
+	o.slots, o.nruns = o.slots[:0], 0
+	c.writeFree = append(c.writeFree, o)
+}
+
+// complete runs in kernel context when the run's request is done.
+func (r *writeRun) complete() {
+	o := r.op
+	if o.remaining--; o.remaining == 0 {
+		o.cond.Broadcast()
 	}
 }
 

@@ -29,10 +29,25 @@ func DefaultDeadline() DeadlineParams {
 	}
 }
 
+// dlPending is a request's record from Submit to completion, recycled
+// through Deadline.free like Noop's.
 type dlPending struct {
+	s        *Deadline
 	r        *storage.Request
 	done     func()
 	deadline time.Duration
+	fire     func() // p.complete, bound once
+}
+
+// complete runs in kernel context when the device finishes the request.
+func (p *dlPending) complete() {
+	s, done := p.s, p.done
+	p.r, p.done = nil, nil
+	s.free = append(s.free, p)
+	s.inDevice--
+	s.outstanding--
+	done()
+	s.dispatch()
 }
 
 // Deadline models Linux's deadline I/O scheduler: requests are kept in a
@@ -52,6 +67,7 @@ type Deadline struct {
 	lastLBA     int64
 	outstanding int
 	inDevice    int
+	free        []*dlPending // idle request records
 }
 
 // NewDeadline returns a deadline scheduler for dev bound to k.
@@ -84,7 +100,14 @@ func (s *Deadline) Submit(r *storage.Request, done func()) {
 	if r.Kind == storage.Write {
 		exp = s.p.WriteExpire
 	}
-	p := &dlPending{r: r, done: done, deadline: s.k.Now() + exp}
+	var p *dlPending
+	if n := len(s.free); n > 0 {
+		p, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		p = &dlPending{s: s}
+		p.fire = p.complete
+	}
+	p.r, p.done, p.deadline = r, done, s.k.Now()+exp
 	idx := sort.Search(len(s.sorted), func(i int) bool { return s.sorted[i].r.LBA >= r.LBA })
 	s.sorted = append(s.sorted, nil)
 	copy(s.sorted[idx+1:], s.sorted[idx:])
@@ -124,13 +147,7 @@ func (s *Deadline) dispatch() {
 		s.remove(pick)
 		s.lastLBA = pick.r.End()
 		s.inDevice++
-		p := pick
-		s.dev.Submit(p.r, func() {
-			s.inDevice--
-			s.outstanding--
-			p.done()
-			s.dispatch()
-		})
+		s.dev.Submit(pick.r, pick.fire)
 	}
 }
 

@@ -43,6 +43,28 @@ type Scheduler interface {
 type Noop struct {
 	dev         storage.Device
 	outstanding int
+	free        []*noopOp // idle completion records
+}
+
+// noopOp is a request's completion record. fire, the completion handed
+// to the device, is bound once when the record is made, so a request on
+// a recycled record allocates nothing (DESIGN.md, "I/O completion
+// records"; CFQ and Deadline keep theirs the same way).
+type noopOp struct {
+	s    *Noop
+	done func()
+	fire func()
+}
+
+// complete runs in kernel context when the device finishes the request.
+// The record goes back on the free list before done runs: the device is
+// through with it, and done may submit again.
+func (o *noopOp) complete() {
+	s, done := o.s, o.done
+	o.done = nil
+	s.free = append(s.free, o)
+	s.outstanding--
+	done()
 }
 
 // NewNoop returns a pass-through scheduler for dev.
@@ -61,10 +83,15 @@ func (s *Noop) InFlight() int { return s.outstanding }
 // Submit implements Scheduler.
 func (s *Noop) Submit(r *storage.Request, done func()) {
 	s.outstanding++
-	s.dev.Submit(r, func() {
-		s.outstanding--
-		done()
-	})
+	var o *noopOp
+	if n := len(s.free); n > 0 {
+		o, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		o = &noopOp{s: s}
+		o.fire = o.complete
+	}
+	o.done = done
+	s.dev.Submit(r, o.fire)
 }
 
 // CFQParams tune the CFQ model.
@@ -90,14 +117,29 @@ func DefaultCFQ() CFQParams {
 	}
 }
 
-type cfqPending struct {
+// cfqOp is a request's record from Submit to completion, recycled
+// through CFQ.free like Noop's.
+type cfqOp struct {
+	s    *CFQ
 	r    *storage.Request
 	done func()
+	fire func() // o.complete, bound once
+}
+
+// complete runs in kernel context when the device finishes the request.
+func (o *cfqOp) complete() {
+	s, done := o.s, o.done
+	o.r, o.done = nil, nil
+	s.free = append(s.free, o)
+	s.inDevice--
+	s.outstanding--
+	done()
+	s.dispatch()
 }
 
 type cfqQueue struct {
 	owner   int
-	fifo    []cfqPending
+	fifo    []*cfqOp
 	lastEnd int64   // end LBA of the most recent request, for seek detection
 	seekEWA float64 // exponentially-weighted fraction of seeky accesses
 	started bool
@@ -131,13 +173,14 @@ type CFQ struct {
 	p   CFQParams
 
 	queues      map[int]*cfqQueue
-	order       []int // round-robin order of owners with ever-seen traffic
-	active      int   // owner of the active queue; -1 if none
+	order       []*cfqQueue // round-robin order of owners with ever-seen traffic
+	active      int         // owner of the active queue; -1 if none
 	sliceEnd    time.Duration
 	idleTimer   *sim.Timer // reused across every anticipation window
 	idling      bool       // device held idle for the active owner
 	outstanding int        // submitted to scheduler, not yet completed
 	inDevice    int        // dispatched to device, not yet completed
+	free        []*cfqOp   // idle request records
 }
 
 // NewCFQ returns a CFQ scheduler for dev bound to kernel k.
@@ -172,9 +215,17 @@ func (s *CFQ) Submit(r *storage.Request, done func()) {
 	if q == nil {
 		q = &cfqQueue{owner: r.Owner}
 		s.queues[r.Owner] = q
-		s.order = append(s.order, r.Owner)
+		s.order = append(s.order, q)
 	}
-	q.fifo = append(q.fifo, cfqPending{r, done})
+	var o *cfqOp
+	if n := len(s.free); n > 0 {
+		o, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		o = &cfqOp{s: s}
+		o.fire = o.complete
+	}
+	o.r, o.done = r, done
+	q.fifo = append(q.fifo, o)
 	if s.active == -1 {
 		s.activate(r.Owner)
 	} else if s.idling && s.active == r.Owner {
@@ -200,16 +251,15 @@ func (s *CFQ) nextOwner() int {
 		return -1
 	}
 	start := 0
-	for i, o := range s.order {
-		if o == s.active {
+	for i, q := range s.order {
+		if q.owner == s.active {
 			start = i + 1
 			break
 		}
 	}
 	for i := 0; i < len(s.order); i++ {
-		o := s.order[(start+i)%len(s.order)]
-		if q := s.queues[o]; q != nil && len(q.fifo) > 0 {
-			return o
+		if q := s.order[(start+i)%len(s.order)]; len(q.fifo) > 0 {
+			return q.owner
 		}
 	}
 	return -1
@@ -220,7 +270,7 @@ func (s *CFQ) nextOwner() int {
 // (Linux's sync-noidle service tree), letting the device elevator work.
 func (s *CFQ) allPendingSeeky() bool {
 	any := false
-	for _, q := range s.queues {
+	for _, q := range s.order {
 		if len(q.fifo) == 0 {
 			continue
 		}
@@ -330,14 +380,9 @@ func (s *CFQ) idleExpired() {
 
 // startOne pops the head of q and hands it to the device.
 func (s *CFQ) startOne(q *cfqQueue) {
-	p := q.fifo[0]
+	o := q.fifo[0]
 	q.fifo = append(q.fifo[:0], q.fifo[1:]...)
-	q.observe(p.r, s.p.SeekyThreshold)
+	q.observe(o.r, s.p.SeekyThreshold)
 	s.inDevice++
-	s.dev.Submit(p.r, func() {
-		s.inDevice--
-		s.outstanding--
-		p.done()
-		s.dispatch()
-	})
+	s.dev.Submit(o.r, o.fire)
 }

@@ -52,6 +52,9 @@ type Job struct {
 	// resultEvicted: the job is done but later jobs of its tenant pushed
 	// its result bytes out of retention (see retainResultLocked).
 	resultEvicted bool
+	// ended is closed once, by finalizeLocked, when the job reaches a
+	// terminal state; a waiter needs no lock to wait on it.
+	ended chan struct{}
 }
 
 // jobRequest is the submission document. Unknown fields are rejected;
@@ -189,6 +192,7 @@ func (s *Server) admitLocked(t *tenant, req jobRequest) *Job {
 		created: time.Now(),
 		req:     req,
 		cancel:  make(chan struct{}),
+		ended:   make(chan struct{}),
 	}
 	t.jobs[j.ID] = j
 	t.jobOrder = append(t.jobOrder, j.ID)
@@ -292,5 +296,6 @@ func (s *Server) finalizeLocked(t *tenant, j *Job, st State, errMsg string) {
 	j.finished = time.Now()
 	s.counters.Add("artcd_jobs_"+string(st), 1)
 	s.liveJobs--
+	close(j.ended)
 	s.cond.Broadcast()
 }

@@ -88,16 +88,30 @@ func jobState(t *testing.T, s *Server, tenant, id string) State {
 	return doc.State
 }
 
+// waitState waits for job id to be in state want. A terminal state is
+// waited for on the job's ended channel; running is not terminal, so
+// the job is polled until it has left the queue. Neither wait has a
+// host-clock deadline of its own: go test -timeout bounds a real hang.
 func waitState(t *testing.T, s *Server, tenant, id string, want State) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if st := jobState(t, s, tenant, id); st == want {
-			return
-		} else if time.Now().After(deadline) {
-			t.Fatalf("job %s stuck in %s, want %s", id, st, want)
+	s.mu.Lock()
+	var j *Job
+	if tn := s.tenants[tenant]; tn != nil {
+		j = tn.jobs[id]
+	}
+	s.mu.Unlock()
+	if j == nil {
+		t.Fatalf("no job %s of tenant %s", id, tenant)
+	}
+	if terminal(want) {
+		<-j.ended
+	} else {
+		for jobState(t, s, tenant, id) == StateQueued {
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if st := jobState(t, s, tenant, id); st != want {
+		t.Fatalf("job %s is %s, want %s", id, st, want)
 	}
 }
 

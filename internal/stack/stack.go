@@ -177,9 +177,10 @@ type System struct {
 
 	// Block allocator state. Metadata lives at low LBAs, the journal in
 	// a fixed region, data beyond it.
-	nextData   int64
-	journalLBA int64
-	journalOff int64
+	nextData    int64
+	journalLBA  int64
+	journalOff  int64
+	journalFree []*journalOp // idle journal commit records
 
 	openCount map[*vfs.Inode]int // open descriptors per inode, for deferred frees
 
@@ -357,17 +358,37 @@ func (s *System) journalCommit(t *sim.Thread) {
 	t.Sleep(prof.JournalCPU)
 	lba := s.journalLBA + s.journalOff
 	s.journalOff = (s.journalOff + int64(prof.JournalBlocks)) % journalRegionBlocks
-	done := false
-	c := sim.NewCond(s.K)
-	s.Sched.Submit(&storage.Request{
-		Kind: storage.Write, LBA: lba, Blocks: prof.JournalBlocks, Owner: t.ID(),
-	}, func() {
-		done = true
-		c.Broadcast()
-	})
-	for !done {
-		c.Wait(t, "journal commit")
+	var o *journalOp
+	if n := len(s.journalFree); n > 0 {
+		o, s.journalFree = s.journalFree[n-1], s.journalFree[:n-1]
+	} else {
+		o = &journalOp{cond: sim.NewCond(s.K)}
+		o.fire = o.complete
 	}
+	o.req = storage.Request{Kind: storage.Write, LBA: lba, Blocks: prof.JournalBlocks, Owner: t.ID()}
+	o.done = false
+	s.Sched.Submit(&o.req, o.fire)
+	for !o.done {
+		o.cond.Wait(t, "journal commit")
+	}
+	// The completion has run and only t waited: o is idle.
+	s.journalFree = append(s.journalFree, o)
+}
+
+// journalOp is one journal commit's record: its request, the completion
+// handed to the scheduler (bound once) and the cond its thread waits on.
+// It goes back on System.journalFree when the wait ends, as the cache's
+// records do (DESIGN.md, "I/O completion records").
+type journalOp struct {
+	req  storage.Request
+	done bool
+	cond *sim.Cond
+	fire func()
+}
+
+func (o *journalOp) complete() {
+	o.done = true
+	o.cond.Broadcast()
 }
 
 // callEntry is what a syscall entry point hands to record when the call

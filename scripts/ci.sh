@@ -37,6 +37,7 @@
 # cache hit/corruption behavior), allocs (the replay loop's
 # allocations-per-record ceilings, the warm's per-page ceiling and the
 # decoder's and the ingest path's bytes-per-record ceilings, printed,
+# 0 allocations per simulated device request once warmed,
 # under GOMAXPROCS 1 and 2, escape analysis saying no syscall entry
 # point's trace.Record reaches the heap, and 0 allocs/op from all five
 # kernel microbenchmarks), fuzz (short
@@ -249,12 +250,15 @@ cache() {
   grep -qi "truncat" "$tmp/cache-trunc.err"
 }
 
-# allocs answers three questions: does the replay loop still allocate
+# allocs answers four questions: does the replay loop still allocate
 # nothing per record, does warming a replica still allocate nothing per
-# page, and what do decoding and ingesting a record, and recording a
-# span, allocate? The ceilings count a whole Replay's allocations per
-# record, a whole WarmAll's per resident page (plus the page cache's
-# sparse-file bound), the bytes of a whole DecodeBinaryBytes and of a
+# page, does a simulated device request still allocate nothing, and
+# what do decoding and ingesting a record, and recording a span,
+# allocate? The ceilings count a whole Replay's allocations per record,
+# a whole WarmAll's per resident page (plus the page cache's
+# sparse-file bound), a warmed machine's per device request (read
+# misses, writebacks and journal commits through noop, cfq and deadline
+# on an HDD and an SSD: 0), the bytes of a whole DecodeBinaryBytes and of a
 # whole strace-to-store-and-back ingest per record and the bytes a
 # recorder adds to a hits replay per span, figures printed as lint
 # prints its line counts; the escape check catches the commonest way
@@ -265,8 +269,8 @@ cache() {
 # queue's backing array grow during warm-up only.
 allocs() {
   for procs in 1 2; do
-    echo "== allocs: allocations-per-record and per-warmed-page ceilings at GOMAXPROCS=$procs"
-    GOMAXPROCS=$procs go test -count=1 -run 'ReplayAllocs|WarmAllocs' ./internal/artc/ ./internal/cache/
+    echo "== allocs: allocations-per-record, per-warmed-page and per-device-request ceilings at GOMAXPROCS=$procs"
+    GOMAXPROCS=$procs go test -count=1 -run 'ReplayAllocs|WarmAllocs|IOAllocsPerRequest' ./internal/artc/ ./internal/cache/ ./internal/stack/
     GOMAXPROCS=$procs go test -count=1 -v -run 'DecodeBytesPerRecord|IngestBytesPerRecord|RecorderBytesPerSpan' ./internal/artc/ ./internal/artifact/ > "$tmp/bytes-allocs.txt" ||
       { cat "$tmp/bytes-allocs.txt" >&2; exit 1; }
     sed -n 's/^.*\(allocs\|ingest\)_test\.go:[0-9]*: \(.* bytes allocated per \)/\2/p' "$tmp/bytes-allocs.txt" |
